@@ -392,8 +392,8 @@ func BenchmarkPowerSynthesis(b *testing.B) {
 
 // benchEngineCPA10k runs the engine's full 10k-trace streaming CPA —
 // the DESIGN.md §6 scaling experiment — against the one-round AES
-// target with the given pool size, synthesis mode and replay batch
-// width (0: default lanes, negative: scalar per-trace replay).
+// target with the given pool size, synthesis mode and lane-group width
+// (0: default lanes).
 func benchEngineCPA10k(b *testing.B, workers int, mode engine.Mode, lanes int) {
 	opt := attack.DefaultFig3Options()
 	opt.Traces = 10000
@@ -421,18 +421,12 @@ func benchEngineCPA10k(b *testing.B, workers int, mode engine.Mode, lanes int) {
 // baseline of the 10k-trace streaming CPA — the shape of the attack
 // before compiled replay existed. Divide its time by the parallel
 // benchmarks' for the scaling factors.
-func BenchmarkEngineCPA10kSerial(b *testing.B) { benchEngineCPA10k(b, 1, engine.ModeSimulate, -1) }
+func BenchmarkEngineCPA10kSerial(b *testing.B) { benchEngineCPA10k(b, 1, engine.ModeSimulate, 0) }
 
 // BenchmarkEngineCPA10kSimulate runs the attack with one worker per
 // core under full simulation — the modern simulate path, against which
 // the replay benchmarks isolate their speedups at equal worker count.
-func BenchmarkEngineCPA10kSimulate(b *testing.B) { benchEngineCPA10k(b, 0, engine.ModeSimulate, -1) }
-
-// BenchmarkEngineCPA10kReplayScalar runs the attack with one worker per
-// core and scalar (one-trace-at-a-time) compiled replay — the pre-batch
-// replay path, against which BenchmarkEngineCPA10kParallel isolates the
-// lane-parallel speedup.
-func BenchmarkEngineCPA10kReplayScalar(b *testing.B) { benchEngineCPA10k(b, 0, engine.ModeAuto, -1) }
+func BenchmarkEngineCPA10kSimulate(b *testing.B) { benchEngineCPA10k(b, 0, engine.ModeSimulate, 0) }
 
 // BenchmarkEngineCPA10kParallel runs the attack with one worker per
 // core and the lane-parallel batched replay path (the auto default).
@@ -444,35 +438,6 @@ func BenchmarkEngineCPA10kParallel(b *testing.B) { benchEngineCPA10k(b, 0, engin
 // covers DefaultLanes itself).
 func BenchmarkEngineCPA10kLanes32(b *testing.B) { benchEngineCPA10k(b, 0, engine.ModeAuto, 32) }
 func BenchmarkEngineCPA10kLanes64(b *testing.B) { benchEngineCPA10k(b, 0, engine.ModeAuto, 64) }
-
-// BenchmarkReplayVM measures the compiled-replay VM alone on the
-// one-round AES schedule — the per-trace synthesis floor, to compare
-// against BenchmarkPipelineSimulation's per-execution cost. One warmup
-// run pays the schedule compilation and the pooled scratch, so the
-// timed iterations report the steady state even at -benchtime=1x.
-func BenchmarkReplayVM(b *testing.B) {
-	tgt, err := aes.NewTarget(pipeline.DefaultConfig(), benchKey, aes.ProgramOptions{Rounds: 1, PadNops: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	synth, err := engine.NewSynthesizer(engine.ModeReplay, pipeline.DefaultConfig(), tgt.Program())
-	if err != nil {
-		b.Fatal(err)
-	}
-	use := func(pipeline.Timeline, *pipeline.Core) error { return nil }
-	var pt [16]byte
-	run := func(i int) {
-		pt[0], pt[1] = byte(i), byte(i>>8)
-		if err := synth.Run(func(core *pipeline.Core) { tgt.InitCore(core, pt) }, use); err != nil {
-			b.Fatal(err)
-		}
-	}
-	run(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run(i)
-	}
-}
 
 // BenchmarkBatchVM measures the lane-parallel replay VM with fused
 // power synthesis on the one-round AES schedule: one iteration is one
@@ -488,20 +453,14 @@ func BenchmarkBatchVM(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := power.DefaultModel()
-	// One scalar run compiles the schedule so every timed iteration
-	// takes the batch path.
 	var pt [16]byte
-	if err := synth.Run(func(core *pipeline.Core) { tgt.InitCore(core, pt) },
-		func(pipeline.Timeline, *pipeline.Core) error { return nil }); err != nil {
-		b.Fatal(err)
-	}
 	init := func(lane int, core *pipeline.Core) error {
 		pt[0], pt[1] = byte(lane), byte(lane>>8)
 		tgt.InitCore(core, pt)
 		return nil
 	}
 	use := func(int, []float64, *pipeline.Core) error { return nil }
-	// Warmup batch: pays the schedule lowering and the lane scratch, so
+	// Warmup batch: pays the schedule compile and the lane scratch, so
 	// the timed iterations report the steady state even at
 	// -benchtime=1x.
 	if err := synth.RunBatch(&m, engine.DefaultLanes, init, use); err != nil {

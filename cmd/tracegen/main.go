@@ -153,28 +153,11 @@ func main() {
 		return nil
 	}
 
-	// -n 0 is a valid request for a header-only (empty) set. The batch
-	// path shares the scalar producer's per-trace rng draw order, so the
-	// file is byte-identical for every -lanes and -workers value.
+	// -n 0 is a valid request for a header-only (empty) set. Every trace
+	// draws from its private stream in the same order on every synthesis
+	// path, so the file is byte-identical for every -lanes, -workers and
+	// -replay value.
 	if err == nil && *n > 0 {
-		scalar := func(i int, rng *rand.Rand) (trace.Trace, []byte, error) {
-			pt := make([]byte, info.BlockSize)
-			rng.Read(pt)
-			var tr trace.Trace
-			err := synth.Run(
-				func(core *pipeline.Core) { inst.InitCore(core, pt) },
-				func(tl pipeline.Timeline, core *pipeline.Core) error {
-					if err := inst.VerifyOutput(core.Mem(), pt); err != nil {
-						return err
-					}
-					tr = env.Acquire(tl, &model, rng, *avg)
-					return nil
-				})
-			if err != nil {
-				return nil, nil, err
-			}
-			return tr, pt, nil
-		}
 		bs := engine.BatchStream{
 			Synth: synth,
 			Model: &model,
@@ -191,7 +174,6 @@ func main() {
 				}
 				return env.AcquireCycles(cycles, &model, rng, *avg), nil
 			},
-			Scalar: scalar,
 		}
 		err = engine.StreamBatched(engine.Config{Workers: ef.Workers}, *n, ef.Seed, bs, emit)
 	}

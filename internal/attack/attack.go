@@ -64,11 +64,11 @@ type Fig3Options struct {
 	// Workers sizes the synthesis pool (0: one per core).
 	Workers int
 	// Synth selects the trace-synthesis strategy. The zero value,
-	// engine.ModeAuto, compiles the AES schedule once and replays it per
-	// trace, bit-verified against full simulation on the first chunk.
+	// engine.ModeAuto, compiles the AES schedule once and replays it in
+	// lane groups, checked against full simulation on the first
+	// engine.VerifyRuns traces.
 	Synth engine.Mode
-	// Lanes is the lane-parallel replay batch width: 0 selects
-	// engine.DefaultLanes, negative forces the scalar per-trace path,
+	// Lanes is the lane-group width: 0 selects engine.DefaultLanes,
 	// otherwise 1..replay.MaxLanes. Results are bit-identical for every
 	// value.
 	Lanes int
@@ -173,8 +173,8 @@ type Fig4Options struct {
 	// Synth selects the trace-synthesis strategy (engine.ModeAuto by
 	// default: compiled replay, bit-verified on the first chunk).
 	Synth engine.Mode
-	// Lanes is the lane-parallel replay batch width (0: default,
-	// negative: scalar path); results are bit-identical for every value.
+	// Lanes is the lane-group width (0: default); results are
+	// bit-identical for every value.
 	Lanes int
 	// Ctx, when non-nil, cancels trace synthesis between chunks.
 	Ctx context.Context
@@ -265,28 +265,6 @@ func RunFigure4(key [aes.KeySize]byte, opt Fig4Options) (*Fig4Result, error) {
 			hyps[k] = float64(sca.HD8(sPrev, aes.SubBytesOut(pt[opt.KeyByte], byte(k))))
 		}
 	}
-	scalar := func(i int, rng *rand.Rand, s *engine.Sample) error {
-		var pt [aes.BlockSize]byte
-		rng.Read(pt[:])
-		err := synth.Run(
-			func(core *pipeline.Core) { tgt.InitCore(core, pt) },
-			func(tl pipeline.Timeline, core *pipeline.Core) error {
-				if _, err := tgt.VerifyOutput(core.Mem(), pt); err != nil {
-					return err
-				}
-				tr := opt.Env.Acquire(tl, &opt.Model, rng, opt.Averages)
-				if len(tr) != nSamples {
-					tr = tr.Resize(nSamples)
-				}
-				s.Trace = tr
-				return nil
-			})
-		if err != nil {
-			return err
-		}
-		fig4Hyps(pt, s.Hyps[0])
-		return nil
-	}
 	banks, err := engine.RunBatched(
 		engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate},
 		engine.Spec{Traces: opt.Traces, Samples: nSamples, Banks: engine.HypothesisBanks(256), Seed: opt.Seed},
@@ -316,7 +294,6 @@ func RunFigure4(key [aes.KeySize]byte, opt Fig4Options) (*Fig4Result, error) {
 				s.Trace = tr
 				return nil
 			},
-			Scalar: scalar,
 		})
 	if err != nil {
 		return nil, err

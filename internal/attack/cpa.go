@@ -130,34 +130,11 @@ func (s *cpaSetup) classBanks(bytes []int) []engine.Bank {
 // bit-identical to theirs.
 func (s *cpaSetup) batchGen(opt Fig3Options, bytes []int) engine.BatchGen {
 	inst, bs := s.inst, s.info.BlockSize
-	setClasses := func(sm *engine.Sample, pt []byte) {
-		for i, b := range bytes {
-			sm.Class[i] = inst.Class(b, pt)
-		}
-	}
-	scalar := func(i int, rng *rand.Rand, sm *engine.Sample) error {
-		pt := make([]byte, bs)
-		rng.Read(pt)
-		err := s.synth.Run(
-			func(core *pipeline.Core) { inst.InitCore(core, pt) },
-			func(tl pipeline.Timeline, core *pipeline.Core) error {
-				if err := inst.VerifyOutput(core.Mem(), pt); err != nil {
-					return err
-				}
-				sm.Trace, sm.Scratch = opt.Model.SynthesizeAveragedInto(sm.Trace, sm.Scratch, tl, rng, opt.Averages)
-				return nil
-			})
-		if err != nil {
-			return err
-		}
-		setClasses(sm, pt)
-		return nil
-	}
 	return engine.BatchGen{
 		Synth:    s.synth,
 		Model:    &opt.Model,
 		Lanes:    opt.Lanes,
-		Averages: max(opt.Averages, 1), // the scalar expansion clamps identically
+		Averages: max(opt.Averages, 1),
 		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, sm *engine.Sample) error {
 			if cap(sm.Aux) < bs {
 				sm.Aux = make([]byte, bs)
@@ -165,13 +142,14 @@ func (s *cpaSetup) batchGen(opt Fig3Options, bytes []int) engine.BatchGen {
 			sm.Aux = sm.Aux[:bs]
 			rng.Read(sm.Aux)
 			inst.InitCore(core, sm.Aux)
-			setClasses(sm, sm.Aux)
+			for i, b := range bytes {
+				sm.Class[i] = inst.Class(b, sm.Aux)
+			}
 			return nil
 		},
 		Verify: func(i int, core *pipeline.Core, sm *engine.Sample) error {
 			return inst.VerifyOutput(core.Mem(), sm.Aux)
 		},
-		Scalar: scalar,
 	}
 }
 

@@ -54,24 +54,6 @@ func captureSet(t *testing.T, n, workers, lanes int, key [aes.KeySize]byte) ([]t
 		aux = append(aux, append([]byte(nil), a...))
 		return sw.Append(tr, a)
 	}
-	scalar := func(i int, rng *rand.Rand) (trace.Trace, []byte, error) {
-		var pt [aes.BlockSize]byte
-		rng.Read(pt[:])
-		var tr trace.Trace
-		err := synth.Run(
-			func(core *pipeline.Core) { tgt.InitCore(core, pt) },
-			func(tl pipeline.Timeline, core *pipeline.Core) error {
-				if _, err := tgt.VerifyOutput(core.Mem(), pt); err != nil {
-					return err
-				}
-				tr = env.Acquire(tl, &model, rng, avg)
-				return nil
-			})
-		if err != nil {
-			return nil, nil, err
-		}
-		return tr, pt[:], nil
-	}
 	bs := engine.BatchStream{
 		Synth: synth,
 		Model: &model,
@@ -90,7 +72,6 @@ func captureSet(t *testing.T, n, workers, lanes int, key [aes.KeySize]byte) ([]t
 			}
 			return env.AcquireCycles(cycles, &model, rng, avg), nil
 		},
-		Scalar: scalar,
 	}
 	if err := engine.StreamBatched(engine.Config{Workers: workers}, n, 11, bs, emit); err != nil {
 		t.Fatal(err)

@@ -292,6 +292,9 @@ func (r *Request) Run(env engine.RunEnv) (*Response, error) {
 	if err := r.Normalize(); err != nil {
 		return nil, err
 	}
+	if err := engine.CheckLanes(env.Lanes); err != nil {
+		return nil, err
+	}
 	// The normalized key is always spelled out in full lowercase hex.
 	rawKey, err := hex.DecodeString(r.Key)
 	if err != nil {

@@ -75,6 +75,15 @@ func TestRequestNormalizeRejects(t *testing.T) {
 	}
 }
 
+func TestRequestRunRejectsNegativeLanes(t *testing.T) {
+	req := Request{Figure: FigureFig3, Traces: 120, Rounds: 1, Averages: 1, Seed: 7}
+	env := engine.DefaultRunEnv()
+	env.Lanes = -1
+	if _, err := req.Run(env); err == nil {
+		t.Fatal("negative lane width accepted")
+	}
+}
+
 func TestRequestRunFig3Deterministic(t *testing.T) {
 	req := Request{Figure: FigureFig3, Traces: 120, Rounds: 1, Averages: 1, Seed: 7}
 	env := engine.DefaultRunEnv()

@@ -59,10 +59,9 @@ func TestFig3ReplayBitIdenticalToSimulate(t *testing.T) {
 // the schedule allows, verified fallback where it does not (e.g. the
 // NopZeroesWB ablation pins the cipher's data-dependent conditionals) —
 // is bit-identical to pure simulation at every supported lane width,
-// including the scalar per-trace path (-1) and the single-lane
-// degenerate batch. The trace count leaves an odd tail past the
-// verification window, so whole, partial and single-trace final batches
-// are all covered.
+// including the single-lane degenerate batch. The trace count leaves an
+// odd tail past the verification window, so whole, partial and
+// single-trace final batches are all covered.
 func TestFig3AutoEqualsSimulateAcrossAblations(t *testing.T) {
 	key := [16]byte{0x2B, 0x7E, 0x15, 0x16, 0x28, 0xAE, 0xD2, 0xA6, 0xAB, 0xF7, 0x15, 0x88, 0x09, 0xCF, 0x4F, 0x3C}
 	for mask := 0; mask < 64; mask++ {
@@ -82,7 +81,7 @@ func TestFig3AutoEqualsSimulateAcrossAblations(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cfg %#x simulate: %v", mask, err)
 		}
-		for _, lanes := range []int{-1, 1, 8, 16, 32, 64} {
+		for _, lanes := range []int{1, 8, 16, 32, 64} {
 			opt.Synth = engine.ModeAuto
 			opt.Lanes = lanes
 			auto, err := RunFigure3(key, opt)
@@ -99,7 +98,7 @@ func TestFig3AutoEqualsSimulateAcrossAblations(t *testing.T) {
 						mask, lanes, i, !auto.Replayed, auto.FallbackReason)
 				}
 			}
-			if lanes >= 0 && auto.Replayed && !auto.Batched {
+			if auto.Replayed && !auto.Batched {
 				t.Fatalf("cfg %#x lanes %d: replay live but batch path never ran", mask, lanes)
 			}
 		}

@@ -39,14 +39,20 @@ func artifacts(t *testing.T, res *Results) (jsonB, csvB, mdB []byte) {
 	return res.EncodeJSON(), []byte(res.CSV()), []byte(Report(res))
 }
 
+func TestRunRejectsNegativeLanes(t *testing.T) {
+	if _, err := Run(testSpec(), RunOptions{Lanes: -1}); err == nil {
+		t.Fatal("negative lane width accepted")
+	}
+}
+
 // TestArtifactsIdenticalAcrossWorkersAndShards is the campaign's core
 // determinism guarantee: same spec + same seed produce byte-identical
-// JSON, CSV and Markdown whether the run is serial with scalar replay
-// or spread over engine workers, scenario shards and lane-parallel
-// replay batches.
+// JSON, CSV and Markdown whether the run is serial in single-lane
+// groups or spread over engine workers, scenario shards and wider
+// lane-parallel replay batches.
 func TestArtifactsIdenticalAcrossWorkersAndShards(t *testing.T) {
 	spec := testSpec()
-	serial, err := Run(spec, RunOptions{Workers: 1, Shards: 1, Lanes: -1})
+	serial, err := Run(spec, RunOptions{Workers: 1, Shards: 1, Lanes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +256,7 @@ func TestExecuteDeterministicPerScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	key, _ := spec.AttackKey()
-	a, err := Execute(&scs[0], key, 1, -1)
+	a, err := Execute(&scs[0], key, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,6 +31,9 @@ func ExecuteContext(ctx context.Context, sc *Scenario, key [aes.KeySize]byte, wo
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if err := engine.CheckLanes(lanes); err != nil {
+		return nil, err
+	}
 	out := &ScenarioResult{
 		ID:       sc.ID,
 		Kind:     sc.Kind,

@@ -20,9 +20,8 @@ type RunOptions struct {
 	// Workers overrides the spec's per-scenario engine pool size when
 	// > 0. Results are bit-identical for any value.
 	Workers int
-	// Lanes sets the lane-parallel replay batch width (0: default,
-	// negative: scalar per-trace replay). Results are bit-identical for
-	// any value.
+	// Lanes sets the lane-group width (0: default; see
+	// engine.CheckLanes). Results are bit-identical for any value.
 	Lanes int
 	// Shards overrides the spec's scenario-level concurrency when > 0.
 	// Results are bit-identical for any value.
@@ -262,6 +261,9 @@ func runShards(n int, idxs []int, work func(idx int) error) error {
 // shard count, and resume point.
 func Run(spec *Spec, opt RunOptions) (*Results, error) {
 	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	if err := engine.CheckLanes(opt.Lanes); err != nil {
 		return nil, err
 	}
 	key, err := spec.AttackKey()

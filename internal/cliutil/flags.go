@@ -20,8 +20,7 @@ import (
 type EngineFlags struct {
 	// Workers is the -workers value (0: one per core).
 	Workers int
-	// Lanes is the -lanes value (0: default width, negative: scalar
-	// per-trace replay).
+	// Lanes is the -lanes value (0: default width).
 	Lanes int
 	// Seed is the -seed value (only meaningful after RegisterSeed).
 	Seed int64
@@ -44,7 +43,7 @@ func (f *EngineFlags) Register(fs *flag.FlagSet) {
 func (f *EngineFlags) RegisterWorkersUsage(fs *flag.FlagSet, workersUsage string) {
 	fs.IntVar(&f.Workers, "workers", 0, workersUsage)
 	fs.IntVar(&f.Lanes, "lanes", 0, fmt.Sprintf(
-		"lane-parallel replay batch width, up to %d (0: default, negative: scalar per-trace replay)", replay.MaxLanes))
+		"lane-parallel replay batch width, 1..%d (0: default)", replay.MaxLanes))
 }
 
 // RegisterSeed adds -seed with the given default.
@@ -102,6 +101,9 @@ func (f *TargetFlags) FinishTarget() (target.Info, error) {
 func (f *EngineFlags) Finish() error {
 	if f.Workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", f.Workers)
+	}
+	if err := engine.CheckLanes(f.Lanes); err != nil {
+		return fmt.Errorf("-lanes: %w", err)
 	}
 	if f.replay != "" {
 		mode, err := engine.ParseMode(f.replay)

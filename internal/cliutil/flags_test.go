@@ -37,7 +37,7 @@ func TestEngineFlagsDefaults(t *testing.T) {
 }
 
 func TestEngineFlagsParse(t *testing.T) {
-	f, err := parseWith(t, []string{"-workers", "3", "-lanes", "-1", "-replay", "simulate", "-seed", "9"},
+	f, err := parseWith(t, []string{"-workers", "3", "-lanes", "8", "-replay", "simulate", "-seed", "9"},
 		func(f *EngineFlags, fs *flag.FlagSet) {
 			f.Register(fs)
 			f.RegisterSeed(fs, 1)
@@ -46,7 +46,7 @@ func TestEngineFlagsParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Workers != 3 || f.Lanes != -1 || f.Seed != 9 || f.Mode != engine.ModeSimulate {
+	if f.Workers != 3 || f.Lanes != 8 || f.Seed != 9 || f.Mode != engine.ModeSimulate {
 		t.Fatalf("parsed wrong: %+v", f)
 	}
 }
@@ -56,6 +56,13 @@ func TestEngineFlagsValidation(t *testing.T) {
 		f.Register(fs)
 	}); err == nil {
 		t.Fatal("negative workers must be rejected")
+	}
+	for _, lanes := range []string{"-1", "65"} {
+		if _, err := parseWith(t, []string{"-lanes", lanes}, func(f *EngineFlags, fs *flag.FlagSet) {
+			f.Register(fs)
+		}); err == nil {
+			t.Fatalf("-lanes %s must be rejected", lanes)
+		}
 	}
 	if _, err := parseWith(t, []string{"-replay", "warp"}, func(f *EngineFlags, fs *flag.FlagSet) {
 		f.Register(fs)

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
 	"math/rand"
 
@@ -12,149 +12,91 @@ import (
 	"repro/internal/trace"
 )
 
-// DefaultLanes is the default batch width of the lane-parallel replay
-// path: the full DefaultChunkSize, so a steady-state chunk is exactly
-// one lane group and the per-step schedule walk, scatter setup and
-// fused expansion amortize over the widest supported batch. The
-// end-to-end lane sweep (BenchmarkEngineCPA10kParallel/Lanes32/Lanes64)
-// ranks 64 ahead of 16 and 32 since the per-lane execution was reduced
-// to hoisted-decode value work. Like ChunkSize it is pure scheduling —
-// results are bit-identical for every lane width.
+// DefaultLanes is the default lane-group width: the full
+// DefaultChunkSize, so a steady-state chunk is exactly one lane group
+// and the per-step schedule walk, scatter setup and fused expansion
+// amortize over the widest supported batch. Like ChunkSize it is pure
+// scheduling — results are bit-identical for every lane width.
 const DefaultLanes = replay.MaxLanes
 
-// errBatchFallback reports that a lane batch could not run (the replay
-// schedule is unavailable, still inside its verification window, or a
-// lane diverged). The engine replays the affected traces through the
-// scalar path, which re-detects any divergence and takes the canonical
-// fallback — so results never depend on whether the batch path was
-// taken.
-var errBatchFallback = errors.New("engine: batch synthesis unavailable")
-
-// BatchReady reports whether the lane-parallel replay path may run now:
-// the compiled schedule exists and — in auto mode — the leading
-// bit-compare verification window has fully passed with no fallback.
-// The answer can flip to false at any time (a later divergence); the
-// batch runner re-checks per batch.
-func (s *Synthesizer) BatchReady() bool {
-	switch s.mode {
-	case ModeSimulate:
-		return false
-	case ModeReplay:
-		return true
-	default:
-		return !s.fellBack.Load() && s.verified.Load() >= VerifyRuns && s.verifying.Load() == 0
-	}
-}
-
-// BatchRuns returns how many lane batches the Synthesizer has replayed —
-// nonzero means the batch path really ran.
-func (s *Synthesizer) BatchRuns() int64 { return s.batchRuns.Load() }
-
-// BatchDisabledReason returns why the lane-parallel path is permanently
-// off ("" while it is available): a schedule whose drives cannot be
-// lowered to the fused event form. The scalar replay path is unaffected.
-func (s *Synthesizer) BatchDisabledReason() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.batchErr != nil {
-		return s.batchErr.Error()
-	}
-	return ""
-}
-
-// batchProgram returns the lane-parallel schedule, lowering it from the
-// compiled replay program on first use. A nil return means the batch
-// path cannot run yet (no compiled program) or ever (lowering failed);
-// the scalar path is the fallback either way.
-func (s *Synthesizer) batchProgram() *replay.BatchProgram {
-	if bp := s.batchProg.Load(); bp != nil {
-		return bp
-	}
-	p := s.compiled.Load()
-	if p == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if bp := s.batchProg.Load(); bp != nil {
-		return bp
-	}
-	if s.batchTried {
-		return nil
-	}
-	s.batchTried = true
-	bp, err := replay.CompileBatch(p)
-	if err != nil {
-		s.batchErr = err
-		return nil
-	}
-	s.batchProg.Store(bp)
-	return bp
-}
-
-// batchScratch is one worker's lane-batch state: one pooled core per
-// lane plus the SoA batch VM and the lane-major row views handed to
-// BlockRunner.Block.
+// batchScratch is one worker's pooled state: one core per lane, the aux
+// core the schedule compiles on and a verified lane replays on, the
+// batch VM, and the per-lane cycle-power rows handed to Block.
 type batchScratch struct {
 	cores []*pipeline.Core
+	aux   []*pipeline.Core // exactly one core
 	vm    *replay.BatchVM
-	rows  [][]float64
+	rows  [][]float64 // views of the batch VM's rows
+	sim   [][]float64 // simulated lanes' cycle powers
 }
 
-// ensure grows the scratch to n lanes over program bp.
-func (sc *batchScratch) ensure(cfg pipeline.Config, bp *replay.BatchProgram, n int) error {
+// lanes returns n lane cores with wiped architectural state and no
+// cache hierarchy.
+func (sc *batchScratch) lanes(cfg pipeline.Config, n int) []*pipeline.Core {
 	for len(sc.cores) < n {
 		core := pipeline.MustNew(cfg, nil)
 		core.SetReuseBuffers(true)
 		sc.cores = append(sc.cores, core)
+		sc.rows = append(sc.rows, nil)
+		sc.sim = append(sc.sim, nil)
 	}
-	if sc.vm == nil || sc.vm.Lanes() < n {
-		lanes := DefaultLanes
-		if n > lanes {
-			lanes = replay.MaxLanes
-		}
-		vm, err := replay.NewBatchVM(bp, lanes)
-		if err != nil {
-			return err
-		}
-		sc.vm = vm
+	cores := sc.cores[:n]
+	for _, core := range cores {
+		core.ResetState()
+		core.SetHierarchy(nil)
+		core.Mem().Wipe()
 	}
-	return nil
+	return cores
 }
 
-// RunBatch executes the program n times at once on the lane-parallel
-// replay path: init prepares each lane's initial architectural state on
-// a freshly wiped core (called once per lane), the batch VM replays all
-// lanes with fused power synthesis, and use receives each lane's
-// per-cycle noiseless power — bit-identical to
-// power.Model.CyclePowers over that execution's timeline — together
-// with the core holding its final architectural state (both valid only
-// during the call, lanes delivered in ascending order).
-//
-// The power model supplies the fused synthesis weights; it must be the
-// model the caller expands the cycle powers with, or the bit-identity
-// contract against the scalar path is void. An errBatchFallback return
-// means no lane was delivered and the caller must synthesize those
-// traces through Run; any other error is a genuine failure. RunBatch is
-// safe to call concurrently with itself and with Run.
+// initLanes returns n fresh lane cores, each initialized by r.InitLane.
+func (sc *batchScratch) initLanes(cfg pipeline.Config, n int, r BlockRunner) ([]*pipeline.Core, error) {
+	cores := sc.lanes(cfg, n)
+	for lane, core := range cores {
+		if err := r.InitLane(lane, core); err != nil {
+			return nil, err
+		}
+	}
+	return cores, nil
+}
+
+// batchVM returns the worker's batch VM over bp with m's weights.
+func (sc *batchScratch) batchVM(bp *replay.BatchProgram, m *power.Model) *replay.BatchVM {
+	if sc.vm == nil {
+		// The width is in range, so NewBatchVM cannot fail.
+		sc.vm, _ = replay.NewBatchVM(bp, DefaultLanes)
+	}
+	sc.vm.SetWeights(&m.HDWeights, &m.HWWeights, m.Baseline)
+	return sc.vm
+}
+
+// RunBatch executes the program n times at once: init prepares each
+// lane's initial architectural state on a freshly wiped core, and use
+// receives each lane's per-cycle noiseless power — bit-identical to
+// power.Model.CyclePowers over the simulated timeline — together with
+// the core holding its final architectural state (both valid only
+// during the call, lanes delivered in ascending order). It is
+// RunBatchBlock with per-lane callbacks.
 func (s *Synthesizer) RunBatch(m *power.Model, n int, init func(lane int, core *pipeline.Core) error, use func(lane int, cycles []float64, core *pipeline.Core) error) error {
 	return s.RunBatchBlock(m, n, &funcBlockRunner{init: init, use: use})
 }
 
 // BlockRunner is the callback pair of RunBatchBlock: InitLane prepares
 // one lane's initial architectural state, Block consumes the whole lane
-// batch at once. The interface form (rather than function values) lets
+// group at once. The interface form (rather than function values) lets
 // hot callers keep one persistent runner per worker, so the steady-state
 // batch path allocates nothing per chunk.
 type BlockRunner interface {
 	// InitLane prepares lane's initial architectural state on a freshly
-	// wiped core; called once per lane in ascending order.
+	// wiped core; called once per lane in ascending order, and again
+	// for every lane on fresh cores when a batch falls back to the
+	// simulator, so it must depend only on lane.
 	InitLane(lane int, core *pipeline.Core) error
-	// Block receives the whole batch after the VM replayed all lanes:
-	// rows[lane] is that lane's per-cycle noiseless power (bit-identical
-	// to power.Model.CyclePowers over the execution's timeline) and
-	// cores[lane] holds its final architectural state. Both are valid
-	// only during the call.
+	// Block receives the whole group: rows[lane] is that lane's
+	// per-cycle noiseless power (bit-identical to
+	// power.Model.CyclePowers over the execution's simulated timeline)
+	// and cores[lane] holds its final architectural state. Both are
+	// valid only during the call.
 	Block(rows [][]float64, cores []*pipeline.Core) error
 }
 
@@ -174,200 +116,183 @@ func (f *funcBlockRunner) Block(rows [][]float64, cores []*pipeline.Core) error 
 	return nil
 }
 
-// RunBatchBlock is RunBatch delivering the batch as one block: after
-// the lane-parallel VM replays all n lanes with fused power synthesis,
-// r.Block receives every lane's cycle-power row together — the shape
-// the fused batch expansion (power.ExpandCyclesBatch) consumes. Same
-// fallback and bit-identity contract as RunBatch.
+// RunBatchBlock is the one way a lane group of n executions becomes
+// cycle powers. In auto mode the leading groups, up to VerifyRuns
+// executions, form the verification window: each lane runs on both
+// the batch VM and the simulator, and Block receives the simulator's
+// rows. After the window every group runs on the lane-parallel batch
+// VM with fused power synthesis. Whenever the batch VM cannot run —
+// ModeSimulate, a failed verification or compile, a lane diverging
+// from the schedule — the group's lanes are simulated one by one
+// instead (initialized afresh after a divergence); ModeReplay turns
+// those failures into errors. Whatever the path, the rows are
+// bit-identical, so results never depend on it.
+//
+// The power model supplies the fused synthesis weights; it must be the
+// model the caller expands the cycle powers with. RunBatchBlock is safe
+// to call concurrently with itself.
 func (s *Synthesizer) RunBatchBlock(m *power.Model, n int, r BlockRunner) error {
 	if n < 1 || n > replay.MaxLanes {
 		return fmt.Errorf("engine: batch of %d lanes out of [1,%d]", n, replay.MaxLanes)
 	}
-	if !s.BatchReady() {
-		return errBatchFallback
-	}
-	bp := s.batchProgram()
-	if bp == nil {
-		return errBatchFallback
-	}
-	sc := s.batchPool.Get().(*batchScratch)
-	defer s.batchPool.Put(sc)
-	if err := sc.ensure(s.cfg, bp, n); err != nil {
+	sc := s.pool.Get().(*batchScratch)
+	defer s.pool.Put(sc)
+	cores, err := sc.initLanes(s.cfg, n, r)
+	if err != nil {
 		return err
 	}
-	for lane := 0; lane < n; lane++ {
-		core := sc.cores[lane]
-		core.ResetState()
-		core.SetHierarchy(nil)
-		core.Mem().Wipe()
-		if err := r.InitLane(lane, core); err != nil {
-			return err
+	if s.mode == ModeAuto && !s.settled.Load() {
+		s.window.Lock()
+		if !s.settled.Load() {
+			rows, err := s.verify(sc, m, cores)
+			s.window.Unlock()
+			if err != nil {
+				return err
+			}
+			return r.Block(rows, cores)
 		}
+		s.window.Unlock()
 	}
-	sc.vm.SetWeights(&m.HDWeights, &m.HWWeights, m.Baseline)
-	if err := sc.vm.Run(sc.cores[:n]); err != nil {
-		if s.mode == ModeReplay {
-			// Replay is asserted: divergence is a hard error, as on the
-			// scalar path.
+	if s.mode == ModeSimulate || s.fellBack.Load() {
+		rows, err := s.simulate(sc, m, cores)
+		if err != nil {
 			return err
 		}
-		return fmt.Errorf("%w: %v", errBatchFallback, err)
+		return r.Block(rows, cores)
+	}
+
+	bp, err := s.program(sc, cores[0])
+	if err != nil {
+		return err // only ModeReplay compiles here
+	}
+	vm := sc.batchVM(bp, m)
+	if err := vm.Run(cores); err != nil {
+		if s.mode == ModeReplay {
+			return err
+		}
+		// A lane left the schedule: this group is simulated from fresh
+		// initial states. Later groups still try the batch VM, whose
+		// per-step guards catch divergence lane by lane, so which
+		// groups batch never depends on which one diverged first.
+		s.noteDivergence()
+		if cores, err = sc.initLanes(s.cfg, n, r); err != nil {
+			return err
+		}
+		rows, err := s.simulate(sc, m, cores)
+		if err != nil {
+			return err
+		}
+		return r.Block(rows, cores)
 	}
 	s.batchRuns.Add(1)
-	rows := sc.rows[:0]
-	for lane := 0; lane < n; lane++ {
-		rows = append(rows, sc.vm.Power(lane))
+	rows := sc.rows[:n]
+	for lane := range rows {
+		rows[lane] = vm.Power(lane)
 	}
-	sc.rows = rows
-	return r.Block(rows, sc.cores[:n])
+	return r.Block(rows, cores)
 }
 
-// BatchGen is the batched form of a Generate: the same per-trace
-// semantics split into phases so a lane batch can share one schedule
-// walk. For every trace the engine calls Prepare (pre-execution
-// randomness, initial core state, hypotheses or class), then — after
-// the batch VM replayed all lanes — Verify and Acquire in trace order.
-// Per-trace rng draws happen in the same order as the scalar path
-// (Prepare's draws before Acquire's), and every trace's stream is
-// private, so batch and scalar synthesis are bit-identical.
+// windowChunks returns how many leading chunks of cs a run over s must
+// synthesize one at a time, each only after the previous was reduced:
+// those reaching into the verification window while s has not settled
+// its path, so the window's groups reach s in trace order. A nil s
+// (the plain Run driver) has no window.
+func (s *Synthesizer) windowChunks(cs []chunk) int {
+	if s == nil || s.settled.Load() {
+		return 0
+	}
+	n := 0
+	for n < len(cs) && cs[n].start < VerifyRuns {
+		n++
+	}
+	return n
+}
+
+// groupWidth returns the width of the lane group starting at trace
+// index base with left traces left in its chunk: at most lanes, and
+// never straddling the verification window's end.
+func groupWidth(base, left, lanes int) int {
+	l := min(lanes, left)
+	if base < VerifyRuns {
+		l = min(l, VerifyRuns-base)
+	}
+	return l
+}
+
+// CheckLanes validates a configured lane-group width: 0 (selecting
+// DefaultLanes) or 1..replay.MaxLanes.
+func CheckLanes(lanes int) error {
+	if lanes < 0 || lanes > replay.MaxLanes {
+		return fmt.Errorf("engine: lane width %d out of [0,%d] (0: default)", lanes, replay.MaxLanes)
+	}
+	return nil
+}
+
+// BatchGen is a workload's trace generator, split into phases so a lane
+// group can share one schedule walk. For every trace the engine calls
+// Prepare (pre-execution randomness, initial core state, hypotheses or
+// class); once the group's lanes ran, Verify and then the expansion —
+// fused (Averages) or per lane (Acquire) — in trace order. Every
+// trace's stream is private and its draws happen in that order on every
+// path, so results are bit-identical whichever path a group took.
 type BatchGen struct {
-	// Synth is the synthesis seam; nil disables the batch path.
+	// Synth is the synthesis seam.
 	Synth *Synthesizer
 	// Model supplies the fused synthesis weights and the expansion
-	// parameters Acquire uses.
+	// parameters.
 	Model *power.Model
-	// Lanes is the batch width: 0 selects DefaultLanes, negative
-	// disables the batch path (scalar synthesis only), otherwise
+	// Lanes is the lane-group width: 0 selects DefaultLanes, otherwise
 	// 1..replay.MaxLanes.
 	Lanes int
 	// Prepare draws the trace's pre-execution randomness (e.g. the
 	// plaintext, kept in s.Aux), initializes the core's architectural
-	// state and fills s.Hyps / s.Class.
+	// state and fills s.Hyps / s.Class. It may run twice for a trace
+	// (a batch falling back re-initializes its lanes) and must then
+	// make the same draws.
 	Prepare func(i int, rng *rand.Rand, core *pipeline.Core, s *Sample) error
 	// Verify, if set, checks the final architectural state (the
-	// functional oracle). Errors are genuine failures, not fallbacks.
+	// functional oracle). Errors are genuine failures.
 	Verify func(i int, core *pipeline.Core, s *Sample) error
 	// Averages, when positive, selects the fused batch expansion: the
 	// engine expands every lane's cycle powers into its trace in one
 	// lane-major pass (power.ExpandCyclesBatch) with Averages-fold
 	// averaging, drawing each trace's Gaussian noise in bulk from its
 	// private stream — bit-identical to Averages repetitions of
-	// Model.ExpandCyclesInto averaged per trace, and to the Acquire
-	// form below over the same streams. Acquire is then unused.
+	// Model.ExpandCyclesInto averaged per trace. Acquire is then unused.
 	Averages int
-	// Acquire expands the lane's fused cycle powers into s.Trace,
-	// drawing the trace's noise from rng — bit-identical to the scalar
-	// path's timeline synthesis. Only consulted when Averages == 0,
-	// for acquisitions the fused expansion cannot express (e.g. the
+	// Acquire expands the lane's cycle powers into s.Trace, drawing the
+	// trace's noise from rng. Only consulted when Averages == 0, for
+	// acquisitions the fused expansion cannot express (e.g. the
 	// OS-noise model's extra draws).
 	Acquire func(i int, rng *rand.Rand, cycles []float64, s *Sample) error
-	// Scalar is the equivalent per-trace generator, used before the
-	// replay schedule is batch-ready and whenever a batch falls back.
-	Scalar Generate
-}
-
-// lanes resolves the configured batch width.
-func (bg *BatchGen) lanes() int {
-	if bg.Lanes == 0 {
-		return DefaultLanes
-	}
-	return bg.Lanes
-}
-
-// batchable reports whether the batch path is configured at all.
-func (bg *BatchGen) batchable() bool {
-	return bg.Synth != nil && bg.Model != nil && bg.Prepare != nil &&
-		(bg.Averages > 0 || bg.Acquire != nil) && bg.Lanes >= 0
-}
-
-// runGroups drives the shared lane-group control flow of the batched
-// runners: it covers [0, total) in groups of at most `lanes` through
-// run, stopping early — without error — as soon as a group reports
-// errBatchFallback (the batch path is unavailable or a lane diverged).
-// It returns how many leading traces were batch-synthesized; the
-// caller synthesizes the rest on the scalar path. Any other error is
-// genuine and aborts.
-func runGroups(total, lanes int, run func(start, n int) error) (done int, err error) {
-	for done < total {
-		l := lanes
-		if l > total-done {
-			l = total - done
-		}
-		err := run(done, l)
-		if err == nil {
-			done += l
-			continue
-		}
-		if errors.Is(err, errBatchFallback) {
-			return done, nil
-		}
-		return done, err
-	}
-	return done, nil
 }
 
 // RunBatched executes the streaming CPA described by spec, synthesizing
-// traces through the lane-parallel replay path where it is available
-// and through bg.Scalar everywhere else — before the verification
-// window completes, on divergence, for non-replayable programs, and for
-// trace counts not divisible by the lane width (partial final batches).
-// Results are bit-identical to Run(cfg, spec, bg.Scalar) for every lane
-// width, worker count and chunk size.
+// every lane group through bg.Synth.RunBatchBlock. Results are
+// bit-identical for every synthesis path, lane width, worker count and
+// chunk size.
 func RunBatched(cfg Config, spec Spec, bg BatchGen) ([]sca.Accumulator, error) {
-	if bg.Scalar == nil {
-		return nil, fmt.Errorf("engine: batch generator needs a scalar fallback")
+	if bg.Synth == nil || bg.Model == nil || bg.Prepare == nil || (bg.Averages <= 0 && bg.Acquire == nil) {
+		return nil, fmt.Errorf("engine: batch generator needs Synth, Model, Prepare and Averages or Acquire")
 	}
-	if bg.Lanes > replay.MaxLanes {
-		return nil, fmt.Errorf("engine: %d lanes out of [1,%d]", bg.Lanes, replay.MaxLanes)
+	if err := CheckLanes(bg.Lanes); err != nil {
+		return nil, err
 	}
+	lanes := cmp.Or(bg.Lanes, DefaultLanes)
 	fill := func(c chunk, bb *batchBuf) error {
-		n := c.end - c.start
-		j := 0
-		if bg.batchable() {
-			// The group loop is inlined (no runGroups closure) and drives
-			// the persistent per-buffer runner, so a steady-state chunk
-			// on the fused path allocates nothing.
-			lanes := bg.lanes()
-			gr := &bb.group
-			gr.bg, gr.spec, gr.bb = &bg, &spec, bb
-			for j < n {
-				l := lanes
-				if l > n-j {
-					l = n - j
-				}
-				gr.base, gr.slot = c.start+j, j
-				err := bg.Synth.RunBatchBlock(bg.Model, l, gr)
-				if err == nil {
-					j += l
-					continue
-				}
-				if errors.Is(err, errBatchFallback) {
-					// The batch path is unavailable or a lane diverged:
-					// the rest of the chunk synthesizes on the scalar
-					// path, which re-detects any divergence.
-					break
-				}
+		gr := &bb.group
+		gr.bg, gr.spec, gr.bb = &bg, &spec, bb
+		for j, n := 0, c.end-c.start; j < n; {
+			l := groupWidth(c.start+j, n-j, lanes)
+			gr.base, gr.slot = c.start+j, j
+			if err := bg.Synth.RunBatchBlock(bg.Model, l, gr); err != nil {
 				return err
 			}
-		}
-		// Whatever the batch path did not cover — everything before the
-		// verification window completes, the remainder of a chunk after
-		// a fallback — synthesizes on the scalar path.
-		for ; j < n; j++ {
-			i := c.start + j
-			s := &bb.samples[j]
-			s.Trace = s.Trace[:0]
-			reseedTraceRNG(bb.rngs[j], spec.Seed, i)
-			if err := bg.Scalar(i, bb.rngs[j], s); err != nil {
-				return fmt.Errorf("engine: trace %d: %w", i, err)
-			}
-			if err := bb.record(&spec, j, i); err != nil {
-				return err
-			}
+			j += l
 		}
 		return nil
 	}
-	return runChunked(cfg, spec, fill)
+	return runChunked(cfg, spec, bg.Synth, fill)
 }
 
 // groupRunner is the persistent BlockRunner of the batched CPA path:
@@ -382,8 +307,7 @@ type groupRunner struct {
 	base, slot int
 }
 
-// InitLane reseeds the lane's private stream and runs Prepare — the
-// same leading draws the scalar path makes.
+// InitLane reseeds the lane's private stream and runs Prepare.
 func (g *groupRunner) InitLane(lane int, core *pipeline.Core) error {
 	i, j := g.base+lane, g.slot+lane
 	s := &g.bb.samples[j]
@@ -398,9 +322,7 @@ func (g *groupRunner) InitLane(lane int, core *pipeline.Core) error {
 // Block verifies every lane's final state, expands the lane block into
 // traces — through the fused batch expansion when Averages is set,
 // otherwise per lane through Acquire — and records the results. Each
-// trace's stream continues exactly where Prepare left it (Prepare's
-// draws, then the noise draws, in lane order), so the chunk is
-// bit-identical to the scalar path.
+// trace's stream continues exactly where Prepare left it.
 func (g *groupRunner) Block(rows [][]float64, cores []*pipeline.Core) error {
 	bg, bb := g.bg, g.bb
 	if bg.Verify != nil {
@@ -444,55 +366,51 @@ func (g *groupRunner) Block(rows [][]float64, cores []*pipeline.Core) error {
 	return nil
 }
 
-// BatchStream is the batched form of a Produce, with the same phase
-// split as BatchGen: Prepare draws the trace's randomness and prepares
-// the core, Acquire turns the lane's fused cycle powers into the trace.
-// The aux record returned by Prepare (typically the plaintext) is
-// handed back to Acquire and then emitted alongside the trace.
+// Emit receives trace i in strict index order on the reducer; it
+// typically appends to a file. Returning an error aborts the stream.
+type Emit func(i int, t trace.Trace, aux []byte) error
+
+// BatchStream is the trace-set form of a BatchGen: Prepare draws the
+// trace's randomness and prepares the core, Acquire turns the lane's
+// cycle powers into the trace. The aux record returned by Prepare
+// (typically the plaintext) is handed back to Acquire and then emitted
+// alongside the trace.
 type BatchStream struct {
-	// Synth is the synthesis seam; nil disables the batch path.
+	// Synth is the synthesis seam.
 	Synth *Synthesizer
 	// Model supplies the fused synthesis weights.
 	Model *power.Model
-	// Lanes is the batch width: 0 selects DefaultLanes, negative
-	// disables batching.
+	// Lanes is the lane-group width: 0 selects DefaultLanes, otherwise
+	// 1..replay.MaxLanes.
 	Lanes int
 	// Prepare draws the trace's randomness, initializes the core and
-	// returns the aux record.
+	// returns the aux record; like BatchGen.Prepare it may run twice
+	// for a trace.
 	Prepare func(i int, rng *rand.Rand, core *pipeline.Core) ([]byte, error)
 	// Acquire expands the lane's cycle powers into the trace, checking
 	// the final state on core as needed.
 	Acquire func(i int, rng *rand.Rand, cycles []float64, core *pipeline.Core, aux []byte) (trace.Trace, error)
-	// Scalar is the per-trace fallback producer.
-	Scalar Produce
 }
 
-// StreamBatched is Stream over the lane-parallel replay path, with the
-// same ordering and bit-identity guarantees as RunBatched: the emitted
-// byte stream is identical to Stream(cfg, n, seed, bs.Scalar, emit) for
-// every lane width and worker count.
+// StreamBatched synthesizes n traces across the worker pool and hands
+// them to emit in trace-index order, through the same lane groups as
+// RunBatched. At most ~workers chunks of traces are ever in memory, and
+// the emitted byte stream is identical for every synthesis path, lane
+// width and worker count.
 func StreamBatched(cfg Config, n int, seed int64, bs BatchStream, emit Emit) error {
-	if bs.Scalar == nil {
-		return fmt.Errorf("engine: batch stream needs a scalar fallback")
+	if bs.Synth == nil || bs.Model == nil || bs.Prepare == nil || bs.Acquire == nil {
+		return fmt.Errorf("engine: batch stream needs Synth, Model, Prepare and Acquire")
 	}
-	if bs.Lanes > replay.MaxLanes {
-		return fmt.Errorf("engine: %d lanes out of [1,%d]", bs.Lanes, replay.MaxLanes)
+	if err := CheckLanes(bs.Lanes); err != nil {
+		return err
 	}
+	lanes := cmp.Or(bs.Lanes, DefaultLanes)
 	if n < 1 {
 		return fmt.Errorf("engine: need at least 1 trace, got %d", n)
 	}
-	batchable := bs.Synth != nil && bs.Model != nil && bs.Prepare != nil && bs.Acquire != nil && bs.Lanes >= 0
-	lanes := bs.Lanes
-	if lanes <= 0 {
-		lanes = DefaultLanes
-	}
-	type item struct {
-		t   trace.Trace
-		aux []byte
-	}
 	cs := chunks(n, cfg.chunkSize(), nil)
 
-	work := func(idx int) ([]item, error) {
+	work := func(idx int) ([]streamItem, error) {
 		if err := cfg.ctxErr(); err != nil {
 			return nil, err
 		}
@@ -501,51 +419,18 @@ func StreamBatched(cfg Config, n int, seed int64, bs BatchStream, emit Emit) err
 		}
 		defer cfg.Gate.release()
 		c := cs[idx]
-		items := make([]item, c.end-c.start)
-		rngs := make([]*rand.Rand, 0, lanes)
-		j := 0
-		if batchable {
-			var err error
-			j, err = runGroups(c.end-c.start, lanes, func(start, l int) error {
-				base := c.start + start
-				rngs = rngs[:0]
-				init := func(lane int, core *pipeline.Core) error {
-					i := base + lane
-					rng := TraceRNG(seed, i)
-					rngs = append(rngs, rng)
-					aux, err := bs.Prepare(i, rng, core)
-					if err != nil {
-						return fmt.Errorf("engine: trace %d: %w", i, err)
-					}
-					items[start+lane] = item{aux: aux}
-					return nil
-				}
-				use := func(lane int, cycles []float64, core *pipeline.Core) error {
-					i := base + lane
-					t, err := bs.Acquire(i, rngs[lane], cycles, core, items[start+lane].aux)
-					if err != nil {
-						return fmt.Errorf("engine: trace %d: %w", i, err)
-					}
-					items[start+lane].t = t
-					return nil
-				}
-				return bs.Synth.RunBatch(bs.Model, l, init, use)
-			})
-			if err != nil {
+		g := &streamGroup{bs: &bs, seed: seed, items: make([]streamItem, c.end-c.start), rngs: make([]*rand.Rand, lanes)}
+		for j := 0; j < len(g.items); {
+			l := groupWidth(c.start+j, len(g.items)-j, lanes)
+			g.base, g.slot = c.start+j, j
+			if err := bs.Synth.RunBatchBlock(bs.Model, l, g); err != nil {
 				return nil, err
 			}
+			j += l
 		}
-		for ; j < c.end-c.start; j++ {
-			i := c.start + j
-			t, aux, err := bs.Scalar(i, TraceRNG(seed, i))
-			if err != nil {
-				return nil, fmt.Errorf("engine: trace %d: %w", i, err)
-			}
-			items[j] = item{t, aux}
-		}
-		return items, nil
+		return g.items, nil
 	}
-	reduce := func(idx int, items []item) error {
+	reduce := func(idx int, items []streamItem) error {
 		for j, it := range items {
 			if err := emit(cs[idx].start+j, it.t, it.aux); err != nil {
 				return err
@@ -553,5 +438,44 @@ func StreamBatched(cfg Config, n int, seed int64, bs BatchStream, emit Emit) err
 		}
 		return nil
 	}
-	return orderedChunks(cfg.workers(), len(cs), work, reduce)
+	return orderedChunks(cfg.workers(), len(cs), bs.Synth.windowChunks(cs), work, reduce)
+}
+
+// streamItem is one synthesized trace of a stream chunk.
+type streamItem struct {
+	t   trace.Trace
+	aux []byte
+}
+
+// streamGroup is StreamBatched's BlockRunner over one chunk: it
+// synthesizes traces [base, base+l) into items[slot:].
+type streamGroup struct {
+	bs         *BatchStream
+	seed       int64
+	items      []streamItem
+	rngs       []*rand.Rand // per lane
+	base, slot int
+}
+
+func (g *streamGroup) InitLane(lane int, core *pipeline.Core) error {
+	i := g.base + lane
+	g.rngs[lane] = TraceRNG(g.seed, i)
+	aux, err := g.bs.Prepare(i, g.rngs[lane], core)
+	if err != nil {
+		return fmt.Errorf("engine: trace %d: %w", i, err)
+	}
+	g.items[g.slot+lane] = streamItem{aux: aux}
+	return nil
+}
+
+func (g *streamGroup) Block(rows [][]float64, cores []*pipeline.Core) error {
+	for lane := range rows {
+		i, it := g.base+lane, &g.items[g.slot+lane]
+		t, err := g.bs.Acquire(i, g.rngs[lane], rows[lane], cores[lane], it.aux)
+		if err != nil {
+			return fmt.Errorf("engine: trace %d: %w", i, err)
+		}
+		it.t = t
+	}
+	return nil
 }

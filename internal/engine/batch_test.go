@@ -5,8 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/sca"
@@ -53,16 +55,15 @@ func (f *batchFixture) hyps(v uint32, hyps []float64) {
 	hyps[1] = 1 - float64(v&1)
 }
 
-// gen builds the matched scalar generator and batch generator over a
-// fresh Synthesizer of the given mode. The batch generator uses the
-// per-lane Acquire form; genFused swaps in the fused block expansion.
-func (f *batchFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, *Synthesizer) {
+// scalar is the per-trace reference generator for Run: each trace
+// simulated on its own and synthesized from its timeline.
+func (f *batchFixture) scalar(t *testing.T) Generate {
 	t.Helper()
-	synth, err := NewSynthesizer(mode, f.cfg, f.prog)
+	synth, err := NewSynthesizer(ModeSimulate, f.cfg, f.prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar := func(i int, rng *rand.Rand, s *Sample) error {
+	return func(i int, rng *rand.Rand, s *Sample) error {
 		v := rng.Uint32()
 		return synth.Run(
 			func(core *pipeline.Core) { f.initCore(core, v) },
@@ -71,6 +72,17 @@ func (f *batchFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, *Synth
 				f.hyps(v, s.Hyps[0])
 				return nil
 			})
+	}
+}
+
+// gen builds the batch generator over a fresh Synthesizer of the given
+// mode, in the per-lane Acquire form; genFused swaps in the fused
+// block expansion.
+func (f *batchFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, *Synthesizer) {
+	t.Helper()
+	synth, err := NewSynthesizer(mode, f.cfg, f.prog)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return BatchGen{
 		Synth: synth,
@@ -86,7 +98,6 @@ func (f *batchFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, *Synth
 			s.Trace, s.Scratch = f.m.AveragedCyclesInto(s.Trace, s.Scratch, cycles, rng, 2)
 			return nil
 		},
-		Scalar: scalar,
 	}, synth
 }
 
@@ -102,16 +113,15 @@ func (f *batchFixture) genFused(t *testing.T, mode Mode, lanes int) (BatchGen, *
 }
 
 // TestRunBatchedBitIdenticalToScalar is the engine-level lane sweep:
-// for every lane width (including one disabling the batch path, the
-// single-lane degenerate batch, widths that do not divide the chunk
-// size, the widths beyond the old 32-lane mask word — 33, 48 — and the
-// 64-lane maximum), any worker count and chunk size, and on both the
-// per-lane Acquire form and the fused block expansion, the global
-// accumulators must be bit-identical.
+// for every lane width (the default, the single-lane degenerate batch,
+// widths that do not divide the chunk size, the widths beyond the old
+// 32-lane mask word — 33, 48 — and the 64-lane maximum), any worker
+// count and chunk size, and on both the per-lane Acquire form and the
+// fused block expansion, the global accumulators must be bit-identical
+// to a per-trace simulation through Run.
 func TestRunBatchedBitIdenticalToScalar(t *testing.T) {
 	f := newBatchFixture(333)
-	refGen, _ := f.gen(t, ModeAuto, -1)
-	ref, err := RunBatched(Config{Workers: 1}, f.spec, refGen)
+	ref, err := Run(Config{Workers: 1}, f.spec, f.scalar(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,9 +155,10 @@ func TestRunBatchedBitIdenticalToScalar(t *testing.T) {
 	}
 }
 
-// TestRunBatchedVerifyWindowStaysScalar pins the first-chunk guard: the
+// TestRunBatchedVerifyWindowStaysScalar pins the window guard: the
 // batch path must not run before the auto-mode verification window
-// completed, so a run of exactly one verification window never batches.
+// completed, so a run of exactly one verification window never
+// batches — and every one of its traces is checked.
 func TestRunBatchedVerifyWindowStaysScalar(t *testing.T) {
 	f := newBatchFixture(VerifyRuns)
 	f.spec.Traces = VerifyRuns
@@ -158,8 +169,9 @@ func TestRunBatchedVerifyWindowStaysScalar(t *testing.T) {
 	if synth.BatchRuns() != 0 {
 		t.Fatalf("batch ran %d times inside the verification window", synth.BatchRuns())
 	}
-	if v := synth.verified.Load(); v < VerifyRuns {
-		t.Fatalf("only %d of %d runs verified", v, VerifyRuns)
+	if synth.checked != VerifyRuns || !synth.settled.Load() || synth.FellBack() {
+		t.Fatalf("%d of %d runs verified (settled %v, fallback %q)",
+			synth.checked, VerifyRuns, synth.settled.Load(), synth.FallbackReason())
 	}
 }
 
@@ -227,17 +239,6 @@ func (f *divergeFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, *Syn
 		core.SetReg(isa.R1, v)
 		core.SetReg(isa.R8, 0x100)
 	}
-	scalar := func(i int, rng *rand.Rand, s *Sample) error {
-		v := rng.Uint32()
-		return synth.Run(
-			func(core *pipeline.Core) { initCore(core, i, v) },
-			func(tl pipeline.Timeline, core *pipeline.Core) error {
-				s.Trace, s.Scratch = f.m.SynthesizeAveragedInto(s.Trace, s.Scratch, tl, rng, 1)
-				s.Hyps[0][0] = float64(v & 1)
-				s.Hyps[0][1] = 1 - float64(v&1)
-				return nil
-			})
-	}
 	return BatchGen{
 		Synth: synth,
 		Model: &f.m,
@@ -253,19 +254,17 @@ func (f *divergeFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, *Syn
 			s.Trace, s.Scratch = f.m.AveragedCyclesInto(s.Trace, s.Scratch, cycles, rng, 1)
 			return nil
 		},
-		Scalar: scalar,
 	}, synth
 }
 
 // TestRunBatchedDivergenceFallsBackToSimulation forces a divergence
-// after the verification window: the diverging batch must be replayed
-// through the scalar path (which takes the canonical simulate
-// fallback), and the final accumulators must equal a pure-simulation
-// run bit for bit.
+// after the verification window: the diverging group must be
+// re-initialized and simulated, and the final accumulators must equal
+// a pure-simulation run bit for bit.
 func TestRunBatchedDivergenceFallsBackToSimulation(t *testing.T) {
 	const traces, bad = 160, 130 // bad lands in a post-window batch
 	sim := newDivergeFixture(traces, bad)
-	simGen, _ := sim.gen(t, ModeSimulate, -1)
+	simGen, _ := sim.gen(t, ModeSimulate, 0)
 	want, err := RunBatched(Config{Workers: 1}, sim.spec, simGen)
 	if err != nil {
 		t.Fatal(err)
@@ -291,27 +290,17 @@ func TestRunBatchedDivergenceFallsBackToSimulation(t *testing.T) {
 	}
 }
 
-// TestStreamBatchedBitIdenticalToStream pins the trace-set producer:
-// batched and scalar streams must emit byte-identical sequences, traces
-// in order, for partial final batches included.
-func TestStreamBatchedBitIdenticalToStream(t *testing.T) {
+// TestStreamBatchedBitIdenticalToSimulate pins the trace-set producer:
+// auto-mode streams at every lane width must emit the byte sequence of
+// a pure-simulation stream, traces in order, partial final batches
+// included.
+func TestStreamBatchedBitIdenticalToSimulate(t *testing.T) {
 	f := newBatchFixture(0)
 	const n = 107
-	mk := func(lanes int) ([]trace.Trace, [][]byte) {
-		synth, err := NewSynthesizer(ModeAuto, f.cfg, f.prog)
+	mk := func(mode Mode, lanes int) ([]trace.Trace, [][]byte) {
+		synth, err := NewSynthesizer(mode, f.cfg, f.prog)
 		if err != nil {
 			t.Fatal(err)
-		}
-		scalar := func(i int, rng *rand.Rand) (trace.Trace, []byte, error) {
-			v := rng.Uint32()
-			var out trace.Trace
-			err := synth.Run(
-				func(core *pipeline.Core) { f.initCore(core, v) },
-				func(tl pipeline.Timeline, core *pipeline.Core) error {
-					out = f.m.Synthesize(tl, rng)
-					return nil
-				})
-			return out, []byte{byte(v)}, err
 		}
 		bs := BatchStream{
 			Synth: synth,
@@ -325,7 +314,6 @@ func TestStreamBatchedBitIdenticalToStream(t *testing.T) {
 			Acquire: func(i int, rng *rand.Rand, cycles []float64, core *pipeline.Core, aux []byte) (trace.Trace, error) {
 				return f.m.ExpandCycles(cycles, rng), nil
 			},
-			Scalar: scalar,
 		}
 		var traces []trace.Trace
 		var auxes [][]byte
@@ -339,9 +327,9 @@ func TestStreamBatchedBitIdenticalToStream(t *testing.T) {
 		}
 		return traces, auxes
 	}
-	refT, refA := mk(-1)
+	refT, refA := mk(ModeSimulate, 0)
 	for _, lanes := range []int{0, 1, 16, 33, 64} {
-		gotT, gotA := mk(lanes)
+		gotT, gotA := mk(ModeAuto, lanes)
 		for i := range refT {
 			if len(gotT[i]) != len(refT[i]) {
 				t.Fatalf("lanes=%d trace %d: length %d vs %d", lanes, i, len(gotT[i]), len(refT[i]))
@@ -362,11 +350,13 @@ func TestStreamBatchedBitIdenticalToStream(t *testing.T) {
 func TestRunBatchedValidation(t *testing.T) {
 	f := newBatchFixture(10)
 	if _, err := RunBatched(Config{}, f.spec, BatchGen{}); err == nil {
-		t.Error("missing scalar generator accepted")
+		t.Error("incomplete generator accepted")
 	}
-	bg, _ := f.gen(t, ModeAuto, 65)
-	if _, err := RunBatched(Config{}, f.spec, bg); err == nil {
-		t.Error("lane width beyond MaxLanes accepted")
+	for _, lanes := range []int{-1, 65} {
+		bg, _ := f.gen(t, ModeAuto, lanes)
+		if _, err := RunBatched(Config{}, f.spec, bg); err == nil {
+			t.Errorf("lane width %d accepted", lanes)
+		}
 	}
 	// A Prepare error on a batched trace (99 lies in the first
 	// post-window chunk) is a genuine failure, not a fallback.
@@ -409,5 +399,143 @@ func TestRunBatchedSteadyStateAllocs(t *testing.T) {
 	if perChunk := (wide - base) / 20; perChunk > 0.5 {
 		t.Errorf("fused batch path allocates %.2f per steady-state chunk (%.0f at 4 extra chunks, %.0f at 24)",
 			perChunk, base, wide)
+	}
+}
+
+// coldFixture is a generator whose every trace starts from a cold cache
+// hierarchy, so the simulated timing differs from the compiled
+// schedule and verification must fail on the first trace.
+func coldFixture(t *testing.T, traces int) (BatchGen, *Synthesizer, Spec) {
+	t.Helper()
+	prog := isa.MustAssemble("ldr r0, [r8]\nadd r1, r0, r2\nldr r3, [r9]\nstr r1, [r9]")
+	cfg := pipeline.DefaultConfig()
+	m := power.DefaultModel()
+	initCore := func(core *pipeline.Core, v uint32) {
+		core.SetHierarchy(mem.DefaultHierarchy())
+		core.SetReg(isa.R8, 0x100)
+		core.SetReg(isa.R9, 0x400)
+		core.Mem().Write32(0x100, v)
+	}
+	cal := pipeline.MustNew(cfg, nil)
+	initCore(cal, 0)
+	res, err := cal.Run(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	synth, err := NewSynthesizer(ModeAuto, cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{Traces: traces, Samples: len(res.Timeline) * m.SamplesPerCycle, Banks: HypothesisBanks(2), Seed: 11}
+	return BatchGen{
+		Synth:    synth,
+		Model:    &m,
+		Averages: 1,
+		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *Sample) error {
+			v := rng.Uint32()
+			initCore(core, v)
+			s.Hyps[0][0], s.Hyps[0][1] = float64(v&1), float64(v>>1&1)
+			return nil
+		},
+	}, synth, spec
+}
+
+// TestRunBatchedPathDeterministic pins the path a run takes to its
+// inputs: which traces are verified, the verdict, Batched and the
+// fallback reason — and the accumulators — are the same for every
+// worker count, chunk size and checkpoint split, on a replayable
+// schedule, one diverging after the window, and one failing
+// verification.
+func TestRunBatchedPathDeterministic(t *testing.T) {
+	type path struct {
+		checked           int
+		fellBack, batched bool
+		reason            string
+	}
+	const traces = 200
+	cases := map[string]func() (BatchGen, *Synthesizer, Spec){
+		"replayable": func() (BatchGen, *Synthesizer, Spec) {
+			f := newBatchFixture(traces)
+			bg, s := f.genFused(t, ModeAuto, 0)
+			return bg, s, f.spec
+		},
+		"late-divergence": func() (BatchGen, *Synthesizer, Spec) {
+			f := newDivergeFixture(traces, 130)
+			bg, s := f.gen(t, ModeAuto, 0)
+			return bg, s, f.spec
+		},
+		"cold-caches": func() (BatchGen, *Synthesizer, Spec) { return coldFixture(t, traces) },
+	}
+	for name, mk := range cases {
+		var ref *path
+		var refAcc *sca.CPA
+		for _, workers := range []int{1, 2, 8} {
+			for _, chunk := range []int{16, 64, 100} {
+				for _, ckpt := range [][]int{nil, {10}} {
+					bg, s, spec := mk()
+					spec.Checkpoints = ckpt
+					acc, err := RunBatched(Config{Workers: workers, ChunkSize: chunk}, spec, bg)
+					if err != nil {
+						t.Fatalf("%s workers=%d chunk=%d: %v", name, workers, chunk, err)
+					}
+					got := &path{s.checked, s.FellBack(), s.BatchRuns() > 0, s.FallbackReason()}
+					if ref == nil {
+						ref, refAcc = got, acc[0].(*sca.CPA)
+						t.Logf("%s: %+v", name, *got)
+						continue
+					}
+					if *got != *ref {
+						t.Fatalf("%s workers=%d chunk=%d ckpt=%v: path %+v, want %+v",
+							name, workers, chunk, ckpt, *got, *ref)
+					}
+					if !acc[0].(*sca.CPA).Equal(refAcc) {
+						t.Fatalf("%s workers=%d chunk=%d ckpt=%v: accumulators differ", name, workers, chunk, ckpt)
+					}
+				}
+			}
+		}
+		switch {
+		case name == "replayable" && (ref.checked != VerifyRuns || ref.fellBack || !ref.batched):
+			t.Fatalf("%s: path %+v", name, *ref)
+		case name == "late-divergence" && (ref.checked != VerifyRuns || !ref.fellBack || !ref.batched):
+			t.Fatalf("%s: path %+v", name, *ref)
+		case name == "cold-caches" && (ref.checked != 0 || !ref.fellBack || ref.batched):
+			t.Fatalf("%s: path %+v", name, *ref)
+		}
+	}
+}
+
+// TestSharedGateAutoRunsFinish runs two auto-mode runs at once through
+// one width-1 Gate. Each run's verification window holds back its later
+// chunks; that wait happens before a chunk takes a gate slot, so
+// neither run can sit on the only slot waiting for the other.
+func TestSharedGateAutoRunsFinish(t *testing.T) {
+	gate := NewGate(1)
+	f := newBatchFixture(300)
+	want, err := Run(Config{Workers: 1}, f.spec, f.scalar(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 2)
+	for r := 0; r < 2; r++ {
+		bg, _ := f.genFused(t, ModeAuto, 16)
+		go func() {
+			got, err := RunBatched(Config{Workers: 4, ChunkSize: 16, Gate: gate}, f.spec, bg)
+			if err == nil && !got[0].(*sca.CPA).Equal(want[0].(*sca.CPA)) {
+				err = errors.New("gated auto run differs from per-trace simulation")
+			}
+			done <- err
+		}()
+	}
+	timeout := time.After(time.Minute)
+	for r := 0; r < 2; r++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-timeout:
+			t.Fatal("auto-mode runs sharing a width-1 gate did not finish")
+		}
 	}
 }

@@ -284,15 +284,33 @@ func newBanks(banks []Bank, samples int) ([]sca.Accumulator, error) {
 // Run executes the streaming CPA described by spec: gen synthesizes each
 // trace on some worker and the reducer folds finished chunks into the
 // global accumulator banks in chunk order. It returns the banks after
-// all traces.
+// all traces. It is the plain driver for workloads that do not run one
+// fixed program per trace; RunBatched is the lane-group form.
 func Run(cfg Config, spec Spec, gen Generate) ([]sca.Accumulator, error) {
-	return RunBatched(cfg, spec, BatchGen{Scalar: gen})
+	fill := func(c chunk, bb *batchBuf) error {
+		for j := 0; j < c.end-c.start; j++ {
+			i := c.start + j
+			s := &bb.samples[j]
+			s.Trace = s.Trace[:0]
+			reseedTraceRNG(bb.rngs[j], spec.Seed, i)
+			if err := gen(i, bb.rngs[j], s); err != nil {
+				return fmt.Errorf("engine: trace %d: %w", i, err)
+			}
+			if err := bb.record(&spec, j, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return runChunked(cfg, spec, nil, fill)
 }
 
 // runChunked is the shared scheduler body: fill synthesizes the traces
 // of one chunk into a batch buffer on a worker; the reducer accumulates
-// finished buffers in chunk order and recycles them.
-func runChunked(cfg Config, spec Spec, fill func(c chunk, bb *batchBuf) error) ([]sca.Accumulator, error) {
+// finished buffers in chunk order and recycles them. synth, when
+// non-nil, is the synthesizer fill runs on; its verification window
+// decides how many leading chunks run one at a time.
+func runChunked(cfg Config, spec Spec, synth *Synthesizer, fill func(c chunk, bb *batchBuf) error) ([]sca.Accumulator, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
@@ -383,7 +401,7 @@ func runChunked(cfg Config, spec Spec, fill func(c chunk, bb *batchBuf) error) (
 		return nil
 	}
 
-	if err := orderedChunks(cfg.workers(), len(cs), work, reduce); err != nil {
+	if err := orderedChunks(cfg.workers(), len(cs), synth.windowChunks(cs), work, reduce); err != nil {
 		return nil, err
 	}
 	return global, nil
@@ -428,32 +446,4 @@ type batchBuf struct {
 	srcs    []*splitMixSource
 	group   groupRunner
 	expand  power.BatchExpand
-}
-
-// oneTrace synthesizes trace i and feeds it to the accumulators — the
-// reference serial semantics the engine reproduces bit-identically for
-// any worker count, chunk size and lane width.
-func oneTrace(i int, spec Spec, gen Generate, s *Sample, banks []sca.Accumulator) error {
-	s.Trace = s.Trace[:0]
-	if err := gen(i, TraceRNG(spec.Seed, i), s); err != nil {
-		return fmt.Errorf("engine: trace %d: %w", i, err)
-	}
-	if len(s.Trace) != spec.Samples {
-		return fmt.Errorf("engine: trace %d has %d samples, want %d", i, len(s.Trace), spec.Samples)
-	}
-	for b, acc := range banks {
-		var err error
-		switch a := acc.(type) {
-		case *sca.CPA:
-			err = a.Add(s.Trace, s.Hyps[b])
-		case *sca.ClassCPA:
-			err = a.Add(s.Class[b], s.Trace)
-		case *sca.ClassCPA2:
-			err = a.Add(s.Class[b], s.Trace)
-		}
-		if err != nil {
-			return fmt.Errorf("engine: trace %d: %w", i, err)
-		}
-	}
-	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/pipeline"
 	"repro/internal/sca"
 	"repro/internal/trace"
 )
@@ -332,13 +333,35 @@ func TestTraceRNGFullSeedSpace(t *testing.T) {
 	}
 }
 
+// indexStream is an auto-mode BatchStream over the batch fixture whose
+// aux record is the trace index and whose trace comes from acquire.
+func indexStream(t *testing.T, acquire func(i int, rng *rand.Rand) (trace.Trace, error)) BatchStream {
+	t.Helper()
+	f := newBatchFixture(0)
+	synth, err := NewSynthesizer(ModeAuto, f.cfg, f.prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return BatchStream{
+		Synth: synth,
+		Model: &f.m,
+		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core) ([]byte, error) {
+			f.initCore(core, uint32(i))
+			return []byte{byte(i)}, nil
+		},
+		Acquire: func(i int, rng *rand.Rand, _ []float64, _ *pipeline.Core, _ []byte) (trace.Trace, error) {
+			return acquire(i, rng)
+		},
+	}
+}
+
 func TestStreamOrderedEmit(t *testing.T) {
 	var got []int
 	var vals []float64
-	err := Stream(Config{Workers: 5, ChunkSize: 3}, 43, 2,
-		func(i int, rng *rand.Rand) (trace.Trace, []byte, error) {
-			return trace.Trace{float64(i), rng.Float64()}, []byte{byte(i)}, nil
-		},
+	bs := indexStream(t, func(i int, rng *rand.Rand) (trace.Trace, error) {
+		return trace.Trace{float64(i), rng.Float64()}, nil
+	})
+	err := StreamBatched(Config{Workers: 5, ChunkSize: 3}, 43, 2, bs,
 		func(i int, tr trace.Trace, aux []byte) error {
 			got = append(got, i)
 			vals = append(vals, tr[0])
@@ -361,23 +384,23 @@ func TestStreamOrderedEmit(t *testing.T) {
 }
 
 func TestStreamPropagatesErrors(t *testing.T) {
-	boom := errors.New("produce failed")
-	err := Stream(Config{Workers: 2}, 10, 1,
-		func(i int, rng *rand.Rand) (trace.Trace, []byte, error) {
-			if i == 7 {
-				return nil, nil, boom
-			}
-			return trace.Trace{0}, nil, nil
-		},
+	boom := errors.New("acquire failed")
+	bs := indexStream(t, func(i int, rng *rand.Rand) (trace.Trace, error) {
+		if i == 7 {
+			return nil, boom
+		}
+		return trace.Trace{0}, nil
+	})
+	err := StreamBatched(Config{Workers: 2}, 10, 1, bs,
 		func(i int, tr trace.Trace, aux []byte) error { return nil })
 	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want produce error", err)
+		t.Fatalf("err = %v, want acquire error", err)
 	}
 	emitErr := errors.New("emit failed")
-	err = Stream(Config{Workers: 2}, 10, 1,
-		func(i int, rng *rand.Rand) (trace.Trace, []byte, error) {
-			return trace.Trace{0}, nil, nil
-		},
+	bs = indexStream(t, func(i int, rng *rand.Rand) (trace.Trace, error) {
+		return trace.Trace{0}, nil
+	})
+	err = StreamBatched(Config{Workers: 2}, 10, 1, bs,
 		func(i int, tr trace.Trace, aux []byte) error {
 			if i == 4 {
 				return emitErr
@@ -387,4 +410,32 @@ func TestStreamPropagatesErrors(t *testing.T) {
 	if !errors.Is(err, emitErr) {
 		t.Fatalf("err = %v, want emit error", err)
 	}
+}
+
+// oneTrace synthesizes trace i and feeds it to the accumulators — the
+// reference serial semantics the engine reproduces bit-identically for
+// any worker count, chunk size and lane width.
+func oneTrace(i int, spec Spec, gen Generate, s *Sample, banks []sca.Accumulator) error {
+	s.Trace = s.Trace[:0]
+	if err := gen(i, TraceRNG(spec.Seed, i), s); err != nil {
+		return fmt.Errorf("engine: trace %d: %w", i, err)
+	}
+	if len(s.Trace) != spec.Samples {
+		return fmt.Errorf("engine: trace %d has %d samples, want %d", i, len(s.Trace), spec.Samples)
+	}
+	for b, acc := range banks {
+		var err error
+		switch a := acc.(type) {
+		case *sca.CPA:
+			err = a.Add(s.Trace, s.Hyps[b])
+		case *sca.ClassCPA:
+			err = a.Add(s.Class[b], s.Trace)
+		case *sca.ClassCPA2:
+			err = a.Add(s.Class[b], s.Trace)
+		}
+		if err != nil {
+			return fmt.Errorf("engine: trace %d: %w", i, err)
+		}
+	}
+	return nil
 }

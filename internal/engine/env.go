@@ -24,8 +24,7 @@ type RunEnv struct {
 	Model power.Model
 	// Workers sizes the synthesis pool (0: one per core).
 	Workers int
-	// Lanes is the lane-parallel replay batch width (0: default,
-	// negative: scalar per-trace replay).
+	// Lanes is the lane-group width (0: default; see CheckLanes).
 	Lanes int
 	// Ctx, when non-nil, cancels the run between chunks.
 	Ctx context.Context

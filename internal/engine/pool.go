@@ -2,8 +2,8 @@ package engine
 
 import "sync"
 
-// orderedChunks is the scheduler shared by Run and Stream: a pool of
-// workers maps work over the chunk indexes [0, n) while the caller's
+// orderedChunks is the scheduler shared by the engine drivers: a pool
+// of workers maps work over the chunk indexes [0, n) while the caller's
 // reduce consumes the results in strictly ascending index order.
 //
 // Dispatch is windowed: at most workers+2 chunks may be in flight
@@ -11,8 +11,13 @@ import "sync"
 // out-of-order results parked in the reorder buffer stay bounded by the
 // pool size — memory never grows with the total chunk count.
 //
+// The first serial chunks are dispatched one at a time, each only after
+// the previous one was reduced (the synthesizer's verification window
+// must see its traces in order). The feeder waits before dispatching,
+// so no worker holds a Gate slot while the barrier is closed.
+//
 // The first error from work or reduce cancels the pool and is returned.
-func orderedChunks[T any](workers, n int, work func(idx int) (T, error), reduce func(idx int, v T) error) error {
+func orderedChunks[T any](workers, n, serial int, work func(idx int) (T, error), reduce func(idx int, v T) error) error {
 	if workers > n {
 		workers = n
 	}
@@ -49,9 +54,18 @@ func orderedChunks[T any](workers, n int, work func(idx int) (T, error), reduce 
 	for i := 0; i < window; i++ {
 		tokens <- struct{}{}
 	}
+	// reduced carries one signal per serial chunk folded in.
+	reduced := make(chan struct{}, 1)
 	go func() {
 		defer close(jobs)
 		for idx := 0; idx < n; idx++ {
+			if idx > 0 && idx <= serial {
+				select {
+				case <-reduced:
+				case <-done:
+					return
+				}
+			}
 			select {
 			case <-tokens:
 			case <-done:
@@ -84,6 +98,11 @@ func orderedChunks[T any](workers, n int, work func(idx int) (T, error), reduce 
 			delete(pending, next)
 			if err := reduce(next, v); err != nil {
 				return err
+			}
+			if next < serial {
+				// Never blocks: the feeder takes each signal before the
+				// next serial chunk exists.
+				reduced <- struct{}{}
 			}
 			next++
 			// Never blocks: the chunk just reduced held a token.

@@ -7,22 +7,24 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/pipeline"
+	"repro/internal/power"
 	"repro/internal/replay"
 )
 
 // Mode selects how a Synthesizer turns program executions into
-// component timelines.
+// per-cycle power.
 type Mode uint8
 
 const (
-	// ModeAuto compiles a replay program on first use, bit-compares
-	// replayed output against full simulation for the first VerifyRuns
-	// executions, and falls back to pure simulation on any mismatch —
+	// ModeAuto compiles the replay schedule on first use, runs the
+	// first VerifyRuns executions on both the batch VM and the
+	// simulator — checking every replayed drive against the simulated
+	// timeline — and falls back to pure simulation on any mismatch,
 	// including compile failures and mid-run divergence. The default.
 	ModeAuto Mode = iota
-	// ModeReplay always replays after the compiling reference run and
-	// treats any detected divergence as a hard error. It asserts that
-	// the program's schedule is input-invariant; prefer ModeAuto unless
+	// ModeReplay always replays after compiling the schedule and treats
+	// any detected divergence as a hard error. It asserts that the
+	// program's schedule is input-invariant; prefer ModeAuto unless
 	// that is known.
 	ModeReplay
 	// ModeSimulate always runs the full cycle-level simulator.
@@ -57,64 +59,51 @@ func (m Mode) String() string {
 }
 
 // VerifyRuns is the number of leading executions an auto-mode
-// Synthesizer dual-runs — replay and simulator, bit-comparing the
-// timelines — before trusting the compiled schedule: one default
-// engine chunk.
+// Synthesizer runs on both the batch VM and the simulator before
+// trusting the compiled schedule: one default engine chunk. The engine
+// drivers synthesize traces [0, VerifyRuns) of a run one chunk at a
+// time, in trace order, so which traces are checked — and the verdict —
+// depend only on the run's inputs.
 const VerifyRuns = DefaultChunkSize
 
 // Synthesizer is the trace-synthesis seam between the attack layers and
 // the pipeline model: one fixed (configuration, program) pair, executed
-// once per acquisition against per-run initial state. Depending on the
-// mode it runs the cycle-level simulator, a compiled replay of its
-// schedule, or — the auto default — replay guarded by a leading
-// bit-compare window with graceful fallback to simulation.
+// once per acquisition against per-run initial state. Lane groups of
+// executions (RunBatchBlock) run either on the lane-parallel batch VM
+// over a compiled schedule or, per lane, on the cycle-level simulator;
+// both deliver per-cycle power bit-identical to power.Model.CyclePowers
+// over the simulated timeline whenever the schedule is input-invariant,
+// and when it is not, auto mode degrades to the simulator's output.
 //
 // A Synthesizer is safe for concurrent use: each call borrows pooled
-// per-worker scratch (cores, memory images, a replay VM), so steady-
-// state synthesis allocates nothing. Results are bit-identical across
-// modes whenever the program's schedule is input-invariant; when it is
-// not, auto mode degrades to the simulator's output.
+// per-worker scratch (lane cores, a batch VM), so steady-state
+// synthesis allocates nothing.
 type Synthesizer struct {
 	mode Mode
 	cfg  pipeline.Config
 	prog *isa.Program
 
-	compiled   atomic.Pointer[replay.Program]
-	mu         sync.Mutex // guards compilation and fallback bookkeeping
+	// window serializes the auto-mode verification groups; checked
+	// counts the executions they passed. settled is set once the path
+	// is final: the window passed (auto), the schedule compiled
+	// (replay), or the synthesizer fell back.
+	window  sync.Mutex
+	checked int
+	settled atomic.Bool
+
+	// fellBack is set when the verification window or the compile
+	// failed: every later group simulates. diverged is set when a group
+	// after the window left the schedule and was simulated.
+	mu         sync.Mutex // guards compilation and the fallback reason
+	bp         atomic.Pointer[replay.BatchProgram]
 	compileErr error
-	tried      bool
-	fellBack   atomic.Bool
-	reason     string
-	verified   atomic.Int64
-
-	// Lane-parallel batch state (see batch.go): the lowered schedule,
-	// its one-shot compile bookkeeping (under mu), how many batches ran,
-	// and the per-worker scratch pool of lane cores + batch VM.
-	batchProg  atomic.Pointer[replay.BatchProgram]
-	batchTried bool
 	batchErr   error
-	batchRuns  atomic.Int64
-	batchPool  sync.Pool
-	// verifying counts dual-run verifications in flight. The unverified
-	// fast path stays closed until the window's successes are complete
-	// AND no verification is still pending — otherwise a late mismatch
-	// could land after concurrent runs already emitted unverified
-	// replay output, breaking the bit-identical-to-simulation fallback
-	// contract.
-	verifying atomic.Int64
+	fellBack   atomic.Bool
+	diverged   atomic.Bool
+	reason     string
 
-	scratch sync.Pool
-}
-
-// synthScratch is one worker's pooled state: the primary core carries
-// the per-run initial state and runs whichever engine owns the trace;
-// the aux core holds the copied state replay verifies against, and
-// doubles as the pre-replay snapshot that makes mid-run divergence
-// recoverable.
-type synthScratch struct {
-	core *pipeline.Core
-	aux  *pipeline.Core
-	vm   *replay.VM
+	batchRuns atomic.Int64
+	pool      sync.Pool // *batchScratch
 }
 
 // NewSynthesizer returns a Synthesizer for the given mode, core
@@ -130,30 +119,32 @@ func NewSynthesizer(mode Mode, cfg pipeline.Config, prog *isa.Program) (*Synthes
 		return nil, err
 	}
 	s := &Synthesizer{mode: mode, cfg: cfg, prog: prog}
-	s.scratch.New = func() any {
-		core := pipeline.MustNew(cfg, nil)
-		core.SetReuseBuffers(true)
+	s.pool.New = func() any {
 		aux := pipeline.MustNew(cfg, nil)
 		aux.SetReuseBuffers(true)
-		return &synthScratch{core: core, aux: aux}
+		return &batchScratch{aux: []*pipeline.Core{aux}}
 	}
-	s.batchPool.New = func() any { return &batchScratch{} }
+	if mode == ModeSimulate {
+		s.settled.Store(true)
+	}
 	return s, nil
 }
 
 // Mode returns the configured mode.
 func (s *Synthesizer) Mode() Mode { return s.mode }
 
-// FellBack reports whether an auto-mode Synthesizer abandoned replay.
-func (s *Synthesizer) FellBack() bool { return s.fellBack.Load() }
+// FellBack reports whether an auto-mode Synthesizer simulated traces
+// replay was meant to cover: its verification window or compile failed,
+// or a lane group after the window diverged.
+func (s *Synthesizer) FellBack() bool { return s.fellBack.Load() || s.diverged.Load() }
 
-// FallbackReason returns why replay was abandoned, "" while it is live.
+// FallbackReason returns why the Synthesizer fell back, "" while replay
+// covers every trace. A divergence after the window reports
+// replay.ErrDiverged's text alone, since several groups may diverge in
+// any order.
 func (s *Synthesizer) FallbackReason() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.fellBack.Load() {
-		return ""
-	}
 	return s.reason
 }
 
@@ -164,64 +155,46 @@ func (s *Synthesizer) fallBack(reason string) {
 		s.fellBack.Store(true)
 	}
 	s.mu.Unlock()
+	s.settled.Store(true)
 }
 
-// Run executes the program once. init establishes the run's initial
-// architectural state — registers, memory contents, optionally a cache
-// hierarchy — on a freshly wiped core, and is called exactly once. use
-// receives the run's timeline together with the core holding the final
+func (s *Synthesizer) noteDivergence() {
+	s.mu.Lock()
+	if s.reason == "" {
+		s.reason = replay.ErrDiverged.Error()
+	}
+	s.diverged.Store(true)
+	s.mu.Unlock()
+}
+
+// BatchRuns returns how many lane groups the batch VM synthesized after
+// the verification window — nonzero means the batch path really ran.
+func (s *Synthesizer) BatchRuns() int64 { return s.batchRuns.Load() }
+
+// BatchDisabledReason returns why the lane-parallel path is permanently
+// off ("" while it is available): a schedule whose drives cannot be
+// lowered to the fused event form. Auto mode then simulates, with the
+// same text in FallbackReason.
+func (s *Synthesizer) BatchDisabledReason() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.batchErr != nil {
+		return s.batchErr.Error()
+	}
+	return ""
+}
+
+// Run simulates the program once on a pooled core. init establishes the
+// run's initial architectural state — registers, memory contents,
+// optionally a cache hierarchy — on a freshly wiped core. use receives
+// the simulated timeline together with the core holding the final
 // architectural state; both are only valid for the duration of the
 // call. Run is safe to call concurrently with itself.
 func (s *Synthesizer) Run(init func(*pipeline.Core), use func(pipeline.Timeline, *pipeline.Core) error) error {
-	sc := s.scratch.Get().(*synthScratch)
-	defer s.scratch.Put(sc)
-	core := sc.core
-	core.ResetState()
-	core.SetHierarchy(nil)
-	core.Mem().Wipe()
+	sc := s.pool.Get().(*batchScratch)
+	defer s.pool.Put(sc)
+	core := sc.lanes(s.cfg, 1)[0]
 	init(core)
-
-	if s.mode == ModeSimulate || s.fellBack.Load() {
-		return s.simulate(core, use)
-	}
-	p := s.compiled.Load()
-	if p == nil {
-		var err error
-		if p, err = s.compile(sc, core); err != nil {
-			if s.mode == ModeReplay {
-				return err
-			}
-			s.fallBack("compile: " + err.Error())
-			return s.simulate(core, use)
-		}
-	}
-	if sc.vm == nil {
-		sc.vm = replay.NewVM(p)
-	}
-
-	if s.mode == ModeAuto && (s.verified.Load() < VerifyRuns || s.verifying.Load() > 0) {
-		return s.verifyRun(sc, use)
-	}
-
-	if s.mode == ModeAuto {
-		// Snapshot the initial state so that a divergence detected
-		// mid-replay can restart the run under the real simulator.
-		copyState(sc.aux, core)
-	}
-	tl, err := sc.vm.Run(core)
-	if err != nil {
-		if s.mode == ModeReplay {
-			return err
-		}
-		s.fallBack(err.Error())
-		copyState(core, sc.aux)
-		return s.simulate(core, use)
-	}
-	return use(tl, core)
-}
-
-// simulate runs the full cycle-level simulator on core.
-func (s *Synthesizer) simulate(core *pipeline.Core, use func(pipeline.Timeline, *pipeline.Core) error) error {
 	res, err := core.Run(s.prog)
 	if err != nil {
 		return err
@@ -229,81 +202,110 @@ func (s *Synthesizer) simulate(core *pipeline.Core, use func(pipeline.Timeline, 
 	return use(res.Timeline, core)
 }
 
-// compile builds the replay program from one reference run, executed on
-// the aux core against a copy of this run's initial state so the
-// primary core stays pristine for the verification run that follows.
-// Only one caller compiles; losers of the race reuse its result.
-func (s *Synthesizer) compile(sc *synthScratch, core *pipeline.Core) (*replay.Program, error) {
+// program returns the lane-parallel schedule, compiling it on first use
+// from one reference simulation of a copy of core's initial state. A
+// failure is sticky: every later call returns the same error.
+func (s *Synthesizer) program(sc *batchScratch, core *pipeline.Core) (*replay.BatchProgram, error) {
+	if bp := s.bp.Load(); bp != nil {
+		return bp, nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if p := s.compiled.Load(); p != nil {
-		return p, nil
+	if bp := s.bp.Load(); bp != nil {
+		return bp, nil
 	}
-	if s.tried {
+	if s.compileErr != nil {
 		return nil, s.compileErr
 	}
-	s.tried = true
-	copyState(sc.aux, core)
-	p, err := replay.Compile(sc.aux, s.prog)
-	if err != nil {
-		s.compileErr = err
-		return nil, err
+	copyState(sc.aux[0], core)
+	p, err := replay.Compile(sc.aux[0], s.prog)
+	var bp *replay.BatchProgram
+	if err == nil {
+		if bp, err = replay.CompileBatch(p); err != nil {
+			s.batchErr = err
+		}
 	}
-	s.compiled.Store(p)
-	return p, nil
+	if err != nil {
+		s.compileErr = fmt.Errorf("compile: %w", err)
+		return nil, s.compileErr
+	}
+	s.bp.Store(bp)
+	if s.mode == ModeReplay {
+		s.settled.Store(true)
+	}
+	return bp, nil
 }
 
-// verifyRun is one dual execution of the auto mode's leading window:
-// the simulator runs on the primary core — with whatever hierarchy init
-// attached — and stays authoritative, while the VM replays a copy of
-// the initial state on the aux core. Any difference between the two
-// timelines or final states abandons replay for good. The in-flight
-// counter is released only after the verdict is recorded, so the fast
-// path cannot open while a failure may still be pending; concurrent
-// callers simply verify a few extra runs.
-func (s *Synthesizer) verifyRun(sc *synthScratch, use func(pipeline.Timeline, *pipeline.Core) error) error {
-	s.verifying.Add(1)
-	defer s.verifying.Add(-1)
-	copyState(sc.aux, sc.core)
-	rtl, rerr := sc.vm.Run(sc.aux)
-	res, serr := sc.core.Run(s.prog)
-	if serr != nil {
-		return serr
+// verify runs one group of the auto-mode verification window under
+// s.window: each lane's initial state is copied to the aux core and
+// replayed there on the batch VM, while the simulator runs the core the
+// caller initialized — with whatever cache hierarchy InitLane attached
+// — and stays authoritative. Every replayed drive is checked against
+// the simulated timeline (BatchVM.Check), then registers and flags; the
+// first lane to differ, in lane order, abandons replay for good. The
+// simulator's cycle powers are returned either way.
+func (s *Synthesizer) verify(sc *batchScratch, m *power.Model, cores []*pipeline.Core) ([][]float64, error) {
+	var vm *replay.BatchVM
+	bp, err := s.program(sc, cores[0])
+	if err != nil {
+		s.fallBack(err.Error())
+	} else {
+		vm = sc.batchVM(bp, m)
 	}
-	switch {
-	case rerr != nil:
-		s.fallBack(rerr.Error())
-	case !timelinesEqual(res.Timeline, rtl):
-		s.fallBack("replayed timeline differs from full simulation")
-	case sc.aux.State().Regs != sc.core.State().Regs || sc.aux.State().Flags != sc.core.State().Flags:
-		s.fallBack("replayed architectural state differs from full simulation")
-	default:
-		s.verified.Add(1)
+	aux := sc.aux[0]
+	for lane, core := range cores {
+		var runErr error
+		if vm != nil {
+			copyState(aux, core)
+			runErr = vm.Run(sc.aux)
+		}
+		res, err := core.Run(s.prog)
+		if err != nil {
+			return nil, err
+		}
+		if vm != nil {
+			err := runErr
+			if err == nil {
+				err = vm.Check(0, res.Timeline)
+			}
+			if err == nil && (aux.State().Regs != core.State().Regs || aux.State().Flags != core.State().Flags) {
+				err = fmt.Errorf("replayed architectural state differs from full simulation")
+			}
+			if err != nil {
+				s.fallBack(err.Error())
+				vm = nil
+			}
+		}
+		sc.sim[lane] = m.CyclePowers(sc.sim[lane], res.Timeline)
 	}
-	return use(res.Timeline, sc.core)
+	if vm != nil {
+		if s.checked += len(cores); s.checked >= VerifyRuns {
+			s.settled.Store(true)
+		}
+	}
+	return sc.sim[:len(cores)], nil
+}
+
+// simulate runs every lane's core on the cycle-level simulator and
+// returns the lanes' cycle powers.
+func (s *Synthesizer) simulate(sc *batchScratch, m *power.Model, cores []*pipeline.Core) ([][]float64, error) {
+	for lane, core := range cores {
+		res, err := core.Run(s.prog)
+		if err != nil {
+			return nil, err
+		}
+		sc.sim[lane] = m.CyclePowers(sc.sim[lane], res.Timeline)
+	}
+	return sc.sim[:len(cores)], nil
 }
 
 // copyState makes dst's architectural state (registers, flags, memory)
 // identical to src's, reusing dst's storage. Timing state — the cache
 // hierarchy — is deliberately not copied: replay never consults it, and
-// the verification window compares against the simulator that does.
+// the verification window checks against the simulator that does.
 func copyState(dst, src *pipeline.Core) {
 	ds, ss := dst.State(), src.State()
 	ds.Regs = ss.Regs
 	ds.Flags = ss.Flags
 	ds.Mem.CopyFrom(ss.Mem)
-}
-
-// timelinesEqual reports bit-identity of two timelines: same length and
-// per-cycle identical driven masks and component values.
-func timelinesEqual(a, b pipeline.Timeline) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

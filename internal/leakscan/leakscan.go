@@ -172,11 +172,11 @@ type Options struct {
 	// first-order ground truth.
 	Order int
 	// Synth selects the trace-synthesis strategy (engine.ModeAuto by
-	// default: compiled replay of each benchmark's schedule, bit-verified
-	// against full simulation on the first chunk).
+	// default: compiled replay of each benchmark's schedule, checked
+	// against full simulation on the first engine.VerifyRuns traces).
 	Synth engine.Mode
-	// Lanes is the lane-parallel replay batch width (0: default,
-	// negative: scalar path); results are bit-identical for every value.
+	// Lanes is the lane-group width (0: default); results are
+	// bit-identical for every value.
 	Lanes int
 	// Ctx, when non-nil, cancels trace synthesis between chunks.
 	Ctx context.Context
@@ -318,27 +318,6 @@ func RunBenchmark(b *Benchmark, opt Options) (*BenchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	scalar := func(n int, rng *rand.Rand, s *engine.Sample) error {
-		var vals Values
-		err := synth.Run(
-			func(core *pipeline.Core) { vals = b.Setup(rng, core) },
-			func(tl pipeline.Timeline, _ *pipeline.Core) error {
-				tr, scratch := opt.Model.SynthesizeAveragedInto(s.Trace, s.Scratch, tl, rng, opt.Averages)
-				s.Trace, s.Scratch = tr, scratch
-				if len(tr) != nSamples {
-					return fmt.Errorf("leakscan: %s: trace length changed across runs (%d vs %d)",
-						b.Name, len(tr), nSamples)
-				}
-				return nil
-			})
-		if err != nil {
-			return err
-		}
-		for i, e := range b.Exprs {
-			s.Hyps[0][i] = e.Eval(vals)
-		}
-		return nil
-	}
 	banks, err := engine.RunBatched(
 		engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate},
 		engine.Spec{Traces: opt.Traces, Samples: nSamples, Banks: engine.HypothesisBanks(len(b.Exprs)), Seed: opt.Seed},
@@ -362,7 +341,6 @@ func RunBenchmark(b *Benchmark, opt Options) (*BenchResult, error) {
 				}
 				return nil
 			},
-			Scalar: scalar,
 		})
 	if err != nil {
 		return nil, err
@@ -471,25 +449,6 @@ func runOrder2(b *Benchmark, opt Options, synth *engine.Synthesizer, windows []w
 		s.Trace = tr
 		return nil
 	}
-	scalar := func(n int, rng *rand.Rand, s *engine.Sample) error {
-		bp := pool.Get().(*o2buf)
-		defer pool.Put(bp)
-		var vals Values
-		err := synth.Run(
-			func(core *pipeline.Core) { vals = b.Setup(rng, core) },
-			func(tl pipeline.Timeline, _ *pipeline.Core) error {
-				raw, tmp := opt.Model.SynthesizeAveragedInto(bp.raw, bp.tmp, tl, rng, opt.Averages)
-				bp.raw, bp.tmp = raw, tmp
-				return combine(raw, s)
-			})
-		if err != nil {
-			return err
-		}
-		for i, e := range b.Exprs {
-			s.Hyps[0][i] = e.Eval(vals)
-		}
-		return nil
-	}
 	banks, err := engine.RunBatched(
 		engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate},
 		engine.Spec{Traces: opt.Traces, Samples: nComb, Banks: engine.HypothesisBanks(len(b.Exprs)), Seed: opt.Seed},
@@ -511,7 +470,6 @@ func runOrder2(b *Benchmark, opt Options, synth *engine.Synthesizer, windows []w
 				bp.raw, bp.tmp = raw, tmp
 				return combine(raw, s)
 			},
-			Scalar: scalar,
 		})
 	if err != nil {
 		return err

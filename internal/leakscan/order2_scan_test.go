@@ -18,7 +18,7 @@ func TestOrder2ScanInvariance(t *testing.T) {
 	b := Benchmarks()[1] // adds: data-dependent
 
 	ref := opt
-	ref.Workers, ref.Lanes, ref.Synth = 1, -1, engine.ModeSimulate
+	ref.Workers, ref.Lanes, ref.Synth = 1, 0, engine.ModeSimulate
 	want, err := RunBenchmark(&b, ref)
 	if err != nil {
 		t.Fatal(err)

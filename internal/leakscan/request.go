@@ -129,6 +129,9 @@ func (r *Request) Run(env engine.RunEnv) (*Response, error) {
 	if err := r.Normalize(); err != nil {
 		return nil, err
 	}
+	if err := engine.CheckLanes(env.Lanes); err != nil {
+		return nil, err
+	}
 	opt := DefaultOptions()
 	opt.Traces = r.Traces
 	opt.Averages = r.Averages

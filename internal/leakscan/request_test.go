@@ -42,6 +42,15 @@ func TestLeakscanRequestNormalize(t *testing.T) {
 	}
 }
 
+func TestLeakscanRequestRunRejectsNegativeLanes(t *testing.T) {
+	req := Request{Traces: 600, Averages: 2, Rows: []int{1}, Seed: 5}
+	env := engine.DefaultRunEnv()
+	env.Lanes = -1
+	if _, err := req.Run(env); err == nil {
+		t.Fatal("negative lane width accepted")
+	}
+}
+
 func TestLeakscanRequestRunDeterministic(t *testing.T) {
 	req := Request{Traces: 600, Averages: 2, Rows: []int{1}, Seed: 5}
 	env := engine.DefaultRunEnv()

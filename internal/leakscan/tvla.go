@@ -75,17 +75,6 @@ func RunTVLA(b *Benchmark, opt Options) (*TVLAResult, error) {
 			b.Setup(rng, core)
 		}
 	}
-	scalar := func(i int, rng *rand.Rand) (trace.Trace, []byte, error) {
-		var tr trace.Trace
-		err := synth.Run(
-			func(core *pipeline.Core) { setup(i, rng, core) },
-			func(tl pipeline.Timeline, _ *pipeline.Core) error {
-				tr = opt.Model.SynthesizeAveraged(tl, rng, opt.Averages)
-				return nil
-			})
-		return tr, nil, err
-	}
-
 	w := sca.NewWelch(nSamples)
 	emit := func(i int, tr trace.Trace, _ []byte) error {
 		if len(tr) != nSamples {
@@ -109,7 +98,6 @@ func RunTVLA(b *Benchmark, opt Options) (*TVLAResult, error) {
 				tr, _ := opt.Model.AveragedCyclesInto(nil, nil, cycles, rng, opt.Averages)
 				return tr, nil
 			},
-			Scalar: scalar,
 		},
 		emit)
 	if err != nil {

@@ -7,14 +7,14 @@ import (
 	"repro/internal/engine"
 )
 
-// tvlaSerialReference recomputes the t statistics with a plain serial
-// loop over the scalar producer — the reference semantics RunTVLA's
-// batched path must reproduce bit for bit.
+// tvlaSerialReference recomputes the t statistics on one worker with
+// every trace simulated — the reference semantics RunTVLA's batched
+// path must reproduce bit for bit.
 func tvlaSerialReference(t *testing.T, b *Benchmark, opt Options) *TVLAResult {
 	t.Helper()
 	ref := opt
 	ref.Workers = 1
-	ref.Lanes = -1 // scalar fallback path
+	ref.Lanes = 0
 	ref.Synth = engine.ModeSimulate
 	res, err := RunTVLA(b, ref)
 	if err != nil {

@@ -508,7 +508,7 @@ func (c *Core) finalizeTimeline() Timeline {
 // FillForward forward-fills undriven components so that consecutive
 // snapshots can be compared directly: a component that was not re-driven
 // holds its previous value and thus contributes zero Hamming distance.
-// Shared by the simulator and the replay VM.
+// The simulator finalizes every timeline with it.
 func FillForward(tl Timeline) {
 	var prev [NumComponents]uint32
 	for i := range tl {

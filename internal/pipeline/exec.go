@@ -9,8 +9,9 @@ import (
 // value semantics of one issued instruction, separated from the issue
 // logic so that the replay compiler (internal/replay) can re-execute
 // only the dataflow of a recorded schedule. Core.issueOne pairs
-// ExecValues with live slot selection; the replay VM pairs it with a
-// compiled slot list. Both observe the same canonical drive order.
+// ExecValues with live slot selection; the replay VM runs its
+// decode-hoisted form (ExecDecoded) against a compiled slot list. Both
+// observe the same canonical drive order.
 
 // ExecState is the architectural machine state instruction value
 // semantics read and write: registers, condition flags and data memory.

@@ -20,7 +20,7 @@ package replay
 // which power.Model's synthesis sums contributions (ascending component
 // within each cycle, HD before HW per component, starting from the
 // baseline), each lane's cycle-power row is bit-identical to
-// power.Model.CyclePowers over the scalar VM's timeline. Undriven
+// power.Model.CyclePowers over the simulator's timeline. Undriven
 // components hold their value (the timeline's fill-forward), which the
 // event walk reproduces with a last-value row per component, updated in
 // cycle order.
@@ -31,10 +31,14 @@ package replay
 // drives — executed-only events (ALU input latches and result buffer)
 // fire only for passing lanes, and the shared write-back slot event
 // selects the result value or the annulled zero per lane. Divergence
-// guards are the scalar VM's, applied per lane: any lane leaving the
-// compiled schedule aborts the batch with ErrDiverged and the caller
-// replays those traces on the scalar path, which re-detects the
-// divergence and takes the canonical fallback.
+// guards run per step and per lane: any lane leaving the compiled
+// schedule aborts the batch with ErrDiverged and the caller simulates
+// those traces instead.
+//
+// Verification. The event list names every drive of the schedule,
+// whatever the power model weights, so Check can compare one lane's
+// replayed execution against a simulated timeline drive for drive —
+// the engine's auto-mode verification window.
 
 import (
 	"fmt"
@@ -110,14 +114,14 @@ type scatterSlot struct {
 	vs int32
 }
 
-// Program returns the underlying scalar replay program.
+// Program returns the underlying replay program.
 func (bp *BatchProgram) Program() *Program { return bp.p }
 
 // Cycles returns the schedule's timeline length.
 func (bp *BatchProgram) Cycles() int { return bp.p.cycles }
 
 // CompileBatch lowers a compiled replay program into its lane-parallel
-// form. It fails — callers then stay on the scalar VM — when the
+// form. It fails — callers then stay on the simulator — when the
 // schedule's drives cannot be expressed as one event per (cycle,
 // component): overlapping drives from distinct steps, or conditional
 // tails colliding with invariant slots. Such schedules do not arise
@@ -213,7 +217,7 @@ func CompileBatch(p *Program) (*BatchProgram, error) {
 		switch {
 		case nInv == len(group):
 			// Outcome-invariant; the schedule's last write wins, as in
-			// the scalar timeline.
+			// the simulated timeline.
 			ev.kind = evAlways
 			ev.vs = addVS(group[len(group)-1].slotIdx)
 		case nInv == 0 && nExec == 1 && nAnnul == 0:
@@ -265,8 +269,8 @@ func CompileBatch(p *Program) (*BatchProgram, error) {
 	bp.scatOff[len(p.steps)] = uint32(len(bp.scat))
 
 	// Hoist each step's instruction decode. The pinned equivalence
-	// (pipeline's decoded-exec tests plus this package's scalar-parity
-	// sweeps) keeps the lean path honest.
+	// (pipeline's decoded-exec tests plus this package's
+	// simulator-parity sweeps) keeps the lean path honest.
 	bp.dec = make([]pipeline.ExecDecoded, len(p.steps))
 	for si := range p.steps {
 		st := &p.steps[si]
@@ -282,15 +286,17 @@ func CompileBatch(p *Program) (*BatchProgram, error) {
 // use — pool one per worker.
 //
 // Determinism contract: Run mutates each lane's core exactly as the
-// scalar VM (and therefore the full simulator) would, and each lane's
-// Power row is bit-identical to power.Model.CyclePowers over the scalar
-// VM's timeline for that lane — independent of the batch width, of the
+// full simulator would, and each lane's Power row is bit-identical to
+// power.Model.CyclePowers over the simulator's timeline for that lane
+// — as long as the schedule is input-invariant (Check) — independent
+// of the batch width, of the
 // lane's position in the batch, and of which other executions share the
 // batch. Lanes never mix: every per-lane quantity lives in its own SoA
 // slot.
 type BatchVM struct {
 	bp    *BatchProgram
 	lanes int
+	n     int // lanes of the last Run
 
 	valBuf []uint32  // [vs*n + lane]: per-drive values of the running batch
 	last   []uint32  // [comp*n + lane]: fill-forward state per component
@@ -363,12 +369,12 @@ func (vm *BatchVM) SetWeights(hd, hw *[pipeline.NumComponents]float64, baseline 
 
 // Run replays the program against the architectural states of the
 // cores — registers, flags and memory, as prepared by the caller's
-// per-lane initialization — mutating each exactly as the scalar VM
+// per-lane initialization — mutating each exactly as the simulator
 // would, and accumulates each lane's fused cycle power (valid until the
 // next Run, via Power). A non-nil error means some lane diverged from
 // the compiled schedule; every lane's state is then unusable for this
 // batch and the caller must re-run the batch from fresh initial states
-// (the engine replays it through the scalar path).
+// (the engine simulates it).
 func (vm *BatchVM) Run(cores []*pipeline.Core) error {
 	n := len(cores)
 	if n < 1 || n > vm.lanes {
@@ -379,6 +385,7 @@ func (vm *BatchVM) Run(cores []*pipeline.Core) error {
 	}
 	bp := vm.bp
 	p := bp.p
+	vm.n = n
 
 	clear(vm.last[:int(pipeline.NumComponents)*n])
 	clear(vm.masks)
@@ -526,9 +533,52 @@ func addLanes(cyc []float64, vals, lastRow []uint32, whd, whw float64) {
 }
 
 // Power returns lane's fused per-cycle noiseless power from the last
-// Run — bit-identical to power.Model.CyclePowers over the scalar VM's
+// Run — bit-identical to power.Model.CyclePowers over the simulator's
 // timeline for the same execution. Valid until the next Run.
 func (vm *BatchVM) Power(lane int) []float64 {
 	cycles := vm.bp.p.cycles
 	return vm.rows[lane*cycles : (lane+1)*cycles]
+}
+
+// Check compares lane's execution from the last successful Run against
+// tl, the simulator's timeline of the same execution: the schedule's
+// length, the driven state and value of every drive the program
+// records on this lane's outcome, and that the simulation drove nothing
+// else. The comparison ignores the installed power weights, so a
+// difference on a component the model weights at zero still fails. A
+// nil error means the lane's replayed timeline is bit-identical to tl.
+func (vm *BatchVM) Check(lane int, tl pipeline.Timeline) error {
+	bp, n := vm.bp, vm.n
+	if lane < 0 || lane >= n {
+		return fmt.Errorf("replay: lane %d out of the last batch of %d", lane, n)
+	}
+	if len(tl) != bp.p.cycles {
+		return fmt.Errorf("replay: simulation ran %d cycles, the schedule %d", len(tl), bp.p.cycles)
+	}
+	fired := 0
+	for e := range bp.events {
+		ev := &bp.events[e]
+		v := vm.valBuf[int(ev.vs)*n+lane]
+		if ev.kind != evAlways && vm.masks[ev.cond]&(1<<lane) == 0 {
+			if ev.kind == evExec {
+				continue // not driven on this lane's outcome
+			}
+			v = 0 // evBoth: the annulled zero
+		}
+		fired++
+		s := &tl[ev.cycle]
+		comp := pipeline.Component(ev.comp)
+		if !s.IsDriven(comp) || s.Values[comp] != v {
+			return fmt.Errorf("replay: cycle %d %s: replayed %#x, simulated %#x (driven %v)",
+				ev.cycle, comp, v, s.Values[comp], s.IsDriven(comp))
+		}
+	}
+	driven := 0
+	for i := range tl {
+		driven += bits.OnesCount32(tl[i].Driven)
+	}
+	if driven != fired {
+		return fmt.Errorf("replay: simulation drove %d components, the schedule %d", driven, fired)
+	}
+	return nil
 }

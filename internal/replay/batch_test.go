@@ -3,6 +3,7 @@ package replay_test
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 )
 
 // lanePowersEqual asserts a lane's fused power row equals the cycle
-// powers of the scalar VM's timeline, bit for bit.
+// powers of the simulated timeline, bit for bit.
 func lanePowersEqual(t *testing.T, ctx string, want, got []float64) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -29,13 +30,13 @@ func lanePowersEqual(t *testing.T, ctx string, want, got []float64) {
 	}
 }
 
-// TestBatchVMMatchesScalarVMTable2 sweeps the six ablation toggles
+// TestBatchVMMatchesSimulatorTable2 sweeps the six ablation toggles
 // across the Table 2 micro-benchmarks: every lane of a batch must yield
-// the scalar VM's architectural state and a fused power row
-// bit-identical to the power model's cycle powers over the scalar
+// the simulator's architectural state and a fused power row
+// bit-identical to the power model's cycle powers over the simulated
 // timeline — including single-lane batches and batches narrower than
 // the VM's capacity.
-func TestBatchVMMatchesScalarVMTable2(t *testing.T) {
+func TestBatchVMMatchesSimulatorTable2(t *testing.T) {
 	m := power.DefaultModel()
 	for mask := 0; mask < 64; mask++ {
 		cfg := ablationConfig(mask)
@@ -54,7 +55,6 @@ func TestBatchVMMatchesScalarVMTable2(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cfg %#x %s: batch compile: %v", mask, b.Name, err)
 			}
-			svm := replay.NewVM(p)
 			bvm, err := replay.NewBatchVM(bp, 8)
 			if err != nil {
 				t.Fatal(err)
@@ -66,14 +66,14 @@ func TestBatchVMMatchesScalarVMTable2(t *testing.T) {
 				regs := make([][isa.NumRegs]uint32, lanes)
 				for lane := range cores {
 					seed := int64(100000*mask + 100*lanes + lane)
-					scalarCore := pipeline.MustNew(cfg, nil)
-					b.Setup(rand.New(rand.NewSource(seed)), scalarCore)
-					tl, err := svm.Run(scalarCore)
+					simCore := pipeline.MustNew(cfg, nil)
+					b.Setup(rand.New(rand.NewSource(seed)), simCore)
+					res, err := simCore.Run(prog)
 					if err != nil {
-						t.Fatalf("cfg %#x %s: scalar replay: %v", mask, b.Name, err)
+						t.Fatalf("cfg %#x %s: simulate: %v", mask, b.Name, err)
 					}
-					want[lane] = m.CyclePowers(nil, tl)
-					regs[lane] = scalarCore.State().Regs
+					want[lane] = m.CyclePowers(nil, res.Timeline)
+					regs[lane] = simCore.State().Regs
 
 					cores[lane] = pipeline.MustNew(cfg, nil)
 					b.Setup(rand.New(rand.NewSource(seed)), cores[lane])
@@ -92,12 +92,12 @@ func TestBatchVMMatchesScalarVMTable2(t *testing.T) {
 	}
 }
 
-// TestBatchVMMatchesScalarVMAES covers the conditional xtime reduction:
-// under NopZeroesWB the dual-outcome conditionals resolve per lane, so
-// lanes with different plaintexts take different branches inside one
-// batch — and every lane must still match its scalar replay bit for
-// bit, at the full range of supported widths including the maximum.
-func TestBatchVMMatchesScalarVMAES(t *testing.T) {
+// TestBatchVMMatchesSimulatorAES covers the conditional xtime
+// reduction: under NopZeroesWB the dual-outcome conditionals resolve
+// per lane, so lanes with different plaintexts take different branches
+// inside one batch — and every lane must still match its simulation bit
+// for bit, at the full range of supported widths including the maximum.
+func TestBatchVMMatchesSimulatorAES(t *testing.T) {
 	m := power.DefaultModel()
 	rng := rand.New(rand.NewSource(9))
 	cfg := pipeline.DefaultConfig()
@@ -115,7 +115,6 @@ func TestBatchVMMatchesScalarVMAES(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svm := replay.NewVM(p)
 	bvm, err := replay.NewBatchVM(bp, replay.MaxLanes)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +122,7 @@ func TestBatchVMMatchesScalarVMAES(t *testing.T) {
 	bvm.SetWeights(&m.HDWeights, &m.HWWeights, m.Baseline)
 	// 33 and 48 put conditional pass masks beyond the old 32-lane word:
 	// per-lane branch outcomes above bit 31 must resolve exactly as the
-	// scalar VM's.
+	// simulator's.
 	for _, lanes := range []int{1, 8, 16, 33, 48, replay.MaxLanes, 5} {
 		cores := make([]*pipeline.Core, lanes)
 		want := make([][]float64, lanes)
@@ -132,13 +131,11 @@ func TestBatchVMMatchesScalarVMAES(t *testing.T) {
 			var pt [16]byte
 			rng.Read(pt[:])
 			pts = append(pts, pt)
-			scalarCore := pipeline.MustNew(cfg, mem.NewMemory())
-			tgt.InitCore(scalarCore, pt)
-			tl, err := svm.Run(scalarCore)
+			simRes, _, err := tgt.Run(pt)
 			if err != nil {
-				t.Fatalf("scalar replay: %v", err)
+				t.Fatalf("simulate: %v", err)
 			}
-			want[lane] = m.CyclePowers(nil, tl)
+			want[lane] = m.CyclePowers(nil, simRes.Timeline)
 			cores[lane] = pipeline.MustNew(cfg, mem.NewMemory())
 			tgt.InitCore(cores[lane], pts[lane])
 		}
@@ -155,9 +152,9 @@ func TestBatchVMMatchesScalarVMAES(t *testing.T) {
 }
 
 // TestBatchVMWeightsReshapeEvents changes the installed model between
-// runs: a model with most weights zeroed must still match the scalar
-// reference under the same model — the active event list follows the
-// weights.
+// runs: a model with most weights zeroed must still match the
+// simulated reference under the same model — the active event list
+// follows the weights.
 func TestBatchVMWeightsReshapeEvents(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	prog := isa.MustAssemble("add r0, r1, r2\nldr r3, [r8]\nstr r0, [r9]\neor r4, r3, r0")
@@ -181,8 +178,6 @@ func TestBatchVMWeightsReshapeEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svm := replay.NewVM(p)
-
 	models := []power.Model{power.DefaultModel(), {}, power.DefaultModel()}
 	models[1].HDWeights[pipeline.MDR] = 2.5 // a single active component
 	models[1].Baseline = 1.0
@@ -192,13 +187,13 @@ func TestBatchVMWeightsReshapeEvents(t *testing.T) {
 		cores := make([]*pipeline.Core, 4)
 		want := make([][]float64, 4)
 		for lane := range cores {
-			scalarCore := pipeline.MustNew(cfg, mem.NewMemory())
-			set(scalarCore, uint32(10*mi+lane+2))
-			tl, err := svm.Run(scalarCore)
+			simCore := pipeline.MustNew(cfg, mem.NewMemory())
+			set(simCore, uint32(10*mi+lane+2))
+			res, err := simCore.Run(prog)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[lane] = m.CyclePowers(nil, tl)
+			want[lane] = m.CyclePowers(nil, res.Timeline)
 			cores[lane] = pipeline.MustNew(cfg, mem.NewMemory())
 			set(cores[lane], uint32(10*mi+lane+2))
 		}
@@ -214,8 +209,8 @@ func TestBatchVMWeightsReshapeEvents(t *testing.T) {
 // TestBatchVMDivergenceParity pins the guard behaviour: when a lane's
 // execution leaves the compiled schedule (a pinned conditional
 // resolving differently), the batch Run must fail with ErrDiverged
-// exactly when the scalar VM would for that lane's input — never return
-// silently wrong data.
+// exactly when that lane's input leaves the schedule, whatever the
+// batch width — never return silently wrong data.
 func TestBatchVMDivergenceParity(t *testing.T) {
 	m := power.DefaultModel()
 	// cmp + conditional store: a memory conditional is never
@@ -263,6 +258,12 @@ func TestBatchVMDivergenceParity(t *testing.T) {
 	if err := bvm.Run(cores); !errors.Is(err, replay.ErrDiverged) {
 		t.Fatalf("diverging batch returned %v, want ErrDiverged", err)
 	}
+	// The same input diverges on its own, in a single-lane batch.
+	cores[2] = pipeline.MustNew(cfg, mem.NewMemory())
+	set(cores[2], 1)
+	if err := bvm.Run(cores[2:3]); !errors.Is(err, replay.ErrDiverged) {
+		t.Fatalf("diverging single lane returned %v, want ErrDiverged", err)
+	}
 }
 
 // TestNewBatchVMRejectsBadWidths covers the lane-count bounds and the
@@ -297,5 +298,85 @@ func TestNewBatchVMRejectsBadWidths(t *testing.T) {
 	vm.SetWeights(&m.HDWeights, &m.HWWeights, m.Baseline)
 	if err := vm.Run([]*pipeline.Core{core, core, core}); err == nil {
 		t.Error("batch wider than capacity accepted")
+	}
+}
+
+// TestCheckIgnoresPowerWeights pins the verification check to the
+// drives themselves: a simulated value perturbed on a component the
+// installed model weights at zero leaves every cycle power unchanged,
+// yet Check must still reject it — as it must a drive the replay never
+// made.
+func TestCheckIgnoresPowerWeights(t *testing.T) {
+	cfg := pipeline.DefaultConfig()
+	prog := isa.MustAssemble("add r0, r1, r2\nldr r3, [r8]\nstr r0, [r9]\neor r4, r3, r0")
+	set := func(core *pipeline.Core) {
+		core.SetRegs(0, 0x1234, 0xBEEF)
+		core.SetReg(isa.R8, 0x100)
+		core.SetReg(isa.R9, 0x200)
+		core.Mem().Write32(0x100, 0x77)
+	}
+	cc := pipeline.MustNew(cfg, mem.NewMemory())
+	set(cc)
+	p, err := replay.Compile(cc, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp, err := replay.CompileBatch(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm, err := replay.NewBatchVM(bp, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := pipeline.MustNew(cfg, mem.NewMemory())
+	set(sim)
+	res, err := sim.Run(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl := append(pipeline.Timeline(nil), res.Timeline...)
+
+	// Zero the weights of the first component the execution drives.
+	cyc, comp := -1, pipeline.Component(0)
+	for i := range tl {
+		if tl[i].Driven != 0 {
+			cyc, comp = i, pipeline.Component(bits.TrailingZeros32(tl[i].Driven))
+			break
+		}
+	}
+	if cyc < 0 {
+		t.Fatal("no driven component")
+	}
+	m := power.DefaultModel()
+	m.HDWeights[comp], m.HWWeights[comp] = 0, 0
+	vm.SetWeights(&m.HDWeights, &m.HWWeights, m.Baseline)
+	rep := pipeline.MustNew(cfg, mem.NewMemory())
+	set(rep)
+	if err := vm.Run([]*pipeline.Core{rep}); err != nil {
+		t.Fatal(err)
+	}
+	if err := vm.Check(0, tl); err != nil {
+		t.Fatalf("unperturbed execution rejected: %v", err)
+	}
+
+	perturbed := append(pipeline.Timeline(nil), tl...)
+	perturbed[cyc].Values[comp] ^= 1
+	pipeline.FillForward(perturbed)
+	lanePowersEqual(t, "zero-weight perturbation", m.CyclePowers(nil, tl), m.CyclePowers(nil, perturbed))
+	if err := vm.Check(0, perturbed); err == nil {
+		t.Fatalf("value perturbed on zero-weight %s at cycle %d passed the check", comp, cyc)
+	}
+
+	// A drive the replay never made.
+	extra := append(pipeline.Timeline(nil), tl...)
+	for c := pipeline.Component(0); c < pipeline.NumComponents; c++ {
+		if !extra[cyc].IsDriven(c) {
+			extra[cyc].Driven |= 1 << c
+			break
+		}
+	}
+	if err := vm.Check(0, extra); err == nil {
+		t.Fatal("an extra simulated drive passed the check")
 	}
 }

@@ -5,11 +5,13 @@
 // invariant across runs; only the values on the tracked components
 // change with the input data. Compile records one reference execution
 // of the cycle-level simulator into a replay program: the ordered list
-// of (cycle, component) drive slots per dynamic instruction. The VM
-// then re-executes only the value dataflow (operand fetch, ALU, shifter
-// and memory semantics via pipeline.ExecValues) against that schedule,
-// skipping issue pairing, hazard scoring and the memory hierarchy
-// entirely, and yields a timeline bit-identical to the simulator's.
+// of (cycle, component) drive slots per dynamic instruction.
+// CompileBatch lowers it into the lane-parallel form the BatchVM runs:
+// the VM re-executes only the value dataflow (operand fetch, ALU,
+// shifter and memory semantics via pipeline's hoisted decode) against
+// that schedule, skipping issue pairing, hazard scoring and the memory
+// hierarchy entirely, and yields per-cycle power bit-identical to the
+// simulator's timeline under the power model.
 //
 // Conditional execution. A condition-failed instruction still issues —
 // its operands cross the register file and the IS/EX buses — but its
@@ -29,9 +31,9 @@
 // every run by per-step checks and reported as ErrDiverged. Timing
 // divergence (data-dependent cache stalls from a cold hierarchy) leaves
 // the value stream intact but moves slots, which per-step checks cannot
-// see; the engine's auto mode catches it by bit-comparing replayed
-// output against full simulation over a leading verification window and
-// falling back to the simulator (see engine.Synthesizer).
+// see; the engine's auto mode catches it by checking replayed lanes
+// against full simulation (BatchVM.Check) over a leading verification
+// window and falling back to the simulator (see engine.Synthesizer).
 package replay
 
 import (
@@ -88,9 +90,6 @@ type Program struct {
 	cfg    pipeline.Config
 	prog   *isa.Program
 	cycles int
-	// driven holds the per-cycle driven mask of every outcome-invariant
-	// drive; conditional tails contribute their bits per run.
-	driven []uint32
 	steps  []step
 	slots  []slot
 }
@@ -144,7 +143,6 @@ func Compile(core *pipeline.Core, prog *isa.Program) (*Program, error) {
 	}
 
 	p.cycles = len(res.Timeline)
-	p.driven = make([]uint32, p.cycles)
 	p.steps = make([]step, len(res.Issues))
 	p.slots = make([]slot, 0, len(obs))
 
@@ -277,15 +275,6 @@ func Compile(core *pipeline.Core, prog *isa.Program) (*Program, error) {
 	if oi != len(obs) {
 		return nil, fmt.Errorf("replay: %d drives not attributable to an issued instruction", len(obs)-oi)
 	}
-
-	// The invariant driven masks: every slot except conditional tails
-	// (pinned steps store exactly their observed drives as the head).
-	for si := range p.steps {
-		st := &p.steps[si]
-		for _, sl := range p.slots[st.slotOff : int(st.slotOff)+int(st.nHead)] {
-			p.driven[sl.cycle] |= 1 << sl.comp
-		}
-	}
 	return p, nil
 }
 
@@ -318,94 +307,4 @@ func issuePipe(prog *isa.Program, issues []pipeline.IssueRecord, si int) int {
 		return 0
 	}
 	return 1
-}
-
-// VM replays a compiled Program against fresh architectural state. The
-// timeline it returns is scratch storage reused by the next Run; a VM
-// is not safe for concurrent use — pool one per worker.
-type VM struct {
-	p  *Program
-	tl pipeline.Timeline
-}
-
-// NewVM returns a VM for p with its timeline scratch preallocated.
-func NewVM(p *Program) *VM {
-	return &VM{p: p, tl: make(pipeline.Timeline, p.cycles)}
-}
-
-// Run replays the program against the architectural state of core —
-// registers, flags and memory, as prepared by the caller's per-run
-// initialization — mutating it exactly as the simulator would, and
-// returns the resulting timeline. The timeline is valid until the next
-// Run. A non-nil error means the execution diverged from the compiled
-// schedule; the core's state is then unusable for this run.
-func (vm *VM) Run(core *pipeline.Core) (pipeline.Timeline, error) {
-	p := vm.p
-	for i := range vm.tl {
-		vm.tl[i].Driven = p.driven[i]
-	}
-	st := core.State()
-	st.Regs[isa.LR] = pipeline.HaltTarget
-
-	var dv pipeline.DriveValues
-	for si := range p.steps {
-		stp := &p.steps[si]
-		in := &p.prog.Instrs[stp.pc]
-		passed := in.Cond.Passed(st.Flags)
-		if !stp.cond && passed != stp.executed {
-			return nil, fmt.Errorf("%w: step %d (pc %d, %s) condition resolved %v, reference %v",
-				ErrDiverged, si, stp.pc, in, passed, stp.executed)
-		}
-		pipeline.ExecValues(&p.cfg, in, int(stp.pc), passed,
-			pipeline.Limits{RF: int(stp.nRF), Bus: int(stp.nBus), NopWB: int(stp.nNopWB)},
-			st, &dv)
-
-		// Select the slot run for this outcome.
-		slots := p.slots[stp.slotOff : int(stp.slotOff)+int(stp.nHead)]
-		if stp.cond {
-			tailOff := int(stp.slotOff) + int(stp.nHead)
-			if passed {
-				tail := p.slots[tailOff : tailOff+int(stp.nExec)]
-				slots = p.slots[stp.slotOff : tailOff+int(stp.nExec)]
-				for _, sl := range tail {
-					vm.tl[sl.cycle].Driven |= 1 << sl.comp
-				}
-			} else {
-				// Head and annulled tail are not contiguous in storage;
-				// write them separately.
-				tail := p.slots[tailOff+int(stp.nExec) : tailOff+int(stp.nExec)+int(stp.nAnnul)]
-				if dv.N != int(stp.nHead)+len(tail) {
-					return nil, fmt.Errorf("%w: step %d (pc %d, %s) drives %d values, schedule has %d slots",
-						ErrDiverged, si, stp.pc, in, dv.N, int(stp.nHead)+len(tail))
-				}
-				for j, sl := range slots {
-					vm.tl[sl.cycle].Values[sl.comp] = dv.Vals[j]
-				}
-				for j, sl := range tail {
-					vm.tl[sl.cycle].Driven |= 1 << sl.comp
-					vm.tl[sl.cycle].Values[sl.comp] = dv.Vals[int(stp.nHead)+j]
-				}
-				continue
-			}
-		}
-		if dv.N != len(slots) {
-			return nil, fmt.Errorf("%w: step %d (pc %d, %s) drives %d values, schedule has %d slots",
-				ErrDiverged, si, stp.pc, in, dv.N, len(slots))
-		}
-		for j, sl := range slots {
-			vm.tl[sl.cycle].Values[sl.comp] = dv.Vals[j]
-		}
-		if stp.bx {
-			want := int(stp.target)
-			if stp.target == haltTarget {
-				want = int(^uint(0) >> 1)
-			}
-			if dv.Target != want {
-				return nil, fmt.Errorf("%w: step %d (pc %d) register branch to %d, reference %d",
-					ErrDiverged, si, stp.pc, dv.Target, want)
-			}
-		}
-	}
-	pipeline.FillForward(vm.tl)
-	return vm.tl, nil
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/leakscan"
 	"repro/internal/mem"
 	"repro/internal/pipeline"
+	"repro/internal/power"
 	"repro/internal/replay"
 )
 
@@ -29,14 +30,44 @@ func ablationConfig(mask int) pipeline.Config {
 	return cfg
 }
 
-func timelinesEqual(t *testing.T, ctx string, sim, rep pipeline.Timeline) {
+// replayer replays single executions of a compiled program on a
+// one-lane batch VM — the form the engine's verification window uses.
+type replayer struct {
+	vm *replay.BatchVM
+	m  power.Model
+}
+
+func newReplayer(t *testing.T, p *replay.Program) *replayer {
 	t.Helper()
-	if len(sim) != len(rep) {
-		t.Fatalf("%s: timeline length %d vs %d", ctx, len(sim), len(rep))
+	bp, err := replay.CompileBatch(p)
+	if err != nil {
+		t.Fatalf("batch compile: %v", err)
 	}
-	for i := range sim {
-		if sim[i] != rep[i] {
-			t.Fatalf("%s: cycle %d differs:\n sim %+v\n rep %+v", ctx, i, sim[i], rep[i])
+	vm, err := replay.NewBatchVM(bp, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &replayer{vm: vm, m: power.DefaultModel()}
+	vm.SetWeights(&r.m.HDWeights, &r.m.HWWeights, r.m.Baseline)
+	return r
+}
+
+// run replays the execution prepared on core, mutating it.
+func (r *replayer) run(core *pipeline.Core) error {
+	return r.vm.Run([]*pipeline.Core{core})
+}
+
+// matches asserts the last replay is bit-identical to the simulated
+// timeline sim: drive for drive (Check) and in its fused cycle powers.
+func (r *replayer) matches(t *testing.T, ctx string, sim pipeline.Timeline) {
+	t.Helper()
+	if err := r.vm.Check(0, sim); err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+	want := r.m.CyclePowers(nil, sim)
+	for i, got := range r.vm.Power(0) {
+		if math.Float64bits(got) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: cycle %d power %v, simulated %v", ctx, i, got, want[i])
 		}
 	}
 }
@@ -60,7 +91,7 @@ func TestReplayMatchesSimulatorTable2Benchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cfg %#x %s: compile: %v", mask, b.Name, err)
 			}
-			vm := replay.NewVM(p)
+			vm := newReplayer(t, p)
 			for trial := 0; trial < 3; trial++ {
 				seed := int64(1000*mask + trial)
 				simCore := pipeline.MustNew(cfg, nil)
@@ -71,11 +102,10 @@ func TestReplayMatchesSimulatorTable2Benchmarks(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rtl, err := vm.Run(repCore)
-				if err != nil {
+				if err := vm.run(repCore); err != nil {
 					t.Fatalf("cfg %#x %s trial %d: %v", mask, b.Name, trial, err)
 				}
-				timelinesEqual(t, b.Name, simRes.Timeline, rtl)
+				vm.matches(t, b.Name, simRes.Timeline)
 				if simCore.State().Regs != repCore.State().Regs || simCore.State().Flags != repCore.State().Flags {
 					t.Fatalf("cfg %#x %s trial %d: final architectural state differs", mask, b.Name, trial)
 				}
@@ -105,7 +135,7 @@ func TestReplayMatchesSimulatorAES(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cfg %#x: compile: %v", mask, err)
 		}
-		vm := replay.NewVM(p)
+		vm := newReplayer(t, p)
 		diverged := 0
 		for trial := 0; trial < 3; trial++ {
 			var pt [16]byte
@@ -116,15 +146,14 @@ func TestReplayMatchesSimulatorAES(t *testing.T) {
 			}
 			repCore := pipeline.MustNew(cfg, mem.NewMemory())
 			tgt.InitCore(repCore, pt)
-			rtl, err := vm.Run(repCore)
-			if err != nil {
+			if err := vm.run(repCore); err != nil {
 				if !errors.Is(err, replay.ErrDiverged) {
 					t.Fatalf("cfg %#x trial %d: %v", mask, trial, err)
 				}
 				diverged++
 				continue
 			}
-			timelinesEqual(t, "aes", simRes.Timeline, rtl)
+			vm.matches(t, "aes", simRes.Timeline)
 			if _, err := tgt.VerifyOutput(repCore.Mem(), pt); err != nil {
 				t.Fatalf("cfg %#x trial %d: replayed ciphertext wrong: %v", mask, trial, err)
 			}
@@ -150,7 +179,7 @@ func TestReplayMatchesSimulatorFullCipher(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vm := replay.NewVM(p)
+		vm := newReplayer(t, p)
 		for trial := 0; trial < 2; trial++ {
 			pt := [16]byte{byte(trial * 37), 0xA5, byte(0xC0 + trial)}
 			simRes, _, err := tgt.Run(pt)
@@ -159,11 +188,10 @@ func TestReplayMatchesSimulatorFullCipher(t *testing.T) {
 			}
 			repCore := pipeline.MustNew(cfg, mem.NewMemory())
 			tgt.InitCore(repCore, pt)
-			rtl, err := vm.Run(repCore)
-			if err != nil {
+			if err := vm.run(repCore); err != nil {
 				t.Fatal(err)
 			}
-			timelinesEqual(t, "aes-10r", simRes.Timeline, rtl)
+			vm.matches(t, "aes-10r", simRes.Timeline)
 			if _, err := tgt.VerifyOutput(repCore.Mem(), pt); err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +216,7 @@ func TestReplayDetectsControlFlowDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vm := replay.NewVM(p)
+	vm := newReplayer(t, p)
 
 	// Same condition outcome: bit-identical replay.
 	simCore := pipeline.MustNew(cfg, nil)
@@ -199,24 +227,23 @@ func TestReplayDetectsControlFlowDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtl, err := vm.Run(repCore)
-	if err != nil {
+	if err := vm.run(repCore); err != nil {
 		t.Fatal(err)
 	}
-	timelinesEqual(t, "mulseq-same", simRes.Timeline, rtl)
+	vm.matches(t, "mulseq-same", simRes.Timeline)
 
 	// Flipped outcome: the multiplier is a multi-cycle unit, so the
 	// step is pinned and the VM must report divergence.
 	repCore2 := pipeline.MustNew(cfg, nil)
 	repCore2.SetRegs(0, 7, 9)
-	if _, err := vm.Run(repCore2); !errors.Is(err, replay.ErrDiverged) {
+	if err := vm.run(repCore2); !errors.Is(err, replay.ErrDiverged) {
 		t.Fatalf("flipped pinned conditional: got %v, want ErrDiverged", err)
 	}
 }
 
 // TestReplayVMReuseIsClean replays many random inputs through one VM
 // and checks each against a fresh simulation — stale values from the
-// recycled timeline scratch would show up immediately.
+// recycled value, mask and power scratch would show up immediately.
 func TestReplayVMReuseIsClean(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	tgt, err := aes.NewTarget(cfg, testKey, aes.ProgramOptions{Rounds: 1, PadNops: 8})
@@ -229,7 +256,7 @@ func TestReplayVMReuseIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vm := replay.NewVM(p)
+	vm := newReplayer(t, p)
 	rng := rand.New(rand.NewSource(5))
 	repCore := pipeline.MustNew(cfg, mem.NewMemory())
 	for trial := 0; trial < 20; trial++ {
@@ -242,11 +269,10 @@ func TestReplayVMReuseIsClean(t *testing.T) {
 		repCore.ResetState()
 		repCore.Mem().Wipe()
 		tgt.InitCore(repCore, pt)
-		rtl, err := vm.Run(repCore)
-		if err != nil {
+		if err := vm.run(repCore); err != nil {
 			t.Fatal(err)
 		}
-		timelinesEqual(t, "reuse", simRes.Timeline, rtl)
+		vm.matches(t, "reuse", simRes.Timeline)
 	}
 }
 

@@ -130,7 +130,7 @@ func (sl *spillLog) load(fp string) (centry, bool) {
 	}
 	if !rec.ok() {
 		// The record rotted after indexing; drop it so later lookups
-		// miss cheaply instead of re-verifying.
+		// miss cheaply instead of checking it again.
 		sl.corrupt++
 		delete(sl.index, fp)
 		return centry{}, false

@@ -170,7 +170,7 @@ type ChunkData struct {
 	Aux    [][]byte
 }
 
-// ReadChunk decodes chunk i, verifying its payload CRC32C first. A
+// ReadChunk decodes chunk i, checking its payload CRC32C first. A
 // mismatch quarantines the chunk and returns ErrChunkCorrupt (wrapped);
 // later reads of the same chunk fail the same way without re-reading.
 func (s *Store) ReadChunk(i int) (*ChunkData, error) {
