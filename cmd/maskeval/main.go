@@ -12,7 +12,7 @@
 // Usage:
 //
 //	maskeval [-figure naive|separated|dualissue|sbox] [-ctr none|mask|mask+shuffle|...]
-//	         [-order 1|2] [-key 0x2b] [-traces N] [-seed S] [-scalar] [-workers W]
+//	         [-order 1|2] [-key 0x2b] [-traces N] [-seed S] [-scalar] [-workers W] [-lanes L]
 //
 // -figure selects the evaluated gadget schedule; the historical
 // -gadget spelling keeps working as a shim.
@@ -73,6 +73,7 @@ func main() {
 	opt.Traces = *traces
 	opt.Averages = *avg
 	opt.Seed = *seed
+	opt.Lanes = ef.Lanes
 	opt.Workers = ef.Workers
 	if *scalar {
 		opt.Core = pipeline.ScalarConfig()

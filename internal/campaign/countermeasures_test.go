@@ -1,8 +1,11 @@
 package campaign
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/masking"
 )
 
 // The maskcpa countermeasure axes expand as a cross product inside each
@@ -193,5 +196,54 @@ func TestUpdateDocSectionsAllowList(t *testing.T) {
 	}
 	if strings.Contains(all, "stale table2 content") || strings.Contains(all, "stale ctr content") {
 		t.Error("nil allow-list left stale content")
+	}
+}
+
+// Every maskcpa scenario of the committed countermeasure campaign must
+// run on the batch VM once each program variant's verification window
+// passed, with no fallback to simulation: the guard that keeps a silent
+// slide onto the simulator from passing unnoticed.
+func TestCountermeasureCampaignBatches(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every maskcpa scenario of the committed campaign")
+	}
+	spec, err := LoadSpec("../../campaigns/countermeasures.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := spec.AttackKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scs, err := spec.Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for i := range scs {
+		sc := &scs[i]
+		if sc.Kind != KindMaskCPA {
+			continue
+		}
+		n++
+		opt, err := sc.keyedOptions(key, execEnv{ctx: context.Background()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := masking.EvaluateKeyedCPA(opt)
+		if err != nil {
+			t.Fatalf("%s: %v", sc.ID, err)
+		}
+		if res.FallbackReason != "" {
+			t.Errorf("%s: fell back to simulation: %s", sc.ID, res.FallbackReason)
+		}
+		for v, runs := range res.BatchRuns {
+			if runs == 0 {
+				t.Errorf("%s: variant %d of %d never ran on the batch VM", sc.ID, v, len(res.BatchRuns))
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no maskcpa scenarios in the committed campaign")
 	}
 }

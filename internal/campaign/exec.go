@@ -381,10 +381,12 @@ func execRankEvo(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, ex ex
 	return nil
 }
 
-func execMaskCPA(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, ex execEnv) error {
+// keyedOptions builds the keyed masking evaluation of a maskcpa
+// scenario.
+func (sc *Scenario) keyedOptions(key [aes.KeySize]byte, ex execEnv) (masking.KeyedOptions, error) {
 	ctr, err := masking.ParseCountermeasure(sc.Ctr)
 	if err != nil {
-		return err
+		return masking.KeyedOptions{}, err
 	}
 	opt := masking.DefaultKeyedOptions()
 	opt.Schedule = sc.Gadget
@@ -395,6 +397,8 @@ func execMaskCPA(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, ex ex
 	opt.Model = sc.Ablation.Model
 	opt.Model.NoiseSigma = sc.sigma()
 	opt.Seed = sc.Seed
+	opt.Synth = sc.Synth
+	opt.Lanes = ex.lanes
 	opt.Workers = ex.workers
 	opt.Ctx = ex.ctx
 	opt.Gate = ex.gate
@@ -403,6 +407,14 @@ func execMaskCPA(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, ex ex
 	}
 	if sc.Averages > 0 {
 		opt.Averages = sc.Averages
+	}
+	return opt, nil
+}
+
+func execMaskCPA(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, ex execEnv) error {
+	opt, err := sc.keyedOptions(key, ex)
+	if err != nil {
+		return err
 	}
 	res, err := masking.EvaluateKeyedCPA(opt)
 	if err != nil {

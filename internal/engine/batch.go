@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/pipeline"
 	"repro/internal/power"
@@ -192,31 +193,29 @@ func (s *Synthesizer) RunBatchBlock(m *power.Model, n int, r BlockRunner) error 
 	return r.Block(rows, cores)
 }
 
-// windowChunks returns how many leading chunks of cs a run over s must
-// synthesize one at a time, each only after the previous was reduced:
-// those reaching into the verification window while s has not settled
-// its path, so the window's groups reach s in trace order. A nil s
-// (the plain Run driver) has no window.
-func (s *Synthesizer) windowChunks(cs []chunk) int {
-	if s == nil || s.settled.Load() {
-		return 0
-	}
-	n := 0
-	for n < len(cs) && cs[n].start < VerifyRuns {
-		n++
-	}
-	return n
-}
-
-// groupWidth returns the width of the lane group starting at trace
-// index base with left traces left in its chunk: at most lanes, and
-// never straddling the verification window's end.
-func groupWidth(base, left, lanes int) int {
+// groupWidth returns the width of s's next lane group with left
+// executions still to place: at most lanes, and never reaching past the
+// end of s's verification window, so the window covers exactly the
+// first VerifyRuns executions s sees.
+func (s *Synthesizer) groupWidth(left, lanes int) int {
 	l := min(lanes, left)
-	if base < VerifyRuns {
-		l = min(l, VerifyRuns-base)
+	if w := s.windowLeft(); w > 0 {
+		l = min(l, w)
 	}
 	return l
+}
+
+// unsettled reports whether any of synths is still inside its
+// verification window: the engine drivers then synthesize one chunk at
+// a time, in trace order (orderedChunks), so which executions each
+// window checks — and its verdict — depend only on the run's inputs.
+func unsettled(synths []*Synthesizer) bool {
+	for _, s := range synths {
+		if !s.settled.Load() {
+			return true
+		}
+	}
+	return false
 }
 
 // CheckLanes validates a configured lane-group width: 0 (selecting
@@ -235,9 +234,23 @@ func CheckLanes(lanes int) error {
 // fused (Averages) or per lane (Acquire) — in trace order. Every
 // trace's stream is private and its draws happen in that order on every
 // path, so results are bit-identical whichever path a group took.
+//
+// A workload that picks one of several programs per trace (a shuffled
+// or jittered gadget) sets Variants and Variant instead of Synth: the
+// engine groups each chunk's traces by variant and runs every group on
+// its variant's Synthesizer, each with its own verification window over
+// the first VerifyRuns executions of that variant in trace order.
 type BatchGen struct {
-	// Synth is the synthesis seam.
+	// Synth is the synthesis seam of a single-program workload.
 	Synth *Synthesizer
+	// Variants holds one Synthesizer per program variant; set instead
+	// of Synth.
+	Variants []*Synthesizer
+	// Variant reports which variant trace i runs, in
+	// [0, len(Variants)). It receives the trace's freshly seeded stream
+	// and its draws are discarded: Prepare starts from the same fresh
+	// stream and must make the draws that picked the variant.
+	Variant func(i int, rng *rand.Rand) int
 	// Model supplies the fused synthesis weights and the expansion
 	// parameters.
 	Model *power.Model
@@ -267,49 +280,89 @@ type BatchGen struct {
 	Acquire func(i int, rng *rand.Rand, cycles []float64, s *Sample) error
 }
 
+// synths returns the generator's synthesizers, one per variant.
+func (bg *BatchGen) synths() ([]*Synthesizer, error) {
+	switch {
+	case bg.Synth != nil && bg.Variants == nil:
+		return []*Synthesizer{bg.Synth}, nil
+	case bg.Synth == nil && len(bg.Variants) > 0 && bg.Variant != nil:
+		for _, s := range bg.Variants {
+			if s == nil {
+				return nil, fmt.Errorf("engine: nil variant synthesizer")
+			}
+		}
+		return bg.Variants, nil
+	}
+	return nil, fmt.Errorf("engine: batch generator needs Synth, or Variants and Variant")
+}
+
 // RunBatched executes the streaming CPA described by spec, synthesizing
-// every lane group through bg.Synth.RunBatchBlock. Results are
-// bit-identical for every synthesis path, lane width, worker count and
-// chunk size.
+// every lane group through its variant's Synthesizer.RunBatchBlock.
+// Each chunk's traces are grouped by variant (in ascending variant
+// order, traces in trace order within a variant) but keep their sample
+// slots, so the reduction — and every result bit — is the same for
+// every synthesis path, lane width, worker count and chunk size.
 func RunBatched(cfg Config, spec Spec, bg BatchGen) ([]sca.Accumulator, error) {
-	if bg.Synth == nil || bg.Model == nil || bg.Prepare == nil || (bg.Averages <= 0 && bg.Acquire == nil) {
-		return nil, fmt.Errorf("engine: batch generator needs Synth, Model, Prepare and Averages or Acquire")
+	synths, err := bg.synths()
+	if err != nil {
+		return nil, err
+	}
+	if bg.Model == nil || bg.Prepare == nil || (bg.Averages <= 0 && bg.Acquire == nil) {
+		return nil, fmt.Errorf("engine: batch generator needs Model, Prepare and Averages or Acquire")
 	}
 	if err := CheckLanes(bg.Lanes); err != nil {
 		return nil, err
 	}
 	lanes := cmp.Or(bg.Lanes, DefaultLanes)
 	fill := func(c chunk, bb *batchBuf) error {
-		gr := &bb.group
-		gr.bg, gr.spec, gr.bb = &bg, &spec, bb
-		for j, n := 0, c.end-c.start; j < n; {
-			l := groupWidth(c.start+j, n-j, lanes)
-			gr.base, gr.slot = c.start+j, j
-			if err := bg.Synth.RunBatchBlock(bg.Model, l, gr); err != nil {
-				return err
+		n := c.end - c.start
+		bb.byVariant = slices.Grow(bb.byVariant[:0], len(synths))[:len(synths)]
+		for v := range bb.byVariant {
+			bb.byVariant[v] = bb.byVariant[v][:0]
+		}
+		for j := 0; j < n; j++ {
+			v := 0
+			if bg.Variant != nil {
+				reseedTraceRNG(bb.rngs[j], spec.Seed, c.start+j)
+				if v = bg.Variant(c.start+j, bb.rngs[j]); v < 0 || v >= len(synths) {
+					return fmt.Errorf("engine: trace %d: variant %d out of [0,%d)", c.start+j, v, len(synths))
+				}
 			}
-			j += l
+			bb.byVariant[v] = append(bb.byVariant[v], j)
+		}
+		gr := &bb.group
+		gr.bg, gr.spec, gr.bb, gr.start = &bg, &spec, bb, c.start
+		for v, slots := range bb.byVariant {
+			for k := 0; k < len(slots); {
+				l := synths[v].groupWidth(len(slots)-k, lanes)
+				gr.slots = slots[k : k+l]
+				if err := synths[v].RunBatchBlock(bg.Model, l, gr); err != nil {
+					return err
+				}
+				k += l
+			}
 		}
 		return nil
 	}
-	return runChunked(cfg, spec, bg.Synth, fill)
+	return runChunked(cfg, spec, func() bool { return unsettled(synths) }, fill)
 }
 
 // groupRunner is the persistent BlockRunner of the batched CPA path:
 // one lives in every chunk buffer, repointed per lane group, so the
-// steady-state fused path allocates nothing. It synthesizes the l
-// traces [base, base+l) into the chunk buffer starting at sample slot
-// `slot`.
+// steady-state fused path allocates nothing. Lane l synthesizes trace
+// start+slots[l] into the chunk buffer's sample slot slots[l].
 type groupRunner struct {
-	bg         *BatchGen
-	spec       *Spec
-	bb         *batchBuf
-	base, slot int
+	bg    *BatchGen
+	spec  *Spec
+	bb    *batchBuf
+	start int
+	slots []int
 }
 
 // InitLane reseeds the lane's private stream and runs Prepare.
 func (g *groupRunner) InitLane(lane int, core *pipeline.Core) error {
-	i, j := g.base+lane, g.slot+lane
+	j := g.slots[lane]
+	i := g.start + j
 	s := &g.bb.samples[j]
 	s.Trace = s.Trace[:0]
 	reseedTraceRNG(g.bb.rngs[j], g.spec.Seed, i)
@@ -326,10 +379,9 @@ func (g *groupRunner) InitLane(lane int, core *pipeline.Core) error {
 func (g *groupRunner) Block(rows [][]float64, cores []*pipeline.Core) error {
 	bg, bb := g.bg, g.bb
 	if bg.Verify != nil {
-		for lane := range rows {
-			i := g.base + lane
-			if err := bg.Verify(i, cores[lane], &bb.samples[g.slot+lane]); err != nil {
-				return fmt.Errorf("engine: trace %d: %w", i, err)
+		for lane, j := range g.slots {
+			if err := bg.Verify(g.start+j, cores[lane], &bb.samples[j]); err != nil {
+				return fmt.Errorf("engine: trace %d: %w", g.start+j, err)
 			}
 		}
 	}
@@ -340,26 +392,24 @@ func (g *groupRunner) Block(rows [][]float64, cores []*pipeline.Core) error {
 		be.Avg = bg.Averages
 		be.Out = be.Out[:0]
 		be.Noise = be.Noise[:0]
-		for lane := range rows {
-			j := g.slot + lane
+		for _, j := range g.slots {
 			be.Out = append(be.Out, bb.samples[j].Trace)
 			be.Noise = append(be.Noise, bb.srcs[j])
 		}
 		bg.Model.ExpandCyclesBatch(be)
-		for lane := range rows {
-			bb.samples[g.slot+lane].Trace = be.Out[lane]
+		for lane, j := range g.slots {
+			bb.samples[j].Trace = be.Out[lane]
 		}
 		be.Rows = nil
 	} else {
-		for lane := range rows {
-			i, j := g.base+lane, g.slot+lane
-			if err := bg.Acquire(i, bb.rngs[j], rows[lane], &bb.samples[j]); err != nil {
-				return fmt.Errorf("engine: trace %d: %w", i, err)
+		for lane, j := range g.slots {
+			if err := bg.Acquire(g.start+j, bb.rngs[j], rows[lane], &bb.samples[j]); err != nil {
+				return fmt.Errorf("engine: trace %d: %w", g.start+j, err)
 			}
 		}
 	}
-	for lane := range rows {
-		if err := bb.record(g.spec, g.slot+lane, g.base+lane); err != nil {
+	for _, j := range g.slots {
+		if err := bb.record(g.spec, j, g.start+j); err != nil {
 			return err
 		}
 	}
@@ -421,7 +471,7 @@ func StreamBatched(cfg Config, n int, seed int64, bs BatchStream, emit Emit) err
 		c := cs[idx]
 		g := &streamGroup{bs: &bs, seed: seed, items: make([]streamItem, c.end-c.start), rngs: make([]*rand.Rand, lanes)}
 		for j := 0; j < len(g.items); {
-			l := groupWidth(c.start+j, len(g.items)-j, lanes)
+			l := bs.Synth.groupWidth(len(g.items)-j, lanes)
 			g.base, g.slot = c.start+j, j
 			if err := bs.Synth.RunBatchBlock(bs.Model, l, g); err != nil {
 				return nil, err
@@ -438,7 +488,7 @@ func StreamBatched(cfg Config, n int, seed int64, bs BatchStream, emit Emit) err
 		}
 		return nil
 	}
-	return orderedChunks(cfg.workers(), len(cs), bs.Synth.windowChunks(cs), work, reduce)
+	return orderedChunks(cfg.workers(), len(cs), func() bool { return !bs.Synth.settled.Load() }, work, reduce)
 }
 
 // streamItem is one synthesized trace of a stream chunk.

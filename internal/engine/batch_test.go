@@ -68,7 +68,7 @@ func (f *batchFixture) scalar(t *testing.T) Generate {
 		return synth.Run(
 			func(core *pipeline.Core) { f.initCore(core, v) },
 			func(tl pipeline.Timeline, core *pipeline.Core) error {
-				s.Trace, s.Scratch = f.m.SynthesizeAveragedInto(s.Trace, s.Scratch, tl, rng, 2)
+				s.Trace, _ = f.m.SynthesizeAveragedInto(s.Trace, nil, tl, rng, 2)
 				f.hyps(v, s.Hyps[0])
 				return nil
 			})
@@ -95,7 +95,7 @@ func (f *batchFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, *Synth
 			return nil
 		},
 		Acquire: func(i int, rng *rand.Rand, cycles []float64, s *Sample) error {
-			s.Trace, s.Scratch = f.m.AveragedCyclesInto(s.Trace, s.Scratch, cycles, rng, 2)
+			s.Trace, _ = f.m.AveragedCyclesInto(s.Trace, nil, cycles, rng, 2)
 			return nil
 		},
 	}, synth
@@ -251,7 +251,7 @@ func (f *divergeFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, *Syn
 			return nil
 		},
 		Acquire: func(i int, rng *rand.Rand, cycles []float64, s *Sample) error {
-			s.Trace, s.Scratch = f.m.AveragedCyclesInto(s.Trace, s.Scratch, cycles, rng, 1)
+			s.Trace, _ = f.m.AveragedCyclesInto(s.Trace, nil, cycles, rng, 1)
 			return nil
 		},
 	}, synth
@@ -286,6 +286,182 @@ func TestRunBatchedDivergenceFallsBackToSimulation(t *testing.T) {
 		}
 		if !got[0].(*sca.CPA).Equal(want[0].(*sca.CPA)) {
 			t.Fatalf("lanes=%d: diverging run differs from pure simulation", lanes)
+		}
+	}
+}
+
+// variantFixture picks one of three programs of equal length per
+// trace: two replayable ones and the pinned conditional store of
+// divergeFixture, whose condition fails on trace bad (-1: none).
+type variantFixture struct {
+	progs []*isa.Program
+	cfg   pipeline.Config
+	m     power.Model
+	spec  Spec
+	bad   int
+}
+
+func newVariantFixture(t *testing.T, traces int) *variantFixture {
+	t.Helper()
+	f := &variantFixture{
+		progs: []*isa.Program{
+			isa.MustAssemble("add r0, r1, r2\nstr r0, [r8]\neor r3, r0, r1\nnop"),
+			isa.MustAssemble("eor r0, r1, r2\nstr r0, [r8]\nadd r3, r0, r1\nnop"),
+			isa.MustAssemble("cmp r0, #0\nstreq r1, [r8]\nadd r2, r1, r1\nnop"),
+		},
+		cfg: pipeline.DefaultConfig(),
+		m:   power.DefaultModel(),
+		bad: -1,
+	}
+	f.m.SamplesPerCycle = 2
+	cycles := -1
+	for v, prog := range f.progs {
+		cal := pipeline.MustNew(f.cfg, nil)
+		cal.SetReg(isa.R8, 0x100)
+		res, err := cal.Run(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cycles >= 0 && len(res.Timeline) != cycles {
+			t.Fatalf("variant %d runs %d cycles, want %d", v, len(res.Timeline), cycles)
+		}
+		cycles = len(res.Timeline)
+	}
+	f.spec = Spec{Traces: traces, Samples: cycles * f.m.SamplesPerCycle, Banks: HypothesisBanks(2), Seed: 13}
+	return f
+}
+
+// variantOf is the fixture's variant pick: the first draw of the trace.
+func variantOf(rng *rand.Rand) int { return rng.Intn(3) }
+
+// nthOfVariant returns the trace index of the n-th (0-based) execution
+// of variant v.
+func (f *variantFixture) nthOfVariant(t *testing.T, v, n int) int {
+	t.Helper()
+	for i := 0; i < f.spec.Traces; i++ {
+		if variantOf(TraceRNG(f.spec.Seed, i)) == v {
+			if n == 0 {
+				return i
+			}
+			n--
+		}
+	}
+	t.Fatalf("variant %d has too few executions", v)
+	return -1
+}
+
+func (f *variantFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, []*Synthesizer) {
+	t.Helper()
+	synths := make([]*Synthesizer, len(f.progs))
+	for v, prog := range f.progs {
+		var err error
+		if synths[v], err = NewSynthesizer(mode, f.cfg, prog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return BatchGen{
+		Variants: synths,
+		Variant:  func(i int, rng *rand.Rand) int { return variantOf(rng) },
+		Model:    &f.m,
+		Lanes:    lanes,
+		Averages: 2,
+		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *Sample) error {
+			variantOf(rng)
+			x := rng.Uint32()
+			var r0 uint32
+			if i == f.bad {
+				r0 = 1 // variant 2's condition fails: leaves its schedule
+			}
+			core.SetRegs(r0, x, 0x5A5A5A5A)
+			core.SetReg(isa.R8, 0x100)
+			s.Hyps[0][0] = float64(x & 1)
+			s.Hyps[0][1] = float64(x >> 1 & 1)
+			return nil
+		},
+	}, synths
+}
+
+// scalar is the per-trace reference generator for Run: each trace
+// simulates its variant's program on its own.
+func (f *variantFixture) scalar(t *testing.T) Generate {
+	t.Helper()
+	bg, synths := f.gen(t, ModeSimulate, 0)
+	return func(i int, rng *rand.Rand, s *Sample) error {
+		v := variantOf(TraceRNG(f.spec.Seed, i)) // Prepare redraws it from rng
+		var prepErr error
+		err := synths[v].Run(
+			func(core *pipeline.Core) { prepErr = bg.Prepare(i, rng, core, s) },
+			func(tl pipeline.Timeline, core *pipeline.Core) error {
+				s.Trace, _ = f.m.SynthesizeAveragedInto(s.Trace, nil, tl, rng, 2)
+				return prepErr
+			})
+		return err
+	}
+}
+
+// TestRunBatchedVariantGrouping pins the per-variant grouping: a run
+// whose traces pick one of three programs must equal pure simulation
+// bit for bit at every lane width and worker count, every variant must
+// settle its own window and batch after it, and each variant's path
+// counters must not depend on the worker count. A divergence forced on
+// one variant after its window makes that variant fall back while the
+// others stay on the batch path.
+func TestRunBatchedVariantGrouping(t *testing.T) {
+	const traces = 600
+	type path struct {
+		checked   int
+		batchRuns int64
+		reason    string
+	}
+	for _, diverge := range []bool{false, true} {
+		f := newVariantFixture(t, traces)
+		if diverge {
+			f.bad = f.nthOfVariant(t, 2, 150)
+		}
+		want, err := Run(Config{Workers: 1}, f.spec, f.scalar(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		simGen, _ := f.gen(t, ModeSimulate, 0)
+		sim, err := RunBatched(Config{Workers: 3}, f.spec, simGen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sim[0].(*sca.CPA).Equal(want[0].(*sca.CPA)) {
+			t.Fatalf("diverge=%v: simulate-mode run differs from per-trace simulation", diverge)
+		}
+		for _, lanes := range []int{1, 8, 64} {
+			var ref []path
+			for _, workers := range []int{1, 3} {
+				bg, synths := f.gen(t, ModeAuto, lanes)
+				got, err := RunBatched(Config{Workers: workers}, f.spec, bg)
+				if err != nil {
+					t.Fatalf("diverge=%v lanes=%d workers=%d: %v", diverge, lanes, workers, err)
+				}
+				if !got[0].(*sca.CPA).Equal(want[0].(*sca.CPA)) {
+					t.Fatalf("diverge=%v lanes=%d workers=%d: accumulators differ from per-trace simulation", diverge, lanes, workers)
+				}
+				paths := make([]path, len(synths))
+				for v, s := range synths {
+					paths[v] = path{s.checked, s.BatchRuns(), s.FallbackReason()}
+					if s.checked != VerifyRuns || s.BatchRuns() == 0 {
+						t.Fatalf("diverge=%v lanes=%d variant %d: %+v, want a full window then batches", diverge, lanes, v, paths[v])
+					}
+					if fell := diverge && v == 2; s.FellBack() != fell {
+						t.Fatalf("diverge=%v lanes=%d variant %d: fell back %v (%q)", diverge, lanes, v, s.FellBack(), s.FallbackReason())
+					}
+				}
+				if ref == nil {
+					ref = paths
+					continue
+				}
+				for v := range paths {
+					if paths[v] != ref[v] {
+						t.Fatalf("diverge=%v lanes=%d workers=%d variant %d: path %+v, want %+v",
+							diverge, lanes, workers, v, paths[v], ref[v])
+					}
+				}
+			}
 		}
 	}
 }
@@ -358,6 +534,21 @@ func TestRunBatchedValidation(t *testing.T) {
 			t.Errorf("lane width %d accepted", lanes)
 		}
 	}
+	// Variants need a Variant pick, exclude Synth, and the pick must
+	// name one of them.
+	bgv, _ := f.gen(t, ModeAuto, 0)
+	bgv.Variants = []*Synthesizer{bgv.Synth}
+	if _, err := RunBatched(Config{}, f.spec, bgv); err == nil {
+		t.Error("Synth and Variants together accepted")
+	}
+	bgv.Synth = nil
+	if _, err := RunBatched(Config{}, f.spec, bgv); err == nil {
+		t.Error("Variants without Variant accepted")
+	}
+	bgv.Variant = func(int, *rand.Rand) int { return 1 }
+	if _, err := RunBatched(Config{}, f.spec, bgv); err == nil {
+		t.Error("out-of-range variant accepted")
+	}
 	// A Prepare error on a batched trace (99 lies in the first
 	// post-window chunk) is a genuine failure, not a fallback.
 	var errBoom = errors.New("boom")
@@ -382,6 +573,9 @@ func TestRunBatchedValidation(t *testing.T) {
 // allocation delta between runs differing only in chunk count, so the
 // per-run fixed costs (accumulators, goroutines, chunk list) cancel.
 func TestRunBatchedSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation defeats sync.Pool caching")
+	}
 	const chunk = DefaultChunkSize
 	measure := func(extra int) float64 {
 		f := newBatchFixture(VerifyRuns + extra*chunk)

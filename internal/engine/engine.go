@@ -140,10 +140,6 @@ type Sample struct {
 	// Class holds, per class bank, the trace's model-input class in
 	// [0, len(Banks[b].Classes)); ignored for classic banks.
 	Class []int
-	// Scratch is a spare buffer the engine preserves alongside the
-	// sample for Generate's own temporaries (averaging scratch and the
-	// like); the engine never reads it.
-	Scratch []float64
 	// Aux is caller-owned per-trace storage preserved across recycling
 	// (capacity intact, like Trace) — the batched generators use it to
 	// carry the plaintext from the prepare phase to the verify phase.
@@ -307,10 +303,10 @@ func Run(cfg Config, spec Spec, gen Generate) ([]sca.Accumulator, error) {
 
 // runChunked is the shared scheduler body: fill synthesizes the traces
 // of one chunk into a batch buffer on a worker; the reducer accumulates
-// finished buffers in chunk order and recycles them. synth, when
-// non-nil, is the synthesizer fill runs on; its verification window
-// decides how many leading chunks run one at a time.
-func runChunked(cfg Config, spec Spec, synth *Synthesizer, fill func(c chunk, bb *batchBuf) error) ([]sca.Accumulator, error) {
+// finished buffers in chunk order and recycles them. serial, when
+// non-nil, reports whether a synthesizer fill runs on is still inside
+// its verification window, so the next chunk must run alone.
+func runChunked(cfg Config, spec Spec, serial func() bool, fill func(c chunk, bb *batchBuf) error) ([]sca.Accumulator, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
@@ -401,7 +397,7 @@ func runChunked(cfg Config, spec Spec, synth *Synthesizer, fill func(c chunk, bb
 		return nil
 	}
 
-	if err := orderedChunks(cfg.workers(), len(cs), synth.windowChunks(cs), work, reduce); err != nil {
+	if err := orderedChunks(cfg.workers(), len(cs), serial, work, reduce); err != nil {
 		return nil, err
 	}
 	return global, nil
@@ -446,4 +442,7 @@ type batchBuf struct {
 	srcs    []*splitMixSource
 	group   groupRunner
 	expand  power.BatchExpand
+	// byVariant[v] lists the chunk slots of the traces running variant
+	// v, in trace order (RunBatched's per-variant grouping).
+	byVariant [][]int
 }

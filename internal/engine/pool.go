@@ -1,6 +1,9 @@
 package engine
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // orderedChunks is the scheduler shared by the engine drivers: a pool
 // of workers maps work over the chunk indexes [0, n) while the caller's
@@ -11,13 +14,17 @@ import "sync"
 // out-of-order results parked in the reorder buffer stay bounded by the
 // pool size — memory never grows with the total chunk count.
 //
-// The first serial chunks are dispatched one at a time, each only after
-// the previous one was reduced (the synthesizer's verification window
-// must see its traces in order). The feeder waits before dispatching,
-// so no worker holds a Gate slot while the barrier is closed.
+// While serial reports true, chunks are dispatched one at a time, each
+// only after the previous one was reduced: the synthesizers' verification
+// windows must see their executions in trace order. serial is asked
+// before each dispatch until it first reports false — it must then stay
+// false (settling is permanent) — so which chunks run serially depends
+// only on what the earlier chunks did. A nil serial never serializes.
+// The feeder waits before dispatching, so no worker holds a Gate slot
+// while the barrier is closed.
 //
 // The first error from work or reduce cancels the pool and is returned.
-func orderedChunks[T any](workers, n, serial int, work func(idx int) (T, error), reduce func(idx int, v T) error) error {
+func orderedChunks[T any](workers, n int, serial func() bool, work func(idx int) (T, error), reduce func(idx int, v T) error) error {
 	if workers > n {
 		workers = n
 	}
@@ -54,17 +61,22 @@ func orderedChunks[T any](workers, n, serial int, work func(idx int) (T, error),
 	for i := 0; i < window; i++ {
 		tokens <- struct{}{}
 	}
-	// reduced carries one signal per serial chunk folded in.
+	// reduced carries one signal per serial chunk folded in; nSerial
+	// counts the leading chunks dispatched serially.
 	reduced := make(chan struct{}, 1)
+	var nSerial atomic.Int64
 	go func() {
 		defer close(jobs)
 		for idx := 0; idx < n; idx++ {
-			if idx > 0 && idx <= serial {
+			if idx > 0 && int64(idx) == nSerial.Load() {
 				select {
 				case <-reduced:
 				case <-done:
 					return
 				}
+			}
+			if int64(idx) == nSerial.Load() && serial != nil && serial() {
+				nSerial.Store(int64(idx) + 1)
 			}
 			select {
 			case <-tokens:
@@ -99,9 +111,9 @@ func orderedChunks[T any](workers, n, serial int, work func(idx int) (T, error),
 			if err := reduce(next, v); err != nil {
 				return err
 			}
-			if next < serial {
-				// Never blocks: the feeder takes each signal before the
-				// next serial chunk exists.
+			if int64(next) < nSerial.Load() {
+				// Never blocks: the feeder takes each signal before it
+				// dispatches the next chunk.
 				reduced <- struct{}{}
 			}
 			next++

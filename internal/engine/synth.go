@@ -61,9 +61,9 @@ func (m Mode) String() string {
 // VerifyRuns is the number of leading executions an auto-mode
 // Synthesizer runs on both the batch VM and the simulator before
 // trusting the compiled schedule: one default engine chunk. The engine
-// drivers synthesize traces [0, VerifyRuns) of a run one chunk at a
-// time, in trace order, so which traces are checked — and the verdict —
-// depend only on the run's inputs.
+// drivers synthesize one chunk at a time, in trace order, until every
+// Synthesizer of a run has settled, so which executions are checked —
+// and the verdict — depend only on the run's inputs.
 const VerifyRuns = DefaultChunkSize
 
 // Synthesizer is the trace-synthesis seam between the attack layers and
@@ -165,6 +165,20 @@ func (s *Synthesizer) noteDivergence() {
 	}
 	s.diverged.Store(true)
 	s.mu.Unlock()
+}
+
+// windowLeft returns how many more executions the verification window
+// needs before s settles its path, 0 once it has.
+func (s *Synthesizer) windowLeft() int {
+	if s.settled.Load() {
+		return 0
+	}
+	s.window.Lock()
+	defer s.window.Unlock()
+	if s.settled.Load() {
+		return 0
+	}
+	return VerifyRuns - s.checked
 }
 
 // BatchRuns returns how many lane groups the batch VM synthesized after

@@ -30,7 +30,7 @@ func runSeries(t *testing.T, s *Synthesizer, n, lanes int, init func(i int, core
 	m := power.DefaultModel()
 	out := make([][]float64, n)
 	for base := 0; base < n; {
-		l := groupWidth(base, n-base, lanes)
+		l := s.groupWidth(n-base, lanes)
 		err := s.RunBatch(&m, l,
 			func(lane int, core *pipeline.Core) error { init(base+lane, core); return nil },
 			func(lane int, cycles []float64, _ *pipeline.Core) error {

@@ -322,22 +322,14 @@ func RunBenchmark(b *Benchmark, opt Options) (*BenchResult, error) {
 		engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate},
 		engine.Spec{Traces: opt.Traces, Samples: nSamples, Banks: engine.HypothesisBanks(len(b.Exprs)), Seed: opt.Seed},
 		engine.BatchGen{
-			Synth: synth,
-			Model: &opt.Model,
-			Lanes: opt.Lanes,
+			Synth:    synth,
+			Model:    &opt.Model,
+			Lanes:    opt.Lanes,
+			Averages: max(opt.Averages, 1),
 			Prepare: func(n int, rng *rand.Rand, core *pipeline.Core, s *engine.Sample) error {
 				vals := b.Setup(rng, core)
 				for i, e := range b.Exprs {
 					s.Hyps[0][i] = e.Eval(vals)
-				}
-				return nil
-			},
-			Acquire: func(n int, rng *rand.Rand, cycles []float64, s *engine.Sample) error {
-				tr, scratch := opt.Model.AveragedCyclesInto(s.Trace, s.Scratch, cycles, rng, opt.Averages)
-				s.Trace, s.Scratch = tr, scratch
-				if len(tr) != nSamples {
-					return fmt.Errorf("leakscan: %s: trace length changed across runs (%d vs %d)",
-						b.Name, len(tr), nSamples)
 				}
 				return nil
 			},

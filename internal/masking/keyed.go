@@ -90,11 +90,29 @@ func Schedules() []string {
 const jitterSteps = 4
 
 // keyedVariants holds the pre-assembled program variants of one keyed
-// scenario, indexed [jitter][swap]. Without the corresponding
-// countermeasure only index 0 is ever selected.
+// scenario, indexed jd*swaps + sw for jitter position jd and operand
+// order sw. Only the variants the countermeasure can select are built:
+// one jitter position without jitter, one operand order without
+// shuffling.
 type keyedVariants struct {
-	progs [jitterSteps][]*isa.Program
-	swaps int // operand-order combinations (1 when shuffling is n/a)
+	ctr   Countermeasure
+	progs []*isa.Program
+	swaps int // operand-order combinations (1 when not shuffling)
+}
+
+// pick draws a trace's plaintext byte and countermeasure selections —
+// the first draws of its stream — and returns the plaintext and the
+// selected variant.
+func (kv *keyedVariants) pick(rng *rand.Rand) (pt byte, v int) {
+	pt = byte(rng.Intn(256))
+	sw, jd := 0, 0
+	if kv.ctr.Shuffle {
+		sw = rng.Intn(kv.swaps)
+	}
+	if kv.ctr.Jitter {
+		jd = rng.Intn(jitterSteps)
+	}
+	return pt, jd*kv.swaps + sw
 }
 
 // eorLine renders one share EOR with an optional operand swap.
@@ -105,12 +123,13 @@ func eorLine(rd, ra, rb string, swap bool) string {
 	return "eor " + rd + ", " + ra + ", " + rb + "\n"
 }
 
-// buildKeyedVariants assembles every (jitter, swap) program of a
-// schedule. The total nop count is constant across jitter positions —
-// 2*jd leading and 2*(jitterSteps-1-jd) trailing extra nops — so every
-// variant runs for the same cycle count (verified by calibration).
+// buildKeyedVariants assembles every selectable (jitter, swap) program
+// of a schedule. The total nop count is constant across jitter
+// positions — 2*jd leading and 2*(jitterSteps-1-jd) trailing extra
+// nops — so every variant runs for the same cycle count (verified by
+// calibration).
 func buildKeyedVariants(schedule string, ctr Countermeasure) (*keyedVariants, error) {
-	kv := &keyedVariants{swaps: 1}
+	kv := &keyedVariants{ctr: ctr, swaps: 1}
 	if ctr.Shuffle {
 		switch schedule {
 		case ScheduleNaive, ScheduleSeparated:
@@ -119,10 +138,13 @@ func buildKeyedVariants(schedule string, ctr Countermeasure) (*keyedVariants, er
 			return nil, fmt.Errorf("masking: shuffle countermeasure needs reg-reg share instructions (schedule %q)", schedule)
 		}
 	}
-	for jd := 0; jd < jitterSteps; jd++ {
+	jitters := 1
+	if ctr.Jitter {
+		jitters = jitterSteps
+	}
+	for jd := 0; jd < jitters; jd++ {
 		pre := gadgetPad + 2*jd
 		post := gadgetPad + 2*(jitterSteps-1-jd)
-		kv.progs[jd] = make([]*isa.Program, kv.swaps)
 		for sw := 0; sw < kv.swaps; sw++ {
 			var prog *isa.Program
 			switch schedule {
@@ -178,7 +200,7 @@ func buildKeyedVariants(schedule string, ctr Countermeasure) (*keyedVariants, er
 			default:
 				return nil, fmt.Errorf("masking: unknown schedule %q", schedule)
 			}
-			kv.progs[jd][sw] = prog
+			kv.progs = append(kv.progs, prog)
 		}
 	}
 	return kv, nil
@@ -212,8 +234,12 @@ type KeyedOptions struct {
 	// Model is the power model; Core the micro-architecture.
 	Model power.Model
 	Core  pipeline.Config
-	// Workers sizes the synthesis pool (0: one per core); results are
-	// bit-identical for every value.
+	// Synth selects the trace-synthesis strategy (engine.ModeAuto by
+	// default); Lanes the lane-group width (0: engine.DefaultLanes).
+	// Workers sizes the synthesis pool (0: one per core). Results are
+	// bit-identical for every value of all three.
+	Synth   engine.Mode
+	Lanes   int
 	Workers int
 	// Ctx, when non-nil, cancels the run between chunks; Gate, when
 	// non-nil, bounds synthesis concurrency across runs sharing it.
@@ -257,6 +283,13 @@ type KeyedResult struct {
 	Traces  int
 	Samples int
 	Pairs   int
+	// BatchRuns counts, per program variant, the lane groups the batch
+	// VM synthesized after that variant's verification window;
+	// FallbackReason is, in variant order, the first reason a variant
+	// simulated traces replay was meant to cover ("" when none did).
+	// Neither is part of a campaign's canonical results.
+	BatchRuns      []int64
+	FallbackReason string
 }
 
 const (
@@ -269,12 +302,15 @@ const (
 // plaintext byte pt selects the intermediate v = SubBytes(pt ^ key),
 // the gadget manipulates v's shares, and a conditional-sum CPA over the
 // 256 key hypotheses tries to recover the key from the synthesized
-// power. Order 2 runs the engine twice over identical per-trace
-// streams: the first pass fixes the mean trace, the second accumulates
-// centered products (sca.ClassCPA2). Every random draw — plaintext,
-// countermeasure selections, masks, noise — comes from the trace's
-// private SplitMix64 stream, so the result is a bit-stable pure
-// function of the options for any worker count.
+// power. Every program variant the countermeasure selects among has
+// its own Synthesizer, and the engine runs each chunk's traces grouped
+// by variant on the batch path. Order 2 runs the engine twice over
+// identical per-trace streams: the first pass fixes the mean trace, the
+// second accumulates centered products (sca.ClassCPA2). Every random
+// draw — plaintext, countermeasure selections, masks, noise — comes
+// from the trace's private SplitMix64 stream, so the result is a
+// bit-stable pure function of the options for any synthesis mode, lane
+// width and worker count.
 func EvaluateKeyedCPA(opt KeyedOptions) (*KeyedResult, error) {
 	if opt.Traces < 8 {
 		return nil, fmt.Errorf("masking: need at least 8 traces, got %d", opt.Traces)
@@ -297,23 +333,22 @@ func EvaluateKeyedCPA(opt KeyedOptions) (*KeyedResult, error) {
 	// Calibration: every variant must run for the same cycle count, or
 	// the fixed-length trace matrix (and the jitter countermeasure's
 	// constant-time claim) would not hold.
+	synths := make([]*engine.Synthesizer, len(kv.progs))
 	nCycles := -1
-	for jd := range kv.progs {
-		for _, prog := range kv.progs[jd] {
-			c, err := pipeline.New(opt.Core, nil)
-			if err != nil {
-				return nil, err
+	for v, prog := range kv.progs {
+		if synths[v], err = engine.NewSynthesizer(opt.Synth, opt.Core, prog); err != nil {
+			return nil, err
+		}
+		err := synths[v].Run(func(*pipeline.Core) {}, func(tl pipeline.Timeline, _ *pipeline.Core) error {
+			if nCycles >= 0 && len(tl) != nCycles {
+				return fmt.Errorf("masking: %s variants differ in cycle count (%d vs %d)",
+					opt.Schedule, len(tl), nCycles)
 			}
-			res, err := c.Run(prog)
-			if err != nil {
-				return nil, err
-			}
-			if nCycles < 0 {
-				nCycles = len(res.Timeline)
-			} else if len(res.Timeline) != nCycles {
-				return nil, fmt.Errorf("masking: %s variants differ in cycle count (%d vs %d)",
-					opt.Schedule, len(res.Timeline), nCycles)
-			}
+			nCycles = len(tl)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	nSamples := nCycles * opt.Model.SamplesPerCycle
@@ -329,60 +364,51 @@ func EvaluateKeyedCPA(opt KeyedOptions) (*KeyedResult, error) {
 		table[pt] = row
 	}
 
-	gen := func(i int, rng *rand.Rand, s *engine.Sample) error {
+	bg := engine.BatchGen{
+		Variants: synths,
+		Variant: func(i int, rng *rand.Rand) int {
+			_, v := kv.pick(rng)
+			return v
+		},
+		Model:    &opt.Model,
+		Lanes:    opt.Lanes,
+		Averages: avg,
 		// Fixed per-trace draw order: plaintext, countermeasure
 		// selections, masks, then synthesis noise.
-		pt := byte(rng.Intn(256))
-		sw, jd := 0, 0
-		if opt.Ctr.Shuffle {
-			sw = rng.Intn(kv.swaps)
-		}
-		if opt.Ctr.Jitter {
-			jd = rng.Intn(jitterSteps)
-		}
-		v := aes.Sbox[pt^opt.Key]
-		c, err := pipeline.New(opt.Core, nil)
-		if err != nil {
-			return err
-		}
-		if opt.Schedule == ScheduleSbox {
-			var ms *MaskedSbox
-			if opt.Ctr.Mask {
-				ms = NewMaskedSbox(rng)
+		Prepare: func(i int, rng *rand.Rand, c *pipeline.Core, s *engine.Sample) error {
+			pt, _ := kv.pick(rng)
+			v := aes.Sbox[pt^opt.Key]
+			if opt.Schedule == ScheduleSbox {
+				var ms *MaskedSbox
+				if opt.Ctr.Mask {
+					ms = NewMaskedSbox(rng)
+				} else {
+					ms = &MaskedSbox{Table: aes.Sbox}
+				}
+				c.Mem().WriteBytes(keyedTableAddr, ms.Table[:])
+				c.SetReg(isa.R0, uint32((pt^opt.Key)^ms.MIn))
+				c.SetReg(isa.R2, keyedTableAddr)
+				c.SetReg(isa.R3, keyedOutAddr)
+				c.SetReg(isa.R5, uint32(ms.MOut))
 			} else {
-				ms = &MaskedSbox{}
-				copy(ms.Table[:], aes.Sbox[:])
+				var s0, s1, mA, mB byte
+				if opt.Ctr.Mask {
+					s0 = byte(rng.Intn(256))
+					s1 = v ^ s0
+					mA = byte(rng.Intn(256))
+					mB = byte(rng.Intn(256))
+				} else {
+					s0, s1 = v, 0
+				}
+				c.SetReg(isa.R0, uint32(s0))
+				c.SetReg(isa.R1, uint32(s1))
+				c.SetReg(isa.R2, uint32(mA))
+				c.SetReg(isa.R3, uint32(mB))
 			}
-			c.Mem().WriteBytes(keyedTableAddr, ms.Table[:])
-			c.SetReg(isa.R0, uint32((pt^opt.Key)^ms.MIn))
-			c.SetReg(isa.R2, keyedTableAddr)
-			c.SetReg(isa.R3, keyedOutAddr)
-			c.SetReg(isa.R5, uint32(ms.MOut))
-		} else {
-			var s0, s1, mA, mB byte
-			if opt.Ctr.Mask {
-				s0 = byte(rng.Intn(256))
-				s1 = v ^ s0
-				mA = byte(rng.Intn(256))
-				mB = byte(rng.Intn(256))
-			} else {
-				s0, s1 = v, 0
-			}
-			c.SetReg(isa.R0, uint32(s0))
-			c.SetReg(isa.R1, uint32(s1))
-			c.SetReg(isa.R2, uint32(mA))
-			c.SetReg(isa.R3, uint32(mB))
-		}
-		res, err := c.Run(kv.progs[jd][sw])
-		if err != nil {
-			return err
-		}
-		tr, scratch := opt.Model.SynthesizeAveragedInto(s.Trace, s.Scratch, res.Timeline, rng, avg)
-		s.Trace, s.Scratch = tr, scratch
-		s.Class[0] = int(pt)
-		return nil
+			s.Class[0] = int(pt)
+			return nil
+		},
 	}
-
 	cfg := engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate}
 	spec := engine.Spec{
 		Traces:  opt.Traces,
@@ -390,7 +416,7 @@ func EvaluateKeyedCPA(opt KeyedOptions) (*KeyedResult, error) {
 		Seed:    opt.Seed,
 		Banks:   []engine.Bank{{Hyps: 256, Classes: table}},
 	}
-	banks, err := engine.Run(cfg, spec, gen)
+	banks, err := engine.RunBatched(cfg, spec, bg)
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +427,7 @@ func EvaluateKeyedCPA(opt KeyedOptions) (*KeyedResult, error) {
 		// first pass's mean trace.
 		means := banks[0].(*sca.ClassCPA).MeanTrace()
 		spec.Banks = []engine.Bank{{Hyps: 256, Classes: table, Order2: &engine.Order2{Means: means}}}
-		banks2, err := engine.Run(cfg, spec, gen)
+		banks2, err := engine.RunBatched(cfg, spec, bg)
 		if err != nil {
 			return nil, err
 		}
@@ -411,7 +437,7 @@ func EvaluateKeyedCPA(opt KeyedOptions) (*KeyedResult, error) {
 	att := acc.Result()
 	best, bestCorr := att.Best()
 	trueCorr := att.Peaks[opt.Key]
-	return &KeyedResult{
+	res := &KeyedResult{
 		Schedule:   opt.Schedule,
 		Ctr:        opt.Ctr.String(),
 		Order:      opt.Order,
@@ -425,5 +451,13 @@ func EvaluateKeyedCPA(opt KeyedOptions) (*KeyedResult, error) {
 		Traces:     opt.Traces,
 		Samples:    nSamples,
 		Pairs:      pairs,
-	}, nil
+		BatchRuns:  make([]int64, len(synths)),
+	}
+	for v, s := range synths {
+		res.BatchRuns[v] = s.BatchRuns()
+		if res.FallbackReason == "" {
+			res.FallbackReason = s.FallbackReason()
+		}
+	}
+	return res, nil
 }

@@ -2,8 +2,10 @@ package masking
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/pipeline"
 )
 
@@ -34,6 +36,76 @@ func TestEvaluateLeakageDeterministic(t *testing.T) {
 			math.Float64bits(got.Confidence) != math.Float64bits(want.Confidence) {
 			t.Errorf("workers=%d: MaxCorr %v / conf %v, want %v / %v",
 				workers, got.MaxCorr, got.Confidence, want.MaxCorr, want.Confidence)
+		}
+	}
+}
+
+// The gadget evaluator's results are pinned bit for bit — recorded
+// from the per-trace simulation driver it replaced — and its runs must
+// really batch after the verification window.
+func TestEvaluateLeakagePinned(t *testing.T) {
+	pins := []struct {
+		g          Gadget
+		corr, conf uint64
+	}{
+		{NaiveXor(), 0x3fe2fe6453e5a93d, 0x3ff0000000000000},
+		{SeparatedXor(), 0xbfb0e6338b6257eb, 0x3fef4a45988cb872},
+		{DualIssueXor(), 0x3fb4140954b4f87c, 0x3fefca605ac5a3e8},
+	}
+	for _, p := range pins {
+		res, err := EvaluateLeakage(p.g, pipeline.DefaultConfig(), 1200, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(res.MaxCorr) != p.corr || math.Float64bits(res.Confidence) != p.conf {
+			t.Errorf("%s: MaxCorr %#x conf %#x, want %#x %#x", p.g.Name,
+				math.Float64bits(res.MaxCorr), math.Float64bits(res.Confidence), p.corr, p.conf)
+		}
+		if res.BatchRuns == 0 || res.FallbackReason != "" {
+			t.Errorf("%s: %d batch runs, fallback %q", p.g.Name, res.BatchRuns, res.FallbackReason)
+		}
+	}
+}
+
+// The keyed evaluator's result is independent of the synthesis path:
+// simulate, auto and replay agree bit for bit on fixed, shuffled and
+// jittered scenarios, and auto and replay really run every program
+// variant on the batch VM — a silent slide onto the simulator fails
+// here rather than only showing up as a slower campaign.
+func TestEvaluateKeyedCPAModesAgree(t *testing.T) {
+	cases := []struct {
+		sched, ctr   string
+		order, lanes int
+	}{
+		{ScheduleSbox, "mask", 2, 0},
+		{ScheduleNaive, "mask+shuffle", 1, 8},
+		{ScheduleSbox, "mask+jitter", 1, 64},
+	}
+	for _, c := range cases {
+		opt := keyedOpt(c.sched, c.ctr, c.order, 600)
+		opt.Lanes = c.lanes
+		opt.Synth = engine.ModeSimulate
+		want, err := EvaluateKeyedCPA(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []engine.Mode{engine.ModeAuto, engine.ModeReplay} {
+			opt.Synth = mode
+			got, err := EvaluateKeyedCPA(opt)
+			if err != nil {
+				t.Fatalf("%s/%s %v: %v", c.sched, c.ctr, mode, err)
+			}
+			if math.Float64bits(got.BestCorr) != math.Float64bits(want.BestCorr) ||
+				math.Float64bits(got.TrueCorr) != math.Float64bits(want.TrueCorr) ||
+				math.Float64bits(got.Confidence) != math.Float64bits(want.Confidence) ||
+				got.Recovered != want.Recovered || got.Rank != want.Rank ||
+				got.Samples != want.Samples || got.Pairs != want.Pairs {
+				t.Errorf("%s/%s order %d %v: result differs from simulation", c.sched, c.ctr, c.order, mode)
+			}
+			if got.FallbackReason != "" || slices.Contains(got.BatchRuns, 0) {
+				t.Errorf("%s/%s %v: batch runs per variant %v, fallback %q",
+					c.sched, c.ctr, mode, got.BatchRuns, got.FallbackReason)
+			}
 		}
 	}
 }

@@ -182,6 +182,11 @@ type LeakResult struct {
 	// Detected applies the paper's >99.5% criterion.
 	Detected bool
 	Traces   int
+	// BatchRuns counts the lane groups the batch VM synthesized after
+	// the verification window; FallbackReason says why traces replay
+	// was meant to cover were simulated ("" when none were).
+	BatchRuns      int64
+	FallbackReason string
 }
 
 // EvalOptions configures a dynamic gadget evaluation. The zero value
@@ -221,51 +226,49 @@ func EvaluateLeakage(g Gadget, cfg pipeline.Config, traces int, seed int64) (*Le
 
 // EvaluateLeakageOpt is EvaluateLeakage with explicit acquisition
 // options. Every per-trace draw — the secret, the gadget's fresh
-// masks, the measurement noise, the decoy hypothesis — comes from the
-// trace's private SplitMix64 stream, so the result is a bit-stable pure
-// function of (gadget, config, options) regardless of worker count.
+// masks, the measurement noise — comes from the trace's private
+// SplitMix64 stream, so the result is a bit-stable pure function of
+// (gadget, config, options) regardless of worker count — and of which
+// synthesis path a trace took.
 func EvaluateLeakageOpt(g Gadget, cfg pipeline.Config, opt EvalOptions) (*LeakResult, error) {
 	if opt.Traces < 8 {
 		return nil, fmt.Errorf("masking: need at least 8 traces, got %d", opt.Traces)
 	}
 	model := power.DefaultModel()
-
-	calCore, err := pipeline.New(cfg, nil)
+	synth, err := engine.NewSynthesizer(engine.ModeAuto, cfg, g.Prog)
 	if err != nil {
 		return nil, err
 	}
 	// The timeline length is input-independent; any fixed setup works.
-	g.Setup(rand.New(rand.NewSource(1)), calCore, 0)
-	cal, err := calCore.Run(g.Prog)
+	nSamples := 0
+	err = synth.Run(
+		func(c *pipeline.Core) { g.Setup(rand.New(rand.NewSource(1)), c, 0) },
+		func(tl pipeline.Timeline, _ *pipeline.Core) error {
+			nSamples = len(tl) * model.SamplesPerCycle
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	nSamples := len(cal.Timeline) * model.SamplesPerCycle
 
-	avg := opt.averages()
-	gen := func(i int, rng *rand.Rand, s *engine.Sample) error {
-		secret := rng.Uint32()
-		c, err := pipeline.New(cfg, nil)
-		if err != nil {
-			return err
-		}
-		g.Setup(rng, c, secret)
-		res, err := c.Run(g.Prog)
-		if err != nil {
-			return err
-		}
-		tr, scratch := model.SynthesizeAveragedInto(s.Trace, s.Scratch, res.Timeline, rng, avg)
-		s.Trace, s.Scratch = tr, scratch
-		// Hypothesis 0 is the secret's HW; hypothesis 1 a decoy so the
-		// CPA engine has its required second column.
-		s.Hyps[0][0] = float64(sca.HW(secret))
-		s.Hyps[0][1] = rng.Float64()
-		return nil
-	}
-	banks, err := engine.Run(
+	banks, err := engine.RunBatched(
 		engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate},
 		engine.Spec{Traces: opt.Traces, Samples: nSamples, Banks: engine.HypothesisBanks(2), Seed: opt.Seed},
-		gen)
+		engine.BatchGen{
+			Synth:    synth,
+			Model:    &model,
+			Averages: opt.averages(),
+			Prepare: func(i int, rng *rand.Rand, c *pipeline.Core, s *engine.Sample) error {
+				secret := rng.Uint32()
+				g.Setup(rng, c, secret)
+				// Hypothesis 0 is the secret's HW; hypothesis 1 a
+				// draw-free decoy so the CPA engine has its required
+				// second column. Only hypothesis 0 is read.
+				s.Hyps[0][0] = float64(sca.HW(secret))
+				s.Hyps[0][1] = float64(i & 1)
+				return nil
+			},
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -274,9 +277,11 @@ func EvaluateLeakageOpt(g Gadget, cfg pipeline.Config, opt EvalOptions) (*LeakRe
 	// Bonferroni over the full trace: the evaluator scans every sample.
 	thr := 1 - (1-0.995)/float64(nSamples)
 	return &LeakResult{
-		MaxCorr:    peak,
-		Confidence: conf,
-		Detected:   conf > thr,
-		Traces:     opt.Traces,
+		MaxCorr:        peak,
+		Confidence:     conf,
+		Detected:       conf > thr,
+		Traces:         opt.Traces,
+		BatchRuns:      synth.BatchRuns(),
+		FallbackReason: synth.FallbackReason(),
 	}, nil
 }
