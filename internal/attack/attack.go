@@ -269,9 +269,9 @@ func RunFigure4(key [aes.KeySize]byte, opt Fig4Options) (*Fig4Result, error) {
 		engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate},
 		engine.Spec{Traces: opt.Traces, Samples: nSamples, Banks: engine.HypothesisBanks(256), Seed: opt.Seed},
 		engine.BatchGen{
-			Synth: synth,
-			Model: &opt.Model,
-			Lanes: opt.Lanes,
+			Variants: []*engine.Synthesizer{synth},
+			Model:    &opt.Model,
+			Lanes:    opt.Lanes,
 			Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *engine.Sample) error {
 				var pt [aes.BlockSize]byte
 				rng.Read(pt[:])

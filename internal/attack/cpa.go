@@ -131,7 +131,7 @@ func (s *cpaSetup) classBanks(bytes []int) []engine.Bank {
 func (s *cpaSetup) batchGen(opt Fig3Options, bytes []int) engine.BatchGen {
 	inst, bs := s.inst, s.info.BlockSize
 	return engine.BatchGen{
-		Synth:    s.synth,
+		Variants: []*engine.Synthesizer{s.synth},
 		Model:    &opt.Model,
 		Lanes:    opt.Lanes,
 		Averages: max(opt.Averages, 1),

@@ -205,17 +205,31 @@ func (s *Synthesizer) groupWidth(left, lanes int) int {
 	return l
 }
 
-// unsettled reports whether any of synths is still inside its
-// verification window: the engine drivers then synthesize one chunk at
-// a time, in trace order (orderedChunks), so which executions each
-// window checks — and its verdict — depend only on the run's inputs.
-func unsettled(synths []*Synthesizer) bool {
-	for _, s := range synths {
-		if !s.settled.Load() {
+// windowSerial is the serial predicate the engine drivers hand
+// orderedChunks for a run over synths: the chunk starting at trace
+// start is synthesized alone, after the previous chunk was reduced,
+// while any synthesizer is still inside its verification window — so
+// each window sees its executions in trace order. The serialized
+// prefix is bounded by trace index: the first chunk starting at or past
+// VerifyRuns*len(synths) closes every window still open (closeWindow),
+// so a rarely picked program variant cannot keep a run on one worker.
+// orderedChunks asks only between chunks, with every earlier chunk
+// reduced, so which executions each window checks, and its verdict,
+// depend only on the run's inputs.
+func windowSerial(synths []*Synthesizer) func(start int) bool {
+	bound := VerifyRuns * len(synths)
+	return func(start int) bool {
+		if !slices.ContainsFunc(synths, func(s *Synthesizer) bool { return !s.settled.Load() }) {
+			return false
+		}
+		if start < bound {
 			return true
 		}
+		for _, s := range synths {
+			s.closeWindow()
+		}
+		return false
 	}
-	return false
 }
 
 // CheckLanes validates a configured lane-group width: 0 (selecting
@@ -235,21 +249,21 @@ func CheckLanes(lanes int) error {
 // trace's stream is private and its draws happen in that order on every
 // path, so results are bit-identical whichever path a group took.
 //
-// A workload that picks one of several programs per trace (a shuffled
-// or jittered gadget) sets Variants and Variant instead of Synth: the
-// engine groups each chunk's traces by variant and runs every group on
-// its variant's Synthesizer, each with its own verification window over
-// the first VerifyRuns executions of that variant in trace order.
+// Variants holds one Synthesizer per program the workload runs. A
+// workload that picks one of several programs per trace (a shuffled or
+// jittered gadget) also sets Variant: the engine groups each chunk's
+// traces by variant and runs every group on its variant's Synthesizer,
+// each with its own verification window over the first executions of
+// that variant in trace order (see windowSerial for its bound).
 type BatchGen struct {
-	// Synth is the synthesis seam of a single-program workload.
-	Synth *Synthesizer
-	// Variants holds one Synthesizer per program variant; set instead
-	// of Synth.
+	// Variants holds one Synthesizer per program variant; a
+	// single-program workload passes exactly one.
 	Variants []*Synthesizer
 	// Variant reports which variant trace i runs, in
-	// [0, len(Variants)). It receives the trace's freshly seeded stream
-	// and its draws are discarded: Prepare starts from the same fresh
-	// stream and must make the draws that picked the variant.
+	// [0, len(Variants)); nil runs variant 0 for every trace. It
+	// receives the trace's freshly seeded stream and its draws are
+	// discarded: Prepare starts from the same fresh stream and must make
+	// the draws that picked the variant.
 	Variant func(i int, rng *rand.Rand) int
 	// Model supplies the fused synthesis weights and the expansion
 	// parameters.
@@ -280,22 +294,6 @@ type BatchGen struct {
 	Acquire func(i int, rng *rand.Rand, cycles []float64, s *Sample) error
 }
 
-// synths returns the generator's synthesizers, one per variant.
-func (bg *BatchGen) synths() ([]*Synthesizer, error) {
-	switch {
-	case bg.Synth != nil && bg.Variants == nil:
-		return []*Synthesizer{bg.Synth}, nil
-	case bg.Synth == nil && len(bg.Variants) > 0 && bg.Variant != nil:
-		for _, s := range bg.Variants {
-			if s == nil {
-				return nil, fmt.Errorf("engine: nil variant synthesizer")
-			}
-		}
-		return bg.Variants, nil
-	}
-	return nil, fmt.Errorf("engine: batch generator needs Synth, or Variants and Variant")
-}
-
 // RunBatched executes the streaming CPA described by spec, synthesizing
 // every lane group through its variant's Synthesizer.RunBatchBlock.
 // Each chunk's traces are grouped by variant (in ascending variant
@@ -303,12 +301,9 @@ func (bg *BatchGen) synths() ([]*Synthesizer, error) {
 // slots, so the reduction — and every result bit — is the same for
 // every synthesis path, lane width, worker count and chunk size.
 func RunBatched(cfg Config, spec Spec, bg BatchGen) ([]sca.Accumulator, error) {
-	synths, err := bg.synths()
-	if err != nil {
-		return nil, err
-	}
-	if bg.Model == nil || bg.Prepare == nil || (bg.Averages <= 0 && bg.Acquire == nil) {
-		return nil, fmt.Errorf("engine: batch generator needs Model, Prepare and Averages or Acquire")
+	synths := bg.Variants
+	if len(synths) == 0 || slices.Contains(synths, nil) || bg.Model == nil || bg.Prepare == nil || (bg.Averages <= 0 && bg.Acquire == nil) {
+		return nil, fmt.Errorf("engine: batch generator needs Variants, Model, Prepare and Averages or Acquire")
 	}
 	if err := CheckLanes(bg.Lanes); err != nil {
 		return nil, err
@@ -344,7 +339,7 @@ func RunBatched(cfg Config, spec Spec, bg BatchGen) ([]sca.Accumulator, error) {
 		}
 		return nil
 	}
-	return runChunked(cfg, spec, func() bool { return unsettled(synths) }, fill)
+	return runChunked(cfg, spec, windowSerial(synths), fill)
 }
 
 // groupRunner is the persistent BlockRunner of the batched CPA path:
@@ -488,7 +483,8 @@ func StreamBatched(cfg Config, n int, seed int64, bs BatchStream, emit Emit) err
 		}
 		return nil
 	}
-	return orderedChunks(cfg.workers(), len(cs), func() bool { return !bs.Synth.settled.Load() }, work, reduce)
+	serial := windowSerial([]*Synthesizer{bs.Synth})
+	return orderedChunks(cfg.workers(), len(cs), func(idx int) bool { return serial(cs[idx].start) }, work, reduce)
 }
 
 // streamItem is one synthesized trace of a stream chunk.

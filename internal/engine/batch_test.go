@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,9 +87,9 @@ func (f *batchFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, *Synth
 		t.Fatal(err)
 	}
 	return BatchGen{
-		Synth: synth,
-		Model: &f.m,
-		Lanes: lanes,
+		Variants: []*Synthesizer{synth},
+		Model:    &f.m,
+		Lanes:    lanes,
 		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *Sample) error {
 			v := rng.Uint32()
 			f.initCore(core, v)
@@ -240,9 +242,9 @@ func (f *divergeFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, *Syn
 		core.SetReg(isa.R8, 0x100)
 	}
 	return BatchGen{
-		Synth: synth,
-		Model: &f.m,
-		Lanes: lanes,
+		Variants: []*Synthesizer{synth},
+		Model:    &f.m,
+		Lanes:    lanes,
 		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *Sample) error {
 			v := rng.Uint32()
 			initCore(core, i, v)
@@ -299,6 +301,9 @@ type variantFixture struct {
 	m     power.Model
 	spec  Spec
 	bad   int
+	// pick maps trace i and its first draw d in [0,3) to the trace's
+	// variant; nil picks d.
+	pick func(i, d int) int
 }
 
 func newVariantFixture(t *testing.T, traces int) *variantFixture {
@@ -331,15 +336,22 @@ func newVariantFixture(t *testing.T, traces int) *variantFixture {
 	return f
 }
 
-// variantOf is the fixture's variant pick: the first draw of the trace.
-func variantOf(rng *rand.Rand) int { return rng.Intn(3) }
+// variant is the fixture's variant pick, made from the first draw of
+// trace i's stream.
+func (f *variantFixture) variant(i int, rng *rand.Rand) int {
+	d := rng.Intn(3)
+	if f.pick == nil {
+		return d
+	}
+	return f.pick(i, d)
+}
 
 // nthOfVariant returns the trace index of the n-th (0-based) execution
 // of variant v.
 func (f *variantFixture) nthOfVariant(t *testing.T, v, n int) int {
 	t.Helper()
 	for i := 0; i < f.spec.Traces; i++ {
-		if variantOf(TraceRNG(f.spec.Seed, i)) == v {
+		if f.variant(i, TraceRNG(f.spec.Seed, i)) == v {
 			if n == 0 {
 				return i
 			}
@@ -348,6 +360,20 @@ func (f *variantFixture) nthOfVariant(t *testing.T, v, n int) int {
 	}
 	t.Fatalf("variant %d has too few executions", v)
 	return -1
+}
+
+// windowChecks returns how many executions variant v's verification
+// window checks: its first VerifyRuns, or fewer when the run stops
+// serializing at trace VerifyRuns*len(progs) (a multiple of the
+// default chunk size) before it reached them.
+func (f *variantFixture) windowChecks(v int) int {
+	n := 0
+	for i := 0; i < min(f.spec.Traces, VerifyRuns*len(f.progs)); i++ {
+		if f.variant(i, TraceRNG(f.spec.Seed, i)) == v {
+			n++
+		}
+	}
+	return min(n, VerifyRuns)
 }
 
 func (f *variantFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, []*Synthesizer) {
@@ -361,12 +387,12 @@ func (f *variantFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, []*S
 	}
 	return BatchGen{
 		Variants: synths,
-		Variant:  func(i int, rng *rand.Rand) int { return variantOf(rng) },
+		Variant:  f.variant,
 		Model:    &f.m,
 		Lanes:    lanes,
 		Averages: 2,
 		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *Sample) error {
-			variantOf(rng)
+			f.variant(i, rng)
 			x := rng.Uint32()
 			var r0 uint32
 			if i == f.bad {
@@ -387,7 +413,7 @@ func (f *variantFixture) scalar(t *testing.T) Generate {
 	t.Helper()
 	bg, synths := f.gen(t, ModeSimulate, 0)
 	return func(i int, rng *rand.Rand, s *Sample) error {
-		v := variantOf(TraceRNG(f.spec.Seed, i)) // Prepare redraws it from rng
+		v := f.variant(i, TraceRNG(f.spec.Seed, i)) // Prepare redraws it from rng
 		var prepErr error
 		err := synths[v].Run(
 			func(core *pipeline.Core) { prepErr = bg.Prepare(i, rng, core, s) },
@@ -402,8 +428,8 @@ func (f *variantFixture) scalar(t *testing.T) Generate {
 // TestRunBatchedVariantGrouping pins the per-variant grouping: a run
 // whose traces pick one of three programs must equal pure simulation
 // bit for bit at every lane width and worker count, every variant must
-// settle its own window and batch after it, and each variant's path
-// counters must not depend on the worker count. A divergence forced on
+// check its own window's executions and batch after it, and each
+// variant's path counters must not depend on the worker count. A divergence forced on
 // one variant after its window makes that variant fall back while the
 // others stay on the batch path.
 func TestRunBatchedVariantGrouping(t *testing.T) {
@@ -444,8 +470,8 @@ func TestRunBatchedVariantGrouping(t *testing.T) {
 				paths := make([]path, len(synths))
 				for v, s := range synths {
 					paths[v] = path{s.checked, s.BatchRuns(), s.FallbackReason()}
-					if s.checked != VerifyRuns || s.BatchRuns() == 0 {
-						t.Fatalf("diverge=%v lanes=%d variant %d: %+v, want a full window then batches", diverge, lanes, v, paths[v])
+					if s.checked != f.windowChecks(v) || s.BatchRuns() == 0 {
+						t.Fatalf("diverge=%v lanes=%d variant %d: %+v, want %d checked then batches", diverge, lanes, v, paths[v], f.windowChecks(v))
 					}
 					if fell := diverge && v == 2; s.FellBack() != fell {
 						t.Fatalf("diverge=%v lanes=%d variant %d: fell back %v (%q)", diverge, lanes, v, s.FellBack(), s.FallbackReason())
@@ -461,6 +487,85 @@ func TestRunBatchedVariantGrouping(t *testing.T) {
 							diverge, lanes, workers, v, paths[v], ref[v])
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestRunBatchedVariantWindowBound pins the bound on the serialized
+// prefix: a run stops serializing at trace VerifyRuns*len(Variants)
+// whether or not every window filled. A rare variant that checked some
+// executions by then settles on them and batches; one that checked none
+// falls back to simulation. Results stay bit-identical to per-trace
+// simulation, and the path counters do not depend on the worker count.
+func TestRunBatchedVariantWindowBound(t *testing.T) {
+	const traces = 600
+	bound := VerifyRuns * 3
+	cases := []struct {
+		name string
+		pick func(i, d int) int
+		// fellBack: variant 2 checked nothing before the bound.
+		fellBack bool
+	}{
+		// Variant 2 on one in eight of its draws: a few executions
+		// before the bound, far fewer than VerifyRuns.
+		{"rare", func(i, d int) int {
+			if d == 2 && i%8 != 0 {
+				return i & 1
+			}
+			return d
+		}, false},
+		// Variant 2 only past the bound.
+		{"late", func(i, d int) int {
+			if d == 2 && i < bound+64 {
+				return i & 1
+			}
+			return d
+		}, true},
+	}
+	type path struct {
+		checked   int
+		batchRuns int64
+		reason    string
+	}
+	for _, c := range cases {
+		f := newVariantFixture(t, traces)
+		f.pick = c.pick
+		want, err := Run(Config{Workers: 1}, f.spec, f.scalar(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ref []path
+		for _, workers := range []int{1, 3} {
+			bg, synths := f.gen(t, ModeAuto, 8)
+			got, err := RunBatched(Config{Workers: workers}, f.spec, bg)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", c.name, workers, err)
+			}
+			if !got[0].(*sca.CPA).Equal(want[0].(*sca.CPA)) {
+				t.Fatalf("%s workers=%d: accumulators differ from per-trace simulation", c.name, workers)
+			}
+			paths := make([]path, len(synths))
+			for v, s := range synths {
+				paths[v] = path{s.checked, s.BatchRuns(), s.FallbackReason()}
+			}
+			for v := 0; v < 2; v++ {
+				if paths[v].checked != VerifyRuns || paths[v].batchRuns == 0 || paths[v].reason != "" {
+					t.Fatalf("%s: variant %d: %+v, want a full window then batches", c.name, v, paths[v])
+				}
+			}
+			rare := paths[2]
+			if c.fellBack {
+				if rare.checked != 0 || rare.batchRuns != 0 || !strings.Contains(rare.reason, "verification window closed") {
+					t.Fatalf("%s: variant 2: %+v, want a fallback with nothing checked", c.name, rare)
+				}
+			} else if rare.checked == 0 || rare.checked >= VerifyRuns || rare.batchRuns == 0 || rare.reason != "" {
+				t.Fatalf("%s: variant 2: %+v, want a partial window then batches", c.name, rare)
+			}
+			if ref == nil {
+				ref = paths
+			} else if !slices.Equal(paths, ref) {
+				t.Fatalf("%s workers=%d: paths %+v, want %+v", c.name, workers, paths, ref)
 			}
 		}
 	}
@@ -534,17 +639,13 @@ func TestRunBatchedValidation(t *testing.T) {
 			t.Errorf("lane width %d accepted", lanes)
 		}
 	}
-	// Variants need a Variant pick, exclude Synth, and the pick must
-	// name one of them.
+	// Every variant needs a synthesizer, and the pick must name one.
 	bgv, _ := f.gen(t, ModeAuto, 0)
-	bgv.Variants = []*Synthesizer{bgv.Synth}
+	bgv.Variants = append(bgv.Variants, nil)
 	if _, err := RunBatched(Config{}, f.spec, bgv); err == nil {
-		t.Error("Synth and Variants together accepted")
+		t.Error("nil variant synthesizer accepted")
 	}
-	bgv.Synth = nil
-	if _, err := RunBatched(Config{}, f.spec, bgv); err == nil {
-		t.Error("Variants without Variant accepted")
-	}
+	bgv.Variants = bgv.Variants[:1]
 	bgv.Variant = func(int, *rand.Rand) int { return 1 }
 	if _, err := RunBatched(Config{}, f.spec, bgv); err == nil {
 		t.Error("out-of-range variant accepted")
@@ -573,9 +674,6 @@ func TestRunBatchedValidation(t *testing.T) {
 // allocation delta between runs differing only in chunk count, so the
 // per-run fixed costs (accumulators, goroutines, chunk list) cancel.
 func TestRunBatchedSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation defeats sync.Pool caching")
-	}
 	const chunk = DefaultChunkSize
 	measure := func(extra int) float64 {
 		f := newBatchFixture(VerifyRuns + extra*chunk)
@@ -622,7 +720,7 @@ func coldFixture(t *testing.T, traces int) (BatchGen, *Synthesizer, Spec) {
 	}
 	spec := Spec{Traces: traces, Samples: len(res.Timeline) * m.SamplesPerCycle, Banks: HypothesisBanks(2), Seed: 11}
 	return BatchGen{
-		Synth:    synth,
+		Variants: []*Synthesizer{synth},
 		Model:    &m,
 		Averages: 1,
 		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *Sample) error {

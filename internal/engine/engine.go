@@ -280,8 +280,9 @@ func newBanks(banks []Bank, samples int) ([]sca.Accumulator, error) {
 // Run executes the streaming CPA described by spec: gen synthesizes each
 // trace on some worker and the reducer folds finished chunks into the
 // global accumulator banks in chunk order. It returns the banks after
-// all traces. It is the plain driver for workloads that do not run one
-// fixed program per trace; RunBatched is the lane-group form.
+// all traces. Every workload synthesizes through RunBatched; Run is the
+// per-trace reference driver the tests compare RunBatched against,
+// generating each trace with one plain call.
 func Run(cfg Config, spec Spec, gen Generate) ([]sca.Accumulator, error) {
 	fill := func(c chunk, bb *batchBuf) error {
 		for j := 0; j < c.end-c.start; j++ {
@@ -304,9 +305,9 @@ func Run(cfg Config, spec Spec, gen Generate) ([]sca.Accumulator, error) {
 // runChunked is the shared scheduler body: fill synthesizes the traces
 // of one chunk into a batch buffer on a worker; the reducer accumulates
 // finished buffers in chunk order and recycles them. serial, when
-// non-nil, reports whether a synthesizer fill runs on is still inside
-// its verification window, so the next chunk must run alone.
-func runChunked(cfg Config, spec Spec, serial func() bool, fill func(c chunk, bb *batchBuf) error) ([]sca.Accumulator, error) {
+// non-nil, reports whether the chunk starting at the given trace index
+// must run alone (windowSerial).
+func runChunked(cfg Config, spec Spec, serial func(start int) bool, fill func(c chunk, bb *batchBuf) error) ([]sca.Accumulator, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
@@ -397,7 +398,11 @@ func runChunked(cfg Config, spec Spec, serial func() bool, fill func(c chunk, bb
 		return nil
 	}
 
-	if err := orderedChunks(cfg.workers(), len(cs), serial, work, reduce); err != nil {
+	var serialIdx func(idx int) bool
+	if serial != nil {
+		serialIdx = func(idx int) bool { return serial(cs[idx].start) }
+	}
+	if err := orderedChunks(cfg.workers(), len(cs), serialIdx, work, reduce); err != nil {
 		return nil, err
 	}
 	return global, nil

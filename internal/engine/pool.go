@@ -14,17 +14,18 @@ import (
 // out-of-order results parked in the reorder buffer stay bounded by the
 // pool size — memory never grows with the total chunk count.
 //
-// While serial reports true, chunks are dispatched one at a time, each
-// only after the previous one was reduced: the synthesizers' verification
-// windows must see their executions in trace order. serial is asked
-// before each dispatch until it first reports false — it must then stay
-// false (settling is permanent) — so which chunks run serially depends
-// only on what the earlier chunks did. A nil serial never serializes.
+// While serial(idx) reports true, chunks are dispatched one at a time,
+// each only after the previous one was reduced: the synthesizers'
+// verification windows must see their executions in trace order. serial
+// is asked before each dispatch, with every earlier chunk reduced, until
+// it first reports false — it is never asked again — so which chunks run
+// serially depends only on what the earlier chunks did. A nil serial
+// never serializes.
 // The feeder waits before dispatching, so no worker holds a Gate slot
 // while the barrier is closed.
 //
 // The first error from work or reduce cancels the pool and is returned.
-func orderedChunks[T any](workers, n int, serial func() bool, work func(idx int) (T, error), reduce func(idx int, v T) error) error {
+func orderedChunks[T any](workers, n int, serial func(idx int) bool, work func(idx int) (T, error), reduce func(idx int, v T) error) error {
 	if workers > n {
 		workers = n
 	}
@@ -75,7 +76,7 @@ func orderedChunks[T any](workers, n int, serial func() bool, work func(idx int)
 					return
 				}
 			}
-			if int64(idx) == nSerial.Load() && serial != nil && serial() {
+			if int64(idx) == nSerial.Load() && serial != nil && serial(idx) {
 				nSerial.Store(int64(idx) + 1)
 			}
 			select {

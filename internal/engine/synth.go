@@ -62,8 +62,9 @@ func (m Mode) String() string {
 // Synthesizer runs on both the batch VM and the simulator before
 // trusting the compiled schedule: one default engine chunk. The engine
 // drivers synthesize one chunk at a time, in trace order, until every
-// Synthesizer of a run has settled, so which executions are checked —
-// and the verdict — depend only on the run's inputs.
+// Synthesizer of a run has settled or the run reaches trace
+// VerifyRuns per Synthesizer (windowSerial), so which executions are
+// checked — and the verdict — depend only on the run's inputs.
 const VerifyRuns = DefaultChunkSize
 
 // Synthesizer is the trace-synthesis seam between the attack layers and
@@ -179,6 +180,27 @@ func (s *Synthesizer) windowLeft() int {
 		return 0
 	}
 	return VerifyRuns - s.checked
+}
+
+// closeWindow ends an auto-mode verification window that is still open
+// when a run stops serializing (windowSerial); no group of s may be
+// running. A synthesizer that passed at least one checked execution
+// trusts its schedule from here on. One that checked none falls back to
+// simulation: its schedule would otherwise be compiled from whichever
+// execution a worker happens to reach first.
+func (s *Synthesizer) closeWindow() {
+	if s.mode != ModeAuto {
+		return
+	}
+	s.window.Lock()
+	defer s.window.Unlock()
+	switch {
+	case s.settled.Load():
+	case s.checked == 0:
+		s.fallBack("verification window closed before any execution was checked")
+	default:
+		s.settled.Store(true)
+	}
 }
 
 // BatchRuns returns how many lane groups the batch VM synthesized after

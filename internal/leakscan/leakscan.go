@@ -322,7 +322,7 @@ func RunBenchmark(b *Benchmark, opt Options) (*BenchResult, error) {
 		engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate},
 		engine.Spec{Traces: opt.Traces, Samples: nSamples, Banks: engine.HypothesisBanks(len(b.Exprs)), Seed: opt.Seed},
 		engine.BatchGen{
-			Synth:    synth,
+			Variants: []*engine.Synthesizer{synth},
 			Model:    &opt.Model,
 			Lanes:    opt.Lanes,
 			Averages: max(opt.Averages, 1),
@@ -445,9 +445,9 @@ func runOrder2(b *Benchmark, opt Options, synth *engine.Synthesizer, windows []w
 		engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate},
 		engine.Spec{Traces: opt.Traces, Samples: nComb, Banks: engine.HypothesisBanks(len(b.Exprs)), Seed: opt.Seed},
 		engine.BatchGen{
-			Synth: synth,
-			Model: &opt.Model,
-			Lanes: opt.Lanes,
+			Variants: []*engine.Synthesizer{synth},
+			Model:    &opt.Model,
+			Lanes:    opt.Lanes,
 			Prepare: func(n int, rng *rand.Rand, core *pipeline.Core, s *engine.Sample) error {
 				vals := b.Setup(rng, core)
 				for i, e := range b.Exprs {

@@ -71,18 +71,25 @@ func TestEvaluateLeakagePinned(t *testing.T) {
 // simulate, auto and replay agree bit for bit on fixed, shuffled and
 // jittered scenarios, and auto and replay really run every program
 // variant on the batch VM — a silent slide onto the simulator fails
-// here rather than only showing up as a slower campaign.
+// here rather than only showing up as a slower campaign. The sixteen
+// program variants of shuffle+jitter are checked at 800 traces, inside
+// the run's serialized verification prefix (VerifyRuns per variant, so
+// auto mode only verifies there), and at 2000, past it.
 func TestEvaluateKeyedCPAModesAgree(t *testing.T) {
 	cases := []struct {
 		sched, ctr   string
 		order, lanes int
+		traces       int
+		autoBatches  bool
 	}{
-		{ScheduleSbox, "mask", 2, 0},
-		{ScheduleNaive, "mask+shuffle", 1, 8},
-		{ScheduleSbox, "mask+jitter", 1, 64},
+		{ScheduleSbox, "mask", 2, 0, 600, true},
+		{ScheduleNaive, "mask+shuffle", 1, 8, 600, true},
+		{ScheduleSbox, "mask+jitter", 1, 64, 600, true},
+		{ScheduleNaive, "mask+shuffle+jitter", 1, 8, 800, false},
+		{ScheduleSeparated, "mask+shuffle+jitter", 1, 0, 2000, true},
 	}
 	for _, c := range cases {
-		opt := keyedOpt(c.sched, c.ctr, c.order, 600)
+		opt := keyedOpt(c.sched, c.ctr, c.order, c.traces)
 		opt.Lanes = c.lanes
 		opt.Synth = engine.ModeSimulate
 		want, err := EvaluateKeyedCPA(opt)
@@ -102,7 +109,8 @@ func TestEvaluateKeyedCPAModesAgree(t *testing.T) {
 				got.Samples != want.Samples || got.Pairs != want.Pairs {
 				t.Errorf("%s/%s order %d %v: result differs from simulation", c.sched, c.ctr, c.order, mode)
 			}
-			if got.FallbackReason != "" || slices.Contains(got.BatchRuns, 0) {
+			batches := mode == engine.ModeReplay || c.autoBatches
+			if got.FallbackReason != "" || (batches && slices.Contains(got.BatchRuns, 0)) {
 				t.Errorf("%s/%s %v: batch runs per variant %v, fallback %q",
 					c.sched, c.ctr, mode, got.BatchRuns, got.FallbackReason)
 			}

@@ -255,7 +255,7 @@ func EvaluateLeakageOpt(g Gadget, cfg pipeline.Config, opt EvalOptions) (*LeakRe
 		engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate},
 		engine.Spec{Traces: opt.Traces, Samples: nSamples, Banks: engine.HypothesisBanks(2), Seed: opt.Seed},
 		engine.BatchGen{
-			Synth:    synth,
+			Variants: []*engine.Synthesizer{synth},
 			Model:    &model,
 			Averages: opt.averages(),
 			Prepare: func(i int, rng *rand.Rand, c *pipeline.Core, s *engine.Sample) error {
