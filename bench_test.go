@@ -531,27 +531,6 @@ func BenchmarkEngineFullKey(b *testing.B) {
 	b.ReportMetric(float64(res.BytesRecovered()), "bytes_recovered")
 }
 
-// BenchmarkCPAMerge measures the chunk-reduction step: folding one
-// 256-hypothesis x 1000-sample partial accumulator into another.
-func BenchmarkCPAMerge(b *testing.B) {
-	dst := sca.MustNewCPA(256, 1000)
-	src := sca.MustNewCPA(256, 1000)
-	tr := make([]float64, 1000)
-	hyp := make([]float64, 256)
-	for i := range hyp {
-		hyp[i] = float64(i % 9)
-	}
-	if err := src.Add(tr, hyp); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := dst.Merge(src); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkCPAUpdate measures the incremental CPA engine with 256
 // hypotheses over a 1000-sample trace.
 func BenchmarkCPAUpdate(b *testing.B) {

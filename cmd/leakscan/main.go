@@ -13,8 +13,8 @@
 // -order 2 scans centered products of sample pairs inside each
 // expression window (second-order CPA; cells are unscored since Table 2
 // is first-order ground truth). -figure tvla runs the non-specific
-// fixed-vs-random Welch t-test instead of the model-based scan; the
-// historical -tvla spelling keeps working as a shim.
+// fixed-vs-random Welch t-test instead of the model-based scan (-traces
+// must then be even: trace i joins group i&1).
 package main
 
 import (
@@ -37,7 +37,6 @@ func main() {
 	traces := flag.Int("traces", opt.Traces, "acquisitions per benchmark (paper: 100k on hardware)")
 	row := flag.Int("row", 0, "run a single Table 2 row (1..7); 0 runs all")
 	order := flag.Int("order", 1, "CPA combining order: 1 or 2 (centered products)")
-	tvla := flag.Bool("tvla", false, "deprecated: use -figure tvla")
 	noAlign := flag.Bool("noalign", false, "ablation: remove the LSU align buffer")
 	noNop := flag.Bool("nonopreset", false, "ablation: nops do not reset the WB bus")
 	scalar := flag.Bool("scalar", false, "ablation: single-issue core")
@@ -47,10 +46,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "leakscan:", err)
 		os.Exit(1)
 	}
+	tvla := tf.Figure == "tvla"
 	switch tf.Figure {
-	case "", "table2":
-	case "tvla":
-		*tvla = true
+	case "", "table2", "tvla":
 	default:
 		fmt.Fprintf(os.Stderr, "leakscan: -figure must be table2 or tvla, got %q\n", tf.Figure)
 		os.Exit(1)
@@ -88,15 +86,17 @@ func main() {
 		rows = []int{*row}
 	}
 
-	if *tvla {
-		fmt.Println("Fixed-vs-random Welch t-test over the Table 2 benchmarks")
-		fmt.Printf("criterion: |t| > %g at any sample, %d traces per group\n\n", leakscan.TVLAThreshold, opt.Traces/2)
-		for _, rw := range rows {
+	if tvla {
+		for k, rw := range rows {
 			b, _ := leakscan.BenchmarkByRow(rw)
 			r, err := leakscan.RunTVLA(&b, opt)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "leakscan:", err)
 				os.Exit(1)
+			}
+			if k == 0 {
+				fmt.Println("Fixed-vs-random Welch t-test over the Table 2 benchmarks")
+				fmt.Printf("criterion: |t| > %g at any sample, %d traces per group\n\n", leakscan.TVLAThreshold, r.TracesPerGroup)
 			}
 			verdict := "no leak"
 			if r.Detected {

@@ -14,8 +14,7 @@
 //	maskeval [-figure naive|separated|dualissue|sbox] [-ctr none|mask|mask+shuffle|...]
 //	         [-order 1|2] [-key 0x2b] [-traces N] [-seed S] [-scalar] [-workers W] [-lanes L]
 //
-// -figure selects the evaluated gadget schedule; the historical
-// -gadget spelling keeps working as a shim.
+// -figure selects the evaluated gadget schedule.
 package main
 
 import (
@@ -41,7 +40,6 @@ func main() {
 	var tf cliutil.TargetFlags
 	tf.RegisterFigure(flag.CommandLine,
 		fmt.Sprintf("evaluated gadget schedule: %s (\"\": %s)", strings.Join(masking.Schedules(), ", "), def.Schedule))
-	gadget := flag.String("gadget", def.Schedule, "deprecated: use -figure")
 	ctrFlag := flag.String("ctr", def.Ctr.String(), `countermeasures: "none" or "+"-joined of mask|shuffle|jitter`)
 	order := flag.Int("order", def.Order, "CPA combining order: 1 or 2 (centered products)")
 	keyFlag := flag.Uint("key", 0x2B, "secret key byte under attack")
@@ -63,7 +61,6 @@ func main() {
 	}
 
 	opt := def
-	opt.Schedule = *gadget
 	if tf.Figure != "" {
 		opt.Schedule = tf.Figure
 	}

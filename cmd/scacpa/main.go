@@ -3,7 +3,6 @@
 // bare-metal attack with the target's table-driven class model (fig3
 // workload), the AES-specific loaded-Linux attack (fig4), and the
 // full-key and rank-evolution workloads built on the fig3 model.
-// cmd/aescpa is the AES-flavored alias.
 //
 // Trace synthesis and CPA accumulation stream across all cores by
 // default (-workers); results are identical for any worker count.
@@ -21,5 +20,5 @@ import (
 )
 
 func main() {
-	os.Exit(scacli.Main("scacpa", os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(scacli.Main(os.Args[1:], os.Stdout, os.Stderr))
 }

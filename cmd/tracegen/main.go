@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 
 	"repro/internal/attack"
 	"repro/internal/cliutil"
@@ -158,24 +159,26 @@ func main() {
 	// path, so the file is byte-identical for every -lanes, -workers and
 	// -replay value.
 	if err == nil && *n > 0 {
-		bs := engine.BatchStream{
-			Synth: synth,
-			Model: &model,
-			Lanes: ef.Lanes,
-			Prepare: func(i int, rng *rand.Rand, core *pipeline.Core) ([]byte, error) {
-				pt := make([]byte, info.BlockSize)
-				rng.Read(pt)
-				inst.InitCore(core, pt)
-				return pt, nil
+		bs := info.BlockSize
+		spec := engine.Spec{Traces: *n, Samples: samples, Seed: ef.Seed, Emit: emit}
+		_, err = engine.RunBatched(engine.Config{Workers: ef.Workers}, spec, engine.BatchGen{
+			Variants: []*engine.Synthesizer{synth},
+			Model:    &model,
+			Lanes:    ef.Lanes,
+			Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *engine.Sample) error {
+				s.Aux = slices.Grow(s.Aux[:0], bs)[:bs]
+				rng.Read(s.Aux)
+				inst.InitCore(core, s.Aux)
+				return nil
 			},
-			Acquire: func(i int, rng *rand.Rand, cycles []float64, core *pipeline.Core, aux []byte) (trace.Trace, error) {
-				if err := inst.VerifyOutput(core.Mem(), aux); err != nil {
-					return nil, err
-				}
-				return env.AcquireCycles(cycles, &model, rng, *avg), nil
+			Verify: func(i int, core *pipeline.Core, s *engine.Sample) error {
+				return inst.VerifyOutput(core.Mem(), s.Aux)
 			},
-		}
-		err = engine.StreamBatched(engine.Config{Workers: ef.Workers}, *n, ef.Seed, bs, emit)
+			Acquire: func(i int, rng *rand.Rand, cycles []float64, s *engine.Sample) error {
+				s.Trace = env.AcquireCycles(cycles, &model, rng, *avg)
+				return nil
+			},
+		})
 	}
 	if err == nil && sw != nil {
 		err = sw.Close()

@@ -42,28 +42,45 @@ func main() {
 	}
 	samples := len(cal.Timeline) * model.SamplesPerCycle
 
-	// 3. The Generate callback synthesizes acquisition i: plaintext and
-	//    measurement noise both come from the trace's private stream, so
-	//    the acquisition is the same no matter which worker runs it.
-	gen := func(i int, rng *rand.Rand, s *engine.Sample) error {
-		var pt [16]byte
-		rng.Read(pt[:])
-		res, _, err := tgt.Run(pt)
-		if err != nil {
-			return err
-		}
-		s.Trace = model.SynthesizeAveraged(res.Timeline, rng, 4)
-		for k := 0; k < 256; k++ {
-			s.Hyps[0][k] = float64(sca.HW8(aes.SubBytesOut(pt[keyByte], byte(k))))
-		}
-		return nil
+	// 3. One Synthesizer turns lane groups of executions into per-cycle
+	//    power: its first executions run on both the lane-parallel batch
+	//    VM and the full simulator and must agree, later groups run on
+	//    the batch VM alone.
+	synth, err := engine.NewSynthesizer(engine.ModeAuto, pipeline.DefaultConfig(), tgt.Program())
+	if err != nil {
+		log.Fatal(err)
 	}
 
-	// 4. Run the streaming CPA once per pool size. Memory stays bounded:
+	// 4. The batch generator prepares acquisition i: the plaintext comes
+	//    from the trace's private stream (kept in Sample.Aux for the
+	//    output check), and so does the measurement noise the engine
+	//    draws when it expands the cycle powers with 4-fold averaging —
+	//    the acquisition is the same no matter which worker runs it.
+	gen := engine.BatchGen{
+		Variants: []*engine.Synthesizer{synth},
+		Model:    &model,
+		Averages: 4,
+		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *engine.Sample) error {
+			var pt [16]byte
+			rng.Read(pt[:])
+			s.Aux = append(s.Aux[:0], pt[:]...)
+			tgt.InitCore(core, pt)
+			for k := 0; k < 256; k++ {
+				s.Hyps[0][k] = float64(sca.HW8(aes.SubBytesOut(pt[keyByte], byte(k))))
+			}
+			return nil
+		},
+		Verify: func(i int, core *pipeline.Core, s *engine.Sample) error {
+			_, err := tgt.VerifyOutput(core.Mem(), [16]byte(s.Aux))
+			return err
+		},
+	}
+
+	// 5. Run the streaming CPA once per pool size. Memory stays bounded:
 	//    no trace outlives its chunk.
 	attack := func(workers int) (*sca.Attack, time.Duration) {
 		start := time.Now()
-		banks, err := engine.Run(
+		banks, err := engine.RunBatched(
 			engine.Config{Workers: workers},
 			engine.Spec{Traces: traces, Samples: samples, Banks: engine.HypothesisBanks(256), Seed: 1},
 			gen)
@@ -82,7 +99,7 @@ func main() {
 	fmt.Printf("1 worker: %v; %d workers: %v\n", dtSerial.Round(time.Millisecond),
 		runtime.GOMAXPROCS(0), dtParallel.Round(time.Millisecond))
 
-	// 5. The determinism contract: identical rankings and bit-identical
+	// 6. The determinism contract: identical rankings and bit-identical
 	//    peak correlations for any worker count.
 	identical := true
 	for k := range serial.Ranking {

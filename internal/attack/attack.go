@@ -37,7 +37,7 @@ type RegionWindow struct {
 }
 
 // String renders the region as the Figure 3 annotation line used by
-// cmd/aescpa and the campaign reports.
+// cmd/scacpa and the campaign reports.
 func (r RegionWindow) String() string {
 	return fmt.Sprintf("%-4s round %2d  [%6.2f .. %6.2f us]  peak %+0.3f at %.2f us",
 		r.Name, r.Round, r.StartUs, r.EndUs, r.PeakCorr, r.PeakSampleUs)

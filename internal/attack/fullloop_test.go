@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/aes"
@@ -49,31 +50,34 @@ func captureSet(t *testing.T, n, workers, lanes int, key [aes.KeySize]byte) ([]t
 	}
 	var traces []trace.Trace
 	var aux [][]byte
+	// Emitted slices are recycled once emit returns: keep copies.
 	emit := func(i int, tr trace.Trace, a []byte) error {
-		traces = append(traces, tr)
-		aux = append(aux, append([]byte(nil), a...))
+		traces = append(traces, slices.Clone(tr))
+		aux = append(aux, slices.Clone(a))
 		return sw.Append(tr, a)
 	}
-	bs := engine.BatchStream{
-		Synth: synth,
-		Model: &model,
-		Lanes: lanes,
-		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core) ([]byte, error) {
+	spec := engine.Spec{Traces: n, Samples: samples, Seed: 11, Emit: emit}
+	bg := engine.BatchGen{
+		Variants: []*engine.Synthesizer{synth},
+		Model:    &model,
+		Lanes:    lanes,
+		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *engine.Sample) error {
 			var pt [aes.BlockSize]byte
 			rng.Read(pt[:])
+			s.Aux = append(s.Aux[:0], pt[:]...)
 			tgt.InitCore(core, pt)
-			return pt[:], nil
+			return nil
 		},
-		Acquire: func(i int, rng *rand.Rand, cycles []float64, core *pipeline.Core, a []byte) (trace.Trace, error) {
-			var pt [aes.BlockSize]byte
-			copy(pt[:], a)
-			if _, err := tgt.VerifyOutput(core.Mem(), pt); err != nil {
-				return nil, err
-			}
-			return env.AcquireCycles(cycles, &model, rng, avg), nil
+		Verify: func(i int, core *pipeline.Core, s *engine.Sample) error {
+			_, err := tgt.VerifyOutput(core.Mem(), [aes.BlockSize]byte(s.Aux))
+			return err
+		},
+		Acquire: func(i int, rng *rand.Rand, cycles []float64, s *engine.Sample) error {
+			s.Trace = env.AcquireCycles(cycles, &model, rng, avg)
+			return nil
 		},
 	}
-	if err := engine.StreamBatched(engine.Config{Workers: workers}, n, 11, bs, emit); err != nil {
+	if _, err := engine.RunBatched(engine.Config{Workers: workers}, spec, bg); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Close(); err != nil {

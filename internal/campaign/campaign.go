@@ -208,7 +208,7 @@ type Spec struct {
 }
 
 // DefaultKey is the AES-128 key attacked when a Spec names none: the
-// FIPS SP800-38A example key (attack.DefaultKey), matching cmd/aescpa.
+// FIPS SP800-38A example key (attack.DefaultKey), matching cmd/scacpa.
 var DefaultKey = attack.DefaultKey
 
 // AttackKey returns the spec's AES key.
@@ -304,8 +304,16 @@ func (s *Spec) Validate() error {
 		if w.Confidence < 0 || w.Confidence >= 1 {
 			return fmt.Errorf("campaign: workload %d (%s): confidence must be in [0,1)", wi, w.Kind)
 		}
-		if w.Kind == KindTVLA && w.Confidence != 0 {
-			return fmt.Errorf("campaign: workload %d (tvla): the t-test uses the fixed |t| > %g threshold; remove confidence", wi, leakscan.TVLAThreshold)
+		if w.Kind == KindTVLA {
+			if w.Confidence != 0 {
+				return fmt.Errorf("campaign: workload %d (tvla): the t-test uses the fixed |t| > %g threshold; remove confidence", wi, leakscan.TVLAThreshold)
+			}
+			// Trace i joins t-test group i&1: an odd count splits unevenly.
+			for _, n := range w.Traces {
+				if n%2 != 0 {
+					return fmt.Errorf("campaign: workload %d (tvla): traces must be even (two equal groups), got %d", wi, n)
+				}
+			}
 		}
 		switch w.Kind {
 		case KindFig3, KindFullKey, KindRankEvo:

@@ -72,6 +72,7 @@ func TestMaskCPAAndTVLAValidation(t *testing.T) {
 		{"gadgets on fig3", mk(Workload{Kind: KindFig3, Gadgets: []string{"sbox"}}), "maskcpa only"},
 		{"orders on table2", mk(Workload{Kind: KindTable2, Orders: []int{2}}), "maskcpa only"},
 		{"tvla confidence", mk(Workload{Kind: KindTVLA, Confidence: 0.99}), "remove confidence"},
+		{"tvla odd traces", mk(Workload{Kind: KindTVLA, Traces: []int{600, 501}}), "got 501"},
 	}
 	for _, tc := range cases {
 		err := tc.spec.Validate()

@@ -10,7 +10,6 @@ import (
 	"repro/internal/power"
 	"repro/internal/replay"
 	"repro/internal/sca"
-	"repro/internal/trace"
 )
 
 // DefaultLanes is the default lane-group width: the full
@@ -205,11 +204,11 @@ func (s *Synthesizer) groupWidth(left, lanes int) int {
 	return l
 }
 
-// windowSerial is the serial predicate the engine drivers hand
-// orderedChunks for a run over synths: the chunk starting at trace
-// start is synthesized alone, after the previous chunk was reduced,
-// while any synthesizer is still inside its verification window — so
-// each window sees its executions in trace order. The serialized
+// windowSerial is the serial predicate RunBatched hands runChunked for
+// a run over synths: the chunk starting at trace start is synthesized
+// alone, after the previous chunk was reduced, while any synthesizer is
+// still inside its verification window — so each window sees its
+// executions in trace order. The serialized
 // prefix is bounded by trace index: the first chunk starting at or past
 // VerifyRuns*len(synths) closes every window still open (closeWindow),
 // so a rarely picked program variant cannot keep a run on one worker.
@@ -294,12 +293,15 @@ type BatchGen struct {
 	Acquire func(i int, rng *rand.Rand, cycles []float64, s *Sample) error
 }
 
-// RunBatched executes the streaming CPA described by spec, synthesizing
+// RunBatched executes the streaming run described by spec — the one
+// driver every workload synthesizes through, whether it folds traces
+// into accumulator banks, emits them (Spec.Emit), or both — running
 // every lane group through its variant's Synthesizer.RunBatchBlock.
 // Each chunk's traces are grouped by variant (in ascending variant
 // order, traces in trace order within a variant) but keep their sample
-// slots, so the reduction — and every result bit — is the same for
-// every synthesis path, lane width, worker count and chunk size.
+// slots, so the reduction, the emitted stream and every result bit are
+// the same for every synthesis path, lane width, worker count and chunk
+// size.
 func RunBatched(cfg Config, spec Spec, bg BatchGen) ([]sca.Accumulator, error) {
 	synths := bg.Variants
 	if len(synths) == 0 || slices.Contains(synths, nil) || bg.Model == nil || bg.Prepare == nil || (bg.Averages <= 0 && bg.Acquire == nil) {
@@ -342,7 +344,7 @@ func RunBatched(cfg Config, spec Spec, bg BatchGen) ([]sca.Accumulator, error) {
 	return runChunked(cfg, spec, windowSerial(synths), fill)
 }
 
-// groupRunner is the persistent BlockRunner of the batched CPA path:
+// groupRunner is the persistent BlockRunner of RunBatched:
 // one lives in every chunk buffer, repointed per lane group, so the
 // steady-state fused path allocates nothing. Lane l synthesizes trace
 // start+slots[l] into the chunk buffer's sample slot slots[l].
@@ -407,121 +409,6 @@ func (g *groupRunner) Block(rows [][]float64, cores []*pipeline.Core) error {
 		if err := bb.record(g.spec, j, g.start+j); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// Emit receives trace i in strict index order on the reducer; it
-// typically appends to a file. Returning an error aborts the stream.
-type Emit func(i int, t trace.Trace, aux []byte) error
-
-// BatchStream is the trace-set form of a BatchGen: Prepare draws the
-// trace's randomness and prepares the core, Acquire turns the lane's
-// cycle powers into the trace. The aux record returned by Prepare
-// (typically the plaintext) is handed back to Acquire and then emitted
-// alongside the trace.
-type BatchStream struct {
-	// Synth is the synthesis seam.
-	Synth *Synthesizer
-	// Model supplies the fused synthesis weights.
-	Model *power.Model
-	// Lanes is the lane-group width: 0 selects DefaultLanes, otherwise
-	// 1..replay.MaxLanes.
-	Lanes int
-	// Prepare draws the trace's randomness, initializes the core and
-	// returns the aux record; like BatchGen.Prepare it may run twice
-	// for a trace.
-	Prepare func(i int, rng *rand.Rand, core *pipeline.Core) ([]byte, error)
-	// Acquire expands the lane's cycle powers into the trace, checking
-	// the final state on core as needed.
-	Acquire func(i int, rng *rand.Rand, cycles []float64, core *pipeline.Core, aux []byte) (trace.Trace, error)
-}
-
-// StreamBatched synthesizes n traces across the worker pool and hands
-// them to emit in trace-index order, through the same lane groups as
-// RunBatched. At most ~workers chunks of traces are ever in memory, and
-// the emitted byte stream is identical for every synthesis path, lane
-// width and worker count.
-func StreamBatched(cfg Config, n int, seed int64, bs BatchStream, emit Emit) error {
-	if bs.Synth == nil || bs.Model == nil || bs.Prepare == nil || bs.Acquire == nil {
-		return fmt.Errorf("engine: batch stream needs Synth, Model, Prepare and Acquire")
-	}
-	if err := CheckLanes(bs.Lanes); err != nil {
-		return err
-	}
-	lanes := cmp.Or(bs.Lanes, DefaultLanes)
-	if n < 1 {
-		return fmt.Errorf("engine: need at least 1 trace, got %d", n)
-	}
-	cs := chunks(n, cfg.chunkSize(), nil)
-
-	work := func(idx int) ([]streamItem, error) {
-		if err := cfg.ctxErr(); err != nil {
-			return nil, err
-		}
-		if err := cfg.Gate.acquire(cfg.Ctx); err != nil {
-			return nil, err
-		}
-		defer cfg.Gate.release()
-		c := cs[idx]
-		g := &streamGroup{bs: &bs, seed: seed, items: make([]streamItem, c.end-c.start), rngs: make([]*rand.Rand, lanes)}
-		for j := 0; j < len(g.items); {
-			l := bs.Synth.groupWidth(len(g.items)-j, lanes)
-			g.base, g.slot = c.start+j, j
-			if err := bs.Synth.RunBatchBlock(bs.Model, l, g); err != nil {
-				return nil, err
-			}
-			j += l
-		}
-		return g.items, nil
-	}
-	reduce := func(idx int, items []streamItem) error {
-		for j, it := range items {
-			if err := emit(cs[idx].start+j, it.t, it.aux); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	serial := windowSerial([]*Synthesizer{bs.Synth})
-	return orderedChunks(cfg.workers(), len(cs), func(idx int) bool { return serial(cs[idx].start) }, work, reduce)
-}
-
-// streamItem is one synthesized trace of a stream chunk.
-type streamItem struct {
-	t   trace.Trace
-	aux []byte
-}
-
-// streamGroup is StreamBatched's BlockRunner over one chunk: it
-// synthesizes traces [base, base+l) into items[slot:].
-type streamGroup struct {
-	bs         *BatchStream
-	seed       int64
-	items      []streamItem
-	rngs       []*rand.Rand // per lane
-	base, slot int
-}
-
-func (g *streamGroup) InitLane(lane int, core *pipeline.Core) error {
-	i := g.base + lane
-	g.rngs[lane] = TraceRNG(g.seed, i)
-	aux, err := g.bs.Prepare(i, g.rngs[lane], core)
-	if err != nil {
-		return fmt.Errorf("engine: trace %d: %w", i, err)
-	}
-	g.items[g.slot+lane] = streamItem{aux: aux}
-	return nil
-}
-
-func (g *streamGroup) Block(rows [][]float64, cores []*pipeline.Core) error {
-	for lane := range rows {
-		i, it := g.base+lane, &g.items[g.slot+lane]
-		t, err := g.bs.Acquire(i, g.rngs[lane], rows[lane], cores[lane], it.aux)
-		if err != nil {
-			return fmt.Errorf("engine: trace %d: %w", i, err)
-		}
-		it.t = t
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -571,11 +572,11 @@ func TestRunBatchedVariantWindowBound(t *testing.T) {
 	}
 }
 
-// TestStreamBatchedBitIdenticalToSimulate pins the trace-set producer:
-// auto-mode streams at every lane width must emit the byte sequence of
-// a pure-simulation stream, traces in order, partial final batches
-// included.
-func TestStreamBatchedBitIdenticalToSimulate(t *testing.T) {
+// TestRunBatchedEmitBitIdenticalToSimulate pins the trace-set producer
+// form of RunBatched — no banks, every trace emitted: auto-mode runs at
+// every lane width must emit the byte sequence of a pure-simulation
+// run, traces in order, partial final batches included.
+func TestRunBatchedEmitBitIdenticalToSimulate(t *testing.T) {
 	f := newBatchFixture(0)
 	const n = 107
 	mk := func(mode Mode, lanes int) ([]trace.Trace, [][]byte) {
@@ -583,27 +584,29 @@ func TestStreamBatchedBitIdenticalToSimulate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bs := BatchStream{
-			Synth: synth,
-			Model: &f.m,
-			Lanes: lanes,
-			Prepare: func(i int, rng *rand.Rand, core *pipeline.Core) ([]byte, error) {
+		bg := BatchGen{
+			Variants: []*Synthesizer{synth},
+			Model:    &f.m,
+			Lanes:    lanes,
+			Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *Sample) error {
 				v := rng.Uint32()
 				f.initCore(core, v)
-				return []byte{byte(v)}, nil
+				s.Aux = append(s.Aux[:0], byte(v))
+				return nil
 			},
-			Acquire: func(i int, rng *rand.Rand, cycles []float64, core *pipeline.Core, aux []byte) (trace.Trace, error) {
-				return f.m.ExpandCycles(cycles, rng), nil
+			Acquire: func(i int, rng *rand.Rand, cycles []float64, s *Sample) error {
+				s.Trace = f.m.ExpandCycles(cycles, rng)
+				return nil
 			},
 		}
 		var traces []trace.Trace
 		var auxes [][]byte
-		err = StreamBatched(Config{Workers: 2}, n, 5, bs, func(i int, tr trace.Trace, aux []byte) error {
-			traces = append(traces, append(trace.Trace(nil), tr...))
-			auxes = append(auxes, append([]byte(nil), aux...))
+		spec := Spec{Traces: n, Samples: f.spec.Samples, Seed: 5, Emit: func(i int, tr trace.Trace, aux []byte) error {
+			traces = append(traces, slices.Clone(tr))
+			auxes = append(auxes, slices.Clone(aux))
 			return nil
-		})
-		if err != nil {
+		}}
+		if _, err := RunBatched(Config{Workers: 2}, spec, bg); err != nil {
 			t.Fatal(err)
 		}
 		return traces, auxes
@@ -611,6 +614,9 @@ func TestStreamBatchedBitIdenticalToSimulate(t *testing.T) {
 	refT, refA := mk(ModeSimulate, 0)
 	for _, lanes := range []int{0, 1, 16, 33, 64} {
 		gotT, gotA := mk(ModeAuto, lanes)
+		if len(gotT) != n {
+			t.Fatalf("lanes=%d: emitted %d traces, want %d", lanes, len(gotT), n)
+		}
 		for i := range refT {
 			if len(gotT[i]) != len(refT[i]) {
 				t.Fatalf("lanes=%d trace %d: length %d vs %d", lanes, i, len(gotT[i]), len(refT[i]))
@@ -627,11 +633,58 @@ func TestStreamBatchedBitIdenticalToSimulate(t *testing.T) {
 	}
 }
 
+// TestRunBatchedEmitBesideBanks pins that the sink is a pure observer:
+// a run with both banks and Emit folds bit-identical banks to the same
+// run without Emit, and emits every trace index exactly once, in order,
+// for every worker count and chunk size.
+func TestRunBatchedEmitBesideBanks(t *testing.T) {
+	f := newBatchFixture(150)
+	bg, _ := f.genFused(t, ModeAuto, 0)
+	want, err := RunBatched(Config{Workers: 1}, f.spec, bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3} {
+		for _, chunk := range []int{16, 64} {
+			bg, _ := f.genFused(t, ModeAuto, 0)
+			spec := f.spec
+			next := 0
+			spec.Emit = func(i int, tr trace.Trace, aux []byte) error {
+				if i != next {
+					return fmt.Errorf("emitted trace %d, want %d", i, next)
+				}
+				if len(tr) != spec.Samples {
+					return fmt.Errorf("trace %d has %d samples", i, len(tr))
+				}
+				next++
+				return nil
+			}
+			got, err := RunBatched(Config{Workers: workers, ChunkSize: chunk}, spec, bg)
+			if err != nil {
+				t.Fatalf("workers=%d chunk=%d: %v", workers, chunk, err)
+			}
+			if next != spec.Traces {
+				t.Fatalf("workers=%d chunk=%d: emitted %d traces, want %d", workers, chunk, next, spec.Traces)
+			}
+			if !got[0].(*sca.CPA).Equal(want[0].(*sca.CPA)) {
+				t.Fatalf("workers=%d chunk=%d: banks differ from the run without Emit", workers, chunk)
+			}
+		}
+	}
+}
+
 // TestRunBatchedValidation rejects misconfigured batch generators.
 func TestRunBatchedValidation(t *testing.T) {
 	f := newBatchFixture(10)
 	if _, err := RunBatched(Config{}, f.spec, BatchGen{}); err == nil {
 		t.Error("incomplete generator accepted")
+	}
+	// A run must fold into banks, emit, or both.
+	bgs, _ := f.gen(t, ModeAuto, 0)
+	sinkless := f.spec
+	sinkless.Banks = nil
+	if _, err := RunBatched(Config{}, sinkless, bgs); err == nil {
+		t.Error("spec with neither banks nor Emit accepted")
 	}
 	for _, lanes := range []int{-1, 65} {
 		bg, _ := f.gen(t, ModeAuto, lanes)

@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/power"
 	"repro/internal/sca"
+	"repro/internal/trace"
 )
 
 // DefaultChunkSize is the number of traces a worker synthesizes between
@@ -142,7 +143,8 @@ type Sample struct {
 	Class []int
 	// Aux is caller-owned per-trace storage preserved across recycling
 	// (capacity intact, like Trace) — the batched generators use it to
-	// carry the plaintext from the prepare phase to the verify phase.
+	// carry the plaintext from the prepare phase to the verify phase,
+	// and Spec.Emit receives it beside the trace.
 	Aux []byte
 }
 
@@ -151,7 +153,14 @@ type Sample struct {
 // distinct s, and must not retain s or rng across calls.
 type Generate func(i int, rng *rand.Rand, s *Sample) error
 
-// Spec describes one streaming-CPA run.
+// Emit receives trace i in strict index order on the reducer, with its
+// aux record (Sample.Aux); it typically appends to a file or feeds a
+// statistic. Both slices are recycled once it returns, so it must copy
+// what it keeps. Returning an error aborts the run.
+type Emit func(i int, t trace.Trace, aux []byte) error
+
+// Spec describes one streaming run: the accumulator banks the reducer
+// folds every trace into, and the per-trace sink it emits them to.
 type Spec struct {
 	// Traces is the total number of acquisitions to synthesize.
 	Traces int
@@ -159,7 +168,7 @@ type Spec struct {
 	Samples int
 	// Banks describes the accumulator banks. A single-byte CPA uses one
 	// bank of 256 hypotheses; full-key recovery uses sixteen banks
-	// sharing each trace.
+	// sharing each trace. It may be empty when Emit is set.
 	Banks []Bank
 	// Seed derives every trace's private random stream via TraceRNG.
 	Seed int64
@@ -172,6 +181,10 @@ type Spec struct {
 	// checkpoint order — with the global accumulators after exactly n
 	// traces. The banks must be treated as read-only and not retained.
 	OnCheckpoint func(n int, banks []sca.Accumulator)
+	// Emit, if set, is called from the reducer for every trace in
+	// strict trace order, after the trace's chunk was folded into the
+	// banks — the trace-set producers' (file writers, t-tests) sink.
+	Emit Emit
 }
 
 func (s *Spec) validate() error {
@@ -181,8 +194,8 @@ func (s *Spec) validate() error {
 	if s.Samples < 1 {
 		return fmt.Errorf("engine: need at least 1 sample, got %d", s.Samples)
 	}
-	if len(s.Banks) == 0 {
-		return fmt.Errorf("engine: need at least one accumulator bank")
+	if len(s.Banks) == 0 && s.Emit == nil {
+		return fmt.Errorf("engine: need at least one accumulator bank or an Emit sink")
 	}
 	for b, bank := range s.Banks {
 		if bank.Hyps < 2 {
@@ -304,7 +317,8 @@ func Run(cfg Config, spec Spec, gen Generate) ([]sca.Accumulator, error) {
 
 // runChunked is the shared scheduler body: fill synthesizes the traces
 // of one chunk into a batch buffer on a worker; the reducer accumulates
-// finished buffers in chunk order and recycles them. serial, when
+// finished buffers in chunk order, emits their traces (Spec.Emit) and
+// recycles them. serial, when
 // non-nil, reports whether the chunk starting at the given trace index
 // must run alone (windowSerial).
 func runChunked(cfg Config, spec Spec, serial func(start int) bool, fill func(c chunk, bb *batchBuf) error) ([]sca.Accumulator, error) {
@@ -386,6 +400,13 @@ func runChunked(cfg Config, spec Spec, serial func(start int) bool, fill func(c 
 			}
 			if err != nil {
 				return fmt.Errorf("engine: chunk %d: %w", idx, err)
+			}
+		}
+		if spec.Emit != nil {
+			for j := 0; j < n; j++ {
+				if err := spec.Emit(cs[idx].start+j, bb.traces[j], bb.samples[j].Aux); err != nil {
+					return err
+				}
 			}
 		}
 		merged := cs[idx].end

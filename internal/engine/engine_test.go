@@ -34,25 +34,6 @@ func noisyGen(banks []Bank, samples int) Generate {
 	}
 }
 
-// intGen yields integer-valued traces and hypotheses. Sums of small
-// integers are exact in float64, which makes chunk merging exactly
-// associative — the property TestMergeAssociativityExact pins down.
-func intGen(banks []Bank, samples int) Generate {
-	return func(i int, rng *rand.Rand, s *Sample) error {
-		tr := make([]float64, samples)
-		for j := range tr {
-			tr[j] = float64(rng.Intn(64))
-		}
-		for b, bank := range banks {
-			for k := 0; k < bank.Hyps; k++ {
-				s.Hyps[b][k] = float64(rng.Intn(32))
-			}
-		}
-		s.Trace = tr
-		return nil
-	}
-}
-
 // serialReference feeds the same per-trace data through plain sca.CPA
 // accumulators in index order — the materialize-free equivalent of the
 // pre-engine serial attack loops.
@@ -137,42 +118,6 @@ func TestStreamingMatchesBatchPearson(t *testing.T) {
 				t.Fatalf("hyp %d sample %d: streaming %v vs batch %v", k, sm, got, want)
 			}
 		}
-	}
-}
-
-func TestMergeAssociativityExact(t *testing.T) {
-	spec := Spec{Traces: 40, Samples: 8, Banks: HypothesisBanks(12), Seed: 3}
-	gen := intGen(spec.Banks, spec.Samples)
-	// Four chunk partials over disjoint trace ranges.
-	parts := make([]*sca.CPA, 4)
-	s := &Sample{Hyps: [][]float64{make([]float64, 12)}}
-	for c := range parts {
-		banks, err := newBanks(spec.Banks, spec.Samples)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := c * 10; i < (c+1)*10; i++ {
-			if err := oneTrace(i, spec, gen, s, banks); err != nil {
-				t.Fatal(err)
-			}
-		}
-		parts[c] = banks[0].(*sca.CPA)
-	}
-	merge := func(a, b *sca.CPA) *sca.CPA {
-		c := a.Clone()
-		if err := c.Merge(b); err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	left := merge(merge(merge(parts[0], parts[1]), parts[2]), parts[3])
-	right := merge(parts[0], merge(parts[1], merge(parts[2], parts[3])))
-	balanced := merge(merge(parts[0], parts[1]), merge(parts[2], parts[3]))
-	if !left.Equal(right) || !left.Equal(balanced) {
-		t.Fatal("chunk merge is not associative on integer-exact data")
-	}
-	if left.Count() != spec.Traces {
-		t.Fatalf("merged count %d, want %d", left.Count(), spec.Traces)
 	}
 }
 
@@ -333,24 +278,27 @@ func TestTraceRNGFullSeedSpace(t *testing.T) {
 	}
 }
 
-// indexStream is an auto-mode BatchStream over the batch fixture whose
+// indexGen is an auto-mode batch generator over the batch fixture whose
 // aux record is the trace index and whose trace comes from acquire.
-func indexStream(t *testing.T, acquire func(i int, rng *rand.Rand) (trace.Trace, error)) BatchStream {
+func indexGen(t *testing.T, acquire func(i int, rng *rand.Rand) (trace.Trace, error)) BatchGen {
 	t.Helper()
 	f := newBatchFixture(0)
 	synth, err := NewSynthesizer(ModeAuto, f.cfg, f.prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return BatchStream{
-		Synth: synth,
-		Model: &f.m,
-		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core) ([]byte, error) {
+	return BatchGen{
+		Variants: []*Synthesizer{synth},
+		Model:    &f.m,
+		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *Sample) error {
 			f.initCore(core, uint32(i))
-			return []byte{byte(i)}, nil
+			s.Aux = append(s.Aux[:0], byte(i))
+			return nil
 		},
-		Acquire: func(i int, rng *rand.Rand, _ []float64, _ *pipeline.Core, _ []byte) (trace.Trace, error) {
-			return acquire(i, rng)
+		Acquire: func(i int, rng *rand.Rand, _ []float64, s *Sample) error {
+			tr, err := acquire(i, rng)
+			s.Trace = tr
+			return err
 		},
 	}
 }
@@ -358,19 +306,18 @@ func indexStream(t *testing.T, acquire func(i int, rng *rand.Rand) (trace.Trace,
 func TestStreamOrderedEmit(t *testing.T) {
 	var got []int
 	var vals []float64
-	bs := indexStream(t, func(i int, rng *rand.Rand) (trace.Trace, error) {
+	bg := indexGen(t, func(i int, rng *rand.Rand) (trace.Trace, error) {
 		return trace.Trace{float64(i), rng.Float64()}, nil
 	})
-	err := StreamBatched(Config{Workers: 5, ChunkSize: 3}, 43, 2, bs,
-		func(i int, tr trace.Trace, aux []byte) error {
-			got = append(got, i)
-			vals = append(vals, tr[0])
-			if aux[0] != byte(i) {
-				return fmt.Errorf("aux mismatch at %d", i)
-			}
-			return nil
-		})
-	if err != nil {
+	spec := Spec{Traces: 43, Samples: 2, Seed: 2, Emit: func(i int, tr trace.Trace, aux []byte) error {
+		got = append(got, i)
+		vals = append(vals, tr[0])
+		if aux[0] != byte(i) {
+			return fmt.Errorf("aux mismatch at %d", i)
+		}
+		return nil
+	}}
+	if _, err := RunBatched(Config{Workers: 5, ChunkSize: 3}, spec, bg); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 43 {
@@ -385,29 +332,27 @@ func TestStreamOrderedEmit(t *testing.T) {
 
 func TestStreamPropagatesErrors(t *testing.T) {
 	boom := errors.New("acquire failed")
-	bs := indexStream(t, func(i int, rng *rand.Rand) (trace.Trace, error) {
+	bg := indexGen(t, func(i int, rng *rand.Rand) (trace.Trace, error) {
 		if i == 7 {
 			return nil, boom
 		}
 		return trace.Trace{0}, nil
 	})
-	err := StreamBatched(Config{Workers: 2}, 10, 1, bs,
-		func(i int, tr trace.Trace, aux []byte) error { return nil })
-	if !errors.Is(err, boom) {
+	spec := Spec{Traces: 10, Samples: 1, Seed: 1, Emit: func(int, trace.Trace, []byte) error { return nil }}
+	if _, err := RunBatched(Config{Workers: 2}, spec, bg); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want acquire error", err)
 	}
 	emitErr := errors.New("emit failed")
-	bs = indexStream(t, func(i int, rng *rand.Rand) (trace.Trace, error) {
+	bg = indexGen(t, func(i int, rng *rand.Rand) (trace.Trace, error) {
 		return trace.Trace{0}, nil
 	})
-	err = StreamBatched(Config{Workers: 2}, 10, 1, bs,
-		func(i int, tr trace.Trace, aux []byte) error {
-			if i == 4 {
-				return emitErr
-			}
-			return nil
-		})
-	if !errors.Is(err, emitErr) {
+	spec.Emit = func(i int, tr trace.Trace, aux []byte) error {
+		if i == 4 {
+			return emitErr
+		}
+		return nil
+	}
+	if _, err := RunBatched(Config{Workers: 2}, spec, bg); !errors.Is(err, emitErr) {
 		t.Fatalf("err = %v, want emit error", err)
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"sync/atomic"
 )
 
-// orderedChunks is the scheduler shared by the engine drivers: a pool
-// of workers maps work over the chunk indexes [0, n) while the caller's
+// orderedChunks is the scheduler under runChunked: a pool of workers
+// maps work over the chunk indexes [0, n) while the caller's
 // reduce consumes the results in strictly ascending index order.
 //
 // Dispatch is windowed: at most workers+2 chunks may be in flight

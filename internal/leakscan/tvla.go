@@ -29,18 +29,23 @@ type TVLAResult struct {
 const TVLAThreshold = 4.5
 
 // RunTVLA performs a fixed-vs-random t-test on one Table 2 benchmark:
-// group 0 re-runs the sequence with one fixed operand draw, group 1 with
-// fresh random draws, and the per-sample Welch t statistic flags any
-// data-dependent consumption without assuming a power model.
+// group 0 (even trace indices) re-runs the sequence with one fixed
+// operand draw, group 1 (odd indices) with fresh random draws, and the
+// per-sample Welch t statistic flags any data-dependent consumption
+// without assuming a power model. The trace count must be even, so the
+// two groups are equal.
 //
 // Traces are synthesized through the engine's batched replay path; the
 // group-1 operand draws and all measurement noise come from each
 // trace's private stream, and the Welch accumulation happens on the
-// ordered reducer — so the t statistics are bit-identical for any
-// worker count, lane width and synthesis mode.
+// ordered reducer (Spec.Emit) — so the t statistics are bit-identical
+// for any worker count, lane width and synthesis mode.
 func RunTVLA(b *Benchmark, opt Options) (*TVLAResult, error) {
 	if opt.Traces < 8 {
 		return nil, fmt.Errorf("leakscan: need at least 8 traces, got %d", opt.Traces)
+	}
+	if opt.Traces%2 != 0 {
+		return nil, fmt.Errorf("leakscan: TVLA needs an even trace count for two equal groups, got %d", opt.Traces)
 	}
 	if err := opt.Model.Validate(); err != nil {
 		return nil, err
@@ -68,38 +73,27 @@ func RunTVLA(b *Benchmark, opt Options) (*TVLAResult, error) {
 	// Group 0 (even indices) replays one fixed operand draw; group 1
 	// draws fresh operands from the trace's private stream.
 	fixedSeed := opt.Seed ^ 0x0f1ced
-	setup := func(i int, rng *rand.Rand, core *pipeline.Core) {
-		if i&1 == 0 {
-			b.Setup(rand.New(rand.NewSource(fixedSeed)), core)
-		} else {
-			b.Setup(rng, core)
-		}
-	}
 	w := sca.NewWelch(nSamples)
-	emit := func(i int, tr trace.Trace, _ []byte) error {
-		if len(tr) != nSamples {
-			return fmt.Errorf("leakscan: %s: trace length changed across runs (%d vs %d)",
-				b.Name, len(tr), nSamples)
-		}
-		return w.Add(i&1, tr)
-	}
-	err = engine.StreamBatched(
+	_, err = engine.RunBatched(
 		engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate},
-		opt.Traces, opt.Seed,
-		engine.BatchStream{
-			Synth: synth,
-			Model: &opt.Model,
-			Lanes: opt.Lanes,
-			Prepare: func(i int, rng *rand.Rand, core *pipeline.Core) ([]byte, error) {
-				setup(i, rng, core)
-				return nil, nil
-			},
-			Acquire: func(i int, rng *rand.Rand, cycles []float64, core *pipeline.Core, aux []byte) (trace.Trace, error) {
-				tr, _ := opt.Model.AveragedCyclesInto(nil, nil, cycles, rng, opt.Averages)
-				return tr, nil
-			},
+		engine.Spec{
+			Traces: opt.Traces, Samples: nSamples, Seed: opt.Seed,
+			Emit: func(i int, tr trace.Trace, _ []byte) error { return w.Add(i&1, tr) },
 		},
-		emit)
+		engine.BatchGen{
+			Variants: []*engine.Synthesizer{synth},
+			Model:    &opt.Model,
+			Lanes:    opt.Lanes,
+			Averages: max(opt.Averages, 1),
+			Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, _ *engine.Sample) error {
+				ops := rng
+				if i&1 == 0 {
+					ops = rand.New(rand.NewSource(fixedSeed))
+				}
+				b.Setup(ops, core)
+				return nil
+			},
+		})
 	if err != nil {
 		return nil, err
 	}

@@ -60,7 +60,7 @@ func MustNewCPA(nHyp, samples int) *CPA {
 // (len(hyp) == hypotheses, len(t) == samples). Accumulation order is
 // the determinism contract of the whole analysis chain: adding the same
 // traces in the same order always produces bit-identical sums, and
-// AddBatch and Merge are defined relative to this serial reference.
+// AddBatch is defined relative to this serial reference.
 func (c *CPA) Add(t []float64, hyp []float64) error {
 	if len(t) != c.samples {
 		return fmt.Errorf("sca: trace has %d samples, want %d", len(t), c.samples)
@@ -180,32 +180,6 @@ func (c *CPA) MeanTrace() []float64 {
 		out[s] = v / n
 	}
 	return out
-}
-
-// Merge folds the accumulated sums of o into c, as if every trace added
-// to o had been added to c after c's own traces. It is the reduction step
-// of chunked streaming CPA: partial accumulators built over disjoint
-// trace subsets merge into the whole-set accumulator. Merging partials in
-// a fixed order yields bit-identical sums regardless of how the chunks
-// were scheduled across workers.
-func (c *CPA) Merge(o *CPA) error {
-	if o.nHyp != c.nHyp || o.samples != c.samples {
-		return fmt.Errorf("sca: merge dimension mismatch %dx%d vs %dx%d",
-			o.nHyp, o.samples, c.nHyp, c.samples)
-	}
-	for k := range c.sumH {
-		c.sumH[k] += o.sumH[k]
-		c.sumHH[k] += o.sumHH[k]
-	}
-	for s := range c.sumT {
-		c.sumT[s] += o.sumT[s]
-		c.sumTT[s] += o.sumTT[s]
-	}
-	for i := range c.sumHT {
-		c.sumHT[i] += o.sumHT[i]
-	}
-	c.count += o.count
-	return nil
 }
 
 // Reset clears the accumulator for reuse.

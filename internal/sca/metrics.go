@@ -6,88 +6,6 @@ import (
 	"math"
 )
 
-// SecondOrderCPA is a second-order correlation attack engine: it
-// preprocesses each trace with the centered product of two sample
-// windows before correlating, the standard technique against first-order
-// masked implementations whose two shares leak at different times.
-// Memory is O(hypotheses × |window1| × |window2|).
-type SecondOrderCPA struct {
-	inner    *CPA
-	w1a, w1b int // window 1: [w1a, w1b)
-	w2a, w2b int // window 2: [w2a, w2b)
-
-	// Running means for centering, via Welford.
-	count int
-	mean  []float64
-	raw   [][]float64 // buffered traces (centering needs the final means)
-	hyps  [][]float64
-}
-
-// NewSecondOrderCPA builds an engine combining samples of [w1a,w1b) with
-// samples of [w2a,w2b).
-func NewSecondOrderCPA(nHyp, samples, w1a, w1b, w2a, w2b int) (*SecondOrderCPA, error) {
-	switch {
-	case w1a < 0 || w1b > samples || w1a >= w1b:
-		return nil, fmt.Errorf("sca: bad window 1 [%d,%d)", w1a, w1b)
-	case w2a < 0 || w2b > samples || w2a >= w2b:
-		return nil, fmt.Errorf("sca: bad window 2 [%d,%d)", w2a, w2b)
-	}
-	combined := (w1b - w1a) * (w2b - w2a)
-	inner, err := NewCPA(nHyp, combined)
-	if err != nil {
-		return nil, err
-	}
-	return &SecondOrderCPA{
-		inner: inner,
-		w1a:   w1a, w1b: w1b, w2a: w2a, w2b: w2b,
-		mean: make([]float64, samples),
-	}, nil
-}
-
-// Add buffers one trace with its per-hypothesis predictions. The centered
-// products are computed at Result time, once the sample means are final.
-func (s *SecondOrderCPA) Add(t []float64, hyp []float64) error {
-	if len(t) != len(s.mean) {
-		return fmt.Errorf("sca: trace has %d samples, want %d", len(t), len(s.mean))
-	}
-	s.count++
-	n := float64(s.count)
-	for i, v := range t {
-		s.mean[i] += (v - s.mean[i]) / n
-	}
-	tc := make([]float64, len(t))
-	copy(tc, t)
-	hc := make([]float64, len(hyp))
-	copy(hc, hyp)
-	s.raw = append(s.raw, tc)
-	s.hyps = append(s.hyps, hc)
-	return nil
-}
-
-// Result runs the centered-product correlation and returns the attack
-// summary over the combined sample space.
-func (s *SecondOrderCPA) Result() (*Attack, error) {
-	if s.count < 2 {
-		return nil, ErrNoTraces
-	}
-	prod := make([]float64, (s.w1b-s.w1a)*(s.w2b-s.w2a))
-	for i, t := range s.raw {
-		k := 0
-		for a := s.w1a; a < s.w1b; a++ {
-			ca := t[a] - s.mean[a]
-			for b := s.w2a; b < s.w2b; b++ {
-				prod[k] = ca * (t[b] - s.mean[b])
-				k++
-			}
-		}
-		if err := s.inner.Add(prod, s.hyps[i]); err != nil {
-			return nil, err
-		}
-	}
-	s.raw, s.hyps = nil, nil
-	return s.inner.Result(), nil
-}
-
 // RankCurve tracks how a hypothesis's rank evolves with the number of
 // traces — the standard way to report attack efficiency.
 type RankCurve struct {

@@ -2,78 +2,8 @@ package sca
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
-
-func TestSecondOrderCPABreaksMasking(t *testing.T) {
-	// Synthetic first-order-masked target: secret s = m ^ (s^m); the
-	// trace leaks HW(m) at sample 2 and HW(s^m) at sample 6 — no single
-	// sample depends on s, but the centered product of the two does.
-	sbox := [16]uint8{0xC, 0x5, 0x6, 0xB, 0x9, 0x0, 0xA, 0xD, 0x3, 0xE, 0xF, 0x8, 0x4, 0x7, 0x1, 0x2}
-	const trueKey = 9
-	const samples = 8
-	rng := rand.New(rand.NewSource(21))
-
-	first := MustNewCPA(16, samples)
-	second, err := NewSecondOrderCPA(16, samples, 1, 4, 5, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4000; i++ {
-		d := uint8(rng.Intn(16))
-		s := sbox[(d^trueKey)&0xF]
-		m := uint8(rng.Intn(16))
-		tr := make([]float64, samples)
-		for j := range tr {
-			tr[j] = 0.3 * rng.NormFloat64()
-		}
-		tr[2] += float64(HW8(m))
-		tr[6] += float64(HW8(s ^ m))
-		hyp := make([]float64, 16)
-		for k := range hyp {
-			hyp[k] = float64(HW8(sbox[(d^uint8(k))&0xF]))
-		}
-		if err := first.Add(tr, hyp); err != nil {
-			t.Fatal(err)
-		}
-		if err := second.Add(tr, hyp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// First-order CPA must fail against the masking.
-	a1 := first.Result()
-	if best, _ := a1.Best(); best == trueKey && math.Abs(a1.Peaks[trueKey]) > 0.15 {
-		t.Errorf("first-order CPA should not see through the masking (peak %v)", a1.Peaks[trueKey])
-	}
-	// Second-order CPA must recover the key.
-	a2, err := second.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best, corr := a2.Best(); best != trueKey {
-		t.Fatalf("second-order CPA recovered %d, want %d (corr %v)", best, trueKey, corr)
-	}
-}
-
-func TestSecondOrderCPAValidation(t *testing.T) {
-	if _, err := NewSecondOrderCPA(4, 8, 5, 4, 0, 2); err == nil {
-		t.Error("inverted window must be rejected")
-	}
-	if _, err := NewSecondOrderCPA(4, 8, 0, 2, 6, 9); err == nil {
-		t.Error("out-of-range window must be rejected")
-	}
-	s, err := NewSecondOrderCPA(4, 8, 0, 2, 4, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(make([]float64, 7), make([]float64, 4)); err == nil {
-		t.Error("short trace must be rejected")
-	}
-	if _, err := s.Result(); err == nil {
-		t.Error("empty result must error")
-	}
-}
 
 func TestRankCurveFirstSuccess(t *testing.T) {
 	rc := &RankCurve{TraceCounts: []int{10, 20, 30, 40}, Ranks: []int{12, 0, 0, 0}}

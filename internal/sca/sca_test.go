@@ -300,3 +300,21 @@ func TestAttackMarginOrdering(t *testing.T) {
 		t.Errorf("noise hypothesis ranked %d, want 2", a.RankOf(2))
 	}
 }
+
+func TestCPACloneAndReset(t *testing.T) {
+	c := MustNewCPA(2, 2)
+	if err := c.Add([]float64{1, 2}, []float64{3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	d := c.Clone()
+	if !d.Equal(c) {
+		t.Fatal("clone differs")
+	}
+	c.Reset()
+	if c.Count() != 0 || d.Equal(c) {
+		t.Fatal("reset did not clear the accumulator")
+	}
+	if !d.Equal(d.Clone()) {
+		t.Fatal("clone of clone differs")
+	}
+}

@@ -1,7 +1,6 @@
-// Package scacli implements the target-generic CPA command line shared
-// by cmd/scacpa and its AES-flavored alias cmd/aescpa: the §5
-// bare-metal attack (fig3 workload) against any registered cipher
-// target, the AES-specific loaded-Linux attack (fig4), and the
+// Package scacli implements cmd/scacpa's target-generic CPA command
+// line: the §5 bare-metal attack (fig3 workload) against any registered
+// cipher target, the AES-specific loaded-Linux attack (fig4), and the
 // full-key and rank-evolution workloads built on the fig3 model.
 package scacli
 
@@ -19,10 +18,10 @@ import (
 	"repro/internal/target"
 )
 
-// Main parses argv and runs the selected workloads; tool names the
-// invoked binary ("scacpa", or "aescpa" for the AES alias, which does
-// not register -target). It returns the process exit code.
-func Main(tool string, argv []string, stdout, stderr io.Writer) int {
+// Main parses argv and runs the selected workloads. It returns the
+// process exit code.
+func Main(argv []string, stdout, stderr io.Writer) int {
+	const tool = "scacpa"
 	fs := flag.NewFlagSet(tool, flag.ContinueOnError)
 	fs.SetOutput(stderr)
 
@@ -31,14 +30,8 @@ func Main(tool string, argv []string, stdout, stderr io.Writer) int {
 	ef.RegisterSeed(fs, 1)
 	ef.RegisterReplay(fs)
 	var tf cliutil.TargetFlags
-	if tool != "aescpa" {
-		tf.RegisterTarget(fs)
-	}
+	tf.RegisterTarget(fs)
 	tf.RegisterFigure(fs, `workloads, comma-separated: fig3, fig4 (aes only), fullkey, rankevo ("": fig3,fig4 for aes, fig3 otherwise)`)
-	// Deprecation shims: the historical aescpa spellings keep working
-	// and are additive to -figure.
-	fig3 := fs.Bool("fig3", false, "deprecated: use -figure fig3")
-	fig4 := fs.Bool("fig4", false, "deprecated: use -figure fig4")
 	traces := fs.Int("traces", 0, "acquisitions (0: per-workload default)")
 	keyByte := fs.Int("keybyte", -1, "attacked key byte (-1: per-workload default)")
 	rounds := fs.Int("rounds", 0, "simulated cipher rounds (0: target default)")
@@ -62,7 +55,7 @@ func Main(tool string, argv []string, stdout, stderr io.Writer) int {
 	}
 	name := target.Resolve(tf.Target)
 
-	figures, err := parseFigures(tf.Figure, *fig3, *fig4, name)
+	figures, err := parseFigures(tf.Figure, name)
 	if err != nil {
 		return fail(err.Error())
 	}
@@ -196,9 +189,9 @@ func Main(tool string, argv []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// parseFigures resolves the -figure list plus the deprecated -fig3 and
-// -fig4 shims into the ordered workload list.
-func parseFigures(figure string, fig3, fig4 bool, name string) ([]string, error) {
+// parseFigures resolves the -figure list into the ordered workload
+// list.
+func parseFigures(figure, name string) ([]string, error) {
 	var figs []string
 	seen := map[string]bool{}
 	add := func(f string) error {
@@ -221,16 +214,6 @@ func parseFigures(figure string, fig3, fig4 bool, name string) ([]string, error)
 			if err := add(strings.TrimSpace(f)); err != nil {
 				return nil, err
 			}
-		}
-	}
-	if fig3 {
-		if err := add(attack.FigureFig3); err != nil {
-			return nil, err
-		}
-	}
-	if fig4 {
-		if err := add(attack.FigureFig4); err != nil {
-			return nil, err
 		}
 	}
 	if len(figs) == 0 {
