@@ -28,6 +28,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/power"
 	"repro/internal/sca"
@@ -49,7 +50,7 @@ type Config struct {
 	ChunkSize int
 	// Ctx, when non-nil, cancels the run: workers observe it between
 	// chunks, so a run aborts within one chunk's worth of synthesis and
-	// Run returns the context's error. Cancellation never corrupts
+	// RunBatched returns the context's error. Cancellation never corrupts
 	// results — a canceled run returns no accumulators at all.
 	Ctx context.Context
 	// Gate, when non-nil, bounds chunk-synthesis concurrency across
@@ -88,8 +89,8 @@ type Bank struct {
 	// accumulation (sca.ClassCPA): Classes[p] is the hypothesis
 	// prediction vector shared by every trace whose model input falls
 	// in class p — for the Figure 3 model, p is the attacked plaintext
-	// byte and Classes[p][k] = HW(SubBytes(p^k)). Generate then reports
-	// each trace's class through Sample.Class[bank] instead of filling
+	// byte and Classes[p][k] = HW(SubBytes(p^k)). The trace's synthesis
+	// then reports its class through Sample.Class[bank] instead of filling
 	// Sample.Hyps[bank]. All rows must have length Hyps.
 	Classes [][]float64
 	// Order2, when non-nil on a class bank, switches it to second-order
@@ -122,17 +123,18 @@ func HypothesisBanks(hyps ...int) []Bank {
 	return out
 }
 
-// Sample is one synthesized acquisition handed from a Generate callback
-// to the accumulators: the power trace plus, per bank, either the
-// per-hypothesis leakage predictions or the trace's model-input class.
-// The engine owns the Hyps buffers (sized from Spec.Banks); Generate
-// assigns Trace and, for class banks, Class.
+// Sample is one synthesized acquisition handed from a trace's synthesis
+// (BatchGen.Prepare and the fused expansion) to the accumulators: the
+// power trace plus, per bank, either the per-hypothesis leakage
+// predictions or the trace's model-input class. The engine owns the
+// Hyps buffers (sized from Spec.Banks); the synthesis assigns Trace
+// and, for class banks, Class.
 type Sample struct {
 	// Trace is the synthesized power trace; its length must equal
 	// Spec.Samples. The engine hands it back truncated to length zero
-	// with its previous capacity intact, so Generate may synthesize
-	// allocation-free into the recycled storage (e.g. via
-	// power.Model.SynthesizeInto) — or simply assign a fresh slice.
+	// with its previous capacity intact, so the synthesis may write
+	// allocation-free into the recycled storage — or simply assign a
+	// fresh slice.
 	Trace []float64
 	// Hyps holds one prediction vector per classic bank: Hyps[b][k] is
 	// the hypothesized leakage of hypothesis k in bank b. Class banks
@@ -147,11 +149,6 @@ type Sample struct {
 	// and Spec.Emit receives it beside the trace.
 	Aux []byte
 }
-
-// Generate synthesizes trace i into s using the trace's private rng.
-// It is called concurrently from multiple workers with distinct i and
-// distinct s, and must not retain s or rng across calls.
-type Generate func(i int, rng *rand.Rand, s *Sample) error
 
 // Emit receives trace i in strict index order on the reducer, with its
 // aux record (Sample.Aux); it typically appends to a file or feeds a
@@ -290,31 +287,6 @@ func newBanks(banks []Bank, samples int) ([]sca.Accumulator, error) {
 	return out, nil
 }
 
-// Run executes the streaming CPA described by spec: gen synthesizes each
-// trace on some worker and the reducer folds finished chunks into the
-// global accumulator banks in chunk order. It returns the banks after
-// all traces. Every workload synthesizes through RunBatched; Run is the
-// per-trace reference driver the tests compare RunBatched against,
-// generating each trace with one plain call.
-func Run(cfg Config, spec Spec, gen Generate) ([]sca.Accumulator, error) {
-	fill := func(c chunk, bb *batchBuf) error {
-		for j := 0; j < c.end-c.start; j++ {
-			i := c.start + j
-			s := &bb.samples[j]
-			s.Trace = s.Trace[:0]
-			reseedTraceRNG(bb.rngs[j], spec.Seed, i)
-			if err := gen(i, bb.rngs[j], s); err != nil {
-				return fmt.Errorf("engine: trace %d: %w", i, err)
-			}
-			if err := bb.record(&spec, j, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return runChunked(cfg, spec, nil, fill)
-}
-
 // runChunked is the shared scheduler body: fill synthesizes the traces
 // of one chunk into a batch buffer on a worker; the reducer accumulates
 // finished buffers in chunk order, emits their traces (Spec.Emit) and
@@ -338,6 +310,7 @@ func runChunked(cfg Config, spec Spec, serial func(start int) bool, fill func(c 
 		}
 	}
 	batches := sync.Pool{New: func() any {
+		poolRefills.batch.Add(1)
 		bb := &batchBuf{
 			samples: make([]Sample, chunkCap),
 			traces:  make([][]float64, chunkCap),
@@ -429,8 +402,15 @@ func runChunked(cfg Config, spec Spec, serial func(start int) bool, fill func(c 
 	return global, nil
 }
 
-// record validates trace j of a chunk after its Generate/batch phase
-// and files its trace, hypothesis and class views for the reducer.
+// poolRefills counts the New calls of the engine's buffer pools: the
+// per-run chunk buffers and the synthesizers' lane scratch. A refill
+// allocates a whole buffer, so the allocation tests use the counts to
+// tell refills apart from steady-state allocations (the race detector
+// makes sync.Pool drop items at random).
+var poolRefills struct{ batch, scratch atomic.Int64 }
+
+// record validates trace j of a chunk after its synthesis and files
+// its trace, hypothesis and class views for the reducer.
 func (bb *batchBuf) record(spec *Spec, j, traceIdx int) error {
 	s := &bb.samples[j]
 	if len(s.Trace) != spec.Samples {

@@ -121,6 +121,7 @@ func NewSynthesizer(mode Mode, cfg pipeline.Config, prog *isa.Program) (*Synthes
 	}
 	s := &Synthesizer{mode: mode, cfg: cfg, prog: prog}
 	s.pool.New = func() any {
+		poolRefills.scratch.Add(1)
 		aux := pipeline.MustNew(cfg, nil)
 		aux.SetReuseBuffers(true)
 		return &batchScratch{aux: []*pipeline.Core{aux}}

@@ -4,9 +4,8 @@
 // The engine gives every trace a private SplitMix64 stream and draws its
 // Gaussian measurement noise through rand.Rand.NormFloat64. That wrapper
 // costs two interface calls per draw (Source64 dispatch for the ziggurat
-// index and again for each rejection uniform), which dominates fused
-// power expansion once everything else is batched. Fill inlines the
-// whole chain — SplitMix64 step, ziggurat lookup, rejection handling —
+// index and again for each rejection uniform). Norm inlines the whole
+// chain — SplitMix64 step, ziggurat lookup, rejection handling —
 // against the bare 64-bit state, drawing exactly the values the wrapper
 // would:
 //
@@ -17,11 +16,25 @@
 //   - NormFloat64 is the 128-strip ziggurat below, including the
 //     base-strip exponential tail and the float32 wedge test.
 //
-// One Fill(dst, &state) therefore advances the state exactly as
-// len(dst) successive NormFloat64 calls on a rand.Rand wrapping the same
-// state would, producing bit-identical float64s — the property the
-// engine's golden campaign results rest on, asserted draw-for-draw by
-// the equivalence tests in internal/engine.
+// Fill is len(dst) successive Norm calls. Where AVX-512 is available it
+// runs them as a windowed sampler. SplitMix64 is counter-based: the
+// draw k steps after state s mixes s + k·γ, independently of every
+// other draw. So a vector kernel computes, for a window of up to
+// windowLen positions at once, each position's fast-strip value
+// float64(j)·wn[j&0x7f] and whether it hits (|j| < kn[j&0x7f]), eight
+// positions per ZMM register and with no exits. A Go walker then
+// copies each run of hits into dst. At a miss (the wedge or the
+// base-strip tail, 2.7% of draws) it calls Norm itself from the state
+// before that position, s + p·γ, and resumes at the position Norm
+// stopped at, (state − s)·γ⁻¹. The precomputed positions after a miss
+// depend only on their own counter, so they stay valid. Every value in
+// dst is therefore either the fast-strip value Norm would have returned
+// at that state or Norm's own result, and the final state is where
+// Norm would have left it: the windowed Fill equals the scalar loop bit
+// for bit by construction. The package tests pin the kernel against a
+// Go twin and Fill against Norm; the engine's equivalence tests pin
+// Norm against math/rand draw for draw, the property the golden
+// campaign results rest on.
 package znorm
 
 import "math"
@@ -29,10 +42,21 @@ import "math"
 // rn is the start of the ziggurat's right tail (math/rand's rn).
 const rn = 3.442619855899
 
+// gamma is the SplitMix64 increment; gammaInv is its inverse modulo
+// 2^64, which turns a state distance back into a draw count.
+const (
+	gamma    = 0x9E3779B97F4A7C15
+	gammaInv = 0xF1DE83E19937733D
+)
+
 // next is the SplitMix64 step: engine.splitMixSource.Uint64.
 func next(state *uint64) uint64 {
-	*state += 0x9E3779B97F4A7C15
-	x := *state
+	*state += gamma
+	return mix(*state)
+}
+
+// mix is the SplitMix64 output function of an advanced state.
+func mix(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
 	return x ^ (x >> 31)
@@ -64,7 +88,7 @@ func Norm(state *uint64) float64 {
 		i := j & 0x7F
 		x := float64(j) * float64(wn[i])
 		if absInt32(j) < kn[i] {
-			// Hit better than 99% of the time.
+			// The fast strip: 97.3% of draws hit.
 			return x
 		}
 		if i == 0 {
@@ -88,8 +112,20 @@ func Norm(state *uint64) float64 {
 }
 
 // Fill draws len(dst) consecutive standard normals from the stream —
-// the bulk form the fused expansion path consumes.
+// the bulk form the fused expansion path consumes. It advances the
+// state and fills dst exactly as len(dst) successive Norm calls would;
+// with AVX-512 it runs the windowed sampler (see the package doc).
 func Fill(dst []float64, state *uint64) {
+	if useWindowKernel {
+		fillWindowed(dst, state)
+		return
+	}
+	fillScalar(dst, state)
+}
+
+// fillScalar is Fill as a plain loop over Norm: the reference the
+// windowed sampler reproduces, and the portable path.
+func fillScalar(dst []float64, state *uint64) {
 	for i := range dst {
 		dst[i] = Norm(state)
 	}
