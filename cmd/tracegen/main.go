@@ -165,6 +165,8 @@ func main() {
 			Variants: []*engine.Synthesizer{synth},
 			Model:    &model,
 			Lanes:    ef.Lanes,
+			Averages: *avg,
+			Env:      env,
 			Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *engine.Sample) error {
 				s.Aux = slices.Grow(s.Aux[:0], bs)[:bs]
 				rng.Read(s.Aux)
@@ -173,10 +175,6 @@ func main() {
 			},
 			Verify: func(i int, core *pipeline.Core, s *engine.Sample) error {
 				return inst.VerifyOutput(core.Mem(), s.Aux)
-			},
-			Acquire: func(i int, rng *rand.Rand, cycles []float64, s *engine.Sample) error {
-				s.Trace = env.AcquireCycles(cycles, &model, rng, *avg)
-				return nil
 			},
 		})
 	}

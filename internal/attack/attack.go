@@ -272,6 +272,8 @@ func RunFigure4(key [aes.KeySize]byte, opt Fig4Options) (*Fig4Result, error) {
 			Variants: []*engine.Synthesizer{synth},
 			Model:    &opt.Model,
 			Lanes:    opt.Lanes,
+			Averages: max(opt.Averages, 1),
+			Env:      opt.Env,
 			Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *engine.Sample) error {
 				var pt [aes.BlockSize]byte
 				rng.Read(pt[:])
@@ -285,14 +287,6 @@ func RunFigure4(key [aes.KeySize]byte, opt Fig4Options) (*Fig4Result, error) {
 				copy(pt[:], s.Aux)
 				_, err := tgt.VerifyOutput(core.Mem(), pt)
 				return err
-			},
-			Acquire: func(i int, rng *rand.Rand, cycles []float64, s *engine.Sample) error {
-				tr := opt.Env.AcquireCycles(cycles, &opt.Model, rng, opt.Averages)
-				if len(tr) != nSamples {
-					tr = tr.Resize(nSamples)
-				}
-				s.Trace = tr
-				return nil
 			},
 		})
 	if err != nil {

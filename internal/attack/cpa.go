@@ -78,16 +78,27 @@ func newCPASetup(name string, key []byte, opt Fig3Options) (*cpaSetup, error) {
 // accumulator, applying the target's attack window: the peak search is
 // restricted to the calibrated round-1 region(s) the window names, and
 // hypotheses are ordered by signed correlation when the target's model
-// is complement-ambiguous. The zero window — AES — takes exactly the
-// pre-registry acc.Result() path, so every committed AES artifact
-// keeps its bytes.
+// is complement-ambiguous. A class bank without a window — AES — ranks
+// over the whole trace by magnitude, which is exactly acc.Result(), so
+// every committed AES artifact keeps its bytes.
 func (s *cpaSetup) rank(b int, acc sca.Accumulator) *sca.Attack {
-	w := s.inst.AttackWindow(b)
 	cc, ok := acc.(*sca.ClassCPA)
-	if w == (target.Window{}) || !ok {
+	if !ok {
 		return acc.Result()
 	}
-	lo, hi := -1, -1
+	lo, hi, signed := s.window(b)
+	return cc.ResultIn(lo, hi, signed)
+}
+
+// window returns attacked byte b's sample window [lo,hi) and ranking
+// sign; (0, 0, false) — the whole trace by magnitude — when the target
+// names no window or no calibrated region matches it.
+func (s *cpaSetup) window(b int) (lo, hi int, signed bool) {
+	w := s.inst.AttackWindow(b)
+	if w == (target.Window{}) {
+		return 0, 0, false
+	}
+	lo, hi = -1, -1
 	for _, reg := range s.regions {
 		if reg.Round != 1 || !strings.HasPrefix(reg.Name, w.Region) {
 			continue
@@ -100,7 +111,7 @@ func (s *cpaSetup) rank(b int, acc sca.Accumulator) *sca.Attack {
 		}
 	}
 	if lo < 0 {
-		return acc.Result()
+		return 0, 0, false
 	}
 	if w.Delay > 0 {
 		// Shift the issue-cycle span Delay cycles downstream, keeping its
@@ -109,7 +120,7 @@ func (s *cpaSetup) rank(b int, acc sca.Accumulator) *sca.Attack {
 		lo += w.Delay * s.spc
 		hi += (w.Delay - 1) * s.spc
 	}
-	return cc.ResultIn(lo, hi, w.Signed)
+	return lo, hi, w.Signed
 }
 
 // classBanks returns one conditional-sum bank per attacked byte in

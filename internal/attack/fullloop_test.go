@@ -2,7 +2,9 @@ package attack
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -20,10 +22,11 @@ import (
 )
 
 // captureSet acquires n traces through the real measurement chain — the
-// same synthesis, batching and rng discipline as cmd/tracegen — and
-// returns them three ways: in memory, as plaintext aux records, and as
-// the serialized trace-set wire format.
-func captureSet(t *testing.T, n, workers, lanes int, key [aes.KeySize]byte) ([]trace.Trace, [][]byte, []byte) {
+// same synthesis, batching and rng discipline as cmd/tracegen, at
+// avg-fold averaging under env — and returns them three ways: in
+// memory, as plaintext aux records, and as the serialized trace-set
+// wire format.
+func captureSet(t *testing.T, n, workers, lanes int, key [aes.KeySize]byte, env osnoise.Environment, avg int) ([]trace.Trace, [][]byte, []byte) {
 	t.Helper()
 	tgt, err := aes.NewTarget(pipeline.DefaultConfig(), key, aes.ProgramOptions{Rounds: 1, PadNops: 8})
 	if err != nil {
@@ -34,8 +37,6 @@ func captureSet(t *testing.T, n, workers, lanes int, key [aes.KeySize]byte) ([]t
 		t.Fatal(err)
 	}
 	model := power.DefaultModel()
-	env := osnoise.Quiet()
-	const avg = 2
 
 	cal, _, err := tgt.Run([aes.BlockSize]byte{})
 	if err != nil {
@@ -61,6 +62,8 @@ func captureSet(t *testing.T, n, workers, lanes int, key [aes.KeySize]byte) ([]t
 		Variants: []*engine.Synthesizer{synth},
 		Model:    &model,
 		Lanes:    lanes,
+		Averages: avg,
+		Env:      env,
 		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *engine.Sample) error {
 			var pt [aes.BlockSize]byte
 			rng.Read(pt[:])
@@ -71,10 +74,6 @@ func captureSet(t *testing.T, n, workers, lanes int, key [aes.KeySize]byte) ([]t
 		Verify: func(i int, core *pipeline.Core, s *engine.Sample) error {
 			_, err := tgt.VerifyOutput(core.Mem(), [aes.BlockSize]byte(s.Aux))
 			return err
-		},
-		Acquire: func(i int, rng *rand.Rand, cycles []float64, s *engine.Sample) error {
-			s.Trace = env.AcquireCycles(cycles, &model, rng, avg)
-			return nil
 		},
 	}
 	if _, err := engine.RunBatched(engine.Config{Workers: workers}, spec, bg); err != nil {
@@ -110,7 +109,7 @@ func TestFullLoopStoreCPAMatchesInMemory(t *testing.T) {
 	var wantDigest string
 	var wantJSON []byte
 	for _, c := range combos {
-		traces, aux, raw := captureSet(t, n, c.workers, c.lanes, key)
+		traces, aux, raw := captureSet(t, n, c.workers, c.lanes, key, osnoise.Quiet(), 2)
 
 		dir := filepath.Join(t.TempDir(), "store")
 		if err := tracestore.Ingest(dir, bytes.NewReader(raw), 7); err != nil {
@@ -169,6 +168,24 @@ func TestFullLoopStoreCPAMatchesInMemory(t *testing.T) {
 		if !bytes.Equal(gotJSON, wantJSON) {
 			t.Errorf("workers=%d lanes=%d: analysis result bytes differ from baseline:\n%s\n%s",
 				c.workers, c.lanes, gotJSON, wantJSON)
+		}
+	}
+}
+
+// TestLoadedLinuxCaptureGolden pins the loaded-Linux acquisition — the
+// osnoise stage on the fused path — to the bytes the emitted trace set
+// had before that stage existed: 300 AES traces at 4-fold averaging,
+// one worker and three workers on eight-lane groups.
+func TestLoadedLinuxCaptureGolden(t *testing.T) {
+	const want = "69c0dbf5975d6983d78eca1771637a44bbda3b871b09f5a4f47b4cbac24ed397"
+	key, err := ParseKey("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ workers, lanes int }{{1, 0}, {3, 8}} {
+		_, _, raw := captureSet(t, 300, c.workers, c.lanes, key, osnoise.LoadedLinux(), 4)
+		if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want {
+			t.Errorf("workers=%d lanes=%d: trace set sha256 %s, want %s", c.workers, c.lanes, got, want)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"repro/internal/osnoise"
 	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/replay"
@@ -243,10 +244,10 @@ func CheckLanes(lanes int) error {
 // BatchGen is a workload's trace generator, split into phases so a lane
 // group can share one schedule walk. For every trace the engine calls
 // Prepare (pre-execution randomness, initial core state, hypotheses or
-// class); once the group's lanes ran, Verify and then the expansion —
-// fused (Averages) or per lane (Acquire) — in trace order. Every
-// trace's stream is private and its draws happen in that order on every
-// path, so results are bit-identical whichever path a group took.
+// class); once the group's lanes ran, Verify and then the fused
+// expansion, in trace order. Every trace's stream is private and its
+// draws happen in that order on every path, so results are
+// bit-identical whichever path a group took.
 //
 // Variants holds one Synthesizer per program the workload runs. A
 // workload that picks one of several programs per trace (a shuffled or
@@ -279,18 +280,17 @@ type BatchGen struct {
 	// Verify, if set, checks the final architectural state (the
 	// functional oracle). Errors are genuine failures.
 	Verify func(i int, core *pipeline.Core, s *Sample) error
-	// Averages, when positive, selects the fused batch expansion: the
-	// engine expands every lane's cycle powers into its trace in one
-	// lane-major pass (power.ExpandCyclesBatch) with Averages-fold
-	// averaging, drawing each trace's Gaussian noise in bulk from its
-	// private stream — bit-identical to Averages repetitions of
-	// Model.ExpandCyclesInto averaged per trace. Acquire is then unused.
+	// Averages is the per-acquisition averaging factor, at least 1:
+	// each trace is the point-wise mean of Averages executions with
+	// independent noise, drawn in bulk from the trace's private stream
+	// where Prepare left it.
 	Averages int
-	// Acquire expands the lane's cycle powers into s.Trace, drawing the
-	// trace's noise from rng. Only consulted when Averages == 0, for
-	// acquisitions the fused expansion cannot express (e.g. the
-	// OS-noise model's extra draws).
-	Acquire func(i int, rng *rand.Rand, cycles []float64, s *Sample) error
+	// Env is the acquisition environment. The zero value (osnoise.Quiet)
+	// expands each lane block in one lane-major pass
+	// (power.ExpandCyclesBatch); any other environment runs every
+	// execution of every lane through its osnoise stage
+	// (osnoise.Environment.Expand) on the same stream.
+	Env osnoise.Environment
 }
 
 // RunBatched executes the streaming run described by spec — the one
@@ -304,8 +304,11 @@ type BatchGen struct {
 // size.
 func RunBatched(cfg Config, spec Spec, bg BatchGen) ([]sca.Accumulator, error) {
 	synths := bg.Variants
-	if len(synths) == 0 || slices.Contains(synths, nil) || bg.Model == nil || bg.Prepare == nil || (bg.Averages <= 0 && bg.Acquire == nil) {
-		return nil, fmt.Errorf("engine: batch generator needs Variants, Model, Prepare and Averages or Acquire")
+	if len(synths) == 0 || slices.Contains(synths, nil) || bg.Model == nil || bg.Prepare == nil || bg.Averages < 1 {
+		return nil, fmt.Errorf("engine: batch generator needs Variants, Model, Prepare and Averages >= 1")
+	}
+	if err := bg.Env.Validate(); err != nil {
+		return nil, err
 	}
 	if err := CheckLanes(bg.Lanes); err != nil {
 		return nil, err
@@ -370,9 +373,9 @@ func (g *groupRunner) InitLane(lane int, core *pipeline.Core) error {
 }
 
 // Block verifies every lane's final state, expands the lane block into
-// traces — through the fused batch expansion when Averages is set,
-// otherwise per lane through Acquire — and records the results. Each
-// trace's stream continues exactly where Prepare left it.
+// traces — the quiet environment in one lane-major pass, any other
+// lane by lane through its osnoise stage — and records the results.
+// Each trace's stream continues exactly where Prepare left it.
 func (g *groupRunner) Block(rows [][]float64, cores []*pipeline.Core) error {
 	bg, bb := g.bg, g.bb
 	if bg.Verify != nil {
@@ -382,7 +385,7 @@ func (g *groupRunner) Block(rows [][]float64, cores []*pipeline.Core) error {
 			}
 		}
 	}
-	if bg.Averages > 0 {
+	if bg.Env == (osnoise.Environment{}) {
 		be := &bb.expand
 		be.Rows = rows
 		be.Lanes = len(rows)
@@ -400,9 +403,8 @@ func (g *groupRunner) Block(rows [][]float64, cores []*pipeline.Core) error {
 		be.Rows = nil
 	} else {
 		for lane, j := range g.slots {
-			if err := bg.Acquire(g.start+j, bb.rngs[j], rows[lane], &bb.samples[j]); err != nil {
-				return fmt.Errorf("engine: trace %d: %w", g.start+j, err)
-			}
+			s := &bb.samples[j]
+			s.Trace = bg.Env.Expand(s.Trace, rows[lane], bg.Model, bb.rngs[j], bb.srcs[j], bg.Averages, &bb.env)
 		}
 	}
 	for _, j := range g.slots {

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/osnoise"
 	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/sca"
@@ -62,6 +63,13 @@ func (f *batchFixture) hyps(v uint32, hyps []float64) {
 // scalar is the per-trace reference generator for Run: each trace
 // simulated on its own and synthesized from its timeline.
 func (f *batchFixture) scalar(t *testing.T) Generate {
+	return f.scalarEnv(t, osnoise.Quiet())
+}
+
+// scalarEnv is scalar under an acquisition environment: a non-quiet one
+// acquires every trace through the osnoise stage on its own, drawing
+// its Gaussian samples one NormFloat64 at a time.
+func (f *batchFixture) scalarEnv(t *testing.T, env osnoise.Environment) Generate {
 	t.Helper()
 	synth, err := NewSynthesizer(ModeSimulate, f.cfg, f.prog)
 	if err != nil {
@@ -72,16 +80,29 @@ func (f *batchFixture) scalar(t *testing.T) Generate {
 		return synth.Run(
 			func(core *pipeline.Core) { f.initCore(core, v) },
 			func(tl pipeline.Timeline, core *pipeline.Core) error {
-				s.Trace, _ = f.m.SynthesizeAveragedInto(s.Trace, nil, tl, rng, 2)
+				if env == osnoise.Quiet() {
+					s.Trace, _ = f.m.SynthesizeAveragedInto(s.Trace, nil, tl, rng, 2)
+				} else {
+					s.Trace = env.Expand(s.Trace, f.m.CyclePowers(nil, tl), &f.m, rng, randNorm{rng}, 2, &osnoise.Scratch{})
+				}
 				f.hyps(v, s.Hyps[0])
 				return nil
 			})
 	}
 }
 
+// randNorm is the NormSource view of a rand.Rand: one NormFloat64 per
+// draw, the sequence the engine's bulk sources replicate.
+type randNorm struct{ *rand.Rand }
+
+func (r randNorm) FillNorm(dst []float64) {
+	for i := range dst {
+		dst[i] = r.NormFloat64()
+	}
+}
+
 // gen builds the batch generator over a fresh Synthesizer of the given
-// mode, in the per-lane Acquire form; genFused swaps in the fused
-// block expansion.
+// mode: two-fold averaging in the quiet environment.
 func (f *batchFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, *Synthesizer) {
 	t.Helper()
 	synth, err := NewSynthesizer(mode, f.cfg, f.prog)
@@ -92,69 +113,77 @@ func (f *batchFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, *Synth
 		Variants: []*Synthesizer{synth},
 		Model:    &f.m,
 		Lanes:    lanes,
+		Averages: 2,
 		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *Sample) error {
 			v := rng.Uint32()
 			f.initCore(core, v)
 			f.hyps(v, s.Hyps[0])
 			return nil
 		},
-		Acquire: func(i int, rng *rand.Rand, cycles []float64, s *Sample) error {
-			s.Trace, _ = f.m.AveragedCyclesInto(s.Trace, nil, cycles, rng, 2)
-			return nil
-		},
 	}, synth
-}
-
-// genFused is gen with the fused block expansion in place of the
-// per-lane Acquire: the engine expands the whole lane block itself,
-// drawing each trace's noise in bulk.
-func (f *batchFixture) genFused(t *testing.T, mode Mode, lanes int) (BatchGen, *Synthesizer) {
-	t.Helper()
-	bg, synth := f.gen(t, mode, lanes)
-	bg.Averages = 2
-	bg.Acquire = nil
-	return bg, synth
 }
 
 // TestRunBatchedBitIdenticalToScalar is the engine-level lane sweep:
 // for every lane width (the default, the single-lane degenerate batch,
 // widths that do not divide the chunk size, the widths beyond the old
 // 32-lane mask word — 33, 48 — and the 64-lane maximum), any worker
-// count and chunk size, and on both the per-lane Acquire form and the
-// fused block expansion, the global accumulators must be bit-identical
-// to a per-trace simulation through Run.
+// count and chunk size, the global accumulators must be bit-identical
+// to a per-trace simulation through Run. The loaded-Linux rows run the
+// osnoise stage; the second-order rows fold a classic bank over two
+// combining windows, against per-trace combining.
 func TestRunBatchedBitIdenticalToScalar(t *testing.T) {
 	f := newBatchFixture(333)
-	ref, err := Run(Config{Workers: 1}, f.spec, f.scalar(t))
+	plain, err := Run(Config{Workers: 1}, f.spec, f.scalar(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct{ lanes, workers, chunk int }{
-		{0, 1, 0}, {1, 1, 0}, {8, 2, 0}, {16, 4, 32}, {32, 3, 48}, {24, 2, 50}, {5, 1, 7},
-		{33, 2, 50}, {48, 3, 0}, {64, 2, 96}, {64, 1, 70},
+	loaded := osnoise.LoadedLinux()
+	loaded.PreemptProb = 0.2 // a few dozen preemptions over the run
+	loadedRef, err := Run(Config{Workers: 1}, f.spec, f.scalarEnv(t, loaded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := f.spec.Samples
+	order2 := f.spec
+	order2.Banks = []Bank{{Hyps: 2, Order2: &Order2{
+		Means:   plain[0].(*sca.CPA).MeanTrace(),
+		Windows: []sca.Window{{Lo: 1, Hi: n / 3}, {Lo: n / 2, Hi: n}},
+	}}}
+	order2Ref := serialReference(t, order2, f.scalar(t))
+	quiet := osnoise.Quiet()
+	for _, tc := range []struct {
+		lanes, workers, chunk int
+		env                   osnoise.Environment
+		order2                bool
+	}{
+		{0, 1, 0, quiet, false}, {1, 1, 0, quiet, false}, {8, 2, 0, quiet, false},
+		{16, 4, 32, quiet, false}, {32, 3, 48, quiet, false}, {24, 2, 50, quiet, false},
+		{5, 1, 7, quiet, false}, {33, 2, 50, quiet, false}, {48, 3, 0, quiet, false},
+		{64, 2, 96, quiet, false}, {64, 1, 70, quiet, false},
+		{0, 1, 0, loaded, false}, {1, 1, 0, loaded, false}, {5, 3, 7, loaded, false}, {64, 2, 96, loaded, false},
+		{0, 1, 0, quiet, true}, {1, 2, 0, quiet, true}, {24, 3, 50, quiet, true},
 	} {
-		for _, fused := range []bool{false, true} {
-			var bg BatchGen
-			var synth *Synthesizer
-			if fused {
-				bg, synth = f.genFused(t, ModeAuto, tc.lanes)
-			} else {
-				bg, synth = f.gen(t, ModeAuto, tc.lanes)
-			}
-			got, err := RunBatched(Config{Workers: tc.workers, ChunkSize: tc.chunk}, f.spec, bg)
-			if err != nil {
-				t.Fatalf("lanes=%d workers=%d fused=%v: %v", tc.lanes, tc.workers, fused, err)
-			}
-			if !got[0].(*sca.CPA).Equal(ref[0].(*sca.CPA)) {
-				t.Fatalf("lanes=%d workers=%d chunk=%d fused=%v: accumulator differs from scalar path",
-					tc.lanes, tc.workers, tc.chunk, fused)
-			}
-			if synth.BatchRuns() == 0 {
-				t.Fatalf("lanes=%d fused=%v: batch path never ran", tc.lanes, fused)
-			}
-			if reason := synth.BatchDisabledReason(); reason != "" {
-				t.Fatalf("lanes=%d fused=%v: batch disabled: %s", tc.lanes, fused, reason)
-			}
+		spec, want := f.spec, plain
+		switch {
+		case tc.order2:
+			spec, want = order2, order2Ref
+		case tc.env != quiet:
+			want = loadedRef
+		}
+		bg, synth := f.gen(t, ModeAuto, tc.lanes)
+		bg.Env = tc.env
+		got, err := RunBatched(Config{Workers: tc.workers, ChunkSize: tc.chunk}, spec, bg)
+		if err != nil {
+			t.Fatalf("%+v: %v", tc, err)
+		}
+		if !got[0].(*sca.CPA).Equal(want[0].(*sca.CPA)) {
+			t.Fatalf("%+v: accumulator differs from scalar path", tc)
+		}
+		if synth.BatchRuns() == 0 {
+			t.Fatalf("%+v: batch path never ran", tc)
+		}
+		if reason := synth.BatchDisabledReason(); reason != "" {
+			t.Fatalf("%+v: batch disabled: %s", tc, reason)
 		}
 	}
 }
@@ -254,10 +283,7 @@ func (f *divergeFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, *Syn
 			s.Hyps[0][1] = 1 - float64(v&1)
 			return nil
 		},
-		Acquire: func(i int, rng *rand.Rand, cycles []float64, s *Sample) error {
-			s.Trace, _ = f.m.AveragedCyclesInto(s.Trace, nil, cycles, rng, 1)
-			return nil
-		},
+		Averages: 1,
 	}, synth
 }
 
@@ -589,14 +615,11 @@ func TestRunBatchedEmitBitIdenticalToSimulate(t *testing.T) {
 			Variants: []*Synthesizer{synth},
 			Model:    &f.m,
 			Lanes:    lanes,
+			Averages: 1,
 			Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *Sample) error {
 				v := rng.Uint32()
 				f.initCore(core, v)
 				s.Aux = append(s.Aux[:0], byte(v))
-				return nil
-			},
-			Acquire: func(i int, rng *rand.Rand, cycles []float64, s *Sample) error {
-				s.Trace = f.m.ExpandCycles(cycles, rng)
 				return nil
 			},
 		}
@@ -640,14 +663,14 @@ func TestRunBatchedEmitBitIdenticalToSimulate(t *testing.T) {
 // for every worker count and chunk size.
 func TestRunBatchedEmitBesideBanks(t *testing.T) {
 	f := newBatchFixture(150)
-	bg, _ := f.genFused(t, ModeAuto, 0)
+	bg, _ := f.gen(t, ModeAuto, 0)
 	want, err := RunBatched(Config{Workers: 1}, f.spec, bg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3} {
 		for _, chunk := range []int{16, 64} {
-			bg, _ := f.genFused(t, ModeAuto, 0)
+			bg, _ := f.gen(t, ModeAuto, 0)
 			spec := f.spec
 			next := 0
 			spec.Emit = func(i int, tr trace.Trace, aux []byte) error {
@@ -739,7 +762,7 @@ func TestRunBatchedSteadyStateAllocs(t *testing.T) {
 	const chunk = DefaultChunkSize
 	newRun := func(extra int) func() {
 		f := newBatchFixture(VerifyRuns + extra*chunk)
-		bg, _ := f.genFused(t, ModeAuto, 0)
+		bg, _ := f.gen(t, ModeAuto, 0)
 		run := func() {
 			if _, err := RunBatched(Config{Workers: 1}, f.spec, bg); err != nil {
 				t.Fatal(err)
@@ -879,7 +902,7 @@ func TestRunBatchedPathDeterministic(t *testing.T) {
 	cases := map[string]func() (BatchGen, *Synthesizer, Spec){
 		"replayable": func() (BatchGen, *Synthesizer, Spec) {
 			f := newBatchFixture(traces)
-			bg, s := f.genFused(t, ModeAuto, 0)
+			bg, s := f.gen(t, ModeAuto, 0)
 			return bg, s, f.spec
 		},
 		"late-divergence": func() (BatchGen, *Synthesizer, Spec) {
@@ -941,7 +964,7 @@ func TestSharedGateAutoRunsFinish(t *testing.T) {
 	}
 	done := make(chan error, 2)
 	for r := 0; r < 2; r++ {
-		bg, _ := f.genFused(t, ModeAuto, 16)
+		bg, _ := f.gen(t, ModeAuto, 16)
 		go func() {
 			got, err := RunBatched(Config{Workers: 4, ChunkSize: 16, Gate: gate}, f.spec, bg)
 			if err == nil && !got[0].(*sca.CPA).Equal(want[0].(*sca.CPA)) {

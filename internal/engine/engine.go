@@ -30,6 +30,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/osnoise"
 	"repro/internal/power"
 	"repro/internal/sca"
 	"repro/internal/trace"
@@ -93,23 +94,32 @@ type Bank struct {
 	// then reports its class through Sample.Class[bank] instead of filling
 	// Sample.Hyps[bank]. All rows must have length Hyps.
 	Classes [][]float64
-	// Order2, when non-nil on a class bank, switches it to second-order
-	// accumulation (sca.ClassCPA2): each raw trace is expanded into
-	// centered products over the window's sample pairs before class
-	// bucketing. Requires Classes.
+	// Order2, when non-nil, switches the bank to second-order
+	// accumulation: the reducer expands each raw trace into the centered
+	// products of its windows' sample pairs (sca.Order2Combine) and
+	// feeds those combined traces to the bank, whose samples index the
+	// combined layout (sca.Order2Pair maps them back).
 	Order2 *Order2
 }
 
-// Order2 configures a class bank's second-order combining pass.
+// Order2 configures a bank's second-order combining pass.
 type Order2 struct {
 	// Means is the centering vector (length Spec.Samples), typically the
 	// mean trace of a first engine pass over the same (Seed, Traces) —
 	// both passes draw the per-trace streams identically, so the means
 	// correspond exactly to the traces being combined.
 	Means []float64
-	// Lo, Hi bound the combining window [Lo, Hi) over raw sample
-	// indices; Hi == 0 selects the full trace.
-	Lo, Hi int
+	// Windows are the combining windows over raw sample indices, laid
+	// out in order in the combined trace; none selects the full trace.
+	Windows []sca.Window
+}
+
+// windows returns o's combining windows over traces of samples points.
+func (o *Order2) windows(samples int) []sca.Window {
+	if len(o.Windows) == 0 {
+		return []sca.Window{{Lo: 0, Hi: samples}}
+	}
+	return o.Windows
 }
 
 // HypothesisBanks builds classic per-trace-hypothesis bank specs, one
@@ -127,14 +137,13 @@ func HypothesisBanks(hyps ...int) []Bank {
 // (BatchGen.Prepare and the fused expansion) to the accumulators: the
 // power trace plus, per bank, either the per-hypothesis leakage
 // predictions or the trace's model-input class. The engine owns the
-// Hyps buffers (sized from Spec.Banks); the synthesis assigns Trace
-// and, for class banks, Class.
+// Hyps buffers (sized from Spec.Banks) and the fused expansion fills
+// Trace; Prepare fills Hyps or, for class banks, Class.
 type Sample struct {
 	// Trace is the synthesized power trace; its length must equal
 	// Spec.Samples. The engine hands it back truncated to length zero
-	// with its previous capacity intact, so the synthesis may write
-	// allocation-free into the recycled storage — or simply assign a
-	// fresh slice.
+	// with its previous capacity intact, so the expansion writes
+	// allocation-free into the recycled storage.
 	Trace []float64
 	// Hyps holds one prediction vector per classic bank: Hyps[b][k] is
 	// the hypothesized leakage of hypothesis k in bank b. Class banks
@@ -209,21 +218,16 @@ func (s *Spec) validate() error {
 				}
 			}
 		}
-		if bank.Order2 != nil {
-			if bank.Classes == nil {
-				return fmt.Errorf("engine: bank %d sets Order2 without Classes", b)
-			}
-			if len(bank.Order2.Means) != s.Samples {
+		if o := bank.Order2; o != nil {
+			if len(o.Means) != s.Samples {
 				return fmt.Errorf("engine: bank %d centering vector has %d samples, want %d",
-					b, len(bank.Order2.Means), s.Samples)
+					b, len(o.Means), s.Samples)
 			}
-			lo, hi := bank.Order2.Lo, bank.Order2.Hi
-			if hi == 0 {
-				hi = s.Samples
-			}
-			if lo < 0 || hi > s.Samples || lo >= hi {
-				return fmt.Errorf("engine: bank %d combining window [%d,%d) out of [0,%d)",
-					b, lo, hi, s.Samples)
+			for _, w := range o.Windows {
+				if w.Lo < 0 || w.Hi > s.Samples || w.Lo >= w.Hi {
+					return fmt.Errorf("engine: bank %d combining window [%d,%d) out of [0,%d)",
+						b, w.Lo, w.Hi, s.Samples)
+				}
 			}
 		}
 	}
@@ -267,24 +271,47 @@ func chunks(traces, size int, checkpoints []int) []chunk {
 	return out
 }
 
-// newBanks allocates one accumulator per bank spec.
+// newBanks allocates one accumulator per bank spec; a second-order
+// bank spans its combined layout.
 func newBanks(banks []Bank, samples int) ([]sca.Accumulator, error) {
 	out := make([]sca.Accumulator, len(banks))
 	for b, bank := range banks {
+		n := samples
+		if bank.Order2 != nil {
+			n = sca.Order2Len(bank.Order2.windows(samples))
+		}
 		var err error
-		switch {
-		case bank.Order2 != nil:
-			out[b], err = sca.NewClassCPA2(samples, bank.Classes, bank.Order2.Means, bank.Order2.Lo, bank.Order2.Hi)
-		case bank.Classes != nil:
-			out[b], err = sca.NewClassCPA(samples, bank.Classes)
-		default:
-			out[b], err = sca.NewCPA(bank.Hyps, samples)
+		if bank.Classes != nil {
+			out[b], err = sca.NewClassCPA(n, bank.Classes)
+		} else {
+			out[b], err = sca.NewCPA(bank.Hyps, n)
 		}
 		if err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// order2Combiner is the reducer's side of a second-order bank: it
+// expands each chunk's raw traces into combined traces, reusing its
+// rows across chunks.
+type order2Combiner struct {
+	means   []float64
+	windows []sca.Window
+	rows    [][]float64
+}
+
+// combine returns the combined view of traces.
+func (c *order2Combiner) combine(traces [][]float64) [][]float64 {
+	for len(c.rows) < len(traces) {
+		c.rows = append(c.rows, make([]float64, sca.Order2Len(c.windows)))
+	}
+	out := c.rows[:len(traces)]
+	for j, t := range traces {
+		sca.Order2Combine(out[j], t, c.means, c.windows)
+	}
+	return out
 }
 
 // runChunked is the shared scheduler body: fill synthesizes the traces
@@ -357,19 +384,27 @@ func runChunked(cfg Config, spec Spec, serial func(start int) bool, fill func(c 
 		return bb, nil
 	}
 
+	combiners := make([]*order2Combiner, len(spec.Banks))
+	for b, bank := range spec.Banks {
+		if o := bank.Order2; o != nil {
+			combiners[b] = &order2Combiner{means: o.Means, windows: o.windows(spec.Samples)}
+		}
+	}
 	ckpt := 0
 	reduce := func(idx int, bb *batchBuf) error {
 		defer batches.Put(bb)
 		n := cs[idx].end - cs[idx].start
 		for b, acc := range global {
+			traces := bb.traces[:n]
+			if c := combiners[b]; c != nil {
+				traces = c.combine(traces)
+			}
 			var err error
 			switch a := acc.(type) {
 			case *sca.CPA:
-				err = a.AddBatch(bb.traces[:n], bb.hyps[b][:n])
+				err = a.AddBatch(traces, bb.hyps[b][:n])
 			case *sca.ClassCPA:
-				err = a.AddBatch(bb.classes[b][:n], bb.traces[:n])
-			case *sca.ClassCPA2:
-				err = a.AddBatch(bb.classes[b][:n], bb.traces[:n])
+				err = a.AddBatch(bb.classes[b][:n], traces)
 			}
 			if err != nil {
 				return fmt.Errorf("engine: chunk %d: %w", idx, err)
@@ -436,9 +471,9 @@ func (bb *batchBuf) record(spec *Spec, j, traceIdx int) error {
 // their per-trace private rngs, plus the views handed to the reducer's
 // AddBatch calls. srcs[j] is the raw stream under rngs[j] — the fused
 // batch expansion draws noise in bulk straight off it, continuing the
-// exact stream position the rand.Rand wrapper left. group and expand
-// are the persistent per-buffer state of the fused path, kept here so
-// steady-state chunks allocate nothing.
+// exact stream position the rand.Rand wrapper left. group, expand and
+// env are the persistent per-buffer state of the fused path, kept here
+// so steady-state chunks allocate nothing.
 type batchBuf struct {
 	samples []Sample
 	traces  [][]float64
@@ -448,6 +483,7 @@ type batchBuf struct {
 	srcs    []*splitMixSource
 	group   groupRunner
 	expand  power.BatchExpand
+	env     osnoise.Scratch
 	// byVariant[v] lists the chunk slots of the traces running variant
 	// v, in trace order (RunBatched's per-variant grouping).
 	byVariant [][]int

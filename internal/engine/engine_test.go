@@ -279,8 +279,8 @@ func TestTraceRNGFullSeedSpace(t *testing.T) {
 }
 
 // indexGen is an auto-mode batch generator over the batch fixture whose
-// aux record is the trace index and whose trace comes from acquire.
-func indexGen(t *testing.T, acquire func(i int, rng *rand.Rand) (trace.Trace, error)) BatchGen {
+// aux record is the trace index; prepare, when set, may fail a trace.
+func indexGen(t *testing.T, prepare func(i int) error) (BatchGen, int) {
 	t.Helper()
 	f := newBatchFixture(0)
 	synth, err := NewSynthesizer(ModeAuto, f.cfg, f.prog)
@@ -290,30 +290,25 @@ func indexGen(t *testing.T, acquire func(i int, rng *rand.Rand) (trace.Trace, er
 	return BatchGen{
 		Variants: []*Synthesizer{synth},
 		Model:    &f.m,
+		Averages: 1,
 		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *Sample) error {
 			f.initCore(core, uint32(i))
 			s.Aux = append(s.Aux[:0], byte(i))
+			if prepare != nil {
+				return prepare(i)
+			}
 			return nil
 		},
-		Acquire: func(i int, rng *rand.Rand, _ []float64, s *Sample) error {
-			tr, err := acquire(i, rng)
-			s.Trace = tr
-			return err
-		},
-	}
+	}, f.spec.Samples
 }
 
 func TestStreamOrderedEmit(t *testing.T) {
 	var got []int
-	var vals []float64
-	bg := indexGen(t, func(i int, rng *rand.Rand) (trace.Trace, error) {
-		return trace.Trace{float64(i), rng.Float64()}, nil
-	})
-	spec := Spec{Traces: 43, Samples: 2, Seed: 2, Emit: func(i int, tr trace.Trace, aux []byte) error {
+	bg, samples := indexGen(t, nil)
+	spec := Spec{Traces: 43, Samples: samples, Seed: 2, Emit: func(i int, tr trace.Trace, aux []byte) error {
 		got = append(got, i)
-		vals = append(vals, tr[0])
-		if aux[0] != byte(i) {
-			return fmt.Errorf("aux mismatch at %d", i)
+		if aux[0] != byte(i) || len(tr) != samples {
+			return fmt.Errorf("trace %d: aux %d, %d samples", i, aux[0], len(tr))
 		}
 		return nil
 	}}
@@ -324,28 +319,26 @@ func TestStreamOrderedEmit(t *testing.T) {
 		t.Fatalf("emitted %d traces, want 43", len(got))
 	}
 	for i := range got {
-		if got[i] != i || vals[i] != float64(i) {
-			t.Fatalf("emit order broken at %d: idx %d val %v", i, got[i], vals[i])
+		if got[i] != i {
+			t.Fatalf("emit order broken at %d: idx %d", i, got[i])
 		}
 	}
 }
 
 func TestStreamPropagatesErrors(t *testing.T) {
-	boom := errors.New("acquire failed")
-	bg := indexGen(t, func(i int, rng *rand.Rand) (trace.Trace, error) {
+	boom := errors.New("prepare failed")
+	bg, samples := indexGen(t, func(i int) error {
 		if i == 7 {
-			return nil, boom
+			return boom
 		}
-		return trace.Trace{0}, nil
+		return nil
 	})
-	spec := Spec{Traces: 10, Samples: 1, Seed: 1, Emit: func(int, trace.Trace, []byte) error { return nil }}
+	spec := Spec{Traces: 10, Samples: samples, Seed: 1, Emit: func(int, trace.Trace, []byte) error { return nil }}
 	if _, err := RunBatched(Config{Workers: 2}, spec, bg); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want acquire error", err)
+		t.Fatalf("err = %v, want prepare error", err)
 	}
 	emitErr := errors.New("emit failed")
-	bg = indexGen(t, func(i int, rng *rand.Rand) (trace.Trace, error) {
-		return trace.Trace{0}, nil
-	})
+	bg, _ = indexGen(t, nil)
 	spec.Emit = func(i int, tr trace.Trace, aux []byte) error {
 		if i == 4 {
 			return emitErr
@@ -369,14 +362,18 @@ func oneTrace(i int, spec Spec, gen Generate, s *Sample, banks []sca.Accumulator
 		return fmt.Errorf("engine: trace %d has %d samples, want %d", i, len(s.Trace), spec.Samples)
 	}
 	for b, acc := range banks {
+		tr := s.Trace
+		if o := spec.Banks[b].Order2; o != nil {
+			w := o.windows(spec.Samples)
+			tr = make([]float64, sca.Order2Len(w))
+			sca.Order2Combine(tr, s.Trace, o.Means, w)
+		}
 		var err error
 		switch a := acc.(type) {
 		case *sca.CPA:
-			err = a.Add(s.Trace, s.Hyps[b])
+			err = a.Add(tr, s.Hyps[b])
 		case *sca.ClassCPA:
-			err = a.Add(s.Class[b], s.Trace)
-		case *sca.ClassCPA2:
-			err = a.Add(s.Class[b], s.Trace)
+			err = a.Add(s.Class[b], tr)
 		}
 		if err != nil {
 			return fmt.Errorf("engine: trace %d: %w", i, err)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -47,17 +48,39 @@ func order2Spec(t *testing.T, traces, samples int) (Spec, Generate) {
 	return spec, gen
 }
 
+// The engine's second-order bank must equal both the serial
+// per-trace reference and an sca.ClassCPA2 fed the raw traces one by
+// one — the same combined layout, accumulated in trace order.
 func TestOrder2StreamingEqualsSerialBitForBit(t *testing.T) {
 	spec, gen := order2Spec(t, 60, 6)
 	want := serialReference(t, spec, gen)
+	o := spec.Banks[0].Order2
+	c2 := sca.MustNewClassCPA2(spec.Samples, spec.Banks[0].Classes, o.Means, 0, 0)
+	s := &Sample{Hyps: make([][]float64, 1), Class: make([]int, 1)}
+	for i := 0; i < spec.Traces; i++ {
+		if err := gen(i, TraceRNG(spec.Seed, i), s); err != nil {
+			t.Fatal(err)
+		}
+		if err := c2.Add(s.Class[0], s.Trace); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, workers := range []int{1, 4} {
 		for _, chunk := range []int{spec.Traces, 8, 3} {
 			got, err := Run(Config{Workers: workers, ChunkSize: chunk}, spec, gen)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !got[0].(*sca.ClassCPA2).Equal(want[0].(*sca.ClassCPA2)) {
+			bank := got[0].(*sca.ClassCPA)
+			if !bank.Equal(want[0].(*sca.ClassCPA)) {
 				t.Errorf("workers=%d chunk=%d: order-2 bank differs from serial accumulator", workers, chunk)
+			}
+			for k := 0; k < c2.Hypotheses(); k++ {
+				for p := 0; p < c2.Pairs(); p++ {
+					if math.Float64bits(bank.Corr(k, p)) != math.Float64bits(c2.Corr(k, p)) {
+						t.Fatalf("workers=%d chunk=%d: corr(%d,%d) differs from ClassCPA2", workers, chunk, k, p)
+					}
+				}
 			}
 		}
 	}
@@ -69,7 +92,7 @@ func TestOrder2RecoversMaskedKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	att := banks[0].(*sca.ClassCPA2).Result()
+	att := banks[0].Result()
 	if att.RankOf(5) != 0 {
 		best, _ := att.Best()
 		t.Errorf("order-2 engine rank of true key = %d (best hyp %d)", att.RankOf(5), best)
@@ -78,20 +101,37 @@ func TestOrder2RecoversMaskedKey(t *testing.T) {
 
 func TestOrder2SpecValidation(t *testing.T) {
 	table := [][]float64{{0, 1}, {1, 0}}
-	gen := func(i int, rng *rand.Rand, s *Sample) error { return nil }
+	gen := func(i int, rng *rand.Rand, s *Sample) error {
+		s.Trace = append(s.Trace[:0], 1, 2, 3, 4)
+		s.Hyps[0][0], s.Hyps[0][1] = float64(i&1), float64(i>>1&1)
+		return nil
+	}
+	window := func(ws ...sca.Window) *Order2 { return &Order2{Means: make([]float64, 4), Windows: ws} }
 	cases := []struct {
 		name string
 		bank Bank
 	}{
-		{"order2 without classes", Bank{Hyps: 2, Order2: &Order2{Means: make([]float64, 4)}}},
 		{"short means", Bank{Hyps: 2, Classes: table, Order2: &Order2{Means: make([]float64, 3)}}},
-		{"bad window", Bank{Hyps: 2, Classes: table, Order2: &Order2{Means: make([]float64, 4), Lo: 3, Hi: 2}}},
-		{"window past trace", Bank{Hyps: 2, Classes: table, Order2: &Order2{Means: make([]float64, 4), Lo: 0, Hi: 5}}},
+		{"bad window", Bank{Hyps: 2, Classes: table, Order2: window(sca.Window{Lo: 3, Hi: 2})}},
+		{"window past trace", Bank{Hyps: 2, Classes: table, Order2: window(sca.Window{Lo: 0, Hi: 5})}},
+		{"negative window", Bank{Hyps: 2, Order2: window(sca.Window{Lo: 0, Hi: 2}, sca.Window{Lo: -1, Hi: 2})}},
+		{"empty second window", Bank{Hyps: 2, Order2: window(sca.Window{Lo: 0, Hi: 2}, sca.Window{Lo: 2, Hi: 2})}},
 	}
 	for _, c := range cases {
 		spec := Spec{Traces: 4, Samples: 4, Seed: 1, Banks: []Bank{c.bank}}
 		if _, err := Run(Config{}, spec, gen); err == nil {
 			t.Errorf("%s: invalid spec must be rejected", c.name)
+		}
+	}
+	// A classic bank may combine, over windows or the full trace.
+	for _, o := range []*Order2{window(sca.Window{Lo: 0, Hi: 2}, sca.Window{Lo: 1, Hi: 4}), window()} {
+		spec := Spec{Traces: 4, Samples: 4, Seed: 1, Banks: []Bank{{Hyps: 2, Order2: o}}}
+		banks, err := Run(Config{}, spec, gen)
+		if err != nil {
+			t.Fatalf("windows %v: %v", o.Windows, err)
+		}
+		if got, want := len(banks[0].CorrTrace(0)), sca.Order2Len(o.windows(4)); got != want {
+			t.Errorf("windows %v: bank spans %d samples, want %d", o.Windows, got, want)
 		}
 	}
 }

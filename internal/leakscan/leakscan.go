@@ -12,14 +12,12 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/sca"
-	"repro/internal/trace"
 )
 
 // Verdict classifies one (component, expression) cell of Table 2.
@@ -166,8 +164,9 @@ type Options struct {
 	Workers int
 	// Order selects the CPA combining order: 0 or 1 scans first-order
 	// correlations; 2 runs a second pass accumulating centered products
-	// over each expression window's sample pairs (sca.ClassCPA2-style
-	// combining), with the centering means taken from the first pass.
+	// over each expression window's sample pairs (an engine.Order2 bank
+	// over the windows), with the centering means taken from the first
+	// pass.
 	// Order-2 cells are unscored: the paper's Table 2 verdicts are
 	// first-order ground truth.
 	Order int
@@ -274,8 +273,7 @@ func RunBenchmark(b *Benchmark, opt Options) (*BenchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	calVals := b.Setup(rand.New(rand.NewSource(opt.Seed^0x5ca1ab1e)), calCore)
-	_ = calVals
+	b.Setup(rand.New(rand.NewSource(opt.Seed^0x5ca1ab1e)), calCore)
 	calRes, err := calCore.Run(prog)
 	if err != nil {
 		return nil, err
@@ -293,7 +291,7 @@ func RunBenchmark(b *Benchmark, opt Options) (*BenchResult, error) {
 	spc := opt.Model.SamplesPerCycle
 	nSamples := len(calRes.Timeline) * spc
 
-	windows := make([]window, len(b.Exprs))
+	windows := make([]sca.Window, len(b.Exprs))
 	for i, e := range b.Exprs {
 		pc := seqStart + e.Anchor
 		base, ok := issueCycle[pc]
@@ -311,33 +309,39 @@ func RunBenchmark(b *Benchmark, opt Options) (*BenchResult, error) {
 		if lo >= hi {
 			return nil, fmt.Errorf("leakscan: %s: empty window for %q", b.Name, e.Name)
 		}
-		windows[i] = window{lo, hi}
+		windows[i] = sca.Window{Lo: lo, Hi: hi}
 	}
 
 	synth, err := engine.NewSynthesizer(opt.Synth, opt.Core, prog)
 	if err != nil {
 		return nil, err
 	}
-	banks, err := engine.RunBatched(
-		engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate},
-		engine.Spec{Traces: opt.Traces, Samples: nSamples, Banks: engine.HypothesisBanks(len(b.Exprs)), Seed: opt.Seed},
-		engine.BatchGen{
-			Variants: []*engine.Synthesizer{synth},
-			Model:    &opt.Model,
-			Lanes:    opt.Lanes,
-			Averages: max(opt.Averages, 1),
-			Prepare: func(n int, rng *rand.Rand, core *pipeline.Core, s *engine.Sample) error {
-				vals := b.Setup(rng, core)
-				for i, e := range b.Exprs {
-					s.Hyps[0][i] = e.Eval(vals)
-				}
-				return nil
-			},
-		})
+	run := func(bank engine.Bank) (sca.Accumulator, error) {
+		banks, err := engine.RunBatched(
+			engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate},
+			engine.Spec{Traces: opt.Traces, Samples: nSamples, Banks: []engine.Bank{bank}, Seed: opt.Seed},
+			engine.BatchGen{
+				Variants: []*engine.Synthesizer{synth},
+				Model:    &opt.Model,
+				Lanes:    opt.Lanes,
+				Averages: max(opt.Averages, 1),
+				Prepare: func(n int, rng *rand.Rand, core *pipeline.Core, s *engine.Sample) error {
+					vals := b.Setup(rng, core)
+					for i, e := range b.Exprs {
+						s.Hyps[0][i] = e.Eval(vals)
+					}
+					return nil
+				},
+			})
+		if err != nil {
+			return nil, err
+		}
+		return banks[0], nil
+	}
+	cpa, err := run(engine.Bank{Hyps: len(b.Exprs)})
 	if err != nil {
 		return nil, err
 	}
-	cpa := banks[0]
 
 	order := opt.Order
 	if order == 0 {
@@ -345,20 +349,29 @@ func RunBenchmark(b *Benchmark, opt Options) (*BenchResult, error) {
 	}
 	out := &BenchResult{Name: b.Name, Row: b.Row, Dual: dualSeen, DualExpected: b.DualExpected,
 		Traces: opt.Traces, Order: order}
+	// The peak search of expression i spans segs[i] of the bank's
+	// samples: its raw window, or for order 2 its window's pairs.
+	segs := windows
 	if order == 2 {
-		// Second pass over identical per-trace streams: the first pass's
-		// mean trace centers the products, so the combined trace of index
-		// i is a pure function of trace i alone.
-		means := cpa.(*sca.CPA).MeanTrace()
-		if err := runOrder2(b, opt, synth, windows, means, nSamples, out); err != nil {
+		// Second pass over identical per-trace streams, combining each
+		// expression window's sample pairs in the window order: the first
+		// pass's mean trace centers the products, so the combined trace
+		// of index i is a pure function of trace i alone.
+		o2 := &engine.Order2{Means: cpa.(*sca.CPA).MeanTrace(), Windows: windows}
+		if cpa, err = run(engine.Bank{Hyps: len(b.Exprs), Order2: o2}); err != nil {
 			return nil, err
 		}
-		return out, nil
+		segs = make([]sca.Window, len(windows))
+		off := 0
+		for i, w := range windows {
+			segs[i] = sca.Window{Lo: off, Hi: off + w.Pairs()}
+			off = segs[i].Hi
+		}
 	}
 	for i, e := range b.Exprs {
-		w := windows[i]
-		best, bestS := 0.0, w.lo
-		for s := w.lo; s < w.hi; s++ {
+		w := segs[i]
+		best, bestS := 0.0, w.Lo
+		for s := w.Lo; s < w.Hi; s++ {
 			r := cpa.Corr(i, s)
 			if abs(r) > abs(best) {
 				best, bestS = r, s
@@ -366,13 +379,19 @@ func RunBenchmark(b *Benchmark, opt Options) (*BenchResult, error) {
 		}
 		conf := sca.CorrConfidence(best, opt.Traces)
 		// Bonferroni correction over the window width.
-		thr := 1 - (1-opt.Confidence)/float64(w.hi-w.lo)
+		thr := 1 - (1-opt.Confidence)/float64(w.Hi-w.Lo)
 		det := conf > thr
-		out.Exprs = append(out.Exprs, ExprResult{
+		er := ExprResult{
 			Expr: e, Peak: best, PeakSample: bestS,
 			Confidence: conf, Detected: det,
 			Match: det == e.Expected.Leaks(),
-		})
+		}
+		if order == 2 {
+			er.PeakSample, er.PeakSample2 = sca.Order2Pair(windows, bestS)
+			// Order-2 verdicts have no Table 2 ground truth.
+			er.Scored = false
+		}
+		out.Exprs = append(out.Exprs, er)
 	}
 	return out, nil
 }
@@ -382,114 +401,6 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// window is one expression's sample range (inclusive lo, exclusive hi).
-type window struct{ lo, hi int }
-
-// pairAt maps offset s inside a window's lexicographic pair expansion
-// back to the raw index pair (i <= j).
-func pairAt(w window, s int) (int, int) {
-	for i := w.lo; i < w.hi; i++ {
-		row := w.hi - i
-		if s < row {
-			return i, i + s
-		}
-		s -= row
-	}
-	return -1, -1
-}
-
-// runOrder2 runs the second-order pass of a benchmark scan: a second
-// engine run over identical per-trace streams whose traces are the
-// centered products of each expression window's sample pairs, centered
-// on the first pass's mean trace. The combined trace layout is one
-// segment per expression (its window's pairs in lexicographic order,
-// diagonal included), so each expression's peak search stays windowed.
-func runOrder2(b *Benchmark, opt Options, synth *engine.Synthesizer, windows []window, means []float64, nSamples int, out *BenchResult) error {
-	segOff := make([]int, len(windows)+1)
-	for i, w := range windows {
-		segOff[i+1] = segOff[i] + sca.Order2Pairs(w.lo, w.hi)
-	}
-	nComb := segOff[len(windows)]
-
-	// Raw-trace staging buffers: pooled because Sample.Trace now carries
-	// the combined trace. Buffer identity never affects the bits.
-	type o2buf struct{ raw, tmp trace.Trace }
-	pool := sync.Pool{New: func() any { return new(o2buf) }}
-	combine := func(raw trace.Trace, s *engine.Sample) error {
-		if len(raw) != nSamples {
-			return fmt.Errorf("leakscan: %s: trace length changed across runs (%d vs %d)",
-				b.Name, len(raw), nSamples)
-		}
-		tr := s.Trace
-		if cap(tr) < nComb {
-			tr = make([]float64, nComb)
-		} else {
-			tr = tr[:nComb]
-		}
-		k := 0
-		for _, w := range windows {
-			for i := w.lo; i < w.hi; i++ {
-				ci := raw[i] - means[i]
-				for j := i; j < w.hi; j++ {
-					tr[k] = ci * (raw[j] - means[j])
-					k++
-				}
-			}
-		}
-		s.Trace = tr
-		return nil
-	}
-	banks, err := engine.RunBatched(
-		engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate},
-		engine.Spec{Traces: opt.Traces, Samples: nComb, Banks: engine.HypothesisBanks(len(b.Exprs)), Seed: opt.Seed},
-		engine.BatchGen{
-			Variants: []*engine.Synthesizer{synth},
-			Model:    &opt.Model,
-			Lanes:    opt.Lanes,
-			Prepare: func(n int, rng *rand.Rand, core *pipeline.Core, s *engine.Sample) error {
-				vals := b.Setup(rng, core)
-				for i, e := range b.Exprs {
-					s.Hyps[0][i] = e.Eval(vals)
-				}
-				return nil
-			},
-			Acquire: func(n int, rng *rand.Rand, cycles []float64, s *engine.Sample) error {
-				bp := pool.Get().(*o2buf)
-				defer pool.Put(bp)
-				raw, tmp := opt.Model.AveragedCyclesInto(bp.raw, bp.tmp, cycles, rng, opt.Averages)
-				bp.raw, bp.tmp = raw, tmp
-				return combine(raw, s)
-			},
-		})
-	if err != nil {
-		return err
-	}
-	cpa := banks[0]
-	for i, e := range b.Exprs {
-		lo, hi := segOff[i], segOff[i+1]
-		best, bestS := 0.0, lo
-		for s := lo; s < hi; s++ {
-			r := cpa.Corr(i, s)
-			if abs(r) > abs(best) {
-				best, bestS = r, s
-			}
-		}
-		pi, pj := pairAt(windows[i], bestS-lo)
-		conf := sca.CorrConfidence(best, opt.Traces)
-		thr := 1 - (1-opt.Confidence)/float64(hi-lo)
-		det := conf > thr
-		er := ExprResult{
-			Expr: e, Peak: best, PeakSample: pi, PeakSample2: pj,
-			Confidence: conf, Detected: det,
-			Match: det == e.Expected.Leaks(),
-		}
-		// Order-2 verdicts have no Table 2 ground truth.
-		er.Scored = false
-		out.Exprs = append(out.Exprs, er)
-	}
-	return nil
 }
 
 // RunAll measures every Table 2 row.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/sca"
 )
 
 // The order-2 scan obeys the same determinism contract as the first-order
@@ -92,22 +93,76 @@ func TestOrder2ScanShape(t *testing.T) {
 	}
 }
 
-// pairAt must invert the lexicographic pair expansion used by the
-// combining loop.
+// sca.Order2Pair must invert the combined layout of the order-2 scan:
+// one window, and two windows laid out in order.
 func TestPairAtRoundTrip(t *testing.T) {
-	w := window{lo: 3, hi: 9}
-	k := 0
-	for i := w.lo; i < w.hi; i++ {
-		for j := i; j < w.hi; j++ {
-			pi, pj := pairAt(w, k)
-			if pi != i || pj != j {
-				t.Fatalf("pairAt(%d) = (%d,%d), want (%d,%d)", k, pi, pj, i, j)
+	for _, windows := range [][]sca.Window{
+		{{Lo: 3, Hi: 9}},
+		{{Lo: 3, Hi: 9}, {Lo: 5, Hi: 7}},
+	} {
+		k := 0
+		for _, w := range windows {
+			for i := w.Lo; i < w.Hi; i++ {
+				for j := i; j < w.Hi; j++ {
+					pi, pj := sca.Order2Pair(windows, k)
+					if pi != i || pj != j {
+						t.Fatalf("%v: Order2Pair(%d) = (%d,%d), want (%d,%d)", windows, k, pi, pj, i, j)
+					}
+					k++
+				}
 			}
-			k++
+		}
+		if k != sca.Order2Len(windows) {
+			t.Fatalf("%v: %d pairs, Order2Len says %d", windows, k, sca.Order2Len(windows))
+		}
+		for _, s := range []int{k, -1} {
+			if pi, pj := sca.Order2Pair(windows, s); pi != -1 || pj != -1 {
+				t.Fatalf("%v: Order2Pair(%d) = (%d,%d), want (-1,-1)", windows, s, pi, pj)
+			}
 		}
 	}
-	if pi, pj := pairAt(w, k); pi != -1 || pj != -1 {
-		t.Fatalf("pairAt past the end = (%d,%d), want (-1,-1)", pi, pj)
+}
+
+// TestOrder2ScanGolden pins the order-2 scan of row 2 at 300 traces to
+// values recorded before the scan moved onto the engine's Order2 bank:
+// each expression's peak bits and winning pair.
+func TestOrder2ScanGolden(t *testing.T) {
+	opt := fastOptions()
+	opt.Traces = 300
+	opt.Order = 2
+	b := Benchmarks()[1]
+	res, err := RunBenchmark(&b, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		name string
+		peak uint64
+		i, j int
+	}{
+		{"rB", 0x3fb2887d858e9a1c, 49, 51},
+		{"rE", 0x3fb388aa0b500d71, 55, 55},
+		{"rB^rE", 0x3fb369f11739706b, 58, 58},
+		{"rC^rF", 0x3fb40f8a842b4704, 58, 58},
+		{"rB^rF", 0xbfb70d31025363c1, 57, 57},
+		{"rC^rE", 0xbf80df6fd18692a6, 57, 57},
+		{"rB", 0x3fb5600774ef8932, 55, 55},
+		{"rF", 0xbfbf7b37fc4a4750, 62, 63},
+		{"rA", 0x3f9b34eaf0939004, 52, 52},
+		{"rD", 0xbf91d37ad6584105, 56, 56},
+		{"rA^rD", 0x3fa47a797d968299, 60, 60},
+		{"rA†", 0x3fb3634ff13caad9, 58, 58},
+		{"rD†", 0x3fc1eb678ce13b31, 66, 69},
+	}
+	if len(res.Exprs) != len(want) {
+		t.Fatalf("%d expressions, want %d", len(res.Exprs), len(want))
+	}
+	for k, w := range want {
+		g := res.Exprs[k]
+		if g.Name != w.name || math.Float64bits(g.Peak) != w.peak || g.PeakSample != w.i || g.PeakSample2 != w.j {
+			t.Errorf("expr %d: %q %#016x@(%d,%d), want %q %#016x@(%d,%d)",
+				k, g.Name, math.Float64bits(g.Peak), g.PeakSample, g.PeakSample2, w.name, w.peak, w.i, w.j)
+		}
 	}
 }
 

@@ -306,7 +306,8 @@ const (
 // its own Synthesizer, and the engine runs each chunk's traces grouped
 // by variant on the batch path. Order 2 runs the engine twice over
 // identical per-trace streams: the first pass fixes the mean trace, the
-// second accumulates centered products (sca.ClassCPA2). Every random
+// second accumulates the centered products of every sample pair (an
+// engine.Order2 bank over the full trace). Every random
 // draw — plaintext, countermeasure selections, masks, noise — comes
 // from the trace's private SplitMix64 stream, so the result is a
 // bit-stable pure function of the options for any synthesis mode, lane
@@ -432,7 +433,7 @@ func EvaluateKeyedCPA(opt KeyedOptions) (*KeyedResult, error) {
 			return nil, err
 		}
 		acc = banks2[0]
-		pairs = banks2[0].(*sca.ClassCPA2).Pairs()
+		pairs = sca.Window{Hi: nSamples}.Pairs()
 	}
 	att := acc.Result()
 	best, bestCorr := att.Best()

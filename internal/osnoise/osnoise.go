@@ -13,14 +13,15 @@
 //     of the computation in time, corrupting the affected acquisition;
 //   - trigger jitter relative to the core clock.
 //
-// The model reproduces all three on top of a noiseless pipeline timeline.
+// The model reproduces all three on top of the noiseless per-cycle power
+// of an execution (Environment.Expand), the stage the engine's fused
+// expansion runs for every non-quiet environment.
 package osnoise
 
 import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/trace"
 )
@@ -81,55 +82,58 @@ func (env Environment) Validate() error {
 	return nil
 }
 
-// Acquire captures one averaged acquisition of the timeline under the
-// environment: avg executions with independent noise, preemption and
-// jitter, averaged point-wise (the paper's 16-fold on-scope averaging).
-func (env Environment) Acquire(tl pipeline.Timeline, m *power.Model, rng *rand.Rand, avg int) trace.Trace {
-	return env.acquire(func(rng *rand.Rand) trace.Trace { return m.Synthesize(tl, rng) }, rng, avg)
+// Scratch is Expand's reusable working storage; the zero value is
+// ready, and once grown it makes Expand allocation-free.
+type Scratch struct {
+	exec trace.Trace // one execution after the first
+	z    []float64   // Gaussian draws
 }
 
-// AcquireCycles is Acquire fed from a per-cycle noiseless power vector
-// (power.Model.CyclePowers or the replay batch VM) instead of a
-// timeline. For cycles matching the timeline and the same rng stream it
-// is bit-identical to Acquire: the base synthesis is the model's own
-// cycle expansion, and every environment effect draws from rng in the
-// same order.
-func (env Environment) AcquireCycles(cycles []float64, m *power.Model, rng *rand.Rand, avg int) trace.Trace {
-	return env.acquire(func(rng *rand.Rand) trace.Trace { return m.ExpandCycles(cycles, rng) }, rng, avg)
-}
-
-// acquire averages avg single executions rendered by synth.
-func (env Environment) acquire(synth func(*rand.Rand) trace.Trace, rng *rand.Rand, avg int) trace.Trace {
-	if avg < 1 {
-		avg = 1
+// norms fills the first n draws of the noise scratch from ns.
+func (sc *Scratch) norms(ns power.NormSource, n int) []float64 {
+	if cap(sc.z) < n {
+		sc.z = make([]float64, n)
 	}
-	var acc trace.Trace
-	for i := 0; i < avg; i++ {
-		t := env.one(synth, rng)
-		if acc == nil {
-			acc = t
-		} else {
-			_ = acc.AddInPlace(t)
+	z := sc.z[:n]
+	ns.FillNorm(z)
+	return z
+}
+
+// Expand renders one averaged acquisition of a per-cycle noiseless
+// power vector (power.Model.CyclePowers or the replay batch VM) under
+// the environment: avg executions (at least one), each expanded with
+// the model's measurement noise and then put through the busy baseline,
+// the boost noise, a possible preemption and trigger jitter, averaged
+// point-wise (the paper's 16-fold on-scope averaging). rng and ns must
+// be views of one stream: ns, its bulk Gaussian seam, supplies every
+// normal draw and rng the uniform ones, in a fixed order per execution,
+// so the acquisition is a pure function of the stream. dst is grown as
+// needed and returned.
+func (env Environment) Expand(dst trace.Trace, cycles []float64, m *power.Model, rng *rand.Rand, ns power.NormSource, avg int, sc *Scratch) trace.Trace {
+	dst = env.execute(dst, cycles, m, rng, ns, sc)
+	for rep := 1; rep < avg; rep++ {
+		sc.exec = env.execute(sc.exec, cycles, m, rng, ns, sc)
+		for i, v := range sc.exec {
+			dst[i] += v
 		}
 	}
-	return acc.Scale(1 / float64(avg))
+	return dst.Scale(1 / float64(max(avg, 1)))
 }
 
-// one renders a single execution under the environment.
-func (env Environment) one(synth func(*rand.Rand) trace.Trace, rng *rand.Rand) trace.Trace {
-	t := synth(rng)
+// execute renders a single execution into t, in place.
+func (env Environment) execute(t trace.Trace, cycles []float64, m *power.Model, rng *rand.Rand, ns power.NormSource, sc *Scratch) trace.Trace {
+	t, sc.z = m.AveragedCyclesNorm(t, cycles, ns, sc.z, 1)
 	// Busy-system baseline: raised mean with a slow wobble across the
 	// trace (other-core activity is low-frequency relative to samples).
 	if env.ActivityLevel > 0 || env.ActivityWobble > 0 {
-		phase := rng.Float64()
-		level := env.ActivityLevel + env.ActivityWobble*(2*phase-1)
+		level := env.ActivityLevel + env.ActivityWobble*(2*rng.Float64()-1)
 		for i := range t {
 			t[i] += level
 		}
 	}
 	if env.NoiseBoost > 0 {
-		for i := range t {
-			t[i] += rng.NormFloat64() * env.NoiseBoost
+		for i, z := range sc.norms(ns, len(t)) {
+			t[i] += z * env.NoiseBoost
 		}
 	}
 	// Preemption: a random slice starting at a random point is replaced
@@ -141,21 +145,32 @@ func (env Environment) one(synth func(*rand.Rand) trace.Trace, rng *rand.Rand) t
 		if env.PreemptMax > env.PreemptMin {
 			span += rng.Intn(env.PreemptMax - env.PreemptMin + 1)
 		}
-		shifted := make(trace.Trace, len(t))
-		copy(shifted, t[:start])
-		for i := start; i < len(t); i++ {
-			j := i - span
-			if j >= start {
-				shifted[i] = t[j]
-			} else {
-				// Foreign process activity: busy, data-uncorrelated.
-				shifted[i] = t[start] + rng.NormFloat64()*(env.NoiseBoost+2)
-			}
+		at := t[start]
+		foreign := min(span, len(t)-start)
+		copy(t[start+foreign:], t[start:len(t)-foreign])
+		// Foreign process activity: busy, data-uncorrelated.
+		for k, z := range sc.norms(ns, foreign) {
+			t[start+k] = at + z*(env.NoiseBoost+2)
 		}
-		t = shifted
 	}
-	if env.JitterSamples > 0 {
-		t = t.Shift(rng.Intn(2*env.JitterSamples+1) - env.JitterSamples)
+	if j := env.JitterSamples; j > 0 {
+		shift(t, rng.Intn(2*j+1)-j)
 	}
 	return t
+}
+
+// shift delays t by k samples in place (k < 0 advances it), zero-filling
+// the vacated positions: trigger jitter.
+func shift(t []float64, k int) {
+	n := len(t)
+	switch {
+	case k >= n || -k >= n:
+		clear(t)
+	case k > 0:
+		copy(t[k:], t[:n-k])
+		clear(t[:k])
+	case k < 0:
+		copy(t, t[-k:])
+		clear(t[n+k:])
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/pipeline"
 	"repro/internal/power"
+	"repro/internal/trace"
 )
 
 func timeline(t *testing.T) pipeline.Timeline {
@@ -25,6 +26,21 @@ func timeline(t *testing.T) pipeline.Timeline {
 		t.Fatal(err)
 	}
 	return res.Timeline
+}
+
+// randNorm is the NormSource view of a rand.Rand: successive
+// NormFloat64 draws, which is what the engine's bulk sources replicate.
+type randNorm struct{ *rand.Rand }
+
+func (r randNorm) FillNorm(dst []float64) {
+	for i := range dst {
+		dst[i] = r.NormFloat64()
+	}
+}
+
+// acquire runs the production stage on the timeline's cycle powers.
+func acquire(env Environment, tl pipeline.Timeline, m *power.Model, rng *rand.Rand, avg int) trace.Trace {
+	return env.Expand(nil, m.CyclePowers(nil, tl), m, rng, randNorm{rng}, avg, &Scratch{})
 }
 
 func TestValidate(t *testing.T) {
@@ -52,7 +68,7 @@ func TestQuietMatchesPlainSynthesis(t *testing.T) {
 	m := power.DefaultModel()
 	m.NoiseSigma = 0
 	env := Quiet()
-	got := env.Acquire(tl, &m, rand.New(rand.NewSource(1)), 1)
+	got := acquire(env, tl, &m, rand.New(rand.NewSource(1)), 1)
 	want := m.Synthesize(tl, nil)
 	for i := range want {
 		if got[i] != want[i] {
@@ -73,8 +89,8 @@ func TestLoadedLinuxRaisesBaseline(t *testing.T) {
 	quietMean, loadedMean := 0.0, 0.0
 	const reps = 50
 	for i := 0; i < reps; i++ {
-		quietMean += Quiet().Acquire(tl, &m, rng, 4).Mean()
-		loadedMean += env.Acquire(tl, &m, rng, 4).Mean()
+		quietMean += acquire(Quiet(), tl, &m, rng, 4).Mean()
+		loadedMean += acquire(env, tl, &m, rng, 4).Mean()
 	}
 	if loadedMean <= quietMean {
 		t.Errorf("loaded mean %v must exceed quiet mean %v", loadedMean/reps, quietMean/reps)
@@ -91,7 +107,7 @@ func TestPreemptionCorruptsTail(t *testing.T) {
 	env := Environment{PreemptProb: 1, PreemptMin: 4, PreemptMax: 4}
 	rng := rand.New(rand.NewSource(3))
 	ref := m.Synthesize(tl, nil)
-	tr := env.Acquire(tl, &m, rng, 1)
+	tr := acquire(env, tl, &m, rng, 1)
 	diff := 0
 	for i := range ref {
 		if tr[i] != ref[i] {
@@ -116,7 +132,7 @@ func TestAveragingStillConverges(t *testing.T) {
 		mm.NoiseSigma = 0
 		return mm.Synthesize(tl, nil)[0] + env.ActivityLevel
 	}()
-	avg := env.Acquire(tl, &m, rng, 4096)
+	avg := acquire(env, tl, &m, rng, 4096)
 	if d := math.Abs(avg[0] - ref); d > 1.0 {
 		t.Errorf("averaged sample off by %v (wobble bounds the floor)", d)
 	}

@@ -12,11 +12,17 @@ var useExpandKernels = cpufeat.AVX512
 // iteration at four samples per cycle): dst = (baseline +
 // (p-baseline)*shape) + z*sigma, overwriting dst. shape8 is the
 // four-sample pulse shape repeated twice to fill one ZMM register.
+// Neither kernel retains a pointer, so shape8 stays on the caller's
+// stack.
+//
+//go:noescape
 func expand4SetAVX512(dst, cycles, z *float64, nPairs int, shape8 *float64, baseline, sigma float64)
 
 // expand4AddAVX512 is expand4SetAVX512 accumulating into dst instead of
 // overwriting — the AddInPlace of the averaging loop fused into the
 // expansion.
+//
+//go:noescape
 func expand4AddAVX512(dst, cycles, z *float64, nPairs int, shape8 *float64, baseline, sigma float64)
 
 // expandNorm renders one noisy repetition of the per-cycle power vector

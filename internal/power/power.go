@@ -279,11 +279,6 @@ func (m *Model) ExpandCyclesInto(dst trace.Trace, cycles []float64, rng *rand.Ra
 	return dst
 }
 
-// ExpandCycles is ExpandCyclesInto into fresh storage.
-func (m *Model) ExpandCycles(cycles []float64, rng *rand.Rand) trace.Trace {
-	return m.ExpandCyclesInto(nil, cycles, rng)
-}
-
 // AveragedCyclesInto is SynthesizeAveragedInto fed from a per-cycle
 // power vector instead of a timeline: avg expansions with independent
 // noise, averaged point-wise. Bit-identical to SynthesizeAveragedInto

@@ -286,16 +286,9 @@ func (c *ClassCPA) CorrTrace(k int) []float64 {
 }
 
 // Peak returns the maximum absolute correlation of hypothesis k and the
-// sample where it occurs.
+// sample where it occurs: PeakIn over the whole trace.
 func (c *ClassCPA) Peak(k int) (corr float64, sample int) {
-	best, idx := 0.0, 0
-	for s := 0; s < c.samples; s++ {
-		r := c.Corr(k, s)
-		if math.Abs(r) > math.Abs(best) {
-			best, idx = r, s
-		}
-	}
-	return best, idx
+	return c.PeakIn(k, 0, c.samples, false)
 }
 
 // PeakIn returns hypothesis k's peak correlation within the sample
@@ -365,32 +358,8 @@ func (c *ClassCPA) ResultIn(lo, hi int, signed bool) *Attack {
 }
 
 // Result computes the attack summary, exactly as CPA.Result does over
-// the derived sums.
-func (c *ClassCPA) Result() *Attack {
-	a := &Attack{
-		Peaks:       make([]float64, c.nHyp),
-		PeakSamples: make([]int, c.nHyp),
-		Ranking:     make([]int, c.nHyp),
-		Traces:      c.count,
-	}
-	for k := 0; k < c.nHyp; k++ {
-		r, s := c.Peak(k)
-		a.Peaks[k] = r
-		a.PeakSamples[k] = s
-		a.Ranking[k] = k
-	}
-	for i := 1; i < len(a.Ranking); i++ {
-		for j := i; j > 0; j-- {
-			x, y := a.Ranking[j-1], a.Ranking[j]
-			if math.Abs(a.Peaks[y]) > math.Abs(a.Peaks[x]) {
-				a.Ranking[j-1], a.Ranking[j] = y, x
-			} else {
-				break
-			}
-		}
-	}
-	return a
-}
+// the derived sums: ResultIn over the whole trace, ranked by magnitude.
+func (c *ClassCPA) Result() *Attack { return c.ResultIn(0, c.samples, false) }
 
 // Equal reports bit-identical accumulator state — the strict
 // equivalence the engine's determinism tests assert. Derived caches are

@@ -5,45 +5,93 @@ import (
 	"math"
 )
 
-var _ Accumulator = (*ClassCPA2)(nil)
+// Window is a half-open range [Lo, Hi) of raw sample indices.
+type Window struct{ Lo, Hi int }
 
-// ClassCPA2 is a second-order conditional-sum CPA engine: it attacks a
-// first-order masked implementation by combining pairs of trace points
-// with centered products before accumulation. For every unordered pair
-// (i, j) with lo <= i <= j < hi the combined sample is
+// Pairs returns the window's unordered sample pairs, diagonal included.
+func (w Window) Pairs() int {
+	n := w.Hi - w.Lo
+	return n * (n + 1) / 2
+}
+
+// The second-order combining layout. A raw trace t becomes, for every
+// window in order and every pair (i, j) of that window with i <= j in
+// lexicographic order, the centered product
 //
 //	c_ij = (t[i] − μ[i]) · (t[j] − μ[j])
 //
 // where μ is a fixed centering vector (the mean trace of a first pass
-// over the same trace sequence). The combined trace then feeds an
-// ordinary ClassCPA over the pair space, so all of the conditional-sum
-// machinery — class bucketing, derived Pearson sums, the pinned
-// vector kernels — is reused unchanged. Including the diagonal (i == i)
-// matters: a dual-issued share pair leaks both shares in the *same*
-// cycle, where the second-order signal lives in the centered square
-// (the variance of HW(s0)+HW(s1) is key-dependent), not in a cross
-// product of two distinct cycles.
+// over the same trace sequence). Including the diagonal matters: a
+// dual-issued share pair leaks both shares in the *same* cycle, where
+// the second-order signal lives in the centered square (the variance of
+// HW(s0)+HW(s1) is key-dependent), not in a cross product of two
+// distinct cycles. The combined trace is a pure function of the raw
+// trace, so it commutes with any scheduling.
+
+// Order2Len returns the combined-trace length of windows.
+func Order2Len(windows []Window) int {
+	n := 0
+	for _, w := range windows {
+		n += w.Pairs()
+	}
+	return n
+}
+
+// Order2Pair maps combined sample index s back to its raw index pair
+// (i <= j), inverting Order2Combine's layout; (-1, -1) when s is out of
+// range.
+func Order2Pair(windows []Window, s int) (i, j int) {
+	if s < 0 {
+		return -1, -1
+	}
+	for _, w := range windows {
+		for i = w.Lo; i < w.Hi; i++ {
+			row := w.Hi - i // pairs (i,i)..(i,Hi-1)
+			if s < row {
+				return i, i + s
+			}
+			s -= row
+		}
+	}
+	return -1, -1
+}
+
+// Order2Combine writes the centered products of t's windows into dst
+// (length Order2Len(windows)), centered on means.
+func Order2Combine(dst, t, means []float64, windows []Window) {
+	k := 0
+	for _, w := range windows {
+		for i := w.Lo; i < w.Hi; i++ {
+			ci := t[i] - means[i]
+			for j := i; j < w.Hi; j++ {
+				dst[k] = ci * (t[j] - means[j])
+				k++
+			}
+		}
+	}
+}
+
+var _ Accumulator = (*ClassCPA2)(nil)
+
+// ClassCPA2 is a second-order conditional-sum CPA engine: it attacks a
+// first-order masked implementation by expanding each raw trace into
+// the centered products of one window's sample pairs (Order2Combine)
+// and feeding the combined trace to an ordinary ClassCPA over the pair
+// space, so all of the conditional-sum machinery — class bucketing,
+// derived Pearson sums, the pinned vector kernels — is reused
+// unchanged.
 //
-// Determinism contract. The centering vector is a constructor constant,
-// so each combined trace is a pure function of its raw trace alone; the
-// expansion loop visits pairs in fixed lexicographic order; and the
-// inner ClassCPA receives combined traces in arrival order. Under the
-// engine's ordered reduction, AddBatch is therefore bit-identical to
-// per-trace Add calls in trace order for any worker count, chunk size
-// or lane width — the same pin the first-order kernels carry.
+// Determinism contract. The centering vector is a constructor
+// constant, so each combined trace is a pure function of its raw trace
+// alone, and the inner ClassCPA receives combined traces in arrival
+// order: AddBatch is bit-identical to per-trace Add calls in trace
+// order — the same pin the first-order kernels carry.
 type ClassCPA2 struct {
 	inner      *ClassCPA
 	rawSamples int
-	lo, hi     int
+	windows    []Window // exactly one
 	means      []float64
 	comb       []float64 // pair-expansion scratch, reused across Adds
-}
-
-// Order2Pairs returns the combined-sample count of the window [lo, hi):
-// all unordered pairs including the diagonal.
-func Order2Pairs(lo, hi int) int {
-	w := hi - lo
-	return w * (w + 1) / 2
 }
 
 // NewClassCPA2 returns a second-order engine over raw traces of
@@ -64,17 +112,17 @@ func NewClassCPA2(rawSamples int, table [][]float64, means []float64, lo, hi int
 	if lo < 0 || hi > rawSamples || lo >= hi {
 		return nil, fmt.Errorf("sca: combining window [%d,%d) out of [0,%d)", lo, hi, rawSamples)
 	}
-	inner, err := NewClassCPA(Order2Pairs(lo, hi), table)
+	w := Window{lo, hi}
+	inner, err := NewClassCPA(w.Pairs(), table)
 	if err != nil {
 		return nil, err
 	}
 	c := &ClassCPA2{
 		inner:      inner,
 		rawSamples: rawSamples,
-		lo:         lo,
-		hi:         hi,
+		windows:    []Window{w},
 		means:      make([]float64, rawSamples),
-		comb:       make([]float64, Order2Pairs(lo, hi)),
+		comb:       make([]float64, w.Pairs()),
 	}
 	copy(c.means, means)
 	return c, nil
@@ -89,33 +137,12 @@ func MustNewClassCPA2(rawSamples int, table [][]float64, means []float64, lo, hi
 	return c
 }
 
-// RawSamples returns the raw trace length the engine accepts.
-func (c *ClassCPA2) RawSamples() int { return c.rawSamples }
-
-// Window returns the combining window [lo, hi) over raw samples.
-func (c *ClassCPA2) Window() (lo, hi int) { return c.lo, c.hi }
-
 // Pairs returns the combined-sample count.
 func (c *ClassCPA2) Pairs() int { return c.inner.samples }
 
 // PairOf maps a combined sample index back to its raw index pair
-// (i <= j), inverting the lexicographic expansion order.
-func (c *ClassCPA2) PairOf(s int) (i, j int) {
-	if s < 0 || s >= c.inner.samples {
-		return -1, -1
-	}
-	for i = c.lo; i < c.hi; i++ {
-		row := c.hi - i // pairs (i,i)..(i,hi-1)
-		if s < row {
-			return i, i + s
-		}
-		s -= row
-	}
-	return -1, -1
-}
-
-// Classes returns the model-input class count.
-func (c *ClassCPA2) Classes() int { return c.inner.classes }
+// (i <= j); (-1, -1) when out of range.
+func (c *ClassCPA2) PairOf(s int) (i, j int) { return Order2Pair(c.windows, s) }
 
 // Hypotheses returns the hypothesis count.
 func (c *ClassCPA2) Hypotheses() int { return c.inner.nHyp }
@@ -123,36 +150,20 @@ func (c *ClassCPA2) Hypotheses() int { return c.inner.nHyp }
 // Count returns the number of accumulated traces.
 func (c *ClassCPA2) Count() int { return c.inner.count }
 
-// combineInto expands the centered products of t's window into dst in
-// lexicographic pair order. The expansion is a pure per-trace function
-// — no accumulator state is read — so it commutes with any scheduling.
-func (c *ClassCPA2) combineInto(dst, t []float64) {
-	k := 0
-	for i := c.lo; i < c.hi; i++ {
-		ci := t[i] - c.means[i]
-		for j := i; j < c.hi; j++ {
-			dst[k] = ci * (t[j] - c.means[j])
-			k++
-		}
-	}
-}
-
 // Add accumulates one raw trace under its model-input class. The same
 // (class, trace) sequence always leaves bit-identical state.
 func (c *ClassCPA2) Add(class int, t []float64) error {
 	if len(t) != c.rawSamples {
 		return fmt.Errorf("sca: trace has %d samples, want %d", len(t), c.rawSamples)
 	}
-	c.combineInto(c.comb, t)
+	Order2Combine(c.comb, t, c.means, c.windows)
 	return c.inner.Add(class, c.comb)
 }
 
 // AddBatch accumulates a batch of raw traces under their classes. It is
-// bit-identical to calling Add(classes[i], traces[i]) in ascending i:
-// each combined trace is expanded by the same pure per-trace function
-// and handed to the inner ClassCPA's batch path, which is itself pinned
-// to its serial reference. Like the other batch kernels it validates
-// the whole batch before touching any state.
+// bit-identical to calling Add(classes[i], traces[i]) in ascending i,
+// and like the other batch kernels it validates the whole batch before
+// touching any state.
 func (c *ClassCPA2) AddBatch(classes []int, traces [][]float64) error {
 	if len(classes) != len(traces) {
 		return fmt.Errorf("sca: batch of %d traces with %d classes", len(traces), len(classes))
@@ -166,8 +177,7 @@ func (c *ClassCPA2) AddBatch(classes []int, traces [][]float64) error {
 		}
 	}
 	for i, t := range traces {
-		c.combineInto(c.comb, t)
-		if err := c.inner.Add(classes[i], c.comb); err != nil {
+		if err := c.Add(classes[i], t); err != nil {
 			return err
 		}
 	}
@@ -180,22 +190,17 @@ func (c *ClassCPA2) Reset() { c.inner.Reset() }
 
 // Clone returns an independent deep copy of the accumulator state.
 func (c *ClassCPA2) Clone() *ClassCPA2 {
-	o := &ClassCPA2{
-		inner:      c.inner.Clone(),
-		rawSamples: c.rawSamples,
-		lo:         c.lo,
-		hi:         c.hi,
-		means:      make([]float64, len(c.means)),
-		comb:       make([]float64, len(c.comb)),
-	}
-	copy(o.means, c.means)
-	return o
+	o := *c
+	o.inner = c.inner.Clone()
+	o.means = append([]float64(nil), c.means...)
+	o.comb = make([]float64, len(c.comb))
+	return &o
 }
 
 // Equal reports whether two accumulators hold bit-identical state —
 // the strict equivalence the determinism tests assert.
 func (c *ClassCPA2) Equal(o *ClassCPA2) bool {
-	if c.rawSamples != o.rawSamples || c.lo != o.lo || c.hi != o.hi {
+	if c.rawSamples != o.rawSamples || c.windows[0] != o.windows[0] {
 		return false
 	}
 	for i := range c.means {

@@ -74,8 +74,8 @@ func TestClassCPA2BatchMatchesSerial(t *testing.T) {
 func TestClassCPA2MatchesCombinedReference(t *testing.T) {
 	table, classes, raws, means := order2Fixture(t, 250, 6, 43)
 	c2 := MustNewClassCPA2(6, table, means, 1, 5)
-	ref := MustNewClassCPA(Order2Pairs(1, 5), table)
-	comb := make([]float64, Order2Pairs(1, 5))
+	ref := MustNewClassCPA(Window{1, 5}.Pairs(), table)
+	comb := make([]float64, Window{1, 5}.Pairs())
 	for i, tr := range raws {
 		if err := c2.Add(classes[i], tr); err != nil {
 			t.Fatal(err)
