@@ -25,6 +25,7 @@ import (
 	"repro/internal/power"
 	"repro/internal/replay"
 	"repro/internal/sca"
+	"repro/internal/target"
 	"repro/internal/znorm"
 )
 
@@ -112,7 +113,7 @@ func BenchmarkFigure3AESCPA(b *testing.B) {
 		opt.Traces = 800
 		opt.Rounds = 1
 		var err error
-		res, err = attack.RunFigure3(benchKey, opt)
+		res, err = attack.RunCPA(target.Default, benchKey[:], opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -406,7 +407,7 @@ func benchEngineCPA10k(b *testing.B, workers int, mode engine.Mode, lanes int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = attack.RunFigure3(benchKey, opt)
+		res, err = attack.RunCPA(target.Default, benchKey[:], opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -520,10 +521,10 @@ func BenchmarkEngineFullKey(b *testing.B) {
 	opt := attack.DefaultFig3Options()
 	opt.Traces = 700
 	opt.Rounds = 1
-	var res *attack.FullKeyResult
+	var res *attack.KeyRecovery
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = attack.RecoverFullKey(benchKey, opt)
+		res, err = attack.RecoverKey(target.Default, benchKey[:], opt)
 		if err != nil {
 			b.Fatal(err)
 		}

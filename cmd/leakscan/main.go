@@ -63,8 +63,7 @@ func main() {
 	}
 	opt.Traces = *traces
 	opt.Order = *order
-	opt.Workers = ef.Workers
-	opt.Lanes = ef.Lanes
+	opt.Config = ef.Config
 	opt.Synth = ef.Mode
 	if *noAlign {
 		opt.Core.AlignBuffer = false

@@ -70,8 +70,7 @@ func main() {
 	opt.Traces = *traces
 	opt.Averages = *avg
 	opt.Seed = *seed
-	opt.Lanes = ef.Lanes
-	opt.Workers = ef.Workers
+	opt.Config = ef.Config
 	if *scalar {
 		opt.Core = pipeline.ScalarConfig()
 	}

@@ -161,10 +161,9 @@ func main() {
 	if err == nil && *n > 0 {
 		bs := info.BlockSize
 		spec := engine.Spec{Traces: *n, Samples: samples, Seed: ef.Seed, Emit: emit}
-		_, err = engine.RunBatched(engine.Config{Workers: ef.Workers}, spec, engine.BatchGen{
+		_, err = engine.RunBatched(ef.Config, spec, engine.BatchGen{
 			Variants: []*engine.Synthesizer{synth},
 			Model:    &model,
-			Lanes:    ef.Lanes,
 			Averages: *avg,
 			Env:      env,
 			Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *engine.Sample) error {

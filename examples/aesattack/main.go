@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"repro/internal/attack"
+	"repro/internal/target"
 )
 
 func main() {
@@ -22,7 +23,7 @@ func main() {
 
 	fmt.Printf("attacking key byte %d of %x with %d traces (model: HW of SubBytes output)\n\n",
 		opt.KeyByte, key, opt.Traces)
-	res, err := attack.RunFigure3(key, opt)
+	res, err := attack.RunCPA(target.Default, key[:], opt)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,7 +6,6 @@
 package attack
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
@@ -16,7 +15,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/sca"
-	"repro/internal/target"
 )
 
 // ClockMHz is the target clock of the paper's setup: the Allwinner A20
@@ -61,24 +59,14 @@ type Fig3Options struct {
 	Seed  int64
 	Model power.Model
 	Core  pipeline.Config
-	// Workers sizes the synthesis pool (0: one per core).
-	Workers int
 	// Synth selects the trace-synthesis strategy. The zero value,
 	// engine.ModeAuto, compiles the AES schedule once and replays it in
 	// lane groups, checked against full simulation on the first
 	// engine.VerifyRuns traces.
 	Synth engine.Mode
-	// Lanes is the lane-group width: 0 selects engine.DefaultLanes,
-	// otherwise 1..replay.MaxLanes. Results are bit-identical for every
-	// value.
-	Lanes int
-	// Ctx, when non-nil, cancels trace synthesis between chunks — the
-	// hook a serving layer uses to abandon requests. Like Workers and
-	// Lanes it never changes result bits, only whether a result arrives.
-	Ctx context.Context
-	// Gate, when non-nil, bounds synthesis concurrency across every run
-	// sharing it (see engine.Gate).
-	Gate *engine.Gate
+	// Config is the run's scheduling; results are bit-identical for
+	// every value.
+	engine.Config
 }
 
 // DefaultFig3Options returns a configuration resolving the key in
@@ -134,15 +122,6 @@ type Fig3Result struct {
 // Success reports whether the attack recovered the true key byte.
 func (r *Fig3Result) Success() bool { return r.Recovered == r.TrueKey }
 
-// RunFigure3 performs the §5 bare-metal attack: CPA with the
-// non-microarchitecture-aware model HW(SubBytes output byte). It is
-// the AES special case of RunCPA — trace synthesis fans out across
-// opt.Workers cores; the streaming-CPA accumulators keep memory
-// bounded regardless of opt.Traces.
-func RunFigure3(key [aes.KeySize]byte, opt Fig3Options) (*Fig3Result, error) {
-	return RunCPA(target.Default, key[:], opt)
-}
-
 func abs(x float64) float64 {
 	if x < 0 {
 		return -x
@@ -150,51 +129,30 @@ func abs(x float64) float64 {
 	return x
 }
 
-// Fig4Options configures the loaded-Linux CPA.
+// Fig4Options configures the loaded-Linux CPA. Its KeyByte is the
+// second byte of the attacked consecutive store pair: the model is
+// HD(S[pt[b-1]^k[b-1]], S[pt[b]^k[b]]) with k[b-1] already recovered,
+// e.g. by a Figure 3 attack on byte b-1.
 type Fig4Options struct {
-	// Traces is the number of stored acquisitions (the paper uses 100,
-	// each the average of 16 executions).
-	Traces int
-	// Averages is the per-acquisition averaging (paper: 16).
-	Averages int
-	// KeyByte is the second byte of the attacked consecutive store pair
-	// (the model is HD(S[pt[b-1]^k[b-1]], S[pt[b]^k[b]]) with k[b-1]
-	// already recovered, e.g. by a Figure 3 attack on byte b-1).
-	KeyByte int
-	// Rounds truncates the simulated cipher.
-	Rounds int
-	// Seed drives plaintexts and noise through per-trace private streams.
-	Seed  int64
-	Env   osnoise.Environment
-	Model power.Model
-	Core  pipeline.Config
-	// Workers sizes the synthesis pool (0: one per core).
-	Workers int
-	// Synth selects the trace-synthesis strategy (engine.ModeAuto by
-	// default: compiled replay, bit-verified on the first chunk).
-	Synth engine.Mode
-	// Lanes is the lane-group width (0: default); results are
-	// bit-identical for every value.
-	Lanes int
-	// Ctx, when non-nil, cancels trace synthesis between chunks.
-	Ctx context.Context
-	// Gate, when non-nil, bounds synthesis concurrency across every run
-	// sharing it.
-	Gate *engine.Gate
+	Fig3Options
+	// Env is the acquisition environment the traces are measured in.
+	Env osnoise.Environment
 }
 
 // DefaultFig4Options mirrors the paper's Figure 4 acquisition: 100
 // averaged-16 traces under the loaded-Linux environment.
 func DefaultFig4Options() Fig4Options {
 	return Fig4Options{
-		Traces:   100,
-		Averages: 16,
-		KeyByte:  1,
-		Rounds:   1,
-		Seed:     1,
-		Env:      osnoise.LoadedLinux(),
-		Model:    power.DefaultModel(),
-		Core:     pipeline.DefaultConfig(),
+		Fig3Options: Fig3Options{
+			Traces:   100,
+			Averages: 16,
+			KeyByte:  1,
+			Rounds:   1,
+			Seed:     1,
+			Model:    power.DefaultModel(),
+			Core:     pipeline.DefaultConfig(),
+		},
+		Env: osnoise.LoadedLinux(),
 	}
 }
 
@@ -266,12 +224,11 @@ func RunFigure4(key [aes.KeySize]byte, opt Fig4Options) (*Fig4Result, error) {
 		}
 	}
 	banks, err := engine.RunBatched(
-		engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate},
+		opt.Config,
 		engine.Spec{Traces: opt.Traces, Samples: nSamples, Banks: engine.HypothesisBanks(256), Seed: opt.Seed},
 		engine.BatchGen{
 			Variants: []*engine.Synthesizer{synth},
 			Model:    &opt.Model,
-			Lanes:    opt.Lanes,
 			Averages: max(opt.Averages, 1),
 			Env:      opt.Env,
 			Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *engine.Sample) error {

@@ -144,7 +144,6 @@ func (s *cpaSetup) batchGen(opt Fig3Options, bytes []int) engine.BatchGen {
 	return engine.BatchGen{
 		Variants: []*engine.Synthesizer{s.synth},
 		Model:    &opt.Model,
-		Lanes:    opt.Lanes,
 		Averages: max(opt.Averages, 1),
 		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, sm *engine.Sample) error {
 			if cap(sm.Aux) < bs {
@@ -166,8 +165,10 @@ func (s *cpaSetup) batchGen(opt Fig3Options, bytes []int) engine.BatchGen {
 
 // RunCPA performs the §5 bare-metal attack against any registered
 // target: streaming CPA with the target's table-driven class model over
-// synthesized traces, fanned out across opt.Workers cores.
-// RunFigure3 is the AES special case.
+// synthesized traces, fanned out across opt.Workers cores; the
+// streaming-CPA accumulators keep memory bounded regardless of
+// opt.Traces. Against target.Default it is the paper's Figure 3: CPA
+// with the non-microarchitecture-aware model HW(SubBytes output byte).
 func RunCPA(name string, key []byte, opt Fig3Options) (*Fig3Result, error) {
 	if opt.Traces < 8 {
 		return nil, fmt.Errorf("attack: need at least 8 traces, got %d", opt.Traces)
@@ -184,7 +185,7 @@ func RunCPA(name string, key []byte, opt Fig3Options) (*Fig3Result, error) {
 		return nil, err
 	}
 	banks, err := engine.RunBatched(
-		engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate},
+		opt.Config,
 		engine.Spec{Traces: opt.Traces, Samples: s.nSamples, Banks: s.classBanks([]int{opt.KeyByte}), Seed: opt.Seed},
 		s.batchGen(opt, []int{opt.KeyByte}))
 	if err != nil {
@@ -225,8 +226,7 @@ func RunCPA(name string, key []byte, opt Fig3Options) (*Fig3Result, error) {
 }
 
 // KeyRecovery is the outcome of attacking every effective-key byte of a
-// registered target from a single shared trace set — the target-generic
-// form of FullKeyResult.
+// registered target from a single shared trace set.
 type KeyRecovery struct {
 	// Target is the attacked cipher's registry name.
 	Target string
@@ -263,8 +263,9 @@ func (r *KeyRecovery) GuessingEntropy() float64 {
 // RecoverKey runs one CPA instance per attacked byte of the named
 // target — each with the target's class model — over one shared stream
 // of acquisitions. Every synthesized trace feeds all banks, so the
-// trace set is never materialized. RecoverFullKey is the AES special
-// case.
+// trace set is never materialized. Against target.Default it recovers
+// the complete AES first-round key — the practical endgame of the
+// paper's §5 attack.
 func RecoverKey(name string, key []byte, opt Fig3Options) (*KeyRecovery, error) {
 	if opt.Traces < 8 {
 		return nil, fmt.Errorf("attack: need at least 8 traces, got %d", opt.Traces)
@@ -278,7 +279,7 @@ func RecoverKey(name string, key []byte, opt Fig3Options) (*KeyRecovery, error) 
 		bytes[b] = b
 	}
 	banks, err := engine.RunBatched(
-		engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate},
+		opt.Config,
 		engine.Spec{Traces: opt.Traces, Samples: s.nSamples, Banks: s.classBanks(bytes), Seed: opt.Seed},
 		s.batchGen(opt, bytes))
 	if err != nil {
@@ -301,11 +302,11 @@ func RecoverKey(name string, key []byte, opt Fig3Options) (*KeyRecovery, error) 
 	return out, nil
 }
 
-// RankEvolutionFor attacks one key byte of the named target at
-// increasing trace counts and returns the rank curve. The counts become
-// checkpoints of a single streaming run, so the trace stream is
-// synthesized exactly once. RankEvolution is the AES special case.
-func RankEvolutionFor(name string, key []byte, opt Fig3Options, counts []int) (*sca.RankCurve, error) {
+// RankEvolution attacks one key byte of the named target at increasing
+// trace counts and returns the rank curve — the attack-efficiency plot
+// complementing Figure 3. The counts become checkpoints of a single
+// streaming run, so the trace stream is synthesized exactly once.
+func RankEvolution(name string, key []byte, opt Fig3Options, counts []int) (*sca.RankCurve, error) {
 	if len(counts) == 0 {
 		return nil, fmt.Errorf("attack: no trace counts")
 	}
@@ -323,7 +324,7 @@ func RankEvolutionFor(name string, key []byte, opt Fig3Options, counts []int) (*
 	trueKey := s.inst.TrueKeyByte(opt.KeyByte)
 	curve := &sca.RankCurve{}
 	_, err = engine.RunBatched(
-		engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate},
+		opt.Config,
 		engine.Spec{
 			Traces: maxN, Samples: s.nSamples, Banks: s.classBanks([]int{opt.KeyByte}), Seed: opt.Seed,
 			Checkpoints: sorted,

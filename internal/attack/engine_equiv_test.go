@@ -3,6 +3,8 @@ package attack
 import (
 	"math"
 	"testing"
+
+	"repro/internal/target"
 )
 
 // TestFigure3WorkerCountInvariance pins the engine's determinism
@@ -14,13 +16,13 @@ func TestFigure3WorkerCountInvariance(t *testing.T) {
 	opt.Traces = 200
 	opt.Rounds = 1
 	opt.Workers = 1
-	ref, err := RunFigure3(testKey, opt)
+	ref, err := RunCPA(target.Default, testKey[:], opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
 		opt.Workers = workers
-		got, err := RunFigure3(testKey, opt)
+		got, err := RunCPA(target.Default, testKey[:], opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,12 +74,12 @@ func TestFigure4WorkerCountInvariance(t *testing.T) {
 func TestRankEvolutionSingleStream(t *testing.T) {
 	opt := DefaultFig3Options()
 	opt.Rounds = 1
-	curve, err := RankEvolution(testKey, opt, []int{50, 200})
+	curve, err := RankEvolution(target.Default, testKey[:], opt, []int{50, 200})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Traces = 200
-	res, err := RunFigure3(testKey, opt)
+	res, err := RunCPA(target.Default, testKey[:], opt)
 	if err != nil {
 		t.Fatal(err)
 	}

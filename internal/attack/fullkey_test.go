@@ -2,6 +2,8 @@ package attack
 
 import (
 	"testing"
+
+	"repro/internal/target"
 )
 
 func TestRecoverFullKey(t *testing.T) {
@@ -11,7 +13,7 @@ func TestRecoverFullKey(t *testing.T) {
 	opt := DefaultFig3Options()
 	opt.Traces = 700
 	opt.Rounds = 1
-	res, err := RecoverFullKey(testKey, opt)
+	res, err := RecoverKey(target.Default, testKey[:], opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +29,7 @@ func TestRecoverFullKey(t *testing.T) {
 func TestRecoverFullKeyValidation(t *testing.T) {
 	opt := DefaultFig3Options()
 	opt.Traces = 2
-	if _, err := RecoverFullKey(testKey, opt); err == nil {
+	if _, err := RecoverKey(target.Default, testKey[:], opt); err == nil {
 		t.Error("too few traces must be rejected")
 	}
 }
@@ -35,7 +37,7 @@ func TestRecoverFullKeyValidation(t *testing.T) {
 func TestRankEvolutionConverges(t *testing.T) {
 	opt := DefaultFig3Options()
 	opt.Rounds = 1
-	curve, err := RankEvolution(testKey, opt, []int{25, 100, 400})
+	curve, err := RankEvolution(target.Default, testKey[:], opt, []int{25, 100, 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func TestRankEvolutionConverges(t *testing.T) {
 }
 
 func TestRankEvolutionValidation(t *testing.T) {
-	if _, err := RankEvolution(testKey, DefaultFig3Options(), nil); err == nil {
+	if _, err := RankEvolution(target.Default, testKey[:], DefaultFig3Options(), nil); err == nil {
 		t.Error("empty counts must be rejected")
 	}
 }

@@ -61,7 +61,6 @@ func captureSet(t *testing.T, n, workers, lanes int, key [aes.KeySize]byte, env 
 	bg := engine.BatchGen{
 		Variants: []*engine.Synthesizer{synth},
 		Model:    &model,
-		Lanes:    lanes,
 		Averages: avg,
 		Env:      env,
 		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *engine.Sample) error {
@@ -76,7 +75,7 @@ func captureSet(t *testing.T, n, workers, lanes int, key [aes.KeySize]byte, env 
 			return err
 		},
 	}
-	if _, err := engine.RunBatched(engine.Config{Workers: workers}, spec, bg); err != nil {
+	if _, err := engine.RunBatched(engine.Config{Workers: workers, Lanes: lanes}, spec, bg); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Close(); err != nil {
@@ -126,7 +125,7 @@ func TestFullLoopStoreCPAMatchesInMemory(t *testing.T) {
 		}
 
 		// In-memory reference: the same traces added one by one.
-		ref := sca.MustNewClassCPA(s.Samples(), Fig3ClassTable())
+		ref := sca.MustNewClassCPA(s.Samples(), aes.SubBytesClassTable())
 		for i, tr := range traces {
 			if err := ref.Add(int(aux[i][0]), tr); err != nil {
 				t.Fatal(err)

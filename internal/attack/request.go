@@ -264,9 +264,10 @@ type Response struct {
 	RankEvo *RankEvoJSON `json:"rankevo,omitempty"`
 }
 
-// fig3Options assembles Fig3Options for the fig3-model figures.
-func (r *Request) fig3Options(env engine.RunEnv) Fig3Options {
-	opt := DefaultFig3Options()
+// overlay sets every request-derived field of opt, plus env's core,
+// model and scheduling; the fields a request does not name keep opt's
+// defaults.
+func (r *Request) overlay(opt *Fig3Options, env engine.RunEnv) {
 	opt.Traces = r.Traces
 	opt.Averages = r.Averages
 	opt.KeyByte = r.KeyByte
@@ -277,11 +278,14 @@ func (r *Request) fig3Options(env engine.RunEnv) Fig3Options {
 	if r.NoiseSigma != nil {
 		opt.Model.NoiseSigma = *r.NoiseSigma
 	}
-	opt.Workers = env.Workers
-	opt.Lanes = env.Lanes
-	opt.Ctx = env.Ctx
-	opt.Gate = env.Gate
+	opt.Config = env.Config
 	opt.Synth, _ = engine.ParseMode(r.Synth)
+}
+
+// fig3Options assembles Fig3Options for the fig3-model figures.
+func (r *Request) fig3Options(env engine.RunEnv) Fig3Options {
+	opt := DefaultFig3Options()
+	r.overlay(&opt, env)
 	return opt
 }
 
@@ -334,21 +338,7 @@ func (r *Request) Run(env engine.RunEnv) (*Response, error) {
 		out.Attack = ar
 	case FigureFig4:
 		opt := DefaultFig4Options()
-		opt.Traces = r.Traces
-		opt.Averages = r.Averages
-		opt.KeyByte = r.KeyByte
-		opt.Rounds = r.Rounds
-		opt.Seed = r.Seed
-		opt.Core = env.Core
-		opt.Model = env.Model
-		if r.NoiseSigma != nil {
-			opt.Model.NoiseSigma = *r.NoiseSigma
-		}
-		opt.Workers = env.Workers
-		opt.Lanes = env.Lanes
-		opt.Ctx = env.Ctx
-		opt.Gate = env.Gate
-		opt.Synth, _ = engine.ParseMode(r.Synth)
+		r.overlay(&opt.Fig3Options, env)
 		var key [aes.KeySize]byte
 		copy(key[:], rawKey)
 		res, err := RunFigure4(key, opt)
@@ -380,7 +370,7 @@ func (r *Request) Run(env engine.RunEnv) (*Response, error) {
 			Success:         res.Success(),
 		}
 	case FigureRankEvo:
-		curve, err := RankEvolutionFor(name, rawKey, r.fig3Options(env), r.Counts)
+		curve, err := RankEvolution(name, rawKey, r.fig3Options(env), r.Counts)
 		if err != nil {
 			return nil, err
 		}

@@ -8,12 +8,6 @@ import (
 	"repro/internal/tracestore"
 )
 
-// Fig3ClassTable returns the Figure 3 model as a shared class table:
-// entry [p][k] is HW(SubBytes(p ^ k)), hypothesis k's predicted leakage
-// when the attacked plaintext byte is p. The table is immutable —
-// callers must not modify it.
-func Fig3ClassTable() [][]float64 { return aes.SubBytesClassTable() }
-
 // StoreCPAOptions configures an out-of-core CPA over a trace store.
 type StoreCPAOptions struct {
 	// KeyByte selects the attacked first-round key byte; each trace's

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/target"
 )
 
 // TestFig3UsesReplay pins the auto-mode contract on the AES target: the
@@ -14,7 +15,7 @@ func TestFig3UsesReplay(t *testing.T) {
 	opt.Traces = 400
 	opt.Rounds = 1
 	key := [16]byte{0x2B, 0x7E, 0x15, 0x16, 0x28, 0xAE, 0xD2, 0xA6, 0xAB, 0xF7, 0x15, 0x88, 0x09, 0xCF, 0x4F, 0x3C}
-	res, err := RunFigure3(key, opt)
+	res, err := RunCPA(target.Default, key[:], opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestFig3ReplayBitIdenticalToSimulate(t *testing.T) {
 		opt.Traces = 300
 		opt.Rounds = 1
 		opt.Synth = mode
-		res, err := RunFigure3(key, opt)
+		res, err := RunCPA(target.Default, key[:], opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,14 +78,14 @@ func TestFig3AutoEqualsSimulateAcrossAblations(t *testing.T) {
 		opt.Core.StoreLaneReplication = mask&32 != 0
 
 		opt.Synth = engine.ModeSimulate
-		sim, err := RunFigure3(key, opt)
+		sim, err := RunCPA(target.Default, key[:], opt)
 		if err != nil {
 			t.Fatalf("cfg %#x simulate: %v", mask, err)
 		}
 		for _, lanes := range []int{1, 8, 16, 32, 64} {
 			opt.Synth = engine.ModeAuto
 			opt.Lanes = lanes
-			auto, err := RunFigure3(key, opt)
+			auto, err := RunCPA(target.Default, key[:], opt)
 			if err != nil {
 				t.Fatalf("cfg %#x lanes %d auto: %v", mask, lanes, err)
 			}

@@ -1,10 +1,10 @@
 package campaign
 
 import (
-	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/masking"
 )
 
@@ -227,7 +227,7 @@ func TestCountermeasureCampaignBatches(t *testing.T) {
 			continue
 		}
 		n++
-		opt, err := sc.keyedOptions(key, execEnv{ctx: context.Background()})
+		opt, err := sc.keyedOptions(key, engine.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // testSpec is a miniature campaign touching every workload kind and one
@@ -256,11 +258,11 @@ func TestExecuteDeterministicPerScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	key, _ := spec.AttackKey()
-	a, err := Execute(&scs[0], key, 1, 1)
+	a, err := Execute(&scs[0], key, engine.Config{Workers: 1, Lanes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Execute(&scs[0], key, 2, 8)
+	b, err := Execute(&scs[0], key, engine.Config{Workers: 2, Lanes: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

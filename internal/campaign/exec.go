@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"context"
 	"encoding/hex"
 	"fmt"
 
@@ -14,24 +13,16 @@ import (
 	"repro/internal/target"
 )
 
-// Execute runs one scenario to completion and returns its structured
-// result. It is a pure function of (scenario, key): the scenario's
-// private seed drives all randomness through per-trace streams, so two
-// executions — on any shard, at any worker count, at any replay lane
-// width — produce identical results.
-func Execute(sc *Scenario, key [aes.KeySize]byte, workers, lanes int) (*ScenarioResult, error) {
-	return ExecuteContext(context.Background(), sc, key, workers, lanes, nil)
-}
-
-// ExecuteContext is Execute with cancellation and an optional shared
-// synthesis gate — the runner-as-library entry point a long-lived
-// service drives concurrent scenarios through. Cancellation aborts the
-// scenario between engine chunks; it never produces a partial result.
-func ExecuteContext(ctx context.Context, sc *Scenario, key [aes.KeySize]byte, workers, lanes int, gate *engine.Gate) (*ScenarioResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := engine.CheckLanes(lanes); err != nil {
+// Execute runs one scenario to completion under run's scheduling and
+// returns its structured result. It is a pure function of (scenario,
+// key): the scenario's private seed drives all randomness through
+// per-trace streams, so two executions — on any shard, under any
+// engine.Config — produce identical results. Cancelling run.Ctx aborts
+// the scenario between engine chunks; it never produces a partial
+// result. A long-lived service drives concurrent scenarios through it
+// with a shared run.Gate.
+func Execute(sc *Scenario, key [aes.KeySize]byte, run engine.Config) (*ScenarioResult, error) {
+	if err := engine.CheckLanes(run.Lanes); err != nil {
 		return nil, err
 	}
 	out := &ScenarioResult{
@@ -41,7 +32,6 @@ func ExecuteContext(ctx context.Context, sc *Scenario, key [aes.KeySize]byte, wo
 		Target:   sc.Target,
 		Seed:     sc.Seed,
 	}
-	ex := execEnv{ctx: ctx, workers: workers, lanes: lanes, gate: gate}
 	var err error
 	switch sc.Kind {
 	case KindTable1:
@@ -49,40 +39,32 @@ func ExecuteContext(ctx context.Context, sc *Scenario, key [aes.KeySize]byte, wo
 	case KindFigure2:
 		err = execFigure2(sc, out)
 	case KindTable2:
-		err = execTable2(sc, out, ex)
+		err = execTable2(sc, out, run)
 	case KindFig3:
-		err = execFig3(sc, out, key, ex)
+		err = execFig3(sc, out, key, run)
 	case KindFig4:
-		err = execFig4(sc, out, key, ex)
+		err = execFig4(sc, out, key, run)
 	case KindFullKey:
-		err = execFullKey(sc, out, key, ex)
+		err = execFullKey(sc, out, key, run)
 	case KindRankEvo:
-		err = execRankEvo(sc, out, key, ex)
+		err = execRankEvo(sc, out, key, run)
 	case KindMaskCPA:
-		err = execMaskCPA(sc, out, key, ex)
+		err = execMaskCPA(sc, out, key, run)
 	case KindTVLA:
-		err = execTVLA(sc, out, ex)
+		err = execTVLA(sc, out, run)
 	default:
 		err = fmt.Errorf("campaign: unknown kind %q", sc.Kind)
 	}
-	if err == nil {
-		// The cycle-count kinds never observe ctx; honor cancellation
-		// uniformly so a canceled campaign cannot half-commit.
-		err = ctx.Err()
+	if err == nil && run.Ctx != nil {
+		// The cycle-count kinds never observe the context; honor
+		// cancellation uniformly so a canceled campaign cannot
+		// half-commit.
+		err = run.Ctx.Err()
 	}
 	if err != nil {
 		return nil, fmt.Errorf("campaign: scenario %s: %w", sc.ID, err)
 	}
 	return out, nil
-}
-
-// execEnv carries the scheduling knobs of one scenario execution —
-// never result-affecting.
-type execEnv struct {
-	ctx     context.Context
-	workers int
-	lanes   int
-	gate    *engine.Gate
 }
 
 // sigma resolves the scenario's noise override against the model
@@ -150,16 +132,13 @@ func execFigure2(sc *Scenario, out *ScenarioResult) error {
 	return nil
 }
 
-func execTable2(sc *Scenario, out *ScenarioResult, ex execEnv) error {
+func execTable2(sc *Scenario, out *ScenarioResult, run engine.Config) error {
 	opt := leakscan.DefaultOptions()
 	opt.Core = sc.Ablation.Core
 	opt.Model = sc.Ablation.Model
 	opt.Model.NoiseSigma = sc.sigma()
 	opt.Seed = sc.Seed
-	opt.Workers = ex.workers
-	opt.Lanes = ex.lanes
-	opt.Ctx = ex.ctx
-	opt.Gate = ex.gate
+	opt.Config = run
 	opt.Synth = sc.Synth
 	if sc.Traces > 0 {
 		opt.Traces = sc.Traces
@@ -208,18 +187,14 @@ func execTable2(sc *Scenario, out *ScenarioResult, ex execEnv) error {
 	return nil
 }
 
-// fig3Options assembles the attack options shared by the fig3-model
-// kinds (fig3, fullkey, rankevo).
-func (sc *Scenario) fig3Options(ex execEnv) attack.Fig3Options {
-	opt := attack.DefaultFig3Options()
+// overlay applies the scenario's attack settings and run's scheduling
+// to opt; the fields the scenario leaves at zero keep opt's defaults.
+func (sc *Scenario) overlay(opt *attack.Fig3Options, run engine.Config) {
 	opt.Core = sc.Ablation.Core
 	opt.Model = sc.Ablation.Model
 	opt.Model.NoiseSigma = sc.sigma()
 	opt.Seed = sc.Seed
-	opt.Workers = ex.workers
-	opt.Lanes = ex.lanes
-	opt.Ctx = ex.ctx
-	opt.Gate = ex.gate
+	opt.Config = run
 	opt.Synth = sc.Synth
 	if sc.Traces > 0 {
 		opt.Traces = sc.Traces
@@ -233,6 +208,13 @@ func (sc *Scenario) fig3Options(ex execEnv) attack.Fig3Options {
 	if sc.Rounds > 0 {
 		opt.Rounds = sc.Rounds
 	}
+}
+
+// fig3Options assembles the attack options shared by the fig3-model
+// kinds (fig3, fullkey, rankevo).
+func (sc *Scenario) fig3Options(run engine.Config) attack.Fig3Options {
+	opt := attack.DefaultFig3Options()
+	sc.overlay(&opt, run)
 	return opt
 }
 
@@ -257,8 +239,8 @@ func (sc *Scenario) attackCipher(key [aes.KeySize]byte, opt *attack.Fig3Options)
 	return name, info.DefaultKey, nil
 }
 
-func execFig3(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, ex execEnv) error {
-	opt := sc.fig3Options(ex)
+func execFig3(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, run engine.Config) error {
+	opt := sc.fig3Options(run)
 	name, tkey, err := sc.attackCipher(key, &opt)
 	if err != nil {
 		return err
@@ -291,29 +273,9 @@ func execFig3(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, ex execE
 	return nil
 }
 
-func execFig4(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, ex execEnv) error {
+func execFig4(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, run engine.Config) error {
 	opt := attack.DefaultFig4Options()
-	opt.Core = sc.Ablation.Core
-	opt.Model = sc.Ablation.Model
-	opt.Model.NoiseSigma = sc.sigma()
-	opt.Seed = sc.Seed
-	opt.Workers = ex.workers
-	opt.Lanes = ex.lanes
-	opt.Ctx = ex.ctx
-	opt.Gate = ex.gate
-	opt.Synth = sc.Synth
-	if sc.Traces > 0 {
-		opt.Traces = sc.Traces
-	}
-	if sc.Averages > 0 {
-		opt.Averages = sc.Averages
-	}
-	if sc.KeyByte > 0 {
-		opt.KeyByte = sc.KeyByte
-	}
-	if sc.Rounds > 0 {
-		opt.Rounds = sc.Rounds
-	}
+	sc.overlay(&opt.Fig3Options, run)
 	res, err := attack.RunFigure4(key, opt)
 	if err != nil {
 		return err
@@ -336,8 +298,8 @@ func execFig4(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, ex execE
 	return nil
 }
 
-func execFullKey(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, ex execEnv) error {
-	opt := sc.fig3Options(ex)
+func execFullKey(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, run engine.Config) error {
+	opt := sc.fig3Options(run)
 	name, tkey, err := sc.attackCipher(key, &opt)
 	if err != nil {
 		return err
@@ -359,13 +321,13 @@ func execFullKey(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, ex ex
 	return nil
 }
 
-func execRankEvo(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, ex execEnv) error {
-	opt := sc.fig3Options(ex)
+func execRankEvo(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, run engine.Config) error {
+	opt := sc.fig3Options(run)
 	name, tkey, err := sc.attackCipher(key, &opt)
 	if err != nil {
 		return err
 	}
-	curve, err := attack.RankEvolutionFor(name, tkey, opt, sc.Counts)
+	curve, err := attack.RankEvolution(name, tkey, opt, sc.Counts)
 	if err != nil {
 		return err
 	}
@@ -383,7 +345,7 @@ func execRankEvo(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, ex ex
 
 // keyedOptions builds the keyed masking evaluation of a maskcpa
 // scenario.
-func (sc *Scenario) keyedOptions(key [aes.KeySize]byte, ex execEnv) (masking.KeyedOptions, error) {
+func (sc *Scenario) keyedOptions(key [aes.KeySize]byte, run engine.Config) (masking.KeyedOptions, error) {
 	ctr, err := masking.ParseCountermeasure(sc.Ctr)
 	if err != nil {
 		return masking.KeyedOptions{}, err
@@ -398,10 +360,7 @@ func (sc *Scenario) keyedOptions(key [aes.KeySize]byte, ex execEnv) (masking.Key
 	opt.Model.NoiseSigma = sc.sigma()
 	opt.Seed = sc.Seed
 	opt.Synth = sc.Synth
-	opt.Lanes = ex.lanes
-	opt.Workers = ex.workers
-	opt.Ctx = ex.ctx
-	opt.Gate = ex.gate
+	opt.Config = run
 	if sc.Traces > 0 {
 		opt.Traces = sc.Traces
 	}
@@ -411,8 +370,8 @@ func (sc *Scenario) keyedOptions(key [aes.KeySize]byte, ex execEnv) (masking.Key
 	return opt, nil
 }
 
-func execMaskCPA(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, ex execEnv) error {
-	opt, err := sc.keyedOptions(key, ex)
+func execMaskCPA(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, run engine.Config) error {
+	opt, err := sc.keyedOptions(key, run)
 	if err != nil {
 		return err
 	}
@@ -439,16 +398,13 @@ func execMaskCPA(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, ex ex
 	return nil
 }
 
-func execTVLA(sc *Scenario, out *ScenarioResult, ex execEnv) error {
+func execTVLA(sc *Scenario, out *ScenarioResult, run engine.Config) error {
 	opt := leakscan.DefaultOptions()
 	opt.Core = sc.Ablation.Core
 	opt.Model = sc.Ablation.Model
 	opt.Model.NoiseSigma = sc.sigma()
 	opt.Seed = sc.Seed
-	opt.Workers = ex.workers
-	opt.Lanes = ex.lanes
-	opt.Ctx = ex.ctx
-	opt.Gate = ex.gate
+	opt.Config = run
 	opt.Synth = sc.Synth
 	if sc.Traces > 0 {
 		opt.Traces = sc.Traces

@@ -319,16 +319,13 @@ func Run(spec *Spec, opt RunOptions) (*Results, error) {
 		pendingIdx = append(pendingIdx, i)
 	}
 
-	ctx := opt.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	run := engine.Config{Workers: workers, Lanes: opt.Lanes, Ctx: opt.Ctx, Gate: opt.Gate}
 
 	// Shards pull scenario indexes from a channel; results land in their
 	// enumeration slot, so completion order never reaches the artifacts.
 	err = runShards(shards, pendingIdx, func(i int) error {
 		sc := &scenarios[i]
-		sr, err := ExecuteContext(ctx, sc, key, workers, opt.Lanes, opt.Gate)
+		sr, err := Execute(sc, key, run)
 		if err != nil {
 			return err
 		}

@@ -18,10 +18,9 @@ import (
 // EngineFlags bundles the shared engine flags. Register the subsets a
 // tool needs, call Finish after flag.Parse, then read the fields.
 type EngineFlags struct {
-	// Workers is the -workers value (0: one per core).
-	Workers int
-	// Lanes is the -lanes value (0: default width).
-	Lanes int
+	// Config holds the -workers value (0: one per core) and the -lanes
+	// value (0: default width), ready to hand to the engine.
+	engine.Config
 	// Seed is the -seed value (only meaningful after RegisterSeed).
 	Seed int64
 	// Mode is the parsed -replay value (engine.ModeAuto unless

@@ -16,7 +16,7 @@ import (
 // DefaultLanes is the default lane-group width: the full
 // DefaultChunkSize, so a steady-state chunk is exactly one lane group
 // and the per-step schedule walk, scatter setup and fused expansion
-// amortize over the widest supported batch. Like ChunkSize it is pure
+// amortize over the widest supported batch. Like the chunk size it is pure
 // scheduling — results are bit-identical for every lane width.
 const DefaultLanes = replay.MaxLanes
 
@@ -268,9 +268,6 @@ type BatchGen struct {
 	// Model supplies the fused synthesis weights and the expansion
 	// parameters.
 	Model *power.Model
-	// Lanes is the lane-group width: 0 selects DefaultLanes, otherwise
-	// 1..replay.MaxLanes.
-	Lanes int
 	// Prepare draws the trace's pre-execution randomness (e.g. the
 	// plaintext, kept in s.Aux), initializes the core's architectural
 	// state and fills s.Hyps / s.Class. It may run twice for a trace
@@ -310,10 +307,10 @@ func RunBatched(cfg Config, spec Spec, bg BatchGen) ([]sca.Accumulator, error) {
 	if err := bg.Env.Validate(); err != nil {
 		return nil, err
 	}
-	if err := CheckLanes(bg.Lanes); err != nil {
+	if err := CheckLanes(cfg.Lanes); err != nil {
 		return nil, err
 	}
-	lanes := cmp.Or(bg.Lanes, DefaultLanes)
+	lanes := cmp.Or(cfg.Lanes, DefaultLanes)
 	fill := func(c chunk, bb *batchBuf) error {
 		n := c.end - c.start
 		bb.byVariant = slices.Grow(bb.byVariant[:0], len(synths))[:len(synths)]

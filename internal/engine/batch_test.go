@@ -103,7 +103,7 @@ func (r randNorm) FillNorm(dst []float64) {
 
 // gen builds the batch generator over a fresh Synthesizer of the given
 // mode: two-fold averaging in the quiet environment.
-func (f *batchFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, *Synthesizer) {
+func (f *batchFixture) gen(t *testing.T, mode Mode) (BatchGen, *Synthesizer) {
 	t.Helper()
 	synth, err := NewSynthesizer(mode, f.cfg, f.prog)
 	if err != nil {
@@ -112,7 +112,6 @@ func (f *batchFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, *Synth
 	return BatchGen{
 		Variants: []*Synthesizer{synth},
 		Model:    &f.m,
-		Lanes:    lanes,
 		Averages: 2,
 		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *Sample) error {
 			v := rng.Uint32()
@@ -170,9 +169,9 @@ func TestRunBatchedBitIdenticalToScalar(t *testing.T) {
 		case tc.env != quiet:
 			want = loadedRef
 		}
-		bg, synth := f.gen(t, ModeAuto, tc.lanes)
+		bg, synth := f.gen(t, ModeAuto)
 		bg.Env = tc.env
-		got, err := RunBatched(Config{Workers: tc.workers, ChunkSize: tc.chunk}, spec, bg)
+		got, err := RunBatched(Config{Workers: tc.workers, Lanes: tc.lanes, chunkSize: tc.chunk}, spec, bg)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -195,8 +194,8 @@ func TestRunBatchedBitIdenticalToScalar(t *testing.T) {
 func TestRunBatchedVerifyWindowStaysScalar(t *testing.T) {
 	f := newBatchFixture(VerifyRuns)
 	f.spec.Traces = VerifyRuns
-	bg, synth := f.gen(t, ModeAuto, 8)
-	if _, err := RunBatched(Config{Workers: 1}, f.spec, bg); err != nil {
+	bg, synth := f.gen(t, ModeAuto)
+	if _, err := RunBatched(Config{Workers: 1, Lanes: 8}, f.spec, bg); err != nil {
 		t.Fatal(err)
 	}
 	if synth.BatchRuns() != 0 {
@@ -212,8 +211,8 @@ func TestRunBatchedVerifyWindowStaysScalar(t *testing.T) {
 // must stay off entirely.
 func TestRunBatchedSimulateNeverBatches(t *testing.T) {
 	f := newBatchFixture(100)
-	bg, synth := f.gen(t, ModeSimulate, 8)
-	if _, err := RunBatched(Config{Workers: 2}, f.spec, bg); err != nil {
+	bg, synth := f.gen(t, ModeSimulate)
+	if _, err := RunBatched(Config{Workers: 2, Lanes: 8}, f.spec, bg); err != nil {
 		t.Fatal(err)
 	}
 	if synth.BatchRuns() != 0 {
@@ -257,7 +256,7 @@ func newDivergeFixture(traces, bad int) *divergeFixture {
 	return f
 }
 
-func (f *divergeFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, *Synthesizer) {
+func (f *divergeFixture) gen(t *testing.T, mode Mode) (BatchGen, *Synthesizer) {
 	t.Helper()
 	synth, err := NewSynthesizer(mode, f.cfg, f.prog)
 	if err != nil {
@@ -275,7 +274,6 @@ func (f *divergeFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, *Syn
 	return BatchGen{
 		Variants: []*Synthesizer{synth},
 		Model:    &f.m,
-		Lanes:    lanes,
 		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *Sample) error {
 			v := rng.Uint32()
 			initCore(core, i, v)
@@ -294,7 +292,7 @@ func (f *divergeFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, *Syn
 func TestRunBatchedDivergenceFallsBackToSimulation(t *testing.T) {
 	const traces, bad = 160, 130 // bad lands in a post-window batch
 	sim := newDivergeFixture(traces, bad)
-	simGen, _ := sim.gen(t, ModeSimulate, 0)
+	simGen, _ := sim.gen(t, ModeSimulate)
 	want, err := RunBatched(Config{Workers: 1}, sim.spec, simGen)
 	if err != nil {
 		t.Fatal(err)
@@ -303,8 +301,8 @@ func TestRunBatchedDivergenceFallsBackToSimulation(t *testing.T) {
 	// detection and fallback parity must be width-independent.
 	for _, lanes := range []int{8, 48, 64} {
 		f := newDivergeFixture(traces, bad)
-		bg, synth := f.gen(t, ModeAuto, lanes)
-		got, err := RunBatched(Config{Workers: 1}, f.spec, bg)
+		bg, synth := f.gen(t, ModeAuto)
+		got, err := RunBatched(Config{Workers: 1, Lanes: lanes}, f.spec, bg)
 		if err != nil {
 			t.Fatalf("lanes=%d: %v", lanes, err)
 		}
@@ -404,7 +402,7 @@ func (f *variantFixture) windowChecks(v int) int {
 	return min(n, VerifyRuns)
 }
 
-func (f *variantFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, []*Synthesizer) {
+func (f *variantFixture) gen(t *testing.T, mode Mode) (BatchGen, []*Synthesizer) {
 	t.Helper()
 	synths := make([]*Synthesizer, len(f.progs))
 	for v, prog := range f.progs {
@@ -417,7 +415,6 @@ func (f *variantFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, []*S
 		Variants: synths,
 		Variant:  f.variant,
 		Model:    &f.m,
-		Lanes:    lanes,
 		Averages: 2,
 		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *Sample) error {
 			f.variant(i, rng)
@@ -439,7 +436,7 @@ func (f *variantFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, []*S
 // simulates its variant's program on its own.
 func (f *variantFixture) scalar(t *testing.T) Generate {
 	t.Helper()
-	bg, synths := f.gen(t, ModeSimulate, 0)
+	bg, synths := f.gen(t, ModeSimulate)
 	return func(i int, rng *rand.Rand, s *Sample) error {
 		v := f.variant(i, TraceRNG(f.spec.Seed, i)) // Prepare redraws it from rng
 		var prepErr error
@@ -476,7 +473,7 @@ func TestRunBatchedVariantGrouping(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		simGen, _ := f.gen(t, ModeSimulate, 0)
+		simGen, _ := f.gen(t, ModeSimulate)
 		sim, err := RunBatched(Config{Workers: 3}, f.spec, simGen)
 		if err != nil {
 			t.Fatal(err)
@@ -487,8 +484,8 @@ func TestRunBatchedVariantGrouping(t *testing.T) {
 		for _, lanes := range []int{1, 8, 64} {
 			var ref []path
 			for _, workers := range []int{1, 3} {
-				bg, synths := f.gen(t, ModeAuto, lanes)
-				got, err := RunBatched(Config{Workers: workers}, f.spec, bg)
+				bg, synths := f.gen(t, ModeAuto)
+				got, err := RunBatched(Config{Workers: workers, Lanes: lanes}, f.spec, bg)
 				if err != nil {
 					t.Fatalf("diverge=%v lanes=%d workers=%d: %v", diverge, lanes, workers, err)
 				}
@@ -565,8 +562,8 @@ func TestRunBatchedVariantWindowBound(t *testing.T) {
 		}
 		var ref []path
 		for _, workers := range []int{1, 3} {
-			bg, synths := f.gen(t, ModeAuto, 8)
-			got, err := RunBatched(Config{Workers: workers}, f.spec, bg)
+			bg, synths := f.gen(t, ModeAuto)
+			got, err := RunBatched(Config{Workers: workers, Lanes: 8}, f.spec, bg)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", c.name, workers, err)
 			}
@@ -614,7 +611,6 @@ func TestRunBatchedEmitBitIdenticalToSimulate(t *testing.T) {
 		bg := BatchGen{
 			Variants: []*Synthesizer{synth},
 			Model:    &f.m,
-			Lanes:    lanes,
 			Averages: 1,
 			Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *Sample) error {
 				v := rng.Uint32()
@@ -630,7 +626,7 @@ func TestRunBatchedEmitBitIdenticalToSimulate(t *testing.T) {
 			auxes = append(auxes, slices.Clone(aux))
 			return nil
 		}}
-		if _, err := RunBatched(Config{Workers: 2}, spec, bg); err != nil {
+		if _, err := RunBatched(Config{Workers: 2, Lanes: lanes}, spec, bg); err != nil {
 			t.Fatal(err)
 		}
 		return traces, auxes
@@ -663,14 +659,14 @@ func TestRunBatchedEmitBitIdenticalToSimulate(t *testing.T) {
 // for every worker count and chunk size.
 func TestRunBatchedEmitBesideBanks(t *testing.T) {
 	f := newBatchFixture(150)
-	bg, _ := f.gen(t, ModeAuto, 0)
+	bg, _ := f.gen(t, ModeAuto)
 	want, err := RunBatched(Config{Workers: 1}, f.spec, bg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3} {
 		for _, chunk := range []int{16, 64} {
-			bg, _ := f.gen(t, ModeAuto, 0)
+			bg, _ := f.gen(t, ModeAuto)
 			spec := f.spec
 			next := 0
 			spec.Emit = func(i int, tr trace.Trace, aux []byte) error {
@@ -683,7 +679,7 @@ func TestRunBatchedEmitBesideBanks(t *testing.T) {
 				next++
 				return nil
 			}
-			got, err := RunBatched(Config{Workers: workers, ChunkSize: chunk}, spec, bg)
+			got, err := RunBatched(Config{Workers: workers, chunkSize: chunk}, spec, bg)
 			if err != nil {
 				t.Fatalf("workers=%d chunk=%d: %v", workers, chunk, err)
 			}
@@ -704,20 +700,19 @@ func TestRunBatchedValidation(t *testing.T) {
 		t.Error("incomplete generator accepted")
 	}
 	// A run must fold into banks, emit, or both.
-	bgs, _ := f.gen(t, ModeAuto, 0)
+	bgs, _ := f.gen(t, ModeAuto)
 	sinkless := f.spec
 	sinkless.Banks = nil
 	if _, err := RunBatched(Config{}, sinkless, bgs); err == nil {
 		t.Error("spec with neither banks nor Emit accepted")
 	}
 	for _, lanes := range []int{-1, 65} {
-		bg, _ := f.gen(t, ModeAuto, lanes)
-		if _, err := RunBatched(Config{}, f.spec, bg); err == nil {
+		if _, err := RunBatched(Config{Lanes: lanes}, f.spec, bgs); err == nil {
 			t.Errorf("lane width %d accepted", lanes)
 		}
 	}
 	// Every variant needs a synthesizer, and the pick must name one.
-	bgv, _ := f.gen(t, ModeAuto, 0)
+	bgv, _ := f.gen(t, ModeAuto)
 	bgv.Variants = append(bgv.Variants, nil)
 	if _, err := RunBatched(Config{}, f.spec, bgv); err == nil {
 		t.Error("nil variant synthesizer accepted")
@@ -731,7 +726,7 @@ func TestRunBatchedValidation(t *testing.T) {
 	// post-window chunk) is a genuine failure, not a fallback.
 	var errBoom = errors.New("boom")
 	f2 := newBatchFixture(160)
-	bg2, _ := f2.gen(t, ModeAuto, 8)
+	bg2, _ := f2.gen(t, ModeAuto)
 	prepare := bg2.Prepare
 	bg2.Prepare = func(i int, rng *rand.Rand, core *pipeline.Core, s *Sample) error {
 		if i == 99 {
@@ -739,7 +734,7 @@ func TestRunBatchedValidation(t *testing.T) {
 		}
 		return prepare(i, rng, core, s)
 	}
-	if _, err := RunBatched(Config{Workers: 1}, f2.spec, bg2); !errors.Is(err, errBoom) {
+	if _, err := RunBatched(Config{Workers: 1, Lanes: 8}, f2.spec, bg2); !errors.Is(err, errBoom) {
 		t.Errorf("prepare error not propagated: %v", err)
 	}
 }
@@ -762,7 +757,7 @@ func TestRunBatchedSteadyStateAllocs(t *testing.T) {
 	const chunk = DefaultChunkSize
 	newRun := func(extra int) func() {
 		f := newBatchFixture(VerifyRuns + extra*chunk)
-		bg, _ := f.gen(t, ModeAuto, 0)
+		bg, _ := f.gen(t, ModeAuto)
 		run := func() {
 			if _, err := RunBatched(Config{Workers: 1}, f.spec, bg); err != nil {
 				t.Fatal(err)
@@ -902,12 +897,12 @@ func TestRunBatchedPathDeterministic(t *testing.T) {
 	cases := map[string]func() (BatchGen, *Synthesizer, Spec){
 		"replayable": func() (BatchGen, *Synthesizer, Spec) {
 			f := newBatchFixture(traces)
-			bg, s := f.gen(t, ModeAuto, 0)
+			bg, s := f.gen(t, ModeAuto)
 			return bg, s, f.spec
 		},
 		"late-divergence": func() (BatchGen, *Synthesizer, Spec) {
 			f := newDivergeFixture(traces, 130)
-			bg, s := f.gen(t, ModeAuto, 0)
+			bg, s := f.gen(t, ModeAuto)
 			return bg, s, f.spec
 		},
 		"cold-caches": func() (BatchGen, *Synthesizer, Spec) { return coldFixture(t, traces) },
@@ -920,7 +915,7 @@ func TestRunBatchedPathDeterministic(t *testing.T) {
 				for _, ckpt := range [][]int{nil, {10}} {
 					bg, s, spec := mk()
 					spec.Checkpoints = ckpt
-					acc, err := RunBatched(Config{Workers: workers, ChunkSize: chunk}, spec, bg)
+					acc, err := RunBatched(Config{Workers: workers, chunkSize: chunk}, spec, bg)
 					if err != nil {
 						t.Fatalf("%s workers=%d chunk=%d: %v", name, workers, chunk, err)
 					}
@@ -964,9 +959,9 @@ func TestSharedGateAutoRunsFinish(t *testing.T) {
 	}
 	done := make(chan error, 2)
 	for r := 0; r < 2; r++ {
-		bg, _ := f.gen(t, ModeAuto, 16)
+		bg, _ := f.gen(t, ModeAuto)
 		go func() {
-			got, err := RunBatched(Config{Workers: 4, ChunkSize: 16, Gate: gate}, f.spec, bg)
+			got, err := RunBatched(Config{Workers: 4, Lanes: 16, chunkSize: 16, Gate: gate}, f.spec, bg)
 			if err == nil && !got[0].(*sca.CPA).Equal(want[0].(*sca.CPA)) {
 				err = errors.New("gated auto run differs from per-trace simulation")
 			}

@@ -15,8 +15,8 @@
 // ascending chunk order, and AddBatch is defined bit-identical to
 // per-trace Add calls in trace order. The global floating-point
 // summation order is therefore exactly the serial trace order 0,1,2,…
-// — a pure function of (Seed, Traces), never of Workers, ChunkSize or
-// scheduling. Runs with one worker and with sixteen produce
+// — a pure function of (Seed, Traces), never of Workers, Lanes, chunk
+// size or scheduling. Runs with one worker and with sixteen produce
 // bit-identical accumulators, and so do runs with different chunk
 // sizes.
 package engine
@@ -42,22 +42,28 @@ import (
 // auto-mode replay verification window (VerifyRuns).
 const DefaultChunkSize = 64
 
-// Config sizes the worker pool.
+// Config is a run's scheduling: the knobs every campaign, attack and
+// scan passes down to the engine unchanged. None of them changes a
+// result bit (see the package determinism contract); they decide only
+// how fast a result arrives, and whether it arrives at all.
 type Config struct {
 	// Workers is the pool size; <= 0 selects runtime.GOMAXPROCS(0).
 	Workers int
-	// ChunkSize is the per-chunk trace count; <= 0 selects
-	// DefaultChunkSize.
-	ChunkSize int
+	// Lanes is the lane-group width of RunBatched: 0 selects
+	// DefaultLanes, otherwise 1..replay.MaxLanes (see CheckLanes).
+	Lanes int
 	// Ctx, when non-nil, cancels the run: workers observe it between
 	// chunks, so a run aborts within one chunk's worth of synthesis and
 	// RunBatched returns the context's error. Cancellation never corrupts
 	// results — a canceled run returns no accumulators at all.
 	Ctx context.Context
 	// Gate, when non-nil, bounds chunk-synthesis concurrency across
-	// every run sharing it (see Gate). Purely a scheduling constraint:
-	// accumulator bits are unchanged by it.
+	// every run sharing it (see Gate).
 	Gate *Gate
+
+	// chunkSize is the per-chunk trace count; <= 0 selects
+	// DefaultChunkSize. Only the engine's tests vary it.
+	chunkSize int
 }
 
 // ctxErr reports the configured context's cancellation state.
@@ -73,13 +79,6 @@ func (c Config) workers() int {
 		return c.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func (c Config) chunkSize() int {
-	if c.ChunkSize > 0 {
-		return c.ChunkSize
-	}
-	return DefaultChunkSize
 }
 
 // Bank describes one accumulator bank of a streaming run.
@@ -328,9 +327,13 @@ func runChunked(cfg Config, spec Spec, serial func(start int) bool, fill func(c 
 	if err != nil {
 		return nil, err
 	}
-	cs := chunks(spec.Traces, cfg.chunkSize(), spec.Checkpoints)
+	size := DefaultChunkSize
+	if cfg.chunkSize > 0 {
+		size = cfg.chunkSize
+	}
+	cs := chunks(spec.Traces, size, spec.Checkpoints)
 
-	chunkCap := cfg.chunkSize()
+	chunkCap := size
 	for _, c := range cs {
 		if n := c.end - c.start; n > chunkCap {
 			chunkCap = n

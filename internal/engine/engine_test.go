@@ -68,7 +68,7 @@ func TestStreamingEqualsSerialBitForBit(t *testing.T) {
 	want := serialReference(t, spec, gen)
 	for _, workers := range []int{1, 4} {
 		for _, chunk := range []int{spec.Traces, 8, 3} {
-			got, err := Run(Config{Workers: workers, ChunkSize: chunk}, spec, gen)
+			got, err := Run(Config{Workers: workers, chunkSize: chunk}, spec, gen)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestStreamingMatchesBatchPearson(t *testing.T) {
 		traces[i] = s.Trace
 		hyps[i] = append([]float64(nil), s.Hyps[0]...)
 	}
-	banks, err := Run(Config{Workers: 3, ChunkSize: 5}, spec, gen)
+	banks, err := Run(Config{Workers: 3, chunkSize: 5}, spec, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,12 +126,12 @@ func TestWorkerCountInvariance(t *testing.T) {
 	// bit-identical accumulators and therefore byte-identical rankings.
 	spec := Spec{Traces: 97, Samples: 9, Banks: HypothesisBanks(32), Seed: 11}
 	gen := noisyGen(spec.Banks, spec.Samples)
-	ref, err := Run(Config{Workers: 1, ChunkSize: 8}, spec, gen)
+	ref, err := Run(Config{Workers: 1, chunkSize: 8}, spec, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8, 16} {
-		got, err := Run(Config{Workers: workers, ChunkSize: 8}, spec, gen)
+		got, err := Run(Config{Workers: workers, chunkSize: 8}, spec, gen)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func TestCheckpointsObservePrefixes(t *testing.T) {
 		seen = append(seen, n)
 		snaps[n] = banks[0].(*sca.CPA).Clone()
 	}
-	final, err := Run(Config{Workers: 4, ChunkSize: 8}, spec, gen)
+	final, err := Run(Config{Workers: 4, chunkSize: 8}, spec, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestCheckpointsObservePrefixes(t *testing.T) {
 			}
 		}
 		sub.Checkpoints = cks
-		want, err := Run(Config{Workers: 2, ChunkSize: 8}, sub, gen)
+		want, err := Run(Config{Workers: 2, chunkSize: 8}, sub, gen)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func TestRunPropagatesGenerateError(t *testing.T) {
 		s.Trace = make([]float64, 4)
 		return nil
 	}
-	_, err := Run(Config{Workers: 4, ChunkSize: 4}, spec, gen)
+	_, err := Run(Config{Workers: 4, chunkSize: 4}, spec, gen)
 	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "trace 13") {
 		t.Fatalf("error = %v, want wrapped boom naming trace 13", err)
 	}
@@ -242,7 +242,7 @@ func TestWorkerPoolRace(t *testing.T) {
 		Checkpoints: []int{50, 150, 300}}
 	spec.OnCheckpoint = func(n int, banks []sca.Accumulator) { _ = banks[0].Corr(0, 0) }
 	gen := noisyGen(spec.Banks, spec.Samples)
-	if _, err := Run(Config{Workers: 8, ChunkSize: 7}, spec, gen); err != nil {
+	if _, err := Run(Config{Workers: 8, chunkSize: 7}, spec, gen); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -312,7 +312,7 @@ func TestStreamOrderedEmit(t *testing.T) {
 		}
 		return nil
 	}}
-	if _, err := RunBatched(Config{Workers: 5, ChunkSize: 3}, spec, bg); err != nil {
+	if _, err := RunBatched(Config{Workers: 5, chunkSize: 3}, spec, bg); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 43 {

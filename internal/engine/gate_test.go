@@ -27,7 +27,7 @@ func TestRunCancellation(t *testing.T) {
 		}
 		return nil
 	}
-	banks, err := Run(Config{Workers: 2, ChunkSize: 8, Ctx: ctx}, spec, gen)
+	banks, err := Run(Config{Workers: 2, chunkSize: 8, Ctx: ctx}, spec, gen)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -87,7 +87,7 @@ func TestGateBoundsConcurrencyAcrossRuns(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			_, errs[r] = Run(Config{Workers: 4, ChunkSize: 4, Gate: gate}, spec, gen)
+			_, errs[r] = Run(Config{Workers: 4, chunkSize: 4, Gate: gate}, spec, gen)
 		}(r)
 	}
 	wg.Wait()
@@ -104,11 +104,11 @@ func TestGateBoundsConcurrencyAcrossRuns(t *testing.T) {
 func TestGateDoesNotChangeResults(t *testing.T) {
 	spec := Spec{Traces: 50, Samples: 8, Banks: HypothesisBanks(16), Seed: 4}
 	gen := noisyGen(spec.Banks, spec.Samples)
-	want, err := Run(Config{Workers: 2, ChunkSize: 8}, spec, gen)
+	want, err := Run(Config{Workers: 2, chunkSize: 8}, spec, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(Config{Workers: 4, ChunkSize: 8, Gate: NewGate(2), Ctx: context.Background()}, spec, gen)
+	got, err := Run(Config{Workers: 4, chunkSize: 8, Gate: NewGate(2), Ctx: context.Background()}, spec, gen)
 	if err != nil {
 		t.Fatal(err)
 	}

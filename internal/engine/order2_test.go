@@ -67,7 +67,7 @@ func TestOrder2StreamingEqualsSerialBitForBit(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		for _, chunk := range []int{spec.Traces, 8, 3} {
-			got, err := Run(Config{Workers: workers, ChunkSize: chunk}, spec, gen)
+			got, err := Run(Config{Workers: workers, chunkSize: chunk}, spec, gen)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,7 +8,6 @@
 package leakscan
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -160,8 +159,6 @@ type Options struct {
 	// Model is the power model; Core the micro-architecture.
 	Model power.Model
 	Core  pipeline.Config
-	// Workers sizes the synthesis pool (0: one per core).
-	Workers int
 	// Order selects the CPA combining order: 0 or 1 scans first-order
 	// correlations; 2 runs a second pass accumulating centered products
 	// over each expression window's sample pairs (an engine.Order2 bank
@@ -174,14 +171,9 @@ type Options struct {
 	// default: compiled replay of each benchmark's schedule, checked
 	// against full simulation on the first engine.VerifyRuns traces).
 	Synth engine.Mode
-	// Lanes is the lane-group width (0: default); results are
-	// bit-identical for every value.
-	Lanes int
-	// Ctx, when non-nil, cancels trace synthesis between chunks.
-	Ctx context.Context
-	// Gate, when non-nil, bounds synthesis concurrency across every run
-	// sharing it.
-	Gate *engine.Gate
+	// Config is the run's scheduling; results are bit-identical for
+	// every value.
+	engine.Config
 }
 
 // DefaultOptions returns the paper's §4 methodology scaled to the
@@ -318,12 +310,11 @@ func RunBenchmark(b *Benchmark, opt Options) (*BenchResult, error) {
 	}
 	run := func(bank engine.Bank) (sca.Accumulator, error) {
 		banks, err := engine.RunBatched(
-			engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate},
+			opt.Config,
 			engine.Spec{Traces: opt.Traces, Samples: nSamples, Banks: []engine.Bank{bank}, Seed: opt.Seed},
 			engine.BatchGen{
 				Variants: []*engine.Synthesizer{synth},
 				Model:    &opt.Model,
-				Lanes:    opt.Lanes,
 				Averages: max(opt.Averages, 1),
 				Prepare: func(n int, rng *rand.Rand, core *pipeline.Core, s *engine.Sample) error {
 					vals := b.Setup(rng, core)

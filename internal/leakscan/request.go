@@ -143,10 +143,7 @@ func (r *Request) Run(env engine.RunEnv) (*Response, error) {
 		opt.Model.NoiseSigma = *r.NoiseSigma
 	}
 	opt.Order = r.Order
-	opt.Workers = env.Workers
-	opt.Lanes = env.Lanes
-	opt.Ctx = env.Ctx
-	opt.Gate = env.Gate
+	opt.Config = env.Config
 	opt.Synth, _ = engine.ParseMode(r.Synth)
 
 	rows := r.Rows

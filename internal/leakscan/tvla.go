@@ -75,7 +75,7 @@ func RunTVLA(b *Benchmark, opt Options) (*TVLAResult, error) {
 	fixedSeed := opt.Seed ^ 0x0f1ced
 	w := sca.NewWelch(nSamples)
 	_, err = engine.RunBatched(
-		engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate},
+		opt.Config,
 		engine.Spec{
 			Traces: opt.Traces, Samples: nSamples, Seed: opt.Seed,
 			Emit: func(i int, tr trace.Trace, _ []byte) error { return w.Add(i&1, tr) },
@@ -83,7 +83,6 @@ func RunTVLA(b *Benchmark, opt Options) (*TVLAResult, error) {
 		engine.BatchGen{
 			Variants: []*engine.Synthesizer{synth},
 			Model:    &opt.Model,
-			Lanes:    opt.Lanes,
 			Averages: max(opt.Averages, 1),
 			Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, _ *engine.Sample) error {
 				ops := rng

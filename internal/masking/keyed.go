@@ -1,7 +1,6 @@
 package masking
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -235,16 +234,11 @@ type KeyedOptions struct {
 	Model power.Model
 	Core  pipeline.Config
 	// Synth selects the trace-synthesis strategy (engine.ModeAuto by
-	// default); Lanes the lane-group width (0: engine.DefaultLanes).
-	// Workers sizes the synthesis pool (0: one per core). Results are
-	// bit-identical for every value of all three.
-	Synth   engine.Mode
-	Lanes   int
-	Workers int
-	// Ctx, when non-nil, cancels the run between chunks; Gate, when
-	// non-nil, bounds synthesis concurrency across runs sharing it.
-	Ctx  context.Context
-	Gate *engine.Gate
+	// default).
+	Synth engine.Mode
+	// Config is the run's scheduling. Results are bit-identical for
+	// every synthesis mode and every Config value.
+	engine.Config
 }
 
 // DefaultKeyedOptions returns the countermeasure-campaign defaults.
@@ -372,7 +366,6 @@ func EvaluateKeyedCPA(opt KeyedOptions) (*KeyedResult, error) {
 			return v
 		},
 		Model:    &opt.Model,
-		Lanes:    opt.Lanes,
 		Averages: avg,
 		// Fixed per-trace draw order: plaintext, countermeasure
 		// selections, masks, then synthesis noise.
@@ -410,14 +403,13 @@ func EvaluateKeyedCPA(opt KeyedOptions) (*KeyedResult, error) {
 			return nil
 		},
 	}
-	cfg := engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate}
 	spec := engine.Spec{
 		Traces:  opt.Traces,
 		Samples: nSamples,
 		Seed:    opt.Seed,
 		Banks:   []engine.Bank{{Hyps: 256, Classes: table}},
 	}
-	banks, err := engine.RunBatched(cfg, spec, bg)
+	banks, err := engine.RunBatched(opt.Config, spec, bg)
 	if err != nil {
 		return nil, err
 	}
@@ -428,7 +420,7 @@ func EvaluateKeyedCPA(opt KeyedOptions) (*KeyedResult, error) {
 		// first pass's mean trace.
 		means := banks[0].(*sca.ClassCPA).MeanTrace()
 		spec.Banks = []engine.Bank{{Hyps: 256, Classes: table, Order2: &engine.Order2{Means: means}}}
-		banks2, err := engine.RunBatched(cfg, spec, bg)
+		banks2, err := engine.RunBatched(opt.Config, spec, bg)
 		if err != nil {
 			return nil, err
 		}

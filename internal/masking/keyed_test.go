@@ -27,15 +27,15 @@ func TestEvaluateLeakageDeterministic(t *testing.T) {
 		math.Float64bits(want.Confidence) != math.Float64bits(again.Confidence) {
 		t.Fatalf("two identical runs differ: %+v vs %+v", want, again)
 	}
-	for _, workers := range []int{1, 2, 7} {
-		got, err := EvaluateLeakageOpt(NaiveXor(), cfg, EvalOptions{Traces: 300, Seed: 11, Workers: workers})
+	for _, run := range []engine.Config{{Workers: 1}, {Workers: 2}, {Workers: 7}, {Workers: 3, Lanes: 8}} {
+		got, err := EvaluateLeakageOpt(NaiveXor(), cfg, EvalOptions{Traces: 300, Seed: 11, Config: run})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Float64bits(got.MaxCorr) != math.Float64bits(want.MaxCorr) ||
 			math.Float64bits(got.Confidence) != math.Float64bits(want.Confidence) {
-			t.Errorf("workers=%d: MaxCorr %v / conf %v, want %v / %v",
-				workers, got.MaxCorr, got.Confidence, want.MaxCorr, want.Confidence)
+			t.Errorf("workers=%d lanes=%d: MaxCorr %v / conf %v, want %v / %v",
+				run.Workers, run.Lanes, got.MaxCorr, got.Confidence, want.MaxCorr, want.Confidence)
 		}
 	}
 }

@@ -15,7 +15,6 @@
 package masking
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
@@ -196,24 +195,14 @@ type EvalOptions struct {
 	Traces int
 	// Seed derives every trace's private random stream (engine.TraceRNG).
 	Seed int64
-	// Averages is the per-acquisition averaging factor (0: 16, the
-	// paper's setting).
-	Averages int
-	// Workers sizes the synthesis pool (0: one per core). Results are
-	// bit-identical for every value.
-	Workers int
-	// Ctx, when non-nil, cancels the run between chunks; Gate, when
-	// non-nil, bounds synthesis concurrency across runs sharing it.
-	Ctx  context.Context
-	Gate *engine.Gate
+	// Config is the run's scheduling; results are bit-identical for
+	// every value.
+	engine.Config
 }
 
-func (o *EvalOptions) averages() int {
-	if o.Averages > 0 {
-		return o.Averages
-	}
-	return 16
-}
+// evalAverages is the evaluation's per-acquisition averaging factor,
+// the paper's setting.
+const evalAverages = 16
 
 // EvaluateLeakage runs a first-order CPA-style test: the secret varies
 // randomly per execution (with a fresh masking each time) and the
@@ -252,12 +241,12 @@ func EvaluateLeakageOpt(g Gadget, cfg pipeline.Config, opt EvalOptions) (*LeakRe
 	}
 
 	banks, err := engine.RunBatched(
-		engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate},
+		opt.Config,
 		engine.Spec{Traces: opt.Traces, Samples: nSamples, Banks: engine.HypothesisBanks(2), Seed: opt.Seed},
 		engine.BatchGen{
 			Variants: []*engine.Synthesizer{synth},
 			Model:    &model,
-			Averages: opt.averages(),
+			Averages: evalAverages,
 			Prepare: func(i int, rng *rand.Rand, c *pipeline.Core, s *engine.Sample) error {
 				secret := rng.Uint32()
 				g.Setup(rng, c, secret)

@@ -323,6 +323,9 @@ func TestFlightCancellationMidJobLeavesCacheClean(t *testing.T) {
 		}
 	}()
 	<-computing
+	g.mu.Lock()
+	flight := g.flights["fp"]
+	g.mu.Unlock()
 	cancelReq() // the only waiter walks away -> flight context cancels
 	select {
 	case err := <-finished:
@@ -339,7 +342,10 @@ func TestFlightCancellationMidJobLeavesCacheClean(t *testing.T) {
 		t.Fatalf("stats %+v, want untouched cache", st)
 	}
 
-	// The same fingerprint recomputes cleanly afterwards.
+	// The same fingerprint recomputes cleanly afterwards, once the
+	// canceled flight has left the group: compute reports finished just
+	// before its flight is removed, and done closes just after.
+	<-flight.done
 	body, shared, err := g.do(context.Background(), context.Background(), "fp", func(ctx context.Context) ([]byte, error) {
 		b := []byte("fresh")
 		cache.Put("fp", "k", b)

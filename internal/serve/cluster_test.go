@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/engine"
 )
 
 // testScenarioRequest enumerates a tiny single-scenario campaign and
@@ -71,7 +72,7 @@ func TestScenarioEndpointServesByteIdenticalFromCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := campaign.Execute(sc, key, 1, 0)
+	want, err := campaign.Execute(sc, key, engine.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

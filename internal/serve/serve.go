@@ -219,17 +219,16 @@ func (s *Server) health() Health {
 	return h
 }
 
+// run assembles one computation's scheduling: the server's pool size
+// and lane width, the computation's context and the shared gate.
+func (s *Server) run(ctx context.Context) engine.Config {
+	return engine.Config{Workers: s.opt.Workers, Lanes: s.opt.Lanes, Ctx: ctx, Gate: s.gate}
+}
+
 // runEnv assembles the execution environment for one computation: the
 // resolved ablation plus the server's shared scheduling.
 func (s *Server) runEnv(ctx context.Context, ab campaign.Ablation) engine.RunEnv {
-	return engine.RunEnv{
-		Core:    ab.Core,
-		Model:   ab.Model,
-		Workers: s.opt.Workers,
-		Lanes:   s.opt.Lanes,
-		Ctx:     ctx,
-		Gate:    s.gate,
-	}
+	return engine.RunEnv{Core: ab.Core, Model: ab.Model, Config: s.run(ctx)}
 }
 
 // fingerprintable is the canonical identity a synchronous request is
@@ -418,7 +417,7 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	}
 	fp := req.Fingerprint()
 	s.respond(w, r, "scenario", fp, func(ctx context.Context) (any, error) {
-		return campaign.ExecuteContext(ctx, sc, key, s.opt.Workers, s.opt.Lanes, s.gate)
+		return campaign.Execute(sc, key, s.run(ctx))
 	})
 }
 
