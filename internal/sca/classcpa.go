@@ -8,7 +8,8 @@ import (
 // Accumulator is the read side shared by the streaming correlation
 // engines: everything an attack evaluates after (or while) traces
 // accumulate. CPA implements it by maintaining the Pearson sums
-// directly; ClassCPA by deriving them from per-class trace sums.
+// directly; ClassCPA by computing them on demand from per-class trace
+// sums.
 type Accumulator interface {
 	// Count returns the number of accumulated traces.
 	Count() int
@@ -48,11 +49,13 @@ var (
 // trace sequence: each class sum receives its traces' samples in
 // arrival order (one rounded add per trace), and arrival order is trace
 // order under the engine's ordered reduction — so the state never
-// depends on workers, chunking or lane width. Derivation sweeps classes
-// in ascending index, skipping empty classes (their contribution is a
-// ±0 that cannot change any accumulated bit), so every statistic is a
-// pure function of the state. Add the same traces in the same order and
-// every derived correlation is bit-identical.
+// depends on workers, chunking or lane width. Every Pearson sum is
+// computed on demand as one serial chain per element over the
+// non-empty classes in ascending index, starting from +0 (an empty
+// class would contribute a ±0 that cannot change any accumulated bit),
+// so every statistic is a pure function of the state. Add the same
+// traces in the same order and every correlation is bit-identical,
+// whether the ranking kernel or the one-row path computes it.
 type ClassCPA struct {
 	classes int
 	nHyp    int
@@ -64,17 +67,6 @@ type ClassCPA struct {
 	classSum []float64 // [p*samples + s]: Σt over the class's traces
 	sumT     []float64 // per sample: Σt
 	sumTT    []float64 // per sample: Σt²
-
-	// derived caches the Pearson sums computed from the class state;
-	// accumulation invalidates it.
-	derived *classDerived
-}
-
-// classDerived holds the Pearson sums derived from the class state.
-type classDerived struct {
-	sumH  []float64
-	sumHH []float64
-	sumHT []float64
 }
 
 // NewClassCPA returns a class-sum engine over the given hypothesis
@@ -158,7 +150,6 @@ func (c *ClassCPA) Add(class int, t []float64) error {
 	classAddInto(c.sumT, c.sumTT, c.classSum[class*c.samples:(class+1)*c.samples], t)
 	c.classN[class]++
 	c.count++
-	c.derived = nil
 	return nil
 }
 
@@ -182,108 +173,89 @@ func (c *ClassCPA) AddBatch(classes []int, traces [][]float64) error {
 		c.classN[p]++
 	}
 	c.count += len(traces)
-	c.derived = nil
 	return nil
 }
 
-// derive materializes the Pearson sums from the class state: one sweep
-// over the classes in ascending index, empty classes skipped (a
-// skipped class would contribute 0·h and 0·S terms — ±0 values whose
-// addition cannot alter any accumulated bit, since exact cancellation
-// rounds to +0 and x+(±0) preserves x's bits for every non-zero x).
-func (c *ClassCPA) derive() *classDerived {
-	if c.derived != nil {
-		return c.derived
+// rankTile is the ranking pass's sample-tile width: one hypothesis's
+// tile fills four ZMM registers in the AVX-512 kernel.
+const rankTile = 32
+
+// window clamps the sample window [lo,hi) to the trace: a negative lo
+// becomes 0, and an empty or overlong hi becomes the trace length.
+func (c *ClassCPA) window(lo, hi int) (int, int) {
+	if lo < 0 {
+		lo = 0
 	}
-	d := &classDerived{
-		sumH:  make([]float64, c.nHyp),
-		sumHH: make([]float64, c.nHyp),
-		sumHT: make([]float64, c.nHyp*c.samples),
+	if hi <= lo || hi > c.samples {
+		hi = c.samples
 	}
-	for p := 0; p < c.classes; p++ {
-		if c.classN[p] == 0 {
-			continue
-		}
-		np := float64(c.classN[p])
-		row := c.table[p*c.nHyp : (p+1)*c.nHyp]
-		for k, h := range row {
-			d.sumH[k] += np * h
-			d.sumHH[k] += np * (h * h)
-		}
-	}
-	// Σh·t rows, sample-tiled so a block of class sums stays cache-
-	// resident while every hypothesis row streams through it once.
-	const tile = 512
-	for base := 0; base < c.samples; base += tile {
-		w := c.samples - base
-		if w > tile {
-			w = tile
-		}
-		for k := 0; k < c.nHyp; k++ {
-			row := d.sumHT[k*c.samples+base : k*c.samples+base+w]
-			c.accumRow(row, base, w, k)
-		}
-	}
-	c.derived = d
-	return d
+	return lo, hi
 }
 
-// accumRow adds Σ_p H[p][k]·S_p[base:base+w] into row, classes in
-// ascending index, empty classes skipped.
-func (c *ClassCPA) accumRow(row []float64, base, w, k int) {
-	quad := [4][]float64{}
-	coef := [4]float64{}
-	n := 0
-	flush := func() {
-		switch n {
-		case 4:
-			axpy4(row, quad[0], quad[1], quad[2], quad[3], coef[0], coef[1], coef[2], coef[3])
-		default:
-			for i := 0; i < n; i++ {
-				axpy(row, quad[i], coef[i])
-			}
-		}
-		n = 0
-	}
-	for p := 0; p < c.classes; p++ {
-		if c.classN[p] == 0 {
+// hypTerms returns hypothesis k's Σh and √(nΣh² − (Σh)²), the
+// hypothesis half of the Pearson denominator. Σh = Σ_p n_p·H[p][k] and
+// Σh² = Σ_p n_p·H[p][k]² run over the classes in ascending index,
+// empty classes skipped.
+func (c *ClassCPA) hypTerms(k int) (sumH, rootH float64) {
+	var sumHH float64
+	for p, np := range c.classN {
+		if np == 0 {
 			continue
 		}
-		quad[n] = c.classSum[p*c.samples+base : p*c.samples+base+w]
-		coef[n] = c.table[p*c.nHyp+k]
-		n++
-		if n == 4 {
-			flush()
-		}
+		h := c.table[p*c.nHyp+k]
+		sumH += float64(np) * h
+		sumHH += float64(np) * (h * h)
 	}
-	flush()
-}
-
-// Corr returns the correlation of hypothesis k at sample s.
-func (c *ClassCPA) Corr(k, s int) float64 {
-	if c.count < 2 {
-		return 0
-	}
-	d := c.derive()
 	n := float64(c.count)
-	num := n*d.sumHT[k*c.samples+s] - d.sumH[k]*c.sumT[s]
-	dh := n*d.sumHH[k] - d.sumH[k]*d.sumH[k]
-	dt := n*c.sumTT[s] - c.sumT[s]*c.sumT[s]
-	den := math.Sqrt(dh) * math.Sqrt(dt)
+	return sumH, math.Sqrt(n*sumHH - sumH*sumH)
+}
+
+// corrs returns hypothesis k's correlations at the samples [lo,hi),
+// building its Σh·t row on demand: one ascending-class axpy per
+// non-empty class into a +0 row — per element the same rounding chain
+// as the ranking kernel.
+func (c *ClassCPA) corrs(k, lo, hi int) []float64 {
+	row := make([]float64, hi-lo)
+	if c.count < 2 {
+		return row
+	}
+	for p, np := range c.classN {
+		if np != 0 {
+			axpy(row, c.classSum[p*c.samples+lo:p*c.samples+hi], c.table[p*c.nHyp+k])
+		}
+	}
+	sumH, rootH := c.hypTerms(k)
+	n := float64(c.count)
+	for i, ht := range row {
+		row[i] = pearson(n, ht, sumH, c.sumT[lo+i], rootH, c.rootT(lo+i))
+	}
+	return row
+}
+
+// rootT returns √(nΣt² − (Σt)²) at sample s, the trace half of the
+// Pearson denominator.
+func (c *ClassCPA) rootT(s int) float64 {
+	n := float64(c.count)
+	return math.Sqrt(n*c.sumTT[s] - c.sumT[s]*c.sumT[s])
+}
+
+// pearson closes a correlation from its sums: n traces, Σh·t = ht,
+// Σh = sumH, Σt = sumT, and the two square-rooted denominator halves.
+// A zero or NaN denominator (a constant hypothesis or sample) yields 0.
+func pearson(n, ht, sumH, sumT, rootH, rootT float64) float64 {
+	num := n*ht - sumH*sumT
+	den := rootH * rootT
 	if den == 0 || math.IsNaN(den) {
 		return 0
 	}
 	return num / den
 }
 
+// Corr returns the correlation of hypothesis k at sample s.
+func (c *ClassCPA) Corr(k, s int) float64 { return c.corrs(k, s, s+1)[0] }
+
 // CorrTrace returns the correlation-vs-time curve of hypothesis k.
-func (c *ClassCPA) CorrTrace(k int) []float64 {
-	out := make([]float64, c.samples)
-	for s := range out {
-		out[s] = c.Corr(k, s)
-	}
-	return out
-}
+func (c *ClassCPA) CorrTrace(k int) []float64 { return c.corrs(k, 0, c.samples) }
 
 // Peak returns the maximum absolute correlation of hypothesis k and the
 // sample where it occurs: PeakIn over the whole trace.
@@ -294,26 +266,16 @@ func (c *ClassCPA) Peak(k int) (corr float64, sample int) {
 // PeakIn returns hypothesis k's peak correlation within the sample
 // window [lo,hi). Out-of-range bounds clamp to the trace; when signed
 // is set the peak is the maximum signed correlation rather than the
-// maximum magnitude.
+// maximum magnitude. The window's first sample seeds the peak and a
+// later sample replaces it only by outranking it, so ties go to the
+// earliest sample.
 func (c *ClassCPA) PeakIn(k, lo, hi int, signed bool) (corr float64, sample int) {
-	if lo < 0 {
-		lo = 0
+	lo, hi = c.window(lo, hi)
+	if lo >= hi {
+		return 0, lo
 	}
-	if hi <= lo || hi > c.samples {
-		hi = c.samples
-	}
-	best, idx, have := 0.0, lo, false
-	for s := lo; s < hi; s++ {
-		r := c.Corr(k, s)
-		better := math.Abs(r) > math.Abs(best)
-		if signed {
-			better = r > best
-		}
-		if !have || better {
-			best, idx, have = r, s, true
-		}
-	}
-	return best, idx
+	rs := c.corrs(k, lo, hi)
+	return scanPeak(rs, lo, rs[0], lo, signed)
 }
 
 // ResultIn computes the attack summary restricted to the sample window
@@ -324,19 +286,21 @@ func (c *ClassCPA) PeakIn(k, lo, hi int, signed bool) (corr float64, sample int)
 // ambiguity of XOR-Hamming-weight models, where hypothesis k^0xff
 // predicts the precise negation of hypothesis k and |r| alone cannot
 // separate the two. Result is the (whole-trace, magnitude) special
-// case.
+// case. Every peak is bit-identical to PeakIn's.
 func (c *ClassCPA) ResultIn(lo, hi int, signed bool) *Attack {
+	lo, hi = c.window(lo, hi)
 	a := &Attack{
 		Peaks:       make([]float64, c.nHyp),
 		PeakSamples: make([]int, c.nHyp),
 		Ranking:     make([]int, c.nHyp),
 		Traces:      c.count,
 	}
-	for k := 0; k < c.nHyp; k++ {
-		r, s := c.PeakIn(k, lo, hi, signed)
-		a.Peaks[k] = r
-		a.PeakSamples[k] = s
+	for k := range a.Ranking {
 		a.Ranking[k] = k
+		a.PeakSamples[k] = lo
+	}
+	if c.count >= 2 && lo < hi {
+		c.rank(a.Peaks, a.PeakSamples, lo, hi, signed)
 	}
 	key := func(r float64) float64 {
 		if signed {
@@ -357,13 +321,114 @@ func (c *ClassCPA) ResultIn(lo, hi int, signed bool) *Attack {
 	return a
 }
 
+// rank finds every hypothesis's peak over [lo,hi) (count >= 2, lo <
+// hi) in one fused pass. The window is cut into rankTile-sample tiles;
+// each tile packs the non-empty classes' sums contiguously, and every
+// hypothesis quad's correlation tile is computed from it by classTile —
+// so the packed tile stays cache-resident across all quads — and folded
+// into the quad's running peaks at once. Tiles run in ascending sample
+// order, so each peak sees its samples in the order PeakIn does.
+func (c *ClassCPA) rank(peaks []float64, at []int, lo, hi int, signed bool) {
+	// Per non-empty class: its table offset and its class-sum offset.
+	offs := make([]int, 0, c.classes)
+	rows := make([]int, 0, c.classes)
+	for p, np := range c.classN {
+		if np != 0 {
+			offs = append(offs, p*c.nHyp)
+			rows = append(rows, p*c.samples)
+		}
+	}
+	t := &tileTerms{n: float64(c.count), sumH: make([]float64, c.nHyp), rootH: make([]float64, c.nHyp)}
+	for k := range t.sumH {
+		t.sumH[k], t.rootH[k] = c.hypTerms(k)
+	}
+	// The window's Σt and √t, zero-padded to whole tiles.
+	padded := (hi - lo + rankTile - 1) / rankTile * rankTile
+	sumT := make([]float64, padded)
+	rootT := make([]float64, padded)
+	copy(sumT, c.sumT[lo:hi])
+	for i := range hi - lo {
+		rootT[i] = c.rootT(lo + i)
+	}
+
+	tile := make([]float64, len(rows)*rankTile)
+	var out [4 * rankTile]float64
+	for b := lo; b < hi; b += rankTile {
+		w := min(rankTile, hi-b)
+		for i, r := range rows {
+			copy(tile[i*rankTile:i*rankTile+w], c.classSum[r+b:r+b+w])
+		}
+		t.sumT, t.rootT = sumT[b-lo:b-lo+rankTile], rootT[b-lo:b-lo+rankTile]
+		for k0 := 0; k0 < c.nHyp; k0 += 4 {
+			m := min(4, c.nHyp-k0)
+			classTile(out[:], tile, c.table, offs, k0, m, w, t)
+			for j := 0; j < m; j++ {
+				k := k0 + j
+				rs := out[j*rankTile : j*rankTile+w]
+				if b == lo {
+					peaks[k] = rs[0] // the window's first sample seeds the peak
+				}
+				peaks[k], at[k] = scanPeak(rs, b, peaks[k], at[k], signed)
+			}
+		}
+	}
+}
+
+// scanPeak folds the correlations rs at samples b, b+1, … into the
+// running peak (best, idx): a sample replaces the peak only by
+// outranking it, so ties keep the earlier sample.
+func scanPeak(rs []float64, b int, best float64, idx int, signed bool) (float64, int) {
+	if signed {
+		for i, r := range rs {
+			if r > best {
+				best, idx = r, b+i
+			}
+		}
+		return best, idx
+	}
+	key := math.Abs(best)
+	for i, r := range rs {
+		if a := math.Abs(r); a > key {
+			best, idx, key = r, b+i, a
+		}
+	}
+	return best, idx
+}
+
+// tileTerms are what a correlation tile closes with: the trace count,
+// Σh and √h per hypothesis, and Σt and √t for each of the tile's
+// rankTile samples.
+type tileTerms struct {
+	n           float64
+	sumH, rootH []float64
+	sumT, rootT []float64
+}
+
+// classTileGeneric is the ranking kernel's Go twin. For j < m and s <
+// w it forms hypothesis k = k0+j's Σh·t at tile sample s as one serial
+// multiply-then-add chain from +0 over the classes in order —
+// Σ_i table[offs[i]+k]·tile[i*rankTile+s] — and writes its correlation
+// pearson(n, Σh·t, Σh[k], Σt[s], √h[k], √t[s]) to out[j*rankTile+s].
+func classTileGeneric(out, tile, table []float64, offs []int, k0, m, w int, t *tileTerms) {
+	for j := 0; j < m; j++ {
+		k := k0 + j
+		row := out[j*rankTile : j*rankTile+w]
+		clear(row)
+		for i, o := range offs {
+			axpyGeneric(row, tile[i*rankTile:i*rankTile+w], table[o+k])
+		}
+		for s, ht := range row {
+			row[s] = pearson(t.n, ht, t.sumH[k], t.sumT[s], t.rootH[k], t.rootT[s])
+		}
+	}
+}
+
 // Result computes the attack summary, exactly as CPA.Result does over
-// the derived sums: ResultIn over the whole trace, ranked by magnitude.
+// the class sums: ResultIn over the whole trace, ranked by magnitude.
 func (c *ClassCPA) Result() *Attack { return c.ResultIn(0, c.samples, false) }
 
 // Equal reports bit-identical accumulator state — the strict
-// equivalence the engine's determinism tests assert. Derived caches are
-// not state.
+// equivalence the engine's determinism tests assert.
 func (c *ClassCPA) Equal(o *ClassCPA) bool {
 	if c.classes != o.classes || c.nHyp != o.nHyp || c.samples != o.samples || c.count != o.count {
 		return false
@@ -410,5 +475,4 @@ func (c *ClassCPA) Reset() {
 	clear(c.sumT)
 	clear(c.sumTT)
 	c.count = 0
-	c.derived = nil
 }

@@ -78,7 +78,7 @@ var _ Accumulator = (*ClassCPA2)(nil)
 // the centered products of one window's sample pairs (Order2Combine)
 // and feeding the combined trace to an ordinary ClassCPA over the pair
 // space, so all of the conditional-sum machinery — class bucketing,
-// derived Pearson sums, the pinned vector kernels — is reused
+// the fused ranking pass, the pinned vector kernels — is reused
 // unchanged.
 //
 // Determinism contract. The centering vector is a constructor

@@ -201,6 +201,22 @@ func TestKernelFallbacksBitIdentical(t *testing.T) {
 			}
 		}
 	}
+
+	// ClassCPA.ResultIn: the ranking kernel vs its forced Go twin, on
+	// banks whose windows cover whole tiles, partial tiles and partial
+	// hypothesis quads.
+	for trial := 0; trial < 6; trial++ {
+		c := fuzzClassBank(int64(trial), 4+trial, 30+23*trial, 7, 0)
+		lo, hi := trial, 20+23*trial
+		for _, signed := range []bool{false, true} {
+			hasAVX, hasAVX512 = savedAVX, saved512
+			want := c.ResultIn(lo, hi, signed)
+			hasAVX, hasAVX512 = false, false
+			if diff := sameAttack(c.ResultIn(lo, hi, signed), want); diff != "" {
+				t.Fatalf("ResultIn trial %d signed=%v: forced-portable %s differs", trial, signed, diff)
+			}
+		}
+	}
 }
 
 // TestGaddChainOrder pins the defining property of the add-only kernel
