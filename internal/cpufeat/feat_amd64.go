@@ -11,6 +11,11 @@ package cpufeat
 // ForcePortableEnv).
 var AVX = !ForcedPortable && cpuHasAVX()
 
+// FMA reports the FMA3 extension (VFMADD*, VFNMADD*) on top of AVX.
+// math.Exp takes its fused-multiply-add path exactly when the CPU has
+// AVX and FMA, so a kernel that reproduces that path is gated on it.
+var FMA = AVX && cpuHasFMA()
+
 // AVX512 reports AVX-512 Foundation support (F+DQ, the subset the
 // float64 kernels use) by CPU and OS (and not disabled via
 // ForcePortableEnv).
@@ -45,6 +50,13 @@ func cpuHasAVX512() bool {
 	}
 	lo, _ := xgetbv()
 	return lo&0xE6 == 0xE6 // XMM, YMM, opmask, ZMM0-15, ZMM16-31 state
+}
+
+// cpuHasFMA checks CPUID leaf 1 ECX for FMA3.
+func cpuHasFMA() bool {
+	_, _, c, _ := cpuid(1, 0)
+	const fma = 1 << 12
+	return c&fma != 0
 }
 
 // cpuHasVPOPCNTDQ checks CPUID leaf 7 ECX for AVX512_VPOPCNTDQ.

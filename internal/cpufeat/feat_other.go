@@ -6,6 +6,7 @@ package cpufeat
 // reference implementation (ForcePortableEnv is accepted but moot).
 var (
 	AVX          = false
+	FMA          = false
 	AVX512       = false
 	AVX512Popcnt = false
 )

@@ -24,8 +24,11 @@ func TestForcedPortableDisablesEverything(t *testing.T) {
 	// The package-level flags are bound at init, so this asserts the
 	// invariant rather than re-reading the environment: a forced-
 	// portable process must expose no SIMD feature at all.
-	if ForcedPortable && (AVX || AVX512 || AVX512Popcnt) {
-		t.Fatalf("forced portable but AVX=%v AVX512=%v AVX512Popcnt=%v", AVX, AVX512, AVX512Popcnt)
+	if ForcedPortable && (AVX || FMA || AVX512 || AVX512Popcnt) {
+		t.Fatalf("forced portable but AVX=%v FMA=%v AVX512=%v AVX512Popcnt=%v", AVX, FMA, AVX512, AVX512Popcnt)
+	}
+	if FMA && !AVX {
+		t.Fatal("FMA implies AVX")
 	}
 	if AVX512Popcnt && !AVX512 {
 		t.Fatal("AVX512Popcnt implies AVX512")

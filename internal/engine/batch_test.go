@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -742,19 +743,29 @@ func TestRunBatchedValidation(t *testing.T) {
 // TestRunBatchedSteadyStateAllocs is the allocation regression for the
 // fused batch path: once the pools are warm, a steady-state chunk —
 // lane-group execution, fused block expansion, batched noise (whose
-// sampler window must stay on the stack) and class accumulation — must
-// allocate nothing. Measured as the allocation delta between runs
-// differing only in chunk count, so the per-run fixed costs
-// (accumulators, goroutines, chunk list) cancel.
+// sampler window must stay on the stack, and whose per-trace noise
+// scratch is grown once) and class accumulation — must allocate
+// nothing. Measured as the allocation delta between runs differing
+// only in chunk count, so the per-run fixed costs (accumulators,
+// goroutines, chunk list) cancel.
 //
-// The race detector makes sync.Pool drop a random quarter of the items
-// put back, so under it every chunk may pay for pool refills. There the
-// test counts the refills of each pool (poolRefills) run by run and
-// fits allocations = fixed + perChunk·chunks + a refill cost per pool;
-// what the refills do not explain, perChunk, must stay within the same
-// bound up to the fit's noise.
+// Pool refills do not cancel by themselves. Each run's chunk-buffer
+// pool refills once per buffer in flight at a time, which depends on
+// scheduling, and a GC cycle empties the synthesizer's scratch pool.
+// Without the race detector the test holds GC off and compares runs
+// with equal refill counts (poolRefills), so refills cancel like the
+// fixed costs. The race detector also makes sync.Pool drop a random
+// quarter of the items put back, so under it every chunk may pay for
+// refills. There the test fits allocations = fixed + perChunk·chunks +
+// a refill cost per pool over many runs; what the refills do not
+// explain, perChunk, must stay within the same bound up to the fit's
+// noise.
 func TestRunBatchedSteadyStateAllocs(t *testing.T) {
 	const chunk = DefaultChunkSize
+	if !raceEnabled {
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun
+	}
 	newRun := func(extra int) func() {
 		f := newBatchFixture(VerifyRuns + extra*chunk)
 		bg, _ := f.gen(t, ModeAuto)
@@ -766,28 +777,65 @@ func TestRunBatchedSteadyStateAllocs(t *testing.T) {
 		run() // warm the buffer pools and the synthesizer's verify window
 		return run
 	}
+	// measure runs once and reports its allocations and the refills of
+	// the chunk-buffer and scratch pools during it.
+	measure := func(run func()) (allocs float64, refills [2]int64) {
+		var m0, m1 runtime.MemStats
+		b0, s0 := poolRefills.batch.Load(), poolRefills.scratch.Load()
+		runtime.ReadMemStats(&m0)
+		run()
+		runtime.ReadMemStats(&m1)
+		return float64(m1.Mallocs - m0.Mallocs), [2]int64{poolRefills.batch.Load() - b0, poolRefills.scratch.Load() - s0}
+	}
 	if !raceEnabled {
-		base := testing.AllocsPerRun(3, newRun(4))
-		wide := testing.AllocsPerRun(3, newRun(24))
-		if perChunk := (wide - base) / 20; perChunk > 0.5 {
-			t.Errorf("fused batch path allocates %.2f per steady-state chunk (%.0f at 4 extra chunks, %.0f at 24)",
-				perChunk, base, wide)
+		base, wide := newRun(4), newRun(24)
+		type runs struct{ allocs, n float64 }
+		at4 := map[[2]int64]*runs{}
+		at24 := map[[2]int64]*runs{}
+		add := func(m map[[2]int64]*runs, run func()) {
+			a, r := measure(run)
+			if m[r] == nil {
+				m[r] = &runs{}
+			}
+			m[r].allocs += a
+			m[r].n++
 		}
-		return
+		for round := 0; round < 8; round++ {
+			add(at4, base)
+			add(at24, wide)
+			if round < 2 {
+				continue
+			}
+			// The refill counts seen most often in both sets of runs.
+			var best [2]int64
+			matched := 0.0
+			for r, b := range at4 {
+				if w := at24[r]; w != nil && b.n+w.n > matched {
+					best, matched = r, b.n+w.n
+				}
+			}
+			if matched == 0 {
+				continue
+			}
+			b, w := at4[best], at24[best]
+			perChunk := (w.allocs/w.n - b.allocs/b.n) / 20
+			t.Logf("%.2f allocations per steady-state chunk, over runs with refills %v", perChunk, best)
+			if perChunk > 0.5 {
+				t.Errorf("fused batch path allocates %.2f per steady-state chunk (%.0f at 4 extra chunks, %.0f at 24, refills %v)",
+					perChunk, b.allocs/b.n, w.allocs/w.n, best)
+			}
+			return
+		}
+		t.Fatalf("no run at 4 extra chunks had the pool refills of one at 24")
 	}
 	var rows [][4]float64 // 1, chunks, batch refills, scratch refills
 	var allocs []float64
 	for _, extra := range []int{4, 24} {
 		run := newRun(extra)
 		for r := 0; r < 8; r++ {
-			var m0, m1 runtime.MemStats
-			b0, s0 := poolRefills.batch.Load(), poolRefills.scratch.Load()
-			runtime.ReadMemStats(&m0)
-			run()
-			runtime.ReadMemStats(&m1)
-			rows = append(rows, [4]float64{1, float64(extra),
-				float64(poolRefills.batch.Load() - b0), float64(poolRefills.scratch.Load() - s0)})
-			allocs = append(allocs, float64(m1.Mallocs-m0.Mallocs))
+			a, refills := measure(run)
+			rows = append(rows, [4]float64{1, float64(extra), float64(refills[0]), float64(refills[1])})
+			allocs = append(allocs, a)
 		}
 	}
 	coef, ok := leastSquares4(rows, allocs)

@@ -50,18 +50,21 @@ func (m *Model) AveragedCyclesNorm(dst trace.Trace, cycles []float64, ns NormSou
 	var shapeBuf [16]float64
 	shape := m.pulseShape(shapeBuf[:0])
 
+	// All avg repetitions' noise comes from one fill: repetition rep
+	// draws z[rep·need:(rep+1)·need], the same stream order as avg
+	// separate fills.
 	noise := ns != nil && m.NoiseSigma > 0
 	if noise {
-		if cap(z) < need {
-			z = make([]float64, need)
+		if cap(z) < avg*need {
+			z = make([]float64, avg*need)
 		} else {
-			z = z[:need]
+			z = z[:avg*need]
 		}
+		ns.FillNorm(z)
 	}
 	for rep := 0; rep < avg; rep++ {
 		if noise {
-			ns.FillNorm(z)
-			expandNorm(dst, cycles, shape, m.Baseline, m.NoiseSigma, z, rep > 0)
+			expandNorm(dst, cycles, shape, m.Baseline, m.NoiseSigma, z[rep*need:(rep+1)*need], rep > 0)
 		} else {
 			expandNormGeneric(dst, cycles, shape, m.Baseline, 0, nil, rep > 0)
 		}

@@ -110,3 +110,24 @@ func TestExpandCyclesBatchMatchesScalar(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkAveragedCyclesNorm measures one Table 2 acquisition on the
+// fused path: 28 cycles at four samples per cycle (112 samples),
+// averaged over 16 noisy executions, in ns per sample drawn.
+func BenchmarkAveragedCyclesNorm(b *testing.B) {
+	const nCycles, avg = 28, 16
+	m := expandModel(4, 1.5)
+	rng := rand.New(rand.NewSource(1))
+	cycles := make([]float64, nCycles)
+	for i := range cycles {
+		cycles[i] = m.Baseline + rng.NormFloat64()*3
+	}
+	src := &zsrc{state: 0x243F6A8885A308D3}
+	var dst trace.Trace
+	var z []float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst, z = m.AveragedCyclesNorm(dst, cycles, src, z, avg)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nCycles*4*avg), "ns/draw")
+}

@@ -16,23 +16,31 @@
 //   - NormFloat64 is the 128-strip ziggurat below, including the
 //     base-strip exponential tail and the float32 wedge test.
 //
-// Fill is len(dst) successive Norm calls. Where AVX-512 is available it
-// runs them as a windowed sampler. SplitMix64 is counter-based: the
-// draw k steps after state s mixes s + k·γ, independently of every
-// other draw. So a vector kernel computes, for a window of up to
-// windowLen positions at once, each position's fast-strip value
-// float64(j)·wn[j&0x7f] and whether it hits (|j| < kn[j&0x7f]), eight
-// positions per ZMM register and with no exits. A Go walker then
-// copies each run of hits into dst. At a miss (the wedge or the
-// base-strip tail, 2.7% of draws) it calls Norm itself from the state
+// Fill is len(dst) successive Norm calls. Where AVX-512 and FMA are
+// available it runs them as a windowed sampler. SplitMix64 is
+// counter-based: the draw k steps after state s mixes s + k·γ,
+// independently of every other draw. So a vector kernel computes, for
+// a window of up to windowLen positions at once, each position's
+// fast-strip value float64(j)·wn[j&0x7f] and whether it hits
+// (|j| < kn[j&0x7f]), eight positions per ZMM register and with no
+// exits. A second pass settles the wedge misses: Norm's wedge test
+// with the uniform from the next position, through a vector exp that
+// performs math.Exp's operations lane by lane, so it rounds exactly as
+// Norm does. A rejected wedge draw restarts at the position after its
+// uniform, as Norm's loop does. The misses that consume a varying
+// number of positions — the base-strip tail and a uniform of exactly
+// 1, which Norm redraws — are marked as fallbacks. A Go walker then
+// turns each 64-position word into draws with bit masks alone: a miss
+// that starts a draw consumes the next position, accepted wedge draws
+// and hits are emitted, and one VCOMPRESSPD pass writes the emitted
+// values into dst. At a fallback it calls Norm itself from the state
 // before that position, s + p·γ, and resumes at the position Norm
-// stopped at, (state − s)·γ⁻¹. The precomputed positions after a miss
-// depend only on their own counter, so they stay valid. Every value in
-// dst is therefore either the fast-strip value Norm would have returned
-// at that state or Norm's own result, and the final state is where
-// Norm would have left it: the windowed Fill equals the scalar loop bit
-// for bit by construction. The package tests pin the kernel against a
-// Go twin and Fill against Norm; the engine's equivalence tests pin
+// stopped at, (state − s)·γ⁻¹. Every value in dst is therefore the
+// value Norm would have returned at that state, and the final state is
+// where Norm would have left it: the windowed Fill equals the scalar
+// loop bit for bit by construction. The package tests pin the kernel
+// against a Go twin, its exp against math.Exp on every reachable
+// argument and Fill against Norm; the engine's equivalence tests pin
 // Norm against math/rand draw for draw, the property the golden
 // campaign results rest on.
 package znorm
@@ -114,7 +122,8 @@ func Norm(state *uint64) float64 {
 // Fill draws len(dst) consecutive standard normals from the stream —
 // the bulk form the fused expansion path consumes. It advances the
 // state and fills dst exactly as len(dst) successive Norm calls would;
-// with AVX-512 it runs the windowed sampler (see the package doc).
+// with AVX-512 and FMA it runs the windowed sampler (see the package
+// doc).
 func Fill(dst []float64, state *uint64) {
 	if useWindowKernel {
 		fillWindowed(dst, state)
