@@ -75,19 +75,18 @@ func main() {
 		opt.Core.DualIssue = false
 	}
 
-	rows := []int{1, 2, 3, 4, 5, 6, 7}
+	var rows []int // none: all seven
 	if *row != 0 {
-		all := leakscan.Benchmarks()
-		if *row < 1 || *row > len(all) {
-			fmt.Fprintf(os.Stderr, "leakscan: -row must be in 1..%d, got %d\n", len(all), *row)
-			os.Exit(1)
-		}
 		rows = []int{*row}
+	}
+	bs, err := leakscan.BenchmarksByRow(rows)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "leakscan: -row must be in 1..%d, got %d\n", len(leakscan.Benchmarks()), *row)
+		os.Exit(1)
 	}
 
 	if tvla {
-		for k, rw := range rows {
-			b, _ := leakscan.BenchmarkByRow(rw)
+		for k, b := range bs {
 			r, err := leakscan.RunTVLA(&b, opt)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "leakscan:", err)
@@ -107,21 +106,13 @@ func main() {
 	}
 
 	var results []*leakscan.BenchResult
-	if *row != 0 {
-		b, _ := leakscan.BenchmarkByRow(*row)
+	for _, b := range bs {
 		r, err := leakscan.RunBenchmark(&b, opt)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "leakscan:", err)
 			os.Exit(1)
 		}
 		results = append(results, r)
-	} else {
-		var err error
-		results, err = leakscan.RunAll(opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "leakscan:", err)
-			os.Exit(1)
-		}
 	}
 	fmt.Println("Leakage characterization of the modelled Cortex-A7 (paper Table 2)")
 	fmt.Printf("criterion: correlation in the correct clock cycle, confidence > %.1f%% (Bonferroni-corrected)\n\n",

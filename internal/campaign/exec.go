@@ -132,7 +132,9 @@ func execFigure2(sc *Scenario, out *ScenarioResult) error {
 	return nil
 }
 
-func execTable2(sc *Scenario, out *ScenarioResult, run engine.Config) error {
+// leakscanOptions builds the scan options shared by the table2 and tvla
+// kinds.
+func (sc *Scenario) leakscanOptions(run engine.Config) leakscan.Options {
 	opt := leakscan.DefaultOptions()
 	opt.Core = sc.Ablation.Core
 	opt.Model = sc.Ablation.Model
@@ -149,35 +151,22 @@ func execTable2(sc *Scenario, out *ScenarioResult, run engine.Config) error {
 	if sc.Confidence > 0 {
 		opt.Confidence = sc.Confidence
 	}
-	rows := sc.Rows
-	if len(rows) == 0 {
-		rows = []int{1, 2, 3, 4, 5, 6, 7}
+	return opt
+}
+
+func execTable2(sc *Scenario, out *ScenarioResult, run engine.Config) error {
+	opt := sc.leakscanOptions(run)
+	bs, err := leakscan.BenchmarksByRow(sc.Rows)
+	if err != nil {
+		return err
 	}
 	res := &Table2Result{Traces: opt.Traces, Averages: opt.Averages}
-	for _, row := range rows {
-		b, ok := leakscan.BenchmarkByRow(row)
-		if !ok {
-			return fmt.Errorf("no Table 2 row %d", row)
-		}
+	for _, b := range bs {
 		br, err := leakscan.RunBenchmark(&b, opt)
 		if err != nil {
 			return err
 		}
-		rr := Table2Row{Row: br.Row, Name: br.Name, Dual: br.Dual, DualExpected: br.DualExpected}
-		for _, e := range br.Exprs {
-			rr.Cells = append(rr.Cells, Table2Cell{
-				Column:     string(e.Column),
-				Expr:       e.Name,
-				Scored:     e.Scored,
-				Expected:   e.Expected.Leaks(),
-				Border:     e.Expected == leakscan.Border,
-				Detected:   e.Detected,
-				Match:      e.Match,
-				Peak:       e.Peak,
-				Confidence: e.Confidence,
-			})
-		}
-		res.Rows = append(res.Rows, rr)
+		res.Rows = append(res.Rows, br.JSON())
 		m, t := br.Agreement()
 		res.Match += m
 		res.Total += t
@@ -399,29 +388,13 @@ func execMaskCPA(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, run e
 }
 
 func execTVLA(sc *Scenario, out *ScenarioResult, run engine.Config) error {
-	opt := leakscan.DefaultOptions()
-	opt.Core = sc.Ablation.Core
-	opt.Model = sc.Ablation.Model
-	opt.Model.NoiseSigma = sc.sigma()
-	opt.Seed = sc.Seed
-	opt.Config = run
-	opt.Synth = sc.Synth
-	if sc.Traces > 0 {
-		opt.Traces = sc.Traces
-	}
-	if sc.Averages > 0 {
-		opt.Averages = sc.Averages
-	}
-	rows := sc.Rows
-	if len(rows) == 0 {
-		rows = []int{1, 2, 3, 4, 5, 6, 7}
+	opt := sc.leakscanOptions(run)
+	bs, err := leakscan.BenchmarksByRow(sc.Rows)
+	if err != nil {
+		return err
 	}
 	res := &TVLAResult{Traces: opt.Traces, Averages: opt.Averages}
-	for _, row := range rows {
-		b, ok := leakscan.BenchmarkByRow(row)
-		if !ok {
-			return fmt.Errorf("no Table 2 row %d", row)
-		}
+	for _, b := range bs {
 		tr, err := leakscan.RunTVLA(&b, opt)
 		if err != nil {
 			return err

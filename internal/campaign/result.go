@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/leakscan"
 )
 
 // Table1Cell is one serialized cell of the dual-issue matrix.
@@ -45,32 +47,12 @@ type Figure2Result struct {
 	Disagreement    string `json:"disagreement,omitempty"`
 }
 
-// Table2Cell is one serialized (component, expression) verdict.
-type Table2Cell struct {
-	Column string `json:"column"`
-	Expr   string `json:"expr"`
-	// Scored marks cells counted toward the Table 2 agreement figure.
-	Scored bool `json:"scored"`
-	// Expected and Detected are the paper's and the measured verdicts;
-	// Border marks a † (flushing-nop) expectation.
-	Expected bool `json:"expected"`
-	Border   bool `json:"border"`
-	Detected bool `json:"detected"`
-	Match    bool `json:"match"`
-	// Peak is the windowed peak correlation, Confidence its Fisher-z
-	// confidence.
-	Peak       float64 `json:"peak"`
-	Confidence float64 `json:"confidence"`
-}
-
-// Table2Row is one serialized benchmark row of the leakage scan.
-type Table2Row struct {
-	Row          int          `json:"row"`
-	Name         string       `json:"name"`
-	Dual         bool         `json:"dual"`
-	DualExpected bool         `json:"dual_expected"`
-	Cells        []Table2Cell `json:"cells"`
-}
+// Table2Cell and Table2Row are the serialized verdicts of the leakage
+// scan, shared with its request/response form.
+type (
+	Table2Cell = leakscan.CellJSON
+	Table2Row  = leakscan.RowJSON
+)
 
 // Table2Result is the campaign form of one leakage characterization.
 type Table2Result struct {

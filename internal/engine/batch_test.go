@@ -146,7 +146,6 @@ func TestRunBatchedBitIdenticalToScalar(t *testing.T) {
 	n := f.spec.Samples
 	order2 := f.spec
 	order2.Banks = []Bank{{Hyps: 2, Order2: &Order2{
-		Means:   plain[0].(*sca.CPA).MeanTrace(),
 		Windows: []sca.Window{{Lo: 1, Hi: n / 3}, {Lo: n / 2, Hi: n}},
 	}}}
 	order2Ref := serialReference(t, order2, f.scalar(t))
@@ -331,6 +330,9 @@ type variantFixture struct {
 	// pick maps trace i and its first draw d in [0,3) to the trace's
 	// variant; nil picks d.
 	pick func(i, d int) int
+	// avg and env are the acquisition's averaging and environment.
+	avg int
+	env osnoise.Environment
 }
 
 func newVariantFixture(t *testing.T, traces int) *variantFixture {
@@ -344,6 +346,7 @@ func newVariantFixture(t *testing.T, traces int) *variantFixture {
 		cfg: pipeline.DefaultConfig(),
 		m:   power.DefaultModel(),
 		bad: -1,
+		avg: 2,
 	}
 	f.m.SamplesPerCycle = 2
 	cycles := -1
@@ -416,7 +419,8 @@ func (f *variantFixture) gen(t *testing.T, mode Mode) (BatchGen, []*Synthesizer)
 		Variants: synths,
 		Variant:  f.variant,
 		Model:    &f.m,
-		Averages: 2,
+		Averages: f.avg,
+		Env:      f.env,
 		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *Sample) error {
 			f.variant(i, rng)
 			x := rng.Uint32()
@@ -426,6 +430,10 @@ func (f *variantFixture) gen(t *testing.T, mode Mode) (BatchGen, []*Synthesizer)
 			}
 			core.SetRegs(r0, x, 0x5A5A5A5A)
 			core.SetReg(isa.R8, 0x100)
+			if s.Hyps[0] == nil { // a class bank
+				s.Class[0] = int(x & 1)
+				return nil
+			}
 			s.Hyps[0][0] = float64(x & 1)
 			s.Hyps[0][1] = float64(x >> 1 & 1)
 			return nil
@@ -444,7 +452,11 @@ func (f *variantFixture) scalar(t *testing.T) Generate {
 		err := synths[v].Run(
 			func(core *pipeline.Core) { prepErr = bg.Prepare(i, rng, core, s) },
 			func(tl pipeline.Timeline, core *pipeline.Core) error {
-				s.Trace, _ = f.m.SynthesizeAveragedInto(s.Trace, nil, tl, rng, 2)
+				if f.env == osnoise.Quiet() {
+					s.Trace, _ = f.m.SynthesizeAveragedInto(s.Trace, nil, tl, rng, f.avg)
+				} else {
+					s.Trace = f.env.Expand(s.Trace, f.m.CyclePowers(nil, tl), &f.m, rng, randNorm{rng}, f.avg, &osnoise.Scratch{})
+				}
 				return prepErr
 			})
 		return err

@@ -18,7 +18,9 @@
 // — a pure function of (Seed, Traces), never of Workers, Lanes, chunk
 // size or scheduling. Runs with one worker and with sixteen produce
 // bit-identical accumulators, and so do runs with different chunk
-// sizes.
+// sizes. Second-order banks (Order2) keep that order too: the reducer
+// keeps the raw traces in trace order and folds them, centered on
+// their mean, after the last chunk.
 package engine
 
 import (
@@ -26,6 +28,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -94,24 +97,26 @@ type Bank struct {
 	// Sample.Hyps[bank]. All rows must have length Hyps.
 	Classes [][]float64
 	// Order2, when non-nil, switches the bank to second-order
-	// accumulation: the reducer expands each raw trace into the centered
-	// products of its windows' sample pairs (sca.Order2Combine) and
-	// feeds those combined traces to the bank, whose samples index the
-	// combined layout (sca.Order2Pair maps them back).
+	// accumulation: the bank is fed the products of each trace's window
+	// sample pairs, centered on the run's own mean trace
+	// (sca.Order2Combine), and its samples index that combined layout
+	// (sca.Order2Pair maps them back). It is folded once the last chunk
+	// is in, from raw traces the reducer keeps (see maxOrder2Bytes).
 	Order2 *Order2
 }
 
-// Order2 configures a bank's second-order combining pass.
+// Order2 configures a bank's second-order combining.
 type Order2 struct {
-	// Means is the centering vector (length Spec.Samples), typically the
-	// mean trace of a first engine pass over the same (Seed, Traces) —
-	// both passes draw the per-trace streams identically, so the means
-	// correspond exactly to the traces being combined.
-	Means []float64
 	// Windows are the combining windows over raw sample indices, laid
 	// out in order in the combined trace; none selects the full trace.
 	Windows []sca.Window
 }
+
+// maxOrder2Bytes bounds the raw traces a run with second-order banks
+// keeps on the reducer, 8 bytes a sample (beside them each such bank
+// keeps its Hyps predictions or one class per trace). A masked-gadget
+// campaign scenario keeps about 4 MB, leakscan's 40k-trace scan 38 MB.
+const maxOrder2Bytes = 256 << 20
 
 // windows returns o's combining windows over traces of samples points.
 func (o *Order2) windows(samples int) []sca.Window {
@@ -180,7 +185,8 @@ type Spec struct {
 	// Checkpoints lists trace counts at which OnCheckpoint observes the
 	// merged accumulators (ascending, each in [1, Traces]). Chunks are
 	// split at checkpoints, so the observation covers exactly the first
-	// n traces.
+	// n traces. A spec with a second-order bank takes none: that bank
+	// is still empty until the last chunk is in.
 	Checkpoints []int
 	// OnCheckpoint, if set, is called from the reducer — in ascending
 	// checkpoint order — with the global accumulators after exactly n
@@ -218,16 +224,21 @@ func (s *Spec) validate() error {
 			}
 		}
 		if o := bank.Order2; o != nil {
-			if len(o.Means) != s.Samples {
-				return fmt.Errorf("engine: bank %d centering vector has %d samples, want %d",
-					b, len(o.Means), s.Samples)
-			}
 			for _, w := range o.Windows {
 				if w.Lo < 0 || w.Hi > s.Samples || w.Lo >= w.Hi {
 					return fmt.Errorf("engine: bank %d combining window [%d,%d) out of [0,%d)",
 						b, w.Lo, w.Hi, s.Samples)
 				}
 			}
+		}
+	}
+	if s.order2() {
+		if len(s.Checkpoints) > 0 {
+			return fmt.Errorf("engine: second-order banks fold after the last trace and take no checkpoints")
+		}
+		if s.Traces > maxOrder2Bytes/(8*s.Samples) {
+			return fmt.Errorf("engine: second-order run keeps %d traces × %d samples (%.1f MiB), over the %d MiB bound",
+				s.Traces, s.Samples, float64(s.Traces)*float64(s.Samples)*8/(1<<20), maxOrder2Bytes>>20)
 		}
 	}
 	for i, n := range s.Checkpoints {
@@ -239,6 +250,11 @@ func (s *Spec) validate() error {
 		}
 	}
 	return nil
+}
+
+// order2 reports whether s has a second-order bank.
+func (s *Spec) order2() bool {
+	return slices.ContainsFunc(s.Banks, func(b Bank) bool { return b.Order2 != nil })
 }
 
 // chunk is a half-open trace-index range.
@@ -292,33 +308,80 @@ func newBanks(banks []Bank, samples int) ([]sca.Accumulator, error) {
 	return out, nil
 }
 
-// order2Combiner is the reducer's side of a second-order bank: it
-// expands each chunk's raw traces into combined traces, reusing its
-// rows across chunks.
-type order2Combiner struct {
-	means   []float64
-	windows []sca.Window
-	rows    [][]float64
+// addBatch folds traces into one bank: trace j's prediction vector is
+// hyps[lo+j] for a classic bank, its class classes[lo+j] for a class
+// bank.
+func addBatch(acc sca.Accumulator, traces, hyps [][]float64, classes []int, lo int) error {
+	hi := lo + len(traces)
+	switch a := acc.(type) {
+	case *sca.CPA:
+		return a.AddBatch(traces, hyps[lo:hi])
+	case *sca.ClassCPA:
+		return a.AddBatch(classes[lo:hi], traces)
+	}
+	return nil
 }
 
-// combine returns the combined view of traces.
-func (c *order2Combiner) combine(traces [][]float64) [][]float64 {
-	for len(c.rows) < len(traces) {
-		c.rows = append(c.rows, make([]float64, sca.Order2Len(c.windows)))
+// order2Kept is what the reducer keeps of a run for its second-order
+// banks, in trace order: the raw traces and, per bank, the prediction
+// vectors (classic banks) or classes (class banks).
+type order2Kept struct {
+	traces  []float64   // Samples per trace
+	hyps    [][]float64 // [bank], Hyps per trace
+	classes [][]int     // [bank]
+}
+
+// fold feeds every second-order bank the kept traces' pair products
+// centered on their mean trace (sca.Order2Combine), size traces per
+// AddBatch. The mean is summed from zero in trace order, then divided by
+// the trace count: the bits of Σt/n in a first-order bank over the same
+// traces, whose AddBatch adds each trace into Σt in trace order.
+func (k *order2Kept) fold(spec *Spec, global []sca.Accumulator, size int) error {
+	n, samples := spec.Traces, spec.Samples
+	means := make([]float64, samples)
+	for i, v := range k.traces {
+		means[i%samples] += v
 	}
-	out := c.rows[:len(traces)]
-	for j, t := range traces {
-		sca.Order2Combine(out[j], t, c.means, c.windows)
+	for s := range means {
+		means[s] /= float64(n)
 	}
-	return out
+	traces := rowsOf(k.traces, samples)
+	for b, bank := range spec.Banks {
+		if bank.Order2 == nil {
+			continue
+		}
+		windows := bank.Order2.windows(samples)
+		width := sca.Order2Len(windows)
+		combined := rowsOf(make([]float64, min(size, n)*width), width)
+		hyps := rowsOf(k.hyps[b], bank.Hyps)
+		for lo := 0; lo < n; lo += size {
+			batch := combined[:min(size, n-lo)]
+			for j := range batch {
+				sca.Order2Combine(batch[j], traces[lo+j], means, windows)
+			}
+			if err := addBatch(global[b], batch, hyps, k.classes[b], lo); err != nil {
+				return fmt.Errorf("engine: bank %d: %w", b, err)
+			}
+		}
+	}
+	return nil
+}
+
+// rowsOf cuts flat into rows of width w.
+func rowsOf(flat []float64, w int) [][]float64 {
+	rows := make([][]float64, len(flat)/w)
+	for i := range rows {
+		rows[i] = flat[i*w : (i+1)*w]
+	}
+	return rows
 }
 
 // runChunked is the shared scheduler body: fill synthesizes the traces
 // of one chunk into a batch buffer on a worker; the reducer accumulates
-// finished buffers in chunk order, emits their traces (Spec.Emit) and
-// recycles them. serial, when
-// non-nil, reports whether the chunk starting at the given trace index
-// must run alone (windowSerial).
+// finished buffers in chunk order — keeping what second-order banks
+// fold after the last chunk — emits their traces (Spec.Emit) and
+// recycles them. serial, when non-nil, reports whether the chunk
+// starting at the given trace index must run alone (windowSerial).
 func runChunked(cfg Config, spec Spec, serial func(start int) bool, fill func(c chunk, bb *batchBuf) error) ([]sca.Accumulator, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
@@ -387,30 +450,35 @@ func runChunked(cfg Config, spec Spec, serial func(start int) bool, fill func(c 
 		return bb, nil
 	}
 
-	combiners := make([]*order2Combiner, len(spec.Banks))
-	for b, bank := range spec.Banks {
-		if o := bank.Order2; o != nil {
-			combiners[b] = &order2Combiner{means: o.Means, windows: o.windows(spec.Samples)}
+	var kept order2Kept
+	if spec.order2() {
+		kept = order2Kept{
+			traces:  make([]float64, 0, spec.Traces*spec.Samples),
+			hyps:    make([][]float64, len(spec.Banks)),
+			classes: make([][]int, len(spec.Banks)),
 		}
 	}
 	ckpt := 0
 	reduce := func(idx int, bb *batchBuf) error {
 		defer batches.Put(bb)
 		n := cs[idx].end - cs[idx].start
-		for b, acc := range global {
-			traces := bb.traces[:n]
-			if c := combiners[b]; c != nil {
-				traces = c.combine(traces)
+		for b, bank := range spec.Banks {
+			switch {
+			case bank.Order2 == nil:
+				if err := addBatch(global[b], bb.traces[:n], bb.hyps[b], bb.classes[b], 0); err != nil {
+					return fmt.Errorf("engine: chunk %d: %w", idx, err)
+				}
+			case bank.Classes != nil:
+				kept.classes[b] = append(kept.classes[b], bb.classes[b][:n]...)
+			default:
+				for _, h := range bb.hyps[b][:n] {
+					kept.hyps[b] = append(kept.hyps[b], h...)
+				}
 			}
-			var err error
-			switch a := acc.(type) {
-			case *sca.CPA:
-				err = a.AddBatch(traces, bb.hyps[b][:n])
-			case *sca.ClassCPA:
-				err = a.AddBatch(bb.classes[b][:n], traces)
-			}
-			if err != nil {
-				return fmt.Errorf("engine: chunk %d: %w", idx, err)
+		}
+		if kept.traces != nil {
+			for _, t := range bb.traces[:n] {
+				kept.traces = append(kept.traces, t...)
 			}
 		}
 		if spec.Emit != nil {
@@ -436,6 +504,11 @@ func runChunked(cfg Config, spec Spec, serial func(start int) bool, fill func(c 
 	}
 	if err := orderedChunks(cfg.workers(), len(cs), serialIdx, work, reduce); err != nil {
 		return nil, err
+	}
+	if kept.traces != nil {
+		if err := kept.fold(&spec, global, size); err != nil {
+			return nil, err
+		}
 	}
 	return global, nil
 }

@@ -36,25 +36,56 @@ func noisyGen(banks []Bank, samples int) Generate {
 
 // serialReference feeds the same per-trace data through plain sca.CPA
 // accumulators in index order — the materialize-free equivalent of the
-// pre-engine serial attack loops.
+// pre-engine serial attack loops. Second-order banks are centered on
+// traceMean.
 func serialReference(t *testing.T, spec Spec, gen Generate) []sca.Accumulator {
 	t.Helper()
 	banks, err := newBanks(spec.Banks, spec.Samples)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var means []float64
+	if spec.order2() {
+		means = traceMean(t, spec, gen)
+	}
+	s := newSample(spec)
+	for i := 0; i < spec.Traces; i++ {
+		if err := oneTrace(i, spec, gen, s, means, banks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return banks
+}
+
+// newSample returns a Sample with spec's prediction rows.
+func newSample(spec Spec) *Sample {
 	s := &Sample{Hyps: make([][]float64, len(spec.Banks)), Class: make([]int, len(spec.Banks))}
 	for b, bank := range spec.Banks {
 		if bank.Classes == nil {
 			s.Hyps[b] = make([]float64, bank.Hyps)
 		}
 	}
+	return s
+}
+
+// traceMean is the mean trace of spec's run, generated trace by trace:
+// summed from zero in trace order, then divided by the trace count.
+func traceMean(t *testing.T, spec Spec, gen Generate) []float64 {
+	t.Helper()
+	means := make([]float64, spec.Samples)
+	s := newSample(spec)
 	for i := 0; i < spec.Traces; i++ {
-		if err := oneTrace(i, spec, gen, s, banks); err != nil {
+		if err := gen(i, TraceRNG(spec.Seed, i), s); err != nil {
 			t.Fatal(err)
 		}
+		for j, v := range s.Trace {
+			means[j] += v
+		}
 	}
-	return banks
+	for j := range means {
+		means[j] /= float64(spec.Traces)
+	}
+	return means
 }
 
 func TestStreamingEqualsSerialBitForBit(t *testing.T) {
@@ -350,10 +381,11 @@ func TestStreamPropagatesErrors(t *testing.T) {
 	}
 }
 
-// oneTrace synthesizes trace i and feeds it to the accumulators — the
-// reference serial semantics the engine reproduces bit-identically for
-// any worker count, chunk size and lane width.
-func oneTrace(i int, spec Spec, gen Generate, s *Sample, banks []sca.Accumulator) error {
+// oneTrace synthesizes trace i and feeds it to the accumulators, a
+// second-order bank its products centered on means — the reference
+// serial semantics the engine reproduces bit-identically for any worker
+// count, chunk size and lane width.
+func oneTrace(i int, spec Spec, gen Generate, s *Sample, means []float64, banks []sca.Accumulator) error {
 	s.Trace = s.Trace[:0]
 	if err := gen(i, TraceRNG(spec.Seed, i), s); err != nil {
 		return fmt.Errorf("engine: trace %d: %w", i, err)
@@ -366,7 +398,7 @@ func oneTrace(i int, spec Spec, gen Generate, s *Sample, banks []sca.Accumulator
 		if o := spec.Banks[b].Order2; o != nil {
 			w := o.windows(spec.Samples)
 			tr = make([]float64, sca.Order2Len(w))
-			sca.Order2Combine(tr, s.Trace, o.Means, w)
+			sca.Order2Combine(tr, s.Trace, means, w)
 		}
 		var err error
 		switch a := acc.(type) {

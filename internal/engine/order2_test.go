@@ -1,19 +1,20 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/sca"
 )
 
 // order2Spec builds a class-bank spec whose traces carry a masked
-// two-share signal (samples 1 and 4), with the centering means computed
-// by a first engine pass over the identical per-trace streams — the
-// two-pass scheme the masked-gadget workloads use.
-func order2Spec(t *testing.T, traces, samples int) (Spec, Generate) {
-	t.Helper()
+// two-share signal (samples 1 and 4), folded by a second-order bank over
+// the full trace — the shape of the masked-gadget workloads.
+func order2Spec(traces, samples int) (Spec, Generate) {
 	const nClass, nHyp = 8, 8
 	table := make([][]float64, nClass)
 	for p := range table {
@@ -36,26 +37,19 @@ func order2Spec(t *testing.T, traces, samples int) (Spec, Generate) {
 		s.Class[0] = p
 		return nil
 	}
-	meanSpec := Spec{Traces: traces, Samples: samples, Seed: 99,
-		Banks: []Bank{{Hyps: nHyp, Classes: table}}}
-	mb, err := Run(Config{}, meanSpec, gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	means := mb[0].(*sca.ClassCPA).MeanTrace()
-	spec := meanSpec
-	spec.Banks = []Bank{{Hyps: nHyp, Classes: table, Order2: &Order2{Means: means}}}
+	spec := Spec{Traces: traces, Samples: samples, Seed: 99,
+		Banks: []Bank{{Hyps: nHyp, Classes: table, Order2: &Order2{}}}}
 	return spec, gen
 }
 
 // The engine's second-order bank must equal both the serial
 // per-trace reference and an sca.ClassCPA2 fed the raw traces one by
-// one — the same combined layout, accumulated in trace order.
+// one — the same combined layout, accumulated in trace order, centered
+// on the trace-order mean.
 func TestOrder2StreamingEqualsSerialBitForBit(t *testing.T) {
-	spec, gen := order2Spec(t, 60, 6)
+	spec, gen := order2Spec(60, 6)
 	want := serialReference(t, spec, gen)
-	o := spec.Banks[0].Order2
-	c2 := sca.MustNewClassCPA2(spec.Samples, spec.Banks[0].Classes, o.Means, 0, 0)
+	c2 := sca.MustNewClassCPA2(spec.Samples, spec.Banks[0].Classes, traceMean(t, spec, gen), 0, 0)
 	s := &Sample{Hyps: make([][]float64, 1), Class: make([]int, 1)}
 	for i := 0; i < spec.Traces; i++ {
 		if err := gen(i, TraceRNG(spec.Seed, i), s); err != nil {
@@ -87,7 +81,7 @@ func TestOrder2StreamingEqualsSerialBitForBit(t *testing.T) {
 }
 
 func TestOrder2RecoversMaskedKey(t *testing.T) {
-	spec, gen := order2Spec(t, 3000, 6)
+	spec, gen := order2Spec(3000, 6)
 	banks, err := Run(Config{}, spec, gen)
 	if err != nil {
 		t.Fatal(err)
@@ -101,27 +95,44 @@ func TestOrder2RecoversMaskedKey(t *testing.T) {
 
 func TestOrder2SpecValidation(t *testing.T) {
 	table := [][]float64{{0, 1}, {1, 0}}
+	var calls atomic.Int64
 	gen := func(i int, rng *rand.Rand, s *Sample) error {
+		calls.Add(1)
 		s.Trace = append(s.Trace[:0], 1, 2, 3, 4)
 		s.Hyps[0][0], s.Hyps[0][1] = float64(i&1), float64(i>>1&1)
 		return nil
 	}
-	window := func(ws ...sca.Window) *Order2 { return &Order2{Means: make([]float64, 4), Windows: ws} }
+	window := func(ws ...sca.Window) *Order2 { return &Order2{Windows: ws} }
+	// The largest run whose kept 4-sample traces fit the bound.
+	maxTraces := maxOrder2Bytes / (8 * 4)
 	cases := []struct {
 		name string
-		bank Bank
+		spec Spec
 	}{
-		{"short means", Bank{Hyps: 2, Classes: table, Order2: &Order2{Means: make([]float64, 3)}}},
-		{"bad window", Bank{Hyps: 2, Classes: table, Order2: window(sca.Window{Lo: 3, Hi: 2})}},
-		{"window past trace", Bank{Hyps: 2, Classes: table, Order2: window(sca.Window{Lo: 0, Hi: 5})}},
-		{"negative window", Bank{Hyps: 2, Order2: window(sca.Window{Lo: 0, Hi: 2}, sca.Window{Lo: -1, Hi: 2})}},
-		{"empty second window", Bank{Hyps: 2, Order2: window(sca.Window{Lo: 0, Hi: 2}, sca.Window{Lo: 2, Hi: 2})}},
+		{"bad window", Spec{Traces: 4, Banks: []Bank{{Hyps: 2, Classes: table, Order2: window(sca.Window{Lo: 3, Hi: 2})}}}},
+		{"window past trace", Spec{Traces: 4, Banks: []Bank{{Hyps: 2, Classes: table, Order2: window(sca.Window{Lo: 0, Hi: 5})}}}},
+		{"negative window", Spec{Traces: 4, Banks: []Bank{{Hyps: 2, Order2: window(sca.Window{Lo: 0, Hi: 2}, sca.Window{Lo: -1, Hi: 2})}}}},
+		{"empty second window", Spec{Traces: 4, Banks: []Bank{{Hyps: 2, Order2: window(sca.Window{Lo: 0, Hi: 2}, sca.Window{Lo: 2, Hi: 2})}}}},
+		// A mid-run checkpoint would observe a bank still empty.
+		{"checkpoint", Spec{Traces: 4, Checkpoints: []int{2}, Banks: []Bank{{Hyps: 2}, {Hyps: 2, Order2: window()}}}},
+		{"kept traces over the bound", Spec{Traces: maxTraces + 1, Banks: []Bank{{Hyps: 2, Order2: window()}}}},
 	}
 	for _, c := range cases {
-		spec := Spec{Traces: 4, Samples: 4, Seed: 1, Banks: []Bank{c.bank}}
-		if _, err := Run(Config{}, spec, gen); err == nil {
+		c.spec.Samples, c.spec.Seed = 4, 1
+		if _, err := Run(Config{}, c.spec, gen); err == nil {
 			t.Errorf("%s: invalid spec must be rejected", c.name)
 		}
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("rejected specs synthesized %d traces", n)
+	}
+	spec := Spec{Traces: maxTraces + 1, Samples: 4, Banks: []Bank{{Hyps: 2, Order2: window()}}}
+	if err := spec.validate(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d MiB", maxOrder2Bytes>>20)) {
+		t.Errorf("over-bound error %v does not name the bound", err)
+	}
+	spec.Traces = maxTraces
+	if err := spec.validate(); err != nil {
+		t.Errorf("a run at the bound must be accepted: %v", err)
 	}
 	// A classic bank may combine, over windows or the full trace.
 	for _, o := range []*Order2{window(sca.Window{Lo: 0, Hi: 2}, sca.Window{Lo: 1, Hi: 4}), window()} {
@@ -132,6 +143,28 @@ func TestOrder2SpecValidation(t *testing.T) {
 		}
 		if got, want := len(banks[0].CorrTrace(0)), sca.Order2Len(o.windows(4)); got != want {
 			t.Errorf("windows %v: bank spans %d samples, want %d", o.Windows, got, want)
+		}
+	}
+}
+
+// TestOrder2GeneratesEachTraceOnce pins the one-pass design: a run with
+// a second-order bank beside a first-order one synthesizes every trace
+// exactly once.
+func TestOrder2GeneratesEachTraceOnce(t *testing.T) {
+	spec, gen := order2Spec(300, 6)
+	spec.Banks = append(spec.Banks, Bank{Hyps: 8, Classes: spec.Banks[0].Classes})
+	var calls atomic.Int64
+	counted := func(i int, rng *rand.Rand, s *Sample) error {
+		calls.Add(1)
+		return gen(i, rng, s)
+	}
+	for _, workers := range []int{1, 3} {
+		calls.Store(0)
+		if _, err := Run(Config{Workers: workers, chunkSize: 7}, spec, counted); err != nil {
+			t.Fatal(err)
+		}
+		if n := calls.Load(); n != int64(spec.Traces) {
+			t.Errorf("workers=%d: generator called %d times for %d traces", workers, n, spec.Traces)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package leakscan
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/isa"
@@ -43,8 +44,7 @@ func Benchmarks() []Benchmark {
 }
 
 // BenchmarkByRow returns the Table 2 benchmark with the given 1-based
-// row number, or false when no such row exists — the lookup campaign
-// specs use to select row subsets.
+// row number, or false when no such row exists.
 func BenchmarkByRow(row int) (Benchmark, bool) {
 	for _, b := range Benchmarks() {
 		if b.Row == row {
@@ -52,6 +52,23 @@ func BenchmarkByRow(row int) (Benchmark, bool) {
 		}
 	}
 	return Benchmark{}, false
+}
+
+// BenchmarksByRow returns the Table 2 benchmarks of the given 1-based
+// rows, in that order; no rows selects all seven.
+func BenchmarksByRow(rows []int) ([]Benchmark, error) {
+	if len(rows) == 0 {
+		return Benchmarks(), nil
+	}
+	out := make([]Benchmark, len(rows))
+	for i, row := range rows {
+		b, ok := BenchmarkByRow(row)
+		if !ok {
+			return nil, fmt.Errorf("leakscan: no Table 2 row %d", row)
+		}
+		out[i] = b
+	}
+	return out, nil
 }
 
 // Row 1: mov rA, rB; nop; mov rC, rD — the nop interleaving that exposes

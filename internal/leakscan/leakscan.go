@@ -147,7 +147,8 @@ type Options struct {
 	// Traces is the number of random-input acquisitions (the paper uses
 	// 100k on hardware; the simulator's SNR needs far fewer).
 	Traces int
-	// Averages is the per-acquisition averaging factor (paper: 16).
+	// Averages is the per-acquisition averaging factor, at least 1
+	// (paper: 16).
 	Averages int
 	// Confidence is the detection criterion (paper: 0.995). The
 	// per-sample threshold is Bonferroni-corrected by the window width.
@@ -160,10 +161,9 @@ type Options struct {
 	Model power.Model
 	Core  pipeline.Config
 	// Order selects the CPA combining order: 0 or 1 scans first-order
-	// correlations; 2 runs a second pass accumulating centered products
-	// over each expression window's sample pairs (an engine.Order2 bank
-	// over the windows), with the centering means taken from the first
-	// pass.
+	// correlations; 2 accumulates centered products over each
+	// expression window's sample pairs instead (an engine.Order2 bank
+	// over the windows, centered on the scan's own mean trace).
 	// Order-2 cells are unscored: the paper's Table 2 verdicts are
 	// first-order ground truth.
 	Order int
@@ -192,6 +192,17 @@ func DefaultOptions() Options {
 		Model:      power.DefaultModel(),
 		Core:       pipeline.DefaultConfig(),
 	}
+}
+
+// validate checks the options every scan reads.
+func (opt *Options) validate() error {
+	if opt.Traces < 8 {
+		return fmt.Errorf("leakscan: need at least 8 traces, got %d", opt.Traces)
+	}
+	if opt.Averages < 1 {
+		return fmt.Errorf("leakscan: averages must be >= 1, got %d", opt.Averages)
+	}
+	return opt.Model.Validate()
 }
 
 // ExprResult is the measured outcome for one expression.
@@ -245,14 +256,11 @@ func (r *BenchResult) Agreement() (match, total int) {
 
 // RunBenchmark measures one Table 2 row.
 func RunBenchmark(b *Benchmark, opt Options) (*BenchResult, error) {
-	if opt.Traces < 8 {
-		return nil, fmt.Errorf("leakscan: need at least 8 traces, got %d", opt.Traces)
+	if err := opt.validate(); err != nil {
+		return nil, err
 	}
 	if opt.Order < 0 || opt.Order > 2 {
 		return nil, fmt.Errorf("leakscan: CPA order %d not supported (want 1 or 2)", opt.Order)
-	}
-	if err := opt.Model.Validate(); err != nil {
-		return nil, err
 	}
 	prog, seqStart, err := b.program()
 	if err != nil {
@@ -304,54 +312,14 @@ func RunBenchmark(b *Benchmark, opt Options) (*BenchResult, error) {
 		windows[i] = sca.Window{Lo: lo, Hi: hi}
 	}
 
-	synth, err := engine.NewSynthesizer(opt.Synth, opt.Core, prog)
-	if err != nil {
-		return nil, err
-	}
-	run := func(bank engine.Bank) (sca.Accumulator, error) {
-		banks, err := engine.RunBatched(
-			opt.Config,
-			engine.Spec{Traces: opt.Traces, Samples: nSamples, Banks: []engine.Bank{bank}, Seed: opt.Seed},
-			engine.BatchGen{
-				Variants: []*engine.Synthesizer{synth},
-				Model:    &opt.Model,
-				Averages: max(opt.Averages, 1),
-				Prepare: func(n int, rng *rand.Rand, core *pipeline.Core, s *engine.Sample) error {
-					vals := b.Setup(rng, core)
-					for i, e := range b.Exprs {
-						s.Hyps[0][i] = e.Eval(vals)
-					}
-					return nil
-				},
-			})
-		if err != nil {
-			return nil, err
-		}
-		return banks[0], nil
-	}
-	cpa, err := run(engine.Bank{Hyps: len(b.Exprs)})
-	if err != nil {
-		return nil, err
-	}
-
-	order := opt.Order
-	if order == 0 {
-		order = 1
-	}
-	out := &BenchResult{Name: b.Name, Row: b.Row, Dual: dualSeen, DualExpected: b.DualExpected,
-		Traces: opt.Traces, Order: order}
+	order := max(opt.Order, 1)
+	bank := engine.Bank{Hyps: len(b.Exprs)}
 	// The peak search of expression i spans segs[i] of the bank's
 	// samples: its raw window, or for order 2 its window's pairs.
 	segs := windows
 	if order == 2 {
-		// Second pass over identical per-trace streams, combining each
-		// expression window's sample pairs in the window order: the first
-		// pass's mean trace centers the products, so the combined trace
-		// of index i is a pure function of trace i alone.
-		o2 := &engine.Order2{Means: cpa.(*sca.CPA).MeanTrace(), Windows: windows}
-		if cpa, err = run(engine.Bank{Hyps: len(b.Exprs), Order2: o2}); err != nil {
-			return nil, err
-		}
+		// Combine each expression window's sample pairs, in window order.
+		bank.Order2 = &engine.Order2{Windows: windows}
 		segs = make([]sca.Window, len(windows))
 		off := 0
 		for i, w := range windows {
@@ -359,6 +327,32 @@ func RunBenchmark(b *Benchmark, opt Options) (*BenchResult, error) {
 			off = segs[i].Hi
 		}
 	}
+	synth, err := engine.NewSynthesizer(opt.Synth, opt.Core, prog)
+	if err != nil {
+		return nil, err
+	}
+	banks, err := engine.RunBatched(
+		opt.Config,
+		engine.Spec{Traces: opt.Traces, Samples: nSamples, Banks: []engine.Bank{bank}, Seed: opt.Seed},
+		engine.BatchGen{
+			Variants: []*engine.Synthesizer{synth},
+			Model:    &opt.Model,
+			Averages: opt.Averages,
+			Prepare: func(n int, rng *rand.Rand, core *pipeline.Core, s *engine.Sample) error {
+				vals := b.Setup(rng, core)
+				for i, e := range b.Exprs {
+					s.Hyps[0][i] = e.Eval(vals)
+				}
+				return nil
+			},
+		})
+	if err != nil {
+		return nil, err
+	}
+	cpa := banks[0]
+
+	out := &BenchResult{Name: b.Name, Row: b.Row, Dual: dualSeen, DualExpected: b.DualExpected,
+		Traces: opt.Traces, Order: order}
 	for i, e := range b.Exprs {
 		w := segs[i]
 		best, bestS := 0.0, w.Lo

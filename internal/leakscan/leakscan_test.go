@@ -93,6 +93,13 @@ func TestRunBenchmarkValidation(t *testing.T) {
 	if _, err := RunBenchmark(&b, opt); err == nil {
 		t.Error("invalid model must be rejected")
 	}
+	for _, avg := range []int{0, -3} {
+		opt = DefaultOptions()
+		opt.Traces, opt.Averages = 100, avg
+		if _, err := RunBenchmark(&b, opt); err == nil {
+			t.Errorf("averages %d must be rejected, not defaulted", avg)
+		}
+	}
 }
 
 // Ablation: disabling the align buffer removes exactly the rC^rG leak of
@@ -202,5 +209,12 @@ func TestTVLAValidation(t *testing.T) {
 	opt.Traces = 2
 	if _, err := RunTVLA(&b, opt); err == nil {
 		t.Error("too few traces must be rejected")
+	}
+	for _, avg := range []int{0, -3} {
+		opt = DefaultOptions()
+		opt.Traces, opt.Averages = 100, avg
+		if _, err := RunTVLA(&b, opt); err == nil {
+			t.Errorf("averages %d must be rejected, not defaulted", avg)
+		}
 	}
 }

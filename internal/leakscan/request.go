@@ -87,13 +87,18 @@ func (r *Request) Normalize() error {
 
 // CellJSON is one serialized (component, expression) verdict.
 type CellJSON struct {
-	Column     string  `json:"column"`
-	Expr       string  `json:"expr"`
-	Scored     bool    `json:"scored"`
-	Expected   bool    `json:"expected"`
-	Border     bool    `json:"border"`
-	Detected   bool    `json:"detected"`
-	Match      bool    `json:"match"`
+	Column string `json:"column"`
+	Expr   string `json:"expr"`
+	// Scored marks cells counted toward the Table 2 agreement figure.
+	Scored bool `json:"scored"`
+	// Expected and Detected are the paper's and the measured verdicts;
+	// Border marks a † (flushing-nop) expectation.
+	Expected bool `json:"expected"`
+	Border   bool `json:"border"`
+	Detected bool `json:"detected"`
+	Match    bool `json:"match"`
+	// Peak is the windowed peak correlation, Confidence its Fisher-z
+	// confidence.
 	Peak       float64 `json:"peak"`
 	Confidence float64 `json:"confidence"`
 }
@@ -105,6 +110,25 @@ type RowJSON struct {
 	Dual         bool       `json:"dual"`
 	DualExpected bool       `json:"dual_expected"`
 	Cells        []CellJSON `json:"cells"`
+}
+
+// JSON returns the serialized form of the row.
+func (r *BenchResult) JSON() RowJSON {
+	row := RowJSON{Row: r.Row, Name: r.Name, Dual: r.Dual, DualExpected: r.DualExpected}
+	for _, e := range r.Exprs {
+		row.Cells = append(row.Cells, CellJSON{
+			Column:     string(e.Column),
+			Expr:       e.Name,
+			Scored:     e.Scored,
+			Expected:   e.Expected.Leaks(),
+			Border:     e.Expected == Border,
+			Detected:   e.Detected,
+			Match:      e.Match,
+			Peak:       e.Peak,
+			Confidence: e.Confidence,
+		})
+	}
+	return row
 }
 
 // Response is the JSON result of one leakscan Request — a pure function
@@ -146,11 +170,9 @@ func (r *Request) Run(env engine.RunEnv) (*Response, error) {
 	opt.Config = env.Config
 	opt.Synth, _ = engine.ParseMode(r.Synth)
 
-	rows := r.Rows
-	if len(rows) == 0 {
-		for i := range Benchmarks() {
-			rows = append(rows, i+1)
-		}
+	bs, err := BenchmarksByRow(r.Rows)
+	if err != nil {
+		return nil, err
 	}
 	out := &Response{
 		Traces:     opt.Traces,
@@ -160,30 +182,12 @@ func (r *Request) Run(env engine.RunEnv) (*Response, error) {
 		Synth:      r.Synth,
 		Order:      r.Order,
 	}
-	for _, row := range rows {
-		b, ok := BenchmarkByRow(row)
-		if !ok {
-			return nil, fmt.Errorf("leakscan: no Table 2 row %d", row)
-		}
+	for _, b := range bs {
 		br, err := RunBenchmark(&b, opt)
 		if err != nil {
 			return nil, err
 		}
-		rr := RowJSON{Row: br.Row, Name: br.Name, Dual: br.Dual, DualExpected: br.DualExpected}
-		for _, e := range br.Exprs {
-			rr.Cells = append(rr.Cells, CellJSON{
-				Column:     string(e.Column),
-				Expr:       e.Name,
-				Scored:     e.Scored,
-				Expected:   e.Expected.Leaks(),
-				Border:     e.Expected == Border,
-				Detected:   e.Detected,
-				Match:      e.Match,
-				Peak:       e.Peak,
-				Confidence: e.Confidence,
-			})
-		}
-		out.Rows = append(out.Rows, rr)
+		out.Rows = append(out.Rows, br.JSON())
 		m, t := br.Agreement()
 		out.Match += m
 		out.Total += t

@@ -41,14 +41,11 @@ const TVLAThreshold = 4.5
 // ordered reducer (Spec.Emit) — so the t statistics are bit-identical
 // for any worker count, lane width and synthesis mode.
 func RunTVLA(b *Benchmark, opt Options) (*TVLAResult, error) {
-	if opt.Traces < 8 {
-		return nil, fmt.Errorf("leakscan: need at least 8 traces, got %d", opt.Traces)
+	if err := opt.validate(); err != nil {
+		return nil, err
 	}
 	if opt.Traces%2 != 0 {
 		return nil, fmt.Errorf("leakscan: TVLA needs an even trace count for two equal groups, got %d", opt.Traces)
-	}
-	if err := opt.Model.Validate(); err != nil {
-		return nil, err
 	}
 	prog, _, err := b.program()
 	if err != nil {
@@ -83,7 +80,7 @@ func RunTVLA(b *Benchmark, opt Options) (*TVLAResult, error) {
 		engine.BatchGen{
 			Variants: []*engine.Synthesizer{synth},
 			Model:    &opt.Model,
-			Averages: max(opt.Averages, 1),
+			Averages: opt.Averages,
 			Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, _ *engine.Sample) error {
 				ops := rng
 				if i&1 == 0 {

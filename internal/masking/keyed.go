@@ -225,7 +225,7 @@ type KeyedOptions struct {
 	// Key is the secret key byte the attack must recover.
 	Key byte
 	// Traces is the number of acquisitions; Averages the per-acquisition
-	// averaging factor (0: 16).
+	// averaging factor (at least 1).
 	Traces   int
 	Averages int
 	// Seed derives every trace's private random stream.
@@ -278,7 +278,8 @@ type KeyedResult struct {
 	Samples int
 	Pairs   int
 	// BatchRuns counts, per program variant, the lane groups the batch
-	// VM synthesized after that variant's verification window;
+	// VM synthesized after that variant's verification window in the
+	// evaluation's one engine run, at either order;
 	// FallbackReason is, in variant order, the first reason a variant
 	// simulated traces replay was meant to cover ("" when none did).
 	// Neither is part of a campaign's canonical results.
@@ -298,10 +299,10 @@ const (
 // 256 key hypotheses tries to recover the key from the synthesized
 // power. Every program variant the countermeasure selects among has
 // its own Synthesizer, and the engine runs each chunk's traces grouped
-// by variant on the batch path. Order 2 runs the engine twice over
-// identical per-trace streams: the first pass fixes the mean trace, the
-// second accumulates the centered products of every sample pair (an
-// engine.Order2 bank over the full trace). Every random
+// by variant on the batch path. Order 2 accumulates the centered
+// products of every sample pair instead, in the same single run (an
+// engine.Order2 bank over the full trace, centered on the run's own
+// mean trace). Every random
 // draw — plaintext, countermeasure selections, masks, noise — comes
 // from the trace's private SplitMix64 stream, so the result is a
 // bit-stable pure function of the options for any synthesis mode, lane
@@ -316,9 +317,8 @@ func EvaluateKeyedCPA(opt KeyedOptions) (*KeyedResult, error) {
 	if err := opt.Model.Validate(); err != nil {
 		return nil, err
 	}
-	avg := opt.Averages
-	if avg <= 0 {
-		avg = 16
+	if opt.Averages < 1 {
+		return nil, fmt.Errorf("masking: averages must be >= 1, got %d", opt.Averages)
 	}
 	kv, err := buildKeyedVariants(opt.Schedule, opt.Ctr)
 	if err != nil {
@@ -366,7 +366,7 @@ func EvaluateKeyedCPA(opt KeyedOptions) (*KeyedResult, error) {
 			return v
 		},
 		Model:    &opt.Model,
-		Averages: avg,
+		Averages: opt.Averages,
 		// Fixed per-trace draw order: plaintext, countermeasure
 		// selections, masks, then synthesis noise.
 		Prepare: func(i int, rng *rand.Rand, c *pipeline.Core, s *engine.Sample) error {
@@ -403,31 +403,18 @@ func EvaluateKeyedCPA(opt KeyedOptions) (*KeyedResult, error) {
 			return nil
 		},
 	}
-	spec := engine.Spec{
-		Traces:  opt.Traces,
-		Samples: nSamples,
-		Seed:    opt.Seed,
-		Banks:   []engine.Bank{{Hyps: 256, Classes: table}},
+	bank := engine.Bank{Hyps: 256, Classes: table}
+	pairs := 0
+	if opt.Order == 2 {
+		bank.Order2 = &engine.Order2{}
+		pairs = sca.Window{Hi: nSamples}.Pairs()
 	}
+	spec := engine.Spec{Traces: opt.Traces, Samples: nSamples, Seed: opt.Seed, Banks: []engine.Bank{bank}}
 	banks, err := engine.RunBatched(opt.Config, spec, bg)
 	if err != nil {
 		return nil, err
 	}
-	pairs := 0
-	acc := banks[0]
-	if opt.Order == 2 {
-		// Second pass over identical per-trace streams, centered on the
-		// first pass's mean trace.
-		means := banks[0].(*sca.ClassCPA).MeanTrace()
-		spec.Banks = []engine.Bank{{Hyps: 256, Classes: table, Order2: &engine.Order2{Means: means}}}
-		banks2, err := engine.RunBatched(opt.Config, spec, bg)
-		if err != nil {
-			return nil, err
-		}
-		acc = banks2[0]
-		pairs = sca.Window{Hi: nSamples}.Pairs()
-	}
-	att := acc.Result()
+	att := banks[0].Result()
 	best, bestCorr := att.Best()
 	trueCorr := att.Peaks[opt.Key]
 	res := &KeyedResult{

@@ -160,8 +160,8 @@ func keyedOpt(sched, ctr string, order, traces int) KeyedOptions {
 }
 
 // The keyed evaluator carries the engine's worker-invariance contract:
-// order-2 runs the engine twice, and both passes must see identical
-// per-trace streams for any worker count.
+// the order-2 bank, centered on the run's own mean trace, must fold to
+// the same bits for any worker count.
 func TestEvaluateKeyedCPAWorkerInvariance(t *testing.T) {
 	opt := keyedOpt(ScheduleSbox, "mask+jitter", 2, 200)
 	opt.Workers = 1
@@ -240,5 +240,12 @@ func TestEvaluateKeyedCPAValidation(t *testing.T) {
 	opt = keyedOpt(ScheduleSbox, "mask+shuffle", 1, 100)
 	if _, err := EvaluateKeyedCPA(opt); err == nil {
 		t.Error("shuffle on the lookup gadget must be rejected")
+	}
+	for _, avg := range []int{0, -3} {
+		opt = keyedOpt(ScheduleSbox, "mask", 1, 100)
+		opt.Averages = avg
+		if _, err := EvaluateKeyedCPA(opt); err == nil {
+			t.Errorf("averages %d must be rejected, not defaulted", avg)
+		}
 	}
 }

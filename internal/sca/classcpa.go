@@ -120,23 +120,6 @@ func (c *ClassCPA) Hypotheses() int { return c.nHyp }
 // Count returns the number of accumulated traces.
 func (c *ClassCPA) Count() int { return c.count }
 
-// MeanTrace returns the per-sample mean trace Σt/n — the centering
-// vector a second-order pass feeds to NewClassCPA2. It is a pure
-// function of the accumulator state: sumT receives its per-trace adds
-// in trace order, so two runs over the same trace sequence return
-// bit-identical means.
-func (c *ClassCPA) MeanTrace() []float64 {
-	out := make([]float64, c.samples)
-	if c.count == 0 {
-		return out
-	}
-	n := float64(c.count)
-	for s, v := range c.sumT {
-		out[s] = v / n
-	}
-	return out
-}
-
 // Add accumulates one trace under its model-input class. Accumulation
 // order is the determinism contract: the same (class, trace) sequence
 // always leaves bit-identical state.

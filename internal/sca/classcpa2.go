@@ -20,13 +20,13 @@ func (w Window) Pairs() int {
 //
 //	c_ij = (t[i] − μ[i]) · (t[j] − μ[j])
 //
-// where μ is a fixed centering vector (the mean trace of a first pass
-// over the same trace sequence). Including the diagonal matters: a
-// dual-issued share pair leaks both shares in the *same* cycle, where
-// the second-order signal lives in the centered square (the variance of
+// where μ is a fixed centering vector (the engine uses the mean trace of
+// the run's own traces). Including the diagonal matters: a dual-issued
+// share pair leaks both shares in the *same* cycle, where the
+// second-order signal lives in the centered square (the variance of
 // HW(s0)+HW(s1) is key-dependent), not in a cross product of two
-// distinct cycles. The combined trace is a pure function of the raw
-// trace, so it commutes with any scheduling.
+// distinct cycles. Given μ, the combined trace is a pure function of the
+// raw trace, so it commutes with any scheduling.
 
 // Order2Len returns the combined-trace length of windows.
 func Order2Len(windows []Window) int {

@@ -166,22 +166,6 @@ func axpy4Generic(dst, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64) {
 // Count returns the number of accumulated traces.
 func (c *CPA) Count() int { return c.count }
 
-// MeanTrace returns the per-sample mean trace Σt/n — the centering
-// vector a second-order pass feeds to a centered-product combiner. It
-// is a pure function of the accumulator state, so two runs over the
-// same trace sequence return bit-identical means.
-func (c *CPA) MeanTrace() []float64 {
-	out := make([]float64, c.samples)
-	if c.count == 0 {
-		return out
-	}
-	n := float64(c.count)
-	for s, v := range c.sumT {
-		out[s] = v / n
-	}
-	return out
-}
-
 // Reset clears the accumulator for reuse.
 func (c *CPA) Reset() {
 	clear(c.sumH)
