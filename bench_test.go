@@ -186,11 +186,11 @@ func BenchmarkAblationOperandSwap(b *testing.B) {
 func BenchmarkAblationDualIssue(b *testing.B) {
 	var onDual, onScalar int
 	for i := 0; i < b.N; i++ {
-		v1, err := masking.CheckStatic(masking.DualIssueXor(), pipeline.DefaultConfig())
+		v1, err := masking.CheckStatic(masking.ScheduleDualIssue, pipeline.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
-		v2, err := masking.CheckStatic(masking.DualIssueXor(), pipeline.ScalarConfig())
+		v2, err := masking.CheckStatic(masking.ScheduleDualIssue, pipeline.ScalarConfig())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,7 +13,7 @@
 // Usage:
 //
 //	scadctl run -spec FILE -workers URL[,URL...] [-out DIR] [-resume]
-//	        [-timeout D] [-attempts N] [-no-peer-fill] [-quiet]
+//	        [-timeout D] [-attempts N] [-quiet]
 //	scadctl status  -workers URL[,URL...]   # one-line cluster summary
 //	scadctl workers -workers URL[,URL...]   # per-worker health table
 //	scadctl upload  -server URL -file traces.bin [-part N] [-chunk N] [-commit=false]
@@ -105,7 +105,6 @@ func cmdRun(args []string) {
 	resume := fs.Bool("resume", false, "resume from the checkpoint in -out instead of starting over")
 	timeout := fs.Duration("timeout", 0, "per-scenario request timeout (0: unbounded)")
 	attempts := fs.Int("attempts", 0, "execution attempts per scenario on one worker before it is declared lost (0: 6)")
-	noPeerFill := fs.Bool("no-peer-fill", false, "do not replicate computed results into peer worker caches")
 	seed := fs.Int64("seed", 0, "retry-jitter seed; scheduling only, never affects result bytes")
 	quiet := fs.Bool("quiet", false, "suppress per-scenario progress lines")
 	fs.Parse(args)
@@ -130,7 +129,6 @@ func cmdRun(args []string) {
 		Retry:          cluster.RetryPolicy{MaxAttempts: *attempts},
 		CheckpointPath: filepath.Join(*outDir, "checkpoint.jsonl"),
 		Resume:         *resume,
-		NoPeerFill:     *noPeerFill,
 		Seed:           *seed,
 	}
 	if !*quiet {

@@ -46,7 +46,8 @@ type Fig3Options struct {
 	// Traces is the number of acquisitions (the paper uses 100k on
 	// hardware; the simulator's SNR resolves the key far sooner).
 	Traces int
-	// Averages is the per-acquisition averaging (paper: 16).
+	// Averages is the per-acquisition averaging (paper: 16; at least
+	// 1).
 	Averages int
 	// KeyByte selects the attacked first-round key byte.
 	KeyByte int
@@ -195,6 +196,9 @@ func RunFigure4(key [aes.KeySize]byte, opt Fig4Options) (*Fig4Result, error) {
 	if err := opt.Model.Validate(); err != nil {
 		return nil, err
 	}
+	if opt.Averages < 1 {
+		return nil, fmt.Errorf("attack: averages must be >= 1, got %d", opt.Averages)
+	}
 	if err := opt.Env.Validate(); err != nil {
 		return nil, err
 	}
@@ -229,7 +233,7 @@ func RunFigure4(key [aes.KeySize]byte, opt Fig4Options) (*Fig4Result, error) {
 		engine.BatchGen{
 			Variants: []*engine.Synthesizer{synth},
 			Model:    &opt.Model,
-			Averages: max(opt.Averages, 1),
+			Averages: opt.Averages,
 			Env:      opt.Env,
 			Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *engine.Sample) error {
 				var pt [aes.BlockSize]byte

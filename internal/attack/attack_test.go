@@ -99,6 +99,13 @@ func TestFigure3Validation(t *testing.T) {
 	if _, err := RunCPA(target.Default, testKey[:], opt); err == nil {
 		t.Error("bad key byte must be rejected")
 	}
+	for _, avg := range []int{0, -3} {
+		opt = DefaultFig3Options()
+		opt.Averages = avg
+		if _, err := RunCPA(target.Default, testKey[:], opt); err == nil {
+			t.Errorf("averages %d must be rejected, not defaulted", avg)
+		}
+	}
 }
 
 func TestFigure4SucceedsUnderLinuxNoise(t *testing.T) {
@@ -163,5 +170,12 @@ func TestFigure4Validation(t *testing.T) {
 	opt.Env.PreemptProb = 3
 	if _, err := RunFigure4(testKey, opt); err == nil {
 		t.Error("invalid environment must be rejected")
+	}
+	for _, avg := range []int{0, -3} {
+		opt = DefaultFig4Options()
+		opt.Averages = avg
+		if _, err := RunFigure4(testKey, opt); err == nil {
+			t.Errorf("averages %d must be rejected, not defaulted", avg)
+		}
 	}
 }

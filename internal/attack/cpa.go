@@ -38,6 +38,9 @@ func newCPASetup(name string, key []byte, opt Fig3Options) (*cpaSetup, error) {
 	if err := opt.Model.Validate(); err != nil {
 		return nil, err
 	}
+	if opt.Averages < 1 {
+		return nil, fmt.Errorf("attack: averages must be >= 1, got %d", opt.Averages)
+	}
 	inst, err := tgt.New(opt.Core, key, opt.Rounds, padNops)
 	if err != nil {
 		return nil, err
@@ -144,7 +147,7 @@ func (s *cpaSetup) batchGen(opt Fig3Options, bytes []int) engine.BatchGen {
 	return engine.BatchGen{
 		Variants: []*engine.Synthesizer{s.synth},
 		Model:    &opt.Model,
-		Averages: max(opt.Averages, 1),
+		Averages: opt.Averages,
 		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, sm *engine.Sample) error {
 			if cap(sm.Aux) < bs {
 				sm.Aux = make([]byte, bs)

@@ -32,6 +32,13 @@ func TestRecoverFullKeyValidation(t *testing.T) {
 	if _, err := RecoverKey(target.Default, testKey[:], opt); err == nil {
 		t.Error("too few traces must be rejected")
 	}
+	for _, avg := range []int{0, -3} {
+		opt = DefaultFig3Options()
+		opt.Averages = avg
+		if _, err := RecoverKey(target.Default, testKey[:], opt); err == nil {
+			t.Errorf("averages %d must be rejected, not defaulted", avg)
+		}
+	}
 }
 
 func TestRankEvolutionConverges(t *testing.T) {
@@ -59,5 +66,12 @@ func TestRankEvolutionConverges(t *testing.T) {
 func TestRankEvolutionValidation(t *testing.T) {
 	if _, err := RankEvolution(target.Default, testKey[:], DefaultFig3Options(), nil); err == nil {
 		t.Error("empty counts must be rejected")
+	}
+	for _, avg := range []int{0, -3} {
+		opt := DefaultFig3Options()
+		opt.Averages = avg
+		if _, err := RankEvolution(target.Default, testKey[:], opt, []int{25}); err == nil {
+			t.Errorf("averages %d must be rejected, not defaulted", avg)
+		}
 	}
 }

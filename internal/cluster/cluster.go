@@ -45,8 +45,6 @@ type Options struct {
 	// Resume replays an existing checkpoint at CheckpointPath instead of
 	// refusing to overwrite it.
 	Resume bool
-	// NoPeerFill disables replicating computed bodies to peer caches.
-	NoPeerFill bool
 	// Seed seeds the scheduling jitter RNG only — it cannot affect result
 	// bytes (0: fixed default).
 	Seed int64
@@ -127,7 +125,7 @@ func Run(ctx context.Context, spec *campaign.Spec, opt Options) (*campaign.Resul
 		campaign: spec.Name,
 		seed:     spec.Seed,
 		key:      spec.Key,
-		peerFill: !opt.NoPeerFill && len(opt.Workers) > 1,
+		peerFill: len(opt.Workers) > 1,
 	}
 	for _, base := range opt.Workers {
 		cr.clients = append(cr.clients, newWorkerClient(base, opt.RequestTimeout, opt.Retry, jitter, &ctrs))

@@ -71,12 +71,30 @@ func (c Countermeasure) String() string {
 }
 
 // Keyed gadget schedules: the three §4.2 remasking variants plus the
-// masked table-recomputation S-box lookup.
+// masked table-recomputation S-box lookup. Each remasking variant is a
+// perfectly valid share-wise remasking of the shares in r0 and r1 with
+// the masks in r2 and r3; only the schedule differs.
 const (
-	ScheduleNaive     = "naive"
+	// ScheduleNaive remasks the two shares back-to-back with reg-reg
+	// EORs: the pair cannot dual-issue (two reg-reg ALU ops need four
+	// read ports), so the shares meet in the same operand position of
+	// successive single issues — the §4.2 recombination.
+	ScheduleNaive = "naive"
+	// ScheduleSeparated interleaves two independent spacers between the
+	// share instructions — the instruction-scheduling countermeasure
+	// (Seuschek et al. applied to a superscalar core). With one spacer
+	// it would dual-issue with the first share instruction, and the
+	// second would still follow it back-to-back on the same bus (§4.2
+	// point iii: dual-issue lets non-consecutive instructions combine).
 	ScheduleSeparated = "separated"
+	// ScheduleDualIssue pairs the share computations so they issue in
+	// the same cycle over distinct buses — dual-issue exploited as a
+	// countermeasure (§4.2). The immediate forms keep the pair within
+	// the three read ports; on a scalar core the pair issues
+	// back-to-back and recombines.
 	ScheduleDualIssue = "dualissue"
-	ScheduleSbox      = "sbox"
+	// ScheduleSbox is the masked table-recomputation S-box lookup.
+	ScheduleSbox = "sbox"
 )
 
 // Schedules lists the keyed gadget schedules in campaign order.
@@ -114,6 +132,9 @@ func (kv *keyedVariants) pick(rng *rand.Rand) (pt byte, v int) {
 	return pt, jd*kv.swaps + sw
 }
 
+// gadgetPad is the nop padding on either side of a gadget.
+const gadgetPad = 8
+
 // eorLine renders one share EOR with an optional operand swap.
 func eorLine(rd, ra, rb string, swap bool) string {
 	if swap {
@@ -145,64 +166,50 @@ func buildKeyedVariants(schedule string, ctr Countermeasure) (*keyedVariants, er
 		pre := gadgetPad + 2*jd
 		post := gadgetPad + 2*(jitterSteps-1-jd)
 		for sw := 0; sw < kv.swaps; sw++ {
-			var prog *isa.Program
-			switch schedule {
-			case ScheduleNaive:
-				src := pad(pre) +
-					eorLine("r4", "r0", "r2", sw&1 != 0) +
-					eorLine("r5", "r1", "r3", sw&2 != 0) +
-					pad(post)
-				p, err := isa.Assemble(src)
-				if err != nil {
-					return nil, err
-				}
-				prog = p
-			case ScheduleSeparated:
-				src := pad(pre) +
-					eorLine("r4", "r0", "r2", sw&1 != 0) +
-					"add r6, r7, r8\n" +
-					"add r9, r7, r8\n" +
-					eorLine("r5", "r1", "r3", sw&2 != 0) +
-					pad(post)
-				p, err := isa.Assemble(src)
-				if err != nil {
-					return nil, err
-				}
-				prog = p
-			case ScheduleDualIssue:
-				src := pad(pre) +
-					"eor r4, r0, #0x5A5A5A5A\n" +
-					"eor r5, r1, #0xA5A5A5A5\n" +
-					pad(post)
-				p, err := isa.Assemble(src)
-				if err != nil {
-					return nil, err
-				}
-				prog = p
-			case ScheduleSbox:
-				b := isa.NewBuilder()
-				b.Nop(pre)
-				b.LdrbReg(isa.R4, isa.R2, isa.R0) // r4 = T[masked input]
-				b.Strb(isa.R4, isa.R3, 0)         // store masked output
-				// Two spacer nops keep the mask transport's write-back off
-				// the lookup's: back-to-back they would recombine
-				// HD(S[v]^mOut, mOut) = HW(S[v]) on the WB bus — the §4.2
-				// recombination — and break the masking at first order.
-				b.Nop(2)
-				b.Mov(isa.R6, isa.R5) // transport the output mask
-				b.Nop(post)
-				p, err := b.Build()
-				if err != nil {
-					return nil, err
-				}
-				prog = p
-			default:
-				return nil, fmt.Errorf("masking: unknown schedule %q", schedule)
+			prog, err := keyedProgram(schedule, pre, post, sw&1 != 0, sw&2 != 0)
+			if err != nil {
+				return nil, err
 			}
 			kv.progs = append(kv.progs, prog)
 		}
 	}
 	return kv, nil
+}
+
+// keyedProgram assembles one schedule between pre leading and post
+// trailing nops; swap0 and swap1 swap the operands of the share-0 and
+// share-1 EORs of the reg-reg schedules.
+func keyedProgram(schedule string, pre, post int, swap0, swap1 bool) (*isa.Program, error) {
+	var body string
+	switch schedule {
+	case ScheduleNaive:
+		body = eorLine("r4", "r0", "r2", swap0) + // share 0 ^ m
+			eorLine("r5", "r1", "r3", swap1) // share 1 ^ m'
+	case ScheduleSeparated:
+		body = eorLine("r4", "r0", "r2", swap0) +
+			"add r6, r7, r8\n" + // independent spacer
+			"add r9, r7, r8\n" + // second spacer: defeats dual-issue skip
+			eorLine("r5", "r1", "r3", swap1)
+	case ScheduleDualIssue:
+		body = "eor r4, r0, #0x5A5A5A5A\n" +
+			"eor r5, r1, #0xA5A5A5A5\n"
+	case ScheduleSbox:
+		b := isa.NewBuilder()
+		b.Nop(pre)
+		b.LdrbReg(isa.R4, isa.R2, isa.R0) // r4 = T[masked input]
+		b.Strb(isa.R4, isa.R3, 0)         // store masked output
+		// Two spacer nops keep the mask transport's write-back off
+		// the lookup's: back-to-back they would recombine
+		// HD(S[v]^mOut, mOut) = HW(S[v]) on the WB bus — the §4.2
+		// recombination — and break the masking at first order.
+		b.Nop(2)
+		b.Mov(isa.R6, isa.R5) // transport the output mask
+		b.Nop(post)
+		return b.Build()
+	default:
+		return nil, fmt.Errorf("masking: unknown schedule %q", schedule)
+	}
+	return isa.Assemble(strings.Repeat("nop\n", pre) + body + strings.Repeat("nop\n", post))
 }
 
 // ValidateCombination reports whether schedule supports the

@@ -9,64 +9,6 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Satellite prerequisite: the dynamic evaluator must be a bit-stable
-// pure function of (gadget, config, traces, seed) — in particular
-// invariant to the worker count, which the old shared-*rand.Rand loop
-// was not.
-func TestEvaluateLeakageDeterministic(t *testing.T) {
-	cfg := pipeline.DefaultConfig()
-	want, err := EvaluateLeakage(NaiveXor(), cfg, 300, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := EvaluateLeakage(NaiveXor(), cfg, 300, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(want.MaxCorr) != math.Float64bits(again.MaxCorr) ||
-		math.Float64bits(want.Confidence) != math.Float64bits(again.Confidence) {
-		t.Fatalf("two identical runs differ: %+v vs %+v", want, again)
-	}
-	for _, run := range []engine.Config{{Workers: 1}, {Workers: 2}, {Workers: 7}, {Workers: 3, Lanes: 8}} {
-		got, err := EvaluateLeakageOpt(NaiveXor(), cfg, EvalOptions{Traces: 300, Seed: 11, Config: run})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(got.MaxCorr) != math.Float64bits(want.MaxCorr) ||
-			math.Float64bits(got.Confidence) != math.Float64bits(want.Confidence) {
-			t.Errorf("workers=%d lanes=%d: MaxCorr %v / conf %v, want %v / %v",
-				run.Workers, run.Lanes, got.MaxCorr, got.Confidence, want.MaxCorr, want.Confidence)
-		}
-	}
-}
-
-// The gadget evaluator's results are pinned bit for bit — recorded
-// from the per-trace simulation driver it replaced — and its runs must
-// really batch after the verification window.
-func TestEvaluateLeakagePinned(t *testing.T) {
-	pins := []struct {
-		g          Gadget
-		corr, conf uint64
-	}{
-		{NaiveXor(), 0x3fe2fe6453e5a93d, 0x3ff0000000000000},
-		{SeparatedXor(), 0xbfb0e6338b6257eb, 0x3fef4a45988cb872},
-		{DualIssueXor(), 0x3fb4140954b4f87c, 0x3fefca605ac5a3e8},
-	}
-	for _, p := range pins {
-		res, err := EvaluateLeakage(p.g, pipeline.DefaultConfig(), 1200, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(res.MaxCorr) != p.corr || math.Float64bits(res.Confidence) != p.conf {
-			t.Errorf("%s: MaxCorr %#x conf %#x, want %#x %#x", p.g.Name,
-				math.Float64bits(res.MaxCorr), math.Float64bits(res.Confidence), p.corr, p.conf)
-		}
-		if res.BatchRuns == 0 || res.FallbackReason != "" {
-			t.Errorf("%s: %d batch runs, fallback %q", p.g.Name, res.BatchRuns, res.FallbackReason)
-		}
-	}
-}
-
 // The keyed evaluator's result is independent of the synthesis path:
 // simulate, auto and replay agree bit for bit on fixed, shuffled and
 // jittered scenarios, and auto and replay really run every program

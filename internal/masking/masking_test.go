@@ -71,52 +71,64 @@ func TestShareUniformity(t *testing.T) {
 	}
 }
 
+// The static checker's verdict per schedule and core: back-to-back
+// shares recombine everywhere, separated shares nowhere, and the
+// dual-issued pair only once the binary runs on a scalar core.
 func TestStaticCheckerVerdicts(t *testing.T) {
-	cfg := pipeline.DefaultConfig()
+	dual, scalar := pipeline.DefaultConfig(), pipeline.ScalarConfig()
 	cases := []struct {
-		g        Gadget
+		sched    string
+		core     string
+		cfg      pipeline.Config
 		violates bool
 	}{
-		{NaiveXor(), true},
-		{SeparatedXor(), false},
-		{DualIssueXor(), false},
+		{ScheduleNaive, "dual", dual, true},
+		{ScheduleSeparated, "dual", dual, false},
+		{ScheduleDualIssue, "dual", dual, false},
+		{ScheduleNaive, "scalar", scalar, true},
+		{ScheduleSeparated, "scalar", scalar, false},
+		{ScheduleDualIssue, "scalar", scalar, true},
 	}
 	for _, c := range cases {
-		v, err := CheckStatic(c.g, cfg)
+		v, err := CheckStatic(c.sched, c.cfg)
 		if err != nil {
-			t.Fatalf("%s: %v", c.g.Name, err)
+			t.Fatalf("%s/%s: %v", c.sched, c.core, err)
 		}
 		if (len(v) > 0) != c.violates {
 			for _, x := range v {
 				t.Logf("  %s", x)
 			}
-			t.Errorf("%s: violations=%d, want violating=%v", c.g.Name, len(v), c.violates)
+			t.Errorf("%s/%s: violations=%d, want violating=%v", c.sched, c.core, len(v), c.violates)
+		}
+	}
+	for _, sched := range []string{ScheduleSbox, "rot13"} {
+		if _, err := CheckStatic(sched, dual); err == nil {
+			t.Errorf("%s: static check must be rejected", sched)
 		}
 	}
 }
 
 func TestDynamicLeakageMatchesStatic(t *testing.T) {
-	cfg := pipeline.DefaultConfig()
-	naive, err := EvaluateLeakage(NaiveXor(), cfg, 1200, 7)
+	naive, err := EvaluateKeyedCPA(keyedOpt(ScheduleNaive, "mask", 1, 1200))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !naive.Detected {
-		t.Errorf("naive gadget must leak HW(secret): r=%v conf=%v", naive.MaxCorr, naive.Confidence)
+	if !naive.Success {
+		t.Errorf("naive gadget must leak the key: rank %d, r=%v", naive.Rank, naive.TrueCorr)
 	}
-	dual, err := EvaluateLeakage(DualIssueXor(), cfg, 1200, 7)
+	dual, err := EvaluateKeyedCPA(keyedOpt(ScheduleDualIssue, "mask", 1, 1200))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dual.Detected {
-		t.Errorf("dual-issued gadget must not leak: r=%v conf=%v", dual.MaxCorr, dual.Confidence)
+	if dual.Success {
+		t.Errorf("dual-issued gadget must not leak: r=%v conf=%v", dual.BestCorr, dual.Confidence)
 	}
-	sep, err := EvaluateLeakage(SeparatedXor(), cfg, 1200, 7)
+	sep, err := EvaluateKeyedCPA(keyedOpt(ScheduleSeparated, "mask", 1, 1200))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sep.Detected {
-		t.Errorf("separated gadget must not leak: r=%v conf=%v", sep.MaxCorr, sep.Confidence)
+	if sep.Success {
+		t.Errorf("separated gadget must not leak: r=%v conf=%v", sep.BestCorr, sep.Confidence)
 	}
 }
 
@@ -124,24 +136,26 @@ func TestDynamicLeakageMatchesStatic(t *testing.T) {
 // same binary runs on a scalar, ISA-compatible core (§1's portable
 // side-channel security problem).
 func TestDualIssueGadgetBreaksOnScalarCore(t *testing.T) {
-	v, err := CheckStatic(DualIssueXor(), pipeline.ScalarConfig())
+	v, err := CheckStatic(ScheduleDualIssue, pipeline.ScalarConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(v) == 0 {
 		t.Fatal("scalar core must recombine the dual-issue-protected shares")
 	}
-	dyn, err := EvaluateLeakage(DualIssueXor(), pipeline.ScalarConfig(), 1200, 9)
+	opt := keyedOpt(ScheduleDualIssue, "mask", 1, 1200)
+	opt.Core = pipeline.ScalarConfig()
+	dyn, err := EvaluateKeyedCPA(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dyn.Detected {
-		t.Errorf("scalar core leak not measured: r=%v conf=%v", dyn.MaxCorr, dyn.Confidence)
+	if !dyn.Success {
+		t.Errorf("scalar core leak not measured: rank %d, r=%v", dyn.Rank, dyn.TrueCorr)
 	}
 }
 
 func TestEvaluateLeakageValidation(t *testing.T) {
-	if _, err := EvaluateLeakage(NaiveXor(), pipeline.DefaultConfig(), 2, 1); err == nil {
+	if _, err := EvaluateKeyedCPA(keyedOpt(ScheduleNaive, "mask", 1, 2)); err == nil {
 		t.Error("too few traces must be rejected")
 	}
 }
