@@ -10,7 +10,8 @@ import (
 	"repro/internal/target"
 )
 
-// DefaultAttackKey is the FIPS-197 appendix key the attacks default to.
+// DefaultAttackKey is the key the attacks default to: the FIPS-197
+// Appendix key, also the SP800-38A example key.
 var DefaultAttackKey = [KeySize]byte{
 	0x2B, 0x7E, 0x15, 0x16, 0x28, 0xAE, 0xD2, 0xA6,
 	0xAB, 0xF7, 0x15, 0x88, 0x09, 0xCF, 0x4F, 0x3C,

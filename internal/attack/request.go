@@ -10,12 +10,9 @@ import (
 	"repro/internal/target"
 )
 
-// DefaultKey is the AES-128 key attacked when a request names none: the
-// FIPS SP800-38A example key.
-var DefaultKey = [aes.KeySize]byte{
-	0x2B, 0x7E, 0x15, 0x16, 0x28, 0xAE, 0xD2, 0xA6,
-	0xAB, 0xF7, 0x15, 0x88, 0x09, 0xCF, 0x4F, 0x3C,
-}
+// DefaultKey is the AES-128 key attacked when a request names none:
+// aes.DefaultAttackKey.
+var DefaultKey = aes.DefaultAttackKey
 
 // ParseKey parses an AES-128 key spelled as 32 hex digits; the empty
 // string selects DefaultKey. It is the single key-parsing rule shared

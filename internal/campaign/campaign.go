@@ -207,15 +207,12 @@ type Spec struct {
 	Workloads []Workload `json:"workloads"`
 }
 
-// DefaultKey is the AES-128 key attacked when a Spec names none: the
-// FIPS SP800-38A example key (attack.DefaultKey), matching cmd/scacpa.
-var DefaultKey = attack.DefaultKey
-
-// AttackKey returns the spec's AES key.
+// AttackKey returns the spec's AES key; a Spec naming none attacks
+// attack.DefaultKey, matching cmd/scacpa.
 func (s *Spec) AttackKey() ([aes.KeySize]byte, error) {
 	k, err := attack.ParseKey(s.Key)
 	if err != nil {
-		return DefaultKey, fmt.Errorf("campaign: key must be %d hex digits", 2*aes.KeySize)
+		return attack.DefaultKey, fmt.Errorf("campaign: key must be %d hex digits", 2*aes.KeySize)
 	}
 	return k, nil
 }

@@ -366,23 +366,25 @@ func (c *Core) Run(prog *isa.Program) (*Result, error) {
 
 // issueOne issues a single instruction at cycle e in the given slot. The
 // work splits into the schedule half — slot availability, memory stalls,
-// result-readiness bookkeeping — and the value half, delegated to
-// ExecValues, which performs the architectural effects and yields the
-// driven values that place then maps onto components. It returns extra
-// stall cycles (memory penalties), whether a branch was taken, and the
-// branch target.
+// result-readiness bookkeeping — and the value half, delegated to the
+// instruction's ExecDecoded plan: Exec performs the architectural effects
+// and yields the driven values, which place maps onto components by the
+// plan's tags. It returns extra stall cycles (memory penalties), whether
+// a branch was taken, and the branch target.
 func (c *Core) issueOne(in *isa.Instr, pc int, e int64, slot int, dual bool, pipe int) (stall int64, taken bool, target int) {
 	passed := in.Cond.Passed(c.st.Flags)
 	c.issues = append(c.issues, IssueRecord{PC: pc, Cycle: e, Slot: slot, Dual: dual, Executed: passed})
 
 	lim, rfPort, busPort, nopPorts := c.scheduleLimits(in, e, slot)
+	var d ExecDecoded
+	d.decode(&c.cfg, in, pc, lim)
 	var dv DriveValues
-	ExecValues(&c.cfg, in, pc, passed, lim, &c.st, &dv)
+	d.Exec(passed, &c.st, &dv)
 
 	if passed && in.Op.IsMem() && c.hier != nil {
 		stall = int64(c.hier.DataPenalty(dv.Addr))
 	}
-	c.place(in, pc, e, slot, pipe, stall, rfPort, busPort, nopPorts, &dv)
+	c.place(in, pc, e, slot, pipe, stall, rfPort, busPort, nopPorts, d.Tags(passed), &dv)
 	c.retire(in, e, passed, stall, &dv)
 	return stall, dv.Taken, dv.Target
 }
@@ -420,16 +422,16 @@ func (c *Core) scheduleLimits(in *isa.Instr, e int64, slot int) (lim Limits, rfP
 }
 
 // place maps an instruction's DriveValues onto components and cycles —
-// the schedule half of a drive. The kind of each value selects its slot
-// rule; the emission order is ExecValues' canonical order, so the two
-// halves cannot disagree about structure.
-func (c *Core) place(in *isa.Instr, pc int, e int64, slot, pipe int, stall int64, rfPort, busPort int, nopPorts [2]Component, dv *DriveValues) {
+// the schedule half of a drive. The kind of each value's tag selects its
+// slot rule; tags and values come from one ExecDecoded plan in one
+// canonical order, so the two halves cannot disagree about structure.
+func (c *Core) place(in *isa.Instr, pc int, e int64, slot, pipe int, stall int64, rfPort, busPort int, nopPorts [2]Component, tags []DriveTag, dv *DriveValues) {
 	wbPort := slot
 	nopIdx := 0
 	in0 := Component(int(ALUIn00) + 2*pipe)
-	for i := 0; i < dv.N; i++ {
-		v, role := dv.Vals[i], dv.Roles[i]
-		switch dv.Kinds[i] {
+	for i, tg := range tags {
+		v, role := dv.Vals[i], tg.Role()
+		switch tg.Kind {
 		case DriveRF:
 			c.rec(e, Component(int(RFRead0)+rfPort), v, pc, role)
 			rfPort++

@@ -8,10 +8,13 @@ import (
 // This file is the data half of the simulator's schedule/data split: the
 // value semantics of one issued instruction, separated from the issue
 // logic so that the replay compiler (internal/replay) can re-execute
-// only the dataflow of a recorded schedule. Core.issueOne pairs
-// ExecValues with live slot selection; the replay VM runs its
-// decode-hoisted form (ExecDecoded) against a compiled slot list. Both
-// observe the same canonical drive order.
+// only the dataflow of a recorded schedule. DecodeExec derives an
+// instruction's decode-static plan once — including the kind and role of
+// every drive for either condition outcome — and ExecDecoded.Exec runs
+// the per-state residue. Core.issueOne places Exec's values by the
+// plan's tags against the live timeline; the batch VM runs the same Exec
+// once per lane against a compiled slot list. One implementation, one
+// canonical drive order.
 
 // ExecState is the architectural machine state instruction value
 // semantics read and write: registers, condition flags and data memory.
@@ -77,15 +80,24 @@ type Limits struct {
 	NopWB int
 }
 
+// DriveTag is the schedule identity of one drive: the slot rule that
+// places it and the role its value plays. Both are fixed by the
+// instruction, the Limits and the condition outcome.
+type DriveTag struct {
+	Kind DriveKind
+	role uint8 // index into roles
+}
+
+// Role returns the role of the tagged value.
+func (t DriveTag) Role() Role { return roles[t.role] }
+
 // DriveValues is the value outcome of one issued instruction: every
-// value it drives, in the canonical order shared by the scheduler and
-// the replay VM, plus the facts the scheduler derives from values (the
-// effective address, the branch decision).
+// value it drives, in the canonical order of its plan's tags, plus the
+// facts the scheduler derives from values (the effective address, the
+// branch decision).
 type DriveValues struct {
-	N     int
-	Vals  [MaxDrives]uint32
-	Roles [MaxDrives]Role
-	Kinds [MaxDrives]DriveKind
+	N    int
+	Vals [MaxDrives]uint32
 
 	// Addr is the effective address of a memory instruction; with a
 	// cache hierarchy attached it determines the stall, the one place
@@ -98,24 +110,131 @@ type DriveValues struct {
 	FlagsSet bool
 }
 
-func (dv *DriveValues) push(v uint32, role Role, kind DriveKind) {
-	dv.Vals[dv.N] = v
-	dv.Roles[dv.N] = role
-	dv.Kinds[dv.N] = kind
-	dv.N++
+// execClass is the op-class dispatch of Exec.
+type execClass uint8
+
+const (
+	ecNop execClass = iota
+	ecB
+	ecBL
+	ecBX
+	ecMem
+	ecMul
+	ecDataProc
+)
+
+// ExecDecoded is the decode-static plan of one issued instruction under
+// fixed Limits: everything its value semantics derive from the
+// instruction word and the config, none of what they derive from machine
+// state. Build one with DecodeExec; it is immutable afterwards and safe
+// for concurrent Exec calls against distinct states.
+type ExecDecoded struct {
+	cls  execClass
+	cond isa.Cond
+
+	// Register-file read ports, already clipped to lim.RF.
+	src  [isa.MaxSrcRegs]isa.Reg
+	nSrc uint8
+
+	// IS/EX operand-bus plan, already clipped to lim.Bus: register reads
+	// for ordinary instructions, nBusZero zero drives for the nop. The
+	// two are mutually exclusive.
+	bus      [3]isa.Reg
+	nBus     uint8
+	nBusZero uint8
+	nNopWB   uint8
+
+	// Failed conditional drives a zero on the write-back bus
+	// (cfg.NopZeroesWB, and for data processing only with a destination).
+	annulZeroWB bool
+
+	// Branches.
+	target  int
+	linkVal uint32  // BL: the pc+1 link value
+	rm      isa.Reg // BX target register
+
+	// Multiply.
+	rn, rmul, ra isa.Reg
+	mla          bool
+
+	// Data processing.
+	op          isa.Op
+	usesRn      bool
+	op2Imm      bool
+	imm         uint32
+	shiftKind   isa.ShiftKind
+	op2Reg      isa.Reg
+	shiftAmt    uint32
+	shiftByReg  bool
+	shiftReg    isa.Reg
+	usesShifter bool
+	hasDest     bool
+	flagsSet    bool // SetFlags || IsCompare: the flags update fires
+
+	// Memory.
+	memBase   isa.Reg
+	hasOffReg bool
+	offReg    isa.Reg
+	offImm    int32
+	postIndex bool
+	load      bool
+	width     uint8
+	align     bool // sub-word access with the align buffer modelled
+	laneRepl  bool // store lane replication on the memory bus
+	baseWB    bool
+	baseWBReg isa.Reg
+
+	// Shared destination / transfer register.
+	rd isa.Reg
+
+	// tags[o][:nTags[o]] is the drive plan for outcome o (annulled or
+	// executed), in Exec's value order. Only the simulator reads it.
+	tags  [2][MaxDrives]DriveTag
+	nTags [2]uint8
 }
 
-// ExecValues executes in's value semantics against st: it computes every
-// value the instruction drives onto tracked components, in canonical
-// drive order, and performs the architectural effects (register and
-// memory writes, flag updates). It never touches schedule state — issue
-// cycles, ports, stalls and ready times belong to the caller.
-func ExecValues(cfg *Config, in *isa.Instr, pc int, passed bool, lim Limits, st *ExecState, dv *DriveValues) {
-	dv.N = 0
-	dv.Addr = 0
-	dv.Taken = false
-	dv.Target = 0
-	dv.FlagsSet = false
+// Passed evaluates the instruction's condition against the flags.
+func (d *ExecDecoded) Passed(f isa.Flags) bool { return d.cond.Passed(f) }
+
+// Tags returns the kind and role of every drive Exec emits for the given
+// condition outcome, in value order.
+func (d *ExecDecoded) Tags(passed bool) []DriveTag {
+	o := annulled
+	if passed {
+		o = executed
+	}
+	return d.tags[o][:d.nTags[o]]
+}
+
+// Outcome indices of ExecDecoded.tags.
+const (
+	annulled = 0
+	executed = 1
+)
+
+// tag appends a drive to the plan of outcome o.
+func (d *ExecDecoded) tag(o int, k DriveKind, r uint8) {
+	d.tags[o][d.nTags[o]] = DriveTag{k, r}
+	d.nTags[o]++
+}
+
+// tagBoth appends a drive both outcomes make.
+func (d *ExecDecoded) tagBoth(k DriveKind, r uint8) {
+	d.tag(annulled, k, r)
+	d.tag(executed, k, r)
+}
+
+// DecodeExec builds the decode-static plan of in at pc under lim.
+func DecodeExec(cfg *Config, in *isa.Instr, pc int, lim Limits) ExecDecoded {
+	var d ExecDecoded
+	d.decode(cfg, in, pc, lim)
+	return d
+}
+
+// decode is DecodeExec into the zero plan d, which the simulator keeps
+// on its stack rather than copying per issue.
+func (d *ExecDecoded) decode(cfg *Config, in *isa.Instr, pc int, lim Limits) {
+	d.cond, d.rd = in.Cond, in.Rd
 
 	// Register-file read ports, in operand-position order.
 	var srcBuf [isa.MaxSrcRegs]isa.Reg
@@ -123,69 +242,190 @@ func ExecValues(cfg *Config, in *isa.Instr, pc int, passed bool, lim Limits, st 
 		if i >= lim.RF {
 			break
 		}
-		dv.push(st.Regs[r], srcRole(i), DriveRF)
+		d.src[d.nSrc] = r
+		d.nSrc++
+		d.tagBoth(DriveRF, srcRole(i))
 	}
 
 	// IS/EX operand buses: the execute-bound operands ([12], §3.2 —
 	// memory addresses travel through the AGU instead, so loads
 	// contribute none and stores only their data).
-	nBus := 0
-	bus := func(v uint32, role Role) {
-		if nBus < lim.Bus {
-			dv.push(v, role, DriveBus)
-			nBus++
+	addBus := func(r isa.Reg) {
+		if int(d.nBus) < lim.Bus {
+			d.tagBoth(DriveBus, srcRole(int(d.nBus)))
+			d.bus[d.nBus] = r
+			d.nBus++
+		}
+	}
+	// A failed conditional drives a zero onto the write-back bus.
+	annulZero := func(on bool) {
+		d.annulZeroWB = on
+		if on {
+			d.tag(annulled, DriveWB, rZero)
 		}
 	}
 	switch {
 	case in.Op == isa.NOP:
-		// Condition-never instruction with zero-valued operands (§4.1).
-		bus(0, RoleZero)
-		bus(0, RoleZero)
-	case in.Op.IsMul():
-		bus(st.Regs[in.Rn], RoleSrc0)
-		bus(st.Regs[in.Rm], RoleSrc1)
-		if in.Op == isa.MLA {
-			bus(st.Regs[in.Ra], RoleSrc2)
+		// Condition-never instruction with zero-valued operands (§4.1);
+		// its zero "result" resets idle write-back buses (§4.1's
+		// inferred implementation choice behind the † border effects of
+		// Table 2).
+		d.cls = ecNop
+		d.nBusZero = uint8(max(min(lim.Bus, 2), 0))
+		d.nNopWB = uint8(max(lim.NopWB, 0))
+		for i := 0; i < int(d.nBusZero); i++ {
+			d.tagBoth(DriveBus, rZero)
 		}
-	case in.Op.IsStore():
-		bus(st.Regs[in.Rd], RoleSrc0)
-	case in.Op.IsLoad(), in.Op.IsBranch():
-	case in.Op.IsDataProc():
-		i := 0
-		if in.Op.UsesRn() {
-			bus(st.Regs[in.Rn], srcRole(i))
-			i++
+		for i := 0; i < int(d.nNopWB); i++ {
+			d.tagBoth(DriveNopWB, rZero)
 		}
-		if !in.Op2.IsImm {
-			bus(st.Regs[in.Op2.Reg], srcRole(i))
-			i++
-			if in.Op2.ShiftByReg {
-				bus(st.Regs[in.Op2.ShiftReg], srcRole(i))
-			}
-		}
-	}
 
-	switch {
-	case in.Op == isa.NOP:
-		// The nop's zero-valued "result" resets idle write-back buses
-		// (§4.1's inferred implementation choice behind the † border
-		// effects of Table 2).
-		for j := 0; j < lim.NopWB; j++ {
-			dv.push(0, RoleZero, DriveNopWB)
+	case in.Op.IsMul():
+		d.cls = ecMul
+		addBus(in.Rn)
+		addBus(in.Rm)
+		if in.Op == isa.MLA {
+			addBus(in.Ra)
+			d.mla = true
 		}
+		d.rn, d.rmul, d.ra = in.Rn, in.Rm, in.Ra
+		d.flagsSet = in.SetFlags
+		annulZero(cfg.NopZeroesWB)
+		// The multiplier lives in pipe 1.
+		d.tag(executed, DriveALUIn0, rSrc0)
+		d.tag(executed, DriveALUIn1, rSrc1)
+		d.tag(executed, DriveALUOut, rResult)
+		d.tag(executed, DriveWB, rResult)
+
+	case in.Op.IsMem():
+		d.cls = ecMem
+		if in.Op.IsStore() {
+			addBus(in.Rd)
+		}
+		d.memBase = in.Mem.Base
+		d.hasOffReg = in.Mem.HasOffReg
+		d.offReg = in.Mem.OffReg
+		if in.Mem.OffImm {
+			d.offImm = in.Mem.Imm
+		}
+		d.postIndex = in.Mem.PostIndex
+		d.load = in.Op.IsLoad()
+		d.width = uint8(in.Op.AccessBytes())
+		d.align = d.width < 4 && cfg.AlignBuffer
+		d.laneRepl = cfg.StoreLaneReplication
+		d.baseWBReg, d.baseWB = in.BaseWriteBack()
+		d.tagBoth(DriveAGU, rAddress)
+		data, wb := rStoreData, DriveWBStore
+		if d.load {
+			data, wb = rLoadData, DriveWBLoad
+		}
+		d.tag(executed, DriveMDR, data)
+		if d.align {
+			d.tag(executed, DriveAlign, data)
+		}
+		d.tag(executed, wb, data)
 
 	case in.Op.IsBranch():
-		if !passed {
-			return
-		}
 		switch in.Op {
 		case isa.B:
-			dv.Taken, dv.Target = true, in.Target
+			d.cls = ecB
 		case isa.BL:
-			st.Regs[isa.LR] = uint32(pc + 1)
-			dv.Taken, dv.Target = true, in.Target
+			d.cls = ecBL
+			d.linkVal = uint32(pc + 1)
 		case isa.BX:
-			t := st.Regs[in.Rm]
+			d.cls = ecBX
+			d.rm = in.Rm
+		}
+		d.target = in.Target
+
+	default: // data processing
+		d.cls = ecDataProc
+		d.op = in.Op
+		d.rn = in.Rn
+		d.usesRn = in.Op.UsesRn()
+		if d.usesRn {
+			addBus(in.Rn)
+		}
+		if !in.Op2.IsImm {
+			addBus(in.Op2.Reg)
+			if in.Op2.ShiftByReg {
+				addBus(in.Op2.ShiftReg)
+			}
+		}
+		d.op2Imm = in.Op2.IsImm
+		d.imm = in.Op2.Imm
+		d.shiftKind = in.Op2.Shift
+		d.op2Reg = in.Op2.Reg
+		d.shiftAmt = uint32(in.Op2.ShiftAmt)
+		d.shiftByReg = in.Op2.ShiftByReg
+		d.shiftReg = in.Op2.ShiftReg
+		d.usesShifter = in.UsesShifter()
+		d.hasDest = in.Op.HasDest()
+		d.flagsSet = in.SetFlags || in.Op.IsCompare()
+		annulZero(cfg.NopZeroesWB && d.hasDest)
+		if d.usesShifter {
+			d.tag(executed, DriveShift, rShifted)
+		}
+		d.tag(executed, DriveALUIn0, rSrc0)
+		if d.usesRn {
+			d.tag(executed, DriveALUIn1, rSrc1)
+		}
+		d.tag(executed, DriveALUOut, rResult)
+		if d.hasDest {
+			d.tag(executed, DriveWB, rResult)
+		}
+	}
+}
+
+// Exec executes the decoded instruction's value semantics against st: it
+// computes every value the instruction drives onto tracked components,
+// in the order of Tags(passed), and performs the architectural effects
+// (register and memory writes, flag updates). It never touches schedule
+// state — issue cycles, ports, stalls and ready times belong to the
+// caller — and writes only values, so the batch VM's per-lane work
+// carries no tags.
+func (d *ExecDecoded) Exec(passed bool, st *ExecState, dv *DriveValues) {
+	dv.Addr = 0
+	dv.Taken = false
+	dv.Target = 0
+	dv.FlagsSet = false
+
+	n := 0
+	vals := &dv.Vals
+	for i := 0; i < int(d.nSrc); i++ {
+		vals[n] = st.Regs[d.src[i]]
+		n++
+	}
+	for i := 0; i < int(d.nBus); i++ {
+		vals[n] = st.Regs[d.bus[i]]
+		n++
+	}
+	for i := 0; i < int(d.nBusZero); i++ {
+		vals[n] = 0
+		n++
+	}
+
+	switch d.cls {
+	case ecNop:
+		for i := 0; i < int(d.nNopWB); i++ {
+			vals[n] = 0
+			n++
+		}
+
+	case ecB:
+		if passed {
+			dv.Taken, dv.Target = true, d.target
+		}
+
+	case ecBL:
+		if passed {
+			st.Regs[isa.LR] = d.linkVal
+			dv.Taken, dv.Target = true, d.target
+		}
+
+	case ecBX:
+		if passed {
+			t := st.Regs[d.rm]
 			dv.Taken = true
 			if t >= HaltTarget {
 				dv.Target = int(^uint(0) >> 1) // halt: beyond program end
@@ -194,145 +434,150 @@ func ExecValues(cfg *Config, in *isa.Instr, pc int, passed bool, lim Limits, st 
 			}
 		}
 
-	case in.Op.IsMem():
-		execMem(cfg, in, passed, st, dv)
-
-	case in.Op.IsMul():
+	case ecMem:
+		base := st.Regs[d.memBase]
+		off := d.offImm
+		if d.hasOffReg {
+			off = int32(st.Regs[d.offReg])
+		}
+		addr := base
+		if !d.postIndex {
+			addr = uint32(int64(base) + int64(off))
+		}
+		dv.Addr = addr
+		vals[n] = addr
+		n++
 		if !passed {
-			if cfg.NopZeroesWB {
-				dv.push(0, RoleZero, DriveWB)
+			break
+		}
+		if d.load {
+			word := st.Mem.Read32(addr)
+			var val uint32
+			switch d.width {
+			case 4:
+				val = word
+			case 2:
+				val = uint32(st.Mem.Read16(addr))
+			case 1:
+				val = uint32(st.Mem.Read8(addr))
 			}
-			return
+			vals[n] = word // the cache returns the full word
+			n++
+			if d.align {
+				vals[n] = val
+				n++
+			}
+			st.Regs[d.rd] = val
+			vals[n] = val
+			n++
+		} else {
+			data := st.Regs[d.rd]
+			var busWord uint32
+			switch d.width {
+			case 4:
+				busWord = data
+				st.Mem.Write32(addr, data)
+			case 2:
+				h := data & 0xFFFF
+				busWord = h
+				if d.laneRepl {
+					busWord = h | h<<16
+				}
+				st.Mem.Write16(addr, uint16(h))
+			case 1:
+				b := data & 0xFF
+				busWord = b
+				if d.laneRepl {
+					busWord = b | b<<8 | b<<16 | b<<24
+				}
+				st.Mem.Write8(addr, uint8(b))
+			}
+			vals[n] = busWord
+			n++
+			if d.align {
+				vals[n] = data & ((1 << (8 * uint(d.width))) - 1)
+				n++
+			}
+			// Store data traverses the EX/WB datapath on its way out.
+			vals[n] = data
+			n++
 		}
-		a, b := st.Regs[in.Rn], st.Regs[in.Rm]
+		if d.baseWB {
+			st.Regs[d.baseWBReg] = uint32(int64(base) + int64(off))
+		}
+
+	case ecMul:
+		if !passed {
+			if d.annulZeroWB {
+				vals[n] = 0
+				n++
+			}
+			break
+		}
+		a, b := st.Regs[d.rn], st.Regs[d.rmul]
 		v := a * b
-		if in.Op == isa.MLA {
-			v += st.Regs[in.Ra]
+		if d.mla {
+			v += st.Regs[d.ra]
 		}
-		dv.push(a, RoleSrc0, DriveALUIn0) // multiplier lives in pipe 1
-		dv.push(b, RoleSrc1, DriveALUIn1)
-		dv.push(v, RoleResult, DriveALUOut)
-		st.Regs[in.Rd] = v
-		dv.push(v, RoleResult, DriveWB)
-		if in.SetFlags {
+		vals[n] = a
+		vals[n+1] = b
+		vals[n+2] = v
+		n += 3
+		st.Regs[d.rd] = v
+		vals[n] = v
+		n++
+		if d.flagsSet {
 			st.Flags.N = v&(1<<31) != 0
 			st.Flags.Z = v == 0
 			dv.FlagsSet = true
 		}
 
-	default: // data processing
+	case ecDataProc:
 		a := uint32(0)
-		if in.Op.UsesRn() {
-			a = st.Regs[in.Rn]
+		if d.usesRn {
+			a = st.Regs[d.rn]
 		}
 		var sh isa.ShiftResult
-		if in.Op2.IsImm {
-			sh = isa.ShiftResult{Value: in.Op2.Imm, CarryOut: st.Flags.C}
+		if d.op2Imm {
+			sh = isa.ShiftResult{Value: d.imm, CarryOut: st.Flags.C}
 		} else {
-			amt := uint32(in.Op2.ShiftAmt)
-			if in.Op2.ShiftByReg {
-				amt = st.Regs[in.Op2.ShiftReg] & 0xFF
+			amt := d.shiftAmt
+			if d.shiftByReg {
+				amt = st.Regs[d.shiftReg] & 0xFF
 			}
-			sh = isa.EvalShift(in.Op2.Shift, st.Regs[in.Op2.Reg], amt, st.Flags.C)
+			sh = isa.EvalShift(d.shiftKind, st.Regs[d.op2Reg], amt, st.Flags.C)
 		}
 		if !passed {
-			if cfg.NopZeroesWB && in.Op.HasDest() {
-				dv.push(0, RoleZero, DriveWB)
+			if d.annulZeroWB {
+				vals[n] = 0
+				n++
 			}
-			return
+			break
 		}
-		r := isa.EvalDataProc(in.Op, a, sh.Value, sh.CarryOut, st.Flags)
-		if in.UsesShifter() {
-			dv.push(sh.Value, RoleShifted, DriveShift)
+		r := isa.EvalDataProc(d.op, a, sh.Value, sh.CarryOut, st.Flags)
+		if d.usesShifter {
+			vals[n] = sh.Value
+			n++
 		}
-		if in.Op.UsesRn() {
-			dv.push(a, RoleSrc0, DriveALUIn0)
-			dv.push(sh.Value, RoleSrc1, DriveALUIn1)
+		if d.usesRn {
+			vals[n] = a
+			vals[n+1] = sh.Value
+			n += 2
 		} else {
-			dv.push(sh.Value, RoleSrc0, DriveALUIn0)
+			vals[n] = sh.Value
+			n++
 		}
-		dv.push(r.Value, RoleResult, DriveALUOut)
-		if in.Op.HasDest() {
-			st.Regs[in.Rd] = r.Value
-			dv.push(r.Value, RoleResult, DriveWB)
+		vals[n] = r.Value
+		n++
+		if d.hasDest {
+			st.Regs[d.rd] = r.Value
+			vals[n] = r.Value
+			n++
 		}
-		if in.SetFlags || in.Op.IsCompare() {
+		if d.flagsSet {
 			st.Flags = r.Flags
 			dv.FlagsSet = true
 		}
 	}
-}
-
-// execMem is the value semantics of a load or store: address generation,
-// the memory transfer with its MDR and align-buffer values, and the
-// architectural memory effect.
-func execMem(cfg *Config, in *isa.Instr, passed bool, st *ExecState, dv *DriveValues) {
-	base := st.Regs[in.Mem.Base]
-	off := int32(0)
-	if in.Mem.HasOffReg {
-		off = int32(st.Regs[in.Mem.OffReg])
-	} else if in.Mem.OffImm {
-		off = in.Mem.Imm
-	}
-	addr := base
-	if !in.Mem.PostIndex {
-		addr = uint32(int64(base) + int64(off))
-	}
-	dv.Addr = addr
-	dv.push(addr, RoleAddress, DriveAGU)
-	if !passed {
-		return
-	}
-
-	width := in.Op.AccessBytes()
-	if in.Op.IsLoad() {
-		word := st.Mem.Read32(addr)
-		var val uint32
-		switch width {
-		case 4:
-			val = word
-		case 2:
-			val = uint32(st.Mem.Read16(addr))
-		case 1:
-			val = uint32(st.Mem.Read8(addr))
-		}
-		dv.push(word, RoleLoadData, DriveMDR) // the cache returns the full word
-		if width < 4 && cfg.AlignBuffer {
-			dv.push(val, RoleLoadData, DriveAlign)
-		}
-		st.Regs[in.Rd] = val
-		dv.push(val, RoleLoadData, DriveWBLoad)
-	} else {
-		data := st.Regs[in.Rd]
-		var busWord uint32
-		switch width {
-		case 4:
-			busWord = data
-			st.Mem.Write32(addr, data)
-		case 2:
-			h := data & 0xFFFF
-			busWord = h
-			if cfg.StoreLaneReplication {
-				busWord = h | h<<16
-			}
-			st.Mem.Write16(addr, uint16(h))
-		case 1:
-			b := data & 0xFF
-			busWord = b
-			if cfg.StoreLaneReplication {
-				busWord = b | b<<8 | b<<16 | b<<24
-			}
-			st.Mem.Write8(addr, uint8(b))
-		}
-		dv.push(busWord, RoleStoreData, DriveMDR)
-		if width < 4 && cfg.AlignBuffer {
-			dv.push(data&((1<<(8*width))-1), RoleStoreData, DriveAlign)
-		}
-		// Store data traverses the EX/WB datapath on its way out.
-		dv.push(data, RoleStoreData, DriveWBStore)
-	}
-
-	if wb, ok := in.BaseWriteBack(); ok {
-		st.Regs[wb] = uint32(int64(base) + int64(off))
-	}
+	dv.N = n
 }

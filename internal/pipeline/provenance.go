@@ -25,17 +25,26 @@ const (
 	RoleZero Role = "zero"
 )
 
-// srcRole returns the operand role for position i.
-func srcRole(i int) Role {
-	switch i {
-	case 0:
-		return RoleSrc0
-	case 1:
-		return RoleSrc1
-	default:
-		return RoleSrc2
-	}
-}
+// roles numbers every Role with one byte, so that a drive plan
+// (DriveTag) stays small enough to build per issue. The operand roles
+// come first, in position order.
+var roles = [...]Role{RoleSrc0, RoleSrc1, RoleSrc2, RoleResult, RoleShifted, RoleLoadData, RoleStoreData, RoleAddress, RoleZero}
+
+// Indices into roles.
+const (
+	rSrc0 uint8 = iota
+	rSrc1
+	rSrc2
+	rResult
+	rShifted
+	rLoadData
+	rStoreData
+	rAddress
+	rZero
+)
+
+// srcRole returns the index of the operand role for position i.
+func srcRole(i int) uint8 { return uint8(min(i, int(rSrc2))) }
 
 // ValueTag identifies a value by the static instruction that produced or
 // consumed it and the role it played there.

@@ -8,8 +8,8 @@ package replay
 // executions ("lanes") against one BatchProgram in struct-of-arrays
 // form: per-slot values become length-L rows, per-cycle power becomes an
 // L-wide block, and only the irreducibly per-lane value semantics
-// (pipeline.ExecValues against each lane's architectural state) remain
-// scalar.
+// (pipeline.ExecDecoded.Exec against each lane's architectural state,
+// the same code the simulator runs) remain scalar.
 //
 // Fused power synthesis. Instead of materializing L timelines and
 // sweeping each one per component, the batch VM accumulates the power
@@ -102,8 +102,8 @@ type BatchProgram struct {
 	scatHead []uint16
 
 	// dec holds each step's decode-static execution plan
-	// (pipeline.DecodeExec): the batch VM executes the hoisted form once
-	// per lane instead of re-deriving the decode in ExecValues.
+	// (pipeline.DecodeExec): the batch VM executes it once per lane
+	// instead of re-deriving the decode from the instruction word.
 	dec []pipeline.ExecDecoded
 }
 
@@ -226,9 +226,9 @@ func CompileBatch(p *Program) (*BatchProgram, error) {
 			ev.vs = addVS(group[0].slotIdx)
 		case nInv == 0 && nExec == 1 && nAnnul == 1 && group[0].cond == group[1].cond:
 			// The shared write-back slot: result when executed, the
-			// annulled zero otherwise. ExecValues drives exactly zero
-			// there for the annulled outcome, so no value slot is
-			// needed for the annul side.
+			// annulled zero otherwise. Exec drives exactly zero there
+			// for the annulled outcome, so no value slot is needed for
+			// the annul side.
 			ev.kind = evBoth
 			for _, r := range group {
 				if r.class == clExec {
@@ -268,9 +268,9 @@ func CompileBatch(p *Program) (*BatchProgram, error) {
 	}
 	bp.scatOff[len(p.steps)] = uint32(len(bp.scat))
 
-	// Hoist each step's instruction decode. The pinned equivalence
-	// (pipeline's decoded-exec tests plus this package's
-	// simulator-parity sweeps) keeps the lean path honest.
+	// Hoist each step's instruction decode. The simulator executes the
+	// same plans, so this package's simulator-parity sweeps check only
+	// the schedule, not a second copy of the value semantics.
 	bp.dec = make([]pipeline.ExecDecoded, len(p.steps))
 	for si := range p.steps {
 		st := &p.steps[si]

@@ -64,7 +64,7 @@ type slot struct {
 
 // step is the compiled form of one dynamic instruction: its static PC,
 // the reference outcome of its condition, its drive slots and the
-// schedule-dependent class widths ExecValues needs. A conditional step
+// schedule-dependent class widths DecodeExec needs. A conditional step
 // stores three slot runs — the outcome-independent head (register-file
 // reads and IS/EX bus operands), the executed tail and the annulled
 // tail — back to back at slotOff.
