@@ -360,13 +360,24 @@ func BenchmarkPipelineSimulation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// One core with reused buffers, reset per run: the loop times the
+	// simulator, not core construction.
+	c := pipeline.MustNew(pipeline.DefaultConfig(), nil)
+	c.SetReuseBuffers(true)
 	var pt [16]byte
 	b.ResetTimer()
 	instrs := 0
 	for i := 0; i < b.N; i++ {
 		pt[0] = byte(i)
-		res, _, err := tgt.Run(pt)
+		c.ResetState()
+		c.SetHierarchy(nil)
+		c.Mem().Wipe()
+		tgt.InitCore(c, pt)
+		res, err := c.Run(tgt.Program())
 		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := tgt.VerifyOutput(c.Mem(), pt); err != nil {
 			b.Fatal(err)
 		}
 		instrs = res.DynamicInstrs()

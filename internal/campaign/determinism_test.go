@@ -270,3 +270,38 @@ func TestExecuteDeterministicPerScenario(t *testing.T) {
 		t.Fatal("Execute is not deterministic across worker counts and lane widths")
 	}
 }
+
+// TestCommittedCampaignsReproduce is the behavioural contract: every
+// committed spec under campaigns/ must reproduce its committed results
+// byte for byte. -short runs the smoke campaign only.
+func TestCommittedCampaignsReproduce(t *testing.T) {
+	names := []string{"smoke", "paper", "multicipher", "countermeasures"}
+	if testing.Short() {
+		names = names[:1]
+	}
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			spec, err := LoadSpec(filepath.Join("..", "..", "campaigns", name+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("..", "..", "campaigns", name+".results.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(spec, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := res.EncodeJSON()
+			if bytes.Equal(got, want) {
+				return
+			}
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			t.Errorf("campaigns/%s.results.json does not reproduce: first difference on line %d", name, 1+bytes.Count(got[:i], []byte("\n")))
+		})
+	}
+}

@@ -3,6 +3,7 @@ package campaign
 import (
 	"encoding/hex"
 	"fmt"
+	"slices"
 
 	"repro/internal/aes"
 	"repro/internal/attack"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/leakscan"
 	"repro/internal/masking"
-	"repro/internal/target"
 )
 
 // Execute runs one scenario to completion under run's scheduling and
@@ -40,14 +40,8 @@ func Execute(sc *Scenario, key [aes.KeySize]byte, run engine.Config) (*ScenarioR
 		err = execFigure2(sc, out)
 	case KindTable2:
 		err = execTable2(sc, out, run)
-	case KindFig3:
-		err = execFig3(sc, out, key, run)
-	case KindFig4:
-		err = execFig4(sc, out, key, run)
-	case KindFullKey:
-		err = execFullKey(sc, out, key, run)
-	case KindRankEvo:
-		err = execRankEvo(sc, out, key, run)
+	case KindFig3, KindFig4, KindFullKey, KindRankEvo:
+		err = execAttack(sc, out, key, run)
 	case KindMaskCPA:
 		err = execMaskCPA(sc, out, key, run)
 	case KindTVLA:
@@ -132,8 +126,7 @@ func execFigure2(sc *Scenario, out *ScenarioResult) error {
 	return nil
 }
 
-// leakscanOptions builds the scan options shared by the table2 and tvla
-// kinds.
+// leakscanOptions builds the scan options of a tvla scenario.
 func (sc *Scenario) leakscanOptions(run engine.Config) leakscan.Options {
 	opt := leakscan.DefaultOptions()
 	opt.Core = sc.Ablation.Core
@@ -154,181 +147,93 @@ func (sc *Scenario) leakscanOptions(run engine.Config) leakscan.Options {
 	return opt
 }
 
+// execTable2 runs a table2 scenario as the leakscan.Request of the same
+// scan, under the ablation's core and model.
 func execTable2(sc *Scenario, out *ScenarioResult, run engine.Config) error {
-	opt := sc.leakscanOptions(run)
-	bs, err := leakscan.BenchmarksByRow(sc.Rows)
+	sigma := sc.sigma()
+	req := leakscan.Request{
+		Traces:     sc.Traces,
+		Averages:   sc.Averages,
+		Rows:       slices.Clone(sc.Rows), // Normalize sorts in place
+		Confidence: sc.Confidence,
+		NoiseSigma: &sigma,
+		Seed:       sc.Seed,
+		Synth:      sc.Synth.String(),
+	}
+	resp, err := req.Run(engine.RunEnv{Core: sc.Ablation.Core, Model: sc.Ablation.Model, Config: run})
 	if err != nil {
 		return err
 	}
-	res := &Table2Result{Traces: opt.Traces, Averages: opt.Averages}
-	for _, b := range bs {
-		br, err := leakscan.RunBenchmark(&b, opt)
-		if err != nil {
-			return err
+	out.Table2 = &Table2Result{Traces: resp.Traces, Averages: resp.Averages, Rows: resp.Rows, Match: resp.Match, Total: resp.Total}
+	out.Traces, out.Averages, out.NoiseSigma, out.Synth = resp.Traces, resp.Averages, sigma, resp.Synth
+	return nil
+}
+
+// execAttack runs a fig3, fig4, fullkey or rankevo scenario as the
+// attack.Request of the same figure, under the ablation's core and
+// model. The AES default attacks the campaign key; another target
+// attacks its registry default key (Spec.Key is AES-only). Normalize
+// reads seed 0 as seed 1; a scenario's seed comes from
+// engine.DeriveSeed, and no committed scenario has seed 0.
+func execAttack(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, run engine.Config) error {
+	sigma := sc.sigma()
+	req := attack.Request{
+		Figure:     string(sc.Kind),
+		Target:     sc.Target,
+		Traces:     sc.Traces,
+		Averages:   sc.Averages,
+		KeyByte:    sc.KeyByte,
+		Rounds:     sc.Rounds,
+		Seed:       sc.Seed,
+		NoiseSigma: &sigma,
+		Synth:      sc.Synth.String(),
+		Counts:     slices.Clone(sc.Counts), // Normalize sorts in place
+	}
+	if sc.Target == "" {
+		req.Key = hex.EncodeToString(key[:])
+	}
+	resp, err := req.Run(engine.RunEnv{Core: sc.Ablation.Core, Model: sc.Ablation.Model, Config: run})
+	if err != nil {
+		return err
+	}
+	switch {
+	case resp.Attack != nil:
+		a := resp.Attack
+		ar := &AttackResult{
+			KeyByte:        a.KeyByte,
+			TrueKey:        "0x" + a.TrueKey,
+			Recovered:      "0x" + a.Recovered,
+			Rank:           a.Rank,
+			Success:        a.Success,
+			BestCorr:       a.BestCorr,
+			SecondCorr:     a.SecondCorr,
+			Confidence:     a.Confidence,
+			Traces:         resp.Traces,
+			Averages:       resp.Averages,
+			Regions:        a.Regions,
+			Replayed:       resp.Replayed,
+			FallbackReason: resp.FallbackReason,
 		}
-		res.Rows = append(res.Rows, br.JSON())
-		m, t := br.Agreement()
-		res.Match += m
-		res.Total += t
+		if sc.Kind == KindFig4 {
+			out.Fig4 = ar
+		} else {
+			out.Fig3 = ar
+		}
+	case resp.FullKey != nil:
+		f := resp.FullKey
+		out.FullKey = &FullKeyResult{
+			Traces:          resp.Traces,
+			Key:             f.Key,
+			Recovered:       f.Recovered,
+			BytesRecovered:  f.BytesRecovered,
+			Ranks:           f.Ranks,
+			GuessingEntropy: f.GuessingEntropy,
+			Success:         f.Success,
+		}
+	default:
+		out.RankEvo = resp.RankEvo
 	}
-	out.Table2 = res
-	out.Traces, out.Averages, out.NoiseSigma, out.Synth = opt.Traces, opt.Averages, opt.Model.NoiseSigma, sc.Synth.String()
-	return nil
-}
-
-// overlay applies the scenario's attack settings and run's scheduling
-// to opt; the fields the scenario leaves at zero keep opt's defaults.
-func (sc *Scenario) overlay(opt *attack.Fig3Options, run engine.Config) {
-	opt.Core = sc.Ablation.Core
-	opt.Model = sc.Ablation.Model
-	opt.Model.NoiseSigma = sc.sigma()
-	opt.Seed = sc.Seed
-	opt.Config = run
-	opt.Synth = sc.Synth
-	if sc.Traces > 0 {
-		opt.Traces = sc.Traces
-	}
-	if sc.Averages > 0 {
-		opt.Averages = sc.Averages
-	}
-	if sc.KeyByte > 0 {
-		opt.KeyByte = sc.KeyByte
-	}
-	if sc.Rounds > 0 {
-		opt.Rounds = sc.Rounds
-	}
-}
-
-// fig3Options assembles the attack options shared by the fig3-model
-// kinds (fig3, fullkey, rankevo).
-func (sc *Scenario) fig3Options(run engine.Config) attack.Fig3Options {
-	opt := attack.DefaultFig3Options()
-	sc.overlay(&opt, run)
-	return opt
-}
-
-// attackCipher resolves the fig3-family scenario's cipher target: the
-// campaign key for the AES default, the registry default key otherwise
-// (Spec.Key is AES-only by contract). For a non-AES target it also
-// substitutes the cipher's own default round count when the scenario
-// does not pin one, since opt's default is the AES depth.
-func (sc *Scenario) attackCipher(key [aes.KeySize]byte, opt *attack.Fig3Options) (string, []byte, error) {
-	name := target.Resolve(sc.Target)
-	if name == target.Default {
-		return name, key[:], nil
-	}
-	tgt, err := target.Get(name)
-	if err != nil {
-		return "", nil, err
-	}
-	info := tgt.Info()
-	if sc.Rounds == 0 {
-		opt.Rounds = info.DefaultRounds
-	}
-	return name, info.DefaultKey, nil
-}
-
-func execFig3(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, run engine.Config) error {
-	opt := sc.fig3Options(run)
-	name, tkey, err := sc.attackCipher(key, &opt)
-	if err != nil {
-		return err
-	}
-	res, err := attack.RunCPA(name, tkey, opt)
-	if err != nil {
-		return err
-	}
-	ar := &AttackResult{
-		KeyByte:        res.KeyByte,
-		TrueKey:        fmt.Sprintf("%#02x", res.TrueKey),
-		Recovered:      fmt.Sprintf("%#02x", res.Recovered),
-		Rank:           res.Rank,
-		Success:        res.Success(),
-		Confidence:     res.Confidence,
-		Traces:         res.Traces,
-		Averages:       opt.Averages,
-		Replayed:       res.Replayed,
-		FallbackReason: res.FallbackReason,
-	}
-	for _, reg := range res.Regions {
-		ar.Regions = append(ar.Regions, Region{
-			Name: reg.Name, Round: reg.Round,
-			StartUs: reg.StartUs, EndUs: reg.EndUs,
-			PeakCorr: reg.PeakCorr, PeakUs: reg.PeakSampleUs,
-		})
-	}
-	out.Fig3 = ar
-	out.Traces, out.Averages, out.NoiseSigma, out.Synth = opt.Traces, opt.Averages, opt.Model.NoiseSigma, sc.Synth.String()
-	return nil
-}
-
-func execFig4(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, run engine.Config) error {
-	opt := attack.DefaultFig4Options()
-	sc.overlay(&opt.Fig3Options, run)
-	res, err := attack.RunFigure4(key, opt)
-	if err != nil {
-		return err
-	}
-	out.Fig4 = &AttackResult{
-		KeyByte:        res.KeyByte,
-		TrueKey:        fmt.Sprintf("%#02x", res.TrueKey),
-		Recovered:      fmt.Sprintf("%#02x", res.Recovered),
-		Rank:           res.Rank,
-		Success:        res.Success(),
-		BestCorr:       res.BestCorr,
-		SecondCorr:     res.SecondCorr,
-		Confidence:     res.Confidence,
-		Traces:         res.Traces,
-		Averages:       opt.Averages,
-		Replayed:       res.Replayed,
-		FallbackReason: res.FallbackReason,
-	}
-	out.Traces, out.Averages, out.NoiseSigma, out.Synth = opt.Traces, opt.Averages, opt.Model.NoiseSigma, sc.Synth.String()
-	return nil
-}
-
-func execFullKey(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, run engine.Config) error {
-	opt := sc.fig3Options(run)
-	name, tkey, err := sc.attackCipher(key, &opt)
-	if err != nil {
-		return err
-	}
-	res, err := attack.RecoverKey(name, tkey, opt)
-	if err != nil {
-		return err
-	}
-	out.FullKey = &FullKeyResult{
-		Traces:          res.Traces,
-		Key:             hex.EncodeToString(res.Key),
-		Recovered:       hex.EncodeToString(res.Recovered),
-		BytesRecovered:  res.BytesRecovered(),
-		Ranks:           append([]int(nil), res.Ranks...),
-		GuessingEntropy: res.GuessingEntropy(),
-		Success:         res.Success(),
-	}
-	out.Traces, out.Averages, out.NoiseSigma, out.Synth = opt.Traces, opt.Averages, opt.Model.NoiseSigma, sc.Synth.String()
-	return nil
-}
-
-func execRankEvo(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, run engine.Config) error {
-	opt := sc.fig3Options(run)
-	name, tkey, err := sc.attackCipher(key, &opt)
-	if err != nil {
-		return err
-	}
-	curve, err := attack.RankEvolution(name, tkey, opt, sc.Counts)
-	if err != nil {
-		return err
-	}
-	res := &RankEvoResult{
-		KeyByte:      opt.KeyByte,
-		Counts:       append([]int(nil), curve.TraceCounts...),
-		Ranks:        append([]int(nil), curve.Ranks...),
-		FirstSuccess: curve.FirstSuccess(),
-	}
-	out.RankEvo = res
-	max := sc.Counts[len(sc.Counts)-1]
-	out.Traces, out.Averages, out.NoiseSigma, out.Synth = max, opt.Averages, opt.Model.NoiseSigma, sc.Synth.String()
+	out.Traces, out.Averages, out.NoiseSigma, out.Synth = resp.Traces, resp.Averages, sigma, resp.Synth
 	return nil
 }
 

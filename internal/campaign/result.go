@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/attack"
 	"repro/internal/leakscan"
 )
 
@@ -48,10 +49,15 @@ type Figure2Result struct {
 }
 
 // Table2Cell and Table2Row are the serialized verdicts of the leakage
-// scan, shared with its request/response form.
+// scan, Region an annotated cipher-primitive window of a Figure 3
+// curve and RankEvoResult a rank-evolution run (FirstSuccess is -1
+// when the key was never recovered): each is shared with its
+// request/response form.
 type (
-	Table2Cell = leakscan.CellJSON
-	Table2Row  = leakscan.RowJSON
+	Table2Cell    = leakscan.CellJSON
+	Table2Row     = leakscan.RowJSON
+	Region        = attack.RegionJSON
+	RankEvoResult = attack.RankEvoJSON
 )
 
 // Table2Result is the campaign form of one leakage characterization.
@@ -63,16 +69,6 @@ type Table2Result struct {
 	// agreeing with the published Table 2.
 	Match int `json:"match"`
 	Total int `json:"total"`
-}
-
-// Region is one annotated cipher-primitive window of a Figure 3 curve.
-type Region struct {
-	Name     string  `json:"name"`
-	Round    int     `json:"round"`
-	StartUs  float64 `json:"start_us"`
-	EndUs    float64 `json:"end_us"`
-	PeakCorr float64 `json:"peak_corr"`
-	PeakUs   float64 `json:"peak_us"`
 }
 
 // AttackResult is the campaign form of one single-byte CPA (Figure 3 or
@@ -107,16 +103,6 @@ type FullKeyResult struct {
 	Ranks           []int   `json:"ranks"`
 	GuessingEntropy float64 `json:"guessing_entropy"`
 	Success         bool    `json:"success"`
-}
-
-// RankEvoResult is the campaign form of a rank-evolution run.
-type RankEvoResult struct {
-	KeyByte int   `json:"key_byte"`
-	Counts  []int `json:"counts"`
-	Ranks   []int `json:"ranks"`
-	// FirstSuccess is the smallest checkpointed trace count with rank 0
-	// (-1 when the key was never recovered).
-	FirstSuccess int `json:"first_success"`
 }
 
 // MaskCPAResult is the campaign form of one keyed countermeasure

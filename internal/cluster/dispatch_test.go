@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -211,16 +212,23 @@ func TestDispatcherRepartitionsDeadWorkersQueue(t *testing.T) {
 	// Worker 0 dies on its very first attempt while worker 1 waits for
 	// the funeral: worker 0's entire shard — the in-flight scenario plus
 	// its four queued ones — must move to worker 1 and still complete.
-	dead0 := make(chan struct{})
+	// Worker 1 waits until the dispatcher has recorded the loss, not
+	// merely until worker 0's runner returned: in between, worker 1
+	// could steal from worker 0's still-live queue.
+	var d *dispatcher
 	r := runnerFunc(func(ctx context.Context, w int, sc *campaign.Scenario) (*campaign.ScenarioResult, bool, error) {
 		if w == 0 {
-			close(dead0)
 			return nil, false, fmt.Errorf("%w: scripted death of worker 0", ErrWorkerLost)
 		}
-		<-dead0
+		for {
+			if _, lost, _ := d.snapshot(); lost == 1 {
+				break
+			}
+			runtime.Gosched()
+		}
 		return &campaign.ScenarioResult{ID: sc.ID}, false, nil
 	})
-	d := newDispatcher(fakeScenarios(10), allIdx(10), 2, r, nil)
+	d = newDispatcher(fakeScenarios(10), allIdx(10), 2, r, nil)
 	if err := d.run(context.Background()); err != nil {
 		t.Fatal(err)
 	}

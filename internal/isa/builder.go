@@ -56,12 +56,6 @@ func (b *Builder) MovImm(rd Reg, imm uint32) *Builder {
 	return b
 }
 
-// Mvn emits "mvn rd, rm".
-func (b *Builder) Mvn(rd, rm Reg) *Builder {
-	b.Emit(Instr{Op: MVN, Cond: AL, Rd: rd, Op2: RegOp(rm)})
-	return b
-}
-
 // ALU emits a three-register data-processing instruction "op rd, rn, rm".
 func (b *Builder) ALU(op Op, rd, rn, rm Reg) *Builder {
 	b.Emit(Instr{Op: op, Cond: AL, Rd: rd, Rn: rn, Op2: RegOp(rm)})
@@ -98,29 +92,8 @@ func (b *Builder) Orr(rd, rn, rm Reg) *Builder { return b.ALU(ORR, rd, rn, rm) }
 // AddImm emits "add rd, rn, #imm".
 func (b *Builder) AddImm(rd, rn Reg, imm uint32) *Builder { return b.ALUImm(ADD, rd, rn, imm) }
 
-// SubImm emits "sub rd, rn, #imm".
-func (b *Builder) SubImm(rd, rn Reg, imm uint32) *Builder { return b.ALUImm(SUB, rd, rn, imm) }
-
-// EorImm emits "eor rd, rn, #imm".
-func (b *Builder) EorImm(rd, rn Reg, imm uint32) *Builder { return b.ALUImm(EOR, rd, rn, imm) }
-
 // AndImm emits "and rd, rn, #imm".
 func (b *Builder) AndImm(rd, rn Reg, imm uint32) *Builder { return b.ALUImm(AND, rd, rn, imm) }
-
-// OrrImm emits "orr rd, rn, #imm".
-func (b *Builder) OrrImm(rd, rn Reg, imm uint32) *Builder { return b.ALUImm(ORR, rd, rn, imm) }
-
-// Cmp emits "cmp rn, rm"; CmpImm the immediate form. Both set flags.
-func (b *Builder) Cmp(rn, rm Reg) *Builder {
-	b.Emit(Instr{Op: CMP, Cond: AL, Rn: rn, Op2: RegOp(rm), SetFlags: true})
-	return b
-}
-
-// CmpImm emits "cmp rn, #imm".
-func (b *Builder) CmpImm(rn Reg, imm uint32) *Builder {
-	b.Emit(Instr{Op: CMP, Cond: AL, Rn: rn, Op2: Imm(imm), SetFlags: true})
-	return b
-}
 
 // Tst emits "tst rn, #imm".
 func (b *Builder) Tst(rn Reg, imm uint32) *Builder {
@@ -164,12 +137,6 @@ func (b *Builder) LdrOff(rd, base Reg, off int32) *Builder {
 	return b
 }
 
-// LdrReg emits "ldr rd, [base, roff]".
-func (b *Builder) LdrReg(rd, base, roff Reg) *Builder {
-	b.Emit(Instr{Op: LDR, Cond: AL, Rd: rd, Mem: MemReg(base, roff)})
-	return b
-}
-
 // Ldrb emits "ldrb rd, [base, #off]".
 func (b *Builder) Ldrb(rd, base Reg, off int32) *Builder {
 	b.Emit(Instr{Op: LDRB, Cond: AL, Rd: rd, Mem: MemImm(base, off)})
@@ -179,12 +146,6 @@ func (b *Builder) Ldrb(rd, base Reg, off int32) *Builder {
 // LdrbReg emits "ldrb rd, [base, roff]".
 func (b *Builder) LdrbReg(rd, base, roff Reg) *Builder {
 	b.Emit(Instr{Op: LDRB, Cond: AL, Rd: rd, Mem: MemReg(base, roff)})
-	return b
-}
-
-// Ldrh emits "ldrh rd, [base, #off]".
-func (b *Builder) Ldrh(rd, base Reg, off int32) *Builder {
-	b.Emit(Instr{Op: LDRH, Cond: AL, Rd: rd, Mem: MemImm(base, off)})
 	return b
 }
 
@@ -203,18 +164,6 @@ func (b *Builder) StrOff(rd, base Reg, off int32) *Builder {
 // Strb emits "strb rd, [base, #off]".
 func (b *Builder) Strb(rd, base Reg, off int32) *Builder {
 	b.Emit(Instr{Op: STRB, Cond: AL, Rd: rd, Mem: MemImm(base, off)})
-	return b
-}
-
-// StrbReg emits "strb rd, [base, roff]".
-func (b *Builder) StrbReg(rd, base, roff Reg) *Builder {
-	b.Emit(Instr{Op: STRB, Cond: AL, Rd: rd, Mem: MemReg(base, roff)})
-	return b
-}
-
-// Strh emits "strh rd, [base, #off]".
-func (b *Builder) Strh(rd, base Reg, off int32) *Builder {
-	b.Emit(Instr{Op: STRH, Cond: AL, Rd: rd, Mem: MemImm(base, off)})
 	return b
 }
 

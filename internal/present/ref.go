@@ -34,10 +34,6 @@ func SboxByte(x byte) byte {
 	return Sbox4[x>>4]<<4 | Sbox4[x&0xF]
 }
 
-// SubOut is the attacked first-round intermediate: S(p ^ k) on one
-// state byte, the table-driven ClassCPA model input.
-func SubOut(p, k byte) byte { return SboxByte(p ^ k) }
-
 // pBit maps input bit position i (0 = LSB of the 64-bit state) to its
 // output position under the pLayer: P(i) = 16i mod 63, P(63) = 63.
 func pBit(i int) int {
