@@ -45,7 +45,7 @@ func printHeader(name, text string) {
 func BenchmarkTable1DualIssueMatrix(b *testing.B) {
 	var match, total int
 	for i := 0; i < b.N; i++ {
-		m, err := cpi.MeasureMatrix(pipeline.DefaultConfig(), 64)
+		m, err := cpi.MeasureMatrix(pipeline.DefaultConfig(), 64, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func BenchmarkFigure2Inference(b *testing.B) {
 	matches := 0.0
 	for i := 0; i < b.N; i++ {
 		cfg := pipeline.DefaultConfig()
-		m, err := cpi.MeasureMatrix(cfg, 64)
+		m, err := cpi.MeasureMatrix(cfg, 64, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -341,7 +341,7 @@ func BenchmarkAblationIssuePolicy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := pipeline.DefaultConfig()
 		cfg.StructuralPolicyOnly = true
-		m, err := cpi.MeasureMatrix(cfg, 32)
+		m, err := cpi.MeasureMatrix(cfg, 32, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

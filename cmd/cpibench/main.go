@@ -30,7 +30,7 @@ func main() {
 	}
 	cfg.StructuralPolicyOnly = *structural
 
-	m, err := cpi.MeasureMatrix(cfg, *reps)
+	m, err := cpi.MeasureMatrix(cfg, *reps, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cpibench:", err)
 		os.Exit(1)

@@ -83,14 +83,15 @@ func newCPASetup(name string, key []byte, opt Fig3Options) (*cpaSetup, error) {
 // hypotheses are ordered by signed correlation when the target's model
 // is complement-ambiguous. A class bank without a window — AES — ranks
 // over the whole trace by magnitude, which is exactly acc.Result(), so
-// every committed AES artifact keeps its bytes.
-func (s *cpaSetup) rank(b int, acc sca.Accumulator) *sca.Attack {
+// every committed AES artifact keeps its bytes. A class bank's ranking
+// spreads over cfg's workers; its bits do not depend on them.
+func (s *cpaSetup) rank(b int, acc sca.Accumulator, cfg engine.Config) *sca.Attack {
 	cc, ok := acc.(*sca.ClassCPA)
 	if !ok {
 		return acc.Result()
 	}
 	lo, hi, signed := s.window(b)
-	return cc.ResultIn(lo, hi, signed)
+	return cc.ResultInEach(lo, hi, signed, cfg.Each)
 }
 
 // window returns attacked byte b's sample window [lo,hi) and ranking
@@ -196,7 +197,7 @@ func RunCPA(name string, key []byte, opt Fig3Options) (*Fig3Result, error) {
 	}
 	cpa := banks[0]
 
-	att := s.rank(opt.KeyByte, cpa)
+	att := s.rank(opt.KeyByte, cpa, opt.Config)
 	trueKey := s.inst.TrueKeyByte(opt.KeyByte)
 	out := &Fig3Result{
 		Target:         s.info.Name,
@@ -297,7 +298,7 @@ func RecoverKey(name string, key []byte, opt Fig3Options) (*KeyRecovery, error) 
 		Traces:    opt.Traces,
 	}
 	for b := range bytes {
-		att := s.rank(b, banks[b])
+		att := s.rank(b, banks[b], opt.Config)
 		out.Key[b] = s.inst.TrueKeyByte(b)
 		out.Recovered[b] = byte(att.Ranking[0])
 		out.Ranks[b] = att.RankOf(int(out.Key[b]))
@@ -332,7 +333,7 @@ func RankEvolution(name string, key []byte, opt Fig3Options, counts []int) (*sca
 			Traces: maxN, Samples: s.nSamples, Banks: s.classBanks([]int{opt.KeyByte}), Seed: opt.Seed,
 			Checkpoints: sorted,
 			OnCheckpoint: func(n int, banks []sca.Accumulator) {
-				att := s.rank(opt.KeyByte, banks[0])
+				att := s.rank(opt.KeyByte, banks[0], opt.Config)
 				curve.TraceCounts = append(curve.TraceCounts, n)
 				curve.Ranks = append(curve.Ranks, att.RankOf(int(trueKey)))
 			},

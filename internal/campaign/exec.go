@@ -35,9 +35,9 @@ func Execute(sc *Scenario, key [aes.KeySize]byte, run engine.Config) (*ScenarioR
 	var err error
 	switch sc.Kind {
 	case KindTable1:
-		err = execTable1(sc, out)
+		err = execTable1(sc, out, run)
 	case KindFigure2:
-		err = execFigure2(sc, out)
+		err = execFigure2(sc, out, run)
 	case KindTable2:
 		err = execTable2(sc, out, run)
 	case KindFig3, KindFig4, KindFullKey, KindRankEvo:
@@ -77,8 +77,8 @@ func (sc *Scenario) reps() int {
 	return cpi.DefaultReps
 }
 
-func execTable1(sc *Scenario, out *ScenarioResult) error {
-	m, err := cpi.MeasureMatrix(sc.Ablation.Core, sc.reps())
+func execTable1(sc *Scenario, out *ScenarioResult, run engine.Config) error {
+	m, err := cpi.MeasureMatrix(sc.Ablation.Core, sc.reps(), run.Each)
 	if err != nil {
 		return err
 	}
@@ -98,8 +98,8 @@ func execTable1(sc *Scenario, out *ScenarioResult) error {
 	return nil
 }
 
-func execFigure2(sc *Scenario, out *ScenarioResult) error {
-	m, err := cpi.MeasureMatrix(sc.Ablation.Core, sc.reps())
+func execFigure2(sc *Scenario, out *ScenarioResult, run engine.Config) error {
+	m, err := cpi.MeasureMatrix(sc.Ablation.Core, sc.reps(), run.Each)
 	if err != nil {
 		return err
 	}

@@ -169,25 +169,45 @@ type Matrix struct {
 // dualThreshold separates dual-issue CPI (0.5) from scalar CPI (1.0).
 const dualThreshold = 0.75
 
-// MeasureMatrix measures every ordered pair of the seven Table 1 classes.
-func MeasureMatrix(cfg pipeline.Config, reps int) (*Matrix, error) {
+// MeasureMatrix measures every ordered pair of the seven Table 1
+// classes. Its 98 pair simulations — each cell's hazard-free and
+// hazard-laden variant — are independent: each(n, f) runs them as f(0)
+// … f(n-1), possibly concurrently, each into its own slot, and a nil
+// each runs them in order. The error returned is the first failing
+// simulation's in Table 1 order, whatever each ran first.
+func MeasureMatrix(cfg pipeline.Config, reps int, each func(n int, f func(i int))) (*Matrix, error) {
+	classes := isa.Table1Classes()
+	nc := len(classes)
+	cpis := make([]float64, 2*nc*nc) // [2*cell + hazard]
+	errs := make([]error, len(cpis))
+	run := func(i int) {
+		older, younger := classes[i/2/nc], classes[i/2%nc]
+		cpis[i], errs[i] = MeasurePair(cfg, older, younger, i%2 == 1, reps)
+	}
+	if each == nil {
+		for i := range cpis {
+			run(i)
+		}
+	} else {
+		each(len(cpis), run)
+	}
 	m := &Matrix{Cells: make(map[isa.Class]map[isa.Class]Measurement), Reps: reps}
-	for _, older := range isa.Table1Classes() {
-		m.Cells[older] = make(map[isa.Class]Measurement)
-		for _, younger := range isa.Table1Classes() {
-			free, err := MeasurePair(cfg, older, younger, false, reps)
-			if err != nil {
-				return nil, fmt.Errorf("cpi: pair (%v,%v): %w", older, younger, err)
-			}
-			laden, err := MeasurePair(cfg, older, younger, true, reps)
-			if err != nil {
-				return nil, fmt.Errorf("cpi: hazard pair (%v,%v): %w", older, younger, err)
-			}
-			m.Cells[older][younger] = Measurement{
-				Older: older, Younger: younger,
-				CPI: free, HazardCPI: laden,
-				Dual: free < dualThreshold,
-			}
+	for c := 0; c < nc*nc; c++ {
+		older, younger := classes[c/nc], classes[c%nc]
+		if err := errs[2*c]; err != nil {
+			return nil, fmt.Errorf("cpi: pair (%v,%v): %w", older, younger, err)
+		}
+		if err := errs[2*c+1]; err != nil {
+			return nil, fmt.Errorf("cpi: hazard pair (%v,%v): %w", older, younger, err)
+		}
+		if m.Cells[older] == nil {
+			m.Cells[older] = make(map[isa.Class]Measurement)
+		}
+		free, laden := cpis[2*c], cpis[2*c+1]
+		m.Cells[older][younger] = Measurement{
+			Older: older, Younger: younger,
+			CPI: free, HazardCPI: laden,
+			Dual: free < dualThreshold,
 		}
 	}
 	return m, nil

@@ -1,9 +1,11 @@
 package cpi
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
 )
@@ -32,7 +34,7 @@ func TestMeasurePairValidatesReps(t *testing.T) {
 }
 
 func TestMatrixReproducesTable1(t *testing.T) {
-	m, err := MeasureMatrix(pipeline.DefaultConfig(), 64)
+	m, err := MeasureMatrix(pipeline.DefaultConfig(), 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func TestMatrixReproducesTable1(t *testing.T) {
 }
 
 func TestMatrixScalarCoreAllSingle(t *testing.T) {
-	m, err := MeasureMatrix(pipeline.ScalarConfig(), 32)
+	m, err := MeasureMatrix(pipeline.ScalarConfig(), 32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +70,7 @@ func TestMatrixScalarCoreAllSingle(t *testing.T) {
 }
 
 func TestHazardAlwaysAtLeastOne(t *testing.T) {
-	m, err := MeasureMatrix(pipeline.DefaultConfig(), 32)
+	m, err := MeasureMatrix(pipeline.DefaultConfig(), 32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +85,31 @@ func TestHazardAlwaysAtLeastOne(t *testing.T) {
 	}
 }
 
+// TestMatrixWidthInvariance pins the matrix's spreading over a run's
+// workers: at widths 1 and 4 the cells are the same, in Table 1 order,
+// and a failing matrix reports the first failing cell in that order.
+func TestMatrixWidthInvariance(t *testing.T) {
+	cfg := pipeline.ScalarConfig()
+	one, err := MeasureMatrix(cfg, 16, engine.Config{Workers: 1}.Each)
+	if err != nil {
+		t.Fatal(err)
+	}
+	four, err := MeasureMatrix(cfg, 16, engine.Config{Workers: 4}.Each)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(one.Ordered(), four.Ordered()) {
+		t.Errorf("width 4 cells differ from width 1:\n%s\nvs\n%s", four.Table(), one.Table())
+	}
+	_, err1 := MeasureMatrix(cfg, 0, engine.Config{Workers: 1}.Each)
+	_, err4 := MeasureMatrix(cfg, 0, engine.Config{Workers: 4}.Each)
+	if err1 == nil || err4 == nil || err1.Error() != err4.Error() || !strings.Contains(err1.Error(), "pair (mov,mov)") {
+		t.Errorf("failing matrix: width 1 %v, width 4 %v; want the (mov,mov) cell's error at both", err1, err4)
+	}
+}
+
 func TestTableRendering(t *testing.T) {
-	m, err := MeasureMatrix(pipeline.DefaultConfig(), 16)
+	m, err := MeasureMatrix(pipeline.DefaultConfig(), 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +145,7 @@ func TestProbesOnDefaultCore(t *testing.T) {
 
 func TestInferenceMatchesPaper(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
-	m, err := MeasureMatrix(cfg, 64)
+	m, err := MeasureMatrix(cfg, 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +165,7 @@ func TestInferenceMatchesPaper(t *testing.T) {
 
 func TestInferenceOnScalarCore(t *testing.T) {
 	cfg := pipeline.ScalarConfig()
-	m, err := MeasureMatrix(cfg, 32)
+	m, err := MeasureMatrix(cfg, 32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

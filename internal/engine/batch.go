@@ -29,6 +29,9 @@ type batchScratch struct {
 	vm    *replay.BatchVM
 	rows  [][]float64 // views of the batch VM's rows
 	sim   [][]float64 // simulated lanes' cycle powers
+	// runErr and checkErr are a verification group's per-lane verdicts:
+	// the simulator's error and the replay check's.
+	runErr, checkErr []error
 }
 
 // lanes returns n lane cores with wiped architectural state and no
@@ -40,6 +43,8 @@ func (sc *batchScratch) lanes(cfg pipeline.Config, n int) []*pipeline.Core {
 		sc.cores = append(sc.cores, core)
 		sc.rows = append(sc.rows, nil)
 		sc.sim = append(sc.sim, nil)
+		sc.runErr = append(sc.runErr, nil)
+		sc.checkErr = append(sc.checkErr, nil)
 	}
 	cores := sc.cores[:n]
 	for _, core := range cores {
@@ -77,9 +82,9 @@ func (sc *batchScratch) batchVM(bp *replay.BatchProgram, m *power.Model) *replay
 // power.Model.CyclePowers over the simulated timeline — together with
 // the core holding its final architectural state (both valid only
 // during the call, lanes delivered in ascending order). It is
-// RunBatchBlock with per-lane callbacks.
+// RunBatchBlock with per-lane callbacks, at one worker.
 func (s *Synthesizer) RunBatch(m *power.Model, n int, init func(lane int, core *pipeline.Core) error, use func(lane int, cycles []float64, core *pipeline.Core) error) error {
-	return s.RunBatchBlock(m, n, &funcBlockRunner{init: init, use: use})
+	return s.RunBatchBlock(Config{Workers: 1}, m, n, &funcBlockRunner{init: init, use: use})
 }
 
 // BlockRunner is the callback pair of RunBatchBlock: InitLane prepares
@@ -130,9 +135,10 @@ func (f *funcBlockRunner) Block(rows [][]float64, cores []*pipeline.Core) error 
 // bit-identical, so results never depend on it.
 //
 // The power model supplies the fused synthesis weights; it must be the
-// model the caller expands the cycle powers with. RunBatchBlock is safe
-// to call concurrently with itself.
-func (s *Synthesizer) RunBatchBlock(m *power.Model, n int, r BlockRunner) error {
+// model the caller expands the cycle powers with. A verification group
+// spreads its lanes over cfg's workers (Config.Each); no other field of
+// cfg is read. RunBatchBlock is safe to call concurrently with itself.
+func (s *Synthesizer) RunBatchBlock(cfg Config, m *power.Model, n int, r BlockRunner) error {
 	if n < 1 || n > replay.MaxLanes {
 		return fmt.Errorf("engine: batch of %d lanes out of [1,%d]", n, replay.MaxLanes)
 	}
@@ -145,7 +151,7 @@ func (s *Synthesizer) RunBatchBlock(m *power.Model, n int, r BlockRunner) error 
 	if s.mode == ModeAuto && !s.settled.Load() {
 		s.window.Lock()
 		if !s.settled.Load() {
-			rows, err := s.verify(sc, m, cores)
+			rows, err := s.verify(sc, m, cores, cfg.Each)
 			s.window.Unlock()
 			if err != nil {
 				return err
@@ -333,7 +339,7 @@ func RunBatched(cfg Config, spec Spec, bg BatchGen) ([]sca.Accumulator, error) {
 			for k := 0; k < len(slots); {
 				l := synths[v].groupWidth(len(slots)-k, lanes)
 				gr.slots = slots[k : k+l]
-				if err := synths[v].RunBatchBlock(bg.Model, l, gr); err != nil {
+				if err := synths[v].RunBatchBlock(cfg, bg.Model, l, gr); err != nil {
 					return err
 				}
 				k += l

@@ -319,14 +319,17 @@ func TestRunBatchedDivergenceFallsBackToSimulation(t *testing.T) {
 }
 
 // variantFixture picks one of three programs of equal length per
-// trace: two replayable ones and the pinned conditional store of
-// divergeFixture, whose condition fails on trace bad (-1: none).
+// trace: two replayable ones and a program of two pinned conditional
+// stores, on r0 == 0 and on r4 == 0. Variant 2 leaves its schedule at
+// the first store on trace bad and at the second on trace bad2 (-1:
+// none), so the two give different fallback reasons.
 type variantFixture struct {
 	progs []*isa.Program
 	cfg   pipeline.Config
 	m     power.Model
 	spec  Spec
 	bad   int
+	bad2  int
 	// pick maps trace i and its first draw d in [0,3) to the trace's
 	// variant; nil picks d.
 	pick func(i, d int) int
@@ -339,14 +342,15 @@ func newVariantFixture(t *testing.T, traces int) *variantFixture {
 	t.Helper()
 	f := &variantFixture{
 		progs: []*isa.Program{
-			isa.MustAssemble("add r0, r1, r2\nstr r0, [r8]\neor r3, r0, r1\nnop"),
-			isa.MustAssemble("eor r0, r1, r2\nstr r0, [r8]\nadd r3, r0, r1\nnop"),
-			isa.MustAssemble("cmp r0, #0\nstreq r1, [r8]\nadd r2, r1, r1\nnop"),
+			isa.MustAssemble("add r0, r1, r2\nstr r0, [r8]\neor r3, r0, r1\nnop\nnop"),
+			isa.MustAssemble("eor r0, r1, r2\nstr r0, [r8]\nadd r3, r0, r1\nnop\nnop"),
+			isa.MustAssemble("cmp r0, #0\nstreq r1, [r8]\ncmp r4, #0\nstreq r3, [r8]\nnop"),
 		},
-		cfg: pipeline.DefaultConfig(),
-		m:   power.DefaultModel(),
-		bad: -1,
-		avg: 2,
+		cfg:  pipeline.DefaultConfig(),
+		m:    power.DefaultModel(),
+		bad:  -1,
+		bad2: -1,
+		avg:  2,
 	}
 	f.m.SamplesPerCycle = 2
 	cycles := -1
@@ -374,6 +378,17 @@ func (f *variantFixture) variant(i int, rng *rand.Rand) int {
 		return d
 	}
 	return f.pick(i, d)
+}
+
+// nextOfVariant returns the first trace after i that runs variant v,
+// -1 if none does.
+func (f *variantFixture) nextOfVariant(i, v int) int {
+	for j := i + 1; j < f.spec.Traces; j++ {
+		if f.variant(j, TraceRNG(f.spec.Seed, j)) == v {
+			return j
+		}
+	}
+	return -1
 }
 
 // nthOfVariant returns the trace index of the n-th (0-based) execution
@@ -426,9 +441,12 @@ func (f *variantFixture) gen(t *testing.T, mode Mode) (BatchGen, []*Synthesizer)
 			x := rng.Uint32()
 			var r0 uint32
 			if i == f.bad {
-				r0 = 1 // variant 2's condition fails: leaves its schedule
+				r0 = 1 // variant 2's first store is annulled: leaves its schedule
 			}
 			core.SetRegs(r0, x, 0x5A5A5A5A)
+			if i == f.bad2 {
+				core.SetReg(isa.R4, 1) // the second store is annulled
+			}
 			core.SetReg(isa.R8, 0x100)
 			if s.Hyps[0] == nil { // a class bank
 				s.Class[0] = int(x & 1)
@@ -526,6 +544,86 @@ func TestRunBatchedVariantGrouping(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestVerifyWindowUnderHeldGate pins the verification window's
+// spreading over the run's workers. Two traces of one verification
+// group leave variant 2's schedule, at different steps; the fallback
+// reason must be the lower trace's, as in a lane-by-lane window. With
+// all but one slot of the run's Gate held elsewhere, the chunk's worker
+// takes the last one and the window's lanes find none free: the run
+// must still finish, one lane at a time, never waiting for a slot. At
+// every width the accumulators and each variant's path verdicts equal
+// the one-worker run's.
+func TestVerifyWindowUnderHeldGate(t *testing.T) {
+	f := newVariantFixture(t, 300)
+	f.bad = f.nthOfVariant(t, 2, 2)
+	f.bad2 = f.nextOfVariant(f.bad, 2)
+	if f.bad2 < 0 || f.bad2 >= DefaultChunkSize {
+		t.Fatalf("traces %d and %d are not in the first chunk", f.bad, f.bad2)
+	}
+	type verdict struct {
+		replayed, batched bool
+		reason            string
+	}
+	run := func(cfg Config) ([]sca.Accumulator, []verdict, error) {
+		bg, synths := f.gen(t, ModeAuto)
+		banks, err := RunBatched(cfg, f.spec, bg)
+		vs := make([]verdict, len(synths))
+		for v, s := range synths {
+			vs[v] = verdict{!s.FellBack(), s.BatchRuns() > 0, s.FallbackReason()}
+		}
+		return banks, vs, err
+	}
+	want, wantV, err := run(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(wantV[2].reason, "step 1 ") || wantV[2].replayed {
+		t.Fatalf("variant 2: %+v, want a fallback at trace %d's first store", wantV[2], f.bad)
+	}
+
+	gate := NewGate(4)
+	held, release := make(chan struct{}), make(chan struct{})
+	go func() {
+		for range gate.Width() - 1 {
+			gate.acquire(nil)
+		}
+		close(held)
+		<-release
+		for range gate.Width() - 1 {
+			gate.release()
+		}
+	}()
+	<-held
+	defer close(release)
+	for _, cfg := range []Config{{Workers: 4}, {Workers: 4, Gate: gate}} {
+		type outcome struct {
+			banks []sca.Accumulator
+			vs    []verdict
+			err   error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			banks, vs, err := run(cfg)
+			done <- outcome{banks, vs, err}
+		}()
+		var got outcome
+		select {
+		case got = <-done:
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("gate width %d: run blocked with %d slots held", cfg.Gate.Width(), gate.Width()-1)
+		}
+		if got.err != nil {
+			t.Fatalf("gate width %d: %v", cfg.Gate.Width(), got.err)
+		}
+		if !accEqual(got.banks[0], want[0]) {
+			t.Errorf("gate width %d: accumulators differ from the one-worker run", cfg.Gate.Width())
+		}
+		if !slices.Equal(got.vs, wantV) {
+			t.Errorf("gate width %d: path verdicts %+v, one worker %+v", cfg.Gate.Width(), got.vs, wantV)
 		}
 	}
 }

@@ -84,6 +84,48 @@ func (c Config) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// Each runs f(i) for every i in [0, n) on up to Workers goroutines, the
+// calling one among them, and returns once every call has returned. It
+// spreads a run's one-core stages — the verification window's lanes,
+// class-bank ranking, the order-2 fold, the Table 1 matrix — over the
+// run's own workers. Each call must write only state that index i owns;
+// any choice that depends on order belongs after Each returns, in index
+// order, so no result bit depends on which goroutine ran which index.
+//
+// A goroutine beyond the caller's starts only if it can take a Gate slot
+// that is free at that moment: Each never waits for a slot, so a shared
+// gate cannot deadlock it and a loaded gate just runs it narrower. At
+// width 1 it is the plain loop.
+func (c Config) Each(n int, f func(i int)) {
+	width := min(c.workers(), n)
+	if width <= 1 {
+		for i := range n {
+			f(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	loop := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			f(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for range width - 1 {
+		if !c.Gate.tryAcquire() {
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer c.Gate.release()
+			loop()
+		}()
+	}
+	loop()
+	wg.Wait()
+}
+
 // Bank describes one accumulator bank of a streaming run.
 type Bank struct {
 	// Hyps is the bank's hypothesis count (e.g. 256 for one key byte).
@@ -336,7 +378,14 @@ type order2Kept struct {
 // AddBatch. The mean is summed from zero in trace order, then divided by
 // the trace count: the bits of Σt/n in a first-order bank over the same
 // traces, whose AddBatch adds each trace into Σt in trace order.
-func (k *order2Kept) fold(spec *Spec, global []sca.Accumulator, size int) error {
+//
+// Both halves of a batch spread over cfg's workers (Config.Each): the
+// combine trace by trace, each into its own row, and a class bank's add
+// by ranges of combined columns (sca.ClassCPA.AddBatchEach), in which
+// every element keeps its trace-order chain. A classic bank's add stays
+// on the reducer: its indexed kernel stages every column of a block in
+// one scratch.
+func (k *order2Kept) fold(cfg Config, spec *Spec, global []sca.Accumulator, size int) error {
 	n, samples := spec.Traces, spec.Samples
 	means := make([]float64, samples)
 	for i, v := range k.traces {
@@ -356,10 +405,16 @@ func (k *order2Kept) fold(spec *Spec, global []sca.Accumulator, size int) error 
 		hyps := rowsOf(k.hyps[b], bank.Hyps)
 		for lo := 0; lo < n; lo += size {
 			batch := combined[:min(size, n-lo)]
-			for j := range batch {
+			cfg.Each(len(batch), func(j int) {
 				sca.Order2Combine(batch[j], traces[lo+j], means, windows)
+			})
+			var err error
+			if cc, ok := global[b].(*sca.ClassCPA); ok {
+				err = cc.AddBatchEach(k.classes[b][lo:lo+len(batch)], batch, cfg.Each)
+			} else {
+				err = addBatch(global[b], batch, hyps, k.classes[b], lo)
 			}
-			if err := addBatch(global[b], batch, hyps, k.classes[b], lo); err != nil {
+			if err != nil {
 				return fmt.Errorf("engine: bank %d: %w", b, err)
 			}
 		}
@@ -506,7 +561,7 @@ func runChunked(cfg Config, spec Spec, serial func(start int) bool, fill func(c 
 		return nil, err
 	}
 	if kept.traces != nil {
-		if err := kept.fold(&spec, global, size); err != nil {
+		if err := kept.fold(cfg, &spec, global, size); err != nil {
 			return nil, err
 		}
 	}

@@ -49,7 +49,21 @@ func (g *Gate) acquire(ctx context.Context) error {
 	}
 }
 
-// release returns a slot taken by acquire.
+// tryAcquire takes one slot if one is free at this moment and reports
+// whether it did; it never waits.
+func (g *Gate) tryAcquire() bool {
+	if g == nil {
+		return true
+	}
+	select {
+	case g.slots <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
+// release returns a slot taken by acquire or tryAcquire.
 func (g *Gate) release() {
 	if g == nil {
 		return

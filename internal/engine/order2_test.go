@@ -80,6 +80,38 @@ func TestOrder2StreamingEqualsSerialBitForBit(t *testing.T) {
 	}
 }
 
+// The fold spreads over the run's workers: the combine trace by trace,
+// a class bank's add by column ranges. With combined traces wide enough
+// to split (46 samples: 1081 columns, in four ranges, the last off the
+// 8-column grid) and a classic bank beside the class bank, the fold must
+// equal the per-trace reference bit for bit at every worker count.
+func TestOrder2FoldSpreadEqualsSerial(t *testing.T) {
+	spec, gen := order2Spec(90, 46)
+	table := spec.Banks[0].Classes
+	spec.Banks = append(spec.Banks, Bank{Hyps: len(table[0]), Order2: &Order2{}})
+	both := func(i int, rng *rand.Rand, s *Sample) error {
+		if err := gen(i, rng, s); err != nil {
+			return err
+		}
+		copy(s.Hyps[1], table[s.Class[0]])
+		return nil
+	}
+	want := serialReference(t, spec, both)
+	for workers := 1; workers <= 4; workers++ {
+		for _, chunk := range []int{0, 16} {
+			got, err := Run(Config{Workers: workers, chunkSize: chunk}, spec, both)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for b := range got {
+				if !accEqual(got[b], want[b]) {
+					t.Errorf("workers=%d chunk=%d: bank %d differs from the per-trace reference", workers, chunk, b)
+				}
+			}
+		}
+	}
+}
+
 func TestOrder2RecoversMaskedKey(t *testing.T) {
 	spec, gen := order2Spec(3000, 6)
 	banks, err := Run(Config{}, spec, gen)

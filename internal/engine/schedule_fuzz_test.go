@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/osnoise"
@@ -13,7 +14,9 @@ import (
 // FuzzRunBatchedSchedule fuzzes the determinism contract of RunBatched:
 // whatever the schedule (workers, chunk size, lanes) and the run's shape
 // (trace count, averages, quiet or loaded environment, Emit, variant
-// count and selection, a forced divergence, and a first-order, class or
+// count and selection, a forced divergence of one trace and of the next
+// trace of its variant — two lanes of one verification group when both
+// fall in the window — and a first-order, class or
 // self-centered second-order bank with or without windows), the banks
 // and the emitted traces equal the per-trace reference bit for bit, and
 // every synthesizer's fallback verdict equals the one-worker run's.
@@ -24,6 +27,8 @@ func FuzzRunBatchedSchedule(f *testing.F) {
 	f.Add(uint8(3), uint8(50), uint8(64), uint16(260), uint8(0), false, true, uint8(2), uint8(1), uint8(2), int16(170))
 	f.Add(uint8(1), uint8(16), uint8(33), uint16(97), uint8(3), true, false, uint8(1), uint8(2), uint8(3), int16(-1))
 	f.Add(uint8(2), uint8(96), uint8(1), uint16(300), uint8(1), false, false, uint8(2), uint8(2), uint8(4), int16(250))
+	f.Add(uint8(3), uint8(0), uint8(0), uint16(200), uint8(0), false, false, uint8(2), uint8(0), uint8(0), int16(5))
+	f.Add(uint8(1), uint8(40), uint8(9), uint16(250), uint8(1), true, true, uint8(2), uint8(0), uint8(1), int16(14))
 	f.Fuzz(func(t *testing.T, workers, chunk, lanes uint8, traces uint16, avg uint8, loaded, emit bool, variants, pick, bank uint8, bad int16) {
 		n := 8 + int(traces)%300
 		fx := newVariantFixture(t, n)
@@ -48,6 +53,9 @@ func FuzzRunBatchedSchedule(f *testing.F) {
 			}
 		}
 		fx.bad = int(bad)
+		if fx.bad >= 0 {
+			fx.bad2 = fx.nextOfVariant(fx.bad, 2)
+		}
 		fx.avg = 1 + int(avg)%4
 		if loaded {
 			fx.env = osnoise.LoadedLinux()
@@ -120,6 +128,11 @@ func FuzzRunBatchedSchedule(f *testing.F) {
 				t.Fatalf("%+v: variant %d fell back %v (%q), one worker %v (%q)", cfg, v,
 					synths[v].FellBack(), synths[v].FallbackReason(), ref[v].FellBack(), ref[v].FallbackReason())
 			}
+		}
+		// Trace bad precedes bad2, so when it runs variant 2 its first
+		// store names the reason, never bad2's second.
+		if nv == 3 && fx.bad >= 0 && fx.variant(fx.bad, TraceRNG(fx.spec.Seed, fx.bad)) == 2 && strings.Contains(synths[2].FallbackReason(), "step 3 ") {
+			t.Fatalf("%+v: fallback reason %q is trace %d's, not trace %d's", cfg, synths[2].FallbackReason(), fx.bad2, fx.bad)
 		}
 	})
 }

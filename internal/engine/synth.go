@@ -274,48 +274,65 @@ func (s *Synthesizer) program(sc *batchScratch, core *pipeline.Core) (*replay.Ba
 }
 
 // verify runs one group of the auto-mode verification window under
-// s.window: each lane's initial state is copied to the aux core and
+// s.window: each lane's initial state is copied to an aux core and
 // replayed there on the batch VM, while the simulator runs the core the
 // caller initialized — with whatever cache hierarchy InitLane attached
 // — and stays authoritative. Every replayed drive is checked against
-// the simulated timeline (BatchVM.Check), then registers and flags; the
-// first lane to differ, in lane order, abandons replay for good. The
+// the simulated timeline (BatchVM.Check), then registers and flags. The
+// schedule compiles from lane 0; the lanes then spread over each, a lane
+// on the caller's aux core and VM when they are free and on a pair
+// borrowed from the pool when not, and each writes only its own
+// simulator row and verdicts. After the join the first lane to differ,
+// in lane order, abandons replay for good, as a lane-by-lane loop
+// would; the window advances only when no lane differed. The
 // simulator's cycle powers are returned either way.
-func (s *Synthesizer) verify(sc *batchScratch, m *power.Model, cores []*pipeline.Core) ([][]float64, error) {
-	var vm *replay.BatchVM
+func (s *Synthesizer) verify(sc *batchScratch, m *power.Model, cores []*pipeline.Core, each func(n int, f func(i int))) ([][]float64, error) {
 	bp, err := s.program(sc, cores[0])
 	if err != nil {
 		s.fallBack(err.Error())
-	} else {
-		vm = sc.batchVM(bp, m)
 	}
-	aux := sc.aux[0]
-	for lane, core := range cores {
-		var runErr error
-		if vm != nil {
+	var callerBusy atomic.Bool // sc's aux core and VM are taken by a lane
+	each(len(cores), func(lane int) {
+		core := cores[lane]
+		sc.runErr[lane], sc.checkErr[lane] = nil, nil
+		var vm *replay.BatchVM
+		var aux *pipeline.Core
+		if bp != nil {
+			lsc := sc
+			if !callerBusy.CompareAndSwap(false, true) {
+				lsc = s.pool.Get().(*batchScratch)
+				defer s.pool.Put(lsc)
+			} else {
+				defer callerBusy.Store(false)
+			}
+			vm, aux = lsc.batchVM(bp, m), lsc.aux[0]
 			copyState(aux, core)
-			runErr = vm.Run(sc.aux)
+			sc.checkErr[lane] = vm.Run(lsc.aux)
 		}
 		res, err := core.Run(s.prog)
 		if err != nil {
-			return nil, err
+			sc.runErr[lane] = err
+			return
 		}
-		if vm != nil {
-			err := runErr
-			if err == nil {
-				err = vm.Check(0, res.Timeline)
-			}
-			if err == nil && (aux.State().Regs != core.State().Regs || aux.State().Flags != core.State().Flags) {
-				err = fmt.Errorf("replayed architectural state differs from full simulation")
-			}
-			if err != nil {
-				s.fallBack(err.Error())
-				vm = nil
+		if vm != nil && sc.checkErr[lane] == nil {
+			sc.checkErr[lane] = vm.Check(0, res.Timeline)
+			if sc.checkErr[lane] == nil && (aux.State().Regs != core.State().Regs || aux.State().Flags != core.State().Flags) {
+				sc.checkErr[lane] = fmt.Errorf("replayed architectural state differs from full simulation")
 			}
 		}
 		sc.sim[lane] = m.CyclePowers(sc.sim[lane], res.Timeline)
+	})
+	passed := bp != nil
+	for lane := range cores {
+		if err := sc.runErr[lane]; err != nil {
+			return nil, err
+		}
+		if err := sc.checkErr[lane]; passed && err != nil {
+			s.fallBack(err.Error())
+			passed = false
+		}
 	}
-	if vm != nil {
+	if passed {
 		if s.checked += len(cores); s.checked >= VerifyRuns {
 			s.settled.Store(true)
 		}

@@ -337,7 +337,7 @@ func TestSynthesizerSteadyStateAllocs(t *testing.T) {
 	var r BlockRunner = steadyRunner{}
 	// Pass the verification window first.
 	for i := 0; i < VerifyRuns/8+1; i++ {
-		if err := s.RunBatchBlock(&m, 8, r); err != nil {
+		if err := s.RunBatchBlock(Config{Workers: 1}, &m, 8, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -345,7 +345,7 @@ func TestSynthesizerSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("batch path not live: fallback %q", s.FallbackReason())
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		if err := s.RunBatchBlock(&m, 8, r); err != nil {
+		if err := s.RunBatchBlock(Config{Workers: 1}, &m, 8, r); err != nil {
 			t.Fatal(err)
 		}
 	})

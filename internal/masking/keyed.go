@@ -421,7 +421,9 @@ func EvaluateKeyedCPA(opt KeyedOptions) (*KeyedResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	att := banks[0].Result()
+	// The whole-trace magnitude ranking of Result, spread over the run's
+	// workers.
+	att := banks[0].(*sca.ClassCPA).ResultInEach(0, 0, false, opt.Config.Each)
 	best, bestCorr := att.Best()
 	trueCorr := att.Peaks[opt.Key]
 	res := &KeyedResult{

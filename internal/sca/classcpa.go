@@ -139,6 +139,26 @@ func (c *ClassCPA) Add(class int, t []float64) error {
 // AddBatch accumulates a batch of traces with their classes, bit-
 // identically to calling Add(classes[i], traces[i]) in ascending i.
 func (c *ClassCPA) AddBatch(classes []int, traces [][]float64) error {
+	return c.AddBatchEach(classes, traces, nil)
+}
+
+// addSpan is the narrowest sample range AddBatchEach hands one call of
+// its fan-out. maxParts caps the calls of a fan-out, in AddBatchEach and
+// in the ranking pass alike: every ranking call packs each tile anew, so
+// more calls than a run has workers cost packing and gain nothing.
+const (
+	addSpan  = 256
+	maxParts = 4
+)
+
+// AddBatchEach is AddBatch with the batch's samples cut into ranges
+// that each(n, f) runs as f(0) … f(n-1), possibly concurrently; a nil
+// each runs the whole trace in one call. Every element of Σt, Σt² and
+// the class sums is one chain over the batch's traces in trace order
+// whichever range holds it, and the ranges start on multiples of 8, so
+// each element takes the same kernel lane it takes in one whole-trace
+// call: the state is bit-identical for every each.
+func (c *ClassCPA) AddBatchEach(classes []int, traces [][]float64, each func(n int, f func(i int))) error {
 	if len(classes) != len(traces) {
 		return fmt.Errorf("sca: batch of %d traces with %d classes", len(traces), len(classes))
 	}
@@ -150,13 +170,28 @@ func (c *ClassCPA) AddBatch(classes []int, traces [][]float64) error {
 			return fmt.Errorf("sca: trace %d of batch has class %d, out of [0,%d)", i, classes[i], c.classes)
 		}
 	}
-	for i, t := range traces {
-		p := classes[i]
-		classAddInto(c.sumT, c.sumTT, c.classSum[p*c.samples:(p+1)*c.samples], t)
+	if parts := min(c.samples/addSpan, maxParts); each == nil || parts < 2 {
+		c.addRange(classes, traces, 0, c.samples)
+	} else {
+		span := (c.samples/parts + 7) &^ 7
+		each((c.samples+span-1)/span, func(i int) {
+			c.addRange(classes, traces, i*span, min((i+1)*span, c.samples))
+		})
+	}
+	for _, p := range classes {
 		c.classN[p]++
 	}
 	c.count += len(traces)
 	return nil
+}
+
+// addRange adds the samples [lo,hi) of a validated batch into Σt, Σt²
+// and the class sums, trace by trace.
+func (c *ClassCPA) addRange(classes []int, traces [][]float64, lo, hi int) {
+	for i, t := range traces {
+		row := c.classSum[classes[i]*c.samples:]
+		classAddInto(c.sumT[lo:hi], c.sumTT[lo:hi], row[lo:hi], t[lo:hi])
+	}
 }
 
 // rankTile is the ranking pass's sample-tile width: one hypothesis's
@@ -271,6 +306,16 @@ func (c *ClassCPA) PeakIn(k, lo, hi int, signed bool) (corr float64, sample int)
 // separate the two. Result is the (whole-trace, magnitude) special
 // case. Every peak is bit-identical to PeakIn's.
 func (c *ClassCPA) ResultIn(lo, hi int, signed bool) *Attack {
+	return c.ResultInEach(lo, hi, signed, nil)
+}
+
+// ResultInEach is ResultIn with the hypotheses cut into runs of whole
+// quads that each(n, f) runs as f(0) … f(n-1), possibly concurrently;
+// a nil each ranks them all in one call. A hypothesis's peak depends
+// only on its own correlations, which no cut changes, and the ranking
+// sort runs after every peak is in, so the summary is bit-identical for
+// every each.
+func (c *ClassCPA) ResultInEach(lo, hi int, signed bool, each func(n int, f func(i int))) *Attack {
 	lo, hi = c.window(lo, hi)
 	a := &Attack{
 		Peaks:       make([]float64, c.nHyp),
@@ -283,7 +328,7 @@ func (c *ClassCPA) ResultIn(lo, hi int, signed bool) *Attack {
 		a.PeakSamples[k] = lo
 	}
 	if c.count >= 2 && lo < hi {
-		c.rank(a.Peaks, a.PeakSamples, lo, hi, signed)
+		c.rank(a.Peaks, a.PeakSamples, lo, hi, signed, each)
 	}
 	key := func(r float64) float64 {
 		if signed {
@@ -310,8 +355,10 @@ func (c *ClassCPA) ResultIn(lo, hi int, signed bool) *Attack {
 // hypothesis quad's correlation tile is computed from it by classTile —
 // so the packed tile stays cache-resident across all quads — and folded
 // into the quad's running peaks at once. Tiles run in ascending sample
-// order, so each peak sees its samples in the order PeakIn does.
-func (c *ClassCPA) rank(peaks []float64, at []int, lo, hi int, signed bool) {
+// order, so each peak sees its samples in the order PeakIn does. With
+// each set, runs of quads go to separate calls (ResultInEach), each
+// packing its own tiles and writing only its own hypotheses' peaks.
+func (c *ClassCPA) rank(peaks []float64, at []int, lo, hi int, signed bool, each func(n int, f func(i int))) {
 	// Per non-empty class: its table offset and its class-sum offset.
 	offs := make([]int, 0, c.classes)
 	rows := make([]int, 0, c.classes)
@@ -321,9 +368,9 @@ func (c *ClassCPA) rank(peaks []float64, at []int, lo, hi int, signed bool) {
 			rows = append(rows, p*c.samples)
 		}
 	}
-	t := &tileTerms{n: float64(c.count), sumH: make([]float64, c.nHyp), rootH: make([]float64, c.nHyp)}
-	for k := range t.sumH {
-		t.sumH[k], t.rootH[k] = c.hypTerms(k)
+	sumH, rootH := make([]float64, c.nHyp), make([]float64, c.nHyp)
+	for k := range sumH {
+		sumH[k], rootH[k] = c.hypTerms(k)
 	}
 	// The window's Σt and √t, zero-padded to whole tiles.
 	padded := (hi - lo + rankTile - 1) / rankTile * rankTile
@@ -334,26 +381,36 @@ func (c *ClassCPA) rank(peaks []float64, at []int, lo, hi int, signed bool) {
 		rootT[i] = c.rootT(lo + i)
 	}
 
-	tile := make([]float64, len(rows)*rankTile)
-	var out [4 * rankTile]float64
-	for b := lo; b < hi; b += rankTile {
-		w := min(rankTile, hi-b)
-		for i, r := range rows {
-			copy(tile[i*rankTile:i*rankTile+w], c.classSum[r+b:r+b+w])
-		}
-		t.sumT, t.rootT = sumT[b-lo:b-lo+rankTile], rootT[b-lo:b-lo+rankTile]
-		for k0 := 0; k0 < c.nHyp; k0 += 4 {
-			m := min(4, c.nHyp-k0)
-			classTile(out[:], tile, c.table, offs, k0, m, w, t)
-			for j := 0; j < m; j++ {
-				k := k0 + j
-				rs := out[j*rankTile : j*rankTile+w]
-				if b == lo {
-					peaks[k] = rs[0] // the window's first sample seeds the peak
+	// quads runs the hypothesis quads [q0,q1) over the whole window.
+	quads := func(q0, q1 int) {
+		t := &tileTerms{n: float64(c.count), sumH: sumH, rootH: rootH}
+		tile := make([]float64, len(rows)*rankTile)
+		var out [4 * rankTile]float64
+		for b := lo; b < hi; b += rankTile {
+			w := min(rankTile, hi-b)
+			for i, r := range rows {
+				copy(tile[i*rankTile:i*rankTile+w], c.classSum[r+b:r+b+w])
+			}
+			t.sumT, t.rootT = sumT[b-lo:b-lo+rankTile], rootT[b-lo:b-lo+rankTile]
+			for k0 := 4 * q0; k0 < min(4*q1, c.nHyp); k0 += 4 {
+				m := min(4, c.nHyp-k0)
+				classTile(out[:], tile, c.table, offs, k0, m, w, t)
+				for j := 0; j < m; j++ {
+					k := k0 + j
+					rs := out[j*rankTile : j*rankTile+w]
+					if b == lo {
+						peaks[k] = rs[0] // the window's first sample seeds the peak
+					}
+					peaks[k], at[k] = scanPeak(rs, b, peaks[k], at[k], signed)
 				}
-				peaks[k], at[k] = scanPeak(rs, b, peaks[k], at[k], signed)
 			}
 		}
+	}
+	nq := (c.nHyp + 3) / 4
+	if parts := min(nq, maxParts); each == nil || parts < 2 {
+		quads(0, nq)
+	} else {
+		each(parts, func(i int) { quads(i*nq/parts, (i+1)*nq/parts) })
 	}
 }
 

@@ -3,6 +3,8 @@ package sca
 import (
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -187,26 +189,56 @@ func fuzzClassBank(seed int64, nHyp, samples, classes int, shape uint8) *ClassCP
 	return c
 }
 
+// fanOut returns a fan-out of the shape the engine hands ResultInEach
+// and AddBatchEach: f(0) … f(n-1) on width goroutines, the caller's
+// among them, each taking the next index as it frees up.
+func fanOut(width int) func(n int, f func(i int)) {
+	return func(n int, f func(i int)) {
+		var next atomic.Int64
+		loop := func() {
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				f(i)
+			}
+		}
+		var wg sync.WaitGroup
+		for range width - 1 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				loop()
+			}()
+		}
+		loop()
+		wg.Wait()
+	}
+}
+
 // FuzzClassResultIn pins the fused ranking pass to the one-(k,s)-at-a-
 // time reference bit for bit — peaks, peak samples and ranking — over
 // hypothesis counts off the quad grid, windows shorter than a tile,
 // out-of-range and clamped bounds, empty classes, single-trace banks,
-// constant samples and tied peaks. PeakIn, Corr and CorrTrace, which
-// compute one hypothesis row on demand, must agree with it too.
+// constant samples and tied peaks, with the hypothesis quads spread over
+// a fan-out of width 1–5. PeakIn, Corr and CorrTrace, which compute one
+// hypothesis row on demand, must agree with it too.
 func FuzzClassResultIn(f *testing.F) {
-	f.Add(int64(1), uint8(7), uint8(70), uint8(5), int16(3), int16(60), false, uint8(0))
-	f.Add(int64(2), uint8(8), uint8(100), uint8(9), int16(-4), int16(0), true, uint8(1))
-	f.Add(int64(3), uint8(2), uint8(1), uint8(1), int16(0), int16(1), false, uint8(2))
-	f.Add(int64(4), uint8(13), uint8(33), uint8(4), int16(40), int16(20), true, uint8(4))
-	f.Add(int64(5), uint8(4), uint8(64), uint8(6), int16(31), int16(200), false, uint8(3))
-	f.Fuzz(func(t *testing.T, seed int64, nHyp, samples, classes uint8, lo, hi int16, signed bool, shape uint8) {
+	f.Add(int64(1), uint8(7), uint8(70), uint8(5), int16(3), int16(60), false, uint8(0), uint8(0))
+	f.Add(int64(2), uint8(8), uint8(100), uint8(9), int16(-4), int16(0), true, uint8(1), uint8(1))
+	f.Add(int64(3), uint8(2), uint8(1), uint8(1), int16(0), int16(1), false, uint8(2), uint8(2))
+	f.Add(int64(4), uint8(13), uint8(33), uint8(4), int16(40), int16(20), true, uint8(4), uint8(3))
+	f.Add(int64(5), uint8(4), uint8(64), uint8(6), int16(31), int16(200), false, uint8(3), uint8(4))
+	f.Add(int64(6), uint8(15), uint8(20), uint8(7), int16(2), int16(19), true, uint8(0), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, nHyp, samples, classes uint8, lo, hi int16, signed bool, shape, fan uint8) {
 		nh := 2 + int(nHyp)%17
 		ns := 1 + int(samples)%100
 		nc := 1 + int(classes)%12
+		width := 1 + int(fan)%5
 		c := fuzzClassBank(seed, nh, ns, nc, shape)
 		want := refResultIn(c, int(lo), int(hi), signed)
 		if diff := sameAttack(c.ResultIn(int(lo), int(hi), signed), want); diff != "" {
 			t.Fatalf("ResultIn(%d,%d,%v) nHyp=%d samples=%d: %s differs from the reference", lo, hi, signed, nh, ns, diff)
+		}
+		if diff := sameAttack(c.ResultInEach(int(lo), int(hi), signed, fanOut(width)), want); diff != "" {
+			t.Fatalf("ResultInEach(%d,%d,%v) width %d nHyp=%d samples=%d: %s differs from the reference", lo, hi, signed, width, nh, ns, diff)
 		}
 		d := refDerive(c)
 		for k := 0; k < nh; k++ {
@@ -223,6 +255,44 @@ func FuzzClassResultIn(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestAddBatchEachEqualsAddBatch pins the column-split class add: at
+// every fan-out width, over sample counts below, on and off the split's
+// 8-column grid, the state equals AddBatch's bit for bit.
+func TestAddBatchEachEqualsAddBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	table := [][]float64{{0, 1, 2}, {2, 1, 0}, {1, 1, 0}}
+	for _, samples := range []int{7, 300, 512, 520, 1081, 4099} {
+		traces := make([][]float64, 37)
+		classes := make([]int, len(traces))
+		for i := range traces {
+			traces[i] = make([]float64, samples)
+			for s := range traces[i] {
+				traces[i][s] = tileValue(rng)
+			}
+			classes[i] = rng.Intn(len(table))
+		}
+		want := MustNewClassCPA(samples, table)
+		for lo := 0; lo < len(traces); lo += 10 {
+			hi := min(lo+10, len(traces))
+			if err := want.AddBatch(classes[lo:hi], traces[lo:hi]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for width := 1; width <= 5; width++ {
+			got := MustNewClassCPA(samples, table)
+			for lo := 0; lo < len(traces); lo += 10 {
+				hi := min(lo+10, len(traces))
+				if err := got.AddBatchEach(classes[lo:hi], traces[lo:hi], fanOut(width)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !got.Equal(want) {
+				t.Errorf("samples=%d width=%d: AddBatchEach state differs from AddBatch", samples, width)
+			}
+		}
+	}
 }
 
 // tileValue draws the kernel-pin inputs: ordinary values, ±0,

@@ -44,17 +44,3 @@ func GuessingEntropy(ranks []int) (float64, error) {
 	}
 	return math.Log2(sum / float64(len(ranks))), nil
 }
-
-// SuccessRate returns the fraction of outcomes with rank 0.
-func SuccessRate(ranks []int) (float64, error) {
-	if len(ranks) == 0 {
-		return 0, errors.New("sca: no outcomes")
-	}
-	ok := 0
-	for _, r := range ranks {
-		if r == 0 {
-			ok++
-		}
-	}
-	return float64(ok) / float64(len(ranks)), nil
-}

@@ -36,13 +36,3 @@ func TestGuessingEntropy(t *testing.T) {
 		t.Error("negative rank must error")
 	}
 }
-
-func TestSuccessRate(t *testing.T) {
-	sr, err := SuccessRate([]int{0, 1, 0, 3})
-	if err != nil || sr != 0.5 {
-		t.Errorf("SuccessRate = %v (err %v), want 0.5", sr, err)
-	}
-	if _, err := SuccessRate(nil); err == nil {
-		t.Error("empty outcomes must error")
-	}
-}

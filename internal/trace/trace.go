@@ -142,9 +142,6 @@ func (s *Set) Trace(i int) Trace { return s.samples[i] }
 // Aux returns the i-th auxiliary record (not a copy).
 func (s *Set) Aux(i int) []byte { return s.aux[i] }
 
-// MeanTrace returns the point-wise mean over all traces in the set.
-func (s *Set) MeanTrace() (Trace, error) { return Average(s.samples) }
-
 const setMagic = 0x53435452 // "RTCS" little-endian: Repro Trace Container Set
 
 // WriteTo serializes the set: header (magic, count, samples), then per

@@ -130,13 +130,6 @@ func TestSetBasics(t *testing.T) {
 	if got := s.Aux(0); len(got) != 1 || got[0] != 0xAA {
 		t.Errorf("aux = %v", got)
 	}
-	m, err := s.MeanTrace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m[0] != 3 {
-		t.Errorf("mean trace = %v", m)
-	}
 }
 
 func TestSetAuxCopied(t *testing.T) {
