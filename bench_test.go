@@ -90,9 +90,13 @@ func BenchmarkFigure2Inference(b *testing.B) {
 func BenchmarkTable2LeakageScan(b *testing.B) {
 	var match, total int
 	for i := 0; i < b.N; i++ {
-		rs, err := leakscan.RunAll(leakscan.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
+		var rs []*leakscan.BenchResult
+		for _, row := range leakscan.Benchmarks() {
+			r, err := leakscan.RunBenchmark(&row, leakscan.DefaultOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			rs = append(rs, r)
 		}
 		match, total = leakscan.Agreement(rs)
 		if i == 0 {
@@ -527,11 +531,13 @@ func BenchmarkFusedExpand(b *testing.B) {
 }
 
 // BenchmarkEngineFullKey measures the sixteen-bank streaming recovery of
-// the complete first-round key from one shared trace stream.
+// the complete first-round key from one shared trace stream, at the
+// attack-stream benchmark's shape: 10k one-round traces, no averaging.
 func BenchmarkEngineFullKey(b *testing.B) {
 	opt := attack.DefaultFig3Options()
-	opt.Traces = 700
+	opt.Traces = 10000
 	opt.Rounds = 1
+	opt.Averages = 1
 	var res *attack.KeyRecovery
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -541,6 +547,7 @@ func BenchmarkEngineFullKey(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(res.BytesRecovered()), "bytes_recovered")
+	b.ReportMetric(float64(opt.Traces)*float64(b.N)/b.Elapsed().Seconds(), "traces/s")
 }
 
 // BenchmarkCPAUpdate measures the incremental CPA engine with 256

@@ -84,14 +84,15 @@ func newCPASetup(name string, key []byte, opt Fig3Options) (*cpaSetup, error) {
 // is complement-ambiguous. A class bank without a window — AES — ranks
 // over the whole trace by magnitude, which is exactly acc.Result(), so
 // every committed AES artifact keeps its bytes. A class bank's ranking
-// spreads over cfg's workers; its bits do not depend on them.
-func (s *cpaSetup) rank(b int, acc sca.Accumulator, cfg engine.Config) *sca.Attack {
+// spreads its hypotheses over each (sca.ClassCPA.ResultInEach; nil ranks
+// them in one call); its bits do not depend on each.
+func (s *cpaSetup) rank(b int, acc sca.Accumulator, each func(n int, f func(i int))) *sca.Attack {
 	cc, ok := acc.(*sca.ClassCPA)
 	if !ok {
 		return acc.Result()
 	}
 	lo, hi, signed := s.window(b)
-	return cc.ResultInEach(lo, hi, signed, cfg.Each)
+	return cc.ResultInEach(lo, hi, signed, each)
 }
 
 // window returns attacked byte b's sample window [lo,hi) and ranking
@@ -197,7 +198,7 @@ func RunCPA(name string, key []byte, opt Fig3Options) (*Fig3Result, error) {
 	}
 	cpa := banks[0]
 
-	att := s.rank(opt.KeyByte, cpa, opt.Config)
+	att := s.rank(opt.KeyByte, cpa, opt.Config.Each)
 	trueKey := s.inst.TrueKeyByte(opt.KeyByte)
 	out := &Fig3Result{
 		Target:         s.info.Name,
@@ -267,9 +268,10 @@ func (r *KeyRecovery) GuessingEntropy() float64 {
 // RecoverKey runs one CPA instance per attacked byte of the named
 // target — each with the target's class model — over one shared stream
 // of acquisitions. Every synthesized trace feeds all banks, so the
-// trace set is never materialized. Against target.Default it recovers
-// the complete AES first-round key — the practical endgame of the
-// paper's §5 attack.
+// trace set is never materialized. The banks are ranked one per
+// Config.Each index, each in one ResultInEach call, so every tile is
+// packed once. Against target.Default it recovers the complete AES
+// first-round key — the practical endgame of the paper's §5 attack.
 func RecoverKey(name string, key []byte, opt Fig3Options) (*KeyRecovery, error) {
 	if opt.Traces < 8 {
 		return nil, fmt.Errorf("attack: need at least 8 traces, got %d", opt.Traces)
@@ -297,8 +299,9 @@ func RecoverKey(name string, key []byte, opt Fig3Options) (*KeyRecovery, error) 
 		Ranks:     make([]int, s.info.AttackBytes),
 		Traces:    opt.Traces,
 	}
-	for b := range bytes {
-		att := s.rank(b, banks[b], opt.Config)
+	atts := make([]*sca.Attack, len(bytes))
+	opt.Config.Each(len(bytes), func(b int) { atts[b] = s.rank(b, banks[b], nil) })
+	for b, att := range atts {
 		out.Key[b] = s.inst.TrueKeyByte(b)
 		out.Recovered[b] = byte(att.Ranking[0])
 		out.Ranks[b] = att.RankOf(int(out.Key[b]))
@@ -333,7 +336,7 @@ func RankEvolution(name string, key []byte, opt Fig3Options, counts []int) (*sca
 			Traces: maxN, Samples: s.nSamples, Banks: s.classBanks([]int{opt.KeyByte}), Seed: opt.Seed,
 			Checkpoints: sorted,
 			OnCheckpoint: func(n int, banks []sca.Accumulator) {
-				att := s.rank(opt.KeyByte, banks[0], opt.Config)
+				att := s.rank(opt.KeyByte, banks[0], opt.Config.Each)
 				curve.TraceCounts = append(curve.TraceCounts, n)
 				curve.Ranks = append(curve.Ranks, att.RankOf(int(trueKey)))
 			},

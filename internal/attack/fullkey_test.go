@@ -1,8 +1,10 @@
 package attack
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/target"
 )
 
@@ -23,6 +25,53 @@ func TestRecoverFullKey(t *testing.T) {
 	}
 	if res.GuessingEntropy() != 0 {
 		t.Errorf("guessing entropy %v, want 0", res.GuessingEntropy())
+	}
+}
+
+// TestRecoverKeyScheduleIndependent pins full-key recovery to its
+// inputs: at Workers 1, 2 and 4, and with all but one slot of a width-4
+// Gate held elsewhere — so the banks' ranking fan-out runs at width 1 —
+// RecoverKey returns the same KeyRecovery. At 300 traces and forty
+// times the default noise about half the bytes are not yet recovered,
+// so their ranks carry the correlations' order.
+func TestRecoverKeyScheduleIndependent(t *testing.T) {
+	opt := DefaultFig3Options()
+	opt.Traces = 300
+	opt.Rounds = 1
+	opt.Model.NoiseSigma *= 40
+	run := func(cfg engine.Config) *KeyRecovery {
+		t.Helper()
+		o := opt
+		o.Config = cfg
+		res, err := RecoverKey(target.Default, testKey[:], o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(engine.Config{Workers: 1})
+	if want.BytesRecovered() == len(want.Key) {
+		t.Fatalf("all %d bytes recovered at %d traces: the ranks pin nothing", len(want.Key), opt.Traces)
+	}
+	t.Logf("ranks at %d traces: %v", opt.Traces, want.Ranks)
+	for _, workers := range []int{2, 4} {
+		if got := run(engine.Config{Workers: workers}); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: %+v, want %+v", workers, got, want)
+		}
+	}
+
+	gate := engine.NewGate(4)
+	held, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	go engine.Config{Workers: 4, Gate: gate}.Each(4, func(int) {
+		held <- struct{}{}
+		<-release
+	})
+	for range 4 { // three of the four take a gate slot
+		<-held
+	}
+	if got := run(engine.Config{Workers: 4, Gate: gate}); !reflect.DeepEqual(got, want) {
+		t.Errorf("under a held gate: %+v, want %+v", got, want)
 	}
 }
 

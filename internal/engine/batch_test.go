@@ -448,12 +448,15 @@ func (f *variantFixture) gen(t *testing.T, mode Mode) (BatchGen, []*Synthesizer)
 				core.SetReg(isa.R4, 1) // the second store is annulled
 			}
 			core.SetReg(isa.R8, 0x100)
-			if s.Hyps[0] == nil { // a class bank
-				s.Class[0] = int(x & 1)
-				return nil
+			for b, bank := range f.spec.Banks {
+				if bank.Classes != nil {
+					s.Class[b] = int(x>>(3*b)) % len(bank.Classes)
+					continue
+				}
+				for k := range s.Hyps[b] {
+					s.Hyps[b][k] = float64(x >> ((3*b + k) % 32) & 1)
+				}
 			}
-			s.Hyps[0][0] = float64(x & 1)
-			s.Hyps[0][1] = float64(x >> 1 & 1)
 			return nil
 		},
 	}, synths

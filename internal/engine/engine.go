@@ -8,12 +8,13 @@
 // worker count.
 //
 // Determinism contract. Every trace index i owns a private random stream
-// derived from (Seed, i) by a SplitMix64 mix (TraceRNG), so the data a
+// derived from (Seed, i) by a SplitMix64 mix (traceState), so the data a
 // trace sees never depends on which worker synthesized it or when.
 // Accumulation happens only on the reducer: each chunk's traces are
-// folded into the global accumulators by one AddBatch call per bank, in
-// ascending chunk order, and AddBatch is defined bit-identical to
-// per-trace Add calls in trace order. The global floating-point
+// folded into the global accumulators by one AddBatch call per bank —
+// one sca.AddClassBanks call for all first-order class banks, which
+// share their trace moments — in ascending chunk order, and both are
+// defined bit-identical to per-trace Add calls in trace order. The global floating-point
 // summation order is therefore exactly the serial trace order 0,1,2,…
 // — a pure function of (Seed, Traces), never of Workers, Lanes, chunk
 // size or scheduling. Runs with one worker and with sixteen produce
@@ -222,7 +223,7 @@ type Spec struct {
 	// bank of 256 hypotheses; full-key recovery uses sixteen banks
 	// sharing each trace. It may be empty when Emit is set.
 	Banks []Bank
-	// Seed derives every trace's private random stream via TraceRNG.
+	// Seed derives every trace's private random stream (traceState).
 	Seed int64
 	// Checkpoints lists trace counts at which OnCheckpoint observes the
 	// merged accumulators (ascending, each in [1, Traces]). Chunks are
@@ -328,11 +329,27 @@ func chunks(traces, size int, checkpoints []int) []chunk {
 	return out
 }
 
+// classGroup is a run's first-order class banks: one sca.NewClassBanks
+// group, so the reducer adds each trace's Σt and Σt² once for all of
+// them, and the banks' indices in Spec.Banks.
+type classGroup struct {
+	banks []*sca.ClassCPA
+	idx   []int
+}
+
 // newBanks allocates one accumulator per bank spec; a second-order
-// bank spans its combined layout.
-func newBanks(banks []Bank, samples int) ([]sca.Accumulator, error) {
+// bank spans its combined layout. The first-order class banks are built
+// as one group sharing the trace moments.
+func newBanks(banks []Bank, samples int) ([]sca.Accumulator, classGroup, error) {
 	out := make([]sca.Accumulator, len(banks))
+	var g classGroup
+	var tables [][][]float64
 	for b, bank := range banks {
+		if bank.Classes != nil && bank.Order2 == nil {
+			g.idx = append(g.idx, b)
+			tables = append(tables, bank.Classes)
+			continue
+		}
 		n := samples
 		if bank.Order2 != nil {
 			n = sca.Order2Len(bank.Order2.windows(samples))
@@ -344,24 +361,19 @@ func newBanks(banks []Bank, samples int) ([]sca.Accumulator, error) {
 			out[b], err = sca.NewCPA(bank.Hyps, n)
 		}
 		if err != nil {
-			return nil, err
+			return nil, classGroup{}, err
 		}
 	}
-	return out, nil
-}
-
-// addBatch folds traces into one bank: trace j's prediction vector is
-// hyps[lo+j] for a classic bank, its class classes[lo+j] for a class
-// bank.
-func addBatch(acc sca.Accumulator, traces, hyps [][]float64, classes []int, lo int) error {
-	hi := lo + len(traces)
-	switch a := acc.(type) {
-	case *sca.CPA:
-		return a.AddBatch(traces, hyps[lo:hi])
-	case *sca.ClassCPA:
-		return a.AddBatch(classes[lo:hi], traces)
+	if len(tables) > 0 {
+		var err error
+		if g.banks, err = sca.NewClassBanks(samples, tables...); err != nil {
+			return nil, classGroup{}, err
+		}
+		for i, b := range g.idx {
+			out[b] = g.banks[i]
+		}
 	}
-	return nil
+	return out, g, nil
 }
 
 // order2Kept is what the reducer keeps of a run for its second-order
@@ -409,10 +421,11 @@ func (k *order2Kept) fold(cfg Config, spec *Spec, global []sca.Accumulator, size
 				sca.Order2Combine(batch[j], traces[lo+j], means, windows)
 			})
 			var err error
-			if cc, ok := global[b].(*sca.ClassCPA); ok {
-				err = cc.AddBatchEach(k.classes[b][lo:lo+len(batch)], batch, cfg.Each)
-			} else {
-				err = addBatch(global[b], batch, hyps, k.classes[b], lo)
+			switch a := global[b].(type) {
+			case *sca.ClassCPA:
+				err = a.AddBatchEach(k.classes[b][lo:lo+len(batch)], batch, cfg.Each)
+			case *sca.CPA:
+				err = a.AddBatch(batch, hyps[lo:lo+len(batch)])
 			}
 			if err != nil {
 				return fmt.Errorf("engine: bank %d: %w", b, err)
@@ -441,10 +454,11 @@ func runChunked(cfg Config, spec Spec, serial func(start int) bool, fill func(c 
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	global, err := newBanks(spec.Banks, spec.Samples)
+	global, group, err := newBanks(spec.Banks, spec.Samples)
 	if err != nil {
 		return nil, err
 	}
+	groupClasses := make([][]int, len(group.idx))
 	size := DefaultChunkSize
 	if cfg.chunkSize > 0 {
 		size = cfg.chunkSize
@@ -517,12 +531,21 @@ func runChunked(cfg Config, spec Spec, serial func(start int) bool, fill func(c 
 	reduce := func(idx int, bb *batchBuf) error {
 		defer batches.Put(bb)
 		n := cs[idx].end - cs[idx].start
+		if len(group.banks) > 0 {
+			for i, b := range group.idx {
+				groupClasses[i] = bb.classes[b][:n]
+			}
+			if err := sca.AddClassBanks(group.banks, groupClasses, bb.traces[:n]); err != nil {
+				return fmt.Errorf("engine: chunk %d: %w", idx, err)
+			}
+		}
 		for b, bank := range spec.Banks {
 			switch {
-			case bank.Order2 == nil:
-				if err := addBatch(global[b], bb.traces[:n], bb.hyps[b], bb.classes[b], 0); err != nil {
-					return fmt.Errorf("engine: chunk %d: %w", idx, err)
+			case bank.Order2 == nil && bank.Classes == nil:
+				if err := global[b].(*sca.CPA).AddBatch(bb.traces[:n], bb.hyps[b][:n]); err != nil {
+					return fmt.Errorf("engine: chunk %d: bank %d: %w", idx, b, err)
 				}
+			case bank.Order2 == nil: // in the class group
 			case bank.Classes != nil:
 				kept.classes[b] = append(kept.classes[b], bb.classes[b][:n]...)
 			default:

@@ -35,14 +35,26 @@ func noisyGen(banks []Bank, samples int) Generate {
 }
 
 // serialReference feeds the same per-trace data through plain sca.CPA
-// accumulators in index order — the materialize-free equivalent of the
-// pre-engine serial attack loops. Second-order banks are centered on
-// traceMean.
+// and sca.ClassCPA accumulators of their own, in index order — the
+// materialize-free equivalent of the pre-engine serial attack loops.
+// Second-order banks are centered on traceMean.
 func serialReference(t *testing.T, spec Spec, gen Generate) []sca.Accumulator {
 	t.Helper()
-	banks, err := newBanks(spec.Banks, spec.Samples)
-	if err != nil {
-		t.Fatal(err)
+	banks := make([]sca.Accumulator, len(spec.Banks))
+	for b, bank := range spec.Banks {
+		n := spec.Samples
+		if bank.Order2 != nil {
+			n = sca.Order2Len(bank.Order2.windows(n))
+		}
+		var err error
+		if bank.Classes != nil {
+			banks[b], err = sca.NewClassCPA(n, bank.Classes)
+		} else {
+			banks[b], err = sca.NewCPA(bank.Hyps, n)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	var means []float64
 	if spec.order2() {

@@ -46,28 +46,23 @@ func (s *splitMixSource) Int63() int64 { return int64(s.Uint64() >> 1) }
 func (s *splitMixSource) FillNorm(dst []float64) { znorm.Fill(dst, &s.state) }
 
 // Seed installs the 64-bit stream state verbatim (no folding), so a
-// reseeded pooled source draws bit-identically to a fresh
-// TraceRNG(seed, i) — the property reseedTraceRNG relies on.
+// reseeded pooled source draws bit-identically to a fresh source at
+// traceState(seed, i) — the property reseedTraceRNG relies on.
 func (s *splitMixSource) Seed(seed int64) { s.state = uint64(seed) }
 
 // traceState derives trace i's private 64-bit stream state from the
-// base seed. Distinct (seed, i) pairs map to distinct states.
+// base seed. Distinct (seed, i) pairs map to distinct states. Deriving
+// the stream from (seed, i) — rather than splitting one sequential
+// stream — is what lets workers synthesize traces in any order while
+// every trace sees exactly the same plaintext and noise.
 func traceState(seed int64, i int) uint64 {
 	return splitmix64(splitmix64(uint64(seed)) + uint64(i))
-}
-
-// TraceRNG returns trace i's private random stream under the given base
-// seed. Deriving the stream from (seed, i) — rather than splitting one
-// sequential stream — is what lets workers synthesize traces in any
-// order while every trace sees exactly the same plaintext and noise.
-func TraceRNG(seed int64, i int) *rand.Rand {
-	return rand.New(&splitMixSource{state: traceState(seed, i)})
 }
 
 // DeriveSeed derives an independent child seed from a parent seed and a
 // textual label, by mixing an FNV-1a 64 hash of the label into the
 // parent through the SplitMix64 finalizer. It is the campaign-level
-// analogue of TraceRNG's (seed, index) derivation: the child depends
+// analogue of traceState's (seed, index) derivation: the child depends
 // only on (seed, label) — never on enumeration order or scheduling — so
 // experiments named by stable labels keep bit-identical seeds when
 // their surroundings change. Distinct labels yield independent streams.
@@ -84,10 +79,10 @@ func DeriveSeed(seed int64, label string) int64 {
 	return int64(splitmix64(splitmix64(uint64(seed)) ^ h))
 }
 
-// reseedTraceRNG repoints a pooled TraceRNG at trace i's stream,
-// yielding draws bit-identical to a fresh TraceRNG(seed, i): Rand.Seed
-// resets the buffered-byte state and our source's Seed installs the
-// stream state verbatim.
+// reseedTraceRNG repoints a pooled rand.Rand over a splitMixSource at
+// trace i's stream, yielding draws bit-identical to a fresh one at
+// traceState(seed, i): Rand.Seed resets the buffered-byte state and our
+// source's Seed installs the stream state verbatim.
 func reseedTraceRNG(r *rand.Rand, seed int64, i int) {
 	r.Seed(int64(traceState(seed, i)))
 }

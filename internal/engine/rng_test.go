@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// TraceRNG returns trace i's private random stream under the given base
+// seed: the stream the engine's pooled generators are reseeded to
+// (reseedTraceRNG), fresh, for the per-trace references.
+func TraceRNG(seed int64, i int) *rand.Rand {
+	return rand.New(&splitMixSource{state: traceState(seed, i)})
+}
+
 // TestFillNormMatchesRand pins the bulk sampler to math/rand draw for
 // draw: FillNorm on a splitMixSource must produce exactly the float64
 // sequence rand.Rand.NormFloat64 produces over an identical stream —

@@ -17,7 +17,8 @@ import (
 // count and selection, a forced divergence of one trace and of the next
 // trace of its variant — two lanes of one verification group when both
 // fall in the window — and a first-order, class or
-// self-centered second-order bank with or without windows), the banks
+// self-centered second-order bank with or without windows, or three
+// class banks sharing their trace moments beside a classic bank), the banks
 // and the emitted traces equal the per-trace reference bit for bit, and
 // every synthesizer's fallback verdict equals the one-worker run's.
 func FuzzRunBatchedSchedule(f *testing.F) {
@@ -29,6 +30,8 @@ func FuzzRunBatchedSchedule(f *testing.F) {
 	f.Add(uint8(2), uint8(96), uint8(1), uint16(300), uint8(1), false, false, uint8(2), uint8(2), uint8(4), int16(250))
 	f.Add(uint8(3), uint8(0), uint8(0), uint16(200), uint8(0), false, false, uint8(2), uint8(0), uint8(0), int16(5))
 	f.Add(uint8(1), uint8(40), uint8(9), uint16(250), uint8(1), true, true, uint8(2), uint8(0), uint8(1), int16(14))
+	f.Add(uint8(2), uint8(20), uint8(8), uint16(140), uint8(1), false, true, uint8(1), uint8(0), uint8(5), int16(-1))
+	f.Add(uint8(3), uint8(0), uint8(16), uint16(290), uint8(2), true, false, uint8(2), uint8(1), uint8(5), int16(40))
 	f.Fuzz(func(t *testing.T, workers, chunk, lanes uint8, traces uint16, avg uint8, loaded, emit bool, variants, pick, bank uint8, bad int16) {
 		n := 8 + int(traces)%300
 		fx := newVariantFixture(t, n)
@@ -62,7 +65,7 @@ func FuzzRunBatchedSchedule(f *testing.F) {
 			fx.env.PreemptProb = 0.2
 		}
 		s := fx.spec.Samples
-		switch bank % 5 {
+		switch bank % 6 {
 		case 1:
 			fx.spec.Banks = []Bank{{Hyps: 2, Classes: [][]float64{{0, 1}, {1, 0}}}}
 		case 2:
@@ -71,6 +74,8 @@ func FuzzRunBatchedSchedule(f *testing.F) {
 			fx.spec.Banks = []Bank{{Hyps: 2, Order2: &Order2{Windows: []sca.Window{{Lo: 1, Hi: s / 3}, {Lo: s / 2, Hi: s}}}}}
 		case 4:
 			fx.spec.Banks = []Bank{{Hyps: 2, Classes: [][]float64{{0, 1}, {1, 0}}, Order2: &Order2{}}}
+		case 5:
+			fx.spec.Banks = threeClassBanks(true)
 		}
 
 		// The per-trace reference: banks folded trace by trace (a
@@ -148,4 +153,25 @@ func accEqual(a, b sca.Accumulator) bool {
 		return ok && x.Equal(y)
 	}
 	return false
+}
+
+// threeClassBanks returns three first-order class banks of different
+// tables and class counts — one shared-moment group — with a classic
+// bank between the first two when classic is set.
+func threeClassBanks(classic bool) []Bank {
+	table := func(classes, hyps int) [][]float64 {
+		t := make([][]float64, classes)
+		for p := range t {
+			t[p] = make([]float64, hyps)
+			for k := range t[p] {
+				t[p][k] = float64((p ^ k) % 5)
+			}
+		}
+		return t
+	}
+	a, b, c := Bank{Hyps: 2, Classes: table(2, 2)}, Bank{Hyps: 3, Classes: table(5, 3)}, Bank{Hyps: 4, Classes: table(8, 4)}
+	if classic {
+		return []Bank{a, {Hyps: 2}, b, c}
+	}
+	return []Bank{a, b, c}
 }

@@ -388,20 +388,6 @@ func abs(x float64) float64 {
 	return x
 }
 
-// RunAll measures every Table 2 row.
-func RunAll(opt Options) ([]*BenchResult, error) {
-	var out []*BenchResult
-	for _, b := range Benchmarks() {
-		b := b
-		r, err := RunBenchmark(&b, opt)
-		if err != nil {
-			return nil, fmt.Errorf("leakscan: %s: %w", b.Name, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // Agreement aggregates scored agreement over all rows.
 func Agreement(rs []*BenchResult) (match, total int) {
 	for _, r := range rs {

@@ -3,6 +3,7 @@ package sca
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Accumulator is the read side shared by the streaming correlation
@@ -65,41 +66,73 @@ type ClassCPA struct {
 	table    []float64 // [p*nHyp + k]: hypothesis k's prediction for class p
 	classN   []int64   // per class: trace count
 	classSum []float64 // [p*samples + s]: Σt over the class's traces
-	sumT     []float64 // per sample: Σt
-	sumTT    []float64 // per sample: Σt²
+	sumT     []float64 // per sample: Σt, shared by the banks of the group
+	sumTT    []float64 // per sample: Σt², shared by the banks of the group
+	group    *classGroup
 }
+
+// classGroup lists the class banks that share one Σt/Σt² pair, in
+// construction order (NewClassBanks). A bank built alone is a group of
+// one.
+type classGroup struct{ banks []*ClassCPA }
 
 // NewClassCPA returns a class-sum engine over the given hypothesis
 // table: table[p][k] is hypothesis k's predicted leakage for model-input
 // class p. All rows must share one length (the hypothesis count, >= 2).
+// It is the one-bank case of NewClassBanks.
 func NewClassCPA(samples int, table [][]float64) (*ClassCPA, error) {
+	banks, err := NewClassBanks(samples, table)
+	if err != nil {
+		return nil, err
+	}
+	return banks[0], nil
+}
+
+// NewClassBanks returns one class-sum engine per table, all over traces
+// of the given length, sharing one Σt/Σt² pair: banks that see the same
+// traces — the sixteen key bytes of a full-key recovery — keep the trace
+// moments once. The group is fed through AddClassBanks only; Add,
+// AddBatch and AddBatchEach refuse a bank that shares its moments, so
+// no bank's moments can drift from its class sums. Every bank's state
+// is bit-identical to a NewClassCPA bank fed the same traces.
+func NewClassBanks(samples int, tables ...[][]float64) ([]*ClassCPA, error) {
 	if samples < 1 {
 		return nil, fmt.Errorf("sca: need at least 1 sample, got %d", samples)
 	}
-	if len(table) < 1 {
-		return nil, fmt.Errorf("sca: need at least 1 model-input class")
+	if len(tables) < 1 {
+		return nil, fmt.Errorf("sca: need at least 1 class bank")
 	}
-	nHyp := len(table[0])
-	if nHyp < 2 {
-		return nil, fmt.Errorf("sca: need at least 2 hypotheses, got %d", nHyp)
-	}
-	c := &ClassCPA{
-		classes:  len(table),
-		nHyp:     nHyp,
-		samples:  samples,
-		table:    make([]float64, len(table)*nHyp),
-		classN:   make([]int64, len(table)),
-		classSum: make([]float64, len(table)*samples),
-		sumT:     make([]float64, samples),
-		sumTT:    make([]float64, samples),
-	}
-	for p, row := range table {
-		if len(row) != nHyp {
-			return nil, fmt.Errorf("sca: class %d has %d hypotheses, want %d", p, len(row), nHyp)
+	sumT, sumTT := make([]float64, samples), make([]float64, samples)
+	banks := make([]*ClassCPA, len(tables))
+	group := &classGroup{banks: make([]*ClassCPA, len(tables))}
+	for b, table := range tables {
+		if len(table) < 1 {
+			return nil, fmt.Errorf("sca: need at least 1 model-input class")
 		}
-		copy(c.table[p*nHyp:], row)
+		nHyp := len(table[0])
+		if nHyp < 2 {
+			return nil, fmt.Errorf("sca: need at least 2 hypotheses, got %d", nHyp)
+		}
+		c := &ClassCPA{
+			classes:  len(table),
+			nHyp:     nHyp,
+			samples:  samples,
+			table:    make([]float64, len(table)*nHyp),
+			classN:   make([]int64, len(table)),
+			classSum: make([]float64, len(table)*samples),
+			sumT:     sumT,
+			sumTT:    sumTT,
+			group:    group,
+		}
+		for p, row := range table {
+			if len(row) != nHyp {
+				return nil, fmt.Errorf("sca: class %d has %d hypotheses, want %d", p, len(row), nHyp)
+			}
+			copy(c.table[p*nHyp:], row)
+		}
+		banks[b], group.banks[b] = c, c
 	}
-	return c, nil
+	return banks, nil
 }
 
 // MustNewClassCPA is NewClassCPA that panics on a bad table.
@@ -124,16 +157,7 @@ func (c *ClassCPA) Count() int { return c.count }
 // order is the determinism contract: the same (class, trace) sequence
 // always leaves bit-identical state.
 func (c *ClassCPA) Add(class int, t []float64) error {
-	if class < 0 || class >= c.classes {
-		return fmt.Errorf("sca: class %d out of [0,%d)", class, c.classes)
-	}
-	if len(t) != c.samples {
-		return fmt.Errorf("sca: trace has %d samples, want %d", len(t), c.samples)
-	}
-	classAddInto(c.sumT, c.sumTT, c.classSum[class*c.samples:(class+1)*c.samples], t)
-	c.classN[class]++
-	c.count++
-	return nil
+	return c.AddBatch([]int{class}, [][]float64{t})
 }
 
 // AddBatch accumulates a batch of traces with their classes, bit-
@@ -159,38 +183,87 @@ const (
 // each element takes the same kernel lane it takes in one whole-trace
 // call: the state is bit-identical for every each.
 func (c *ClassCPA) AddBatchEach(classes []int, traces [][]float64, each func(n int, f func(i int))) error {
-	if len(classes) != len(traces) {
-		return fmt.Errorf("sca: batch of %d traces with %d classes", len(traces), len(classes))
+	if err := c.alone(); err != nil {
+		return err
 	}
-	for i, t := range traces {
-		if len(t) != c.samples {
-			return fmt.Errorf("sca: trace %d of batch has %d samples, want %d", i, len(t), c.samples)
-		}
-		if classes[i] < 0 || classes[i] >= c.classes {
-			return fmt.Errorf("sca: trace %d of batch has class %d, out of [0,%d)", i, classes[i], c.classes)
-		}
+	return addGroup(c.group.banks, [][]int{classes}, traces, each)
+}
+
+// AddClassBanks accumulates a batch of traces into a whole NewClassBanks
+// group, given in construction order: classes[b][i] is trace i's class
+// in bank b. Each bank's state is bit-identical to a NewClassCPA bank's
+// after AddBatch(classes[b], traces).
+func AddClassBanks(banks []*ClassCPA, classes [][]int, traces [][]float64) error {
+	if len(banks) == 0 || !slices.Equal(banks, banks[0].group.banks) {
+		return fmt.Errorf("sca: class banks are not one whole NewClassBanks group in construction order")
 	}
-	if parts := min(c.samples/addSpan, maxParts); each == nil || parts < 2 {
-		c.addRange(classes, traces, 0, c.samples)
-	} else {
-		span := (c.samples/parts + 7) &^ 7
-		each((c.samples+span-1)/span, func(i int) {
-			c.addRange(classes, traces, i*span, min((i+1)*span, c.samples))
-		})
+	return addGroup(banks, classes, traces, nil)
+}
+
+// alone refuses a bank that shares its trace moments: only
+// AddClassBanks may move them.
+func (c *ClassCPA) alone() error {
+	if n := len(c.group.banks); n > 1 {
+		return fmt.Errorf("sca: class bank shares its trace moments with %d others; add through AddClassBanks", n-1)
 	}
-	for _, p := range classes {
-		c.classN[p]++
-	}
-	c.count += len(traces)
 	return nil
 }
 
-// addRange adds the samples [lo,hi) of a validated batch into Σt, Σt²
-// and the class sums, trace by trace.
-func (c *ClassCPA) addRange(classes []int, traces [][]float64, lo, hi int) {
+// addGroup validates a batch for a group's banks and adds it, its
+// samples cut into ranges as AddBatchEach describes.
+func addGroup(banks []*ClassCPA, classes [][]int, traces [][]float64, each func(n int, f func(i int))) error {
+	if len(classes) != len(banks) {
+		return fmt.Errorf("sca: %d class rows for %d banks", len(classes), len(banks))
+	}
+	samples := banks[0].samples
 	for i, t := range traces {
-		row := c.classSum[classes[i]*c.samples:]
-		classAddInto(c.sumT[lo:hi], c.sumTT[lo:hi], row[lo:hi], t[lo:hi])
+		if len(t) != samples {
+			return fmt.Errorf("sca: trace %d of batch has %d samples, want %d", i, len(t), samples)
+		}
+	}
+	for b, c := range banks {
+		if len(classes[b]) != len(traces) {
+			return fmt.Errorf("sca: batch of %d traces with %d classes", len(traces), len(classes[b]))
+		}
+		for i, p := range classes[b] {
+			if p < 0 || p >= c.classes {
+				return fmt.Errorf("sca: trace %d of batch has class %d, out of [0,%d)", i, p, c.classes)
+			}
+		}
+	}
+	if parts := min(samples/addSpan, maxParts); each == nil || parts < 2 {
+		addRange(banks, classes, traces, 0, samples)
+	} else {
+		span := (samples/parts + 7) &^ 7
+		each((samples+span-1)/span, func(i int) {
+			addRange(banks, classes, traces, i*span, min((i+1)*span, samples))
+		})
+	}
+	for b, c := range banks {
+		for _, p := range classes[b] {
+			c.classN[p]++
+		}
+		c.count += len(traces)
+	}
+	return nil
+}
+
+// addRange adds the samples [lo,hi) of a validated batch into a group,
+// trace by trace: one fused sweep adds the trace into the shared Σt and
+// Σt² and into the first bank's class row, then one add goes into each
+// other bank's row. The fused sweep is sumSqInto followed by vaddInto,
+// bit for bit, so every bank's elements take exactly the chains a bank
+// of its own would give them.
+func addRange(banks []*ClassCPA, classes [][]int, traces [][]float64, lo, hi int) {
+	first := banks[0]
+	sumT, sumTT := first.sumT[lo:hi], first.sumTT[lo:hi]
+	for i, t := range traces {
+		t = t[lo:hi]
+		classAddInto(sumT, sumTT, first.classSum[classes[0][i]*first.samples+lo:][:hi-lo], t)
+		for b := 1; b < len(banks); b++ {
+			c := banks[b]
+			vaddInto(c.classSum[classes[b][i]*c.samples+lo:][:hi-lo], t)
+		}
 	}
 }
 
@@ -490,9 +563,9 @@ func (c *ClassCPA) Equal(o *ClassCPA) bool {
 		eq(c.sumT, o.sumT) && eq(c.sumTT, o.sumTT)
 }
 
-// Clone returns an independent deep copy of the accumulator state. The
-// hypothesis table — immutable after construction — is shared, not
-// copied.
+// Clone returns an independent deep copy of the accumulator state,
+// with Σt and Σt² of its own. The hypothesis table — immutable after
+// construction — is shared, not copied.
 func (c *ClassCPA) Clone() *ClassCPA {
 	o := &ClassCPA{
 		classes:  c.classes,
@@ -505,14 +578,23 @@ func (c *ClassCPA) Clone() *ClassCPA {
 		sumT:     append([]float64(nil), c.sumT...),
 		sumTT:    append([]float64(nil), c.sumTT...),
 	}
+	o.group = &classGroup{banks: []*ClassCPA{o}}
 	return o
 }
 
-// Reset clears the accumulated state, keeping the table.
+// Reset clears the accumulated state, keeping the table. A bank that
+// shares its trace moments leaves its group and takes a zeroed Σt/Σt²
+// pair of its own, so its former siblings keep theirs.
 func (c *ClassCPA) Reset() {
+	if g := c.group; len(g.banks) > 1 {
+		g.banks = slices.DeleteFunc(g.banks, func(o *ClassCPA) bool { return o == c })
+		c.group = &classGroup{banks: []*ClassCPA{c}}
+		c.sumT, c.sumTT = make([]float64, c.samples), make([]float64, c.samples)
+	} else {
+		clear(c.sumT)
+		clear(c.sumTT)
+	}
 	clear(c.classN)
 	clear(c.classSum)
-	clear(c.sumT)
-	clear(c.sumTT)
 	c.count = 0
 }
