@@ -21,6 +21,12 @@ var FMA = AVX && cpuHasFMA()
 // ForcePortableEnv).
 var AVX512 = !ForcedPortable && cpuHasAVX512()
 
+// BMI2 reports the scalar bit-manipulation extensions BMI1 (TZCNT,
+// BLSR, ANDN), BMI2 (PDEP, BZHI) and POPCNT together, the set the
+// windowed Gaussian sampler's miss list, verdict placement and walker
+// use (and not disabled via ForcePortableEnv).
+var BMI2 = !ForcedPortable && cpuHasBMI2()
+
 // AVX512Popcnt reports the AVX512_VPOPCNTDQ extension used by the
 // replay batch VM's Hamming-weight lanes.
 var AVX512Popcnt = AVX512 && cpuHasVPOPCNTDQ()
@@ -57,6 +63,15 @@ func cpuHasFMA() bool {
 	_, _, c, _ := cpuid(1, 0)
 	const fma = 1 << 12
 	return c&fma != 0
+}
+
+// cpuHasBMI2 checks CPUID leaf 7 EBX for BMI1 and BMI2 and leaf 1 ECX
+// for POPCNT. They need no OS-managed state.
+func cpuHasBMI2() bool {
+	_, b, _, _ := cpuid(7, 0)
+	_, _, c, _ := cpuid(1, 0)
+	const bmi1, bmi2, popcnt = 1 << 3, 1 << 8, 1 << 23
+	return b&bmi1 != 0 && b&bmi2 != 0 && c&popcnt != 0
 }
 
 // cpuHasVPOPCNTDQ checks CPUID leaf 7 ECX for AVX512_VPOPCNTDQ.

@@ -9,4 +9,5 @@ var (
 	FMA          = false
 	AVX512       = false
 	AVX512Popcnt = false
+	BMI2         = false
 )

@@ -24,8 +24,8 @@ func TestForcedPortableDisablesEverything(t *testing.T) {
 	// The package-level flags are bound at init, so this asserts the
 	// invariant rather than re-reading the environment: a forced-
 	// portable process must expose no SIMD feature at all.
-	if ForcedPortable && (AVX || FMA || AVX512 || AVX512Popcnt) {
-		t.Fatalf("forced portable but AVX=%v FMA=%v AVX512=%v AVX512Popcnt=%v", AVX, FMA, AVX512, AVX512Popcnt)
+	if ForcedPortable && (AVX || FMA || AVX512 || AVX512Popcnt || BMI2) {
+		t.Fatalf("forced portable but AVX=%v FMA=%v AVX512=%v AVX512Popcnt=%v BMI2=%v", AVX, FMA, AVX512, AVX512Popcnt, BMI2)
 	}
 	if FMA && !AVX {
 		t.Fatal("FMA implies AVX")

@@ -112,10 +112,13 @@ func (m *Memory) Write32(addr uint32, v uint32) {
 	binary.LittleEndian.PutUint32(m.page(addr, true)[addr&(pageSize-1):], v)
 }
 
-// WriteBytes copies b into memory starting at addr.
+// WriteBytes copies b into memory starting at addr, one page at a
+// time; addresses wrap at 2^32 as Write8's do.
 func (m *Memory) WriteBytes(addr uint32, b []byte) {
-	for i, v := range b {
-		m.Write8(addr+uint32(i), v)
+	for len(b) > 0 {
+		n := copy(m.page(addr, true)[addr&(pageSize-1):], b)
+		b = b[n:]
+		addr += uint32(n)
 	}
 }
 
@@ -129,9 +132,20 @@ func (m *Memory) ReadBytes(addr uint32, n int) []byte {
 // ReadBytesInto fills dst with the bytes starting at addr — the
 // allocation-free form of ReadBytes for per-acquisition oracles on the
 // synthesis hot path.
+//
+// It copies one page at a time; a page never written reads as zeros
+// and stays unmapped.
 func (m *Memory) ReadBytesInto(dst []byte, addr uint32) {
-	for i := range dst {
-		dst[i] = m.Read8(addr + uint32(i))
+	for len(dst) > 0 {
+		off := addr & (pageSize - 1)
+		n := min(len(dst), int(pageSize-off))
+		if p := m.page(addr, false); p != nil {
+			copy(dst[:n], p[off:])
+		} else {
+			clear(dst[:n])
+		}
+		dst = dst[n:]
+		addr += uint32(n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -89,6 +90,55 @@ func TestMemoryBytesRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMemoryBytesAcrossPages pins the page-at-a-time WriteBytes and
+// ReadBytesInto to Write8 and Read8 byte by byte, on ranges that start
+// and end mid-page, span a whole page and wrap past 2^32: the same
+// bytes land and read back, and the same pages get mapped. A read of
+// unmapped pages returns zeros and maps nothing; an empty write maps
+// nothing either.
+func TestMemoryBytesAcrossPages(t *testing.T) {
+	for _, c := range []struct{ addr, n uint32 }{
+		{pageSize - 3, 7},
+		{2*pageSize - 1, pageSize + 2},
+		{5 * pageSize, 3 * pageSize},
+		{0xFFFFFFFF - 4, 9},
+	} {
+		data := make([]byte, c.n)
+		for i := range data {
+			data[i] = byte(i*7 + 1)
+		}
+		got, want := NewMemory(), NewMemory()
+		got.WriteBytes(c.addr, data)
+		for i, v := range data {
+			want.Write8(c.addr+uint32(i), v)
+		}
+		if g, w := fmt.Sprint(got.Footprint()), fmt.Sprint(want.Footprint()); g != w {
+			t.Fatalf("WriteBytes(%#x, %d) mapped %s, Write8 %s", c.addr, c.n, g, w)
+		}
+		// Read a page either side as well: mapped and unmapped pages.
+		start := c.addr - pageSize
+		buf := make([]byte, c.n+2*pageSize)
+		for i := range buf {
+			buf[i] = 0xAA
+		}
+		got.ReadBytesInto(buf, start)
+		for i, v := range buf {
+			if w := want.Read8(start + uint32(i)); v != w {
+				t.Fatalf("ReadBytesInto at %#x: byte %d = %#x, Read8 %#x", start, i, v, w)
+			}
+		}
+		if g, w := fmt.Sprint(got.Footprint()), fmt.Sprint(want.Footprint()); g != w {
+			t.Fatalf("ReadBytesInto around %#x mapped pages: %s, want %s", c.addr, g, w)
+		}
+	}
+	m := NewMemory()
+	m.WriteBytes(pageSize-1, nil)
+	m.ReadBytesInto(make([]byte, 3*pageSize), pageSize-1)
+	if n, _ := m.Footprint(); n != 0 {
+		t.Fatalf("an empty write and an unmapped read mapped %d pages", n)
 	}
 }
 

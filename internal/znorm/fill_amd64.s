@@ -96,6 +96,15 @@ GLOBL expconst<>(SB), RODATA, $128
 	VPSRLQ  $31, x, t; \
 	VPXORQ  x, t, x
 
+// LISTMISS(off) writes the lowest miss left in AX, offset by the word
+// base R12, to the entry at byte offset off from the count R13, and
+// clears it from AX (BLSRQ sets ZF once AX is empty).
+#define LISTMISS(off) \
+	TZCNTQ AX, DX;                              \
+	ADDQ   R12, DX;                             \
+	MOVW   DX, window_misses+off(R9)(R13*2);   \
+	BLSRQ  AX, AX
+
 // func windowAVX512(w *window, s uint64, steps int)
 //
 // Pass 1 covers eight stream positions per step, one per qword lane.
@@ -106,8 +115,9 @@ GLOBL expconst<>(SB), RODATA, $128
 // VCVTQQ2PD, VCVTPS2PD and one VMULPD — the rounding of Norm's
 // float64(j) * float64(wn[i]) — stored to w.vals. The hit mask
 // |j| < kn[i] is one unsigned VPCMPUQ of VPABSQ(j) against kn, stored
-// as one byte of w.hits. A scalar scan of the hits words then lists
-// the positions of the misses in w.misses, R13 of them.
+// as one byte of w.hits. The miss list then takes each hits word's
+// clear bits, four entries per word with no branch (LISTMISS) and a
+// loop only past four, into w.misses, R13 of them.
 //
 // Pass 2 runs over the miss list eight entries at a time, with no
 // branch in a group's vector part. Per lane, at the position p, it
@@ -118,8 +128,11 @@ GLOBL expconst<>(SB), RODATA, $128
 // separate VMULPS and VADDPS (Norm's unfused float32 multiply and add),
 // from one VPGATHERQQ of fnwedge; the exp of (−.5·x)·x by EXPPD,
 // rounded to float32. Accept is y < exp, fallback is i == 0 or u == 1;
-// a scalar loop sets each live lane's two bits at its position in
-// w.accept and w.fallback, which start the call cleared.
+// the group stores the two lane masks as one byte each of w.acc and
+// w.fb (its lanes past the list's end hold verdicts on stale entries,
+// which no word's placement reaches). A loop over the words then
+// places them, PDEPQ at each word's misses, into w.accept and
+// w.fallback.
 TEXT ·windowAVX512(SB), NOSPLIT, $0-24
 	MOVQ          w+0(FP), DI
 	MOVQ          s+8(FP), AX
@@ -129,9 +142,6 @@ TEXT ·windowAVX512(SB), NOSPLIT, $0-24
 	LEAQ          ·knwn(SB), R8
 	XORQ          R13, R13               // misses so far
 
-	VPXORQ        Z6, Z6, Z6
-	VMOVDQU64     Z6, window_accept(R9)
-	VMOVDQU64     Z6, window_fallback(R9)
 	VPBROADCASTQ  AX, Z0
 	VPADDQ        ·laneGamma(SB), Z0, Z0 // lane k: s + (k+1)·γ
 	VPBROADCASTQ  ·laneGamma+56(SB), Z1  // one step: 8·γ
@@ -167,42 +177,49 @@ pass1:
 	DECQ          CX
 	JNZ           pass1
 
-	// List the misses: every clear bit of w.hits below steps·8.
+	// List the misses: the clear bits of w.hits below steps·8, word by
+	// word. Each word writes four entries whatever it holds (TZCNTQ of
+	// an empty rest is 64, an entry past the count) and advances the
+	// count by its POPCNTQ; only a word with more misses loops. The
+	// word's miss mask waits in w.accept for the placement below.
 	MOVQ          steps+16(FP), CX
 	SHLQ          $3, CX                 // positions left
 	XORQ          R12, R12               // word base position
+	XORQ          R11, R11               // word index
 
 words:
-	MOVQ          $-1, DX
-	CMPQ          CX, $64
-	JGE           full
-	SHLQ          CX, DX                 // the word ends mid-way
-	NOTQ          DX
-
-full:
-	MOVQ          R12, R11
-	SHRQ          $3, R11
-	MOVQ          window_hits(R9)(R11*1), AX
+	MOVQ          $64, DX
+	CMPQ          CX, DX
+	CMOVQLT       CX, DX                 // positions in the word
+	MOVQ          window_hits(R9)(R11*8), AX
 	NOTQ          AX
-	ANDQ          DX, AX
-	JZ            nextword
+	BZHIQ         DX, AX, AX             // the word's misses
+	MOVQ          AX, window_accept(R9)(R11*8)
+	POPCNTQ       AX, R10
+	LISTMISS(0)
+	LISTMISS(2)
+	LISTMISS(4)
+	LISTMISS(6)
+	JZ            listed
+	LEAQ          4(R13), R8             // next entry
 
-bits:
-	BSFQ          AX, DX
+more:
+	TZCNTQ        AX, DX
 	ADDQ          R12, DX
-	MOVW          DX, window_misses(R9)(R13*2)
-	INCQ          R13
-	LEAQ          -1(AX), DX
-	ANDQ          DX, AX
-	JNZ           bits
+	MOVW          DX, window_misses(R9)(R8*2)
+	INCQ          R8
+	BLSRQ         AX, AX
+	JNZ           more
 
-nextword:
+listed:
+	ADDQ          R10, R13
 	ADDQ          $64, R12
+	INCQ          R11
 	SUBQ          $64, CX
 	JG            words
 
 	TESTQ         R13, R13
-	JZ            done
+	JZ            place
 	EXPCONST
 	VPBROADCASTQ  ·laneGamma(SB), Z1     // γ
 	MOVQ          s+8(FP), AX
@@ -241,70 +258,199 @@ pass2:
 	VCMPPS        $0x11, Z12, Z7, K4     // y < float32(exp), ordered
 	VPTESTNMQ     Z8, Z8, K5             // i == 0
 	KORB          K3, K5, K5
-	KMOVB         K4, AX
-	KMOVB         K5, DX
-	MOVQ          R13, BX
-	SUBQ          R14, BX
-	CMPQ          BX, $8
-	JLE           scatter
-	MOVQ          $8, BX                 // live lanes of the group
-
-scatter:
-	MOVWLZX       window_misses(R9)(R14*2), CX       // p
-	MOVL          CX, R11
-	SHRL          $6, R11
-	MOVL          AX, R10
-	ANDL          $1, R10
-	SHLQ          CX, R10
-	ORQ           R10, window_accept(R9)(R11*8)
-	MOVL          DX, R10
-	ANDL          $1, R10
-	SHLQ          CX, R10
-	ORQ           R10, window_fallback(R9)(R11*8)
-	SHRL          $1, AX
-	SHRL          $1, DX
-	INCQ          R14
-	DECQ          BX
-	JNZ           scatter
+	MOVQ          R14, BX
+	SHRQ          $3, BX                 // group
+	KMOVB         K4, window_acc(R9)(BX*1)
+	KMOVB         K5, window_fb(R9)(BX*1)
+	ADDQ          $8, R14
 	CMPQ          R14, R13
 	JLT           pass2
 
-done:
+	// Place the verdicts: per word, PDEPQ deposits the next
+	// popcount(misses) accept and fallback bits of the group bytes at
+	// the word's miss positions, and clears both masks at its hits.
+	// SHRQ takes the 64 bits from bit offset R14 of each byte stream
+	// out of two qword loads.
+place:
+	MOVQ          steps+16(FP), R8
+	ADDQ          $7, R8
+	SHRQ          $3, R8                 // words
+	XORQ          R11, R11               // word index
+	XORQ          R14, R14               // verdicts placed
+
+placeword:
+	MOVQ          window_accept(R9)(R11*8), AX // the word's misses
+	MOVQ          R14, BX
+	SHRQ          $3, BX
+	MOVQ          R14, CX
+	ANDQ          $7, CX
+	MOVQ          window_acc(R9)(BX*1), DX
+	MOVQ          window_acc+8(R9)(BX*1), R10
+	SHRQ          CX, R10, DX
+	PDEPQ         AX, DX, DX
+	MOVQ          DX, window_accept(R9)(R11*8)
+	MOVQ          window_fb(R9)(BX*1), DX
+	MOVQ          window_fb+8(R9)(BX*1), R10
+	SHRQ          CX, R10, DX
+	PDEPQ         AX, DX, DX
+	MOVQ          DX, window_fallback(R9)(R11*8)
+	POPCNTQ       AX, DX
+	ADDQ          DX, R14
+	INCQ          R11
+	DECQ          R8
+	JNZ           placeword
+
 	VZEROUPPER
 	RET
+
+// COMPRESSBYTE(b) compacts the eight values of byte b of a word: the
+// emit byte at b(BX) selects lanes of the values at 64·b(SI);
+// VCOMPRESSPD packs them to the low lanes and a store masked to their
+// count writes exactly those at DI, which then advances by the count.
+// Both masks are loaded from memory, which keeps the mask moves off the
+// vector ports.
+#define COMPRESSBYTE(b) \
+	KMOVB       b(BX), K1;         \
+	MOVBLZX     b(BX), AX;         \
+	POPCNTL     AX, DX;            \
+	KMOVB       (R14)(DX*1), K2;   \
+	VMOVUPD     (64*b)(SI), Z0;    \
+	VCOMPRESSPD Z0, K1, Z1;        \
+	VMOVUPD     Z1, K2, (DI);      \
+	LEAQ        (DI)(DX*8), DI
 
 // storeMask[c] is the mask of the low c lanes.
 DATA storeMask<>+0(SB)/8, $0x7f3f1f0f07030100
 DATA storeMask<>+8(SB)/1, $0xff
 GLOBL storeMask<>(SB), RODATA, $9
 
-// func compressAVX512(dst, vals *float64, emit uint64)
+// func walkAVX512(w *window, dst *float64, room, p, n int) (o, q int)
 //
-// Per step, byte b of emit selects lanes of vals[8b:8b+8]; VCOMPRESSPD
-// packs them to the low lanes and a store masked to popcount(b) lanes
-// writes exactly those to dst, which then advances by the count. Both
-// masks are loaded from memory, which keeps the mask moves off the
-// vector ports.
-TEXT ·compressAVX512(SB), NOSPLIT, $0-24
-	MOVQ          dst+0(FP), DI
-	MOVQ          vals+8(FP), SI
-	LEAQ          emit+16(FP), DX
-	LEAQ          storeMask<>(SB), R9
-	MOVQ          $8, R8
+// The walker's fast path: window.walk's Go word body in registers,
+// word after word, from the draw start p. Per word k, with b = p − 64k:
+// live is the positions from b up to n (BZHIQ) or the word's end;
+// starts = missStarts(live &^ hits), with ANDNQ for each &^. A
+// fallback that starts a draw at q ends the walk if q is the walk's
+// position p, and otherwise cuts live to the positions below q, so the
+// walk stops at q after the word. The emitted positions are
+// live &^ starts<<1 & (hits | starts&accept), and eight COMPRESSBYTE
+// steps write their values at DI. The next draw start is
+// 64k + last + 1, plus one when last starts a draw (BTQ into the
+// carry), which then consumes the position after it; last is the
+// word's last live position. In the word where dst fills, the emitted
+// positions are only the first room of them (PDEPQ of room low bits
+// over emit), last is the last of those, and the walk ends after the
+// word. It returns the values written and the next draw start.
+TEXT ·walkAVX512(SB), NOSPLIT, $8-56
+	MOVQ          w+0(FP), R9
+	MOVQ          dst+8(FP), DI
+	MOVQ          room+16(FP), R10
+	MOVQ          p+24(FP), R11
+	MOVQ          n+32(FP), R12
+	MOVQ          $0x5555555555555555, R13 // the even positions
+	LEAQ          storeMask<>(SB), R14
+	CMPQ          R11, R12
+	JGE           walked
 
-compress:
-	KMOVB         (DX), K1
-	MOVBLZX       (DX), AX
-	POPCNTL       AX, CX
-	KMOVB         (R9)(CX*1), K2
-	VMOVUPD       (SI), Z0
-	VCOMPRESSPD   Z0, K1, Z1
-	VMOVUPD       Z1, K2, (DI)
-	LEAQ          (DI)(CX*8), DI
-	ADDQ          $64, SI
-	INCQ          DX
-	DECQ          R8
-	JNZ           compress
+walkword:
+	MOVQ          R11, BX
+	SHRQ          $6, BX                 // k
+	MOVQ          BX, DX
+	SHLQ          $6, DX
+	NEGQ          DX
+	ADDQ          R12, DX                // n − 64k
+	MOVQ          $64, AX
+	CMPQ          DX, AX
+	CMOVQGT       AX, DX                 // end
+	MOVQ          $-1, AX
+	BZHIQ         DX, AX, AX             // the positions below end
+	MOVQ          R11, CX
+	MOVQ          $-1, DX
+	SHLQ          CX, DX                 // the positions from b on
+	ANDQ          DX, AX                 // live
+	MOVQ          window_hits(R9)(BX*8), SI
+	ANDNQ         AX, SI, DX             // misses
+	LEAQ          (DX)(DX*1), CX
+	ANDNQ         DX, CX, CX             // the first miss of each run
+	ANDNQ         CX, R13, R8            // ... on an odd position
+	ANDQ          R13, CX                // ... on an even position
+	ADDQ          DX, CX
+	ADDQ          DX, R8
+	ANDNQ         DX, CX, CX             // the runs that begin on even
+	ANDNQ         DX, R8, R8             // the runs that begin on odd
+	ANDQ          R13, CX
+	ANDNQ         R8, R13, R8
+	ORQ           R8, CX                 // starts
+	MOVQ          window_fallback(R9)(BX*8), R8
+	ANDQ          CX, R8                 // the fallbacks that start a draw
+	JNZ           fallback
+
+settled:
+	MOVQ          window_accept(R9)(BX*8), R8
+	ANDQ          CX, R8
+	ORQ           SI, R8
+	ANDQ          AX, R8
+	LEAQ          (CX)(CX*1), SI
+	ANDNQ         R8, SI, R8             // emit
+	POPCNTQ       R8, DX
+	CMPQ          DX, R10
+	JGE           fills                  // dst fills in this word
+	SUBQ          DX, R10
+	BSRQ          AX, AX                 // last
+
+emitword:
+	MOVQ          BX, SI
+	SHLQ          $9, SI
+	LEAQ          window_vals(R9)(SI*1), SI // the word's values
+	SHLQ          $6, BX
+	BTQ           AX, CX                 // last starts a draw
+	LEAQ          1(BX)(AX*1), R11
+	ADCQ          $0, R11                // the next draw start
+	MOVQ          R8, emit-8(SP)
+	LEAQ          emit-8(SP), BX
+	COMPRESSBYTE(0)
+	COMPRESSBYTE(1)
+	COMPRESSBYTE(2)
+	COMPRESSBYTE(3)
+	COMPRESSBYTE(4)
+	COMPRESSBYTE(5)
+	COMPRESSBYTE(6)
+	COMPRESSBYTE(7)
+	TESTQ         R10, R10
+	JZ            walked                 // dst is full
+	CMPQ          R11, R12
+	JLT           walkword
+	JMP           walked
+
+	// A fallback starts a draw at q: at the walk's start, end the walk;
+	// past it, walk the word below q alone. Every use of starts is cut
+	// by live, and the miss before q, if any, is consumed, so it starts
+	// no draw and the next start is q.
+fallback:
+	TZCNTQ        R8, R8                 // q
+	MOVQ          R11, DX
+	ANDQ          $63, DX                // b
+	CMPQ          R8, DX
+	JEQ           walked
+	BZHIQ         R8, AX, AX             // live below q
+	JMP           settled
+
+	// dst fills in this word: emit its first room values, and end at
+	// the last of them.
+fills:
+	MOVQ          $-1, AX
+	BZHIQ         R10, AX, AX
+	PDEPQ         R8, AX, R8             // the lowest room bits of emit
+	BSRQ          R8, AX                 // last
+	XORQ          R10, R10
+	JMP           emitword
+
+walked:
+	MOVQ          DI, AX
+	SUBQ          dst+8(FP), AX
+	SHRQ          $3, AX
+	MOVQ          AX, o+40(FP)
+	MOVQ          R11, q+48(FP)
 	VZEROUPPER
 	RET
 

@@ -6,8 +6,8 @@ package znorm
 // loop itself.
 const useWindowKernel = false
 
-// compress is the walker's compaction of one word (see compressGo).
-func compress(dst, vals []float64, emit uint64) { compressGo(dst, vals, emit) }
+// walkWords walks nothing: the walker's Go word body is the only path.
+func walkWords(w *window, dst []float64, p, n int) (o, q int) { return 0, p }
 
 // fillWindowed is never reached off amd64; it exists so Fill compiles
 // on every architecture.

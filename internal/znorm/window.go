@@ -33,14 +33,21 @@ const windowWords = windowLen / 64
 //
 // Bit p of a mask lives in byte p/8, bit p%8, so the kernel stores one
 // hits byte per eight-lane step; accept and fallback are clear at hits.
-// misses is the kernel's own scratch: the positions of the misses in
-// order, with room for one full eight-lane load past the last.
+// misses, acc and fb are the kernel's own scratch: the positions of the
+// misses in order, with room for one full eight-lane load past the
+// last, and pass 2's accept and fallback verdicts in the same order,
+// one byte per group of eight, with room for the placement's two-qword
+// load past the last. An entry past the list's count may name any
+// position up to windowLen; pass 2's gather of vals there reads the
+// hits words that follow vals, and its verdicts are never placed.
 type window struct {
 	vals     [windowLen]float64
 	hits     [windowWords]uint64
 	accept   [windowWords]uint64
 	fallback [windowWords]uint64
 	misses   [windowLen + laneWidth]uint16
+	acc      [windowLen/laneWidth + 16]uint8
+	fb       [windowLen/laneWidth + 16]uint8
 }
 
 // windowSteps is the number of kernel steps a fill of n draws needs
@@ -60,11 +67,21 @@ func windowSteps(n int) int {
 // the walk resumes where Norm stopped. Walked from a draw start, a
 // word's draws follow from its masks alone up to its first fallback
 // (see missStarts), so walk compacts each word's emitted values into
-// dst in one call and calls Norm only at fallbacks.
+// dst in one call and calls Norm only at fallbacks. Where the kernel
+// runs, an assembly fast path (walkWords) walks up to the next
+// fallback, and the Go word body below, its reference twin, then only
+// calls Norm there; elsewhere the Go body walks every word.
 func (w *window) walk(dst []float64, s *uint64, n int) int {
 	base := *s
 	o, p := 0, 0
 	for p < n && o < len(dst) {
+		// The fast path walks up to the next fallback; the body below
+		// walks on from there.
+		wrote, next := walkWords(w, dst[o:], p, n)
+		o, p = o+wrote, next
+		if p >= n || o == len(dst) {
+			break
+		}
 		k, b := p>>6, p&63
 		end := min(n-k*64, 64)
 		live := ^uint64(0) << b & (^uint64(0) >> (64 - end))
@@ -96,7 +113,7 @@ func (w *window) walk(dst []float64, s *uint64, n int) int {
 			last = 63 - bits.LeadingZeros64(emit)
 		}
 		c := bits.OnesCount64(emit)
-		compress(dst[o:o+c], w.vals[k*64:k*64+64], emit)
+		compressGo(dst[o:o+c], w.vals[k*64:k*64+64], emit)
 		o += c
 		// A miss starting a draw at the word's last position consumes
 		// the position after it.
@@ -123,7 +140,8 @@ func missStarts(miss uint64) uint64 {
 }
 
 // compressGo writes the values of vals at the set bits of emit, in
-// order, to dst: the reference for the vector compaction.
+// order, to dst: the Go word body's compaction, which the fast path
+// does in vector registers.
 func compressGo(dst, vals []float64, emit uint64) {
 	for o := 0; emit != 0; o++ {
 		dst[o] = vals[bits.TrailingZeros64(emit)]

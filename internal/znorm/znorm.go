@@ -16,33 +16,45 @@
 //   - NormFloat64 is the 128-strip ziggurat below, including the
 //     base-strip exponential tail and the float32 wedge test.
 //
-// Fill is len(dst) successive Norm calls. Where AVX-512 and FMA are
-// available it runs them as a windowed sampler. SplitMix64 is
-// counter-based: the draw k steps after state s mixes s + k·γ,
-// independently of every other draw. So a vector kernel computes, for
-// a window of up to windowLen positions at once, each position's
-// fast-strip value float64(j)·wn[j&0x7f] and whether it hits
+// Fill is len(dst) successive Norm calls. Where AVX-512, FMA, BMI2
+// and POPCNT are available it runs them as a windowed sampler.
+// SplitMix64 is counter-based: the draw k steps after state s mixes
+// s + k·γ, independently of every other draw. So a vector kernel
+// computes, for a window of up to windowLen positions at once, each
+// position's fast-strip value float64(j)·wn[j&0x7f] and whether it hits
 // (|j| < kn[j&0x7f]), eight positions per ZMM register and with no
-// exits. A second pass settles the wedge misses: Norm's wedge test
-// with the uniform from the next position, through a vector exp that
-// performs math.Exp's operations lane by lane, so it rounds exactly as
-// Norm does. A rejected wedge draw restarts at the position after its
-// uniform, as Norm's loop does. The misses that consume a varying
-// number of positions — the base-strip tail and a uniform of exactly
-// 1, which Norm redraws — are marked as fallbacks. A Go walker then
-// turns each 64-position word into draws with bit masks alone: a miss
-// that starts a draw consumes the next position, accepted wedge draws
-// and hits are emitted, and one VCOMPRESSPD pass writes the emitted
-// values into dst. At a fallback it calls Norm itself from the state
-// before that position, s + p·γ, and resumes at the position Norm
-// stopped at, (state − s)·γ⁻¹. Every value in dst is therefore the
-// value Norm would have returned at that state, and the final state is
-// where Norm would have left it: the windowed Fill equals the scalar
-// loop bit for bit by construction. The package tests pin the kernel
-// against a Go twin, its exp against math.Exp on every reachable
-// argument and Fill against Norm; the engine's equivalence tests pin
-// Norm against math/rand draw for draw, the property the golden
-// campaign results rest on.
+// exits. It lists the misses with no branch per miss: each 64-position
+// word writes four list entries whatever it holds (TZCNT, BLSR) and
+// advances the count by its popcount; only a word with more than four
+// misses loops. A second pass settles the listed misses eight at a
+// time: Norm's wedge test with the uniform from the next position,
+// through a vector exp that performs math.Exp's operations lane by
+// lane, so it rounds exactly as Norm does. A rejected wedge draw
+// restarts at the position after its uniform, as Norm's loop does.
+// The misses that consume a varying number of positions — the
+// base-strip tail and a uniform of exactly 1, which Norm redraws — are
+// marked as fallbacks. Each group of eight stores its accept and
+// fallback verdicts as one byte each, in list order, and one loop over
+// the window's words places them: a word's accept and fallback masks
+// are its next popcount(misses) verdict bits, deposited at its miss
+// positions by PDEP. The walker turns each 64-position word into draws
+// with bit masks alone: a miss that starts a draw consumes the next
+// position, accepted wedge draws and hits are emitted, and one
+// VCOMPRESSPD pass writes the emitted values into dst. An assembly
+// fast path walks the words in registers, up to the next fallback or
+// the draw with which dst fills (the emit mask cut to the draws that
+// fit, by PDEP); the walker's Go word body is its reference twin. At a
+// fallback the walker calls Norm itself from the state before that
+// position, s + p·γ, and resumes at the position Norm stopped at,
+// (state − s)·γ⁻¹. Every value in dst is therefore the value Norm
+// would have returned at that state, and the final state is where Norm
+// would have left it: the windowed Fill equals the scalar loop bit for
+// bit by construction. The
+// package tests pin the kernel against a Go twin, its exp against
+// math.Exp on every reachable argument, the walker's fast path against
+// its Go word body and Fill against Norm; the engine's equivalence
+// tests pin Norm against math/rand draw for draw, the property the
+// golden campaign results rest on.
 package znorm
 
 import "math"
@@ -122,8 +134,8 @@ func Norm(state *uint64) float64 {
 // Fill draws len(dst) consecutive standard normals from the stream —
 // the bulk form the fused expansion path consumes. It advances the
 // state and fills dst exactly as len(dst) successive Norm calls would;
-// with AVX-512 and FMA it runs the windowed sampler (see the package
-// doc).
+// with AVX-512, FMA, BMI2 and POPCNT it runs the windowed sampler (see
+// the package doc).
 func Fill(dst []float64, state *uint64) {
 	if useWindowKernel {
 		fillWindowed(dst, state)
