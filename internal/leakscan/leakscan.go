@@ -62,14 +62,9 @@ const (
 )
 
 // Values carries one run's randomly drawn operand values and the derived
-// intermediates, keyed by the paper's register letters ("rA", "rB", ...).
-type Values map[string]uint32
-
-// HW returns the Hamming weight of a named value.
-func (v Values) HW(name string) float64 { return float64(sca.HW(v[name])) }
-
-// HD returns the Hamming distance between two named values.
-func (v Values) HD(a, b string) float64 { return float64(sca.HD(v[a], v[b])) }
+// intermediates, in the slots its benchmark names with the paper's
+// register letters ("rA", "rB", ...; see operands).
+type Values [8]uint32
 
 // Expr is one power-model expression of Table 2, evaluated per run and
 // correlated against the trace inside its component's clock-cycle window.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"encoding/json"
@@ -134,25 +135,42 @@ type uploads struct {
 	dir string
 
 	mu    sync.Mutex
-	locks map[string]*sync.Mutex
+	locks map[string]*sync.RWMutex
 }
 
 func newUploads(dir string) *uploads {
-	return &uploads{dir: dir, locks: map[string]*sync.Mutex{}}
+	return &uploads{dir: dir, locks: map[string]*sync.RWMutex{}}
 }
 
-// lock serializes operations on one upload id; cross-id operations stay
-// concurrent.
-func (u *uploads) lock(id string) func() {
+// idLock returns the lock of one upload id; cross-id operations never
+// contend.
+func (u *uploads) idLock(id string) *sync.RWMutex {
 	u.mu.Lock()
+	defer u.mu.Unlock()
 	l, ok := u.locks[id]
 	if !ok {
-		l = &sync.Mutex{}
+		l = &sync.RWMutex{}
 		u.locks[id] = l
 	}
-	u.mu.Unlock()
+	return l
+}
+
+// lock takes an upload exclusively: declare, status and commit, which
+// read or replace the assembled stream as a whole.
+func (u *uploads) lock(id string) func() {
+	l := u.idLock(id)
 	l.Lock()
 	return l.Unlock
+}
+
+// sharePart takes an upload for one part write. Part writes share it —
+// each lands on its own declared byte range — and exclude the
+// exclusive holders, so no part lands while a commit reads the stream
+// or recreates it after the commit removed it.
+func (u *uploads) sharePart(id string) func() {
+	l := u.idLock(id)
+	l.RLock()
+	return l.RUnlock
 }
 
 func (u *uploads) declPath(id string) string { return filepath.Join(u.dir, "uploads", id+".json") }
@@ -308,7 +326,9 @@ func (s *Server) handleTracesStatus(w http.ResponseWriter, r *http.Request) {
 // exactly — a mismatch is refused with 422 before any byte lands, so a
 // corrupted transfer can never poison the assembled stream. Duplicate
 // and reordered deliveries are no-ops; a retry after a torn write
-// simply overwrites the same range with the right bytes.
+// simply overwrites the same range with the right bytes. Parts of one
+// upload land side by side: they share the upload's lock, which
+// declare, status and commit take exclusively.
 func (s *Server) handleTracesPart(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	offset, err := strconv.ParseInt(r.PathValue("offset"), 10, 64)
@@ -316,7 +336,7 @@ func (s *Server) handleTracesPart(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, fmt.Errorf("serve: bad part offset: %w", err))
 		return
 	}
-	unlock := s.uploads.lock(id)
+	unlock := s.uploads.sharePart(id)
 	defer unlock()
 	d, err := s.uploads.loadDecl(id)
 	if errors.Is(err, os.ErrNotExist) {
@@ -340,11 +360,18 @@ func (s *Server) handleTracesPart(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, part.Size+1))
-	if err != nil {
+	// Read into a buffer of the declared size (plus the room ReadFrom
+	// wants to see the end) when the request announces that size, so
+	// the body is never copied to grow it.
+	var buf bytes.Buffer
+	if r.ContentLength == part.Size {
+		buf.Grow(int(part.Size) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, part.Size+1)); err != nil {
 		badRequest(w, fmt.Errorf("serve: reading part: %w", err))
 		return
 	}
+	body := buf.Bytes()
 	if int64(len(body)) != part.Size {
 		badRequest(w, fmt.Errorf("serve: part body is %d bytes, declaration says %d", len(body), part.Size))
 		return

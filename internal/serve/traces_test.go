@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/aes"
 	"repro/internal/attack"
@@ -65,17 +69,26 @@ func declareParts(stream []byte, partSize int) uploadDecl {
 
 func putPart(t *testing.T, base, id string, off int64, body []byte) *http.Response {
 	t.Helper()
+	resp, err := sendPart(base, id, off, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// sendPart is putPart for goroutines other than the test's own.
+func sendPart(base, id string, off int64, body []byte) (*http.Response, error) {
 	req, err := http.NewRequest(http.MethodPut,
 		fmt.Sprintf("%s/v1/traces/%s/parts/%d", base, id, off), bytes.NewReader(body))
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	resp.Body.Close()
-	return resp
+	return resp, nil
 }
 
 func declare(t *testing.T, base string, d uploadDecl) (int, uploadStatus) {
@@ -265,8 +278,197 @@ func TestTracesCommitRefusesServerSideDamage(t *testing.T) {
 	}
 }
 
+// TestTracesConcurrentPartsAndCommit sends every part from four clients
+// at once, each in its own shuffled order with repeats, while commits
+// are attempted. A commit may only refuse with parts that had not yet
+// landed, and once one succeeds the upload is sealed: the assembled
+// stream is gone for good, late parts are no-ops, and the store equals
+// a local ingest of the same bytes.
+func TestTracesConcurrentPartsAndCommit(t *testing.T) {
+	stream := leakyStream(t, 200, 24, 1, 0x5a)
+	dataDir := t.TempDir()
+	_, ts := newTestServer(t, Options{DataDir: dataDir})
+	d := declareParts(stream, 700)
+	_, st := declare(t, ts.URL, d)
+	id := st.ID
+	partAt := map[int64]int{}
+	for i, p := range d.Parts {
+		partAt[p.Offset] = i
+	}
+	put := func(i int) bool {
+		p := d.Parts[i]
+		resp, err := sendPart(ts.URL, id, p.Offset, stream[p.Offset:p.Offset+p.Size])
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		if resp.StatusCode != http.StatusNoContent {
+			t.Errorf("part %d: status %d", p.Offset, resp.StatusCode)
+			return false
+		}
+		return true
+	}
+
+	landed := make([]atomic.Bool, len(d.Parts))
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			order := append(rng.Perm(len(d.Parts)), rng.Perm(len(d.Parts))[:len(d.Parts)/2]...)
+			for _, i := range order {
+				if !put(i) {
+					return
+				}
+				landed[i].Store(true)
+			}
+		}()
+	}
+	sent := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(sent)
+	}()
+
+	var final uploadStatus
+	for attempts := 0; ; attempts++ {
+		allSent := false
+		select {
+		case <-sent:
+			allSent = true
+		default:
+		}
+		before := make([]bool, len(d.Parts))
+		for i := range landed {
+			before[i] = landed[i].Load()
+		}
+		code, st, body := commit(t, ts.URL, id)
+		if code == http.StatusOK {
+			final = st
+			break
+		}
+		if code != http.StatusConflict {
+			t.Fatalf("commit attempt %d: status %d\n%s", attempts, code, body)
+		}
+		if allSent {
+			t.Fatalf("commit after every part landed refused: missing %v", st.Missing)
+		}
+		for _, off := range st.Missing {
+			i, ok := partAt[off]
+			if !ok {
+				t.Fatalf("commit lists %d, not a declared part", off)
+			}
+			if before[i] {
+				t.Fatalf("commit lists part %d as missing after it landed", off)
+			}
+		}
+	}
+	<-sent
+	bin := filepath.Join(dataDir, "uploads", id+".bin")
+	if _, err := os.Stat(bin); !os.IsNotExist(err) {
+		t.Fatalf("assembled stream survives the commit: %v", err)
+	}
+	if !put(0) {
+		t.Fatal("part after commit is not a no-op")
+	}
+	if _, err := os.Stat(bin); !os.IsNotExist(err) {
+		t.Fatalf("a part after the commit recreated the assembled stream: %v", err)
+	}
+	localDir := filepath.Join(t.TempDir(), "local")
+	if err := tracestore.Ingest(localDir, bytes.NewReader(stream), d.ChunkTraces); err != nil {
+		t.Fatal(err)
+	}
+	local, err := tracestore.Open(localDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	if final.Store == nil || final.Store.Digest != local.Digest() {
+		t.Fatalf("committed store %+v, local ingest digests %s", final.Store, local.Digest())
+	}
+}
+
+// TestTracesCommitWaitsForPartInFlight holds a part's body open across
+// a commit: the commit must wait for that part to land rather than seal
+// the upload under it, or the late write would recreate the assembled
+// stream the commit removed.
+func TestTracesCommitWaitsForPartInFlight(t *testing.T) {
+	stream := leakyStream(t, 40, 16, 0, 0x11)
+	dataDir := t.TempDir()
+	srv, ts := newTestServer(t, Options{DataDir: dataDir})
+	d := declareParts(stream, 512)
+	_, st := declare(t, ts.URL, d)
+	id := st.ID
+	for _, p := range d.Parts {
+		putPart(t, ts.URL, id, p.Offset, stream[p.Offset:p.Offset+p.Size])
+	}
+
+	p := d.Parts[0]
+	body := stream[p.Offset : p.Offset+p.Size]
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	req, err := http.NewRequest(http.MethodPut, fmt.Sprintf("%s/v1/traces/%s/parts/%d", ts.URL, id, p.Offset), pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = p.Size
+	putCode := make(chan int, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Error(err)
+			putCode <- 0
+			return
+		}
+		resp.Body.Close()
+		putCode <- resp.StatusCode
+	}()
+	go pw.Write(body[:1])
+	// Wait until the part's handler holds the upload while it reads the
+	// rest of the body.
+	l := srv.uploads.idLock(id)
+	for deadline := time.Now().Add(10 * time.Second); l.TryLock(); {
+		l.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatal("the part's handler never took the upload's lock")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	commitCode := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/traces/"+id+"/commit", "application/json", nil)
+		if err != nil {
+			t.Error(err)
+			commitCode <- 0
+			return
+		}
+		resp.Body.Close()
+		commitCode <- resp.StatusCode
+	}()
+	select {
+	case code := <-commitCode:
+		t.Fatalf("commit returned %d while a part was still arriving", code)
+	case <-time.After(100 * time.Millisecond):
+	}
+	go func() {
+		pw.Write(body[1:])
+		pw.Close()
+	}()
+	if code := <-putCode; code != http.StatusNoContent {
+		t.Fatalf("part held open across the commit: status %d", code)
+	}
+	if code := <-commitCode; code != http.StatusOK {
+		t.Fatalf("commit: status %d", code)
+	}
+	if _, err := os.Stat(filepath.Join(dataDir, "uploads", id+".bin")); !os.IsNotExist(err) {
+		t.Fatalf("a part in flight during the commit recreated the assembled stream: %v", err)
+	}
+}
+
 func TestTracesValidation(t *testing.T) {
-	_, ts := newTestServer(t, Options{DataDir: t.TempDir()})
+	dataDir := t.TempDir()
+	_, ts := newTestServer(t, Options{DataDir: dataDir})
 
 	// Non-tiling parts.
 	if code, _ := declare(t, ts.URL, uploadDecl{Size: 10, Parts: []uploadPart{
@@ -294,18 +496,26 @@ func TestTracesValidation(t *testing.T) {
 	if resp := putPart(t, ts.URL, st.ID, 7, []byte("x")); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("undeclared offset accepted: %d", resp.StatusCode)
 	}
-	// A stream that is not a trace set is refused at commit, not
-	// half-ingested.
-	junk := []byte(strings.Repeat("not a trace set ", 8))
-	jd := declareParts(junk, len(junk))
-	_, jst := declare(t, ts.URL, jd)
-	putPart(t, ts.URL, jst.ID, 0, junk)
-	code, _, body := commit(t, ts.URL, jst.ID)
-	if code != http.StatusBadRequest {
-		t.Fatalf("junk stream commit: %d\n%s", code, body)
-	}
-	if _, err := os.Stat(filepath.Join(jst.ID)); err == nil {
-		t.Fatal("junk ingest left a store behind")
+	// A stream that is not a trace set, and a set torn after its first
+	// record (so the ingest has begun a store), are refused at commit,
+	// not half-ingested.
+	full := leakyStream(t, 16, 8, 0, 2)
+	for name, junk := range map[string][]byte{
+		"not a trace set": []byte(strings.Repeat("not a trace set ", 8)),
+		"torn set":        full[:len(full)-5],
+	} {
+		jd := declareParts(junk, len(junk))
+		_, jst := declare(t, ts.URL, jd)
+		putPart(t, ts.URL, jst.ID, 0, junk)
+		code, _, body := commit(t, ts.URL, jst.ID)
+		if code != http.StatusBadRequest {
+			t.Fatalf("%s: commit %d\n%s", name, code, body)
+		}
+		for _, dir := range []string{jst.ID, jst.ID + ".ingest"} {
+			if _, err := os.Stat(filepath.Join(dataDir, "sets", dir)); !os.IsNotExist(err) {
+				t.Fatalf("%s: the refused ingest left sets/%s behind: %v", name, dir, err)
+			}
+		}
 	}
 }
 

@@ -226,13 +226,16 @@ func (sw *SetWriter) Close() error {
 
 // SetReader streams a serialized set record by record — the incremental
 // counterpart to SetWriter. Consumers that only fold each trace into an
-// accumulator (out-of-core CPA, store ingestion) iterate with Next and
-// never materialize the whole set; ReadSet is now a thin loop over it.
+// accumulator (out-of-core CPA, store ingestion) iterate with Next or
+// NextRaw and never materialize the whole set; ReadSet is now a thin
+// loop over it.
 type SetReader struct {
 	r       io.Reader
 	count   int
 	samples int
 	read    int
+	word    [4]byte
+	raw     []byte // Next's scratch for the undecoded samples
 }
 
 // maxSetSamples bounds the per-trace sample count a reader will accept
@@ -276,26 +279,52 @@ func (sr *SetReader) Read() int { return sr.read }
 // io.ErrUnexpectedEOF — the caller sees a torn set, never a silently
 // shortened one.
 func (sr *SetReader) Next() (Trace, []byte, error) {
-	if sr.read >= sr.count {
-		return nil, nil, io.EOF
+	if n := 8 * sr.samples; cap(sr.raw) < n {
+		sr.raw = make([]byte, n)
 	}
-	var auxLen uint32
-	if err := binary.Read(sr.r, binary.LittleEndian, &auxLen); err != nil {
-		return nil, nil, tear(err)
-	}
-	if auxLen > 1<<16 {
-		return nil, nil, fmt.Errorf("trace: unreasonable aux length %d", auxLen)
-	}
-	aux := make([]byte, auxLen)
-	if _, err := io.ReadFull(sr.r, aux); err != nil {
-		return nil, nil, tear(err)
+	// A fresh aux per record, never nil: callers keep it.
+	aux, err := sr.NextRaw(make([]byte, 0), sr.raw[:8*sr.samples])
+	if err != nil {
+		return nil, nil, err
 	}
 	t := make(Trace, sr.samples)
-	if err := binary.Read(sr.r, binary.LittleEndian, []float64(t)); err != nil {
-		return nil, nil, tear(err)
+	for s := range t {
+		t[s] = math.Float64frombits(binary.LittleEndian.Uint64(sr.raw[8*s:]))
+	}
+	return t, aux, nil
+}
+
+// NextRaw reads the next record without decoding its samples: the aux
+// record lands in aux[:0] (reusing its capacity, grown only when the
+// record is longer) and is returned, and the samples' little-endian
+// float64 words are copied verbatim into words, which must hold
+// 8*Samples() bytes. Errors are those of Next.
+func (sr *SetReader) NextRaw(aux, words []byte) ([]byte, error) {
+	if sr.read >= sr.count {
+		return nil, io.EOF
+	}
+	if len(words) != 8*sr.samples {
+		return nil, fmt.Errorf("trace: %d-byte sample buffer for %d samples", len(words), sr.samples)
+	}
+	if _, err := io.ReadFull(sr.r, sr.word[:]); err != nil {
+		return nil, tear(err)
+	}
+	auxLen := int(binary.LittleEndian.Uint32(sr.word[:]))
+	if auxLen > 1<<16 {
+		return nil, fmt.Errorf("trace: unreasonable aux length %d", auxLen)
+	}
+	if cap(aux) < auxLen {
+		aux = make([]byte, auxLen)
+	}
+	aux = aux[:auxLen]
+	if _, err := io.ReadFull(sr.r, aux); err != nil {
+		return nil, tear(err)
+	}
+	if _, err := io.ReadFull(sr.r, words); err != nil {
+		return nil, tear(err)
 	}
 	sr.read++
-	return t, aux, nil
+	return aux, nil
 }
 
 // tear maps a mid-record EOF to io.ErrUnexpectedEOF so "the stream

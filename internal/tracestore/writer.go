@@ -31,8 +31,9 @@ type Writer struct {
 	f   *os.File
 	man *Manifest
 
-	buf     []float64 // pending traces, trace-major, len = pending*samples
-	aux     []byte    // pending aux records, trace-major
+	raw     []byte // pending samples as little-endian words, trace-major
+	aux     []byte // pending aux records, trace-major
+	payload []byte // flushChunk's encoding scratch
 	pending int
 	off     int64
 	sealed  bool
@@ -89,9 +90,10 @@ func (w *Writer) Samples() int { return w.man.Samples }
 func (w *Writer) AuxLen() int { return w.man.AuxLen }
 
 // Append adds one trace with its auxiliary record. The trace is resized
-// to the store's sample count (mirroring trace.Set.Add); the aux record
-// must match the declared fixed length exactly — padding or truncating
-// measured metadata would silently alter it.
+// to the store's sample count (mirroring trace.Set.Add: truncated or
+// zero-padded); the aux record must match the declared fixed length
+// exactly — padding or truncating measured metadata would silently
+// alter it.
 func (w *Writer) Append(t trace.Trace, aux []byte) error {
 	if w.sealed || w.closed {
 		return fmt.Errorf("tracestore: append to a %s writer", w.state())
@@ -99,8 +101,13 @@ func (w *Writer) Append(t trace.Trace, aux []byte) error {
 	if len(aux) != w.man.AuxLen {
 		return fmt.Errorf("tracestore: aux record of %d bytes, store declares %d", len(aux), w.man.AuxLen)
 	}
-	t = t.Resize(w.man.Samples)
-	w.buf = append(w.buf, t...)
+	samples := w.man.Samples
+	for _, v := range t[:min(len(t), samples)] {
+		w.raw = binary.LittleEndian.AppendUint64(w.raw, math.Float64bits(v))
+	}
+	for range samples - len(t) {
+		w.raw = binary.LittleEndian.AppendUint64(w.raw, 0)
+	}
 	w.aux = append(w.aux, aux...)
 	w.pending++
 	if w.pending == w.man.ChunkTraces {
@@ -116,32 +123,70 @@ func (w *Writer) state() string {
 	return "closed"
 }
 
-// flushChunk writes the pending traces as one chunk, fsyncs the data
-// file, and atomically recommits the manifest to cover it.
+// flushChunk encodes the pending traces as one chunk and writes it.
 func (w *Writer) flushChunk() error {
 	if w.pending == 0 {
 		return nil
 	}
-	count, samples, auxLen := w.pending, w.man.Samples, w.man.AuxLen
-	payload := make([]byte, payloadSize(uint64(count), uint64(samples), uint64(auxLen)))
+	count := w.pending
+	size := int(payloadSize(uint64(count), uint64(w.man.Samples), uint64(w.man.AuxLen)))
+	if cap(w.payload) < size {
+		w.payload = make([]byte, size)
+	}
+	payload := w.payload[:size]
 	copy(payload, w.aux)
-	// Sample-major block: for each sample, the values of every trace in
-	// the chunk. w.buf is trace-major, so this is the transpose.
-	floats := payload[count*auxLen:]
-	for j := 0; j < count; j++ {
-		row := w.buf[j*samples : (j+1)*samples]
-		for s, v := range row {
-			binary.LittleEndian.PutUint64(floats[8*(s*count+j):], math.Float64bits(v))
+	crc := encodePayload(payload, w.raw, count, w.man.Samples, w.man.AuxLen)
+	w.raw = w.raw[:0]
+	w.aux = w.aux[:0]
+	w.pending = 0
+	return w.writeChunk(count, payload, crc)
+}
+
+// encodePayload completes a chunk payload whose count*auxLen aux bytes
+// are already in place: it fills the sample-major block from raw, the
+// chunk's samples as little-endian words in trace-major order, and
+// returns the payload's CRC32C.
+func encodePayload(payload, raw []byte, count, samples, auxLen int) uint32 {
+	transposeWords(payload[count*auxLen:], raw[:8*count*samples], count, samples)
+	return CRC(payload)
+}
+
+// transposeBlock is the side, in words, of the square tiles
+// transposeWords copies: 16 rows of 16 words keep both the source rows
+// and the destination columns of a tile within a few cache lines.
+const transposeBlock = 16
+
+// transposeWords writes the rows x cols matrix of 8-byte words in src
+// (row-major) to dst column-major: word (r, c) of src lands at word
+// c*rows + r of dst. The words are copied, never interpreted.
+func transposeWords(dst, src []byte, rows, cols int) {
+	le := binary.LittleEndian
+	for r0 := 0; r0 < rows; r0 += transposeBlock {
+		r1 := min(r0+transposeBlock, rows)
+		for c0 := 0; c0 < cols; c0 += transposeBlock {
+			c1 := min(c0+transposeBlock, cols)
+			for r := r0; r < r1; r++ {
+				row := src[8*(r*cols+c0) : 8*(r*cols+c1)]
+				for c := c0; c < c1; c++ {
+					le.PutUint64(dst[8*(c*rows+r):], le.Uint64(row[8*(c-c0):]))
+				}
+			}
 		}
 	}
+}
+
+// writeChunk appends one encoded chunk of count traces: header and
+// payload written, the data file fsynced, then the manifest atomically
+// recommitted to cover it.
+func (w *Writer) writeChunk(count int, payload []byte, crc uint32) error {
 	h := ChunkHeader{
 		Index:      uint32(len(w.man.Chunks)),
 		First:      uint32(w.man.Traces),
 		Count:      uint32(count),
-		Samples:    uint32(samples),
-		AuxLen:     uint32(auxLen),
+		Samples:    uint32(w.man.Samples),
+		AuxLen:     uint32(w.man.AuxLen),
 		PayloadLen: uint32(len(payload)),
-		PayloadCRC: CRC(payload),
+		PayloadCRC: crc,
 	}
 	hdr := h.encode()
 	if _, err := w.f.WriteAt(hdr[:], w.off); err != nil {
@@ -160,13 +205,10 @@ func (w *Writer) flushChunk() error {
 		Traces: count,
 		Offset: w.off,
 		Size:   size,
-		CRC32C: fmt.Sprintf("%08x", h.PayloadCRC),
+		CRC32C: fmt.Sprintf("%08x", crc),
 	})
 	w.man.Traces += count
 	w.off += size
-	w.buf = w.buf[:0]
-	w.aux = w.aux[:0]
-	w.pending = 0
 	return w.man.commit(w.dir)
 }
 
