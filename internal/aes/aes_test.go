@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/pipeline"
+	"repro/internal/target"
 )
 
 // FIPS-197 Appendix C.1 test vector.
@@ -224,13 +225,13 @@ func TestIssueCycleRange(t *testing.T) {
 	if len(regions) != 1 {
 		t.Fatalf("SB regions = %d", len(regions))
 	}
-	first, last, ok := IssueCycleRange(res, regions[0].Start, regions[0].End)
+	first, last, ok := target.IssueCycleRange(res, regions[0].Start, regions[0].End)
 	if !ok || first < 0 || last <= first {
 		t.Fatalf("bad cycle range [%d, %d)", first, last)
 	}
 	// SubBytes must come after the initial ARK.
 	ark := tgt.Layout().RegionsNamed("ARK")[0]
-	af, al, ok := IssueCycleRange(res, ark.Start, ark.End)
+	af, al, ok := target.IssueCycleRange(res, ark.Start, ark.End)
 	if !ok || af >= first || al > last {
 		t.Errorf("ARK [%d,%d) must precede SB [%d,%d)", af, al, first, last)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
+	"repro/internal/target"
 )
 
 // Register convention of the generated program.
@@ -29,18 +30,6 @@ const (
 	DefaultStackAddr = 0x2000
 )
 
-// Region marks the instruction-index range [Start, End) of one primitive
-// occurrence inside the generated program, used to annotate the
-// correlation-vs-time plots of Figure 3.
-type Region struct {
-	// Name is the primitive: "ARK", "SB", "ShR" or "MC".
-	Name string
-	// Round is the 0-based AddRoundKey round or 1-based cipher round.
-	Round int
-	// Start and End delimit the instruction indices.
-	Start, End int
-}
-
 // Layout describes where the generated program expects its data and how
 // its instructions map back to cipher primitives.
 type Layout struct {
@@ -48,15 +37,18 @@ type Layout struct {
 	KeyAddr   uint32
 	SboxAddr  uint32
 	StackAddr uint32
-	Regions   []Region
+	// Regions are the primitive occurrences, for annotating the Figure 3
+	// correlation curve. Name is "ARK", "SB", "ShR" or "MC"; Round is
+	// the 0-based AddRoundKey round or the 1-based cipher round.
+	Regions []target.Region
 	// PadNops is the number of pipeline-flushing nops emitted before and
 	// after the cipher body, mirroring the paper's measurement harness.
 	PadNops int
 }
 
 // RegionsNamed returns the regions with the given primitive name.
-func (l *Layout) RegionsNamed(name string) []Region {
-	var out []Region
+func (l *Layout) RegionsNamed(name string) []target.Region {
+	var out []target.Region
 	for _, r := range l.Regions {
 		if r.Name == name {
 			out = append(out, r)
@@ -120,7 +112,7 @@ func BuildProgram(opts ProgramOptions) (*isa.Program, *Layout, error) {
 	mark := func(name string, round int, body func()) {
 		start := b.Len()
 		body()
-		l.Regions = append(l.Regions, Region{Name: name, Round: round, Start: start, End: b.Len()})
+		l.Regions = append(l.Regions, target.Region{Name: name, Round: round, Start: start, End: b.Len()})
 	}
 
 	ark := func(round int) {

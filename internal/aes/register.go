@@ -57,14 +57,7 @@ type instance struct {
 
 func (in *instance) Program() *isa.Program { return in.t.Program() }
 
-func (in *instance) Regions() []target.Region {
-	src := in.t.Layout().Regions
-	out := make([]target.Region, len(src))
-	for i, r := range src {
-		out[i] = target.Region{Name: r.Name, Round: r.Round, Start: r.Start, End: r.End}
-	}
-	return out
-}
+func (in *instance) Regions() []target.Region { return in.t.Layout().Regions }
 
 func (in *instance) InitCore(core *pipeline.Core, pt []byte) {
 	var p [BlockSize]byte

@@ -49,9 +49,6 @@ func (t *Target) Program() *isa.Program { return t.prog }
 // Layout returns the program's memory layout and primitive regions.
 func (t *Target) Layout() *Layout { return t.layout }
 
-// Ref returns the functional oracle.
-func (t *Target) Ref() *Ref { return t.ref }
-
 // InitCore prepares core for one encryption of pt: it writes the S-box,
 // the expanded key and the plaintext state into the core's memory and
 // points the argument registers at them — the per-run setup Run
@@ -108,22 +105,4 @@ func (t *Target) Run(pt [BlockSize]byte) (*pipeline.Result, [BlockSize]byte, err
 		return nil, out, err
 	}
 	return res, out, nil
-}
-
-// IssueCycleRange returns the first and one-past-last issue cycles of the
-// dynamic instructions whose static PC falls inside [start, end) — the
-// time window of one primitive region in a particular run.
-func IssueCycleRange(res *pipeline.Result, start, end int) (first, last int64, ok bool) {
-	first, last = -1, -1
-	for _, is := range res.Issues {
-		if is.PC >= start && is.PC < end {
-			if first < 0 {
-				first = is.Cycle
-			}
-			if is.Cycle+1 > last {
-				last = is.Cycle + 1
-			}
-		}
-	}
-	return first, last, first >= 0
 }

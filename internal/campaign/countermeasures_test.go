@@ -190,7 +190,7 @@ func TestUpdateDocSectionsAllowList(t *testing.T) {
 	if !strings.Contains(out2, "## Table 2") {
 		t.Error("table2 region lost its generated content")
 	}
-	// A nil allow-list keeps UpdateDoc semantics: everything selected.
+	// A nil allow-list selects everything.
 	all, err := UpdateDocSections(doc, res, nil)
 	if err != nil {
 		t.Fatal(err)

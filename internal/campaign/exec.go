@@ -28,7 +28,7 @@ func Execute(sc *Scenario, key [aes.KeySize]byte, run engine.Config) (*ScenarioR
 	out := &ScenarioResult{
 		ID:       sc.ID,
 		Kind:     sc.Kind,
-		Ablation: sc.Ablation.Name,
+		Ablation: sc.Ablation,
 		Target:   sc.Target,
 		Seed:     sc.Seed,
 	}
@@ -65,9 +65,16 @@ func Execute(sc *Scenario, key [aes.KeySize]byte, run engine.Config) (*ScenarioR
 // default carried by the ablation.
 func (sc *Scenario) sigma() float64 {
 	if sc.NoiseSigma == SigmaDefault {
-		return sc.Ablation.Model.NoiseSigma
+		return sc.Variant.Model.NoiseSigma
 	}
 	return sc.NoiseSigma
+}
+
+// mode is the scenario's synthesis mode. Enumerate and Resolve, the
+// only sources of scenarios, have already parsed Synth.
+func (sc *Scenario) mode() engine.Mode {
+	m, _ := parseSynth(sc.Synth)
+	return m
 }
 
 func (sc *Scenario) reps() int {
@@ -78,7 +85,7 @@ func (sc *Scenario) reps() int {
 }
 
 func execTable1(sc *Scenario, out *ScenarioResult, run engine.Config) error {
-	m, err := cpi.MeasureMatrix(sc.Ablation.Core, sc.reps(), run.Each)
+	m, err := cpi.MeasureMatrix(sc.Variant.Core, sc.reps(), run.Each)
 	if err != nil {
 		return err
 	}
@@ -99,11 +106,11 @@ func execTable1(sc *Scenario, out *ScenarioResult, run engine.Config) error {
 }
 
 func execFigure2(sc *Scenario, out *ScenarioResult, run engine.Config) error {
-	m, err := cpi.MeasureMatrix(sc.Ablation.Core, sc.reps(), run.Each)
+	m, err := cpi.MeasureMatrix(sc.Variant.Core, sc.reps(), run.Each)
 	if err != nil {
 		return err
 	}
-	p, err := cpi.MeasureProbes(sc.Ablation.Core, sc.reps())
+	p, err := cpi.MeasureProbes(sc.Variant.Core, sc.reps())
 	if err != nil {
 		return err
 	}
@@ -129,12 +136,12 @@ func execFigure2(sc *Scenario, out *ScenarioResult, run engine.Config) error {
 // leakscanOptions builds the scan options of a tvla scenario.
 func (sc *Scenario) leakscanOptions(run engine.Config) leakscan.Options {
 	opt := leakscan.DefaultOptions()
-	opt.Core = sc.Ablation.Core
-	opt.Model = sc.Ablation.Model
+	opt.Core = sc.Variant.Core
+	opt.Model = sc.Variant.Model
 	opt.Model.NoiseSigma = sc.sigma()
 	opt.Seed = sc.Seed
 	opt.Config = run
-	opt.Synth = sc.Synth
+	opt.Synth = sc.mode()
 	if sc.Traces > 0 {
 		opt.Traces = sc.Traces
 	}
@@ -158,9 +165,9 @@ func execTable2(sc *Scenario, out *ScenarioResult, run engine.Config) error {
 		Confidence: sc.Confidence,
 		NoiseSigma: &sigma,
 		Seed:       sc.Seed,
-		Synth:      sc.Synth.String(),
+		Synth:      sc.Synth,
 	}
-	resp, err := req.Run(engine.RunEnv{Core: sc.Ablation.Core, Model: sc.Ablation.Model, Config: run})
+	resp, err := req.Run(engine.RunEnv{Core: sc.Variant.Core, Model: sc.Variant.Model, Config: run})
 	if err != nil {
 		return err
 	}
@@ -186,13 +193,13 @@ func execAttack(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, run en
 		Rounds:     sc.Rounds,
 		Seed:       sc.Seed,
 		NoiseSigma: &sigma,
-		Synth:      sc.Synth.String(),
+		Synth:      sc.Synth,
 		Counts:     slices.Clone(sc.Counts), // Normalize sorts in place
 	}
 	if sc.Target == "" {
 		req.Key = hex.EncodeToString(key[:])
 	}
-	resp, err := req.Run(engine.RunEnv{Core: sc.Ablation.Core, Model: sc.Ablation.Model, Config: run})
+	resp, err := req.Run(engine.RunEnv{Core: sc.Variant.Core, Model: sc.Variant.Model, Config: run})
 	if err != nil {
 		return err
 	}
@@ -249,11 +256,11 @@ func (sc *Scenario) keyedOptions(key [aes.KeySize]byte, run engine.Config) (mask
 	opt.Ctr = ctr
 	opt.Order = sc.Order
 	opt.Key = key[sc.KeyByte]
-	opt.Core = sc.Ablation.Core
-	opt.Model = sc.Ablation.Model
+	opt.Core = sc.Variant.Core
+	opt.Model = sc.Variant.Model
 	opt.Model.NoiseSigma = sc.sigma()
 	opt.Seed = sc.Seed
-	opt.Synth = sc.Synth
+	opt.Synth = sc.mode()
 	opt.Config = run
 	if sc.Traces > 0 {
 		opt.Traces = sc.Traces
@@ -288,7 +295,7 @@ func execMaskCPA(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, run e
 		Samples:    res.Samples,
 		Pairs:      res.Pairs,
 	}
-	out.Traces, out.Averages, out.NoiseSigma, out.Synth = opt.Traces, opt.Averages, opt.Model.NoiseSigma, sc.Synth.String()
+	out.Traces, out.Averages, out.NoiseSigma, out.Synth = opt.Traces, opt.Averages, opt.Model.NoiseSigma, sc.Synth
 	return nil
 }
 
@@ -315,7 +322,7 @@ func execTVLA(sc *Scenario, out *ScenarioResult, run engine.Config) error {
 		}
 	}
 	out.TVLA = res
-	out.Traces, out.Averages, out.NoiseSigma, out.Synth = opt.Traces, opt.Averages, opt.Model.NoiseSigma, sc.Synth.String()
+	out.Traces, out.Averages, out.NoiseSigma, out.Synth = opt.Traces, opt.Averages, opt.Model.NoiseSigma, sc.Synth
 	return nil
 }
 

@@ -566,34 +566,30 @@ func renderAblations(r *Results) string {
 }
 
 // Doc markers: a generated region of a documentation file is delimited
-// by beginMarker(name) and endMarker(name) lines; UpdateDoc replaces
-// everything between them with the freshly rendered section.
+// by beginMarker(name) and endMarker(name) lines; UpdateDocSections
+// replaces everything between them with the freshly rendered section.
 const (
 	markerBegin = "<!-- campaign:begin "
 	markerEnd   = "<!-- campaign:end "
 	markerClose = " -->"
 )
 
-// UpdateDoc replaces every marked region of doc with the corresponding
-// rendered section of r and returns the new document. Markers look like
+// UpdateDocSections replaces the marked regions of doc with the
+// corresponding rendered sections of r and returns the new document.
+// Markers look like
 //
 //	<!-- campaign:begin table2 -->
 //	…generated content…
 //	<!-- campaign:end table2 -->
 //
-// Unknown section names, unterminated regions and mismatched end markers
-// are errors. Applying UpdateDoc twice with the same results is a no-op,
-// which is what lets CI fail on documentation drift.
-func UpdateDoc(doc string, r *Results) (string, error) {
-	return UpdateDocSections(doc, r, nil)
-}
-
-// UpdateDocSections is UpdateDoc restricted to a section allow-list:
-// marked regions whose name is not in only are left byte-for-byte
-// verbatim (still validated for well-formed markers), so one document
-// can interleave regions owned by different campaigns — each regenerated
-// from its own results file without clobbering the others. A nil list
-// selects every region.
+// Only regions whose name is in only are regenerated (a nil list
+// selects every region); the rest stay byte-for-byte verbatim, still
+// validated for well-formed markers, so one document can interleave
+// regions owned by different campaigns — each regenerated from its own
+// results file without clobbering the others. Unknown section names,
+// unterminated regions and mismatched end markers are errors. Applying
+// it twice with the same results is a no-op, which is what lets CI fail
+// on documentation drift.
 func UpdateDocSections(doc string, r *Results, only []string) (string, error) {
 	selected := func(name string) bool {
 		if only == nil {

@@ -76,7 +76,7 @@ func TestUpdateDocSplicesAndIsIdempotent(t *testing.T) {
 		"",
 	}, "\n")
 	res := fakeResults()
-	once, err := UpdateDoc(doc, res)
+	once, err := UpdateDocSections(doc, res, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,27 +88,27 @@ func TestUpdateDocSplicesAndIsIdempotent(t *testing.T) {
 			t.Errorf("updated doc missing %q", want)
 		}
 	}
-	twice, err := UpdateDoc(once, res)
+	twice, err := UpdateDocSections(once, res, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if twice != once {
-		t.Error("UpdateDoc is not idempotent")
+		t.Error("UpdateDocSections is not idempotent")
 	}
 }
 
 func TestUpdateDocErrors(t *testing.T) {
 	res := fakeResults()
-	if _, err := UpdateDoc("<!-- campaign:begin nope -->\n<!-- campaign:end nope -->", res); err == nil {
+	if _, err := UpdateDocSections("<!-- campaign:begin nope -->\n<!-- campaign:end nope -->", res, nil); err == nil {
 		t.Error("unknown section name accepted")
 	}
-	if _, err := UpdateDoc("<!-- campaign:begin table2 -->\nno end", res); err == nil {
+	if _, err := UpdateDocSections("<!-- campaign:begin table2 -->\nno end", res, nil); err == nil {
 		t.Error("unterminated region accepted")
 	}
-	if _, err := UpdateDoc("<!-- campaign:end table2 -->", res); err == nil {
+	if _, err := UpdateDocSections("<!-- campaign:end table2 -->", res, nil); err == nil {
 		t.Error("stray end marker accepted")
 	}
-	if _, err := UpdateDoc("<!-- campaign:begin table2 -->\n<!-- campaign:begin fig4 -->\n<!-- campaign:end table2 -->", res); err == nil {
+	if _, err := UpdateDocSections("<!-- campaign:begin table2 -->\n<!-- campaign:begin fig4 -->\n<!-- campaign:end table2 -->", res, nil); err == nil {
 		t.Error("nested begin accepted")
 	}
 }

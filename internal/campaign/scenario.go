@@ -14,49 +14,63 @@ import (
 	"repro/internal/target"
 )
 
+// Point is the set of result-affecting axes that distinguish one
+// scenario: the one declaration both Scenario and its wire form,
+// ScenarioRequest, embed. Field order and JSON tags are the wire
+// format, so scenario IDs, derived seeds and worker cache keys hang off
+// them; zero values mean "workload default".
+type Point struct {
+	// ID is the canonical scenario identifier (see scenarioID), unique
+	// within a campaign and stable across spec edits that do not touch
+	// this scenario's own axes — the key checkpoints and seeds are
+	// derived from.
+	ID string `json:"id"`
+	// Kind is the workload family.
+	Kind Kind `json:"kind"`
+	// Ablation is the canonical name of the micro-architectural variant.
+	Ablation string `json:"ablation"`
+	// Traces is the acquisition count and Averages the per-acquisition
+	// averaging factor.
+	Traces   int `json:"traces,omitempty"`
+	Averages int `json:"averages,omitempty"`
+	// NoiseSigma is the measurement-noise override; SigmaDefault (-1)
+	// keeps the power model's value, so it is never omitted.
+	NoiseSigma float64 `json:"noise_sigma"`
+	// Synth is the trace-synthesis mode's canonical spelling.
+	Synth string `json:"synth"`
+	// Target is the attacked cipher in canonical spelling: absent for
+	// the AES default (kept absent so pre-registry scenario IDs, seeds
+	// and checkpoints are unchanged, and never "aes", so one scenario
+	// cannot exist under two digests), the registry name otherwise.
+	// Fig3/fullkey/rankevo only.
+	Target string `json:"target,omitempty"`
+	// KeyByte, Rounds, Reps, Rows, Counts, Confidence carry the
+	// remaining workload knobs (see Workload); Rows and Counts are
+	// sorted.
+	KeyByte    int     `json:"key_byte,omitempty"`
+	Rounds     int     `json:"rounds,omitempty"`
+	Reps       int     `json:"reps,omitempty"`
+	Rows       []int   `json:"rows,omitempty"`
+	Counts     []int   `json:"counts,omitempty"`
+	Confidence float64 `json:"confidence,omitempty"`
+	// Gadget, Ctr and Order are the maskcpa countermeasure axes: the
+	// gadget schedule, the canonical countermeasure spelling, and the
+	// CPA combining order (empty/zero outside maskcpa).
+	Gadget string `json:"gadget,omitempty"`
+	Ctr    string `json:"ctr,omitempty"`
+	Order  int    `json:"order,omitempty"`
+}
+
 // Scenario is one fully resolved experiment: a workload kind under one
 // ablation with one acquisition-parameter point, plus the private seed
 // it runs under. Scenarios are value objects — executing the same
 // Scenario twice produces bit-identical results.
 type Scenario struct {
-	// ID is the canonical scenario identifier, unique within a campaign
-	// and stable across spec edits that do not touch this scenario's own
-	// axes — the key checkpoints and seeds are derived from.
-	ID string
+	Point
 	// Index is the position in enumeration order (reports preserve it).
 	Index int
-	// Kind is the workload family.
-	Kind Kind
-	// Ablation is the resolved micro-architectural variant.
-	Ablation Ablation
-	// Traces is the acquisition count (0: workload default).
-	Traces int
-	// Averages is the per-acquisition averaging factor (0: default).
-	Averages int
-	// NoiseSigma is the measurement-noise override; SigmaDefault keeps
-	// the power model's value.
-	NoiseSigma float64
-	// Synth is the trace-synthesis mode.
-	Synth engine.Mode
-	// Target is the attacked cipher in canonical spelling: the empty
-	// string for the AES default (kept absent so pre-registry scenario
-	// IDs, seeds and checkpoints are unchanged), the registry name
-	// otherwise. Fig3/fullkey/rankevo only.
-	Target string
-	// KeyByte, Rounds, Reps, Rows, Counts, Confidence carry the
-	// remaining workload knobs (see Workload).
-	KeyByte    int
-	Rounds     int
-	Reps       int
-	Rows       []int
-	Counts     []int
-	Confidence float64
-	// Gadget, Ctr and Order are the maskcpa countermeasure axes: the
-	// gadget schedule, the canonical countermeasure spelling, and the
-	// CPA combining order (empty/zero outside maskcpa).
-	Gadget string
-	Ctr    string
-	Order  int
+	// Variant is the resolved ablation Point.Ablation names.
+	Variant Ablation
 	// Seed is the scenario's private seed, derived from the campaign
 	// seed and ID — never from Index, so sibling scenarios keep their
 	// seeds when the spec grows.
@@ -70,69 +84,63 @@ func parseSynth(s string) (engine.Mode, error) {
 	return engine.ParseMode(s)
 }
 
-// maskPoint is one resolved point of the maskcpa countermeasure axes.
-type maskPoint struct {
-	gadget string
-	ctr    string
-	order  int
-}
-
 // scenarioID renders the canonical identifier from the axes that
 // distinguish the scenario. Axis order and spellings are frozen: IDs
 // feed checkpoint matching and seed derivation.
-func scenarioID(k Kind, ab string, w *Workload, traces int, sigma float64, synth engine.Mode, mp maskPoint, tgt string) string {
+func scenarioID(p *Point) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s/ablation=%s", k, ab)
+	k := p.Kind
+	fmt.Fprintf(&sb, "%s/ablation=%s", k, p.Ablation)
 	if k != KindTable1 && k != KindFigure2 {
-		if traces > 0 {
-			fmt.Fprintf(&sb, "/traces=%d", traces)
+		if p.Traces > 0 {
+			fmt.Fprintf(&sb, "/traces=%d", p.Traces)
 		}
-		if w.Averages > 0 {
-			fmt.Fprintf(&sb, "/avg=%d", w.Averages)
+		if p.Averages > 0 {
+			fmt.Fprintf(&sb, "/avg=%d", p.Averages)
 		}
-		if sigma != SigmaDefault {
-			fmt.Fprintf(&sb, "/sigma=%s", strconv.FormatFloat(sigma, 'g', -1, 64))
+		if p.NoiseSigma != SigmaDefault {
+			fmt.Fprintf(&sb, "/sigma=%s", strconv.FormatFloat(p.NoiseSigma, 'g', -1, 64))
 		}
-		if synth != engine.ModeAuto {
-			fmt.Fprintf(&sb, "/synth=%s", synth)
+		if p.Synth != engine.ModeAuto.String() {
+			fmt.Fprintf(&sb, "/synth=%s", p.Synth)
 		}
 	}
 	switch k {
 	case KindTable1, KindFigure2:
-		if w.Reps > 0 {
-			fmt.Fprintf(&sb, "/reps=%d", w.Reps)
+		if p.Reps > 0 {
+			fmt.Fprintf(&sb, "/reps=%d", p.Reps)
 		}
 	case KindMaskCPA:
-		fmt.Fprintf(&sb, "/gadget=%s/ctr=%s/order=%d", mp.gadget, mp.ctr, mp.order)
-		if w.KeyByte > 0 {
-			fmt.Fprintf(&sb, "/keybyte=%d", w.KeyByte)
+		fmt.Fprintf(&sb, "/gadget=%s/ctr=%s/order=%d", p.Gadget, p.Ctr, p.Order)
+		if p.KeyByte > 0 {
+			fmt.Fprintf(&sb, "/keybyte=%d", p.KeyByte)
 		}
 	case KindTVLA, KindTable2:
-		if len(w.Rows) > 0 {
-			parts := make([]string, len(w.Rows))
-			for i, r := range w.Rows {
+		if len(p.Rows) > 0 {
+			parts := make([]string, len(p.Rows))
+			for i, r := range p.Rows {
 				parts[i] = strconv.Itoa(r)
 			}
 			fmt.Fprintf(&sb, "/rows=%s", strings.Join(parts, ","))
 		}
-		if w.Confidence > 0 {
-			fmt.Fprintf(&sb, "/conf=%s", strconv.FormatFloat(w.Confidence, 'g', -1, 64))
+		if p.Confidence > 0 {
+			fmt.Fprintf(&sb, "/conf=%s", strconv.FormatFloat(p.Confidence, 'g', -1, 64))
 		}
 	case KindFig3, KindFig4, KindFullKey, KindRankEvo:
 		// The AES default is spelled absent, so every pre-registry ID —
 		// and therefore every derived seed — is byte-unchanged.
-		if tgt != "" {
-			fmt.Fprintf(&sb, "/target=%s", tgt)
+		if p.Target != "" {
+			fmt.Fprintf(&sb, "/target=%s", p.Target)
 		}
-		if w.KeyByte > 0 {
-			fmt.Fprintf(&sb, "/keybyte=%d", w.KeyByte)
+		if p.KeyByte > 0 {
+			fmt.Fprintf(&sb, "/keybyte=%d", p.KeyByte)
 		}
-		if w.Rounds > 0 {
-			fmt.Fprintf(&sb, "/rounds=%d", w.Rounds)
+		if p.Rounds > 0 {
+			fmt.Fprintf(&sb, "/rounds=%d", p.Rounds)
 		}
 		if k == KindRankEvo {
-			parts := make([]string, len(w.Counts))
-			for i, c := range w.Counts {
+			parts := make([]string, len(p.Counts))
+			for i, c := range p.Counts {
 				parts[i] = strconv.Itoa(c)
 			}
 			fmt.Fprintf(&sb, "/counts=%s", strings.Join(parts, ","))
@@ -175,12 +183,6 @@ func (s *Spec) Enumerate() ([]Scenario, error) {
 		sort.Ints(rows)
 		counts := append([]int(nil), w.Counts...)
 		sort.Ints(counts)
-		wc := *w
-		wc.Rows, wc.Counts = rows, counts
-		// The maskcpa countermeasure axes collapse to one empty point for
-		// every other kind. Countermeasure spellings canonicalize here so
-		// the ID (and thus the derived seed) never depends on how the
-		// spec spelled the combination.
 		// The target axis applies to the fig3-model attack kinds and
 		// collapses to the single AES default elsewhere. Spellings
 		// canonicalize here ("aes" and absent are the same point), so the
@@ -193,9 +195,13 @@ func (s *Spec) Enumerate() ([]Scenario, error) {
 				targets = append(targets, target.Canon(target.Resolve(tn)))
 			}
 		}
-		points := []maskPoint{{}}
+		// The maskcpa countermeasure axes collapse to one empty point for
+		// every other kind. Countermeasure spellings canonicalize here so
+		// the ID (and thus the derived seed) never depends on how the
+		// spec spelled the combination.
+		masks := []Point{{}}
 		if w.Kind == KindMaskCPA {
-			points = points[:0]
+			masks = masks[:0]
 			gadgets, ctrs, orders := w.maskAxes()
 			for _, g := range gadgets {
 				for _, c := range ctrs {
@@ -204,7 +210,7 @@ func (s *Spec) Enumerate() ([]Scenario, error) {
 						return nil, fmt.Errorf("campaign: workload %d (maskcpa): %w", wi, err)
 					}
 					for _, o := range orders {
-						points = append(points, maskPoint{gadget: g, ctr: ctr.String(), order: o})
+						masks = append(masks, Point{Gadget: g, Ctr: ctr.String(), Order: o})
 					}
 				}
 			}
@@ -217,22 +223,15 @@ func (s *Spec) Enumerate() ([]Scenario, error) {
 						if err != nil {
 							return nil, fmt.Errorf("campaign: workload %d (%s): %w", wi, w.Kind, err)
 						}
-						for _, mp := range points {
+						for _, m := range masks {
 							for _, tg := range targets {
-								id := scenarioID(w.Kind, ab.Name, &wc, n, sg, mode, mp, tg)
-								if seen[id] {
-									return nil, fmt.Errorf("campaign: duplicate scenario %q", id)
-								}
-								seen[id] = true
-								out = append(out, Scenario{
-									ID:         id,
-									Index:      len(out),
+								p := Point{
 									Kind:       w.Kind,
-									Ablation:   ab,
+									Ablation:   ab.Name,
 									Traces:     n,
 									Averages:   w.Averages,
 									NoiseSigma: sg,
-									Synth:      mode,
+									Synth:      mode.String(),
 									Target:     tg,
 									KeyByte:    w.KeyByte,
 									Rounds:     w.Rounds,
@@ -240,11 +239,16 @@ func (s *Spec) Enumerate() ([]Scenario, error) {
 									Rows:       rows,
 									Counts:     counts,
 									Confidence: w.Confidence,
-									Gadget:     mp.gadget,
-									Ctr:        mp.ctr,
-									Order:      mp.order,
-									Seed:       engine.DeriveSeed(s.Seed, id),
-								})
+									Gadget:     m.Gadget,
+									Ctr:        m.Ctr,
+									Order:      m.Order,
+								}
+								p.ID = scenarioID(&p)
+								if seen[p.ID] {
+									return nil, fmt.Errorf("campaign: duplicate scenario %q", p.ID)
+								}
+								seen[p.ID] = true
+								out = append(out, Scenario{Point: p, Index: len(out), Variant: ab, Seed: engine.DeriveSeed(s.Seed, p.ID)})
 							}
 						}
 					}

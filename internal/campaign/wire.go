@@ -32,63 +32,17 @@ type ScenarioRequest struct {
 	// Key is the AES-128 key of the attack kinds as 32 hex digits
 	// (empty: attack.DefaultKey), normalized to lower case.
 	Key string `json:"key,omitempty"`
-	// ID is the canonical scenario identifier (see scenarioID).
-	ID string `json:"id"`
-	// Kind and Ablation name the workload family and the canonical
-	// micro-architectural variant.
-	Kind     Kind   `json:"kind"`
-	Ablation string `json:"ablation"`
-	// The remaining fields mirror Scenario's resolved axes; zero values
-	// mean "workload default" exactly as there. NoiseSigma uses the
-	// SigmaDefault sentinel (-1) for "model default", so it is never
-	// omitted.
-	Traces     int     `json:"traces,omitempty"`
-	Averages   int     `json:"averages,omitempty"`
-	NoiseSigma float64 `json:"noise_sigma"`
-	Synth      string  `json:"synth"`
-	// Target is the attacked cipher in canonical spelling: absent for
-	// the AES default (never "aes" — Resolve refuses the non-canonical
-	// form so one scenario cannot exist under two digests), the registry
-	// name otherwise.
-	Target     string  `json:"target,omitempty"`
-	KeyByte    int     `json:"key_byte,omitempty"`
-	Rounds     int     `json:"rounds,omitempty"`
-	Reps       int     `json:"reps,omitempty"`
-	Rows       []int   `json:"rows,omitempty"`
-	Counts     []int   `json:"counts,omitempty"`
-	Confidence float64 `json:"confidence,omitempty"`
-	Gadget     string  `json:"gadget,omitempty"`
-	Ctr        string  `json:"ctr,omitempty"`
-	Order      int     `json:"order,omitempty"`
+	// Point carries the scenario's axes, flattened into the request
+	// object. An empty Ablation or Synth reads as "paper" or "auto".
+	Point
 }
 
 // WireRequest renders the scenario in its wire form for a campaign with
 // the given identity. The result is canonical by construction: the
 // scenario came out of Enumerate, whose axes are already sorted and
-// canonically spelled.
+// canonically spelled. It shares the scenario's Rows and Counts.
 func (sc *Scenario) WireRequest(campaignName string, campaignSeed int64, key string) ScenarioRequest {
-	return ScenarioRequest{
-		Campaign:     campaignName,
-		CampaignSeed: campaignSeed,
-		Key:          strings.ToLower(key),
-		ID:           sc.ID,
-		Kind:         sc.Kind,
-		Ablation:     sc.Ablation.Name,
-		Traces:       sc.Traces,
-		Averages:     sc.Averages,
-		NoiseSigma:   sc.NoiseSigma,
-		Synth:        sc.Synth.String(),
-		Target:       sc.Target,
-		KeyByte:      sc.KeyByte,
-		Rounds:       sc.Rounds,
-		Reps:         sc.Reps,
-		Rows:         append([]int(nil), sc.Rows...),
-		Counts:       append([]int(nil), sc.Counts...),
-		Confidence:   sc.Confidence,
-		Gadget:       sc.Gadget,
-		Ctr:          sc.Ctr,
-		Order:        sc.Order,
-	}
+	return ScenarioRequest{Campaign: campaignName, CampaignSeed: campaignSeed, Key: strings.ToLower(key), Point: sc.Point}
 }
 
 // Resolve validates the request and reconstructs the executable
@@ -133,45 +87,16 @@ func (r *ScenarioRequest) Resolve() (*Scenario, [aes.KeySize]byte, error) {
 			return nil, key, err
 		}
 	}
+	p := r.Point
+	p.Ablation, p.Synth = ab.Name, mode.String()
 	// Recompute the canonical ID from the axes; a mismatch means the
 	// request was corrupted in flight or assembled against a different
 	// ID-spelling convention, and executing it would derive the wrong
 	// seed.
-	w := Workload{
-		Kind:       r.Kind,
-		Averages:   r.Averages,
-		KeyByte:    r.KeyByte,
-		Rounds:     r.Rounds,
-		Reps:       r.Reps,
-		Rows:       r.Rows,
-		Counts:     r.Counts,
-		Confidence: r.Confidence,
-	}
-	id := scenarioID(r.Kind, ab.Name, &w, r.Traces, r.NoiseSigma, mode, maskPoint{gadget: r.Gadget, ctr: r.Ctr, order: r.Order}, r.Target)
-	if id != r.ID {
+	if id := scenarioID(&p); id != r.ID {
 		return nil, key, fmt.Errorf("campaign: scenario request id %q does not match its axes (canonical %q)", r.ID, id)
 	}
-	sc := &Scenario{
-		ID:         r.ID,
-		Kind:       r.Kind,
-		Ablation:   ab,
-		Traces:     r.Traces,
-		Averages:   r.Averages,
-		NoiseSigma: r.NoiseSigma,
-		Synth:      mode,
-		Target:     r.Target,
-		KeyByte:    r.KeyByte,
-		Rounds:     r.Rounds,
-		Reps:       r.Reps,
-		Rows:       append([]int(nil), r.Rows...),
-		Counts:     append([]int(nil), r.Counts...),
-		Confidence: r.Confidence,
-		Gadget:     r.Gadget,
-		Ctr:        r.Ctr,
-		Order:      r.Order,
-		Seed:       engine.DeriveSeed(r.CampaignSeed, r.ID),
-	}
-	return sc, key, nil
+	return &Scenario{Point: p, Variant: ab, Seed: engine.DeriveSeed(r.CampaignSeed, r.ID)}, key, nil
 }
 
 // Fingerprint is the content address of the request's response bytes:

@@ -1,7 +1,13 @@
 package campaign
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -63,12 +69,7 @@ func TestScenarioWireRoundTrip(t *testing.T) {
 		if key != wantKey {
 			t.Fatalf("%s: key did not survive the round trip", sc.ID)
 		}
-		if got.ID != sc.ID || got.Seed != sc.Seed || got.Kind != sc.Kind ||
-			got.Ablation.Name != sc.Ablation.Name || got.Traces != sc.Traces ||
-			got.Averages != sc.Averages || got.NoiseSigma != sc.NoiseSigma ||
-			got.Synth != sc.Synth || got.KeyByte != sc.KeyByte || got.Rounds != sc.Rounds ||
-			got.Reps != sc.Reps || got.Confidence != sc.Confidence ||
-			got.Gadget != sc.Gadget || got.Ctr != sc.Ctr || got.Order != sc.Order {
+		if !reflect.DeepEqual(got.Point, sc.Point) || got.Seed != sc.Seed || got.Variant.Name != sc.Variant.Name {
 			t.Fatalf("%s: scenario did not survive the round trip:\n got %+v\nwant %+v", sc.ID, got, sc)
 		}
 	}
@@ -98,6 +99,26 @@ func TestScenarioRequestRejectsTamperedID(t *testing.T) {
 	req.Ablation = "definitely-not-a-toggle"
 	if _, _, err := req.Resolve(); err == nil {
 		t.Fatal("an unknown ablation must be refused")
+	}
+}
+
+// TestScenarioRequestBlankDefaults proves an empty ablation or synth on
+// the wire resolves to, and executes under, the canonical "paper" and
+// "auto" spellings.
+func TestScenarioRequestBlankDefaults(t *testing.T) {
+	spec := wireTestSpec(t)
+	scenarios, err := spec.Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := scenarios[3].WireRequest(spec.Name, spec.Seed, spec.Key) // rankevo: paper, auto
+	req.Ablation, req.Synth = "", ""
+	got, _, err := req.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Ablation != PaperAblation || got.Variant.Name != PaperAblation || got.Synth != "auto" || got.Seed != scenarios[3].Seed {
+		t.Fatalf("blank axes resolved to ablation %q (%q), synth %q", got.Ablation, got.Variant.Name, got.Synth)
 	}
 }
 
@@ -136,5 +157,58 @@ func TestMergeResultsIsCompletionOrderIndependent(t *testing.T) {
 	byID["stray"] = &ScenarioResult{ID: "stray"}
 	if _, err := MergeResults(spec, scenarios, byID); err == nil {
 		t.Fatal("a stray result must fail the merge")
+	}
+}
+
+// committedWireDigest is the SHA-256 over the wire bytes and
+// fingerprints of every scenario the four committed specs enumerate,
+// followed by allAxesRequest re-encoded. Scenario IDs, derived seeds and
+// worker cache keys all hang off these bytes, so reordering, retagging
+// or dropping an axis of the shared point fails here before it can
+// re-key a cluster's cache.
+const committedWireDigest = "5d874fc19815b3e7e6a52bf84db3f7f4bc84ef159d5eda2e95bbaecbd84c5309"
+
+// allAxesRequest sets every wire field, including those no committed
+// scenario sets (key, key_byte, confidence).
+const allAxesRequest = `{"campaign":"pin","campaign_seed":7,"key":"000102030405060708090a0b0c0d0e0f",` +
+	`"id":"pin","kind":"maskcpa","ablation":"scalar","traces":64,"averages":2,"noise_sigma":1.5,` +
+	`"synth":"simulate","target":"present","key_byte":3,"rounds":2,"reps":5,"rows":[1,2],` +
+	`"counts":[8,16],"confidence":0.9,"gadget":"sbox","ctr":"mask","order":2}`
+
+// TestCommittedScenarioWireBytes pins the wire form: every committed
+// scenario's ScenarioRequest JSON and Fingerprint, and the re-encoding
+// of allAxesRequest, must hash to committedWireDigest.
+func TestCommittedScenarioWireBytes(t *testing.T) {
+	h := sha256.New()
+	pin := func(req *ScenarioRequest) {
+		raw, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s\n%s\n", raw, req.Fingerprint())
+	}
+	for _, name := range []string{"smoke", "paper", "multicipher", "countermeasures"} {
+		spec, err := LoadSpec(filepath.Join("..", "..", "campaigns", name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		scenarios, err := spec.Enumerate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range scenarios {
+			req := scenarios[i].WireRequest(spec.Name, spec.Seed, spec.Key)
+			pin(&req)
+		}
+	}
+	dec := json.NewDecoder(strings.NewReader(allAxesRequest))
+	dec.DisallowUnknownFields()
+	var all ScenarioRequest
+	if err := dec.Decode(&all); err != nil {
+		t.Fatalf("a wire field lost its tag: %v", err)
+	}
+	pin(&all)
+	if got := hex.EncodeToString(h.Sum(nil)); got != committedWireDigest {
+		t.Fatalf("committed scenario wire bytes changed: digest %s, want %s", got, committedWireDigest)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
+	"repro/internal/target"
 )
 
 // Register convention of the generated program: the state base plus two
@@ -24,26 +25,17 @@ const (
 // state (constants row, key row, key row, input row).
 const DefaultStateAddr = 0x1000
 
-// Region marks the instruction-index range [Start, End) of one
-// interleaved column pair inside the generated program.
-type Region struct {
-	// Name is "QRa" (columns 0 and 1) or "QRb" (columns 2 and 3) for a
-	// whole quarter-round pair, or "XK0".."XK3" for column i's first
-	// d-word store — the instruction whose MDR transition against the
-	// just-stored a word carries the leak the key-recovery attack
-	// windows on.
-	Name string
-	// Round is the 1-based column-round sweep.
-	Round int
-	// Start and End delimit the instruction indices.
-	Start, End int
-}
-
 // Layout describes where the generated program expects its data and how
 // its instructions map back to quarter-round sweeps.
 type Layout struct {
 	StateAddr uint32
-	Regions   []Region
+	// Regions are the interleaved column pairs. Name is "QRa" (columns
+	// 0 and 1) or "QRb" (columns 2 and 3) for a whole quarter-round
+	// pair, or "XK0".."XK3" for column i's first d-word store — the
+	// instruction whose MDR transition against the just-stored a word
+	// carries the leak the key-recovery attack windows on. Round is the
+	// 1-based column-round sweep.
+	Regions []target.Region
 	// PadNops is the number of pipeline-flushing nops emitted before and
 	// after the body.
 	PadNops int
@@ -111,7 +103,7 @@ func BuildProgram(opts ProgramOptions) (*isa.Program, *Layout, error) {
 			b.StrOff(regs[i].a, regState, off[i][0])
 			xk := b.Len()
 			b.StrOff(regs[i].d, regState, off[i][3])
-			l.Regions = append(l.Regions, Region{
+			l.Regions = append(l.Regions, target.Region{
 				Name: fmt.Sprintf("XK%d", col+i), Round: round, Start: xk, End: xk + 1,
 			})
 		}
@@ -145,7 +137,7 @@ func BuildProgram(opts ProgramOptions) (*isa.Program, *Layout, error) {
 		}{{"QRa", 0}, {"QRb", 2}} {
 			start := b.Len()
 			pair(pc.col, r)
-			l.Regions = append(l.Regions, Region{Name: pc.name, Round: r, Start: start, End: b.Len()})
+			l.Regions = append(l.Regions, target.Region{Name: pc.name, Round: r, Start: start, End: b.Len()})
 		}
 	}
 

@@ -18,7 +18,7 @@ import (
 func fakeScenarios(n int) []campaign.Scenario {
 	out := make([]campaign.Scenario, n)
 	for i := range out {
-		out[i] = campaign.Scenario{ID: fmt.Sprintf("s%03d", i), Index: i}
+		out[i] = campaign.Scenario{Point: campaign.Point{ID: fmt.Sprintf("s%03d", i)}, Index: i}
 	}
 	return out
 }

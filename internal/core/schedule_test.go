@@ -113,7 +113,7 @@ func TestSchedulerRejectsBranches(t *testing.T) {
 func TestSchedulerRejectsLongPrograms(t *testing.T) {
 	b := isa.NewBuilder()
 	for i := 0; i < 13; i++ {
-		b.AddImm(isa.R0, isa.R0, 1)
+		b.ALUImm(isa.ADD, isa.R0, isa.R0, 1)
 	}
 	if _, err := ScheduleForSecurity(b.MustBuild(), pipeline.DefaultConfig(), power.DefaultModel(), nil, shareSpec(), "key"); err == nil {
 		t.Error("oversized programs must be rejected")

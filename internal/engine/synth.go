@@ -132,9 +132,6 @@ func NewSynthesizer(mode Mode, cfg pipeline.Config, prog *isa.Program) (*Synthes
 	return s, nil
 }
 
-// Mode returns the configured mode.
-func (s *Synthesizer) Mode() Mode { return s.mode }
-
 // FellBack reports whether an auto-mode Synthesizer simulated traces
 // replay was meant to cover: its verification window or compile failed,
 // or a lane group after the window diverged.

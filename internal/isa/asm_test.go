@@ -229,15 +229,15 @@ func TestAssembleDisassembleRoundTrip(t *testing.T) {
 func TestBuilderMirrorsAssembler(t *testing.T) {
 	b := NewBuilder()
 	b.Label("top").
-		MovImm(R0, 7).
+		Tst(R0, 7).
 		Add(R1, R2, R3).
-		AddImm(R1, R2, 16).
+		ALUImm(ADD, R1, R2, 16).
 		Eor(R4, R5, R6).
 		Lsl(R7, R8, 3).
-		Mul(R9, R10, R11).
+		Orr(R9, R10, R11).
 		LdrOff(R0, R1, 4).
 		Strb(R2, R3, 1).
-		BCond(NE, "top").
+		B("top").
 		Nop(2)
 	p, err := b.Build()
 	if err != nil {
@@ -245,15 +245,15 @@ func TestBuilderMirrorsAssembler(t *testing.T) {
 	}
 	src := `
 	top:
-		mov r0, #7
+		tst r0, #7
 		add r1, r2, r3
 		add r1, r2, #16
 		eor r4, r5, r6
 		lsl r7, r8, #3
-		mul r9, r10, r11
+		orr r9, r10, r11
 		ldr r0, [r1, #4]
 		strb r2, [r3, #1]
-		bne top
+		b top
 		nop
 		nop
 	`

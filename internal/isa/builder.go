@@ -50,12 +50,6 @@ func (b *Builder) Mov(rd, rm Reg) *Builder {
 	return b
 }
 
-// MovImm emits "mov rd, #imm".
-func (b *Builder) MovImm(rd Reg, imm uint32) *Builder {
-	b.Emit(Instr{Op: MOV, Cond: AL, Rd: rd, Op2: Imm(imm)})
-	return b
-}
-
 // ALU emits a three-register data-processing instruction "op rd, rn, rm".
 func (b *Builder) ALU(op Op, rd, rn, rm Reg) *Builder {
 	b.Emit(Instr{Op: op, Cond: AL, Rd: rd, Rn: rn, Op2: RegOp(rm)})
@@ -74,23 +68,14 @@ func (b *Builder) ALUShift(op Op, rd, rn, rm Reg, kind ShiftKind, amt uint8) *Bu
 	return b
 }
 
-// Add, Sub, Eor, And, Orr are convenience wrappers for common ALU ops.
+// Add, Eor and Orr are convenience wrappers for common ALU ops.
 func (b *Builder) Add(rd, rn, rm Reg) *Builder { return b.ALU(ADD, rd, rn, rm) }
-
-// Sub emits "sub rd, rn, rm".
-func (b *Builder) Sub(rd, rn, rm Reg) *Builder { return b.ALU(SUB, rd, rn, rm) }
 
 // Eor emits "eor rd, rn, rm".
 func (b *Builder) Eor(rd, rn, rm Reg) *Builder { return b.ALU(EOR, rd, rn, rm) }
 
-// And emits "and rd, rn, rm".
-func (b *Builder) And(rd, rn, rm Reg) *Builder { return b.ALU(AND, rd, rn, rm) }
-
 // Orr emits "orr rd, rn, rm".
 func (b *Builder) Orr(rd, rn, rm Reg) *Builder { return b.ALU(ORR, rd, rn, rm) }
-
-// AddImm emits "add rd, rn, #imm".
-func (b *Builder) AddImm(rd, rn Reg, imm uint32) *Builder { return b.ALUImm(ADD, rd, rn, imm) }
 
 // AndImm emits "and rd, rn, #imm".
 func (b *Builder) AndImm(rd, rn Reg, imm uint32) *Builder { return b.ALUImm(AND, rd, rn, imm) }
@@ -98,12 +83,6 @@ func (b *Builder) AndImm(rd, rn Reg, imm uint32) *Builder { return b.ALUImm(AND,
 // Tst emits "tst rn, #imm".
 func (b *Builder) Tst(rn Reg, imm uint32) *Builder {
 	b.Emit(Instr{Op: TST, Cond: AL, Rn: rn, Op2: Imm(imm), SetFlags: true})
-	return b
-}
-
-// Mul emits "mul rd, rn, rm".
-func (b *Builder) Mul(rd, rn, rm Reg) *Builder {
-	b.Emit(Instr{Op: MUL, Cond: AL, Rd: rd, Rn: rn, Rm: rm})
 	return b
 }
 
@@ -170,12 +149,6 @@ func (b *Builder) Strb(rd, base Reg, off int32) *Builder {
 // B emits an unconditional branch to label.
 func (b *Builder) B(label string) *Builder {
 	b.Emit(Instr{Op: B, Cond: AL, Label: label, Target: -1})
-	return b
-}
-
-// BCond emits a conditional branch to label.
-func (b *Builder) BCond(c Cond, label string) *Builder {
-	b.Emit(Instr{Op: B, Cond: c, Label: label, Target: -1})
 	return b
 }
 

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// Native fuzz targets for the masking algebra: the randomness is
-// derived from the fuzzed seed, so every interesting input the fuzzer
-// finds replays deterministically from the corpus.
+// Native fuzz target for the share encoding: the randomness is derived
+// from the fuzzed seed, so every interesting input the fuzzer finds
+// replays deterministically from the corpus.
 
 func FuzzSplitCombine(f *testing.F) {
 	f.Add(int64(1), uint32(0))
@@ -19,60 +19,5 @@ func FuzzSplitCombine(f *testing.F) {
 		if Combine(s0, s1) != v {
 			t.Fatalf("Split/Combine lost the value: %#x -> (%#x, %#x)", v, s0, s1)
 		}
-		x0, x1 := XorConst(s0, s1, 0xA5A5A5A5)
-		if Combine(x0, x1) != v^0xA5A5A5A5 {
-			t.Fatalf("XorConst broke the sharing of %#x", v)
-		}
 	})
-}
-
-func FuzzAnd(f *testing.F) {
-	f.Add(int64(1), uint32(0), uint32(0))
-	f.Add(int64(2), uint32(0xFFFFFFFF), uint32(0x0F0F0F0F))
-	f.Add(int64(3), uint32(0x12345678), uint32(0x9ABCDEF0))
-	f.Fuzz(func(t *testing.T, seed int64, a, b uint32) {
-		rng := rand.New(rand.NewSource(seed))
-		a0, a1 := Split(rng, a)
-		b0, b1 := Split(rng, b)
-		c0, c1 := And(rng, a0, a1, b0, b1)
-		if Combine(c0, c1) != a&b {
-			t.Fatalf("And(%#x, %#x) shares combine to %#x", a, b, Combine(c0, c1))
-		}
-	})
-}
-
-func FuzzRefresh(f *testing.F) {
-	f.Add(int64(1), uint32(0))
-	f.Add(int64(2), uint32(0xFFFFFFFF))
-	f.Add(int64(4), uint32(0xCAFEBABE))
-	f.Fuzz(func(t *testing.T, seed int64, v uint32) {
-		rng := rand.New(rand.NewSource(seed))
-		s0, s1 := Split(rng, v)
-		r0, r1 := Refresh(rng, s0, s1)
-		if Combine(r0, r1) != v {
-			t.Fatalf("Refresh lost the value: %#x -> (%#x, %#x)", v, r0, r1)
-		}
-	})
-}
-
-// Refresh must preserve the share distribution, not just the value:
-// after refreshing a fixed sharing, each share must remain individually
-// uniform (here: unbiased in every bit).
-func TestRefreshPreservesShareDistribution(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	const n = 20000
-	s0, s1 := Split(rng, 0xFFFFFFFF)
-	var bitOnes [32]int
-	for i := 0; i < n; i++ {
-		r0, _ := Refresh(rng, s0, s1)
-		for b := 0; b < 32; b++ {
-			bitOnes[b] += int(r0 >> b & 1)
-		}
-	}
-	for b, ones := range bitOnes {
-		frac := float64(ones) / n
-		if frac < 0.47 || frac > 0.53 {
-			t.Errorf("refreshed share bit %d bias %v, want about 0.5", b, frac)
-		}
-	}
 }

@@ -1,7 +1,6 @@
-// Package masking provides first-order Boolean masking building blocks
-// and the §4.2 case study: the same provably share-separated computation
-// is secure or broken depending on instruction scheduling and issue
-// behaviour of the superscalar core.
+// Package masking is the §4.2 case study: the same provably
+// share-separated computation is secure or broken depending on
+// instruction scheduling and issue behaviour of the superscalar core.
 //
 // A first-order Boolean masking splits a secret v into two shares
 // s0 ^ s1 == v, each uniformly distributed. Algorithmic proofs assume the
@@ -39,25 +38,6 @@ func Split(rng *rand.Rand, v uint32) (s0, s1 uint32) {
 
 // Combine recovers the masked value.
 func Combine(s0, s1 uint32) uint32 { return s0 ^ s1 }
-
-// XorConst XORs a public constant into a masked value share-wise (only
-// one share needs updating).
-func XorConst(s0, s1, c uint32) (uint32, uint32) { return s0 ^ c, s1 }
-
-// Refresh re-randomizes a masking with fresh randomness.
-func Refresh(rng *rand.Rand, s0, s1 uint32) (uint32, uint32) {
-	r := rng.Uint32()
-	return s0 ^ r, s1 ^ r
-}
-
-// And computes a two-share masking of a AND b from the maskings of a and
-// b using the Trichina construction with one fresh random word.
-func And(rng *rand.Rand, a0, a1, b0, b1 uint32) (c0, c1 uint32) {
-	r := rng.Uint32()
-	c0 = r
-	c1 = ((r ^ a0&b0) ^ a0&b1) ^ (a1&b0 ^ a1&b1)
-	return c0, c1
-}
 
 // CheckStatic runs the static share-recombination checker on one
 // reg-share schedule's base program — the keyed variant with no

@@ -19,43 +19,6 @@ func TestSplitCombine(t *testing.T) {
 	}
 }
 
-func TestXorConst(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	f := func(v, c uint32) bool {
-		s0, s1 := Split(rng, v)
-		x0, x1 := XorConst(s0, s1, c)
-		return Combine(x0, x1) == v^c
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRefreshPreservesValue(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	f := func(v uint32) bool {
-		s0, s1 := Split(rng, v)
-		r0, r1 := Refresh(rng, s0, s1)
-		return Combine(r0, r1) == v && (r0 != s0 || r1 != s1 || v == Combine(s0, s1))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMaskedAnd(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	f := func(a, b uint32) bool {
-		a0, a1 := Split(rng, a)
-		b0, b1 := Split(rng, b)
-		c0, c1 := And(rng, a0, a1, b0, b1)
-		return Combine(c0, c1) == a&b
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Shares must be individually uniform: each share alone says nothing.
 func TestShareUniformity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))

@@ -182,10 +182,3 @@ func (h *Hierarchy) FetchPenalty(instrIndex int) int {
 	}
 	return h.MissLatency
 }
-
-// Reset invalidates all levels.
-func (h *Hierarchy) Reset() {
-	h.L1I.Reset()
-	h.L1D.Reset()
-	h.L2.Reset()
-}

@@ -126,6 +126,3 @@ func (s *Snapshot) drive(c Component, v uint32) {
 // Timeline is the per-cycle component history of one program execution.
 // Index 0 is the first cycle in which an instruction issued.
 type Timeline []Snapshot
-
-// Cycles returns the length of the timeline.
-func (t Timeline) Cycles() int { return len(t) }

@@ -134,9 +134,6 @@ func MustNew(cfg Config, m *mem.Memory) *Core {
 // SetHierarchy attaches a cache timing model; nil restores ideal timing.
 func (c *Core) SetHierarchy(h *mem.Hierarchy) { c.hier = h }
 
-// Hierarchy returns the attached cache timing model, nil when ideal.
-func (c *Core) Hierarchy() *mem.Hierarchy { return c.hier }
-
 // Config returns the core's configuration.
 func (c *Core) Config() Config { return c.cfg }
 

@@ -320,22 +320,3 @@ func (m *Model) SynthesizeAveragedInto(dst, tmp trace.Trace, tl pipeline.Timelin
 	}
 	return acc.Scale(1 / float64(avg)), tmp
 }
-
-// SampleOfCycle converts a cycle index to the first sample index of that
-// cycle in synthesized traces.
-func (m *Model) SampleOfCycle(cycle int) int {
-	n := m.SamplesPerCycle
-	if n < 1 {
-		n = 1
-	}
-	return cycle * n
-}
-
-// CycleOfSample is the inverse of SampleOfCycle.
-func (m *Model) CycleOfSample(sample int) int {
-	n := m.SamplesPerCycle
-	if n < 1 {
-		n = 1
-	}
-	return sample / n
-}

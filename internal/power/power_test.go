@@ -171,20 +171,11 @@ func TestPulseShapeDecays(t *testing.T) {
 	if cyc < 0 {
 		t.Fatal("no active cycle found")
 	}
-	s0 := m.SampleOfCycle(cyc)
+	s0 := cyc * m.SamplesPerCycle
 	for k := 1; k < m.SamplesPerCycle; k++ {
 		if tr[s0+k] > tr[s0+k-1]+1e-9 {
 			t.Fatalf("pulse must decay: sample %d (%v) > sample %d (%v)",
 				s0+k, tr[s0+k], s0+k-1, tr[s0+k-1])
-		}
-	}
-}
-
-func TestSampleCycleConversion(t *testing.T) {
-	m := DefaultModel()
-	for _, c := range []int{0, 1, 17} {
-		if got := m.CycleOfSample(m.SampleOfCycle(c)); got != c {
-			t.Errorf("cycle %d round-trips to %d", c, got)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
+	"repro/internal/target"
 )
 
 // Register convention of the generated program.
@@ -26,27 +27,18 @@ const (
 	DefaultSboxAddr  = 0x1200
 )
 
-// Region marks the instruction-index range [Start, End) of one
-// primitive occurrence inside the generated program.
-type Region struct {
-	// Name is the primitive: "ARK", "SB" or "pL" — or "XK<j>" for state
-	// byte j's S-box table lookup inside the sBoxLayer, the instruction
-	// whose load-data transition the key-recovery attack windows on.
-	Name string
-	// Round is the 1-based cipher round (the final whitening ARK gets
-	// Rounds+1).
-	Round int
-	// Start and End delimit the instruction indices.
-	Start, End int
-}
-
 // Layout describes where the generated program expects its data and how
 // its instructions map back to cipher primitives.
 type Layout struct {
 	StateAddr uint32
 	KeyAddr   uint32
 	SboxAddr  uint32
-	Regions   []Region
+	// Regions are the primitive occurrences. Name is "ARK", "SB" or
+	// "pL" — or "XK<j>" for state byte j's S-box table lookup inside the
+	// sBoxLayer, the instruction whose load-data transition the
+	// key-recovery attack windows on. Round is the 1-based cipher round
+	// (the final whitening ARK gets Rounds+1).
+	Regions []target.Region
 	// PadNops is the number of pipeline-flushing nops emitted before and
 	// after the cipher body.
 	PadNops int
@@ -100,7 +92,7 @@ func BuildProgram(opts ProgramOptions) (*isa.Program, *Layout, error) {
 	mark := func(name string, round int, body func()) {
 		start := b.Len()
 		body()
-		l.Regions = append(l.Regions, Region{Name: name, Round: round, Start: start, End: b.Len()})
+		l.Regions = append(l.Regions, target.Region{Name: name, Round: round, Start: start, End: b.Len()})
 	}
 
 	ark := func(round, keyIdx int) {
@@ -120,7 +112,7 @@ func BuildProgram(opts ProgramOptions) (*isa.Program, *Layout, error) {
 				b.Ldrb(regT0, regState, int32(j))
 				xk := b.Len()
 				b.LdrbReg(regT0, regSbox, regT0)
-				l.Regions = append(l.Regions, Region{
+				l.Regions = append(l.Regions, target.Region{
 					Name: fmt.Sprintf("XK%d", j), Round: round, Start: xk, End: xk + 1,
 				})
 				b.Strb(regT0, regState, int32(j))

@@ -114,12 +114,6 @@ type scatterSlot struct {
 	vs int32
 }
 
-// Program returns the underlying replay program.
-func (bp *BatchProgram) Program() *Program { return bp.p }
-
-// Cycles returns the schedule's timeline length.
-func (bp *BatchProgram) Cycles() int { return bp.p.cycles }
-
 // CompileBatch lowers a compiled replay program into its lane-parallel
 // form. It fails — callers then stay on the simulator — when the
 // schedule's drives cannot be expressed as one event per (cycle,
@@ -338,9 +332,6 @@ func NewBatchVM(bp *BatchProgram, lanes int) (*BatchVM, error) {
 		rows:   make([]float64, lanes*bp.p.cycles),
 	}, nil
 }
-
-// Lanes returns the VM's capacity.
-func (vm *BatchVM) Lanes() int { return vm.lanes }
 
 // SetWeights installs the power model the fused synthesis accumulates
 // under: per-component Hamming-distance and Hamming-weight weights and

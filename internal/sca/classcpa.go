@@ -144,12 +144,6 @@ func MustNewClassCPA(samples int, table [][]float64) *ClassCPA {
 	return c
 }
 
-// Classes returns the model-input class count.
-func (c *ClassCPA) Classes() int { return c.classes }
-
-// Hypotheses returns the hypothesis count.
-func (c *ClassCPA) Hypotheses() int { return c.nHyp }
-
 // Count returns the number of accumulated traces.
 func (c *ClassCPA) Count() int { return c.count }
 

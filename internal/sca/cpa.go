@@ -1,7 +1,6 @@
 package sca
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -319,6 +318,3 @@ func (a *Attack) DistinguishConfidence() float64 {
 	best, second := a.Margin()
 	return CorrDifferenceConfidence(best, second, a.Traces)
 }
-
-// ErrNoTraces reports an attack evaluated without any accumulated trace.
-var ErrNoTraces = errors.New("sca: no traces accumulated")

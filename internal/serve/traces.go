@@ -135,24 +135,43 @@ type uploads struct {
 	dir string
 
 	mu    sync.Mutex
-	locks map[string]*sync.RWMutex
+	locks map[string]*uploadLock
+}
+
+// uploadLock is one upload id's lock. holders, guarded by uploads.mu,
+// counts the requests that took it and have not yet released it; the
+// last one out deletes the entry, so ids that are gone, or were never
+// declared, leave nothing behind.
+type uploadLock struct {
+	sync.RWMutex
+	holders int
 }
 
 func newUploads(dir string) *uploads {
-	return &uploads{dir: dir, locks: map[string]*sync.RWMutex{}}
+	return &uploads{dir: dir, locks: map[string]*uploadLock{}}
 }
 
-// idLock returns the lock of one upload id; cross-id operations never
-// contend.
-func (u *uploads) idLock(id string) *sync.RWMutex {
+// idLock returns the lock of one upload id, counting the caller as a
+// holder until it calls release; cross-id operations never contend.
+func (u *uploads) idLock(id string) *uploadLock {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	l, ok := u.locks[id]
 	if !ok {
-		l = &sync.RWMutex{}
+		l = &uploadLock{}
 		u.locks[id] = l
 	}
+	l.holders++
 	return l
+}
+
+// release drops one holder of id's lock taken by idLock.
+func (u *uploads) release(id string, l *uploadLock) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if l.holders--; l.holders == 0 {
+		delete(u.locks, id)
+	}
 }
 
 // lock takes an upload exclusively: declare, status and commit, which
@@ -160,7 +179,10 @@ func (u *uploads) idLock(id string) *sync.RWMutex {
 func (u *uploads) lock(id string) func() {
 	l := u.idLock(id)
 	l.Lock()
-	return l.Unlock
+	return func() {
+		l.Unlock()
+		u.release(id, l)
+	}
 }
 
 // sharePart takes an upload for one part write. Part writes share it —
@@ -170,7 +192,10 @@ func (u *uploads) lock(id string) func() {
 func (u *uploads) sharePart(id string) func() {
 	l := u.idLock(id)
 	l.RLock()
-	return l.RUnlock
+	return func() {
+		l.RUnlock()
+		u.release(id, l)
+	}
 }
 
 func (u *uploads) declPath(id string) string { return filepath.Join(u.dir, "uploads", id+".json") }

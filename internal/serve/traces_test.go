@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,6 +18,7 @@ import (
 
 	"repro/internal/aes"
 	"repro/internal/attack"
+	"repro/internal/campaign"
 	"repro/internal/sca"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
@@ -428,6 +430,7 @@ func TestTracesCommitWaitsForPartInFlight(t *testing.T) {
 	// Wait until the part's handler holds the upload while it reads the
 	// rest of the body.
 	l := srv.uploads.idLock(id)
+	defer srv.uploads.release(id, l)
 	for deadline := time.Now().Add(10 * time.Second); l.TryLock(); {
 		l.Unlock()
 		if time.Now().After(deadline) {
@@ -463,6 +466,71 @@ func TestTracesCommitWaitsForPartInFlight(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dataDir, "uploads", id+".bin")); !os.IsNotExist(err) {
 		t.Fatalf("a part in flight during the commit recreated the assembled stream: %v", err)
+	}
+}
+
+// TestTracesLockMapDrains proves the per-id lock map holds only ids
+// with a request in flight: after status and part requests for unknown
+// ids, run side by side, and a full declare → parts → commit lifecycle,
+// no entry is left once every request has returned.
+func TestTracesLockMapDrains(t *testing.T) {
+	srv, err := New(Options{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	serve := func(method, url string, body []byte) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, url, bytes.NewReader(body)))
+		return rec.Code
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < 64; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			id := fmt.Sprintf("unknown%d", i%8)
+			if code := serve(http.MethodGet, "/v1/traces/"+id, nil); code != http.StatusNotFound {
+				t.Errorf("status of %s: %d", id, code)
+			}
+			if code := serve(http.MethodPut, "/v1/traces/"+id+"/parts/0", []byte("x")); code != http.StatusNotFound {
+				t.Errorf("part of %s: %d", id, code)
+			}
+		}(i)
+	}
+	wg.Wait()
+
+	stream := leakyStream(t, 40, 16, 0, 0x11)
+	d := declareParts(stream, 512)
+	raw, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := serve(http.MethodPost, "/v1/traces", raw); code != http.StatusOK {
+		t.Fatalf("declare: %d", code)
+	}
+	id := campaign.CanonicalDigest(&d)
+	for _, p := range d.Parts {
+		wg.Add(1)
+		go func(p uploadPart) {
+			defer wg.Done()
+			url := fmt.Sprintf("/v1/traces/%s/parts/%d", id, p.Offset)
+			if code := serve(http.MethodPut, url, stream[p.Offset:p.Offset+p.Size]); code != http.StatusNoContent {
+				t.Errorf("part %d: %d", p.Offset, code)
+			}
+		}(p)
+	}
+	wg.Wait()
+	if code := serve(http.MethodPost, "/v1/traces/"+id+"/commit", nil); code != http.StatusOK {
+		t.Fatalf("commit: %d", code)
+	}
+
+	srv.uploads.mu.Lock()
+	defer srv.uploads.mu.Unlock()
+	if n := len(srv.uploads.locks); n != 0 {
+		t.Fatalf("%d upload locks left after every request returned", n)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
+	"repro/internal/target"
 )
 
 // Register convention of the generated program.
@@ -21,26 +22,16 @@ const (
 	DefaultKeyAddr   = 0x1100
 )
 
-// Region marks the instruction-index range [Start, End) of one round
-// inside the generated program.
-type Region struct {
-	// Name is "ARX" for a whole round, or "XK" for the round's single
-	// eor that mixes the round key into the addition output — the
-	// instruction whose ALU-result leak the key-recovery attack
-	// windows on.
-	Name string
-	// Round is the 1-based cipher round.
-	Round int
-	// Start and End delimit the instruction indices.
-	Start, End int
-}
-
 // Layout describes where the generated program expects its data and how
 // its instructions map back to cipher rounds.
 type Layout struct {
 	StateAddr uint32
 	KeyAddr   uint32
-	Regions   []Region
+	// Regions are the rounds. Name is "ARX" for a whole round, or "XK"
+	// for the round's single eor that mixes the round key into the
+	// addition output — the instruction whose ALU-result leak the
+	// key-recovery attack windows on. Round is the 1-based cipher round.
+	Regions []target.Region
 	// PadNops is the number of pipeline-flushing nops emitted before and
 	// after the cipher body.
 	PadNops int
@@ -89,8 +80,8 @@ func BuildProgram(opts ProgramOptions) (*isa.Program, *Layout, error) {
 		b.Eor(regY, regY, regX)
 		b.StrOff(regY, regState, 4)
 		l.Regions = append(l.Regions,
-			Region{Name: "ARX", Round: r, Start: start, End: b.Len()},
-			Region{Name: "XK", Round: r, Start: xk, End: xk + 1})
+			target.Region{Name: "ARX", Round: r, Start: start, End: b.Len()},
+			target.Region{Name: "XK", Round: r, Start: xk, End: xk + 1})
 	}
 
 	b.Nop(opts.PadNops)

@@ -75,13 +75,7 @@ type instance struct {
 
 func (in *instance) Program() *isa.Program { return in.prog }
 
-func (in *instance) Regions() []target.Region {
-	out := make([]target.Region, len(in.layout.Regions))
-	for i, r := range in.layout.Regions {
-		out[i] = target.Region{Name: r.Name, Round: r.Round, Start: r.Start, End: r.End}
-	}
-	return out
-}
+func (in *instance) Regions() []target.Region { return in.layout.Regions }
 
 func (in *instance) InitCore(core *pipeline.Core, pt []byte) {
 	m := core.Mem()

@@ -147,6 +147,7 @@ type Instance interface {
 	// Program returns the generated program.
 	Program() *isa.Program
 	// Regions maps program instruction ranges back to cipher primitives.
+	// The slice is the codegen layout's own; callers must not modify it.
 	Regions() []Region
 	// InitCore prepares a freshly reset core for one run on input pt
 	// (Info().BlockSize bytes): tables, key material and state written

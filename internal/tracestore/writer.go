@@ -83,12 +83,6 @@ func Create(dir string, opt Options) (*Writer, error) {
 	}, nil
 }
 
-// Samples returns the per-trace sample count.
-func (w *Writer) Samples() int { return w.man.Samples }
-
-// AuxLen returns the fixed auxiliary record length.
-func (w *Writer) AuxLen() int { return w.man.AuxLen }
-
 // Append adds one trace with its auxiliary record. The trace is resized
 // to the store's sample count (mirroring trace.Set.Add: truncated or
 // zero-padded); the aux record must match the declared fixed length
