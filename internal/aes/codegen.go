@@ -46,17 +46,6 @@ type Layout struct {
 	PadNops int
 }
 
-// RegionsNamed returns the regions with the given primitive name.
-func (l *Layout) RegionsNamed(name string) []target.Region {
-	var out []target.Region
-	for _, r := range l.Regions {
-		if r.Name == name {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // ProgramOptions selects the shape of the generated AES program.
 type ProgramOptions struct {
 	// Rounds is the number of cipher rounds: 10 generates the complete

@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/cpufeat"
 	"repro/internal/engine"
 )
 
@@ -273,8 +275,24 @@ func TestExecuteDeterministicPerScenario(t *testing.T) {
 
 // TestCommittedCampaignsReproduce is the behavioural contract: every
 // committed spec under campaigns/ must reproduce its committed results
-// byte for byte. -short runs the smoke campaign only.
+// byte for byte. -short runs the smoke campaign only. When SIMD kernels
+// run in this process, the "portable" subtest re-executes the test
+// binary with cpufeat.ForcePortableEnv set, so both legs — the kernels
+// and their portable references — are checked in one run.
 func TestCommittedCampaignsReproduce(t *testing.T) {
+	t.Run("portable", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("-short: the portable leg re-runs every committed campaign")
+		}
+		if !cpufeat.AVX && !cpufeat.BMI2 {
+			t.Skip("no SIMD kernel is on: this process already runs the portable leg")
+		}
+		cmd := exec.Command(os.Args[0], "-test.run=^TestCommittedCampaignsReproduce$", "-test.count=1")
+		cmd.Env = append(os.Environ(), cpufeat.ForcePortableEnv+"=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("%s=1 leg: %v\n%s", cpufeat.ForcePortableEnv, err, out)
+		}
+	})
 	names := []string{"smoke", "paper", "multicipher", "countermeasures"}
 	if testing.Short() {
 		names = names[:1]

@@ -84,6 +84,42 @@ func parseSynth(s string) (engine.Mode, error) {
 	return engine.ParseMode(s)
 }
 
+// unspelledAxis returns the wire name of the first axis p sets that its
+// kind's scenarioID does not spell, "" when there is none. Such an axis
+// leaves the ID, and so the derived seed, unchanged while changing the
+// request's fingerprint, so one scenario would exist under several
+// worker cache keys. p's Synth must be canonical.
+func unspelledAxis(p *Point) string {
+	k := p.Kind
+	cycles := k == KindTable1 || k == KindFigure2
+	attack := k == KindFig3 || k == KindFig4 || k == KindFullKey || k == KindRankEvo
+	scan := k == KindTVLA || k == KindTable2
+	for _, ax := range []struct {
+		name         string
+		set, spelled bool
+	}{
+		{"traces", p.Traces != 0, !cycles},
+		{"averages", p.Averages != 0, !cycles},
+		{"noise_sigma", p.NoiseSigma != SigmaDefault, !cycles},
+		{"synth", p.Synth != engine.ModeAuto.String(), !cycles},
+		{"target", p.Target != "", attack},
+		{"key_byte", p.KeyByte != 0, attack || k == KindMaskCPA},
+		{"rounds", p.Rounds != 0, attack},
+		{"reps", p.Reps != 0, cycles},
+		{"rows", len(p.Rows) > 0, scan},
+		{"counts", len(p.Counts) > 0, k == KindRankEvo},
+		{"confidence", p.Confidence != 0, scan},
+		{"gadget", p.Gadget != "", k == KindMaskCPA},
+		{"ctr", p.Ctr != "", k == KindMaskCPA},
+		{"order", p.Order != 0, k == KindMaskCPA},
+	} {
+		if ax.set && !ax.spelled {
+			return ax.name
+		}
+	}
+	return ""
+}
+
 // scenarioID renders the canonical identifier from the axes that
 // distinguish the scenario. Axis order and spellings are frozen: IDs
 // feed checkpoint matching and seed derivation.
@@ -242,6 +278,9 @@ func (s *Spec) Enumerate() ([]Scenario, error) {
 									Gadget:     m.Gadget,
 									Ctr:        m.Ctr,
 									Order:      m.Order,
+								}
+								if ax := unspelledAxis(&p); ax != "" {
+									return nil, fmt.Errorf("campaign: workload %d (%s): %s does not apply to %s scenarios", wi, w.Kind, ax, w.Kind)
 								}
 								p.ID = scenarioID(&p)
 								if seen[p.ID] {

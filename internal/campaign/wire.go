@@ -22,7 +22,8 @@ import (
 // The request is self-validating: Resolve recomputes the canonical
 // scenario ID from the axes and refuses a request whose spelled ID
 // disagrees, so a corrupted or hand-edited request cannot silently
-// execute under the wrong seed.
+// execute under the wrong seed, and refuses a set axis its kind's ID
+// does not spell, so one scenario cannot exist under two fingerprints.
 type ScenarioRequest struct {
 	// Campaign and CampaignSeed identify the campaign the scenario
 	// belongs to; the scenario's private seed is DeriveSeed(CampaignSeed,
@@ -46,10 +47,10 @@ func (sc *Scenario) WireRequest(campaignName string, campaignSeed int64, key str
 }
 
 // Resolve validates the request and reconstructs the executable
-// Scenario plus the attack key. The canonical scenario ID is recomputed
-// from the axes and must equal the spelled one, and the private seed is
-// rederived from (CampaignSeed, ID) — the wire carries no seed to
-// trust.
+// Scenario plus the attack key. Every set axis must be one the kind's
+// ID spells, the canonical scenario ID is recomputed from the axes and
+// must equal the spelled one, and the private seed is rederived from
+// (CampaignSeed, ID) — the wire carries no seed to trust.
 func (r *ScenarioRequest) Resolve() (*Scenario, [aes.KeySize]byte, error) {
 	var key [aes.KeySize]byte
 	if r.Campaign == "" {
@@ -89,6 +90,9 @@ func (r *ScenarioRequest) Resolve() (*Scenario, [aes.KeySize]byte, error) {
 	}
 	p := r.Point
 	p.Ablation, p.Synth = ab.Name, mode.String()
+	if ax := unspelledAxis(&p); ax != "" {
+		return nil, key, fmt.Errorf("campaign: scenario request: %s does not apply to %s scenarios", ax, r.Kind)
+	}
 	// Recompute the canonical ID from the axes; a mismatch means the
 	// request was corrupted in flight or assembled against a different
 	// ID-spelling convention, and executing it would derive the wrong

@@ -212,3 +212,81 @@ func TestCommittedScenarioWireBytes(t *testing.T) {
 		t.Fatalf("committed scenario wire bytes changed: digest %s, want %s", got, committedWireDigest)
 	}
 }
+
+// TestScenarioRequestRefusesUnspelledAxes proves a request cannot carry
+// an axis its kind ignores: for every scenario shape and every axis, a
+// value that leaves the canonical ID unchanged — so it could only change
+// the fingerprint, never the seed — is refused, while every scenario the
+// committed specs enumerate still resolves.
+func TestScenarioRequestRefusesUnspelledAxes(t *testing.T) {
+	spec := wireTestSpec(t)
+	scenarios, err := spec.Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The table1 probe: traces and a gadget under the unchanged ID.
+	req := scenarios[0].WireRequest(spec.Name, spec.Seed, spec.Key)
+	req.Traces, req.Gadget = 500, "sbox"
+	if _, _, err := req.Resolve(); err == nil {
+		t.Fatalf("%s with traces and gadget resolved", req.ID)
+	}
+
+	axes := map[string]func(p *Point){
+		"traces":      func(p *Point) { p.Traces = 500 },
+		"averages":    func(p *Point) { p.Averages = 3 },
+		"noise_sigma": func(p *Point) { p.NoiseSigma = 2.5 },
+		"synth":       func(p *Point) { p.Synth = "simulate" },
+		"target":      func(p *Point) { p.Target = "present" },
+		"key_byte":    func(p *Point) { p.KeyByte = 3 },
+		"rounds":      func(p *Point) { p.Rounds = 2 },
+		"reps":        func(p *Point) { p.Reps = 5 },
+		"rows":        func(p *Point) { p.Rows = []int{3} },
+		"counts":      func(p *Point) { p.Counts = []int{8} },
+		"confidence":  func(p *Point) { p.Confidence = 0.5 },
+		"gadget":      func(p *Point) { p.Gadget = "xor" },
+		"ctr":         func(p *Point) { p.Ctr = "shuffle" },
+		"order":       func(p *Point) { p.Order = 1 },
+	}
+	refused := 0
+	for i := range scenarios {
+		for name, set := range axes {
+			req := scenarios[i].WireRequest(spec.Name, spec.Seed, spec.Key)
+			req.Rows = append([]int(nil), req.Rows...)
+			req.Counts = append([]int(nil), req.Counts...)
+			before := req.Point
+			set(&req.Point)
+			if reflect.DeepEqual(before, req.Point) || scenarioID(&req.Point) != req.ID {
+				continue // already this value, or the ID spells the axis
+			}
+			if _, _, err := req.Resolve(); err == nil {
+				t.Errorf("%s: %s set without changing the ID resolved", req.ID, name)
+			}
+			refused++
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no axis was left unspelled by any scenario")
+	}
+
+	for _, name := range []string{"smoke", "paper", "multicipher", "countermeasures"} {
+		spec, err := LoadSpec(filepath.Join("..", "..", "campaigns", name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		scenarios, err := spec.Enumerate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range scenarios {
+			req := scenarios[i].WireRequest(spec.Name, spec.Seed, spec.Key)
+			if _, _, err := req.Resolve(); err != nil {
+				t.Errorf("%s: committed scenario %s: %v", name, req.ID, err)
+			}
+		}
+	}
+
+	// A spec cannot enumerate such a scenario either.
+	if _, err := ParseSpec([]byte(`{"name":"x","seed":1,"workloads":[{"kind":"table2","traces":[64],"rounds":1}]}`)); err == nil {
+		t.Fatal("a table2 workload with rounds was accepted")
+	}
+}

@@ -87,41 +87,47 @@ func hazardInstrs(older, younger isa.Class) (a, b string) {
 	return a, b
 }
 
-// buildBench assembles the paper's micro-benchmark: a register prologue,
-// padding nops, reps repetitions of the pair, padding nops, and the
-// shared branch target. It returns the program and the [start, end)
+// benchRegs sets the micro-benchmark's benign operand values and memory
+// bases; r3 starts at 0 so hazard variants still index within mapped
+// memory.
+const benchRegs = "mov r1, #17\nmov r2, #42\nmov r4, #23\nmov r5, #99\n" +
+	"mov r8, #0x400\nmov r10, #0x500\nmov r3, #0\n"
+
+// benchPrologue is the micro-benchmark's head: benchRegs, then padding
+// nops up to an even length, so the measured pairs begin aligned.
+// benchEpilogue is its tail: padding nops and the shared branch target
+// "end".
+var (
+	benchPrologue = isa.MustAssemble(benchRegs +
+		strings.Repeat("nop\n", padNops+(strings.Count(benchRegs, "\n")+padNops)%2))
+	benchEpilogue = isa.MustAssemble(strings.Repeat("nop\n", padNops) + "end:")
+)
+
+// buildBench builds the paper's micro-benchmark: the prologue, reps
+// repetitions of the pair, and the epilogue. The pair is assembled once
+// and its instructions replicated; a branch to "end" is retargeted to
+// the epilogue's label. It returns the program and the [start, end)
 // instruction range of the measured region.
 func buildBench(a, b string, reps int) (*isa.Program, int, int, error) {
-	var sb strings.Builder
-	// Prologue: benign operand values and memory bases. r3 starts at 0
-	// so hazard variants still index within mapped memory.
-	sb.WriteString("mov r1, #17\nmov r2, #42\nmov r4, #23\nmov r5, #99\n")
-	sb.WriteString("mov r8, #0x400\nmov r10, #0x500\nmov r3, #0\n")
-	prologue := 7
-	for i := 0; i < padNops; i++ {
-		sb.WriteString("nop\n")
-	}
-	start := prologue + padNops
-	if start%2 != 0 {
-		sb.WriteString("nop\n")
-		start++
-	}
-	for i := 0; i < reps; i++ {
-		sb.WriteString(a)
-		sb.WriteByte('\n')
-		sb.WriteString(b)
-		sb.WriteByte('\n')
-	}
-	end := start + 2*reps
-	for i := 0; i < padNops; i++ {
-		sb.WriteString("nop\n")
-	}
-	sb.WriteString("end:\n")
-	prog, err := isa.Assemble(sb.String())
+	pair, err := isa.Assemble(a + "\n" + b + "\nend:")
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return prog, start, end, nil
+	start := benchPrologue.Len()
+	end := start + 2*reps
+	total := end + benchEpilogue.Len()
+	instrs := make([]isa.Instr, 0, total)
+	instrs = append(instrs, benchPrologue.Instrs...)
+	for i := range pair.Instrs {
+		if in := &pair.Instrs[i]; in.Op.IsBranch() && in.Op != isa.BX && in.Target == pair.Symbols["end"] {
+			in.Target = total
+		}
+	}
+	for range reps {
+		instrs = append(instrs, pair.Instrs...)
+	}
+	instrs = append(instrs, benchEpilogue.Instrs...)
+	return &isa.Program{Instrs: instrs, Symbols: map[string]int{"end": total}}, start, end, nil
 }
 
 // MeasurePair runs the micro-benchmark for the ordered class pair and

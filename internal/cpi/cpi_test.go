@@ -1,6 +1,7 @@
 package cpi
 
 import (
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -187,5 +188,71 @@ func TestInferenceString(t *testing.T) {
 	s := inf.String()
 	if !strings.Contains(s, "read ports:       3") && !strings.Contains(s, "RF read ports") {
 		t.Errorf("report missing fields:\n%s", s)
+	}
+}
+
+// benchText is the micro-benchmark as assembly text — the register
+// prologue, padding nops to an even start, reps copies of the pair,
+// padding nops and the shared "end" label — with the [start, end) range
+// of the measured pairs: the oracle buildBench is pinned to.
+func benchText(a, b string, reps int) (string, int, int) {
+	var sb strings.Builder
+	sb.WriteString("mov r1, #17\nmov r2, #42\nmov r4, #23\nmov r5, #99\n")
+	sb.WriteString("mov r8, #0x400\nmov r10, #0x500\nmov r3, #0\n")
+	prologue := 7
+	for i := 0; i < padNops; i++ {
+		sb.WriteString("nop\n")
+	}
+	start := prologue + padNops
+	if start%2 != 0 {
+		sb.WriteString("nop\n")
+		start++
+	}
+	for i := 0; i < reps; i++ {
+		sb.WriteString(a)
+		sb.WriteByte('\n')
+		sb.WriteString(b)
+		sb.WriteByte('\n')
+	}
+	end := start + 2*reps
+	for i := 0; i < padNops; i++ {
+		sb.WriteString("nop\n")
+	}
+	sb.WriteString("end:\n")
+	return sb.String(), start, end
+}
+
+// TestBuildBenchMatchesAssembledText pins the replicated micro-benchmark
+// to the assembly of its full text, instruction for instruction — every
+// class pair in both hazard variants, the raw pairs of the structure
+// probes, and several repetition counts — so the branch to "end" lands
+// on the final label and the measured range is unchanged.
+func TestBuildBenchMatchesAssembledText(t *testing.T) {
+	type pair struct{ a, b string }
+	var pairs []pair
+	for _, older := range isa.Table1Classes() {
+		for _, younger := range isa.Table1Classes() {
+			a, b := pairInstrs(older, younger)
+			pairs = append(pairs, pair{a, b})
+			a, b = hazardInstrs(older, younger)
+			pairs = append(pairs, pair{a, b})
+		}
+	}
+	pairs = append(pairs, pair{"str r1, [r8]", "str r4, [r10]"}, pair{"nop", "nop"})
+	for _, pr := range pairs {
+		for _, reps := range []int{1, 10, 64} {
+			got, start, end, err := buildBench(pr.a, pr.b, reps)
+			if err != nil {
+				t.Fatalf("%q/%q reps %d: %v", pr.a, pr.b, reps, err)
+			}
+			text, wantStart, wantEnd := benchText(pr.a, pr.b, reps)
+			want := isa.MustAssemble(text)
+			if !slices.Equal(got.Instrs, want.Instrs) || !maps.Equal(got.Symbols, want.Symbols) {
+				t.Fatalf("%q/%q reps %d: program differs from the assembled text", pr.a, pr.b, reps)
+			}
+			if start != wantStart || end != wantEnd {
+				t.Fatalf("%q/%q reps %d: measured range [%d, %d), want [%d, %d)", pr.a, pr.b, reps, start, end, wantStart, wantEnd)
+			}
+		}
 	}
 }

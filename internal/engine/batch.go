@@ -15,8 +15,8 @@ import (
 
 // DefaultLanes is the default lane-group width: the full
 // DefaultChunkSize, so a steady-state chunk is exactly one lane group
-// and the per-step schedule walk, scatter setup and fused expansion
-// amortize over the widest supported batch. Like the chunk size it is pure
+// and the per-step dispatch, pass mask and destination-row setup and the
+// fused expansion amortize over the widest supported batch. Like the chunk size it is pure
 // scheduling — results are bit-identical for every lane width.
 const DefaultLanes = replay.MaxLanes
 

@@ -90,6 +90,7 @@ type DriveObserver func(instr int, cycle int64, comp Component, v uint32, role R
 type Core struct {
 	cfg  Config
 	st   ExecState
+	lane [1]*ExecState  // st as a one-lane group, the form ExecLanes runs
 	hier *mem.Hierarchy // nil means ideal (always-warm) memory
 
 	ready      [isa.NumRegs]int64
@@ -119,7 +120,9 @@ func New(cfg Config, m *mem.Memory) (*Core, error) {
 	if m == nil {
 		m = mem.NewMemory()
 	}
-	return &Core{cfg: cfg, st: ExecState{Mem: m}}, nil
+	c := &Core{cfg: cfg, st: ExecState{Mem: m}}
+	c.lane[0] = &c.st
+	return c, nil
 }
 
 // MustNew is New that panics on configuration errors.
@@ -364,10 +367,11 @@ func (c *Core) Run(prog *isa.Program) (*Result, error) {
 // issueOne issues a single instruction at cycle e in the given slot. The
 // work splits into the schedule half — slot availability, memory stalls,
 // result-readiness bookkeeping — and the value half, delegated to the
-// instruction's ExecDecoded plan: Exec performs the architectural effects
-// and yields the driven values, which place maps onto components by the
-// plan's tags. It returns extra stall cycles (memory penalties), whether
-// a branch was taken, and the branch target.
+// instruction's ExecDecoded plan: ExecLanes, run on the core's one-lane
+// group, performs the architectural effects and yields the driven
+// values, which place maps onto components by the plan's tags. It
+// returns extra stall cycles (memory penalties), whether a branch was
+// taken, and the branch target.
 func (c *Core) issueOne(in *isa.Instr, pc int, e int64, slot int, dual bool, pipe int) (stall int64, taken bool, target int) {
 	passed := in.Cond.Passed(c.st.Flags)
 	c.issues = append(c.issues, IssueRecord{PC: pc, Cycle: e, Slot: slot, Dual: dual, Executed: passed})
@@ -375,15 +379,18 @@ func (c *Core) issueOne(in *isa.Instr, pc int, e int64, slot int, dual bool, pip
 	lim, rfPort, busPort, nopPorts := c.scheduleLimits(in, e, slot)
 	var d ExecDecoded
 	d.decode(&c.cfg, in, pc, lim)
-	var dv DriveValues
-	d.Exec(passed, &c.st, &dv)
+	var vals [MaxDrives]uint32
+	d.ExecLanes(c.lane[:], passMask(passed), vals[:])
 
 	if passed && in.Op.IsMem() && c.hier != nil {
-		stall = int64(c.hier.DataPenalty(dv.Addr))
+		stall = int64(c.hier.DataPenalty(d.addr(&vals)))
 	}
-	c.place(in, pc, e, slot, pipe, stall, rfPort, busPort, nopPorts, d.Tags(passed), &dv)
-	c.retire(in, e, passed, stall, &dv)
-	return stall, dv.Taken, dv.Target
+	c.place(in, pc, e, slot, pipe, stall, rfPort, busPort, nopPorts, d.Tags(passed), &vals)
+	c.retire(in, e, passed, stall, d.flagsSet)
+	if passed && d.branches() {
+		return stall, true, d.Target(&c.st)
+	}
+	return stall, false, 0
 }
 
 // scheduleLimits computes the drive-class capacities available to an
@@ -418,16 +425,16 @@ func (c *Core) scheduleLimits(in *isa.Instr, e int64, slot int) (lim Limits, rfP
 	return lim, rfPort, busPort, nopPorts
 }
 
-// place maps an instruction's DriveValues onto components and cycles —
+// place maps an instruction's drive values onto components and cycles —
 // the schedule half of a drive. The kind of each value's tag selects its
 // slot rule; tags and values come from one ExecDecoded plan in one
 // canonical order, so the two halves cannot disagree about structure.
-func (c *Core) place(in *isa.Instr, pc int, e int64, slot, pipe int, stall int64, rfPort, busPort int, nopPorts [2]Component, tags []DriveTag, dv *DriveValues) {
+func (c *Core) place(in *isa.Instr, pc int, e int64, slot, pipe int, stall int64, rfPort, busPort int, nopPorts [2]Component, tags []DriveTag, vals *[MaxDrives]uint32) {
 	wbPort := slot
 	nopIdx := 0
 	in0 := Component(int(ALUIn00) + 2*pipe)
 	for i, tg := range tags {
-		v, role := dv.Vals[i], tg.Role()
+		v, role := vals[i], tg.Role()
 		switch tg.Kind {
 		case DriveRF:
 			c.rec(e, Component(int(RFRead0)+rfPort), v, pc, role)
@@ -469,7 +476,7 @@ func (c *Core) place(in *isa.Instr, pc int, e int64, slot, pipe int, stall int64
 // retire updates result-readiness bookkeeping after an issue: the cycle
 // each written register becomes forwardable and the flag-ready cycle.
 // Pure schedule state — the replay VM skips it entirely.
-func (c *Core) retire(in *isa.Instr, e int64, passed bool, stall int64, dv *DriveValues) {
+func (c *Core) retire(in *isa.Instr, e int64, passed bool, stall int64, flagsSet bool) {
 	if !passed {
 		return
 	}
@@ -489,7 +496,7 @@ func (c *Core) retire(in *isa.Instr, e int64, passed bool, stall int64, dv *Driv
 		if in.Op.HasDest() {
 			c.ready[in.Rd] = e + c.latencyOf(in)
 		}
-		if dv.FlagsSet {
+		if flagsSet {
 			// The result is forwardable after the unit latency, but flags
 			// resolve a conditional successor one cycle after issue.
 			c.flagsReady = e + 1

@@ -10,11 +10,13 @@ import (
 // logic so that the replay compiler (internal/replay) can re-execute
 // only the dataflow of a recorded schedule. DecodeExec derives an
 // instruction's decode-static plan once — including the kind and role of
-// every drive for either condition outcome — and ExecDecoded.Exec runs
-// the per-state residue. Core.issueOne places Exec's values by the
-// plan's tags against the live timeline; the batch VM runs the same Exec
-// once per lane against a compiled slot list. One implementation, one
-// canonical drive order.
+// every drive for either condition outcome — and ExecDecoded.ExecLanes
+// runs the per-state residue over a group of lanes. Core.issueOne runs
+// it on a one-lane group and places the values by the plan's tags
+// against the live timeline; the batch VM runs it once per step across
+// all lanes, each drive landing in its compiled slot row; Exec is its
+// one-lane call for a bare state. One implementation, one canonical
+// drive order.
 
 // ExecState is the architectural machine state instruction value
 // semantics read and write: registers, condition flags and data memory.
@@ -28,9 +30,9 @@ type ExecState struct {
 }
 
 // DriveKind classifies one drive of an issued instruction by the slot
-// logic that places it. The kinds let the scheduler place a DriveValues
-// sequence with a single loop, so the placement structure cannot drift
-// from the emission structure.
+// logic that places it. The kinds let the scheduler place an
+// instruction's drive values with a single loop, so the placement
+// structure cannot drift from the emission structure.
 type DriveKind uint8
 
 // Drive kinds, in the vocabulary of the schedule.
@@ -91,10 +93,10 @@ type DriveTag struct {
 // Role returns the role of the tagged value.
 func (t DriveTag) Role() Role { return roles[t.role] }
 
-// DriveValues is the value outcome of one issued instruction: every
-// value it drives, in the canonical order of its plan's tags, plus the
-// facts the scheduler derives from values (the effective address, the
-// branch decision).
+// DriveValues is the value outcome of one issued instruction, as Exec
+// returns it: every value it drives, in the canonical order of its
+// plan's tags, plus the facts the scheduler derives from values (the
+// effective address, the branch decision).
 type DriveValues struct {
 	N    int
 	Vals [MaxDrives]uint32
@@ -110,7 +112,7 @@ type DriveValues struct {
 	FlagsSet bool
 }
 
-// execClass is the op-class dispatch of Exec.
+// execClass is the op-class dispatch of ExecLanes.
 type execClass uint8
 
 const (
@@ -132,15 +134,15 @@ type ExecDecoded struct {
 	cls  execClass
 	cond isa.Cond
 
-	// Register-file read ports, already clipped to lim.RF.
-	src  [isa.MaxSrcRegs]isa.Reg
-	nSrc uint8
+	// reads[:nSrc] are the register-file read ports, already clipped to
+	// lim.RF; reads[nSrc:nSrc+nBus] the IS/EX operand-bus register reads,
+	// clipped to lim.Bus. They lead the drive order in that order.
+	reads [isa.MaxSrcRegs + 3]isa.Reg
+	nSrc  uint8
+	nBus  uint8
 
-	// IS/EX operand-bus plan, already clipped to lim.Bus: register reads
-	// for ordinary instructions, nBusZero zero drives for the nop. The
-	// two are mutually exclusive.
-	bus      [3]isa.Reg
-	nBus     uint8
+	// A nop drives nBusZero operand-bus zeros (it reads no registers),
+	// then nNopWB write-back zeros.
 	nBusZero uint8
 	nNopWB   uint8
 
@@ -188,7 +190,8 @@ type ExecDecoded struct {
 	rd isa.Reg
 
 	// tags[o][:nTags[o]] is the drive plan for outcome o (annulled or
-	// executed), in Exec's value order. Only the simulator reads it.
+	// executed), in Exec's value order. The simulator places by it; the
+	// replay compiler checks its schedule's slot counts against it.
 	tags  [2][MaxDrives]DriveTag
 	nTags [2]uint8
 }
@@ -242,7 +245,7 @@ func (d *ExecDecoded) decode(cfg *Config, in *isa.Instr, pc int, lim Limits) {
 		if i >= lim.RF {
 			break
 		}
-		d.src[d.nSrc] = r
+		d.reads[d.nSrc] = r
 		d.nSrc++
 		d.tagBoth(DriveRF, srcRole(i))
 	}
@@ -253,7 +256,7 @@ func (d *ExecDecoded) decode(cfg *Config, in *isa.Instr, pc int, lim Limits) {
 	addBus := func(r isa.Reg) {
 		if int(d.nBus) < lim.Bus {
 			d.tagBoth(DriveBus, srcRole(int(d.nBus)))
-			d.bus[d.nBus] = r
+			d.reads[d.nSrc+d.nBus] = r
 			d.nBus++
 		}
 	}
@@ -382,59 +385,139 @@ func (d *ExecDecoded) decode(cfg *Config, in *isa.Instr, pc int, lim Limits) {
 // in the order of Tags(passed), and performs the architectural effects
 // (register and memory writes, flag updates). It never touches schedule
 // state — issue cycles, ports, stalls and ready times belong to the
-// caller — and writes only values, so the batch VM's per-lane work
-// carries no tags.
+// caller — and writes only values. It is ExecLanes on a one-lane group
+// whose rows are the entries of dv.Vals; the simulator runs the same
+// call on the one-lane group its core keeps.
 func (d *ExecDecoded) Exec(passed bool, st *ExecState, dv *DriveValues) {
-	dv.Addr = 0
-	dv.Taken = false
-	dv.Target = 0
-	dv.FlagsSet = false
+	sts := [1]*ExecState{st}
+	nAnnul, nExec := d.ExecLanes(sts[:], passMask(passed), dv.Vals[:])
 
-	n := 0
-	vals := &dv.Vals
-	for i := 0; i < int(d.nSrc); i++ {
-		vals[n] = st.Regs[d.src[i]]
-		n++
+	dv.N, dv.Addr, dv.Taken, dv.Target, dv.FlagsSet = nAnnul, 0, false, 0, false
+	if passed {
+		dv.N = nExec
+		if d.branches() {
+			dv.Taken, dv.Target = true, d.Target(st)
+		}
+		dv.FlagsSet = d.flagsSet
 	}
-	for i := 0; i < int(d.nBus); i++ {
-		vals[n] = st.Regs[d.bus[i]]
-		n++
+	if d.cls == ecMem {
+		dv.Addr = d.addr(&dv.Vals)
 	}
-	for i := 0; i < int(d.nBusZero); i++ {
-		vals[n] = 0
-		n++
+}
+
+// passMask is the pass mask of a one-lane group.
+func passMask(passed bool) uint64 {
+	if passed {
+		return 1
+	}
+	return 0
+}
+
+// branches reports a branch instruction: when its condition passes, it
+// is taken, to Target.
+func (d *ExecDecoded) branches() bool { return d.cls >= ecB && d.cls <= ecBX }
+
+// addr returns a memory instruction's effective address from a one-lane
+// group's drives: the AGU drive, right after the register reads.
+func (d *ExecDecoded) addr(vals *[MaxDrives]uint32) uint32 { return vals[d.nSrc+d.nBus] }
+
+// Target returns where a branch whose condition passed goes, read from
+// the lane's state before or after it executed: the decoded target of b
+// and bl, the register of bx — beyond the program end for the halt
+// sentinel. It is 0 for any other instruction.
+func (d *ExecDecoded) Target(st *ExecState) int {
+	switch d.cls {
+	case ecB, ecBL:
+		return d.target
+	case ecBX:
+		if t := st.Regs[d.rm]; t < HaltTarget {
+			return int(t)
+		}
+		return int(^uint(0) >> 1) // halt: beyond program end
+	}
+	return 0
+}
+
+// PassMask returns the condition outcomes of len(sts) lanes (at most
+// 64): bit i is set when the instruction's condition passes
+// against sts[i]'s flags.
+func (d *ExecDecoded) PassMask(sts []*ExecState) uint64 {
+	if d.cond == isa.AL {
+		return ^uint64(0) >> (64 - uint(len(sts)))
+	}
+	var m uint64
+	for i, st := range sts {
+		if d.cond.Passed(st.Flags) {
+			m |= 1 << uint(i)
+		}
+	}
+	return m
+}
+
+// ExecLanes is Exec over len(sts) lanes at once (at most 64, with
+// distinct states): lane i executes against sts[i], its condition passed
+// when bit i of pass is set, and its value of drive j lands in
+// vals[j*len(sts)+i] — drive j owns the j-th row of len(sts) values.
+// The decode dispatch and every row selection happen once per call;
+// only each class's lane loop runs per lane, so a batch of executions
+// sharing one schedule pays for them once.
+//
+// vals must hold a row for every drive index below the larger of
+// len(Tags(false)) and len(Tags(true)). A lane writes exactly the rows
+// of its own outcome's drives, [0, len(Tags(outcome))); since the two
+// outcomes share their head, a failed lane's annulled write-back zero
+// lands in the row of the executed outcome's first tail drive. Where a
+// passing branch goes is Target's. ExecLanes returns the drive counts it
+// emitted for an annulled and for an executed lane.
+func (d *ExecDecoded) ExecLanes(sts []*ExecState, pass uint64, vals []uint32) (nAnnul, nExec int) {
+	lanes := len(sts)
+	n := int(d.nSrc) + int(d.nBus)
+	for k, r := range d.reads[:n] {
+		o := k * lanes
+		for i, st := range sts {
+			vals[o+i] = st.Regs[r]
+		}
 	}
 
 	switch d.cls {
 	case ecNop:
-		for i := 0; i < int(d.nNopWB); i++ {
-			vals[n] = 0
-			n++
-		}
-
-	case ecB:
-		if passed {
-			dv.Taken, dv.Target = true, d.target
-		}
+		// Zeros on the operand buses, then on the idle write-back buses.
+		z := int(d.nBusZero) + int(d.nNopWB)
+		clear(vals[n*lanes : (n+z)*lanes])
+		return n + z, n + z
 
 	case ecBL:
-		if passed {
-			st.Regs[isa.LR] = d.linkVal
-			dv.Taken, dv.Target = true, d.target
-		}
-
-	case ecBX:
-		if passed {
-			t := st.Regs[d.rm]
-			dv.Taken = true
-			if t >= HaltTarget {
-				dv.Target = int(^uint(0) >> 1) // halt: beyond program end
-			} else {
-				dv.Target = int(t)
+		for i, st := range sts {
+			if pass&(1<<uint(i)) != 0 {
+				st.Regs[isa.LR] = d.linkVal
 			}
 		}
+		return n, n
 
 	case ecMem:
+		return d.memLanes(sts, pass, vals, n)
+	case ecMul:
+		return d.mulLanes(sts, pass, vals, n)
+	case ecDataProc:
+		return d.dataProcLanes(sts, pass, vals, n)
+	}
+	return n, n // b and bx: the operand reads alone
+}
+
+// memLanes is ExecLanes' lane loop for loads and stores, whose drives
+// from row n are the address, then for an executed lane the memory data
+// register, the align buffer (when modelled) and the write-back.
+func (d *ExecDecoded) memLanes(sts []*ExecState, pass uint64, vals []uint32, n int) (nAnnul, nExec int) {
+	lanes := len(sts)
+	agu, mdr := n*lanes, (n+1)*lanes
+	k := n + 2
+	align := 0
+	if d.align {
+		align = k * lanes
+		k++
+	}
+	wb := k * lanes
+	for i, st := range sts {
 		base := st.Regs[d.memBase]
 		off := d.offImm
 		if d.hasOffReg {
@@ -444,11 +527,9 @@ func (d *ExecDecoded) Exec(passed bool, st *ExecState, dv *DriveValues) {
 		if !d.postIndex {
 			addr = uint32(int64(base) + int64(off))
 		}
-		dv.Addr = addr
-		vals[n] = addr
-		n++
-		if !passed {
-			break
+		vals[agu+i] = addr
+		if pass&(1<<uint(i)) == 0 {
+			continue
 		}
 		if d.load {
 			word := st.Mem.Read32(addr)
@@ -461,15 +542,12 @@ func (d *ExecDecoded) Exec(passed bool, st *ExecState, dv *DriveValues) {
 			case 1:
 				val = uint32(st.Mem.Read8(addr))
 			}
-			vals[n] = word // the cache returns the full word
-			n++
+			vals[mdr+i] = word // the cache returns the full word
 			if d.align {
-				vals[n] = val
-				n++
+				vals[align+i] = val
 			}
 			st.Regs[d.rd] = val
-			vals[n] = val
-			n++
+			vals[wb+i] = val
 		} else {
 			data := st.Regs[d.rd]
 			var busWord uint32
@@ -492,47 +570,91 @@ func (d *ExecDecoded) Exec(passed bool, st *ExecState, dv *DriveValues) {
 				}
 				st.Mem.Write8(addr, uint8(b))
 			}
-			vals[n] = busWord
-			n++
+			vals[mdr+i] = busWord
 			if d.align {
-				vals[n] = data & ((1 << (8 * uint(d.width))) - 1)
-				n++
+				vals[align+i] = data & ((1 << (8 * uint(d.width))) - 1)
 			}
 			// Store data traverses the EX/WB datapath on its way out.
-			vals[n] = data
-			n++
+			vals[wb+i] = data
 		}
 		if d.baseWB {
 			st.Regs[d.baseWBReg] = uint32(int64(base) + int64(off))
 		}
+	}
+	return n + 1, k + 1
+}
 
-	case ecMul:
-		if !passed {
+// mulLanes is ExecLanes' lane loop for multiplies, whose tail drives
+// from row n are, for an executed lane, the ALU input latches, the
+// result buffer and the write-back, and for an annulled one the
+// write-back zero when it drives one.
+func (d *ExecDecoded) mulLanes(sts []*ExecState, pass uint64, vals []uint32, n int) (nAnnul, nExec int) {
+	lanes := len(sts)
+	nAnnul = n
+	if d.annulZeroWB {
+		nAnnul++
+	}
+	in0, in1, out, wb := n*lanes, (n+1)*lanes, (n+2)*lanes, (n+3)*lanes
+	for i, st := range sts {
+		if pass&(1<<uint(i)) == 0 {
 			if d.annulZeroWB {
-				vals[n] = 0
-				n++
+				vals[in0+i] = 0 // the annulled write-back zero
 			}
-			break
+			continue
 		}
 		a, b := st.Regs[d.rn], st.Regs[d.rmul]
 		v := a * b
 		if d.mla {
 			v += st.Regs[d.ra]
 		}
-		vals[n] = a
-		vals[n+1] = b
-		vals[n+2] = v
-		n += 3
+		vals[in0+i], vals[in1+i], vals[out+i] = a, b, v
 		st.Regs[d.rd] = v
-		vals[n] = v
-		n++
+		vals[wb+i] = v
 		if d.flagsSet {
 			st.Flags.N = v&(1<<31) != 0
 			st.Flags.Z = v == 0
-			dv.FlagsSet = true
 		}
+	}
+	return nAnnul, n + 4
+}
 
-	case ecDataProc:
+// dataProcLanes is ExecLanes' lane loop for data processing, whose tail
+// drives from row n are, for an executed lane, the shifter buffer (when
+// used), the ALU input latches, the result buffer and the write-back
+// (when the operation has a destination), and for an annulled one the
+// write-back zero when it drives one.
+func (d *ExecDecoded) dataProcLanes(sts []*ExecState, pass uint64, vals []uint32, n int) (nAnnul, nExec int) {
+	lanes := len(sts)
+	nAnnul = n
+	if d.annulZeroWB {
+		nAnnul++
+	}
+	k := n
+	shift, in1, wb := 0, 0, 0
+	if d.usesShifter {
+		shift = k * lanes
+		k++
+	}
+	in0 := k * lanes
+	k++
+	if d.usesRn {
+		in1 = k * lanes
+		k++
+	}
+	out := k * lanes
+	k++
+	if d.hasDest {
+		wb = k * lanes
+		k++
+	}
+	annul := n * lanes
+	for i, st := range sts {
+		if pass&(1<<uint(i)) == 0 {
+			if d.annulZeroWB {
+				vals[annul+i] = 0 // the annulled write-back zero
+			}
+			continue
+		}
 		a := uint32(0)
 		if d.usesRn {
 			a = st.Regs[d.rn]
@@ -547,37 +669,23 @@ func (d *ExecDecoded) Exec(passed bool, st *ExecState, dv *DriveValues) {
 			}
 			sh = isa.EvalShift(d.shiftKind, st.Regs[d.op2Reg], amt, st.Flags.C)
 		}
-		if !passed {
-			if d.annulZeroWB {
-				vals[n] = 0
-				n++
-			}
-			break
-		}
 		r := isa.EvalDataProc(d.op, a, sh.Value, sh.CarryOut, st.Flags)
 		if d.usesShifter {
-			vals[n] = sh.Value
-			n++
+			vals[shift+i] = sh.Value
 		}
 		if d.usesRn {
-			vals[n] = a
-			vals[n+1] = sh.Value
-			n += 2
+			vals[in0+i], vals[in1+i] = a, sh.Value
 		} else {
-			vals[n] = sh.Value
-			n++
+			vals[in0+i] = sh.Value
 		}
-		vals[n] = r.Value
-		n++
+		vals[out+i] = r.Value
 		if d.hasDest {
 			st.Regs[d.rd] = r.Value
-			vals[n] = r.Value
-			n++
+			vals[wb+i] = r.Value
 		}
 		if d.flagsSet {
 			st.Flags = r.Flags
-			dv.FlagsSet = true
 		}
 	}
-	dv.N = n
+	return nAnnul, k
 }

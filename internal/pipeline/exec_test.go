@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -209,6 +210,97 @@ func FuzzExecPlan(f *testing.F) {
 			d.Exec(passed, &st, &dv)
 			if n := len(d.Tags(passed)); n != dv.N || dv.N > pipeline.MaxDrives {
 				t.Fatalf("%s (%+v, passed %v): %d tags for %d values (max %d)", &in, lim, passed, n, dv.N, pipeline.MaxDrives)
+			}
+		}
+	})
+}
+
+// FuzzExecLanes checks the lane form against its one-lane calls: for any
+// instruction, config, limits, 1..64 lane states and pass mask, PassMask
+// must agree with each lane's condition, and one ExecLanes call over
+// every lane must leave each lane exactly as an Exec call on that lane
+// alone does — the same values in its column of every row its outcome
+// drives and nothing in the other rows, the same drive counts and branch
+// target, and the same registers, flags and touched memory.
+func FuzzExecLanes(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint8(seed), uint8(3), uint8(3), uint8(2), uint8(8*seed+1), uint64(0x5555_5555_5555_5555))
+	}
+	f.Add(int64(8), uint8(7), uint8(1), uint8(2), uint8(1), uint8(64), ^uint64(0))
+	f.Fuzz(func(t *testing.T, seed int64, cfgBits, rf, bus, nopWB, lanes uint8, pass uint64) {
+		rng := rand.New(rand.NewSource(seed))
+		in := randInstr(rng)
+		cfg := pipeline.DefaultConfig()
+		cfg.NopZeroesWB = cfgBits&1 != 0
+		cfg.AlignBuffer = cfgBits&2 != 0
+		cfg.StoreLaneReplication = cfgBits&4 != 0
+		lim := pipeline.Limits{RF: int(rf % 4), Bus: int(bus % 4), NopWB: int(nopWB % 3)}
+		d := pipeline.DecodeExec(&cfg, &in, rng.Intn(64), lim)
+		n := 1 + int(lanes)%64
+		pass &= ^uint64(0) >> (64 - n)
+
+		base := make([]pipeline.ExecState, n)
+		sts := make([]*pipeline.ExecState, n)
+		for i := range base {
+			base[i] = randState(rng, &in)
+			st := base[i]
+			st.Mem = base[i].Mem.Clone()
+			sts[i] = &st
+		}
+		mask := d.PassMask(sts)
+		for i, st := range sts {
+			if mask&(1<<i) != 0 != d.Passed(st.Flags) || mask>>n != 0 {
+				t.Fatalf("%s: pass mask %#x disagrees with lane %d's condition", &in, mask, i)
+			}
+		}
+
+		// Every row has room for the most drives, so a write through a
+		// wrong row or lane lands on a checked value.
+		const unwritten = 0xDEADBEEF
+		vals := make([]uint32, pipeline.MaxDrives*n)
+		for k := range vals {
+			vals[k] = unwritten
+		}
+		nAnnul, nExec := d.ExecLanes(sts, pass, vals)
+
+		for i := range base {
+			passed := pass&(1<<i) != 0
+			one := base[i]
+			var dv pipeline.DriveValues
+			d.Exec(passed, &one, &dv)
+			ctx := func() string {
+				return fmt.Sprintf("%s (%+v, %d lanes, lane %d passed %v)", &in, lim, n, i, passed)
+			}
+			if want := map[bool]int{false: nAnnul, true: nExec}[passed]; dv.N != want {
+				t.Fatalf("%s: one-lane call drives %d values, the lane form %d", ctx(), dv.N, want)
+			}
+			for j := range pipeline.MaxDrives {
+				want := uint32(unwritten)
+				if j < dv.N {
+					want = dv.Vals[j]
+				}
+				if got := vals[j*n+i]; got != want {
+					t.Fatalf("%s: drive %d is %#x in the lane form, want %#x", ctx(), j, got, want)
+				}
+			}
+			if dv.Taken {
+				if got := d.Target(sts[i]); got != dv.Target {
+					t.Fatalf("%s: branch target %d after the lane form, %d alone", ctx(), got, dv.Target)
+				}
+			}
+			got := sts[i]
+			if got.Regs != one.Regs || got.Flags != one.Flags {
+				t.Fatalf("%s: registers or flags differ from the one-lane call", ctx())
+			}
+			for a := uint32(0); a < 0x240; a++ {
+				if got.Mem.Read8(a) != one.Mem.Read8(a) {
+					t.Fatalf("%s: memory at %#x differs from the one-lane call", ctx(), a)
+				}
+			}
+			for off := uint32(0); off < 8; off++ {
+				if a := dv.Addr + off; got.Mem.Read8(a) != one.Mem.Read8(a) {
+					t.Fatalf("%s: memory at %#x differs from the one-lane call", ctx(), a)
+				}
 			}
 		}
 	})

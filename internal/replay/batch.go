@@ -2,14 +2,16 @@ package replay
 
 // Lane-parallel batched replay. A compiled Program fixes the structural
 // schedule for every input, so when L traces replay the same schedule,
-// the per-step work that does not depend on data — instruction decode,
-// slot-run selection, drive-count guards, event enumeration — can run
-// once per step instead of once per trace per step. BatchVM executes L
-// executions ("lanes") against one BatchProgram in struct-of-arrays
-// form: per-slot values become length-L rows, per-cycle power becomes an
-// L-wide block, and only the irreducibly per-lane value semantics
-// (pipeline.ExecDecoded.Exec against each lane's architectural state,
-// the same code the simulator runs) remain scalar.
+// the work that does not depend on data runs once instead of once per
+// trace: instruction decode, drive-count guards, value-slot layout and
+// event enumeration at compile time, the class dispatch once per step.
+// BatchVM executes L executions ("lanes") against one BatchProgram in
+// struct-of-arrays form: per-slot values become length-L rows, per-cycle
+// power becomes an L-wide block, and only the irreducibly per-lane value
+// semantics remain per lane: each step runs
+// pipeline.ExecDecoded.ExecLanes once, whose class-specific lane loop
+// executes every lane's state and writes each drive straight into its
+// row. The simulator runs the same lane form on one lane.
 //
 // Fused power synthesis. Instead of materializing L timelines and
 // sweeping each one per component, the batch VM accumulates the power
@@ -31,7 +33,7 @@ package replay
 // drives — executed-only events (ALU input latches and result buffer)
 // fire only for passing lanes, and the shared write-back slot event
 // selects the result value or the annulled zero per lane. Divergence
-// guards run per step and per lane: any lane leaving the compiled
+// guards run per step over every lane: any lane leaving the compiled
 // schedule aborts the batch with ErrDiverged and the caller simulates
 // those traces instead.
 //
@@ -42,6 +44,7 @@ package replay
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -78,57 +81,102 @@ type batchEvent struct {
 }
 
 // BatchProgram is the lane-parallel form of a compiled replay Program:
-// the same schedule, augmented with a value-slot assignment for every
-// drive the power model can observe and a cycle-ordered event list for
-// the fused synthesis walk. It is weight-agnostic — a BatchVM filters
-// the events against a power model's weights — immutable, and safe for
-// concurrent use by multiple BatchVMs.
+// the same schedule, augmented with a value-slot row for every drive
+// and a cycle-ordered event list for the fused synthesis walk. It is
+// weight-agnostic — a BatchVM filters the events against a power
+// model's weights — immutable, and safe for concurrent use by multiple
+// BatchVMs.
 type BatchProgram struct {
 	p      *Program
 	nVS    int
 	nCond  int
-	vsMap  []int32  // per slot: value-slot row, or -1 when unobserved
 	conds  []uint16 // per step: dense conditional index, or noCond
 	events []batchEvent
 
-	// Precomputed scatter lists: for step si, scat[scatOff[si]:
-	// scatOff[si+1]] names the drive values the power model observes —
-	// the first scatHead[si] entries are outcome-invariant head slots,
-	// the remainder executed-tail slots (scattered only for passing
-	// lanes). Hoisting the per-slot vsMap probe out of the lane loop
-	// removes a branchy lookup per slot per lane from Run's hot path.
-	scat     []scatterSlot
-	scatOff  []uint32
-	scatHead []uint16
+	// Value-slot rows are laid out step by step: drive j of step si owns
+	// row base[si]+j, for every drive index either outcome emits, so a
+	// step's drives are consecutive rows and ExecLanes writes them in
+	// place. A replayable conditional's annulled tail shares the rows of
+	// its executed tail; its only drive, the write-back zero, is
+	// reproduced by the evBoth event and never read from a row.
+	base []int32
 
 	// dec holds each step's decode-static execution plan
-	// (pipeline.DecodeExec): the batch VM executes it once per lane
-	// instead of re-deriving the decode from the instruction word.
+	// (pipeline.DecodeExec): the batch VM executes it once per step
+	// across all lanes instead of re-deriving the decode from the
+	// instruction word.
 	dec []pipeline.ExecDecoded
 }
 
-// scatterSlot maps one observed drive value (dv.Vals[j]) to its
-// value-slot row.
-type scatterSlot struct {
-	j  uint8
-	vs int32
-}
-
 // CompileBatch lowers a compiled replay program into its lane-parallel
-// form. It fails — callers then stay on the simulator — when the
-// schedule's drives cannot be expressed as one event per (cycle,
-// component): overlapping drives from distinct steps, or conditional
-// tails colliding with invariant slots. Such schedules do not arise
-// from the in-order core model; the guard keeps the fused synthesis
-// honest rather than approximate.
+// form. It fails — callers then stay on the simulator — when a step's
+// recorded slots disagree with the drive count of its decoded plan, or
+// when the schedule's drives cannot be expressed as one event per
+// (cycle, component): overlapping drives from distinct steps, or
+// conditional tails colliding with invariant slots. Such schedules do
+// not arise from the in-order core model; the guards keep the fused
+// synthesis honest rather than approximate.
 func CompileBatch(p *Program) (*BatchProgram, error) {
 	bp := &BatchProgram{
 		p:     p,
-		vsMap: make([]int32, len(p.slots)),
 		conds: make([]uint16, len(p.steps)),
+		base:  make([]int32, len(p.steps)),
+		dec:   make([]pipeline.ExecDecoded, len(p.steps)),
 	}
-	for i := range bp.vsMap {
-		bp.vsMap[i] = -1
+
+	// Hoist each step's instruction decode. The simulator executes the
+	// same plans, so this package's simulator-parity sweeps check only
+	// the schedule, not a second copy of the value semantics. A plan's
+	// drive count depends only on its decode and condition outcome, so
+	// the count guard runs here, once per step and outcome the schedule
+	// replays: a pinned step its reference outcome, a replayable
+	// conditional both. slotVS maps each slot to its value-slot row
+	// (-1 for an annulled tail).
+	slotVS := make([]int32, len(p.slots))
+	for si := range p.steps {
+		st := &p.steps[si]
+		in := &p.prog.Instrs[st.pc]
+		d := &bp.dec[si]
+		*d = pipeline.DecodeExec(&p.cfg, in, int(st.pc),
+			pipeline.Limits{RF: int(st.nRF), Bus: int(st.nBus), NopWB: int(st.nNopWB)})
+		nAnnul, nExec := len(d.Tags(false)), len(d.Tags(true))
+		check := func(executed bool, nDrives, nSlots int) error {
+			if nDrives == nSlots {
+				return nil
+			}
+			outcome := "annulled"
+			if executed {
+				outcome = "executed"
+			}
+			return fmt.Errorf("replay: batch: step %d (pc %d, %s) drives %d values when %s, schedule has %d slots",
+				si, st.pc, in, nDrives, outcome, nSlots)
+		}
+		var err error
+		switch {
+		case st.cond:
+			if err = check(false, nAnnul, int(st.nHead)+int(st.nAnnul)); err == nil {
+				err = check(true, nExec, int(st.nHead)+int(st.nExec))
+			}
+		case st.executed:
+			err = check(true, nExec, int(st.nHead))
+		default:
+			err = check(false, nAnnul, int(st.nHead))
+		}
+		if err != nil {
+			return nil, err
+		}
+		if bp.nVS > math.MaxInt32-pipeline.MaxDrives {
+			return nil, fmt.Errorf("replay: batch: too many drives (%d)", bp.nVS)
+		}
+		bp.base[si] = int32(bp.nVS)
+		off, nRows := int(st.slotOff), int(st.nHead)+int(st.nExec)
+		for j := 0; j < nRows; j++ {
+			slotVS[off+j] = int32(bp.nVS + j)
+		}
+		for j := nRows; j < nRows+int(st.nAnnul); j++ {
+			slotVS[off+j] = -1
+		}
+		bp.nVS += max(nAnnul, nExec)
 	}
 
 	// One record per slot, classified by outcome dependence.
@@ -183,13 +231,6 @@ func CompileBatch(p *Program) (*BatchProgram, error) {
 	})
 
 	// Group records sharing a (cycle, component) into one event each.
-	addVS := func(slotIdx int) int32 {
-		if bp.vsMap[slotIdx] < 0 {
-			bp.vsMap[slotIdx] = int32(bp.nVS)
-			bp.nVS++
-		}
-		return bp.vsMap[slotIdx]
-	}
 	for g := 0; g < len(recs); {
 		h := g
 		for h < len(recs) && recs[h].cycle == recs[g].cycle && recs[h].comp == recs[g].comp {
@@ -213,11 +254,11 @@ func CompileBatch(p *Program) (*BatchProgram, error) {
 			// Outcome-invariant; the schedule's last write wins, as in
 			// the simulated timeline.
 			ev.kind = evAlways
-			ev.vs = addVS(group[len(group)-1].slotIdx)
+			ev.vs = slotVS[group[len(group)-1].slotIdx]
 		case nInv == 0 && nExec == 1 && nAnnul == 0:
 			ev.kind = evExec
 			ev.cond = group[0].cond
-			ev.vs = addVS(group[0].slotIdx)
+			ev.vs = slotVS[group[0].slotIdx]
 		case nInv == 0 && nExec == 1 && nAnnul == 1 && group[0].cond == group[1].cond:
 			// The shared write-back slot: result when executed, the
 			// annulled zero otherwise. Exec drives exactly zero there
@@ -227,7 +268,7 @@ func CompileBatch(p *Program) (*BatchProgram, error) {
 			for _, r := range group {
 				if r.class == clExec {
 					ev.cond = r.cond
-					ev.vs = addVS(r.slotIdx)
+					ev.vs = slotVS[r.slotIdx]
 				}
 			}
 		default:
@@ -236,40 +277,6 @@ func CompileBatch(p *Program) (*BatchProgram, error) {
 		}
 		bp.events = append(bp.events, ev)
 		g = h
-	}
-
-	// Build the per-step scatter lists now that every observed slot has
-	// its value-slot row assigned.
-	bp.scatOff = make([]uint32, len(p.steps)+1)
-	bp.scatHead = make([]uint16, len(p.steps))
-	for si := range p.steps {
-		st := &p.steps[si]
-		bp.scatOff[si] = uint32(len(bp.scat))
-		off := int(st.slotOff)
-		for j := 0; j < int(st.nHead); j++ {
-			if vs := bp.vsMap[off+j]; vs >= 0 {
-				bp.scat = append(bp.scat, scatterSlot{j: uint8(j), vs: vs})
-			}
-		}
-		bp.scatHead[si] = uint16(len(bp.scat) - int(bp.scatOff[si]))
-		if st.cond {
-			for j := int(st.nHead); j < int(st.nHead)+int(st.nExec); j++ {
-				if vs := bp.vsMap[off+j]; vs >= 0 {
-					bp.scat = append(bp.scat, scatterSlot{j: uint8(j), vs: vs})
-				}
-			}
-		}
-	}
-	bp.scatOff[len(p.steps)] = uint32(len(bp.scat))
-
-	// Hoist each step's instruction decode. The simulator executes the
-	// same plans, so this package's simulator-parity sweeps check only
-	// the schedule, not a second copy of the value semantics.
-	bp.dec = make([]pipeline.ExecDecoded, len(p.steps))
-	for si := range p.steps {
-		st := &p.steps[si]
-		bp.dec[si] = pipeline.DecodeExec(&p.cfg, &p.prog.Instrs[st.pc], int(st.pc),
-			pipeline.Limits{RF: int(st.nRF), Bus: int(st.nBus), NopWB: int(st.nNopWB)})
 	}
 	return bp, nil
 }
@@ -297,6 +304,8 @@ type BatchVM struct {
 	masks  []uint64  // per conditional step: lane pass mask
 	powerT []float64 // [cycle*n + lane]: fused power block (cycle-major)
 	rows   []float64 // [lane*cycles + cycle]: transposed result
+
+	sts []*pipeline.ExecState // the running batch's lane states
 
 	// The active event list: bp.events filtered and weighted by the
 	// installed power model.
@@ -330,6 +339,8 @@ func NewBatchVM(bp *BatchProgram, lanes int) (*BatchVM, error) {
 		masks:  make([]uint64, bp.nCond),
 		powerT: make([]float64, bp.p.cycles*lanes),
 		rows:   make([]float64, lanes*bp.p.cycles),
+
+		sts: make([]*pipeline.ExecState, lanes),
 	}, nil
 }
 
@@ -379,63 +390,45 @@ func (vm *BatchVM) Run(cores []*pipeline.Core) error {
 	vm.n = n
 
 	clear(vm.last[:int(pipeline.NumComponents)*n])
-	clear(vm.masks)
-	for _, core := range cores {
-		core.State().Regs[isa.LR] = pipeline.HaltTarget
+	sts := vm.sts[:n]
+	for lane, core := range cores {
+		sts[lane] = core.State()
+		sts[lane].Regs[isa.LR] = pipeline.HaltTarget
 	}
+	all := ^uint64(0) >> (64 - uint(n))
 
-	var dv pipeline.DriveValues
+	// Step-major: each step is dispatched once and its lane loop runs
+	// inside ExecLanes, writing every drive straight into the step's
+	// value-slot rows. Within a step the guards run in the order a
+	// one-lane run meets them — condition, then branch target — and each
+	// names the lowest diverging lane.
 	for si := range p.steps {
 		stp := &p.steps[si]
 		d := &bp.dec[si]
-		ci := bp.conds[si]
-		scat := bp.scat[bp.scatOff[si]:bp.scatOff[si+1]]
-		headScat := scat[:bp.scatHead[si]]
-		for lane := 0; lane < n; lane++ {
-			st := cores[lane].State()
-			passed := d.Passed(st.Flags)
-			if !stp.cond && passed != stp.executed {
+		pass := d.PassMask(sts)
+		if stp.cond {
+			vm.masks[bp.conds[si]] = pass
+		} else {
+			want := uint64(0)
+			if stp.executed {
+				want = all
+			}
+			if pass != want {
 				return fmt.Errorf("%w: lane %d step %d (pc %d, %s) condition resolved %v, reference %v",
-					ErrDiverged, lane, si, stp.pc, &p.prog.Instrs[stp.pc], passed, stp.executed)
+					ErrDiverged, bits.TrailingZeros64(pass^want), si, stp.pc, &p.prog.Instrs[stp.pc], !stp.executed, stp.executed)
 			}
-			d.Exec(passed, st, &dv)
+		}
+		d.ExecLanes(sts, pass, vm.valBuf[int(bp.base[si])*n:])
 
-			nSlots := int(stp.nHead)
-			if stp.cond {
-				if passed {
-					vm.masks[ci] |= 1 << lane
-					nSlots += int(stp.nExec)
-				} else {
-					nSlots += int(stp.nAnnul)
-				}
+		if stp.bx {
+			want := int(stp.target)
+			if stp.target == haltTarget {
+				want = int(^uint(0) >> 1)
 			}
-			if dv.N != nSlots {
-				return fmt.Errorf("%w: lane %d step %d (pc %d, %s) drives %d values, schedule has %d slots",
-					ErrDiverged, lane, si, stp.pc, &p.prog.Instrs[stp.pc], dv.N, nSlots)
-			}
-
-			// Scatter the observed values into their value-slot rows,
-			// via the precompiled per-step lists. The annulled tail never
-			// owns a slot (its only drive is the shared write-back zero,
-			// reproduced by the evBoth event), so the lists cover only
-			// head and executed-tail indices.
-			sl := headScat
-			if stp.cond && passed {
-				sl = scat
-			}
-			for k := range sl {
-				sc := &sl[k]
-				vm.valBuf[int(sc.vs)*n+lane] = dv.Vals[sc.j]
-			}
-
-			if stp.bx {
-				want := int(stp.target)
-				if stp.target == haltTarget {
-					want = int(^uint(0) >> 1)
-				}
-				if dv.Target != want {
+			for lane, st := range sts {
+				if t := d.Target(st); t != want {
 					return fmt.Errorf("%w: lane %d step %d (pc %d) register branch to %d, reference %d",
-						ErrDiverged, lane, si, stp.pc, dv.Target, want)
+						ErrDiverged, lane, si, stp.pc, t, want)
 				}
 			}
 		}
