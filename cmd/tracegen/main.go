@@ -26,6 +26,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"slices"
@@ -41,66 +42,77 @@ import (
 	"repro/internal/tracestore"
 )
 
-func fail(msg string) {
-	fmt.Fprintln(os.Stderr, "tracegen:", msg)
-	os.Exit(1)
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func main() {
-	var ef cliutil.EngineFlags
-	ef.Register(flag.CommandLine)
-	ef.RegisterSeed(flag.CommandLine, 1)
-	ef.RegisterReplay(flag.CommandLine)
-	var tf cliutil.TargetFlags
-	tf.RegisterTarget(flag.CommandLine)
-	n := flag.Int("n", 1000, "number of traces")
-	rounds := flag.Int("rounds", 1, "simulated cipher rounds")
-	avg := flag.Int("avg", 4, "per-acquisition averaging")
-	noisy := flag.Bool("noise", false, "acquire under the loaded-Linux environment")
-	out := flag.String("o", "traces.bin", "output trace-set file (\"\" to skip)")
-	storeDir := flag.String("store", "", "also write a chunked trace store into this directory")
-	storeChunk := flag.Int("store-chunk", 0, "traces per store chunk (0: default)")
-	keyHex := flag.String("key", "", "attacked key in hex (default: the target's default key)")
-	flag.Parse()
+// run parses argv, acquires the traces and writes them. It returns the
+// process exit code.
+func run(argv []string, stdout, stderr io.Writer) int {
+	const tool = "tracegen"
+	fs := flag.NewFlagSet(tool, flag.ContinueOnError)
+	fs.SetOutput(stderr)
 
+	var ef cliutil.EngineFlags
+	ef.Register(fs)
+	ef.RegisterSeed(fs, 1)
+	ef.RegisterReplay(fs)
+	var tf cliutil.TargetFlags
+	tf.RegisterTarget(fs)
+	n := fs.Int("n", 1000, "number of traces")
+	rounds := fs.Int("rounds", 1, "simulated cipher rounds")
+	avg := fs.Int("avg", 4, "per-acquisition averaging")
+	noisy := fs.Bool("noise", false, "acquire under the loaded-Linux environment")
+	out := fs.String("o", "traces.bin", "output trace-set file (\"\" to skip)")
+	storeDir := fs.String("store", "", "also write a chunked trace store into this directory")
+	storeChunk := fs.Int("store-chunk", 0, "traces per store chunk (0: default)")
+	keyHex := fs.String("key", "", "attacked key in hex (default: the target's default key)")
+	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
+
+	fail := func(msg string) int {
+		fmt.Fprintf(stderr, "%s: %s\n", tool, msg)
+		return 1
+	}
 	if err := ef.Finish(); err != nil {
-		fail(err.Error())
+		return fail(err.Error())
 	}
 	info, err := tf.FinishTarget()
 	if err != nil {
-		fail(err.Error())
+		return fail(err.Error())
 	}
 	mode := ef.Mode
 	switch {
 	case *n < 0:
-		fail(fmt.Sprintf("-n must be >= 0, got %d", *n))
+		return fail(fmt.Sprintf("-n must be >= 0, got %d", *n))
 	case *rounds < 1 || *rounds > info.MaxRounds:
-		fail(fmt.Sprintf("-rounds must be in 1..%d for %s, got %d", info.MaxRounds, info.Name, *rounds))
+		return fail(fmt.Sprintf("-rounds must be in 1..%d for %s, got %d", info.MaxRounds, info.Name, *rounds))
 	case *avg < 1:
-		fail(fmt.Sprintf("-avg must be >= 1, got %d", *avg))
+		return fail(fmt.Sprintf("-avg must be >= 1, got %d", *avg))
 	case *out == "" && *storeDir == "":
-		fail("nothing to write: give -o, -store or both")
+		return fail("nothing to write: give -o, -store or both")
 	case *storeChunk < 0:
-		fail(fmt.Sprintf("-store-chunk must be >= 0, got %d", *storeChunk))
+		return fail(fmt.Sprintf("-store-chunk must be >= 0, got %d", *storeChunk))
 	}
 
 	key, err := info.ParseKey(*keyHex)
 	if err != nil {
-		fail(err.Error())
+		return fail(err.Error())
 	}
 
 	tgt, err := target.Get(tf.Target)
 	if err != nil {
-		fail(err.Error())
+		return fail(err.Error())
 	}
 	cfg := pipeline.DefaultConfig()
 	inst, err := tgt.New(cfg, key, *rounds, 8)
 	if err != nil {
-		fail(err.Error())
+		return fail(err.Error())
 	}
 	synth, err := engine.NewSynthesizer(mode, cfg, inst.Program())
 	if err != nil {
-		fail(err.Error())
+		return fail(err.Error())
 	}
 	model := power.DefaultModel()
 	env := osnoise.Quiet()
@@ -110,7 +122,7 @@ func main() {
 
 	cal, err := target.Run(inst, cfg, make([]byte, info.BlockSize))
 	if err != nil {
-		fail(err.Error())
+		return fail(err.Error())
 	}
 	samples := len(cal.Timeline) * model.SamplesPerCycle
 
@@ -127,7 +139,7 @@ func main() {
 		tmp = *out + ".tmp"
 		f, err = os.Create(tmp)
 		if err != nil {
-			fail(err.Error())
+			return fail(err.Error())
 		}
 		defer os.Remove(tmp) // no-op after the final rename
 		bw = bufio.NewWriter(f)
@@ -199,15 +211,16 @@ func main() {
 		err = stw.Commit()
 	}
 	if err != nil {
-		fail(err.Error())
+		return fail(err.Error())
 	}
 	if sw != nil {
-		fmt.Printf("wrote %d traces x %d samples (%d bytes) to %s\n",
+		fmt.Fprintf(stdout, "wrote %d traces x %d samples (%d bytes) to %s\n",
 			*n, samples, sw.Written(), *out)
 	}
 	if stw != nil {
-		fmt.Printf("committed %d traces x %d samples to store %s\n", *n, samples, *storeDir)
+		fmt.Fprintf(stdout, "committed %d traces x %d samples to store %s\n", *n, samples, *storeDir)
 	}
-	fmt.Printf("clock %g MHz, %d samples/cycle; aux record = %d-byte plaintext\n",
+	fmt.Fprintf(stdout, "clock %g MHz, %d samples/cycle; aux record = %d-byte plaintext\n",
 		attack.ClockMHz, model.SamplesPerCycle, info.BlockSize)
+	return 0
 }

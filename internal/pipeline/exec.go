@@ -14,9 +14,8 @@ import (
 // runs the per-state residue over a group of lanes. Core.issueOne runs
 // it on a one-lane group and places the values by the plan's tags
 // against the live timeline; the batch VM runs it once per step across
-// all lanes, each drive landing in its compiled slot row; Exec is its
-// one-lane call for a bare state. One implementation, one canonical
-// drive order.
+// all lanes, each drive landing in its compiled slot row. One
+// implementation, one canonical drive order.
 
 // ExecState is the architectural machine state instruction value
 // semantics read and write: registers, condition flags and data memory.
@@ -93,25 +92,6 @@ type DriveTag struct {
 // Role returns the role of the tagged value.
 func (t DriveTag) Role() Role { return roles[t.role] }
 
-// DriveValues is the value outcome of one issued instruction, as Exec
-// returns it: every value it drives, in the canonical order of its
-// plan's tags, plus the facts the scheduler derives from values (the
-// effective address, the branch decision).
-type DriveValues struct {
-	N    int
-	Vals [MaxDrives]uint32
-
-	// Addr is the effective address of a memory instruction; with a
-	// cache hierarchy attached it determines the stall, the one place
-	// where the schedule depends on data.
-	Addr uint32
-	// Taken and Target report a taken branch.
-	Taken  bool
-	Target int
-	// FlagsSet reports that the instruction updated the flags.
-	FlagsSet bool
-}
-
 // execClass is the op-class dispatch of ExecLanes.
 type execClass uint8
 
@@ -129,7 +109,7 @@ const (
 // fixed Limits: everything its value semantics derive from the
 // instruction word and the config, none of what they derive from machine
 // state. Build one with DecodeExec; it is immutable afterwards and safe
-// for concurrent Exec calls against distinct states.
+// for concurrent ExecLanes calls against distinct states.
 type ExecDecoded struct {
 	cls  execClass
 	cond isa.Cond
@@ -190,7 +170,7 @@ type ExecDecoded struct {
 	rd isa.Reg
 
 	// tags[o][:nTags[o]] is the drive plan for outcome o (annulled or
-	// executed), in Exec's value order. The simulator places by it; the
+	// executed), in ExecLanes' drive order. The simulator places by it; the
 	// replay compiler checks its schedule's slot counts against it.
 	tags  [2][MaxDrives]DriveTag
 	nTags [2]uint8
@@ -199,8 +179,8 @@ type ExecDecoded struct {
 // Passed evaluates the instruction's condition against the flags.
 func (d *ExecDecoded) Passed(f isa.Flags) bool { return d.cond.Passed(f) }
 
-// Tags returns the kind and role of every drive Exec emits for the given
-// condition outcome, in value order.
+// Tags returns the kind and role of every drive ExecLanes emits for a
+// lane of the given condition outcome, in drive order.
 func (d *ExecDecoded) Tags(passed bool) []DriveTag {
 	o := annulled
 	if passed {
@@ -380,31 +360,6 @@ func (d *ExecDecoded) decode(cfg *Config, in *isa.Instr, pc int, lim Limits) {
 	}
 }
 
-// Exec executes the decoded instruction's value semantics against st: it
-// computes every value the instruction drives onto tracked components,
-// in the order of Tags(passed), and performs the architectural effects
-// (register and memory writes, flag updates). It never touches schedule
-// state — issue cycles, ports, stalls and ready times belong to the
-// caller — and writes only values. It is ExecLanes on a one-lane group
-// whose rows are the entries of dv.Vals; the simulator runs the same
-// call on the one-lane group its core keeps.
-func (d *ExecDecoded) Exec(passed bool, st *ExecState, dv *DriveValues) {
-	sts := [1]*ExecState{st}
-	nAnnul, nExec := d.ExecLanes(sts[:], passMask(passed), dv.Vals[:])
-
-	dv.N, dv.Addr, dv.Taken, dv.Target, dv.FlagsSet = nAnnul, 0, false, 0, false
-	if passed {
-		dv.N = nExec
-		if d.branches() {
-			dv.Taken, dv.Target = true, d.Target(st)
-		}
-		dv.FlagsSet = d.flagsSet
-	}
-	if d.cls == ecMem {
-		dv.Addr = d.addr(&dv.Vals)
-	}
-}
-
 // passMask is the pass mask of a one-lane group.
 func passMask(passed bool) uint64 {
 	if passed {
@@ -454,10 +409,15 @@ func (d *ExecDecoded) PassMask(sts []*ExecState) uint64 {
 	return m
 }
 
-// ExecLanes is Exec over len(sts) lanes at once (at most 64, with
-// distinct states): lane i executes against sts[i], its condition passed
-// when bit i of pass is set, and its value of drive j lands in
+// ExecLanes executes the decoded instruction's value semantics over
+// len(sts) lanes at once (at most 64, with distinct states): lane i
+// executes against sts[i], its condition passed when bit i of pass is
+// set, computes every value the instruction drives onto tracked
+// components and performs the architectural effects (register and
+// memory writes, flag updates). Its value of drive j lands in
 // vals[j*len(sts)+i] — drive j owns the j-th row of len(sts) values.
+// It never touches schedule state: issue cycles, ports, stalls and
+// ready times belong to the caller.
 // The decode dispatch and every row selection happen once per call;
 // only each class's lane loop runs per lane, so a batch of executions
 // sharing one schedule pays for them once.

@@ -9,15 +9,22 @@ package power
 // call over its private stream, and a vector kernel renders samples
 // eight at a time (AVX-512 on amd64, behind internal/cpufeat).
 //
-// Bit-identity. Every kernel performs, per sample, exactly the rounded
-// operation sequence of emitCycle — v := Baseline + (p-Baseline)*shape;
-// v += z*sigma — and the averaging accumulates and scales exactly as
-// AveragedCyclesInto does, so for a NormSource that replicates the
-// trace's rand stream (engine's SplitMix64 sources do, pinned draw for
-// draw) the fused expansion is bit-identical to the scalar path. The
-// portable kernels are the reference; the AVX-512 kernels are pinned to
-// them by TestExpandKernelsPinned, and REPRO_FORCE_PORTABLE=1 forces the
-// portable path process-wide.
+// An averaged acquisition is one pass over the samples: each sample's
+// noiseless signal is computed once, its avg noisy repetitions are
+// summed in repetition order in a register, and the sum is scaled by
+// 1/avg on its way to the store (at avg 1 the scale is skipped, as
+// trace.Scale skips x*1).
+//
+// Bit-identity. Per sample, the kernels perform exactly the rounded
+// operation chain of AveragedCyclesInto: repetition r is emitCycle's
+// v_r := Baseline + (p-Baseline)*shape; v_r += z_r*sigma, the sum is
+// ((v_0 + v_1) + …) + v_{avg-1}, and the mean is that sum times 1/avg.
+// So for a NormSource that replicates the trace's rand stream (engine's
+// SplitMix64 sources do, pinned draw for draw) the fused expansion is
+// bit-identical to the scalar path. The portable kernel is the
+// reference; the AVX-512 kernel is pinned to it by
+// TestExpandKernelsFallbackBitIdentical and FuzzAveragedCyclesNorm, and
+// REPRO_FORCE_PORTABLE=1 forces the portable path process-wide.
 
 import "repro/internal/trace"
 
@@ -50,26 +57,22 @@ func (m *Model) AveragedCyclesNorm(dst trace.Trace, cycles []float64, ns NormSou
 	var shapeBuf [16]float64
 	shape := m.pulseShape(shapeBuf[:0])
 
-	// All avg repetitions' noise comes from one fill: repetition rep
-	// draws z[rep·need:(rep+1)·need], the same stream order as avg
-	// separate fills.
-	noise := ns != nil && m.NoiseSigma > 0
-	if noise {
+	// All avg repetitions' noise comes from one fill: repetition r
+	// draws z[r·need:(r+1)·need], the same stream order as avg separate
+	// fills. A nil noise buffer expands noiselessly.
+	var zr []float64
+	sigma := 0.0
+	if ns != nil && m.NoiseSigma > 0 {
 		if cap(z) < avg*need {
 			z = make([]float64, avg*need)
 		} else {
 			z = z[:avg*need]
 		}
 		ns.FillNorm(z)
+		zr, sigma = z, m.NoiseSigma
 	}
-	for rep := 0; rep < avg; rep++ {
-		if noise {
-			expandNorm(dst, cycles, shape, m.Baseline, m.NoiseSigma, z[rep*need:(rep+1)*need], rep > 0)
-		} else {
-			expandNormGeneric(dst, cycles, shape, m.Baseline, 0, nil, rep > 0)
-		}
-	}
-	return dst.Scale(1 / float64(avg)), z
+	expandNorm(dst, cycles, shape, m.Baseline, sigma, zr, avg)
+	return dst, z
 }
 
 // BatchExpand is one lane batch of the fused expansion: the lane-major
@@ -106,25 +109,36 @@ func (m *Model) ExpandCyclesBatch(b *BatchExpand) {
 }
 
 // expandNormGeneric is the portable expansion kernel — the bitwise
-// reference the vector kernels are pinned to. Per sample it performs
-// emitCycle's exact rounded sequence: v := baseline + (p-baseline)*sh,
-// then v += z*sigma when a noise buffer is present; with add set the
-// result accumulates into dst (the AddInPlace of the averaging loop),
-// otherwise it overwrites.
-func expandNormGeneric(dst, cycles, shape []float64, baseline, sigma float64, z []float64, add bool) {
+// reference the vector kernel is pinned to. It renders the averaged
+// acquisition of cycles into dst in one pass: per sample it computes
+// emitCycle's signal baseline + (p-baseline)*sh once, adds repetition
+// r's noise z[r·stride+s]*sigma to it when a noise buffer is present,
+// sums the avg repetitions in repetition order, and stores the sum times
+// 1/avg (the bare sum at avg 1). stride is the sample count of one full
+// repetition, so dst, cycles and z may start at the same offset into a
+// longer acquisition.
+func expandNormGeneric(dst, cycles, shape []float64, baseline, sigma float64, z []float64, stride, avg int) {
 	spc := len(shape)
+	scale := 1 / float64(avg)
 	for c, p := range cycles {
-		row := dst[c*spc : c*spc+spc]
 		for k, sh := range shape {
-			v := baseline + (p-baseline)*sh
+			s := c*spc + k
+			sig := baseline + (p-baseline)*sh
+			acc := sig
 			if z != nil {
-				v += z[c*spc+k] * sigma
+				acc += z[s] * sigma
 			}
-			if add {
-				row[k] += v
-			} else {
-				row[k] = v
+			for r := 1; r < avg; r++ {
+				v := sig
+				if z != nil {
+					v += z[r*stride+s] * sigma
+				}
+				acc += v
 			}
+			if avg > 1 {
+				acc *= scale
+			}
+			dst[s] = acc
 		}
 	}
 }

@@ -25,6 +25,17 @@ func (s *zsrc) Int63() int64           { return int64(s.Uint64() >> 1) }
 func (s *zsrc) Seed(seed int64)        { s.state = uint64(seed) }
 func (s *zsrc) FillNorm(dst []float64) { znorm.Fill(dst, &s.state) }
 
+// expandCycleCounts are the cycle counts the kernel tests sweep: every
+// count up to 20 (each remainder of the four-block loop, with and
+// without an odd final cycle) plus one long run.
+var expandCycleCounts = func() []int {
+	n := []int{129}
+	for c := 1; c <= 20; c++ {
+		n = append(n, c)
+	}
+	return n
+}()
+
 // expandModel builds a model with the given pulse resolution and noise.
 func expandModel(spc int, sigma float64) *Model {
 	m := DefaultModel()
@@ -37,13 +48,14 @@ func expandModel(spc int, sigma float64) *Model {
 // scalar path it replaces: over the same per-trace stream,
 // AveragedCyclesNorm must reproduce AveragedCyclesInto bit for bit —
 // across pulse resolutions (vector kernel at 4, portable otherwise),
-// averaging factors, odd cycle counts, and the noiseless gate.
+// averaging factors, every cycle count up to 20 (each remainder of the
+// kernel's four-block loop) plus a long odd one, and the noiseless gate.
 func TestAveragedCyclesNormMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, spc := range []int{1, 3, 4, 5} {
 		for _, sigma := range []float64{0, 1.5} {
-			for _, avg := range []int{1, 2, 5} {
-				for _, nCycles := range []int{1, 2, 7, 64, 129} {
+			for _, avg := range []int{1, 2, 3, 4, 5, 16} {
+				for _, nCycles := range expandCycleCounts {
 					m := expandModel(spc, sigma)
 					cycles := make([]float64, nCycles)
 					for i := range cycles {
@@ -111,23 +123,36 @@ func TestExpandCyclesBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// BenchmarkAveragedCyclesNorm measures one Table 2 acquisition on the
-// fused path: 28 cycles at four samples per cycle (112 samples),
-// averaged over 16 noisy executions, in ns per sample drawn.
+// BenchmarkAveragedCyclesNorm measures one acquisition on the fused
+// path, bulk noise fill included, at four samples per cycle, in ns per
+// sample drawn, for the three acquisition shapes the workloads run: a
+// Table 2 trace (28 cycles averaged over 16 executions), a scad Figure
+// 3 miss (two AES rounds, 1113 cycles, averaged over 4) and an
+// attack-stream trace (615 cycles, no averaging).
 func BenchmarkAveragedCyclesNorm(b *testing.B) {
-	const nCycles, avg = 28, 16
-	m := expandModel(4, 1.5)
-	rng := rand.New(rand.NewSource(1))
-	cycles := make([]float64, nCycles)
-	for i := range cycles {
-		cycles[i] = m.Baseline + rng.NormFloat64()*3
+	for _, bc := range []struct {
+		name         string
+		nCycles, avg int
+	}{
+		{"table2", 28, 16},
+		{"scad-miss", 1113, 4},
+		{"attack-stream", 615, 1},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			m := expandModel(4, 1.5)
+			rng := rand.New(rand.NewSource(1))
+			cycles := make([]float64, bc.nCycles)
+			for i := range cycles {
+				cycles[i] = m.Baseline + rng.NormFloat64()*3
+			}
+			src := &zsrc{state: 0x243F6A8885A308D3}
+			var dst trace.Trace
+			var z []float64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst, z = m.AveragedCyclesNorm(dst, cycles, src, z, bc.avg)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.nCycles*4*bc.avg), "ns/draw")
+		})
 	}
-	src := &zsrc{state: 0x243F6A8885A308D3}
-	var dst trace.Trace
-	var z []float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst, z = m.AveragedCyclesNorm(dst, cycles, src, z, avg)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nCycles*4*avg), "ns/draw")
 }
