@@ -31,6 +31,20 @@ import (
 
 var benchKey = [16]byte{0x2B, 0x7E, 0x15, 0x16, 0x28, 0xAE, 0xD2, 0xA6, 0xAB, 0xF7, 0x15, 0x88, 0x09, 0xCF, 0x4F, 0x3C}
 
+// benchAES builds the registry's AES instance for benchKey on the
+// default core.
+func benchAES(b *testing.B, rounds, padNops int) target.Instance {
+	tgt, err := target.Get("aes")
+	if err != nil {
+		b.Fatal(err)
+	}
+	inst, err := tgt.New(pipeline.DefaultConfig(), benchKey[:], rounds, padNops)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return inst
+}
+
 var printOnce sync.Map
 
 func printHeader(name, text string) {
@@ -360,10 +374,8 @@ func BenchmarkAblationIssuePolicy(b *testing.B) {
 // BenchmarkPipelineSimulation measures raw simulator throughput on the
 // full 10-round AES.
 func BenchmarkPipelineSimulation(b *testing.B) {
-	tgt, err := aes.NewTarget(pipeline.DefaultConfig(), benchKey, aes.DefaultProgramOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
+	opts := aes.DefaultProgramOptions()
+	tgt := benchAES(b, opts.Rounds, opts.PadNops)
 	// One core with reused buffers, reset per run: the loop times the
 	// simulator, not core construction.
 	c := pipeline.MustNew(pipeline.DefaultConfig(), nil)
@@ -376,12 +388,12 @@ func BenchmarkPipelineSimulation(b *testing.B) {
 		c.ResetState()
 		c.SetHierarchy(nil)
 		c.Mem().Wipe()
-		tgt.InitCore(c, pt)
+		tgt.InitCore(c, pt[:])
 		res, err := c.Run(tgt.Program())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := tgt.VerifyOutput(c.Mem(), pt); err != nil {
+		if err := tgt.VerifyOutput(c.Mem(), pt[:]); err != nil {
 			b.Fatal(err)
 		}
 		instrs = res.DynamicInstrs()
@@ -391,11 +403,8 @@ func BenchmarkPipelineSimulation(b *testing.B) {
 
 // BenchmarkPowerSynthesis measures trace synthesis over one AES round.
 func BenchmarkPowerSynthesis(b *testing.B) {
-	tgt, err := aes.NewTarget(pipeline.DefaultConfig(), benchKey, aes.ProgramOptions{Rounds: 1, PadNops: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, _, err := tgt.Run([16]byte{1, 2, 3})
+	pt := [16]byte{1, 2, 3}
+	res, err := target.Run(benchAES(b, 1, 8), pipeline.DefaultConfig(), pt[:])
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -460,11 +469,8 @@ func BenchmarkEngineCPA10kLanes64(b *testing.B) { benchEngineCPA10k(b, 0, engine
 // DefaultLanes-wide batch (so divide ns/op by the lane count for the
 // per-trace floor; the reported traces/s does that).
 func BenchmarkBatchVM(b *testing.B) {
-	tgt, err := aes.NewTarget(pipeline.DefaultConfig(), benchKey, aes.ProgramOptions{Rounds: 1, PadNops: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	synth, err := engine.NewSynthesizer(engine.ModeReplay, pipeline.DefaultConfig(), tgt.Program())
+	tgt := benchAES(b, 1, 8)
+	synth, err := engine.NewSynthesizer(engine.ModeAuto, pipeline.DefaultConfig(), tgt.Program())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -472,15 +478,20 @@ func BenchmarkBatchVM(b *testing.B) {
 	var pt [16]byte
 	init := func(lane int, core *pipeline.Core) error {
 		pt[0], pt[1] = byte(lane), byte(lane>>8)
-		tgt.InitCore(core, pt)
+		tgt.InitCore(core, pt[:])
 		return nil
 	}
 	use := func(int, []float64, *pipeline.Core) error { return nil }
-	// Warmup batch: pays the schedule compile and the lane scratch, so
-	// the timed iterations report the steady state even at
-	// -benchtime=1x.
-	if err := synth.RunBatch(&m, engine.DefaultLanes, init, use); err != nil {
-		b.Fatal(err)
+	// Warmup: the verification window, the schedule compile and the lane
+	// scratch, up to the first batch the VM runs alone, so the timed
+	// iterations report the steady state even at -benchtime=1x.
+	for synth.BatchRuns() == 0 {
+		if err := synth.RunBatch(&m, engine.DefaultLanes, init, use); err != nil {
+			b.Fatal(err)
+		}
+		if synth.FellBack() {
+			b.Fatalf("fell back to simulation: %s", synth.FallbackReason())
+		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -503,11 +514,8 @@ func (s *benchNormSource) FillNorm(dst []float64) { znorm.Fill(dst, &s.state) }
 // into sample-major noisy trace lanes (batched Gaussian noise included),
 // the work RunBatched performs per lane group after the batch VM run.
 func BenchmarkFusedExpand(b *testing.B) {
-	tgt, err := aes.NewTarget(pipeline.DefaultConfig(), benchKey, aes.ProgramOptions{Rounds: 1, PadNops: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, _, err := tgt.Run([16]byte{1, 2, 3})
+	pt := [16]byte{1, 2, 3}
+	res, err := target.Run(benchAES(b, 1, 8), pipeline.DefaultConfig(), pt[:])
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -28,36 +29,48 @@ import (
 	"repro/internal/pipeline"
 )
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "maskeval:", err)
-	os.Exit(1)
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func main() {
+// run parses argv, runs the keyed CPA and prints its verdict. It
+// returns the process exit code: 0 when the key is recovered, 3 when
+// the countermeasure holds, 1 on an error and 2 on a flag error.
+func run(argv []string, stdout, stderr io.Writer) int {
+	const tool = "maskeval"
+	fs := flag.NewFlagSet(tool, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+
 	def := masking.DefaultKeyedOptions()
 	var ef cliutil.EngineFlags
-	ef.Register(flag.CommandLine)
+	ef.Register(fs)
 	var tf cliutil.TargetFlags
-	tf.RegisterFigure(flag.CommandLine,
+	tf.RegisterFigure(fs,
 		fmt.Sprintf("evaluated gadget schedule: %s (\"\": %s)", strings.Join(masking.Schedules(), ", "), def.Schedule))
-	ctrFlag := flag.String("ctr", def.Ctr.String(), `countermeasures: "none" or "+"-joined of mask|shuffle|jitter`)
-	order := flag.Int("order", def.Order, "CPA combining order: 1 or 2 (centered products)")
-	keyFlag := flag.Uint("key", 0x2B, "secret key byte under attack")
-	traces := flag.Int("traces", def.Traces, "number of acquisitions")
-	avg := flag.Int("avg", def.Averages, "per-acquisition averaging factor")
-	seed := flag.Int64("seed", def.Seed, "master seed (per-trace streams derive from it)")
-	scalar := flag.Bool("scalar", false, "ablation: single-issue core")
-	flag.Parse()
+	ctrFlag := fs.String("ctr", def.Ctr.String(), `countermeasures: "none" or "+"-joined of mask|shuffle|jitter`)
+	order := fs.Int("order", def.Order, "CPA combining order: 1 or 2 (centered products)")
+	keyFlag := fs.Uint("key", 0x2B, "secret key byte under attack")
+	traces := fs.Int("traces", def.Traces, "number of acquisitions")
+	avg := fs.Int("avg", def.Averages, "per-acquisition averaging factor")
+	seed := fs.Int64("seed", def.Seed, "master seed (per-trace streams derive from it)")
+	scalar := fs.Bool("scalar", false, "ablation: single-issue core")
+	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
 
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "%s: %v\n", tool, err)
+		return 1
+	}
 	if *keyFlag > 0xFF {
-		fail(fmt.Errorf("-key must be a byte, got %#x", *keyFlag))
+		return fail(fmt.Errorf("-key must be a byte, got %#x", *keyFlag))
 	}
 	if err := ef.Finish(); err != nil {
-		fail(err)
+		return fail(err)
 	}
 	ctr, err := masking.ParseCountermeasure(*ctrFlag)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 
 	opt := def
@@ -77,22 +90,23 @@ func main() {
 
 	res, err := masking.EvaluateKeyedCPA(opt)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 
-	fmt.Printf("gadget %s, countermeasures %s, order-%d CPA, %d traces (%d samples",
+	fmt.Fprintf(stdout, "gadget %s, countermeasures %s, order-%d CPA, %d traces (%d samples",
 		res.Schedule, res.Ctr, res.Order, res.Traces, res.Samples)
 	if res.Pairs > 0 {
-		fmt.Printf(", %d centered pairs", res.Pairs)
+		fmt.Fprintf(stdout, ", %d centered pairs", res.Pairs)
 	}
-	fmt.Println(")")
+	fmt.Fprintln(stdout, ")")
 	verdict := "key NOT recovered — countermeasure holds at this order"
 	if res.Success {
 		verdict = "key RECOVERED — the schedule leaks at this order"
 	}
-	fmt.Printf("true key %#02x, best guess %#02x (rank %d): %s\n", res.Key, res.Recovered, res.Rank, verdict)
-	fmt.Printf("best |r| %+.3f, true-key r %+.3f, confidence %.4f\n", res.BestCorr, res.TrueCorr, res.Confidence)
+	fmt.Fprintf(stdout, "true key %#02x, best guess %#02x (rank %d): %s\n", res.Key, res.Recovered, res.Rank, verdict)
+	fmt.Fprintf(stdout, "best |r| %+.3f, true-key r %+.3f, confidence %.4f\n", res.BestCorr, res.TrueCorr, res.Confidence)
 	if !res.Success {
-		os.Exit(3)
+		return 3
 	}
+	return 0
 }

@@ -10,7 +10,7 @@
 // Usage:
 //
 //	scacpa [-target T] [-figure fig3,fullkey] [-traces N] [-keybyte B] [-rounds R]
-//	       [-workers W] [-lanes L] [-replay auto|replay|simulate]
+//	       [-workers W] [-lanes L] [-replay auto|simulate]
 package main
 
 import (
@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/cliutil"
-	"repro/internal/engine"
 	"repro/internal/target"
 )
 
@@ -124,7 +123,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			} else {
 				fmt.Fprintf(stdout, "=== CPA vs %s on the bare metal, table-driven class model ===\n", info.Name)
 			}
-			fmt.Fprintln(stdout, "synthesis:", synthDesc(ef.Mode, res.Replayed, res.FallbackReason))
+			fmt.Fprintln(stdout, "synthesis:", synthDesc(res.Replayed, res.FallbackReason))
 			fmt.Fprintf(stdout, "key byte %d: true %#02x, recovered %#02x (rank %d) over %d traces; confidence %.4f\n",
 				res.KeyByte, res.TrueKey, res.Recovered, res.Rank, res.Traces, res.Confidence)
 			fmt.Fprintln(stdout, "\nprimitive regions and their peak correlation (correct key):")
@@ -160,7 +159,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 				return fail(err.Error())
 			}
 			fmt.Fprintln(stdout, "\n=== Figure 4: CPA vs AES on loaded Linux, model HD(consecutive SubBytes stores) ===")
-			fmt.Fprintln(stdout, "synthesis:", synthDesc(ef.Mode, res.Replayed, res.FallbackReason))
+			fmt.Fprintln(stdout, "synthesis:", synthDesc(res.Replayed, res.FallbackReason))
 			fmt.Fprintf(stdout, "key byte %d: true %#02x, recovered %#02x (rank %d) over %d averaged-%d traces\n",
 				res.KeyByte, res.TrueKey, res.Recovered, res.Rank, res.Traces, opt4.Averages)
 			fmt.Fprintf(stdout, "best |r| %.4f vs runner-up %.4f; distinguishing confidence %.4f (paper: > 0.99)\n",
@@ -249,12 +248,9 @@ func parseCounts(s string) ([]int, error) {
 	return counts, nil
 }
 
-// synthDesc describes how the traces were synthesized. Only auto mode
-// runs the verification window; forced replay trusts the schedule.
-func synthDesc(mode engine.Mode, replayed bool, reason string) string {
+// synthDesc describes how the traces were synthesized.
+func synthDesc(replayed bool, reason string) string {
 	switch {
-	case replayed && mode == engine.ModeReplay:
-		return "compiled replay (forced, schedule invariance not verified)"
 	case replayed:
 		return "compiled replay (bit-verified against full simulation)"
 	case reason != "":

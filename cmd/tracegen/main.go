@@ -19,7 +19,7 @@
 //
 // Usage:
 //
-//	tracegen [-target T] [-n N] [-rounds R] [-avg A] [-noise] [-workers W] [-replay auto|replay|simulate] [-o traces.bin] [-store DIR] [-store-chunk N]
+//	tracegen [-target T] [-n N] [-rounds R] [-avg A] [-noise] [-workers W] [-replay auto|simulate] [-o traces.bin] [-store DIR] [-store-chunk N]
 package main
 
 import (
@@ -27,17 +27,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
-	"slices"
 
 	"repro/internal/attack"
 	"repro/internal/cliutil"
 	"repro/internal/engine"
 	"repro/internal/osnoise"
-	"repro/internal/pipeline"
-	"repro/internal/power"
-	"repro/internal/target"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
 )
@@ -82,7 +77,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err.Error())
 	}
-	mode := ef.Mode
 	switch {
 	case *n < 0:
 		return fail(fmt.Sprintf("-n must be >= 0, got %d", *n))
@@ -101,30 +95,17 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return fail(err.Error())
 	}
 
-	tgt, err := target.Get(tf.Target)
+	opt := attack.DefaultFig3Options()
+	opt.Rounds, opt.Averages, opt.Synth = *rounds, *avg, ef.Mode
+	acq, err := attack.NewAcquisition(tf.Target, key, opt)
 	if err != nil {
 		return fail(err.Error())
 	}
-	cfg := pipeline.DefaultConfig()
-	inst, err := tgt.New(cfg, key, *rounds, 8)
-	if err != nil {
-		return fail(err.Error())
-	}
-	synth, err := engine.NewSynthesizer(mode, cfg, inst.Program())
-	if err != nil {
-		return fail(err.Error())
-	}
-	model := power.DefaultModel()
+	samples := acq.Samples
 	env := osnoise.Quiet()
 	if *noisy {
 		env = osnoise.LoadedLinux()
 	}
-
-	cal, err := target.Run(inst, cfg, make([]byte, info.BlockSize))
-	if err != nil {
-		return fail(err.Error())
-	}
-	samples := len(cal.Timeline) * model.SamplesPerCycle
 
 	// The -o file streams through a temp path and lands by rename only
 	// after flush, fsync and close all succeeded — a crash or a full
@@ -171,23 +152,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	// path, so the file is byte-identical for every -lanes, -workers and
 	// -replay value.
 	if err == nil && *n > 0 {
-		bs := info.BlockSize
 		spec := engine.Spec{Traces: *n, Samples: samples, Seed: ef.Seed, Emit: emit}
-		_, err = engine.RunBatched(ef.Config, spec, engine.BatchGen{
-			Variants: []*engine.Synthesizer{synth},
-			Model:    &model,
-			Averages: *avg,
-			Env:      env,
-			Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *engine.Sample) error {
-				s.Aux = slices.Grow(s.Aux[:0], bs)[:bs]
-				rng.Read(s.Aux)
-				inst.InitCore(core, s.Aux)
-				return nil
-			},
-			Verify: func(i int, core *pipeline.Core, s *engine.Sample) error {
-				return inst.VerifyOutput(core.Mem(), s.Aux)
-			},
-		})
+		_, err = engine.RunBatched(ef.Config, spec, acq.BatchGen(env, nil))
 	}
 	if err == nil && sw != nil {
 		err = sw.Close()
@@ -221,6 +187,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "committed %d traces x %d samples to store %s\n", *n, samples, *storeDir)
 	}
 	fmt.Fprintf(stdout, "clock %g MHz, %d samples/cycle; aux record = %d-byte plaintext\n",
-		attack.ClockMHz, model.SamplesPerCycle, info.BlockSize)
+		attack.ClockMHz, opt.Model.SamplesPerCycle, info.BlockSize)
 	return 0
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -71,6 +73,40 @@ func TestRejectsBadArguments(t *testing.T) {
 		}
 		if stderr.Len() == 0 {
 			t.Errorf("%v: no diagnostic on stderr", args)
+		}
+	}
+}
+
+// TestNonAESSetGolden pins the set bytes of two non-AES targets, quiet
+// and under -noise: the plaintext draw, the calibration and the
+// synthesis path of every registered target must stay as they are.
+func TestNonAESSetGolden(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		target string
+		noise  bool
+		sha    string
+	}{
+		{"present", false, "c173e41b21070c5b4d26bfc562bc04c595d81b86c411c511afc33493b3ef0901"},
+		{"present", true, "d67004825a030343e123c0e3df212a22a260fdc5066ab13241b13a79b6d0e3b8"},
+		{"speck64", false, "7cecf6f56dc2c3a1180613d46c6b8a07327ab9ef2f6d59523a983525e7c21ccb"},
+		{"speck64", true, "4f56d6aa22cf1aac7b0b7aed1eb0908ae9676c234c44ce4b2ddf94f8cdfbe6fc"},
+	} {
+		out := filepath.Join(dir, c.target+".bin")
+		args := []string{"-target", c.target, "-n", "200", "-o", out}
+		if c.noise {
+			args = append(args, "-noise")
+		}
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, stderr.String())
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(got)); sum != c.sha {
+			t.Errorf("%v: set sha256 %s, want %s", args, sum, c.sha)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/aes"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/sca"
+	"repro/internal/target"
 )
 
 func main() {
@@ -28,7 +30,13 @@ func main() {
 
 	// 1. The device under attack: the paper's byte-oriented AES on the
 	//    simulated Cortex-A7-class core, truncated to one round.
-	tgt, err := aes.NewTarget(pipeline.DefaultConfig(), key, aes.ProgramOptions{Rounds: 1, PadNops: 8})
+	//    The registry hands out every cipher target the same way.
+	cfg := pipeline.DefaultConfig()
+	tgt, err := target.Get("aes")
+	if err != nil {
+		log.Fatal(err)
+	}
+	inst, err := tgt.New(cfg, key[:], 1, 8)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +44,7 @@ func main() {
 
 	// 2. One calibration run fixes the trace length (timing is
 	//    input-independent).
-	cal, _, err := tgt.Run([16]byte{})
+	cal, err := target.Run(inst, cfg, make([]byte, aes.BlockSize))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +54,7 @@ func main() {
 	//    power: its first executions run on both the lane-parallel batch
 	//    VM and the full simulator and must agree, later groups run on
 	//    the batch VM alone.
-	synth, err := engine.NewSynthesizer(engine.ModeAuto, pipeline.DefaultConfig(), tgt.Program())
+	synth, err := engine.NewSynthesizer(engine.ModeAuto, cfg, inst.Program())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,18 +69,16 @@ func main() {
 		Model:    &model,
 		Averages: 4,
 		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *engine.Sample) error {
-			var pt [16]byte
-			rng.Read(pt[:])
-			s.Aux = append(s.Aux[:0], pt[:]...)
-			tgt.InitCore(core, pt)
+			s.Aux = slices.Grow(s.Aux[:0], aes.BlockSize)[:aes.BlockSize]
+			rng.Read(s.Aux)
+			inst.InitCore(core, s.Aux)
 			for k := 0; k < 256; k++ {
-				s.Hyps[0][k] = float64(sca.HW8(aes.SubBytesOut(pt[keyByte], byte(k))))
+				s.Hyps[0][k] = float64(sca.HW8(aes.SubBytesOut(s.Aux[keyByte], byte(k))))
 			}
 			return nil
 		},
 		Verify: func(i int, core *pipeline.Core, s *engine.Sample) error {
-			_, err := tgt.VerifyOutput(core.Mem(), [16]byte(s.Aux))
-			return err
+			return inst.VerifyOutput(core.Mem(), s.Aux)
 		},
 	}
 

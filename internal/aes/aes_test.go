@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/mem"
 	"repro/internal/pipeline"
 	"repro/internal/target"
 )
@@ -148,15 +149,38 @@ func TestBuildProgramValidates(t *testing.T) {
 	}
 }
 
+// newInstance builds the registry's AES instance.
+func newInstance(t *testing.T, cfg pipeline.Config, key [KeySize]byte, rounds, padNops int) target.Instance {
+	t.Helper()
+	tgt, err := target.Get("aes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := tgt.New(cfg, key[:], rounds, padNops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
+// encrypt runs pt on a fresh core and returns the result and the state
+// the program left in memory, read independently of VerifyOutput.
+func encrypt(t *testing.T, inst target.Instance, cfg pipeline.Config, pt [BlockSize]byte) (*pipeline.Result, [BlockSize]byte) {
+	t.Helper()
+	core := pipeline.MustNew(cfg, mem.NewMemory())
+	inst.InitCore(core, pt[:])
+	res, err := core.Run(inst.Program())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [BlockSize]byte
+	core.Mem().ReadBytesInto(out[:], inst.(*instance).layout.StateAddr)
+	return res, out
+}
+
 func TestTargetMatchesReferenceFull(t *testing.T) {
-	tgt, err := NewTarget(pipeline.DefaultConfig(), fipsKey, ProgramOptions{Rounds: Rounds, PadNops: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, ct, err := tgt.Run(fipsPT)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := pipeline.DefaultConfig()
+	res, ct := encrypt(t, newInstance(t, cfg, fipsKey, Rounds, 4), cfg, fipsPT)
 	if ct != fipsCT {
 		t.Fatalf("simulated ciphertext = %x, want %x", ct, fipsCT)
 	}
@@ -169,28 +193,24 @@ func TestTargetMatchesReferenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	var key [16]byte
 	rng.Read(key[:])
-	tgt, err := NewTarget(pipeline.DefaultConfig(), key, ProgramOptions{Rounds: 2, PadNops: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := pipeline.DefaultConfig()
+	inst := newInstance(t, cfg, key, 2, 4)
 	for i := 0; i < 8; i++ {
 		var pt [16]byte
 		rng.Read(pt[:])
-		if _, _, err := tgt.Run(pt); err != nil {
+		if _, err := target.Run(inst, cfg, pt[:]); err != nil {
 			t.Fatalf("run %d: %v (target verifies against the reference)", i, err)
 		}
 	}
 }
 
 // Property: the simulated one-round target always matches the reference's
-// partial encryption (Run verifies internally and errors on mismatch).
+// partial encryption (target.Run verifies and errors on mismatch).
 func TestTargetPropertyOneRound(t *testing.T) {
-	tgt, err := NewTarget(pipeline.DefaultConfig(), fipsKey, ProgramOptions{Rounds: 1, PadNops: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := pipeline.DefaultConfig()
+	inst := newInstance(t, cfg, fipsKey, 1, 2)
 	f := func(pt [16]byte) bool {
-		_, _, err := tgt.Run(pt)
+		_, err := target.Run(inst, cfg, pt[:])
 		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 24}); err != nil {
@@ -198,32 +218,42 @@ func TestTargetPropertyOneRound(t *testing.T) {
 	}
 }
 
+// A wrong output is refused: VerifyOutput is a real check.
+func TestTargetVerifyOutputRejectsWrongState(t *testing.T) {
+	cfg := pipeline.DefaultConfig()
+	inst := newInstance(t, cfg, fipsKey, 1, 2)
+	core := pipeline.MustNew(cfg, mem.NewMemory())
+	inst.InitCore(core, fipsPT[:])
+	if _, err := core.Run(inst.Program()); err != nil {
+		t.Fatal(err)
+	}
+	if err := inst.VerifyOutput(core.Mem(), fipsPT[:]); err != nil {
+		t.Fatal(err)
+	}
+	other := fipsPT
+	other[3] ^= 1
+	if err := inst.VerifyOutput(core.Mem(), other[:]); err == nil {
+		t.Fatal("output of another plaintext verified")
+	}
+}
+
 func TestTargetScalarConfigStillCorrect(t *testing.T) {
-	tgt, err := NewTarget(pipeline.ScalarConfig(), fipsKey, ProgramOptions{Rounds: Rounds, PadNops: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ct, err := tgt.Run(fipsPT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct != fipsCT {
+	cfg := pipeline.ScalarConfig()
+	if _, ct := encrypt(t, newInstance(t, cfg, fipsKey, Rounds, 2), cfg, fipsPT); ct != fipsCT {
 		t.Fatalf("scalar core ciphertext = %x, want %x", ct, fipsCT)
 	}
 }
 
 func TestIssueCycleRange(t *testing.T) {
-	tgt, err := NewTarget(pipeline.DefaultConfig(), fipsKey, ProgramOptions{Rounds: 1, PadNops: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _, err := tgt.Run(fipsPT)
+	cfg := pipeline.DefaultConfig()
+	inst := newInstance(t, cfg, fipsKey, 1, 2)
+	res, err := target.Run(inst, cfg, fipsPT[:])
 	if err != nil {
 		t.Fatal(err)
 	}
 	named := func(name string) []target.Region {
 		var out []target.Region
-		for _, r := range tgt.Layout().Regions {
+		for _, r := range inst.Regions() {
 			if r.Name == name {
 				out = append(out, r)
 			}
@@ -247,20 +277,12 @@ func TestIssueCycleRange(t *testing.T) {
 }
 
 func TestDualIssueSpeedsUpAES(t *testing.T) {
-	opts := ProgramOptions{Rounds: 2, PadNops: 2}
-	dual, err := NewTarget(pipeline.DefaultConfig(), fipsKey, opts)
+	dualCfg, scalarCfg := pipeline.DefaultConfig(), pipeline.ScalarConfig()
+	rd, err := target.Run(newInstance(t, dualCfg, fipsKey, 2, 2), dualCfg, fipsPT[:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, err := NewTarget(pipeline.ScalarConfig(), fipsKey, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd, _, err := dual.Run(fipsPT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, _, err := scalar.Run(fipsPT)
+	rs, err := target.Run(newInstance(t, scalarCfg, fipsKey, 2, 2), scalarCfg, fipsPT[:])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,39 +37,72 @@ func (registered) Info() target.Info {
 	}
 }
 
-func (r registered) New(cfg pipeline.Config, key []byte, rounds, padNops int) (target.Instance, error) {
+func (registered) New(cfg pipeline.Config, key []byte, rounds, padNops int) (target.Instance, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if len(key) != KeySize {
 		return nil, fmt.Errorf("aes: key must be %d bytes, got %d", KeySize, len(key))
 	}
-	var k [KeySize]byte
-	copy(k[:], key)
-	t, err := NewTarget(cfg, k, ProgramOptions{Rounds: rounds, PadNops: padNops})
-	if err != nil {
+	in := &instance{rounds: rounds}
+	copy(in.key[:], key)
+	var err error
+	if in.prog, in.layout, err = BuildProgram(ProgramOptions{Rounds: rounds, PadNops: padNops}); err != nil {
 		return nil, err
 	}
-	return &instance{t: t, key: k}, nil
+	in.ref = NewRef(in.key)
+	in.rk = in.ref.RoundKeys()
+	return in, nil
 }
 
+// instance is the simulated AES device of §5: the generated program
+// for one key, with the per-run setup and the reference that
+// cross-checks every simulated or replayed run.
 type instance struct {
-	t   *Target
-	key [KeySize]byte
+	prog   *isa.Program
+	layout *Layout
+	ref    *Ref
+	rk     [176]byte
+	key    [KeySize]byte
+	rounds int
 }
 
-func (in *instance) Program() *isa.Program { return in.t.Program() }
+func (in *instance) Program() *isa.Program { return in.prog }
 
-func (in *instance) Regions() []target.Region { return in.t.Layout().Regions }
+func (in *instance) Regions() []target.Region { return in.layout.Regions }
 
+// InitCore writes the S-box, the expanded key and the plaintext state
+// into the core's memory and points the argument registers at them.
 func (in *instance) InitCore(core *pipeline.Core, pt []byte) {
-	var p [BlockSize]byte
-	copy(p[:], pt)
-	in.t.InitCore(core, p)
+	m := core.Mem()
+	m.WriteBytes(in.layout.SboxAddr, Sbox[:])
+	m.WriteBytes(in.layout.KeyAddr, in.rk[:])
+	m.WriteBytes(in.layout.StateAddr, pt[:BlockSize])
+	core.SetReg(regState, in.layout.StateAddr)
+	core.SetReg(regKeys, in.layout.KeyAddr)
+	core.SetReg(regSbox, in.layout.SboxAddr)
+	core.SetReg(isa.SP, in.layout.StackAddr)
 }
 
+// VerifyOutput reads the encrypted state back from m and checks it
+// against the reference encryption of pt, truncated to the instance's
+// rounds.
 func (in *instance) VerifyOutput(m *mem.Memory, pt []byte) error {
-	var p [BlockSize]byte
+	var p, out, want [BlockSize]byte
 	copy(p[:], pt)
-	_, err := in.t.VerifyOutput(m, p)
-	return err
+	m.ReadBytesInto(out[:], in.layout.StateAddr)
+	if in.rounds == Rounds {
+		want = in.ref.Encrypt(p)
+	} else {
+		var err error
+		if want, err = in.ref.EncryptPartial(p, in.rounds); err != nil {
+			return err
+		}
+	}
+	if out != want {
+		return fmt.Errorf("aes: simulator output %x disagrees with reference %x", out, want)
+	}
+	return nil
 }
 
 func (in *instance) Class(b int, pt []byte) int { return int(pt[b]) }

@@ -7,7 +7,6 @@ package attack
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/aes"
 	"repro/internal/engine"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/sca"
+	"repro/internal/target"
 )
 
 // ClockMHz is the target clock of the paper's setup: the Allwinner A20
@@ -193,63 +193,27 @@ func RunFigure4(key [aes.KeySize]byte, opt Fig4Options) (*Fig4Result, error) {
 	if opt.KeyByte < 1 || opt.KeyByte >= aes.BlockSize {
 		return nil, fmt.Errorf("attack: key byte must be in [1,15], got %d", opt.KeyByte)
 	}
-	if err := opt.Model.Validate(); err != nil {
-		return nil, err
-	}
-	if opt.Averages < 1 {
-		return nil, fmt.Errorf("attack: averages must be >= 1, got %d", opt.Averages)
-	}
 	if err := opt.Env.Validate(); err != nil {
 		return nil, err
 	}
-	tgt, err := aes.NewTarget(opt.Core, key, aes.ProgramOptions{Rounds: opt.Rounds, PadNops: 8})
-	if err != nil {
-		return nil, err
-	}
-	synth, err := engine.NewSynthesizer(opt.Synth, opt.Core, tgt.Program())
+	a, err := NewAcquisition(target.Default, key[:], opt.Fig3Options)
 	if err != nil {
 		return nil, err
 	}
 
-	calRes, _, err := tgt.Run([aes.BlockSize]byte{})
-	if err != nil {
-		return nil, err
-	}
-	nSamples := len(calRes.Timeline) * opt.Model.SamplesPerCycle
-
-	prevByte := opt.KeyByte - 1
-	kPrev := key[prevByte]
 	// The Figure 4 model depends on two plaintext bytes, so it stays on
 	// the classic per-trace hypothesis bank.
-	fig4Hyps := func(pt [aes.BlockSize]byte, hyps []float64) {
-		sPrev := aes.SubBytesOut(pt[prevByte], kPrev)
-		for k := 0; k < 256; k++ {
-			hyps[k] = float64(sca.HD8(sPrev, aes.SubBytesOut(pt[opt.KeyByte], byte(k))))
+	b, kPrev := opt.KeyByte, key[opt.KeyByte-1]
+	hd := func(pt []byte, s *engine.Sample) {
+		sPrev := aes.SubBytesOut(pt[b-1], kPrev)
+		for k := range 256 {
+			s.Hyps[0][k] = float64(sca.HD8(sPrev, aes.SubBytesOut(pt[b], byte(k))))
 		}
 	}
 	banks, err := engine.RunBatched(
 		opt.Config,
-		engine.Spec{Traces: opt.Traces, Samples: nSamples, Banks: engine.HypothesisBanks(256), Seed: opt.Seed},
-		engine.BatchGen{
-			Variants: []*engine.Synthesizer{synth},
-			Model:    &opt.Model,
-			Averages: opt.Averages,
-			Env:      opt.Env,
-			Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *engine.Sample) error {
-				var pt [aes.BlockSize]byte
-				rng.Read(pt[:])
-				s.Aux = append(s.Aux[:0], pt[:]...)
-				tgt.InitCore(core, pt)
-				fig4Hyps(pt, s.Hyps[0])
-				return nil
-			},
-			Verify: func(i int, core *pipeline.Core, s *engine.Sample) error {
-				var pt [aes.BlockSize]byte
-				copy(pt[:], s.Aux)
-				_, err := tgt.VerifyOutput(core.Mem(), pt)
-				return err
-			},
-		})
+		engine.Spec{Traces: opt.Traces, Samples: a.Samples, Banks: engine.HypothesisBanks(256), Seed: opt.Seed},
+		a.BatchGen(opt.Env, hd))
 	if err != nil {
 		return nil, err
 	}
@@ -258,18 +222,17 @@ func RunFigure4(key [aes.KeySize]byte, opt Fig4Options) (*Fig4Result, error) {
 	att := cpa.Result()
 	trueKey := key[opt.KeyByte]
 	best, second := att.Margin()
-	return &Fig4Result{
-		KeyByte:        opt.KeyByte,
-		TrueKey:        trueKey,
-		Recovered:      byte(att.Ranking[0]),
-		Rank:           att.RankOf(int(trueKey)),
-		BestCorr:       best,
-		SecondCorr:     second,
-		Confidence:     att.DistinguishConfidence(),
-		CorrTrace:      cpa.CorrTrace(int(trueKey)),
-		Traces:         opt.Traces,
-		Replayed:       opt.Synth != engine.ModeSimulate && !synth.FellBack(),
-		Batched:        synth.BatchRuns() > 0,
-		FallbackReason: synth.FallbackReason(),
-	}, nil
+	out := &Fig4Result{
+		KeyByte:    opt.KeyByte,
+		TrueKey:    trueKey,
+		Recovered:  byte(att.Ranking[0]),
+		Rank:       att.RankOf(int(trueKey)),
+		BestCorr:   best,
+		SecondCorr: second,
+		Confidence: att.DistinguishConfidence(),
+		CorrTrace:  cpa.CorrTrace(int(trueKey)),
+		Traces:     opt.Traces,
+	}
+	out.Replayed, out.Batched, out.FallbackReason = a.paths()
+	return out, nil
 }

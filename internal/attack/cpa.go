@@ -7,7 +7,9 @@ import (
 	"strings"
 
 	"repro/internal/engine"
+	"repro/internal/osnoise"
 	"repro/internal/pipeline"
+	"repro/internal/power"
 	"repro/internal/sca"
 	"repro/internal/target"
 	_ "repro/internal/target/all" // register the built-in cipher targets
@@ -16,25 +18,38 @@ import (
 // padNops is the pipeline-flush padding every attacked program uses.
 const padNops = 8
 
-// cpaSetup is the shared front half of every class-table CPA: resolve
-// the target, build the instance and synthesizer, and calibrate the
-// trace length and region windows (timing is input-independent).
-type cpaSetup struct {
+// Acquisition is the one path from a registered target to synthesized
+// traces: the instance and its synthesizer, the trace length and the
+// region windows of one calibration run (timing is input-independent),
+// and the generator every attack and trace-set producer draws its
+// traces from.
+type Acquisition struct {
+	// Samples is the trace length: the calibrated cycle count times the
+	// model's samples per cycle.
+	Samples int
+	// Regions are the calibrated primitive windows, without peaks.
+	Regions []RegionWindow
+
 	info     target.Info
 	inst     target.Instance
 	synth    *engine.Synthesizer
-	nSamples int
+	mode     engine.Mode
+	model    power.Model
+	averages int
 	spc      int
 	usPerSmp float64
-	regions  []RegionWindow
 }
 
-func newCPASetup(name string, key []byte, opt Fig3Options) (*cpaSetup, error) {
+// NewAcquisition resolves the named target, builds its instance for key
+// at opt.Rounds and its synthesizer in opt.Synth mode on opt.Core, and
+// calibrates the trace length and region windows with one run of the
+// all-zero block. Only the options' model, averaging, rounds, core and
+// mode are read.
+func NewAcquisition(name string, key []byte, opt Fig3Options) (*Acquisition, error) {
 	tgt, err := target.Get(name)
 	if err != nil {
 		return nil, err
 	}
-	info := tgt.Info()
 	if err := opt.Model.Validate(); err != nil {
 		return nil, err
 	}
@@ -49,16 +64,20 @@ func newCPASetup(name string, key []byte, opt Fig3Options) (*cpaSetup, error) {
 	if err != nil {
 		return nil, err
 	}
+	info := tgt.Info()
 	calRes, err := target.Run(inst, opt.Core, make([]byte, info.BlockSize))
 	if err != nil {
 		return nil, err
 	}
 	spc := opt.Model.SamplesPerCycle
-	s := &cpaSetup{
+	a := &Acquisition{
+		Samples:  len(calRes.Timeline) * spc,
 		info:     info,
 		inst:     inst,
 		synth:    synth,
-		nSamples: len(calRes.Timeline) * spc,
+		mode:     opt.Synth,
+		model:    opt.Model,
+		averages: opt.Averages,
 		spc:      spc,
 		usPerSmp: 1.0 / (ClockMHz * float64(spc)),
 	}
@@ -67,14 +86,49 @@ func newCPASetup(name string, key []byte, opt Fig3Options) (*cpaSetup, error) {
 		if !ok {
 			continue
 		}
-		s.regions = append(s.regions, RegionWindow{
+		a.Regions = append(a.Regions, RegionWindow{
 			Name: reg.Name, Round: reg.Round,
 			FirstSample: int(first) * spc, LastSample: int(last)*spc + spc,
-			StartUs: float64(first) * float64(spc) * s.usPerSmp,
-			EndUs:   float64(last+1) * float64(spc) * s.usPerSmp,
+			StartUs: float64(first) * float64(spc) * a.usPerSmp,
+			EndUs:   float64(last+1) * float64(spc) * a.usPerSmp,
 		})
 	}
-	return s, nil
+	return a, nil
+}
+
+// BatchGen returns the acquisition's trace generator under env. Each
+// trace draws its plaintext from its private stream into Sample.Aux,
+// before the engine draws any noise; predict, when not nil, then fills
+// the sample's model inputs from the plaintext; the target runs on it,
+// and its output is verified against the reference. Every attack and
+// trace set draws in this order, so their bytes agree.
+func (a *Acquisition) BatchGen(env osnoise.Environment, predict func(pt []byte, s *engine.Sample)) engine.BatchGen {
+	inst, bs := a.inst, a.info.BlockSize
+	return engine.BatchGen{
+		Variants: []*engine.Synthesizer{a.synth},
+		Model:    &a.model,
+		Averages: a.averages,
+		Env:      env,
+		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, sm *engine.Sample) error {
+			sm.Aux = slices.Grow(sm.Aux[:0], bs)[:bs]
+			rng.Read(sm.Aux)
+			inst.InitCore(core, sm.Aux)
+			if predict != nil {
+				predict(sm.Aux, sm)
+			}
+			return nil
+		},
+		Verify: func(i int, core *pipeline.Core, sm *engine.Sample) error {
+			return inst.VerifyOutput(core.Mem(), sm.Aux)
+		},
+	}
+}
+
+// paths reports which synthesis paths produced the traces: replayed is
+// false under engine.ModeSimulate or after a fallback, whose reason is
+// then given; batched that the lane-parallel path ran.
+func (a *Acquisition) paths() (replayed, batched bool, reason string) {
+	return a.mode != engine.ModeSimulate && !a.synth.FellBack(), a.synth.BatchRuns() > 0, a.synth.FallbackReason()
 }
 
 // rank ranks the key hypotheses of attacked byte b from its
@@ -86,25 +140,25 @@ func newCPASetup(name string, key []byte, opt Fig3Options) (*cpaSetup, error) {
 // every committed AES artifact keeps its bytes. A class bank's ranking
 // spreads its hypotheses over each (sca.ClassCPA.ResultInEach; nil ranks
 // them in one call); its bits do not depend on each.
-func (s *cpaSetup) rank(b int, acc sca.Accumulator, each func(n int, f func(i int))) *sca.Attack {
+func (a *Acquisition) rank(b int, acc sca.Accumulator, each func(n int, f func(i int))) *sca.Attack {
 	cc, ok := acc.(*sca.ClassCPA)
 	if !ok {
 		return acc.Result()
 	}
-	lo, hi, signed := s.window(b)
+	lo, hi, signed := a.window(b)
 	return cc.ResultInEach(lo, hi, signed, each)
 }
 
 // window returns attacked byte b's sample window [lo,hi) and ranking
 // sign; (0, 0, false) — the whole trace by magnitude — when the target
 // names no window or no calibrated region matches it.
-func (s *cpaSetup) window(b int) (lo, hi int, signed bool) {
-	w := s.inst.AttackWindow(b)
+func (a *Acquisition) window(b int) (lo, hi int, signed bool) {
+	w := a.inst.AttackWindow(b)
 	if w == (target.Window{}) {
 		return 0, 0, false
 	}
 	lo, hi = -1, -1
-	for _, reg := range s.regions {
+	for _, reg := range a.Regions {
 		if reg.Round != 1 || !strings.HasPrefix(reg.Name, w.Region) {
 			continue
 		}
@@ -122,50 +176,35 @@ func (s *cpaSetup) window(b int) (lo, hi int, signed bool) {
 		// Shift the issue-cycle span Delay cycles downstream, keeping its
 		// width: the window lands on the pipeline stage where the attacked
 		// component is driven.
-		lo += w.Delay * s.spc
-		hi += (w.Delay - 1) * s.spc
+		lo += w.Delay * a.spc
+		hi += (w.Delay - 1) * a.spc
 	}
 	return lo, hi, w.Signed
 }
 
-// classBanks returns one conditional-sum bank per attacked byte in
-// bytes, each with the target's class table for that position.
-func (s *cpaSetup) classBanks(bytes []int) []engine.Bank {
-	banks := make([]engine.Bank, len(bytes))
+// runClasses streams spec's traces, acquired in the quiet environment,
+// into one conditional-sum bank per attacked byte in bytes, each with
+// the target's class table for that position; it fills in spec's
+// Samples and Banks.
+func (a *Acquisition) runClasses(cfg engine.Config, spec engine.Spec, bytes []int) ([]sca.Accumulator, error) {
+	spec.Samples = a.Samples
+	spec.Banks = make([]engine.Bank, len(bytes))
 	for i, b := range bytes {
-		banks[i] = engine.Bank{Hyps: 256, Classes: s.inst.ClassTable(b)}
+		spec.Banks[i] = engine.Bank{Hyps: 256, Classes: a.inst.ClassTable(b)}
 	}
-	return banks
+	return engine.RunBatched(cfg, spec, a.BatchGen(osnoise.Quiet(), func(pt []byte, sm *engine.Sample) {
+		for i, b := range bytes {
+			sm.Class[i] = a.inst.Class(b, pt)
+		}
+	}))
 }
 
-// batchGen builds the generic acquisition generator: each trace draws
-// its plaintext from its private stream into s.Aux, runs the target,
-// verifies against the reference oracle, and reports the model-input
-// class of every attacked byte. The draw order (plaintext, then noise)
-// matches the pre-registry AES generators exactly, so AES results are
-// bit-identical to theirs.
-func (s *cpaSetup) batchGen(opt Fig3Options, bytes []int) engine.BatchGen {
-	inst, bs := s.inst, s.info.BlockSize
-	return engine.BatchGen{
-		Variants: []*engine.Synthesizer{s.synth},
-		Model:    &opt.Model,
-		Averages: opt.Averages,
-		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, sm *engine.Sample) error {
-			if cap(sm.Aux) < bs {
-				sm.Aux = make([]byte, bs)
-			}
-			sm.Aux = sm.Aux[:bs]
-			rng.Read(sm.Aux)
-			inst.InitCore(core, sm.Aux)
-			for i, b := range bytes {
-				sm.Class[i] = inst.Class(b, sm.Aux)
-			}
-			return nil
-		},
-		Verify: func(i int, core *pipeline.Core, sm *engine.Sample) error {
-			return inst.VerifyOutput(core.Mem(), sm.Aux)
-		},
+// checkByte refuses an attacked byte index outside the target's range.
+func (a *Acquisition) checkByte(b int) error {
+	if ab := a.info.AttackBytes; b < 0 || b >= ab {
+		return fmt.Errorf("attack: %s key byte must be in [0,%d), got %d", a.info.Name, ab, b)
 	}
+	return nil
 }
 
 // RunCPA performs the §5 bare-metal attack against any registered
@@ -178,55 +217,45 @@ func RunCPA(name string, key []byte, opt Fig3Options) (*Fig3Result, error) {
 	if opt.Traces < 8 {
 		return nil, fmt.Errorf("attack: need at least 8 traces, got %d", opt.Traces)
 	}
-	tgt, err := target.Get(name)
+	a, err := NewAcquisition(name, key, opt)
 	if err != nil {
 		return nil, err
 	}
-	if ab := tgt.Info().AttackBytes; opt.KeyByte < 0 || opt.KeyByte >= ab {
-		return nil, fmt.Errorf("attack: %s key byte must be in [0,%d), got %d", tgt.Info().Name, ab, opt.KeyByte)
-	}
-	s, err := newCPASetup(name, key, opt)
-	if err != nil {
+	if err := a.checkByte(opt.KeyByte); err != nil {
 		return nil, err
 	}
-	banks, err := engine.RunBatched(
-		opt.Config,
-		engine.Spec{Traces: opt.Traces, Samples: s.nSamples, Banks: s.classBanks([]int{opt.KeyByte}), Seed: opt.Seed},
-		s.batchGen(opt, []int{opt.KeyByte}))
+	banks, err := a.runClasses(opt.Config, engine.Spec{Traces: opt.Traces, Seed: opt.Seed}, []int{opt.KeyByte})
 	if err != nil {
 		return nil, err
 	}
 	cpa := banks[0]
 
-	att := s.rank(opt.KeyByte, cpa, opt.Config.Each)
-	trueKey := s.inst.TrueKeyByte(opt.KeyByte)
+	att := a.rank(opt.KeyByte, cpa, opt.Config.Each)
+	trueKey := a.inst.TrueKeyByte(opt.KeyByte)
 	out := &Fig3Result{
-		Target:         s.info.Name,
+		Target:         a.info.Name,
 		KeyByte:        opt.KeyByte,
 		TrueKey:        trueKey,
 		Recovered:      byte(att.Ranking[0]),
 		Rank:           att.RankOf(int(trueKey)),
 		CorrTrace:      cpa.CorrTrace(int(trueKey)),
-		SamplePeriodUs: s.usPerSmp,
+		SamplePeriodUs: a.usPerSmp,
 		Confidence:     att.DistinguishConfidence(),
 		Traces:         opt.Traces,
-		Replayed:       opt.Synth != engine.ModeSimulate && !s.synth.FellBack(),
-		Batched:        s.synth.BatchRuns() > 0,
-		FallbackReason: s.synth.FallbackReason(),
+		Regions:        a.Regions,
 	}
-	regions := s.regions
-	for i := range regions {
-		reg := &regions[i]
+	out.Replayed, out.Batched, out.FallbackReason = a.paths()
+	for i := range out.Regions {
+		reg := &out.Regions[i]
 		best, bestS := 0.0, reg.FirstSample
-		for smp := reg.FirstSample; smp < reg.LastSample && smp < s.nSamples; smp++ {
+		for smp := reg.FirstSample; smp < reg.LastSample && smp < a.Samples; smp++ {
 			if r := out.CorrTrace[smp]; abs(r) > abs(best) {
 				best, bestS = r, smp
 			}
 		}
 		reg.PeakCorr = best
-		reg.PeakSampleUs = float64(bestS) * s.usPerSmp
+		reg.PeakSampleUs = float64(bestS) * a.usPerSmp
 	}
-	out.Regions = regions
 	return out, nil
 }
 
@@ -276,33 +305,30 @@ func RecoverKey(name string, key []byte, opt Fig3Options) (*KeyRecovery, error) 
 	if opt.Traces < 8 {
 		return nil, fmt.Errorf("attack: need at least 8 traces, got %d", opt.Traces)
 	}
-	s, err := newCPASetup(name, key, opt)
+	a, err := NewAcquisition(name, key, opt)
 	if err != nil {
 		return nil, err
 	}
-	bytes := make([]int, s.info.AttackBytes)
+	bytes := make([]int, a.info.AttackBytes)
 	for b := range bytes {
 		bytes[b] = b
 	}
-	banks, err := engine.RunBatched(
-		opt.Config,
-		engine.Spec{Traces: opt.Traces, Samples: s.nSamples, Banks: s.classBanks(bytes), Seed: opt.Seed},
-		s.batchGen(opt, bytes))
+	banks, err := a.runClasses(opt.Config, engine.Spec{Traces: opt.Traces, Seed: opt.Seed}, bytes)
 	if err != nil {
 		return nil, err
 	}
 
 	out := &KeyRecovery{
-		Target:    s.info.Name,
-		Key:       make([]byte, s.info.AttackBytes),
-		Recovered: make([]byte, s.info.AttackBytes),
-		Ranks:     make([]int, s.info.AttackBytes),
+		Target:    a.info.Name,
+		Key:       make([]byte, a.info.AttackBytes),
+		Recovered: make([]byte, a.info.AttackBytes),
+		Ranks:     make([]int, a.info.AttackBytes),
 		Traces:    opt.Traces,
 	}
 	atts := make([]*sca.Attack, len(bytes))
-	opt.Config.Each(len(bytes), func(b int) { atts[b] = s.rank(b, banks[b], nil) })
+	opt.Config.Each(len(bytes), func(b int) { atts[b] = a.rank(b, banks[b], nil) })
 	for b, att := range atts {
-		out.Key[b] = s.inst.TrueKeyByte(b)
+		out.Key[b] = a.inst.TrueKeyByte(b)
 		out.Recovered[b] = byte(att.Ranking[0])
 		out.Ranks[b] = att.RankOf(int(out.Key[b]))
 	}
@@ -321,27 +347,24 @@ func RankEvolution(name string, key []byte, opt Fig3Options, counts []int) (*sca
 	slices.Sort(sorted)
 	sorted = slices.Compact(sorted)
 	maxN := sorted[len(sorted)-1]
-	s, err := newCPASetup(name, key, opt)
+	a, err := NewAcquisition(name, key, opt)
 	if err != nil {
 		return nil, err
 	}
-	if ab := s.info.AttackBytes; opt.KeyByte < 0 || opt.KeyByte >= ab {
-		return nil, fmt.Errorf("attack: %s key byte must be in [0,%d), got %d", s.info.Name, ab, opt.KeyByte)
+	if err := a.checkByte(opt.KeyByte); err != nil {
+		return nil, err
 	}
-	trueKey := s.inst.TrueKeyByte(opt.KeyByte)
+	trueKey := a.inst.TrueKeyByte(opt.KeyByte)
 	curve := &sca.RankCurve{}
-	_, err = engine.RunBatched(
-		opt.Config,
-		engine.Spec{
-			Traces: maxN, Samples: s.nSamples, Banks: s.classBanks([]int{opt.KeyByte}), Seed: opt.Seed,
-			Checkpoints: sorted,
-			OnCheckpoint: func(n int, banks []sca.Accumulator) {
-				att := s.rank(opt.KeyByte, banks[0], opt.Config.Each)
-				curve.TraceCounts = append(curve.TraceCounts, n)
-				curve.Ranks = append(curve.Ranks, att.RankOf(int(trueKey)))
-			},
+	_, err = a.runClasses(opt.Config, engine.Spec{
+		Traces: maxN, Seed: opt.Seed,
+		Checkpoints: sorted,
+		OnCheckpoint: func(n int, banks []sca.Accumulator) {
+			att := a.rank(opt.KeyByte, banks[0], opt.Config.Each)
+			curve.TraceCounts = append(curve.TraceCounts, n)
+			curve.Ranks = append(curve.Ranks, att.RankOf(int(trueKey)))
 		},
-		s.batchGen(opt, []int{opt.KeyByte}))
+	}, []int{opt.KeyByte})
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/rand"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -14,68 +13,40 @@ import (
 	"repro/internal/aes"
 	"repro/internal/engine"
 	"repro/internal/osnoise"
-	"repro/internal/pipeline"
-	"repro/internal/power"
 	"repro/internal/sca"
+	"repro/internal/target"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
 )
 
-// captureSet acquires n traces through the real measurement chain — the
-// same synthesis, batching and rng discipline as cmd/tracegen, at
-// avg-fold averaging under env — and returns them three ways: in
-// memory, as plaintext aux records, and as the serialized trace-set
-// wire format.
+// captureSet acquires n traces through the shared acquisition path —
+// the generator cmd/tracegen runs — at avg-fold averaging under env,
+// and returns them three ways: in memory, as plaintext aux records, and
+// as the serialized trace-set wire format.
 func captureSet(t *testing.T, n, workers, lanes int, key [aes.KeySize]byte, env osnoise.Environment, avg int) ([]trace.Trace, [][]byte, []byte) {
 	t.Helper()
-	tgt, err := aes.NewTarget(pipeline.DefaultConfig(), key, aes.ProgramOptions{Rounds: 1, PadNops: 8})
+	opt := DefaultFig3Options()
+	opt.Rounds, opt.Averages = 1, avg
+	a, err := NewAcquisition(target.Default, key[:], opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	synth, err := engine.NewSynthesizer(engine.ModeAuto, pipeline.DefaultConfig(), tgt.Program())
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := power.DefaultModel()
-
-	cal, _, err := tgt.Run([aes.BlockSize]byte{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := len(cal.Timeline) * model.SamplesPerCycle
 
 	var buf bytes.Buffer
-	sw, err := trace.NewSetWriter(&buf, n, samples)
+	sw, err := trace.NewSetWriter(&buf, n, a.Samples)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var traces []trace.Trace
 	var aux [][]byte
 	// Emitted slices are recycled once emit returns: keep copies.
-	emit := func(i int, tr trace.Trace, a []byte) error {
+	emit := func(i int, tr trace.Trace, pt []byte) error {
 		traces = append(traces, slices.Clone(tr))
-		aux = append(aux, slices.Clone(a))
-		return sw.Append(tr, a)
+		aux = append(aux, slices.Clone(pt))
+		return sw.Append(tr, pt)
 	}
-	spec := engine.Spec{Traces: n, Samples: samples, Seed: 11, Emit: emit}
-	bg := engine.BatchGen{
-		Variants: []*engine.Synthesizer{synth},
-		Model:    &model,
-		Averages: avg,
-		Env:      env,
-		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *engine.Sample) error {
-			var pt [aes.BlockSize]byte
-			rng.Read(pt[:])
-			s.Aux = append(s.Aux[:0], pt[:]...)
-			tgt.InitCore(core, pt)
-			return nil
-		},
-		Verify: func(i int, core *pipeline.Core, s *engine.Sample) error {
-			_, err := tgt.VerifyOutput(core.Mem(), [aes.BlockSize]byte(s.Aux))
-			return err
-		},
-	}
-	if _, err := engine.RunBatched(engine.Config{Workers: workers, Lanes: lanes}, spec, bg); err != nil {
+	spec := engine.Spec{Traces: n, Samples: a.Samples, Seed: 11, Emit: emit}
+	if _, err := engine.RunBatched(engine.Config{Workers: workers, Lanes: lanes}, spec, a.BatchGen(env, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Close(); err != nil {

@@ -75,8 +75,7 @@ type Request struct {
 	// spelling is part of request identity: an explicit value — even the
 	// default — is a different request than the omitted form.
 	NoiseSigma *float64 `json:"noise_sigma,omitempty"`
-	// Synth is the trace-synthesis mode: auto, replay or simulate
-	// ("": auto).
+	// Synth is the trace-synthesis mode: auto or simulate ("": auto).
 	Synth string `json:"synth,omitempty"`
 	// Counts are the rankevo checkpoint trace counts (required there,
 	// forbidden elsewhere). Normalization sorts and deduplicates.

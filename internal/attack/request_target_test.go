@@ -39,7 +39,7 @@ func TestRequestDigestStability(t *testing.T) {
 		{Request{Figure: FigureFig4}, "c98f786c46479a77dd2d4540706793bfffb87fc5c16e0183ce888f423801c8da"},
 		{Request{Figure: FigureFullKey, Traces: 120}, "2d438036386781c5e84980a69807ecdf38d60f38d450f2283d4611448675be18"},
 		{Request{Figure: FigureRankEvo, Counts: []int{60, 120}}, "dfb6094c233116cd9260ad2fcf1ac70fcd6f26c79198853aec1a5ba0037801d1"},
-		{Request{Figure: FigureFig3, Key: "000102030405060708090A0B0C0D0E0F", Synth: "replay"}, "7bc7547a73a5a7dd6ee098eedbc77720fac2869b356d5cf4ae0dcbc99e26e9e2"},
+		{Request{Figure: FigureFig3, Key: "000102030405060708090A0B0C0D0E0F", Synth: "simulate"}, "b2609b74fb6a96a7416f30c4a107e88e50c83d7d8440c6d4d81082d3d00ff472"},
 	}
 	for i, c := range cases {
 		plain := c.req
@@ -65,6 +65,10 @@ func TestRequestDigestStability(t *testing.T) {
 		if sp := requestDigest(t, &spelled); sp != got {
 			t.Errorf("case %d: explicit \"aes\" digests apart: %s vs %s", i, sp, got)
 		}
+	}
+	// "replay" names no synthesis mode: it is refused, not digested.
+	if err := (&Request{Figure: FigureFig3, Synth: "replay"}).Normalize(); err == nil {
+		t.Error(`synth "replay" accepted`)
 	}
 }
 

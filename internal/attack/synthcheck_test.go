@@ -28,8 +28,9 @@ func TestFig3UsesReplay(t *testing.T) {
 }
 
 // TestFig3ReplayBitIdenticalToSimulate is the figure-level equivalence
-// assertion: the full attack result under compiled replay equals the
-// full-simulation result bit for bit.
+// assertion: the full attack result under auto mode — batch-VM replay
+// past the verification window — equals the full-simulation result bit
+// for bit.
 func TestFig3ReplayBitIdenticalToSimulate(t *testing.T) {
 	key := [16]byte{0x2B, 0x7E, 0x15, 0x16, 0x28, 0xAE, 0xD2, 0xA6, 0xAB, 0xF7, 0x15, 0x88, 0x09, 0xCF, 0x4F, 0x3C}
 	run := func(mode engine.Mode) *Fig3Result {
@@ -43,7 +44,10 @@ func TestFig3ReplayBitIdenticalToSimulate(t *testing.T) {
 		}
 		return res
 	}
-	rep, sim := run(engine.ModeReplay), run(engine.ModeSimulate)
+	rep, sim := run(engine.ModeAuto), run(engine.ModeSimulate)
+	if !rep.Batched {
+		t.Fatalf("auto mode never batched (fallback %q)", rep.FallbackReason)
+	}
 	if rep.Recovered != sim.Recovered || rep.Rank != sim.Rank || rep.Confidence != sim.Confidence {
 		t.Fatalf("replay result differs: %+v vs %+v", rep, sim)
 	}
@@ -107,11 +111,13 @@ func TestFig3AutoEqualsSimulateAcrossAblations(t *testing.T) {
 }
 
 // TestFig4ReplayBitIdenticalToSimulate covers the loaded-Linux figure:
-// replay and simulation agree bit for bit through the osnoise chain.
+// auto mode, batched past the verification window, and simulation
+// agree bit for bit through the osnoise chain.
 func TestFig4ReplayBitIdenticalToSimulate(t *testing.T) {
 	key := [16]byte{0x2B, 0x7E, 0x15, 0x16, 0x28, 0xAE, 0xD2, 0xA6, 0xAB, 0xF7, 0x15, 0x88, 0x09, 0xCF, 0x4F, 0x3C}
 	run := func(mode engine.Mode) *Fig4Result {
 		opt := DefaultFig4Options()
+		opt.Traces = 3 * engine.VerifyRuns
 		opt.Synth = mode
 		res, err := RunFigure4(key, opt)
 		if err != nil {
@@ -119,7 +125,10 @@ func TestFig4ReplayBitIdenticalToSimulate(t *testing.T) {
 		}
 		return res
 	}
-	rep, sim := run(engine.ModeReplay), run(engine.ModeSimulate)
+	rep, sim := run(engine.ModeAuto), run(engine.ModeSimulate)
+	if !rep.Batched {
+		t.Fatalf("auto mode never batched (fallback %q)", rep.FallbackReason)
+	}
 	if rep.Recovered != sim.Recovered || rep.Rank != sim.Rank ||
 		rep.BestCorr != sim.BestCorr || rep.Confidence != sim.Confidence {
 		t.Fatalf("replay result differs from simulation")

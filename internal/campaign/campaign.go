@@ -121,7 +121,7 @@ type Workload struct {
 	// NoiseSigmas lists measurement-noise standard deviations to sweep;
 	// empty means the power model's default.
 	NoiseSigmas []float64 `json:"noise_sigmas,omitempty"`
-	// Synth lists trace-synthesis modes to sweep ("auto", "replay",
+	// Synth lists trace-synthesis modes to sweep ("auto" or
 	// "simulate"); empty means ["auto"]. Ignored by table1/figure2,
 	// which measure cycle counts, not traces.
 	Synth []string `json:"synth,omitempty"`

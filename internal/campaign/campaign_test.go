@@ -25,6 +25,7 @@ func TestValidateErrors(t *testing.T) {
 		{"tiny traces", Spec{Name: "x", Workloads: []Workload{{Kind: KindFig3, Traces: []int{3}}}}, "traces must be >= 8"},
 		{"negative sigma", Spec{Name: "x", Workloads: []Workload{{Kind: KindFig3, NoiseSigmas: []float64{-2}}}}, "noise sigma"},
 		{"bad synth", Spec{Name: "x", Workloads: []Workload{{Kind: KindFig3, Synth: []string{"psychic"}}}}, "unknown synthesis mode"},
+		{"replay synth", Spec{Name: "x", Workloads: []Workload{{Kind: KindFig3, Synth: []string{"replay"}}}}, "unknown synthesis mode"},
 		{"rankevo no counts", Spec{Name: "x", Workloads: []Workload{{Kind: KindRankEvo}}}, "needs counts"},
 		{"rankevo with traces", Spec{Name: "x", Workloads: []Workload{{Kind: KindRankEvo, Counts: []int{50}, Traces: []int{100}}}}, "remove traces"},
 		{"bad row", Spec{Name: "x", Workloads: []Workload{{Kind: KindTable2, Rows: []int{9}}}}, "out of [1,7]"},

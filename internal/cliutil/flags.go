@@ -53,14 +53,14 @@ func (f *EngineFlags) RegisterSeed(fs *flag.FlagSet, def int64) {
 // RegisterReplay adds -replay.
 func (f *EngineFlags) RegisterReplay(fs *flag.FlagSet) {
 	fs.StringVar(&f.replay, "replay", "auto",
-		"trace synthesis: auto (compiled replay with verification), replay (force), simulate (full simulation)")
+		"trace synthesis: auto (compiled replay with verification) or simulate (full simulation)")
 }
 
 // TargetFlags bundles the shared workload-selection flags: -target
 // names the attacked cipher from the registry (the tools that sweep or
 // synthesize cipher workloads), -figure the reproduced workload (each
 // tool documents its own value set). Tools register the subset that
-// applies and keep their historical spellings as deprecation shims.
+// applies.
 type TargetFlags struct {
 	// Target is the -target value; "" selects the AES default.
 	Target string

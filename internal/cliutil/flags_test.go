@@ -64,11 +64,13 @@ func TestEngineFlagsValidation(t *testing.T) {
 			t.Fatalf("-lanes %s must be rejected", lanes)
 		}
 	}
-	if _, err := parseWith(t, []string{"-replay", "warp"}, func(f *EngineFlags, fs *flag.FlagSet) {
-		f.Register(fs)
-		f.RegisterReplay(fs)
-	}); err == nil {
-		t.Fatal("unknown replay mode must be rejected")
+	for _, mode := range []string{"warp", "replay"} {
+		if _, err := parseWith(t, []string{"-replay", mode}, func(f *EngineFlags, fs *flag.FlagSet) {
+			f.Register(fs)
+			f.RegisterReplay(fs)
+		}); err == nil {
+			t.Fatalf("-replay %s must be rejected", mode)
+		}
 	}
 }
 

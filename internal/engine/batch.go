@@ -130,9 +130,8 @@ func (f *funcBlockRunner) Block(rows [][]float64, cores []*pipeline.Core) error 
 // VM with fused power synthesis. Whenever the batch VM cannot run —
 // ModeSimulate, a failed verification or compile, a lane diverging
 // from the schedule — the group's lanes are simulated one by one
-// instead (initialized afresh after a divergence); ModeReplay turns
-// those failures into errors. Whatever the path, the rows are
-// bit-identical, so results never depend on it.
+// instead (initialized afresh after a divergence). Whatever the path,
+// the rows are bit-identical, so results never depend on it.
 //
 // The power model supplies the fused synthesis weights; it must be the
 // model the caller expands the cycle powers with. A verification group
@@ -148,7 +147,7 @@ func (s *Synthesizer) RunBatchBlock(cfg Config, m *power.Model, n int, r BlockRu
 	if err != nil {
 		return err
 	}
-	if s.mode == ModeAuto && !s.settled.Load() {
+	if !s.settled.Load() {
 		s.window.Lock()
 		if !s.settled.Load() {
 			rows, err := s.verify(sc, m, cores, cfg.Each)
@@ -170,13 +169,10 @@ func (s *Synthesizer) RunBatchBlock(cfg Config, m *power.Model, n int, r BlockRu
 
 	bp, err := s.program(sc, cores[0])
 	if err != nil {
-		return err // only ModeReplay compiles here
+		return err
 	}
 	vm := sc.batchVM(bp, m)
 	if err := vm.Run(cores); err != nil {
-		if s.mode == ModeReplay {
-			return err
-		}
 		// A lane left the schedule: this group is simulated from fresh
 		// initial states. Later groups still try the batch VM, whose
 		// per-step guards catch divergence lane by lane, so which

@@ -22,27 +22,20 @@ const (
 	// timeline — and falls back to pure simulation on any mismatch,
 	// including compile failures and mid-run divergence. The default.
 	ModeAuto Mode = iota
-	// ModeReplay always replays after compiling the schedule and treats
-	// any detected divergence as a hard error. It asserts that the
-	// program's schedule is input-invariant; prefer ModeAuto unless
-	// that is known.
-	ModeReplay
 	// ModeSimulate always runs the full cycle-level simulator.
 	ModeSimulate
 )
 
-// ParseMode parses the command-line spelling of a mode: "auto",
-// "replay" or "simulate".
+// ParseMode parses the command-line spelling of a mode: "auto" or
+// "simulate".
 func ParseMode(s string) (Mode, error) {
 	switch s {
 	case "auto":
 		return ModeAuto, nil
-	case "replay":
-		return ModeReplay, nil
 	case "simulate":
 		return ModeSimulate, nil
 	}
-	return ModeAuto, fmt.Errorf("engine: unknown synthesis mode %q (want auto, replay or simulate)", s)
+	return ModeAuto, fmt.Errorf("engine: unknown synthesis mode %q (want auto or simulate)", s)
 }
 
 // String returns the mode's command-line spelling.
@@ -50,8 +43,6 @@ func (m Mode) String() string {
 	switch m {
 	case ModeAuto:
 		return "auto"
-	case ModeReplay:
-		return "replay"
 	case ModeSimulate:
 		return "simulate"
 	}
@@ -86,8 +77,8 @@ type Synthesizer struct {
 
 	// window serializes the auto-mode verification groups; checked
 	// counts the executions they passed. settled is set once the path
-	// is final: the window passed (auto), the schedule compiled
-	// (replay), or the synthesizer fell back.
+	// is final: the window passed, the mode is ModeSimulate, or the
+	// synthesizer fell back.
 	window  sync.Mutex
 	checked int
 	settled atomic.Bool
@@ -187,9 +178,6 @@ func (s *Synthesizer) windowLeft() int {
 // simulation: its schedule would otherwise be compiled from whichever
 // execution a worker happens to reach first.
 func (s *Synthesizer) closeWindow() {
-	if s.mode != ModeAuto {
-		return
-	}
 	s.window.Lock()
 	defer s.window.Unlock()
 	switch {
@@ -264,9 +252,6 @@ func (s *Synthesizer) program(sc *batchScratch, core *pipeline.Core) (*replay.Ba
 		return nil, s.compileErr
 	}
 	s.bp.Store(bp)
-	if s.mode == ModeReplay {
-		s.settled.Store(true)
-	}
 	return bp, nil
 }
 

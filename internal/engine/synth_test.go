@@ -62,7 +62,7 @@ func powersMatch(t *testing.T, want, got [][]float64) {
 	}
 }
 
-// TestSynthesizerModesAgree pins the three modes against each other on
+// TestSynthesizerModesAgree pins the two modes against each other on
 // a schedule-invariant program: bit-identical cycle powers everywhere,
 // with the batch path live after the window.
 func TestSynthesizerModesAgree(t *testing.T) {
@@ -74,7 +74,7 @@ func TestSynthesizerModesAgree(t *testing.T) {
 		core.Mem().Write32(0x100, uint32(i)*7)
 	}
 	var series [][][]float64
-	for _, mode := range []Mode{ModeSimulate, ModeAuto, ModeReplay} {
+	for _, mode := range []Mode{ModeSimulate, ModeAuto} {
 		s, err := NewSynthesizer(mode, pipeline.DefaultConfig(), prog)
 		if err != nil {
 			t.Fatal(err)
@@ -88,7 +88,6 @@ func TestSynthesizerModesAgree(t *testing.T) {
 		}
 	}
 	powersMatch(t, series[0], series[1])
-	powersMatch(t, series[0], series[2])
 }
 
 // TestSynthesizerRunSimulates pins Run as plain simulation: the
@@ -253,59 +252,31 @@ func TestSynthesizerConcurrentFallbackStaysSimulationIdentical(t *testing.T) {
 	powersMatch(t, want, got)
 }
 
-// TestSynthesizerForcedReplayFailsHard is ModeReplay's contract: a
-// divergence is an error, not a silent repair.
-func TestSynthesizerForcedReplayFailsHard(t *testing.T) {
-	prog := mustAssemble(t, "cmp r0, #1\nmuleq r3, r1, r2")
-	s, err := NewSynthesizer(ModeReplay, pipeline.DefaultConfig(), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := power.DefaultModel()
-	use := func(int, []float64, *pipeline.Core) error { return nil }
-	if err := s.RunBatch(&m, 2, func(_ int, c *pipeline.Core) error { c.SetRegs(1, 2, 3); return nil }, use); err != nil {
-		t.Fatal(err)
-	}
-	err = s.RunBatch(&m, 2, func(_ int, c *pipeline.Core) error { c.SetRegs(0, 2, 3); return nil }, use)
-	if !errors.Is(err, replay.ErrDiverged) {
-		t.Fatalf("forced replay on diverging input: got %v, want ErrDiverged", err)
-	}
-}
-
 // TestSynthesizerCompileBatchFailureFallsBack pins the compile-failure
 // path: a schedule the batch lowering refuses sends auto mode to the
 // simulator with the refusal in both FallbackReason and
-// BatchDisabledReason, while ModeReplay reports it as an error.
+// BatchDisabledReason.
 func TestSynthesizerCompileBatchFailureFallsBack(t *testing.T) {
 	prog := mustAssemble(t, "add r0, r1, r2\nstr r0, [r8]")
 	m := power.DefaultModel()
 	init := func(_ int, c *pipeline.Core) error { c.SetRegs(0, 1, 2); c.SetReg(isa.R8, 0x100); return nil }
 	use := func(int, []float64, *pipeline.Core) error { return nil }
-	for _, mode := range []Mode{ModeAuto, ModeReplay} {
-		s, err := NewSynthesizer(mode, pipeline.DefaultConfig(), prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Stand in for a lowering failure: program() reports the sticky
-		// error it recorded.
-		s.batchErr = errors.New("replay: batch: unsupported drive overlap")
-		s.compileErr = errors.New("compile: " + s.batchErr.Error())
-		err = s.RunBatch(&m, 4, init, use)
-		if mode == ModeReplay {
-			if err == nil {
-				t.Fatal("replay mode ignored the compile failure")
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !s.FellBack() || s.FallbackReason() != s.compileErr.Error() {
-			t.Fatalf("fallback %v reason %q, want %q", s.FellBack(), s.FallbackReason(), s.compileErr)
-		}
-		if s.BatchDisabledReason() != s.batchErr.Error() {
-			t.Fatalf("batch disabled reason %q", s.BatchDisabledReason())
-		}
+	s, err := NewSynthesizer(ModeAuto, pipeline.DefaultConfig(), prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stand in for a lowering failure: program() reports the sticky
+	// error it recorded.
+	s.batchErr = errors.New("replay: batch: unsupported drive overlap")
+	s.compileErr = errors.New("compile: " + s.batchErr.Error())
+	if err := s.RunBatch(&m, 4, init, use); err != nil {
+		t.Fatal(err)
+	}
+	if !s.FellBack() || s.FallbackReason() != s.compileErr.Error() {
+		t.Fatalf("fallback %v reason %q, want %q", s.FellBack(), s.FallbackReason(), s.compileErr)
+	}
+	if s.BatchDisabledReason() != s.batchErr.Error() {
+		t.Fatalf("batch disabled reason %q", s.BatchDisabledReason())
 	}
 }
 

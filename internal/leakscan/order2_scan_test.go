@@ -37,7 +37,7 @@ func TestOrder2ScanInvariance(t *testing.T) {
 		{"defaults", 0, 0, engine.ModeAuto},
 		{"many workers", 7, 0, engine.ModeAuto},
 		{"narrow lanes", 3, 2, engine.ModeAuto},
-		{"replay", 4, 8, engine.ModeReplay},
+		{"eight lanes", 4, 8, engine.ModeAuto},
 	}
 	for _, c := range cases {
 		o := opt

@@ -71,7 +71,7 @@ func TestTVLAInvariance(t *testing.T) {
 		{"narrow lanes", 3, 2, engine.ModeAuto},
 		{"wide lanes", 2, 16, engine.ModeAuto},
 		{"simulate", 4, 0, engine.ModeSimulate},
-		{"replay", 4, 8, engine.ModeReplay},
+		{"eight lanes", 4, 8, engine.ModeAuto},
 	}
 	for _, c := range cases {
 		o := opt

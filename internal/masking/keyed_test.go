@@ -2,21 +2,27 @@ package masking
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/isa"
 	"repro/internal/pipeline"
+	"repro/internal/power"
+	"repro/internal/replay"
 )
 
 // The keyed evaluator's result is independent of the synthesis path:
-// simulate, auto and replay agree bit for bit on fixed, shuffled and
-// jittered scenarios, and auto and replay really run every program
-// variant on the batch VM — a silent slide onto the simulator fails
-// here rather than only showing up as a slower campaign. The sixteen
-// program variants of shuffle+jitter are checked at 800 traces, inside
-// the run's serialized verification prefix (VerifyRuns per variant, so
-// auto mode only verifies there), and at 2000, past it.
+// simulate and auto agree bit for bit on fixed, shuffled and jittered
+// scenarios, and auto really runs every program variant on the batch
+// VM once the serialized verification prefix (VerifyRuns per variant)
+// is behind it — a silent slide onto the simulator fails here rather
+// than only showing up as a slower campaign. The sixteen program
+// variants of shuffle+jitter are checked at 800 traces, inside that
+// prefix, where auto mode only verifies, and at 2000, past it; the
+// naive schedule's variants, which auto mode never batches here, meet
+// the batch VM in TestKeyedVariantsBatchVMMatchesSimulator.
 func TestEvaluateKeyedCPAModesAgree(t *testing.T) {
 	cases := []struct {
 		sched, ctr   string
@@ -38,23 +44,89 @@ func TestEvaluateKeyedCPAModesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []engine.Mode{engine.ModeAuto, engine.ModeReplay} {
-			opt.Synth = mode
-			got, err := EvaluateKeyedCPA(opt)
+		opt.Synth = engine.ModeAuto
+		got, err := EvaluateKeyedCPA(opt)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", c.sched, c.ctr, err)
+		}
+		if math.Float64bits(got.BestCorr) != math.Float64bits(want.BestCorr) ||
+			math.Float64bits(got.TrueCorr) != math.Float64bits(want.TrueCorr) ||
+			math.Float64bits(got.Confidence) != math.Float64bits(want.Confidence) ||
+			got.Recovered != want.Recovered || got.Rank != want.Rank ||
+			got.Samples != want.Samples || got.Pairs != want.Pairs {
+			t.Errorf("%s/%s order %d: result differs from simulation", c.sched, c.ctr, c.order)
+		}
+		if got.FallbackReason != "" || (c.autoBatches && slices.Contains(got.BatchRuns, 0)) {
+			t.Errorf("%s/%s: batch runs per variant %v, fallback %q",
+				c.sched, c.ctr, got.BatchRuns, got.FallbackReason)
+		}
+	}
+}
+
+// TestKeyedVariantsBatchVMMatchesSimulator runs every program variant
+// of the naive schedule under shuffle+jitter on the batch VM, over a
+// full lane group of random masked shares, and requires each lane's
+// cycle powers and registers to equal its simulation bit for bit.
+func TestKeyedVariantsBatchVMMatchesSimulator(t *testing.T) {
+	c, err := ParseCountermeasure("mask+shuffle+jitter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv, err := buildKeyedVariants(ScheduleNaive, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := pipeline.DefaultConfig()
+	m := power.DefaultModel()
+	rng := rand.New(rand.NewSource(3))
+	for v, prog := range kv.progs {
+		cores := make([]*pipeline.Core, replay.MaxLanes)
+		for lane := range cores {
+			cores[lane] = pipeline.MustNew(cfg, nil)
+			cores[lane].SetRegs(uint32(rng.Intn(256)), uint32(rng.Intn(256)), uint32(rng.Intn(256)), uint32(rng.Intn(256)))
+		}
+		ref := pipeline.MustNew(cfg, nil)
+		ref.SetRegs(cores[0].Reg(isa.R0), cores[0].Reg(isa.R1), cores[0].Reg(isa.R2), cores[0].Reg(isa.R3))
+		p, err := replay.Compile(ref, prog)
+		if err != nil {
+			t.Fatalf("variant %d: %v", v, err)
+		}
+		bp, err := replay.CompileBatch(p)
+		if err != nil {
+			t.Fatalf("variant %d: %v", v, err)
+		}
+		vm, err := replay.NewBatchVM(bp, len(cores))
+		if err != nil {
+			t.Fatal(err)
+		}
+		vm.SetWeights(&m.HDWeights, &m.HWWeights, m.Baseline)
+		want := make([][]float64, len(cores))
+		regs := make([][16]uint32, len(cores))
+		for lane, core := range cores {
+			sim := pipeline.MustNew(cfg, nil)
+			sim.SetRegs(core.Reg(isa.R0), core.Reg(isa.R1), core.Reg(isa.R2), core.Reg(isa.R3))
+			res, err := sim.Run(prog)
 			if err != nil {
-				t.Fatalf("%s/%s %v: %v", c.sched, c.ctr, mode, err)
+				t.Fatal(err)
 			}
-			if math.Float64bits(got.BestCorr) != math.Float64bits(want.BestCorr) ||
-				math.Float64bits(got.TrueCorr) != math.Float64bits(want.TrueCorr) ||
-				math.Float64bits(got.Confidence) != math.Float64bits(want.Confidence) ||
-				got.Recovered != want.Recovered || got.Rank != want.Rank ||
-				got.Samples != want.Samples || got.Pairs != want.Pairs {
-				t.Errorf("%s/%s order %d %v: result differs from simulation", c.sched, c.ctr, c.order, mode)
+			want[lane] = m.CyclePowers(nil, res.Timeline)
+			regs[lane] = res.Regs
+		}
+		if err := vm.Run(cores); err != nil {
+			t.Fatalf("variant %d: %v", v, err)
+		}
+		for lane, core := range cores {
+			got := vm.Power(lane)
+			if len(got) != len(want[lane]) {
+				t.Fatalf("variant %d lane %d: %d cycles, want %d", v, lane, len(got), len(want[lane]))
 			}
-			batches := mode == engine.ModeReplay || c.autoBatches
-			if got.FallbackReason != "" || (batches && slices.Contains(got.BatchRuns, 0)) {
-				t.Errorf("%s/%s %v: batch runs per variant %v, fallback %q",
-					c.sched, c.ctr, mode, got.BatchRuns, got.FallbackReason)
+			for cy := range got {
+				if math.Float64bits(got[cy]) != math.Float64bits(want[lane][cy]) {
+					t.Fatalf("variant %d lane %d cycle %d: %v, want %v", v, lane, cy, got[cy], want[lane][cy])
+				}
+			}
+			if core.State().Regs != regs[lane] {
+				t.Fatalf("variant %d lane %d: registers differ from simulation", v, lane)
 			}
 		}
 	}

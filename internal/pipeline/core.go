@@ -25,6 +25,10 @@ type IssueRecord struct {
 	Dual bool
 	// Executed reports whether the condition check passed.
 	Executed bool
+	// Pipe is the execution pipe assignPipes gave the instruction (0 or
+	// 1). It fits in the padding after the two bools, so the record
+	// stays 32 bytes.
+	Pipe uint8
 }
 
 // Result is the outcome of one program execution on the core.
@@ -374,7 +378,7 @@ func (c *Core) Run(prog *isa.Program) (*Result, error) {
 // taken, and the branch target.
 func (c *Core) issueOne(in *isa.Instr, pc int, e int64, slot int, dual bool, pipe int) (stall int64, taken bool, target int) {
 	passed := in.Cond.Passed(c.st.Flags)
-	c.issues = append(c.issues, IssueRecord{PC: pc, Cycle: e, Slot: slot, Dual: dual, Executed: passed})
+	c.issues = append(c.issues, IssueRecord{PC: pc, Cycle: e, Slot: slot, Dual: dual, Executed: passed, Pipe: uint8(pipe)})
 
 	lim, rfPort, busPort, nopPorts := c.scheduleLimits(in, e, slot)
 	var d ExecDecoded

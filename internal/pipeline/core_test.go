@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -397,5 +398,49 @@ func TestColdCachesSlowFirstIteration(t *testing.T) {
 	}
 	if warm.Cycles >= res.Cycles {
 		t.Errorf("warm run (%d cycles) must beat cold run (%d cycles)", warm.Cycles, res.Cycles)
+	}
+}
+
+// TestIssueRecordPipe pins the pipe each issue record carries: a
+// shifter or multiplier user runs on pipe 1, the two halves of a
+// dual-issued pair run on different pipes, and a single instruction
+// without such a claim runs on pipe 0. The field lives in the record's
+// padding, so the record stays 32 bytes on 64-bit hosts.
+func TestIssueRecordPipe(t *testing.T) {
+	if s := unsafe.Sizeof(IssueRecord{}); unsafe.Sizeof(0) == 8 && s != 32 {
+		t.Errorf("IssueRecord is %d bytes, want 32", s)
+	}
+	prog := isa.MustAssemble(`
+		mov r0, #1
+		mov r1, #2
+		lsl r2, r1, #2
+		add r3, r0, #1
+		add r4, r0, #3
+		lsl r5, r1, #1
+		mul r6, r0, r1
+		nop
+		add r8, r0, r1
+	`)
+	res, err := MustNew(DefaultConfig(), nil).Run(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	claims := map[int]int{} // pipe-1 halves of dual pairs, by slot
+	for i, is := range res.Issues {
+		in := prog.Instrs[is.PC]
+		switch {
+		case needsPipe1(in) && is.Pipe != 1:
+			t.Errorf("issue %d (%s): pipe %d, want 1", i, in, is.Pipe)
+		case is.Dual && is.Slot == 1 && is.Pipe == res.Issues[i-1].Pipe:
+			t.Errorf("issue %d (%s): pair shares pipe %d", i, in, is.Pipe)
+		case !is.Dual && !needsPipe1(in) && is.Pipe != 0:
+			t.Errorf("issue %d (%s): single issue on pipe %d, want 0", i, in, is.Pipe)
+		}
+		if is.Dual && is.Pipe == 1 {
+			claims[is.Slot]++
+		}
+	}
+	if claims[0] == 0 || claims[1] == 0 {
+		t.Fatalf("pipe-1 halves by slot %v: a pairing leg did not run", claims)
 	}
 }

@@ -5,8 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/aes"
+	_ "repro/internal/aes" // register the AES target
 	"repro/internal/pipeline"
+	"repro/internal/target"
 )
 
 // TestSynthesizeIntoBitIdentical pins the buffer-reusing synthesis path
@@ -14,12 +15,17 @@ import (
 // timeline, same rng stream, bit-identical samples — with and without
 // noise and averaging, across reused buffers of every prior size.
 func TestSynthesizeIntoBitIdentical(t *testing.T) {
-	key := [16]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
-	tgt, err := aes.NewTarget(pipeline.DefaultConfig(), key, aes.ProgramOptions{Rounds: 1, PadNops: 8})
+	key := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+	tgt, err := target.Get("aes")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := tgt.Run([16]byte{0xAA})
+	cfg := pipeline.DefaultConfig()
+	inst, err := tgt.New(cfg, key, 1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := target.Run(inst, cfg, append([]byte{0xAA}, make([]byte, 15)...))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,13 +7,13 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/aes"
 	"repro/internal/isa"
 	"repro/internal/leakscan"
 	"repro/internal/mem"
 	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/replay"
+	"repro/internal/target"
 )
 
 // lanePowersEqual asserts a lane's fused power row equals the cycle
@@ -101,12 +101,9 @@ func TestBatchVMMatchesSimulatorAES(t *testing.T) {
 	m := power.DefaultModel()
 	rng := rand.New(rand.NewSource(9))
 	cfg := pipeline.DefaultConfig()
-	tgt, err := aes.NewTarget(cfg, testKey, aes.ProgramOptions{Rounds: 1, PadNops: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tgt := newAES(t, cfg, 1, 8)
 	cc := pipeline.MustNew(cfg, mem.NewMemory())
-	tgt.InitCore(cc, [16]byte{})
+	tgt.InitCore(cc, aesBlock())
 	p, err := replay.Compile(cc, tgt.Program())
 	if err != nil {
 		t.Fatal(err)
@@ -131,20 +128,20 @@ func TestBatchVMMatchesSimulatorAES(t *testing.T) {
 			var pt [16]byte
 			rng.Read(pt[:])
 			pts = append(pts, pt)
-			simRes, _, err := tgt.Run(pt)
+			simRes, err := target.Run(tgt, cfg, pt[:])
 			if err != nil {
 				t.Fatalf("simulate: %v", err)
 			}
 			want[lane] = m.CyclePowers(nil, simRes.Timeline)
 			cores[lane] = pipeline.MustNew(cfg, mem.NewMemory())
-			tgt.InitCore(cores[lane], pts[lane])
+			tgt.InitCore(cores[lane], pts[lane][:])
 		}
 		if err := bvm.Run(cores); err != nil {
 			t.Fatalf("lanes %d: %v", lanes, err)
 		}
 		for lane := range cores {
 			lanePowersEqual(t, "aes", want[lane], bvm.Power(lane))
-			if _, err := tgt.VerifyOutput(cores[lane].Mem(), pts[lane]); err != nil {
+			if err := tgt.VerifyOutput(cores[lane].Mem(), pts[lane][:]); err != nil {
 				t.Fatalf("lanes %d lane %d: %v", lanes, lane, err)
 			}
 		}

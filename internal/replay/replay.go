@@ -233,7 +233,7 @@ func Compile(core *pipeline.Core, prog *isa.Program) (*Program, error) {
 			// Executed tail: ALU input latches and output buffer on the
 			// issue pipe one cycle after issue, then the shared
 			// write-back slot — the layout Core.place produces.
-			pipe := issuePipe(prog, res.Issues, si)
+			pipe := int(is.Pipe)
 			e := is.Cycle
 			in0 := pipeline.Component(int(pipeline.ALUIn00) + 2*pipe)
 			exec := make([]slot, 0, 4)
@@ -276,35 +276,4 @@ func Compile(core *pipeline.Core, prog *isa.Program) (*Program, error) {
 		return nil, fmt.Errorf("replay: %d drives not attributable to an issued instruction", len(obs)-oi)
 	}
 	return p, nil
-}
-
-// issuePipe recomputes which execution pipe the si-th dynamic
-// instruction used, from the issue records and the pairing rules: the
-// shifter/multiplier claimant takes pipe 1, its partner pipe 0, and a
-// dual-issued younger without such a claim takes pipe 1.
-func issuePipe(prog *isa.Program, issues []pipeline.IssueRecord, si int) int {
-	needs1 := func(pc int32) bool {
-		in := &prog.Instrs[pc]
-		return in.UsesShifter() || in.Op.IsMul()
-	}
-	is := issues[si]
-	if !is.Dual {
-		if needs1(int32(is.PC)) {
-			return 1
-		}
-		return 0
-	}
-	if is.Slot == 0 {
-		if needs1(int32(is.PC)) {
-			return 1
-		}
-		return 0
-	}
-	// Younger of a pair: it gets pipe 0 exactly when the older claimed
-	// pipe 1.
-	older := issues[si-1]
-	if needs1(int32(older.PC)) {
-		return 0
-	}
-	return 1
 }

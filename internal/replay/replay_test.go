@@ -13,9 +13,27 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/replay"
+	"repro/internal/target"
 )
 
 var testKey = [16]byte{0x2B, 0x7E, 0x15, 0x16, 0x28, 0xAE, 0xD2, 0xA6, 0xAB, 0xF7, 0x15, 0x88, 0x09, 0xCF, 0x4F, 0x3C}
+
+// newAES builds the registry's AES instance for testKey.
+func newAES(t *testing.T, cfg pipeline.Config, rounds, padNops int) target.Instance {
+	t.Helper()
+	tgt, err := target.Get("aes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := tgt.New(cfg, testKey[:], rounds, padNops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
+// aesBlock returns an AES block that starts with b and is zero after.
+func aesBlock(b ...byte) []byte { return append(b, make([]byte, aes.BlockSize-len(b))...) }
 
 // ablationConfig materializes one combination of the six modelling
 // toggles over the paper's default core.
@@ -125,12 +143,9 @@ func TestReplayMatchesSimulatorAES(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for mask := 0; mask < 64; mask++ {
 		cfg := ablationConfig(mask)
-		tgt, err := aes.NewTarget(cfg, testKey, aes.ProgramOptions{Rounds: 1, PadNops: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
+		tgt := newAES(t, cfg, 1, 8)
 		cc := pipeline.MustNew(cfg, mem.NewMemory())
-		tgt.InitCore(cc, [16]byte{})
+		tgt.InitCore(cc, aesBlock())
 		p, err := replay.Compile(cc, tgt.Program())
 		if err != nil {
 			t.Fatalf("cfg %#x: compile: %v", mask, err)
@@ -140,12 +155,12 @@ func TestReplayMatchesSimulatorAES(t *testing.T) {
 		for trial := 0; trial < 3; trial++ {
 			var pt [16]byte
 			rng.Read(pt[:])
-			simRes, _, err := tgt.Run(pt)
+			simRes, err := target.Run(tgt, cfg, pt[:])
 			if err != nil {
 				t.Fatal(err)
 			}
 			repCore := pipeline.MustNew(cfg, mem.NewMemory())
-			tgt.InitCore(repCore, pt)
+			tgt.InitCore(repCore, pt[:])
 			if err := vm.run(repCore); err != nil {
 				if !errors.Is(err, replay.ErrDiverged) {
 					t.Fatalf("cfg %#x trial %d: %v", mask, trial, err)
@@ -154,7 +169,7 @@ func TestReplayMatchesSimulatorAES(t *testing.T) {
 				continue
 			}
 			vm.matches(t, "aes", simRes.Timeline)
-			if _, err := tgt.VerifyOutput(repCore.Mem(), pt); err != nil {
+			if err := tgt.VerifyOutput(repCore.Mem(), pt[:]); err != nil {
 				t.Fatalf("cfg %#x trial %d: replayed ciphertext wrong: %v", mask, trial, err)
 			}
 		}
@@ -169,12 +184,9 @@ func TestReplayMatchesSimulatorAES(t *testing.T) {
 // and all sixteen MixColumns applications included.
 func TestReplayMatchesSimulatorFullCipher(t *testing.T) {
 	for _, cfg := range []pipeline.Config{pipeline.DefaultConfig(), pipeline.ScalarConfig()} {
-		tgt, err := aes.NewTarget(cfg, testKey, aes.DefaultProgramOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
+		tgt := newAES(t, cfg, aes.Rounds, 16)
 		cc := pipeline.MustNew(cfg, mem.NewMemory())
-		tgt.InitCore(cc, [16]byte{0xFF, 1, 2})
+		tgt.InitCore(cc, aesBlock(0xFF, 1, 2))
 		p, err := replay.Compile(cc, tgt.Program())
 		if err != nil {
 			t.Fatal(err)
@@ -182,17 +194,17 @@ func TestReplayMatchesSimulatorFullCipher(t *testing.T) {
 		vm := newReplayer(t, p)
 		for trial := 0; trial < 2; trial++ {
 			pt := [16]byte{byte(trial * 37), 0xA5, byte(0xC0 + trial)}
-			simRes, _, err := tgt.Run(pt)
+			simRes, err := target.Run(tgt, cfg, pt[:])
 			if err != nil {
 				t.Fatal(err)
 			}
 			repCore := pipeline.MustNew(cfg, mem.NewMemory())
-			tgt.InitCore(repCore, pt)
+			tgt.InitCore(repCore, pt[:])
 			if err := vm.run(repCore); err != nil {
 				t.Fatal(err)
 			}
 			vm.matches(t, "aes-10r", simRes.Timeline)
-			if _, err := tgt.VerifyOutput(repCore.Mem(), pt); err != nil {
+			if err := tgt.VerifyOutput(repCore.Mem(), pt[:]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -246,12 +258,9 @@ func TestReplayDetectsControlFlowDivergence(t *testing.T) {
 // recycled value, mask and power scratch would show up immediately.
 func TestReplayVMReuseIsClean(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
-	tgt, err := aes.NewTarget(cfg, testKey, aes.ProgramOptions{Rounds: 1, PadNops: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tgt := newAES(t, cfg, 1, 8)
 	cc := pipeline.MustNew(cfg, mem.NewMemory())
-	tgt.InitCore(cc, [16]byte{9, 9, 9})
+	tgt.InitCore(cc, aesBlock(9, 9, 9))
 	p, err := replay.Compile(cc, tgt.Program())
 	if err != nil {
 		t.Fatal(err)
@@ -262,13 +271,13 @@ func TestReplayVMReuseIsClean(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		var pt [16]byte
 		rng.Read(pt[:])
-		simRes, _, err := tgt.Run(pt)
+		simRes, err := target.Run(tgt, cfg, pt[:])
 		if err != nil {
 			t.Fatal(err)
 		}
 		repCore.ResetState()
 		repCore.Mem().Wipe()
-		tgt.InitCore(repCore, pt)
+		tgt.InitCore(repCore, pt[:])
 		if err := vm.run(repCore); err != nil {
 			t.Fatal(err)
 		}
