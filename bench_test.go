@@ -374,8 +374,7 @@ func BenchmarkAblationIssuePolicy(b *testing.B) {
 // BenchmarkPipelineSimulation measures raw simulator throughput on the
 // full 10-round AES.
 func BenchmarkPipelineSimulation(b *testing.B) {
-	opts := aes.DefaultProgramOptions()
-	tgt := benchAES(b, opts.Rounds, opts.PadNops)
+	tgt := benchAES(b, aes.Rounds, 16)
 	// One core with reused buffers, reset per run: the loop times the
 	// simulator, not core construction.
 	c := pipeline.MustNew(pipeline.DefaultConfig(), nil)

@@ -10,20 +10,23 @@
 // Usage:
 //
 //	scacpa [-target T] [-figure fig3,fullkey] [-traces N] [-keybyte B] [-rounds R]
-//	       [-workers W] [-lanes L] [-replay auto|simulate]
+//	       [-seed S] [-workers W] [-lanes L] [-replay auto|simulate]
 package main
 
 import (
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"repro/internal/attack"
 	"repro/internal/cliutil"
+	"repro/internal/engine"
 	"repro/internal/target"
 )
 
@@ -67,54 +70,58 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return fail(err.Error())
 	}
 	name := target.Resolve(tf.Target)
-
-	figures, err := parseFigures(tf.Figure, name)
-	if err != nil {
-		return fail(err.Error())
-	}
-	switch {
-	case *traces < 0:
-		return fail(fmt.Sprintf("-traces must be >= 0, got %d", *traces))
-	case *rounds < 0 || *rounds > info.MaxRounds:
-		return fail(fmt.Sprintf("-rounds must be in 0..%d for %s, got %d", info.MaxRounds, info.Name, *rounds))
-	case *avg < 0:
-		return fail(fmt.Sprintf("-avg must be >= 0, got %d", *avg))
-	case *keyByte < -1 || *keyByte >= info.AttackBytes:
-		return fail(fmt.Sprintf("-keybyte must be in 0..%d for %s (or -1 for the default), got %d",
-			info.AttackBytes-1, info.Name, *keyByte))
-	}
-	key, err := info.ParseKey(*keyHex)
-	if err != nil {
-		return fail(err.Error())
+	// A request reads seed 0 as seed 1; refuse it rather than run
+	// another seed than the one asked for.
+	if ef.Seed == 0 {
+		return fail("-seed must be nonzero")
 	}
 
-	options := func() attack.Fig3Options {
-		opt := attack.DefaultFig3Options()
-		if name != target.Default {
-			opt.Rounds = info.DefaultRounds
+	// One attack.Request per figure, all normalized before any runs, so
+	// a bad flag fails the whole invocation up front.
+	var reqs []attack.Request
+	for _, fig := range parseFigures(tf.Figure, name) {
+		req := attack.Request{
+			Figure:   fig,
+			Target:   tf.Target,
+			Traces:   *traces,
+			Averages: *avg,
+			Rounds:   *rounds,
+			Seed:     ef.Seed,
+			Key:      *keyHex,
+			Synth:    ef.Mode.String(),
 		}
-		if *traces > 0 {
-			opt.Traces = *traces
+		// The request reads key byte 0 as the figure's default; only -1
+		// asks for it here, so an explicit 0 stays byte 0.
+		if *keyByte != -1 {
+			if *keyByte == 0 && fig == attack.FigureFig4 {
+				return fail("-keybyte 0 is not attackable with the Figure 4 model (it needs the preceding store; use 1..15)")
+			}
+			req.KeyByte = *keyByte
 		}
-		if *keyByte >= 0 {
-			opt.KeyByte = *keyByte
+		if fig == attack.FigureRankEvo {
+			// The trace count is the last checkpoint.
+			req.Traces = 0
+			if req.Counts, err = parseCounts(*countsFlag); err != nil {
+				return fail(err.Error())
+			}
 		}
-		if *rounds > 0 {
-			opt.Rounds = *rounds
+		if err := req.Normalize(); err != nil {
+			return fail(err.Error())
 		}
-		if *avg > 0 {
-			opt.Averages = *avg
-		}
-		opt.Seed = ef.Seed
-		opt.Config = ef.Config
-		opt.Synth = ef.Mode
-		return opt
+		reqs = append(reqs, req)
 	}
 
-	for _, fig := range figures {
-		switch fig {
+	env := engine.DefaultRunEnv()
+	env.Config = ef.Config
+	for _, req := range reqs {
+		// The normalized key is spelled out in lowercase hex.
+		key, err := hex.DecodeString(req.Key)
+		if err != nil {
+			return fail(err.Error())
+		}
+		switch req.Figure {
 		case attack.FigureFig3:
-			res, err := attack.RunCPA(name, key, options())
+			res, err := attack.RunCPA(name, key, req.Fig3Options(env))
 			if err != nil {
 				return fail(err.Error())
 			}
@@ -133,25 +140,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, "\ncorrelation vs time (correct key), downsampled:")
 			fmt.Fprint(stdout, asciiPlot(res.CorrTrace, res.SamplePeriodUs, 72))
 		case attack.FigureFig4:
-			opt4 := attack.DefaultFig4Options()
-			if *traces > 0 {
-				opt4.Traces = *traces
-			}
-			if *keyByte > 0 {
-				opt4.KeyByte = *keyByte
-			}
-			if *keyByte == 0 {
-				return fail("-keybyte 0 is not attackable with the Figure 4 model (it needs the preceding store; use 1..15)")
-			}
-			if *rounds > 0 {
-				opt4.Rounds = *rounds
-			}
-			if *avg > 0 {
-				opt4.Averages = *avg
-			}
-			opt4.Seed = ef.Seed
-			opt4.Config = ef.Config
-			opt4.Synth = ef.Mode
+			opt4 := req.Fig4Options(env)
 			var aesKey [16]byte
 			copy(aesKey[:], key)
 			res, err := attack.RunFigure4(aesKey, opt4)
@@ -165,7 +154,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "best |r| %.4f vs runner-up %.4f; distinguishing confidence %.4f (paper: > 0.99)\n",
 				res.BestCorr, res.SecondCorr, res.Confidence)
 		case attack.FigureFullKey:
-			rec, err := attack.RecoverKey(name, key, options())
+			rec, err := attack.RecoverKey(name, key, req.Fig3Options(env))
 			if err != nil {
 				return fail(err.Error())
 			}
@@ -177,12 +166,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stdout, "recovery incomplete — increase -traces")
 			}
 		case attack.FigureRankEvo:
-			counts, err := parseCounts(*countsFlag)
-			if err != nil {
-				return fail(err.Error())
-			}
-			opt := options()
-			curve, err := attack.RankEvolution(name, key, opt, counts)
+			opt := req.Fig3Options(env)
+			curve, err := attack.RankEvolution(name, key, opt, req.Counts)
 			if err != nil {
 				return fail(err.Error())
 			}
@@ -200,30 +185,14 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// parseFigures resolves the -figure list into the ordered workload
-// list.
-func parseFigures(figure, name string) ([]string, error) {
+// parseFigures resolves the -figure list into the ordered, duplicate-free
+// workload list; Request.Normalize judges each name.
+func parseFigures(figure, name string) []string {
 	var figs []string
-	seen := map[string]bool{}
-	add := func(f string) error {
-		switch f {
-		case attack.FigureFig3, attack.FigureFig4, attack.FigureFullKey, attack.FigureRankEvo:
-		default:
-			return fmt.Errorf("unknown figure %q (want fig3, fig4, fullkey or rankevo)", f)
-		}
-		if f == attack.FigureFig4 && name != target.Default {
-			return fmt.Errorf("figure fig4's model is AES-specific; target %s supports fig3, fullkey and rankevo", name)
-		}
-		if !seen[f] {
-			seen[f] = true
-			figs = append(figs, f)
-		}
-		return nil
-	}
 	if figure != "" {
 		for _, f := range strings.Split(figure, ",") {
-			if err := add(strings.TrimSpace(f)); err != nil {
-				return nil, err
+			if f = strings.TrimSpace(f); !slices.Contains(figs, f) {
+				figs = append(figs, f)
 			}
 		}
 	}
@@ -233,15 +202,15 @@ func parseFigures(figure, name string) ([]string, error) {
 			figs = append(figs, attack.FigureFig4)
 		}
 	}
-	return figs, nil
+	return figs
 }
 
 func parseCounts(s string) ([]int, error) {
 	var counts []int
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 8 {
-			return nil, fmt.Errorf("-counts must be integers >= 8, got %q", part)
+		if err != nil {
+			return nil, fmt.Errorf("-counts must be integers, got %q", part)
 		}
 		counts = append(counts, n)
 	}

@@ -41,12 +41,14 @@ func TestTranscriptIndependentOfScheduling(t *testing.T) {
 }
 
 // TestRejectsBadArguments pins the exit code of invalid runs: a lane
-// width past the maximum, and key byte 0 under the Figure 4 model,
-// which needs the preceding store.
+// width past the maximum, key byte 0 under the Figure 4 model, which
+// needs the preceding store, and seed 0, which a request would run as
+// seed 1.
 func TestRejectsBadArguments(t *testing.T) {
 	for _, args := range [][]string{
 		{"-lanes", "65"},
 		{"-figure", "fig4", "-keybyte", "0"},
+		{"-seed", "0", "-figure", "fig3", "-traces", "64"},
 	} {
 		code, stdout, stderr := runCLI(args...)
 		if code != 1 {

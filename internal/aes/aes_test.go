@@ -126,7 +126,7 @@ func TestBuildProgramValidates(t *testing.T) {
 	if _, _, err := BuildProgram(ProgramOptions{Rounds: 1, PadNops: -1}); err == nil {
 		t.Error("negative pad must be rejected")
 	}
-	prog, layout, err := BuildProgram(DefaultProgramOptions())
+	prog, layout, err := BuildProgram(ProgramOptions{Rounds: Rounds, PadNops: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,14 +54,9 @@ type ProgramOptions struct {
 	// target used to keep first-round attacks fast.
 	Rounds int
 	// PadNops is the number of nops emitted before and after the cipher
-	// body (the paper uses 100; the default 16 keeps traces compact
-	// while still flushing the pipeline state).
+	// body (the paper uses 100; 16 keeps traces compact while still
+	// flushing the pipeline state).
 	PadNops int
-}
-
-// DefaultProgramOptions generates the full cipher with 16 pad nops.
-func DefaultProgramOptions() ProgramOptions {
-	return ProgramOptions{Rounds: Rounds, PadNops: 16}
 }
 
 // BuildProgram emits the byte-oriented AES-128 assembly implementation:

@@ -278,10 +278,21 @@ func (r *Request) overlay(opt *Fig3Options, env engine.RunEnv) {
 	opt.Synth, _ = engine.ParseMode(r.Synth)
 }
 
-// fig3Options assembles Fig3Options for the fig3-model figures.
-func (r *Request) fig3Options(env engine.RunEnv) Fig3Options {
+// Fig3Options returns the run options of a normalized fig3, fullkey or
+// rankevo request under env: the request's fields over
+// DefaultFig3Options. Run and cmd/scacpa both take their options here.
+func (r *Request) Fig3Options(env engine.RunEnv) Fig3Options {
 	opt := DefaultFig3Options()
 	r.overlay(&opt, env)
+	return opt
+}
+
+// Fig4Options returns the run options of a normalized fig4 request
+// under env: the request's fields over DefaultFig4Options, whose
+// loaded-Linux environment no request field names.
+func (r *Request) Fig4Options(env engine.RunEnv) Fig4Options {
+	opt := DefaultFig4Options()
+	r.overlay(&opt.Fig3Options, env)
 	return opt
 }
 
@@ -311,7 +322,7 @@ func (r *Request) Run(env engine.RunEnv) (*Response, error) {
 	}
 	switch r.Figure {
 	case FigureFig3:
-		res, err := RunCPA(name, rawKey, r.fig3Options(env))
+		res, err := RunCPA(name, rawKey, r.Fig3Options(env))
 		if err != nil {
 			return nil, err
 		}
@@ -333,11 +344,9 @@ func (r *Request) Run(env engine.RunEnv) (*Response, error) {
 		}
 		out.Attack = ar
 	case FigureFig4:
-		opt := DefaultFig4Options()
-		r.overlay(&opt.Fig3Options, env)
 		var key [aes.KeySize]byte
 		copy(key[:], rawKey)
-		res, err := RunFigure4(key, opt)
+		res, err := RunFigure4(key, r.Fig4Options(env))
 		if err != nil {
 			return nil, err
 		}
@@ -353,7 +362,7 @@ func (r *Request) Run(env engine.RunEnv) (*Response, error) {
 			Confidence: res.Confidence,
 		}
 	case FigureFullKey:
-		res, err := RecoverKey(name, rawKey, r.fig3Options(env))
+		res, err := RecoverKey(name, rawKey, r.Fig3Options(env))
 		if err != nil {
 			return nil, err
 		}
@@ -366,7 +375,7 @@ func (r *Request) Run(env engine.RunEnv) (*Response, error) {
 			Success:         res.Success(),
 		}
 	case FigureRankEvo:
-		curve, err := RankEvolution(name, rawKey, r.fig3Options(env), r.Counts)
+		curve, err := RankEvolution(name, rawKey, r.Fig3Options(env), r.Counts)
 		if err != nil {
 			return nil, err
 		}

@@ -33,14 +33,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"slices"
-	"sort"
 
 	"repro/internal/aes"
 	"repro/internal/attack"
-	"repro/internal/leakscan"
 	"repro/internal/masking"
-	"repro/internal/target"
 )
 
 // Kind names one workload family a scenario can execute.
@@ -217,8 +213,11 @@ func (s *Spec) AttackKey() ([aes.KeySize]byte, error) {
 	return k, nil
 }
 
-// Validate reports the first specification error, including every
-// ablation or synthesis-mode name that fails to parse.
+// Validate reports the first specification error. Beyond the
+// spec-level fields and the workload kinds, it enumerates the spec and
+// applies the scenario rule (Scenario.validate) to every scenario, so
+// a spec validates exactly when each scenario it names would be
+// accepted by Resolve.
 func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("campaign: spec needs a name")
@@ -229,155 +228,25 @@ func (s *Spec) Validate() error {
 	if s.Shards < 0 {
 		return fmt.Errorf("campaign: shards must be >= 0, got %d", s.Shards)
 	}
-	if _, err := s.AttackKey(); err != nil {
+	key, err := s.AttackKey()
+	if err != nil {
 		return err
 	}
 	if len(s.Workloads) == 0 {
 		return fmt.Errorf("campaign: spec needs at least one workload")
 	}
 	for wi := range s.Workloads {
-		w := &s.Workloads[wi]
-		if !validKind(w.Kind) {
-			return fmt.Errorf("campaign: workload %d: unknown kind %q", wi, w.Kind)
-		}
-		if _, err := expandAblations(w.Ablations); err != nil {
-			return fmt.Errorf("campaign: workload %d (%s): %w", wi, w.Kind, err)
-		}
-		for _, n := range w.Traces {
-			if n < 8 {
-				return fmt.Errorf("campaign: workload %d (%s): traces must be >= 8, got %d", wi, w.Kind, n)
-			}
-		}
-		for _, sg := range w.NoiseSigmas {
-			if sg < 0 {
-				return fmt.Errorf("campaign: workload %d (%s): noise sigma must be >= 0, got %g", wi, w.Kind, sg)
-			}
-		}
-		for _, m := range w.Synth {
-			if _, err := parseSynth(m); err != nil {
-				return fmt.Errorf("campaign: workload %d (%s): %w", wi, w.Kind, err)
-			}
-		}
-		if w.Averages < 0 {
-			return fmt.Errorf("campaign: workload %d (%s): averages must be >= 0", wi, w.Kind)
-		}
-		if w.KeyByte < 0 || w.KeyByte >= aes.BlockSize {
-			return fmt.Errorf("campaign: workload %d (%s): key byte out of range", wi, w.Kind)
-		}
-		if w.Rounds < 0 || w.Rounds > aes.Rounds {
-			return fmt.Errorf("campaign: workload %d (%s): rounds must be in 0..%d", wi, w.Kind, aes.Rounds)
-		}
-		if w.Reps < 0 {
-			return fmt.Errorf("campaign: workload %d (%s): reps must be >= 0", wi, w.Kind)
-		}
-		seenRow := map[int]bool{}
-		for _, r := range w.Rows {
-			if r < 1 || r > 7 {
-				return fmt.Errorf("campaign: workload %d (%s): row %d out of [1,7]", wi, w.Kind, r)
-			}
-			if seenRow[r] {
-				return fmt.Errorf("campaign: workload %d (%s): row %d listed twice", wi, w.Kind, r)
-			}
-			seenRow[r] = true
-		}
-		if w.Kind == KindRankEvo {
-			if len(w.Counts) == 0 {
-				return fmt.Errorf("campaign: workload %d: rankevo needs counts", wi)
-			}
-			if len(w.Traces) > 0 {
-				return fmt.Errorf("campaign: workload %d: rankevo derives its trace count from counts; remove traces", wi)
-			}
-			sorted := append([]int(nil), w.Counts...)
-			sort.Ints(sorted)
-			if sorted[0] < 8 {
-				return fmt.Errorf("campaign: workload %d: rankevo counts must be >= 8", wi)
-			}
-			for i := 1; i < len(sorted); i++ {
-				if sorted[i] == sorted[i-1] {
-					return fmt.Errorf("campaign: workload %d: rankevo count %d listed twice", wi, sorted[i])
-				}
-			}
-		}
-		if w.Confidence < 0 || w.Confidence >= 1 {
-			return fmt.Errorf("campaign: workload %d (%s): confidence must be in [0,1)", wi, w.Kind)
-		}
-		if w.Kind == KindTVLA {
-			if w.Confidence != 0 {
-				return fmt.Errorf("campaign: workload %d (tvla): the t-test uses the fixed |t| > %g threshold; remove confidence", wi, leakscan.TVLAThreshold)
-			}
-			// Trace i joins t-test group i&1: an odd count splits unevenly.
-			for _, n := range w.Traces {
-				if n%2 != 0 {
-					return fmt.Errorf("campaign: workload %d (tvla): traces must be even (two equal groups), got %d", wi, n)
-				}
-			}
-		}
-		switch w.Kind {
-		case KindFig3, KindFullKey, KindRankEvo:
-			seenTgt := map[string]bool{}
-			for _, tn := range w.Targets {
-				tgt, err := target.Get(target.Resolve(tn))
-				if err != nil {
-					return fmt.Errorf("campaign: workload %d (%s): %w", wi, w.Kind, err)
-				}
-				info := tgt.Info()
-				if seenTgt[info.Name] {
-					return fmt.Errorf("campaign: workload %d (%s): target %q listed twice", wi, w.Kind, info.Name)
-				}
-				seenTgt[info.Name] = true
-				if w.Rounds > info.MaxRounds {
-					return fmt.Errorf("campaign: workload %d (%s): rounds %d exceeds %s's %d", wi, w.Kind, w.Rounds, info.Name, info.MaxRounds)
-				}
-				if w.KeyByte >= info.AttackBytes {
-					return fmt.Errorf("campaign: workload %d (%s): key byte %d outside %s's [0,%d)", wi, w.Kind, w.KeyByte, info.Name, info.AttackBytes)
-				}
-			}
-		default:
-			if len(w.Targets) > 0 {
-				return fmt.Errorf("campaign: workload %d (%s): targets apply to fig3/fullkey/rankevo only", wi, w.Kind)
-			}
-		}
-		if w.Kind == KindMaskCPA {
-			gadgets, ctrs, orders := w.maskAxes()
-			for _, g := range gadgets {
-				if !slices.Contains(masking.Schedules(), g) {
-					return fmt.Errorf("campaign: workload %d (maskcpa): unknown gadget %q (want one of %v)", wi, g, masking.Schedules())
-				}
-			}
-			seenCtr := map[string]bool{}
-			for _, c := range ctrs {
-				ctr, err := masking.ParseCountermeasure(c)
-				if err != nil {
-					return fmt.Errorf("campaign: workload %d (maskcpa): %w", wi, err)
-				}
-				if seenCtr[ctr.String()] {
-					return fmt.Errorf("campaign: workload %d (maskcpa): countermeasure %q listed twice", wi, ctr)
-				}
-				seenCtr[ctr.String()] = true
-				for _, g := range gadgets {
-					if err := masking.ValidateCombination(g, ctr); err != nil {
-						return fmt.Errorf("campaign: workload %d (maskcpa): %w", wi, err)
-					}
-				}
-			}
-			seenOrder := map[int]bool{}
-			for _, o := range orders {
-				if o != 1 && o != 2 {
-					return fmt.Errorf("campaign: workload %d (maskcpa): order must be 1 or 2, got %d", wi, o)
-				}
-				if seenOrder[o] {
-					return fmt.Errorf("campaign: workload %d (maskcpa): order %d listed twice", wi, o)
-				}
-				seenOrder[o] = true
-			}
-		} else if len(w.Gadgets) > 0 || len(w.Countermeasures) > 0 || len(w.Orders) > 0 {
-			return fmt.Errorf("campaign: workload %d (%s): gadgets/countermeasures/orders apply to maskcpa only", wi, w.Kind)
+		if k := s.Workloads[wi].Kind; !validKind(k) {
+			return fmt.Errorf("campaign: workload %d: unknown kind %q", wi, k)
 		}
 	}
-	if _, err := s.Enumerate(); err != nil {
-		return err
-	}
-	return nil
+	_, err = s.enumerate(func(wi int, sc *Scenario) error {
+		if err := sc.validate(key); err != nil {
+			return fmt.Errorf("campaign: workload %d (%s): %w", wi, sc.Kind, err)
+		}
+		return nil
+	})
+	return err
 }
 
 // LoadSpec reads and validates a JSON campaign spec from path. Unknown

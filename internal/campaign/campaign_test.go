@@ -22,7 +22,7 @@ func TestValidateErrors(t *testing.T) {
 		{"no workloads", Spec{Name: "x"}, "at least one workload"},
 		{"bad kind", Spec{Name: "x", Workloads: []Workload{{Kind: "tableX"}}}, "unknown kind"},
 		{"bad ablation", Spec{Name: "x", Workloads: []Workload{{Kind: KindTable2, Ablations: []string{"warp-drive"}}}}, "unknown ablation"},
-		{"tiny traces", Spec{Name: "x", Workloads: []Workload{{Kind: KindFig3, Traces: []int{3}}}}, "traces must be >= 8"},
+		{"tiny traces", Spec{Name: "x", Workloads: []Workload{{Kind: KindFig3, Traces: []int{3}}}}, "at least 8 traces"},
 		{"negative sigma", Spec{Name: "x", Workloads: []Workload{{Kind: KindFig3, NoiseSigmas: []float64{-2}}}}, "noise sigma"},
 		{"bad synth", Spec{Name: "x", Workloads: []Workload{{Kind: KindFig3, Synth: []string{"psychic"}}}}, "unknown synthesis mode"},
 		{"replay synth", Spec{Name: "x", Workloads: []Workload{{Kind: KindFig3, Synth: []string{"replay"}}}}, "unknown synthesis mode"},

@@ -66,12 +66,12 @@ func TestMaskCPAAndTVLAValidation(t *testing.T) {
 	}{
 		{"unknown gadget", mk(Workload{Kind: KindMaskCPA, Gadgets: []string{"warp"}}), "unknown gadget"},
 		{"bad ctr", mk(Workload{Kind: KindMaskCPA, Countermeasures: []string{"cloak"}}), "unknown countermeasure"},
-		{"dup ctr spelling", mk(Workload{Kind: KindMaskCPA, Countermeasures: []string{"mask+jitter", "jitter+mask"}}), "listed twice"},
-		{"bad order", mk(Workload{Kind: KindMaskCPA, Orders: []int{3}}), "order must be 1 or 2"},
-		{"dup order", mk(Workload{Kind: KindMaskCPA, Orders: []int{1, 1}}), "listed twice"},
+		{"dup ctr spelling", mk(Workload{Kind: KindMaskCPA, Countermeasures: []string{"mask+jitter", "jitter+mask"}}), "duplicate scenario"},
+		{"bad order", mk(Workload{Kind: KindMaskCPA, Orders: []int{3}}), "order 3 not supported"},
+		{"dup order", mk(Workload{Kind: KindMaskCPA, Orders: []int{1, 1}}), "duplicate scenario"},
 		{"gadgets on fig3", mk(Workload{Kind: KindFig3, Gadgets: []string{"sbox"}}), "maskcpa only"},
 		{"orders on table2", mk(Workload{Kind: KindTable2, Orders: []int{2}}), "maskcpa only"},
-		{"tvla confidence", mk(Workload{Kind: KindTVLA, Confidence: 0.99}), "remove confidence"},
+		{"tvla confidence", mk(Workload{Kind: KindTVLA, Confidence: 0.99}), "confidence does not apply to tvla"},
 		{"tvla odd traces", mk(Workload{Kind: KindTVLA, Traces: []int{600, 501}}), "got 501"},
 	}
 	for _, tc := range cases {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/leakscan"
 	"repro/internal/masking"
+	"repro/internal/target"
 )
 
 // Execute runs one scenario to completion under run's scheduling and
@@ -77,11 +78,162 @@ func (sc *Scenario) mode() engine.Mode {
 	return m
 }
 
+// The builders below turn a scenario into its experiment's run input.
+// Each maps an axis's 0 to the experiment's default and passes every
+// other value through, so the experiment's own check, not a copy of it,
+// judges the value: Execute runs the built input, and validate checks
+// it without running.
+
+// reps is the pair-repetition count of a table1 or figure2 scenario.
 func (sc *Scenario) reps() int {
-	if sc.Reps > 0 {
+	if sc.Reps != 0 {
 		return sc.Reps
 	}
 	return cpi.DefaultReps
+}
+
+// table2Request builds the leakscan.Request of a table2 scenario.
+func (sc *Scenario) table2Request() leakscan.Request {
+	sigma := sc.sigma()
+	return leakscan.Request{
+		Traces:     sc.Traces,
+		Averages:   sc.Averages,
+		Rows:       slices.Clone(sc.Rows), // Normalize sorts in place
+		Confidence: sc.Confidence,
+		NoiseSigma: &sigma,
+		Seed:       sc.Seed,
+		Synth:      sc.Synth,
+	}
+}
+
+// attackRequest builds the attack.Request of a fig3, fig4, fullkey or
+// rankevo scenario. The AES default attacks the campaign key; another
+// target attacks its registry default key (Spec.Key is AES-only).
+// Normalize reads seed 0 as seed 1; a scenario's seed comes from
+// engine.DeriveSeed, and no committed scenario has seed 0.
+func (sc *Scenario) attackRequest(key [aes.KeySize]byte) attack.Request {
+	sigma := sc.sigma()
+	req := attack.Request{
+		Figure:     string(sc.Kind),
+		Target:     sc.Target,
+		Traces:     sc.Traces,
+		Averages:   sc.Averages,
+		KeyByte:    sc.KeyByte,
+		Rounds:     sc.Rounds,
+		Seed:       sc.Seed,
+		NoiseSigma: &sigma,
+		Synth:      sc.Synth,
+		Counts:     slices.Clone(sc.Counts), // Normalize sorts in place
+	}
+	if sc.Target == "" {
+		req.Key = hex.EncodeToString(key[:])
+	}
+	return req
+}
+
+// leakscanOptions builds the scan options of a tvla scenario.
+func (sc *Scenario) leakscanOptions(run engine.Config) leakscan.Options {
+	opt := leakscan.DefaultOptions()
+	opt.Core = sc.Variant.Core
+	opt.Model = sc.Variant.Model
+	opt.Model.NoiseSigma = sc.sigma()
+	opt.Seed = sc.Seed
+	opt.Config = run
+	opt.Synth = sc.mode()
+	if sc.Traces != 0 {
+		opt.Traces = sc.Traces
+	}
+	if sc.Averages != 0 {
+		opt.Averages = sc.Averages
+	}
+	return opt
+}
+
+// keyedOptions builds the keyed masking evaluation of a maskcpa
+// scenario. The gadget, countermeasure and order pass through as
+// spelled; the ID always spells them, so none has a default here.
+func (sc *Scenario) keyedOptions(key [aes.KeySize]byte, run engine.Config) (masking.KeyedOptions, error) {
+	ctr, err := masking.ParseCountermeasure(sc.Ctr)
+	if err != nil {
+		return masking.KeyedOptions{}, err
+	}
+	if sc.KeyByte < 0 || sc.KeyByte >= len(key) {
+		return masking.KeyedOptions{}, fmt.Errorf("key byte %d out of [0,%d)", sc.KeyByte, len(key))
+	}
+	opt := masking.DefaultKeyedOptions()
+	opt.Schedule = sc.Gadget
+	opt.Ctr = ctr
+	opt.Order = sc.Order
+	opt.Key = key[sc.KeyByte]
+	opt.Core = sc.Variant.Core
+	opt.Model = sc.Variant.Model
+	opt.Model.NoiseSigma = sc.sigma()
+	opt.Seed = sc.Seed
+	opt.Synth = sc.mode()
+	opt.Config = run
+	if sc.Traces != 0 {
+		opt.Traces = sc.Traces
+	}
+	if sc.Averages != 0 {
+		opt.Averages = sc.Averages
+	}
+	return opt, nil
+}
+
+// validate is the one validity rule of a scenario, shared by
+// Spec.Validate and ScenarioRequest.Resolve; nothing runs to decide it.
+// The scenario's identity must hold: rows and counts strictly
+// increasing, the target and countermeasure spelled canonically, and
+// no axis set that the ID does not spell, so one scenario cannot exist
+// under two fingerprints. Then its built input must pass its
+// experiment's own check — the check Execute would meet first. sc's
+// Synth must be canonical.
+func (sc *Scenario) validate(key [aes.KeySize]byte) error {
+	if ax := unspelledAxis(&sc.Point); ax != "" {
+		return fmt.Errorf("%s does not apply to %s scenarios", ax, sc.Kind)
+	}
+	for _, ax := range []struct {
+		name string
+		vs   []int
+	}{{"rows", sc.Rows}, {"counts", sc.Counts}} {
+		for i := 1; i < len(ax.vs); i++ {
+			if ax.vs[i] == ax.vs[i-1] {
+				return fmt.Errorf("%s: %d listed twice", ax.name, ax.vs[i])
+			}
+			if ax.vs[i] < ax.vs[i-1] {
+				return fmt.Errorf("%s must be sorted", ax.name)
+			}
+		}
+	}
+	if canon := target.Canon(target.Resolve(sc.Target)); canon != sc.Target {
+		return fmt.Errorf("target %q is not canonical (want %q)", sc.Target, canon)
+	}
+	switch sc.Kind {
+	case KindTable1, KindFigure2:
+		return cpi.CheckReps(sc.reps())
+	case KindTable2:
+		req := sc.table2Request()
+		return req.Normalize()
+	case KindFig3, KindFig4, KindFullKey, KindRankEvo:
+		req := sc.attackRequest(key)
+		return req.Normalize()
+	case KindMaskCPA:
+		if ctr, err := masking.ParseCountermeasure(sc.Ctr); err == nil && ctr.String() != sc.Ctr {
+			return fmt.Errorf("countermeasure %q is not canonical (want %q)", sc.Ctr, ctr)
+		}
+		opt, err := sc.keyedOptions(key, engine.Config{})
+		if err != nil {
+			return err
+		}
+		return opt.Validate()
+	case KindTVLA:
+		if err := leakscan.CheckRows(sc.Rows); err != nil {
+			return err
+		}
+		opt := sc.leakscanOptions(engine.Config{})
+		return opt.ValidateTVLA()
+	}
+	return fmt.Errorf("unknown kind %q", sc.Kind)
 }
 
 func execTable1(sc *Scenario, out *ScenarioResult, run engine.Config) error {
@@ -133,72 +285,24 @@ func execFigure2(sc *Scenario, out *ScenarioResult, run engine.Config) error {
 	return nil
 }
 
-// leakscanOptions builds the scan options of a tvla scenario.
-func (sc *Scenario) leakscanOptions(run engine.Config) leakscan.Options {
-	opt := leakscan.DefaultOptions()
-	opt.Core = sc.Variant.Core
-	opt.Model = sc.Variant.Model
-	opt.Model.NoiseSigma = sc.sigma()
-	opt.Seed = sc.Seed
-	opt.Config = run
-	opt.Synth = sc.mode()
-	if sc.Traces > 0 {
-		opt.Traces = sc.Traces
-	}
-	if sc.Averages > 0 {
-		opt.Averages = sc.Averages
-	}
-	if sc.Confidence > 0 {
-		opt.Confidence = sc.Confidence
-	}
-	return opt
-}
-
 // execTable2 runs a table2 scenario as the leakscan.Request of the same
 // scan, under the ablation's core and model.
 func execTable2(sc *Scenario, out *ScenarioResult, run engine.Config) error {
-	sigma := sc.sigma()
-	req := leakscan.Request{
-		Traces:     sc.Traces,
-		Averages:   sc.Averages,
-		Rows:       slices.Clone(sc.Rows), // Normalize sorts in place
-		Confidence: sc.Confidence,
-		NoiseSigma: &sigma,
-		Seed:       sc.Seed,
-		Synth:      sc.Synth,
-	}
+	req := sc.table2Request()
 	resp, err := req.Run(engine.RunEnv{Core: sc.Variant.Core, Model: sc.Variant.Model, Config: run})
 	if err != nil {
 		return err
 	}
 	out.Table2 = &Table2Result{Traces: resp.Traces, Averages: resp.Averages, Rows: resp.Rows, Match: resp.Match, Total: resp.Total}
-	out.Traces, out.Averages, out.NoiseSigma, out.Synth = resp.Traces, resp.Averages, sigma, resp.Synth
+	out.Traces, out.Averages, out.NoiseSigma, out.Synth = resp.Traces, resp.Averages, *req.NoiseSigma, resp.Synth
 	return nil
 }
 
 // execAttack runs a fig3, fig4, fullkey or rankevo scenario as the
 // attack.Request of the same figure, under the ablation's core and
-// model. The AES default attacks the campaign key; another target
-// attacks its registry default key (Spec.Key is AES-only). Normalize
-// reads seed 0 as seed 1; a scenario's seed comes from
-// engine.DeriveSeed, and no committed scenario has seed 0.
+// model.
 func execAttack(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, run engine.Config) error {
-	sigma := sc.sigma()
-	req := attack.Request{
-		Figure:     string(sc.Kind),
-		Target:     sc.Target,
-		Traces:     sc.Traces,
-		Averages:   sc.Averages,
-		KeyByte:    sc.KeyByte,
-		Rounds:     sc.Rounds,
-		Seed:       sc.Seed,
-		NoiseSigma: &sigma,
-		Synth:      sc.Synth,
-		Counts:     slices.Clone(sc.Counts), // Normalize sorts in place
-	}
-	if sc.Target == "" {
-		req.Key = hex.EncodeToString(key[:])
-	}
+	req := sc.attackRequest(key)
 	resp, err := req.Run(engine.RunEnv{Core: sc.Variant.Core, Model: sc.Variant.Model, Config: run})
 	if err != nil {
 		return err
@@ -240,35 +344,8 @@ func execAttack(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, run en
 	default:
 		out.RankEvo = resp.RankEvo
 	}
-	out.Traces, out.Averages, out.NoiseSigma, out.Synth = resp.Traces, resp.Averages, sigma, resp.Synth
+	out.Traces, out.Averages, out.NoiseSigma, out.Synth = resp.Traces, resp.Averages, *req.NoiseSigma, resp.Synth
 	return nil
-}
-
-// keyedOptions builds the keyed masking evaluation of a maskcpa
-// scenario.
-func (sc *Scenario) keyedOptions(key [aes.KeySize]byte, run engine.Config) (masking.KeyedOptions, error) {
-	ctr, err := masking.ParseCountermeasure(sc.Ctr)
-	if err != nil {
-		return masking.KeyedOptions{}, err
-	}
-	opt := masking.DefaultKeyedOptions()
-	opt.Schedule = sc.Gadget
-	opt.Ctr = ctr
-	opt.Order = sc.Order
-	opt.Key = key[sc.KeyByte]
-	opt.Core = sc.Variant.Core
-	opt.Model = sc.Variant.Model
-	opt.Model.NoiseSigma = sc.sigma()
-	opt.Seed = sc.Seed
-	opt.Synth = sc.mode()
-	opt.Config = run
-	if sc.Traces > 0 {
-		opt.Traces = sc.Traces
-	}
-	if sc.Averages > 0 {
-		opt.Averages = sc.Averages
-	}
-	return opt, nil
 }
 
 func execMaskCPA(sc *Scenario, out *ScenarioResult, key [aes.KeySize]byte, run engine.Config) error {

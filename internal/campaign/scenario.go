@@ -108,7 +108,7 @@ func unspelledAxis(p *Point) string {
 		{"reps", p.Reps != 0, cycles},
 		{"rows", len(p.Rows) > 0, scan},
 		{"counts", len(p.Counts) > 0, k == KindRankEvo},
-		{"confidence", p.Confidence != 0, scan},
+		{"confidence", p.Confidence != 0, k == KindTable2},
 		{"gadget", p.Gadget != "", k == KindMaskCPA},
 		{"ctr", p.Ctr != "", k == KindMaskCPA},
 		{"order", p.Order != 0, k == KindMaskCPA},
@@ -159,7 +159,7 @@ func scenarioID(p *Point) string {
 			}
 			fmt.Fprintf(&sb, "/rows=%s", strings.Join(parts, ","))
 		}
-		if p.Confidence > 0 {
+		if k == KindTable2 && p.Confidence > 0 {
 			fmt.Fprintf(&sb, "/conf=%s", strconv.FormatFloat(p.Confidence, 'g', -1, 64))
 		}
 	case KindFig3, KindFig4, KindFullKey, KindRankEvo:
@@ -189,8 +189,16 @@ func scenarioID(p *Point) string {
 // in spec order, and within each workload the cross product
 // ablations x traces x noise sigmas x synthesis modes, iterated in that
 // nesting order. Duplicate scenario IDs are an error — two identical
-// scenarios would be pure waste, and the ID is the checkpoint key.
+// scenarios would be pure waste, and the ID is the checkpoint key — and
+// so is a targets or masking axis on a kind that does not sweep it.
+// Enumerate does not apply the scenario rule; Spec.Validate does.
 func (s *Spec) Enumerate() ([]Scenario, error) {
+	return s.enumerate(nil)
+}
+
+// enumerate is Enumerate calling visit, when non-nil, on each scenario
+// with its workload's index; visit's first error ends the enumeration.
+func (s *Spec) enumerate(visit func(wi int, sc *Scenario) error) ([]Scenario, error) {
 	var out []Scenario
 	seen := map[string]bool{}
 	for wi := range s.Workloads {
@@ -198,6 +206,15 @@ func (s *Spec) Enumerate() ([]Scenario, error) {
 		abs, err := expandAblations(w.Ablations)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: workload %d (%s): %w", wi, w.Kind, err)
+		}
+		// The targets and masking axes collapse to one default point on
+		// the kinds that do not sweep them; refuse them there rather
+		// than drop them.
+		if len(w.Targets) > 0 && w.Kind != KindFig3 && w.Kind != KindFullKey && w.Kind != KindRankEvo {
+			return nil, fmt.Errorf("campaign: workload %d (%s): targets apply to fig3/fullkey/rankevo only", wi, w.Kind)
+		}
+		if w.Kind != KindMaskCPA && len(w.Gadgets)+len(w.Countermeasures)+len(w.Orders) > 0 {
+			return nil, fmt.Errorf("campaign: workload %d (%s): gadgets/countermeasures/orders apply to maskcpa only", wi, w.Kind)
 		}
 		traces := w.Traces
 		if len(traces) == 0 {
@@ -207,13 +224,22 @@ func (s *Spec) Enumerate() ([]Scenario, error) {
 		if len(sigmas) == 0 {
 			sigmas = []float64{SigmaDefault}
 		}
-		synths := w.Synth
-		if len(synths) == 0 {
-			synths = []string{"auto"}
+		// Synthesis modes parse, and canonicalize, for every kind, even
+		// the cycle-count kinds that ignore them.
+		synths := []string{engine.ModeAuto.String()}
+		if len(w.Synth) > 0 {
+			synths = synths[:0]
+			for _, sm := range w.Synth {
+				mode, err := parseSynth(sm)
+				if err != nil {
+					return nil, fmt.Errorf("campaign: workload %d (%s): %w", wi, w.Kind, err)
+				}
+				synths = append(synths, mode.String())
+			}
 		}
 		if w.Kind == KindTable1 || w.Kind == KindFigure2 {
 			// Cycle-count workloads have no acquisition axes.
-			traces, sigmas, synths = []int{0}, []float64{SigmaDefault}, []string{"auto"}
+			traces, sigmas, synths = []int{0}, []float64{SigmaDefault}, []string{engine.ModeAuto.String()}
 		}
 		rows := append([]int(nil), w.Rows...)
 		sort.Ints(rows)
@@ -255,10 +281,6 @@ func (s *Spec) Enumerate() ([]Scenario, error) {
 			for _, n := range traces {
 				for _, sg := range sigmas {
 					for _, sm := range synths {
-						mode, err := parseSynth(sm)
-						if err != nil {
-							return nil, fmt.Errorf("campaign: workload %d (%s): %w", wi, w.Kind, err)
-						}
 						for _, m := range masks {
 							for _, tg := range targets {
 								p := Point{
@@ -267,7 +289,7 @@ func (s *Spec) Enumerate() ([]Scenario, error) {
 									Traces:     n,
 									Averages:   w.Averages,
 									NoiseSigma: sg,
-									Synth:      mode.String(),
+									Synth:      sm,
 									Target:     tg,
 									KeyByte:    w.KeyByte,
 									Rounds:     w.Rounds,
@@ -279,15 +301,17 @@ func (s *Spec) Enumerate() ([]Scenario, error) {
 									Ctr:        m.Ctr,
 									Order:      m.Order,
 								}
-								if ax := unspelledAxis(&p); ax != "" {
-									return nil, fmt.Errorf("campaign: workload %d (%s): %s does not apply to %s scenarios", wi, w.Kind, ax, w.Kind)
-								}
 								p.ID = scenarioID(&p)
 								if seen[p.ID] {
 									return nil, fmt.Errorf("campaign: duplicate scenario %q", p.ID)
 								}
 								seen[p.ID] = true
 								out = append(out, Scenario{Point: p, Index: len(out), Variant: ab, Seed: engine.DeriveSeed(s.Seed, p.ID)})
+								if visit != nil {
+									if err := visit(wi, &out[len(out)-1]); err != nil {
+										return nil, err
+									}
+								}
 							}
 						}
 					}

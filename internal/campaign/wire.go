@@ -2,13 +2,11 @@ package campaign
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"repro/internal/aes"
 	"repro/internal/attack"
 	"repro/internal/engine"
-	"repro/internal/target"
 )
 
 // ScenarioRequest is the wire form of one fully resolved scenario — the
@@ -47,10 +45,12 @@ func (sc *Scenario) WireRequest(campaignName string, campaignSeed int64, key str
 }
 
 // Resolve validates the request and reconstructs the executable
-// Scenario plus the attack key. Every set axis must be one the kind's
-// ID spells, the canonical scenario ID is recomputed from the axes and
-// must equal the spelled one, and the private seed is rederived from
-// (CampaignSeed, ID) — the wire carries no seed to trust.
+// Scenario plus the attack key. The scenario must pass the rule
+// Spec.Validate applies to every scenario it enumerates
+// (Scenario.validate), so a resolved scenario passes every input check
+// its experiment makes before running; the canonical scenario ID is recomputed from the axes and must equal the
+// spelled one, and the private seed is rederived from (CampaignSeed,
+// ID) — the wire carries no seed to trust.
 func (r *ScenarioRequest) Resolve() (*Scenario, [aes.KeySize]byte, error) {
 	var key [aes.KeySize]byte
 	if r.Campaign == "" {
@@ -77,30 +77,19 @@ func (r *ScenarioRequest) Resolve() (*Scenario, [aes.KeySize]byte, error) {
 	if err != nil {
 		return nil, key, err
 	}
-	if !slices.IsSorted(r.Rows) || !slices.IsSorted(r.Counts) {
-		return nil, key, fmt.Errorf("campaign: scenario request: rows and counts must be sorted")
-	}
-	if r.Target != "" {
-		if canon := target.Canon(target.Resolve(r.Target)); canon != r.Target {
-			return nil, key, fmt.Errorf("campaign: scenario request: target %q is not canonical (want %q)", r.Target, canon)
-		}
-		if _, err := target.Get(r.Target); err != nil {
-			return nil, key, err
-		}
-	}
-	p := r.Point
-	p.Ablation, p.Synth = ab.Name, mode.String()
-	if ax := unspelledAxis(&p); ax != "" {
-		return nil, key, fmt.Errorf("campaign: scenario request: %s does not apply to %s scenarios", ax, r.Kind)
+	sc := &Scenario{Point: r.Point, Variant: ab, Seed: engine.DeriveSeed(r.CampaignSeed, r.ID)}
+	sc.Ablation, sc.Synth = ab.Name, mode.String()
+	if err := sc.validate(key); err != nil {
+		return nil, key, fmt.Errorf("campaign: scenario request: %w", err)
 	}
 	// Recompute the canonical ID from the axes; a mismatch means the
 	// request was corrupted in flight or assembled against a different
 	// ID-spelling convention, and executing it would derive the wrong
 	// seed.
-	if id := scenarioID(&p); id != r.ID {
+	if id := scenarioID(&sc.Point); id != r.ID {
 		return nil, key, fmt.Errorf("campaign: scenario request id %q does not match its axes (canonical %q)", r.ID, id)
 	}
-	return &Scenario{Point: p, Variant: ab, Seed: engine.DeriveSeed(r.CampaignSeed, r.ID)}, key, nil
+	return sc, key, nil
 }
 
 // Fingerprint is the content address of the request's response bytes:

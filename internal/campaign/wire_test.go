@@ -5,16 +5,20 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // wireTestSpec enumerates at least one scenario of every axis shape the
 // wire form has to carry: default axes, explicit acquisition points,
 // rows/counts lists, and the maskcpa countermeasure point.
-func wireTestSpec(t *testing.T) *Spec {
+func wireTestSpec(t testing.TB) *Spec {
 	t.Helper()
 	spec, err := ParseSpec([]byte(`{
 	  "name": "wire",
@@ -289,4 +293,208 @@ func TestScenarioRequestRefusesUnspelledAxes(t *testing.T) {
 	if _, err := ParseSpec([]byte(`{"name":"x","seed":1,"workloads":[{"kind":"table2","traces":[64],"rounds":1}]}`)); err == nil {
 		t.Fatal("a table2 workload with rounds was accepted")
 	}
+}
+
+// probeScenarios enumerates one small scenario of each kind the
+// scenario-rule probes mutate, keyed by kind.
+func probeScenarios(t testing.TB) (*Spec, map[Kind]Scenario) {
+	t.Helper()
+	spec := &Spec{Name: "probe", Seed: 1, Workloads: []Workload{
+		{Kind: KindFig3, Traces: []int{64}},
+		{Kind: KindTable2, Traces: []int{64}},
+		{Kind: KindMaskCPA, Traces: []int{64}},
+		{Kind: KindTVLA, Traces: []int{64}},
+		{Kind: KindRankEvo, Counts: []int{50}},
+	}}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	scenarios, err := spec.Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	byKind := map[Kind]Scenario{}
+	for _, sc := range scenarios {
+		byKind[sc.Kind] = sc
+	}
+	return spec, byKind
+}
+
+// TestResolveAppliesScenarioRule sends Resolve scenarios whose ID
+// matches their axes but which their experiment refuses, or which
+// spell one scenario twice. Each must be refused with an error naming
+// the axis, so /v1/scenario answers 400 where Execute would fail (or,
+// for a maskcpa key byte outside the key, panic).
+func TestResolveAppliesScenarioRule(t *testing.T) {
+	spec, byKind := probeScenarios(t)
+	cases := []struct {
+		name string
+		kind Kind
+		set  func(p *Point)
+		want string
+	}{
+		{"fig3 traces 3", KindFig3, func(p *Point) { p.Traces = 3 }, "traces"},
+		{"fig3 rounds 99", KindFig3, func(p *Point) { p.Rounds = 99 }, "rounds"},
+		{"fig3 averages -2", KindFig3, func(p *Point) { p.Averages = -2 }, "averages"},
+		{"maskcpa averages -2", KindMaskCPA, func(p *Point) { p.Averages = -2 }, "averages"},
+		{"table2 confidence 1.5", KindTable2, func(p *Point) { p.Confidence = 1.5 }, "confidence"},
+		{"maskcpa order 3", KindMaskCPA, func(p *Point) { p.Order = 3 }, "order"},
+		{"tvla traces 9", KindTVLA, func(p *Point) { p.Traces = 9 }, "trace count"},
+		{"tvla confidence", KindTVLA, func(p *Point) { p.Confidence = 0.9 }, "confidence"},
+		{"table2 rows 1,1", KindTable2, func(p *Point) { p.Rows = []int{1, 1} }, "rows"},
+		{"rankevo counts 50,50", KindRankEvo, func(p *Point) { p.Counts = []int{50, 50} }, "counts"},
+		{"maskcpa key byte 16", KindMaskCPA, func(p *Point) { p.KeyByte = 16 }, "key byte"},
+		{"maskcpa key byte -1", KindMaskCPA, func(p *Point) { p.KeyByte = -1 }, "key byte"},
+	}
+	for _, tc := range cases {
+		sc := byKind[tc.kind]
+		req := sc.WireRequest(spec.Name, spec.Seed, spec.Key)
+		if _, _, err := req.Resolve(); err != nil {
+			t.Fatalf("%s: unmutated %s refused: %v", tc.name, req.ID, err)
+		}
+		tc.set(&req.Point)
+		req.ID = scenarioID(&req.Point)
+		_, _, err := req.Resolve()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: want an error naming %q, got %v", tc.name, tc.want, err)
+		}
+	}
+}
+
+// FuzzScenarioRequestResolve draws arbitrary scenario axes under their
+// own canonical ID and runs nothing. Either Resolve refuses the draw, or
+// the scenario's builder succeeds without a panic and the spec-level
+// rule agrees: the one-workload spec spelling the same point validates
+// and enumerates exactly that scenario.
+func FuzzScenarioRequestResolve(f *testing.F) {
+	add := func(p Point) {
+		f.Add(uint8(slices.Index(Kinds(), p.Kind)), p.Ablation, p.Traces, p.Averages, p.NoiseSigma, p.Synth,
+			p.Target, p.KeyByte, p.Rounds, p.Reps, intBytes(p.Rows, 1), intBytes(p.Counts, 8),
+			p.Confidence, p.Gadget, p.Ctr, p.Order)
+	}
+	scenarios, err := wireTestSpec(f).Enumerate()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, sc := range scenarios {
+		add(sc.Point)
+	}
+	_, byKind := probeScenarios(f)
+	for _, sc := range byKind {
+		add(sc.Point)
+	}
+	add(Point{Kind: KindFig4, Ablation: "scalar", Traces: 64, NoiseSigma: SigmaDefault, Synth: "auto", KeyByte: 3})
+	add(Point{Kind: KindFullKey, Ablation: "paper", NoiseSigma: SigmaDefault, Synth: "auto", Target: "present", Rounds: 2})
+	add(Point{Kind: KindMaskCPA, Ablation: "paper", NoiseSigma: SigmaDefault, Synth: "auto", Gadget: "naive", Ctr: "mask+shuffle", Order: 2, KeyByte: 16})
+
+	f.Fuzz(func(t *testing.T, kind uint8, ablation string, traces, averages int, sigma float64, synth, tgt string,
+		keyByte, rounds, reps int, rows, counts []byte, conf float64, gadget, ctr string, order int) {
+		if math.IsNaN(sigma) || math.IsInf(sigma, 0) || math.IsNaN(conf) || math.IsInf(conf, 0) {
+			t.Skip("JSON, the wire form, carries no NaN or infinity")
+		}
+		p := Point{
+			Kind: Kinds()[int(kind)%len(Kinds())], Ablation: ablation,
+			Traces: traces, Averages: averages, NoiseSigma: sigma, Synth: synth, Target: tgt,
+			KeyByte: keyByte, Rounds: rounds, Reps: reps,
+			Rows: bytesInt(rows, 1), Counts: bytesInt(counts, 8), Confidence: conf,
+			Gadget: gadget, Ctr: ctr, Order: order,
+		}
+		// Spell the ID as Resolve will recompute it, so the draw reaches
+		// the rule rather than the ID check.
+		canon := p
+		if canon.Ablation == "" {
+			canon.Ablation = PaperAblation
+		}
+		if canon.Synth == "" {
+			canon.Synth = engine.ModeAuto.String()
+		}
+		p.ID = scenarioID(&canon)
+		req := ScenarioRequest{Campaign: "fuzz", CampaignSeed: 5, Point: p}
+		sc, key, err := req.Resolve()
+		if err != nil {
+			return
+		}
+		switch sc.Kind {
+		case KindTable1, KindFigure2:
+			if sc.reps() < 1 {
+				t.Fatalf("%s resolved with reps %d", sc.ID, sc.reps())
+			}
+		case KindTable2:
+			r := sc.table2Request()
+			if err := r.Normalize(); err != nil {
+				t.Fatalf("%s resolved, but its request fails: %v", sc.ID, err)
+			}
+		case KindFig3, KindFig4, KindFullKey, KindRankEvo:
+			r := sc.attackRequest(key)
+			if err := r.Normalize(); err != nil {
+				t.Fatalf("%s resolved, but its request fails: %v", sc.ID, err)
+			}
+			if sc.Kind == KindFig4 {
+				r.Fig4Options(engine.DefaultRunEnv())
+			} else {
+				r.Fig3Options(engine.DefaultRunEnv())
+			}
+		case KindMaskCPA:
+			opt, err := sc.keyedOptions(key, engine.Config{})
+			if err == nil {
+				err = opt.Validate()
+			}
+			if err != nil {
+				t.Fatalf("%s resolved, but its options fail: %v", sc.ID, err)
+			}
+		case KindTVLA:
+			opt := sc.leakscanOptions(engine.Config{})
+			if err := opt.ValidateTVLA(); err != nil {
+				t.Fatalf("%s resolved, but its options fail: %v", sc.ID, err)
+			}
+		}
+
+		w := Workload{
+			Kind: sc.Kind, Ablations: []string{sc.Ablation}, Synth: []string{sc.Synth},
+			Averages: sc.Averages, KeyByte: sc.KeyByte, Rounds: sc.Rounds, Reps: sc.Reps,
+			Rows: sc.Rows, Counts: sc.Counts, Confidence: sc.Confidence,
+		}
+		if sc.Traces != 0 {
+			w.Traces = []int{sc.Traces}
+		}
+		if sc.NoiseSigma != SigmaDefault {
+			w.NoiseSigmas = []float64{sc.NoiseSigma}
+		}
+		if sc.Target != "" {
+			w.Targets = []string{sc.Target}
+		}
+		if sc.Kind == KindMaskCPA {
+			w.Gadgets, w.Countermeasures, w.Orders = []string{sc.Gadget}, []string{sc.Ctr}, []int{sc.Order}
+		}
+		spec := Spec{Name: req.Campaign, Seed: req.CampaignSeed, Workloads: []Workload{w}}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("%s resolved, but the spec spelling it is refused: %v", sc.ID, err)
+		}
+		got, err := spec.Enumerate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || !reflect.DeepEqual(got[0].Point, sc.Point) || got[0].Seed != sc.Seed {
+			t.Fatalf("the spec spelling %s enumerates %+v", sc.ID, got)
+		}
+	})
+}
+
+// intBytes and bytesInt carry a rows or counts list through the
+// fuzzer's []byte arguments in steps of unit, signed, so negative and
+// zero entries stay reachable.
+func intBytes(vs []int, unit int) []byte {
+	var out []byte
+	for _, v := range vs {
+		out = append(out, byte(int8(v/unit)))
+	}
+	return out
+}
+
+func bytesInt(bs []byte, unit int) []int {
+	var out []int
+	for _, b := range bs {
+		out = append(out, int(int8(b))*unit)
+	}
+	return out
 }

@@ -130,11 +130,19 @@ func buildBench(a, b string, reps int) (*isa.Program, int, int, error) {
 	return &isa.Program{Instrs: instrs, Symbols: map[string]int{"end": total}}, start, end, nil
 }
 
+// CheckReps reports whether MeasurePair accepts the repetition count.
+func CheckReps(reps int) error {
+	if reps < 1 {
+		return fmt.Errorf("cpi: reps must be >= 1, got %d", reps)
+	}
+	return nil
+}
+
 // MeasurePair runs the micro-benchmark for the ordered class pair and
 // returns its CPI. With hazard set, the RAW-laden variant runs instead.
 func MeasurePair(cfg pipeline.Config, older, younger isa.Class, hazard bool, reps int) (float64, error) {
-	if reps < 1 {
-		return 0, fmt.Errorf("cpi: reps must be >= 1, got %d", reps)
+	if err := CheckReps(reps); err != nil {
+		return 0, err
 	}
 	a, b := pairInstrs(older, younger)
 	if hazard {

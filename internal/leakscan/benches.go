@@ -62,6 +62,19 @@ func Benchmarks() []Benchmark {
 	}
 }
 
+// numRows is the number of Table 2 rows.
+var numRows = len(Benchmarks())
+
+// CheckRows reports the first of rows that names no Table 2 row.
+func CheckRows(rows []int) error {
+	for _, row := range rows {
+		if row < 1 || row > numRows {
+			return fmt.Errorf("leakscan: row %d out of [1,%d]", row, numRows)
+		}
+	}
+	return nil
+}
+
 // BenchmarkByRow returns the Table 2 benchmark with the given 1-based
 // row number, or false when no such row exists.
 func BenchmarkByRow(row int) (Benchmark, bool) {

@@ -66,11 +66,8 @@ func (r *Request) Normalize() error {
 	}
 	slices.Sort(r.Rows)
 	r.Rows = slices.Compact(r.Rows)
-	nRows := len(Benchmarks())
-	for _, row := range r.Rows {
-		if row < 1 || row > nRows {
-			return fmt.Errorf("leakscan: row %d out of [1,%d]", row, nRows)
-		}
+	if err := CheckRows(r.Rows); err != nil {
+		return err
 	}
 	switch {
 	case r.Traces < 8:

@@ -28,6 +28,18 @@ type TVLAResult struct {
 // TVLAThreshold is the conventional detection threshold.
 const TVLAThreshold = 4.5
 
+// ValidateTVLA reports the first option RunTVLA would refuse, without
+// running anything.
+func (opt *Options) ValidateTVLA() error {
+	if err := opt.validate(); err != nil {
+		return err
+	}
+	if opt.Traces%2 != 0 {
+		return fmt.Errorf("leakscan: TVLA needs an even trace count for two equal groups, got %d", opt.Traces)
+	}
+	return nil
+}
+
 // RunTVLA performs a fixed-vs-random t-test on one Table 2 benchmark:
 // group 0 (even trace indices) re-runs the sequence with one fixed
 // operand draw, group 1 (odd indices) with fresh random draws, and the
@@ -41,11 +53,8 @@ const TVLAThreshold = 4.5
 // ordered reducer (Spec.Emit) — so the t statistics are bit-identical
 // for any worker count, lane width and synthesis mode.
 func RunTVLA(b *Benchmark, opt Options) (*TVLAResult, error) {
-	if err := opt.validate(); err != nil {
+	if err := opt.ValidateTVLA(); err != nil {
 		return nil, err
-	}
-	if opt.Traces%2 != 0 {
-		return nil, fmt.Errorf("leakscan: TVLA needs an even trace count for two equal groups, got %d", opt.Traces)
 	}
 	prog, _, err := b.program()
 	if err != nil {

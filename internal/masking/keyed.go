@@ -149,14 +149,12 @@ func eorLine(rd, ra, rb string, swap bool) string {
 // nops — so every variant runs for the same cycle count (verified by
 // calibration).
 func buildKeyedVariants(schedule string, ctr Countermeasure) (*keyedVariants, error) {
+	if err := validateCombination(schedule, ctr); err != nil {
+		return nil, err
+	}
 	kv := &keyedVariants{ctr: ctr, swaps: 1}
 	if ctr.Shuffle {
-		switch schedule {
-		case ScheduleNaive, ScheduleSeparated:
-			kv.swaps = 4
-		default:
-			return nil, fmt.Errorf("masking: shuffle countermeasure needs reg-reg share instructions (schedule %q)", schedule)
-		}
+		kv.swaps = 4
 	}
 	jitters := 1
 	if ctr.Jitter {
@@ -212,13 +210,21 @@ func keyedProgram(schedule string, pre, post int, swap0, swap1 bool) (*isa.Progr
 	return isa.Assemble(strings.Repeat("nop\n", pre) + body + strings.Repeat("nop\n", post))
 }
 
-// ValidateCombination reports whether schedule supports the
-// countermeasure combination without running anything — the cheap
-// spec-validation entry point (it assembles the program variants and
-// discards them).
-func ValidateCombination(schedule string, ctr Countermeasure) error {
-	_, err := buildKeyedVariants(schedule, ctr)
-	return err
+// validateCombination reports whether schedule supports the
+// countermeasure combination, from the two names alone: the schedule
+// must exist, and shuffling needs the reg-reg share instructions of the
+// naive and separated schedules.
+func validateCombination(schedule string, ctr Countermeasure) error {
+	switch schedule {
+	case ScheduleNaive, ScheduleSeparated:
+		return nil
+	case ScheduleDualIssue, ScheduleSbox:
+		if ctr.Shuffle {
+			return fmt.Errorf("masking: shuffle countermeasure needs reg-reg share instructions (schedule %q)", schedule)
+		}
+		return nil
+	}
+	return fmt.Errorf("masking: unknown gadget schedule %q (want one of %v)", schedule, Schedules())
 }
 
 // KeyedOptions configures a keyed countermeasure evaluation.
@@ -260,6 +266,23 @@ func DefaultKeyedOptions() KeyedOptions {
 		Model:    power.DefaultModel(),
 		Core:     pipeline.DefaultConfig(),
 	}
+}
+
+// Validate reports the first option EvaluateKeyedCPA would refuse,
+// without running or assembling anything.
+func (opt *KeyedOptions) Validate() error {
+	switch {
+	case opt.Traces < 8:
+		return fmt.Errorf("masking: need at least 8 traces, got %d", opt.Traces)
+	case opt.Order != 1 && opt.Order != 2:
+		return fmt.Errorf("masking: CPA order %d not supported (want 1 or 2)", opt.Order)
+	case opt.Averages < 1:
+		return fmt.Errorf("masking: averages must be >= 1, got %d", opt.Averages)
+	}
+	if err := opt.Model.Validate(); err != nil {
+		return err
+	}
+	return validateCombination(opt.Schedule, opt.Ctr)
 }
 
 // KeyedResult is the outcome of one keyed countermeasure evaluation.
@@ -315,17 +338,8 @@ const (
 // bit-stable pure function of the options for any synthesis mode, lane
 // width and worker count.
 func EvaluateKeyedCPA(opt KeyedOptions) (*KeyedResult, error) {
-	if opt.Traces < 8 {
-		return nil, fmt.Errorf("masking: need at least 8 traces, got %d", opt.Traces)
-	}
-	if opt.Order != 1 && opt.Order != 2 {
-		return nil, fmt.Errorf("masking: CPA order %d not supported (want 1 or 2)", opt.Order)
-	}
-	if err := opt.Model.Validate(); err != nil {
+	if err := opt.Validate(); err != nil {
 		return nil, err
-	}
-	if opt.Averages < 1 {
-		return nil, fmt.Errorf("masking: averages must be >= 1, got %d", opt.Averages)
 	}
 	kv, err := buildKeyedVariants(opt.Schedule, opt.Ctr)
 	if err != nil {

@@ -263,3 +263,26 @@ func TestEvaluateKeyedCPAValidation(t *testing.T) {
 		}
 	}
 }
+
+// validateCombination decides from the names alone; every combination
+// it accepts must assemble, and it refuses exactly an unknown schedule
+// and shuffling on a schedule without reg-reg share instructions.
+func TestValidateCombinationMatchesAssembly(t *testing.T) {
+	for _, g := range append(Schedules(), "rot13") {
+		for bits := range 8 {
+			ctr := Countermeasure{Mask: bits&1 != 0, Shuffle: bits&2 != 0, Jitter: bits&4 != 0}
+			err := validateCombination(g, ctr)
+			regReg := g == ScheduleNaive || g == ScheduleSeparated
+			known := regReg || g == ScheduleDualIssue || g == ScheduleSbox
+			if want := known && (regReg || !ctr.Shuffle); (err == nil) != want {
+				t.Errorf("%s/%s: accepted %v, want %v (%v)", g, ctr, err == nil, want, err)
+			}
+			if err != nil {
+				continue
+			}
+			if _, err := buildKeyedVariants(g, ctr); err != nil {
+				t.Errorf("%s/%s: accepted, but assembly fails: %v", g, ctr, err)
+			}
+		}
+	}
+}

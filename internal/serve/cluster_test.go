@@ -94,6 +94,38 @@ func TestScenarioEndpointRejectsTamperedRequest(t *testing.T) {
 	}
 }
 
+// TestScenarioEndpointRefusesOutOfRangeKeyByte posts a maskcpa
+// scenario whose ID matches its axes but whose key byte lies outside
+// the 16-byte key. The endpoint must answer 400, not run the scenario
+// (indexing the key with it panicked the flight goroutine and killed
+// the server), and the server must still answer afterwards.
+func TestScenarioEndpointRefusesOutOfRangeKeyByte(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	spec, err := campaign.ParseSpec([]byte(`{"name": "serve-keybyte", "seed": 11,
+	  "workloads": [{"kind": "maskcpa", "traces": [64], "key_byte": 15}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenarios, err := spec.Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := scenarios[0].WireRequest(spec.Name, spec.Seed, spec.Key)
+	req.KeyByte = 16
+	req.ID = strings.Replace(req.ID, "/keybyte=15", "/keybyte=16", 1)
+	raw, _ := json.Marshal(&req)
+	resp, body := post(t, ts.URL+"/v1/scenario", string(raw))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("key byte 16: %d %s, want 400", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "key byte") {
+		t.Fatalf("key byte 16: diagnostic %s does not name the key byte", body)
+	}
+	if resp, body := get(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the refused scenario: %d %s", resp.StatusCode, body)
+	}
+}
+
 func TestResultsPutFillsCacheByteIdentically(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	req := testScenarioRequest(t)
