@@ -15,8 +15,9 @@
 //
 //	campaign -results campaigns/paper.results.json -update-doc EXPERIMENTS.md
 //
-// rewrites the marked sections of EXPERIMENTS.md; CI fails when the
-// committed docs drift from the committed results.
+// rewrites the sections of EXPERIMENTS.md that the paper campaign owns;
+// go test ./internal/campaign fails when the committed docs drift from
+// the committed results.
 //
 // Usage:
 //
@@ -29,6 +30,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,11 +38,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/cliutil"
 )
-
-func fail(msg string) {
-	fmt.Fprintln(os.Stderr, "campaign:", msg)
-	os.Exit(1)
-}
 
 // exampleSpec is the -init-spec starter: one scenario per workload kind
 // at quick scales, plus commented axes are documented in the package
@@ -64,71 +61,82 @@ const exampleSpec = `{
 `
 
 func main() {
-	var ef cliutil.EngineFlags
-	ef.RegisterWorkersUsage(flag.CommandLine, "per-scenario engine workers (0: spec value, else one per core)")
-	var tf cliutil.TargetFlags
-	tf.RegisterTargetUsage(flag.CommandLine,
-		`run only the named cipher target's scenarios ("": the whole spec); surviving scenario IDs and seeds are unchanged`)
-	specPath := flag.String("spec", "", "campaign spec (JSON) to execute")
-	resultsPath := flag.String("results", "", "existing results JSON to render or splice instead of running")
-	outDir := flag.String("out", "out", "output directory for results.json, results.csv, report.md and the checkpoint")
-	shards := flag.Int("shards", 0, "concurrently executed scenarios (0: spec value, else 1)")
-	resume := flag.Bool("resume", false, "resume from the checkpoint in -out instead of starting over")
-	report := flag.Bool("report", false, "with -results: print the Markdown report to stdout")
-	updateDoc := flag.String("update-doc", "", "with -results: rewrite the campaign-marked sections of this file")
-	sections := flag.String("sections", "", "with -update-doc: comma-separated section allow-list; unlisted marked regions stay verbatim")
-	initSpec := flag.Bool("init-spec", false, "print an example spec and exit")
-	quiet := flag.Bool("quiet", false, "suppress per-scenario progress lines")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run parses argv and executes the requested mode. It returns the
+// process exit code: 2 for a flag error, 1 for any other failure.
+func run(argv []string, stdout, stderr io.Writer) int {
+	const tool = "campaign"
+	fs := flag.NewFlagSet(tool, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+
+	var ef cliutil.EngineFlags
+	ef.RegisterWorkersUsage(fs, "per-scenario engine workers (0: spec value, else one per core)")
+	var tf cliutil.TargetFlags
+	tf.RegisterTargetUsage(fs,
+		`run only the named cipher target's scenarios ("": the whole spec); surviving scenario IDs and seeds are unchanged`)
+	specPath := fs.String("spec", "", "campaign spec (JSON) to execute")
+	resultsPath := fs.String("results", "", "existing results JSON to render or splice instead of running")
+	outDir := fs.String("out", "out", "output directory for results.json, results.csv, report.md and the checkpoint")
+	shards := fs.Int("shards", 0, "concurrently executed scenarios (0: spec value, else 1)")
+	resume := fs.Bool("resume", false, "resume from the checkpoint in -out instead of starting over")
+	report := fs.Bool("report", false, "with -results: print the Markdown report to stdout")
+	updateDoc := fs.String("update-doc", "", "with -results: rewrite this file's regions owned by the results' campaign")
+	initSpec := fs.Bool("init-spec", false, "print an example spec and exit")
+	quiet := fs.Bool("quiet", false, "suppress per-scenario progress lines")
+	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
+
+	fail := func(msg string) int {
+		fmt.Fprintf(stderr, "%s: %s\n", tool, msg)
+		return 1
+	}
 	if err := ef.Finish(); err != nil {
-		fail(err.Error())
+		return fail(err.Error())
 	}
 	if *shards < 0 {
-		fail("-shards must be >= 0")
+		return fail("-shards must be >= 0")
 	}
 
 	if *initSpec {
-		fmt.Print(exampleSpec)
-		return
+		fmt.Fprint(stdout, exampleSpec)
+		return 0
 	}
 
 	if *resultsPath != "" {
 		res, err := campaign.LoadResults(*resultsPath)
 		if err != nil {
-			fail(err.Error())
+			return fail(err.Error())
 		}
 		switch {
 		case *updateDoc != "":
-			var only []string
-			if *sections != "" {
-				only = strings.Split(*sections, ",")
-			}
-			if err := spliceDoc(*updateDoc, res, only); err != nil {
-				fail(err.Error())
+			if err := spliceDoc(stdout, *updateDoc, res); err != nil {
+				return fail(err.Error())
 			}
 		case *report:
-			fmt.Print(campaign.Report(res))
+			fmt.Fprint(stdout, campaign.Report(res))
 		default:
-			fail("with -results, pass -report or -update-doc FILE")
+			return fail("with -results, pass -report or -update-doc FILE")
 		}
-		return
+		return 0
 	}
 
 	if *specPath == "" {
-		fail("pass -spec FILE (or -results FILE, or -init-spec); see -h")
+		return fail("pass -spec FILE (or -results FILE, or -init-spec); see -h")
 	}
 	spec, err := campaign.LoadSpec(*specPath)
 	if err != nil {
-		fail(err.Error())
+		return fail(err.Error())
 	}
 	if tf.Target != "" {
 		if err := spec.FilterTarget(tf.Target); err != nil {
-			fail(err.Error())
+			return fail(err.Error())
 		}
 	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		fail(err.Error())
+		return fail(err.Error())
 	}
 	opt := campaign.RunOptions{
 		Workers:        ef.Workers,
@@ -138,52 +146,44 @@ func main() {
 		Resume:         *resume,
 	}
 	if !*quiet {
-		opt.Log = os.Stderr
+		opt.Log = stderr
 	}
 	res, err := campaign.Run(spec, opt)
 	if err != nil {
-		fail(err.Error())
+		return fail(err.Error())
+	}
+	paths, err := campaign.WriteArtifacts(*outDir, res)
+	if err != nil {
+		return fail(err.Error())
 	}
 
-	jsonPath := filepath.Join(*outDir, "results.json")
-	csvPath := filepath.Join(*outDir, "results.csv")
-	mdPath := filepath.Join(*outDir, "report.md")
-	if err := os.WriteFile(jsonPath, res.EncodeJSON(), 0o644); err != nil {
-		fail(err.Error())
-	}
-	if err := os.WriteFile(csvPath, []byte(res.CSV()), 0o644); err != nil {
-		fail(err.Error())
-	}
-	if err := os.WriteFile(mdPath, []byte(campaign.Report(res)), 0o644); err != nil {
-		fail(err.Error())
-	}
-
-	fmt.Printf("campaign %q: %d scenarios\n", res.Campaign, len(res.Scenarios))
+	fmt.Fprintf(stdout, "campaign %q: %d scenarios\n", res.Campaign, len(res.Scenarios))
 	for i := range res.Scenarios {
 		sr := &res.Scenarios[i]
-		fmt.Printf("  %-60s %s\n", sr.ID, sr.Headline())
+		fmt.Fprintf(stdout, "  %-60s %s\n", sr.ID, sr.Headline())
 	}
-	fmt.Printf("wrote %s, %s, %s\n", jsonPath, csvPath, mdPath)
+	fmt.Fprintf(stdout, "wrote %s\n", strings.Join(paths, ", "))
+	return 0
 }
 
-// spliceDoc rewrites the campaign-marked regions of path in place,
-// restricted to the only allow-list when non-nil.
-func spliceDoc(path string, res *campaign.Results, only []string) error {
+// spliceDoc rewrites the regions of path that res's campaign owns, in
+// place.
+func spliceDoc(stdout io.Writer, path string, res *campaign.Results) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	updated, err := campaign.UpdateDocSections(string(raw), res, only)
+	updated, err := campaign.UpdateDocSections(string(raw), res)
 	if err != nil {
 		return err
 	}
 	if updated == string(raw) {
-		fmt.Printf("%s: up to date\n", path)
+		fmt.Fprintf(stdout, "%s: up to date\n", path)
 		return nil
 	}
 	if err := os.WriteFile(path, []byte(updated), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("%s: regenerated campaign sections\n", path)
+	fmt.Fprintf(stdout, "%s: regenerated %s campaign sections\n", path, res.Campaign)
 	return nil
 }

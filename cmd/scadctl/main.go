@@ -1,8 +1,9 @@
 // Command scadctl coordinates a campaign across a cluster of scad
-// workers. It enumerates the spec's scenarios, deals them round-robin
-// over the workers' scenario endpoint (internal/cluster), rides out
-// worker loss by re-partitioning onto the survivors, and merges the
-// shards into results byte-identical to a single-process
+// workers. It runs the spec through the same scenario driver as
+// cmd/campaign (internal/cluster): every worker that is ready at start
+// pulls scenarios from one shared queue through its scenario endpoint,
+// a lost worker's in-flight scenario goes back on the queue for the
+// survivors, and the results are byte-identical to a single-process
 // cmd/campaign run — same results.json, results.csv and report.md.
 //
 // It also drives real-trace ingestion against a scad started with
@@ -140,16 +141,8 @@ func cmdRun(args []string) {
 		fail(err.Error())
 	}
 
-	jsonPath := filepath.Join(*outDir, "results.json")
-	csvPath := filepath.Join(*outDir, "results.csv")
-	mdPath := filepath.Join(*outDir, "report.md")
-	if err := os.WriteFile(jsonPath, res.EncodeJSON(), 0o644); err != nil {
-		fail(err.Error())
-	}
-	if err := os.WriteFile(csvPath, []byte(res.CSV()), 0o644); err != nil {
-		fail(err.Error())
-	}
-	if err := os.WriteFile(mdPath, []byte(campaign.Report(res)), 0o644); err != nil {
+	paths, err := campaign.WriteArtifacts(*outDir, res)
+	if err != nil {
 		fail(err.Error())
 	}
 
@@ -158,9 +151,9 @@ func cmdRun(args []string) {
 	fmt.Printf("  executed %d, cache hits %d, checkpoint hits %d, retries %d\n",
 		stats.Executed, stats.CacheHits, stats.CheckpointHits, stats.Retries)
 	if stats.WorkersLost > 0 {
-		fmt.Printf("  workers lost %d, scenarios re-partitioned %d\n", stats.WorkersLost, stats.Repartitioned)
+		fmt.Printf("  workers lost %d, scenarios handed back %d\n", stats.WorkersLost, stats.Repartitioned)
 	}
-	fmt.Printf("wrote %s, %s, %s\n", jsonPath, csvPath, mdPath)
+	fmt.Printf("wrote %s\n", strings.Join(paths, ", "))
 }
 
 func cmdStatus(args []string, perWorker bool) {

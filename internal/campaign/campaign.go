@@ -15,13 +15,14 @@
 // spelled absent for the AES default so pre-registry scenario IDs and
 // seeds are unchanged. Run
 // executes the enumeration over the existing engine worker pool,
-// checkpointing each finished scenario; Results serialize to canonical
+// checkpointing each finished scenario; Drive, its scenario driver, is
+// also the cluster coordinator's. Results serialize to canonical
 // JSON/CSV and render to Markdown.
 //
 // Determinism contract. Scenario enumeration order is a pure function of
 // the Spec. Each scenario derives a private seed from (Spec.Seed,
 // scenario ID) via engine.DeriveSeed, so its result is independent of
-// which shard runs it, of every other scenario, and of resume points.
+// which slot runs it, of every other scenario, and of resume points.
 // Since every underlying experiment is itself bit-identical for any
 // engine worker count, the campaign's JSON, CSV and Markdown artifacts
 // are byte-identical for any (Workers, Shards) combination and for

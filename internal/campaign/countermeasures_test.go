@@ -153,34 +153,37 @@ func TestCountermeasureReportAndDecode(t *testing.T) {
 	}
 }
 
-// UpdateDocSections must leave unlisted regions byte-for-byte verbatim
-// while regenerating the listed ones — the mechanism that lets the
-// paper campaign and the countermeasure campaign share EXPERIMENTS.md.
-func TestUpdateDocSectionsAllowList(t *testing.T) {
+// UpdateDocSections must leave regions owned by other campaigns
+// byte-for-byte verbatim while regenerating its own — the mechanism that
+// lets the paper campaign and the countermeasure campaign share
+// EXPERIMENTS.md.
+func TestUpdateDocSectionsRewritesOwnCampaign(t *testing.T) {
 	doc := strings.Join([]string{
 		"# Doc",
-		"<!-- campaign:begin table2 -->",
+		"<!-- campaign:begin fake/table2 -->",
 		"stale table2 content",
-		"<!-- campaign:end table2 -->",
-		"<!-- campaign:begin countermeasures -->",
+		"<!-- campaign:end fake/table2 -->",
+		"<!-- campaign:begin other/countermeasures -->",
 		"stale ctr content",
-		"<!-- campaign:end countermeasures -->",
+		"<!-- campaign:end other/countermeasures -->",
 		"",
 	}, "\n")
-	res := fakeResults() // has table2, no maskcpa
-	out, err := UpdateDocSections(doc, res, []string{"table2"})
+	res := fakeResults() // campaign "fake": has table2, no maskcpa
+	out, err := UpdateDocSections(doc, res)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(out, "stale table2 content") {
-		t.Error("selected region not regenerated")
+		t.Error("own region not regenerated")
 	}
-	if !strings.Contains(out, "stale ctr content") {
-		t.Error("unselected region was touched")
+	if !strings.Contains(out, "<!-- campaign:begin other/countermeasures -->\nstale ctr content\n<!-- campaign:end other/countermeasures -->") {
+		t.Error("another campaign's region was touched")
 	}
-	// The complement selection regenerates the other region (to empty —
-	// fakeResults has no maskcpa scenarios) and restores the first.
-	out2, err := UpdateDocSections(out, res, []string{"countermeasures"})
+	// The other campaign's results regenerate its region (to empty —
+	// fakeResults has no maskcpa scenarios) and keep the first.
+	other := fakeResults()
+	other.Campaign = "other"
+	out2, err := UpdateDocSections(out, other)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,13 +193,15 @@ func TestUpdateDocSectionsAllowList(t *testing.T) {
 	if !strings.Contains(out2, "## Table 2") {
 		t.Error("table2 region lost its generated content")
 	}
-	// A nil allow-list selects everything.
-	all, err := UpdateDocSections(doc, res, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(all, "stale table2 content") || strings.Contains(all, "stale ctr content") {
-		t.Error("nil allow-list left stale content")
+	// Regions of other campaigns are still validated.
+	for _, bad := range []string{
+		"<!-- campaign:begin other/tablez -->\n<!-- campaign:end other/tablez -->",
+		"<!-- campaign:begin table2 -->\n<!-- campaign:end table2 -->",
+		"<!-- campaign:begin other/table2 -->\nno end",
+	} {
+		if _, err := UpdateDocSections(bad, res); err == nil {
+			t.Errorf("malformed region accepted: %q", bad)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -220,29 +221,45 @@ func TestResumeRefusesForeignCheckpoint(t *testing.T) {
 	}
 }
 
-// TestRunShardsErrorDoesNotDeadlock: when work fails, the pool must
-// return the first error rather than hang — with one shard and several
-// queued indexes, an early-returning worker used to strand the feeder
-// on the unbuffered jobs channel forever.
+// TestRunShardsErrorDoesNotDeadlock: when a runner fails, the driver
+// must return the first error rather than hang, and stop handing out
+// scenarios — at one slot nothing runs after the failure, at four
+// slots each slot runs at most the scenario it already held.
 func TestRunShardsErrorDoesNotDeadlock(t *testing.T) {
-	done := make(chan error, 1)
-	var ran atomic.Int64
-	go func() {
-		done <- runShards(1, []int{0, 1, 2, 3}, func(i int) error {
+	spec := testSpec()
+	scenarios, err := spec.Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, slots := range []int{1, 4} {
+		done := make(chan error, 1)
+		var ran atomic.Int64
+		failing := func(_ context.Context, sc *Scenario) (*ScenarioResult, bool, error) {
 			ran.Add(1)
-			return fmt.Errorf("boom at %d", i)
-		})
-	}()
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "boom at 0") {
-			t.Fatalf("want first error, got %v", err)
+			return nil, false, fmt.Errorf("boom at %s", sc.ID)
 		}
-		if ran.Load() != 1 {
-			t.Errorf("work ran %d times after the failure, want 1", ran.Load())
+		runners := make([]Runner, slots)
+		for i := range runners {
+			runners[i] = failing
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("runShards deadlocked on a failing run")
+		go func() {
+			_, err := Drive(spec, RunOptions{}, runners)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "boom at ") {
+				t.Fatalf("%d slots: want the runner's error, got %v", slots, err)
+			}
+			if slots == 1 && !strings.Contains(err.Error(), "boom at "+scenarios[0].ID) {
+				t.Fatalf("one slot: want the first scenario's error, got %v", err)
+			}
+			if n := ran.Load(); n > int64(slots) {
+				t.Errorf("%d slots: runners ran %d times, want at most one per slot", slots, n)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%d slots: the driver deadlocked on a failing run", slots)
+		}
 	}
 }
 
@@ -275,10 +292,13 @@ func TestExecuteDeterministicPerScenario(t *testing.T) {
 
 // TestCommittedCampaignsReproduce is the behavioural contract: every
 // committed spec under campaigns/ must reproduce its committed results
-// byte for byte. -short runs the smoke campaign only. When SIMD kernels
-// run in this process, the "portable" subtest re-executes the test
-// binary with cpufeat.ForcePortableEnv set, so both legs — the kernels
-// and their portable references — are checked in one run.
+// byte for byte — at the default scheduling, at the full 64-lane width,
+// spread over 3 engine workers × 4 slots × 8 lanes, and, for the
+// multi-cipher campaign, filtered to one target. -short runs the smoke
+// campaign only. When SIMD kernels run in this process, the "portable"
+// subtest re-executes the test binary with cpufeat.ForcePortableEnv
+// set, so both legs — the kernels and their portable references — are
+// checked in one run.
 func TestCommittedCampaignsReproduce(t *testing.T) {
 	t.Run("portable", func(t *testing.T) {
 		if testing.Short() {
@@ -293,21 +313,26 @@ func TestCommittedCampaignsReproduce(t *testing.T) {
 			t.Fatalf("%s=1 leg: %v\n%s", cpufeat.ForcePortableEnv, err, out)
 		}
 	})
-	names := []string{"smoke", "paper", "multicipher", "countermeasures"}
-	if testing.Short() {
-		names = names[:1]
+	legs := []struct {
+		name, campaign string
+		opt            RunOptions
+	}{
+		{"smoke", "smoke", RunOptions{}},
+		{"paper", "paper", RunOptions{}},
+		{"multicipher", "multicipher", RunOptions{}},
+		{"countermeasures", "countermeasures", RunOptions{}},
+		{"paper-lanes64", "paper", RunOptions{Lanes: 64}},
+		{"countermeasures-lanes64", "countermeasures", RunOptions{Lanes: 64}},
+		{"countermeasures-w3s4l8", "countermeasures", RunOptions{Workers: 3, Shards: 4, Lanes: 8}},
+		{"multicipher-w3s4l8", "multicipher", RunOptions{Workers: 3, Shards: 4, Lanes: 8}},
 	}
-	for _, name := range names {
-		t.Run(name, func(t *testing.T) {
-			spec, err := LoadSpec(filepath.Join("..", "..", "campaigns", name+".json"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := os.ReadFile(filepath.Join("..", "..", "campaigns", name+".results.json"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := Run(spec, RunOptions{})
+	if testing.Short() {
+		legs = legs[:1]
+	}
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			spec, want := committedCampaign(t, leg.campaign)
+			res, err := Run(spec, leg.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -319,7 +344,86 @@ func TestCommittedCampaignsReproduce(t *testing.T) {
 			for i < len(got) && i < len(want) && got[i] == want[i] {
 				i++
 			}
-			t.Errorf("campaigns/%s.results.json does not reproduce: first difference on line %d", name, 1+bytes.Count(got[:i], []byte("\n")))
+			t.Errorf("campaigns/%s.results.json does not reproduce: first difference on line %d", leg.campaign, 1+bytes.Count(got[:i], []byte("\n")))
 		})
+	}
+	// Filtering selects scenarios without re-keying them: every scenario
+	// of the present-only run equals its committed one.
+	t.Run("multicipher-present", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("-short: runs the multi-cipher campaign's present scenarios")
+		}
+		spec, want := committedCampaign(t, "multicipher")
+		if err := spec.FilterTarget("present"); err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(spec, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		committed, err := DecodeResults(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byID := map[string]string{}
+		for i := range committed.Scenarios {
+			byID[committed.Scenarios[i].ID] = CanonicalDigest(&committed.Scenarios[i])
+		}
+		if len(res.Scenarios) == 0 {
+			t.Fatal("the present filter kept no scenario")
+		}
+		for i := range res.Scenarios {
+			sr := &res.Scenarios[i]
+			full, ok := byID[sr.ID]
+			if !ok {
+				t.Fatalf("filtered scenario %s is not in the committed campaign", sr.ID)
+			}
+			if CanonicalDigest(sr) != full {
+				t.Errorf("filtered scenario %s differs from its committed result", sr.ID)
+			}
+		}
+	})
+}
+
+// committedCampaign loads campaigns/<name>.json and the committed
+// results bytes it must reproduce.
+func committedCampaign(t *testing.T, name string) (*Spec, []byte) {
+	t.Helper()
+	spec, err := LoadSpec(filepath.Join("..", "..", "campaigns", name+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "campaigns", name+".results.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec, want
+}
+
+// TestExperimentsDocMatchesCommittedResults: EXPERIMENTS.md is a
+// generated artifact of the committed paper and countermeasure results,
+// so regenerating its campaign regions must not change a byte.
+func TestExperimentsDocMatchesCommittedResults(t *testing.T) {
+	path := filepath.Join("..", "..", "EXPERIMENTS.md")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+	for _, name := range []string{"paper", "countermeasures"} {
+		res, err := LoadResults(filepath.Join("..", "..", "campaigns", name+".results.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(doc, "<!-- campaign:begin "+name+"/") {
+			t.Errorf("EXPERIMENTS.md has no region owned by the %s campaign", name)
+		}
+		updated, err := UpdateDocSections(doc, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if updated != doc {
+			t.Errorf("EXPERIMENTS.md drifted from campaigns/%s.results.json; run scripts/regen_experiments.sh", name)
+		}
 	}
 }

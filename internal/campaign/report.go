@@ -3,6 +3,7 @@ package campaign
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -566,42 +567,31 @@ func renderAblations(r *Results) string {
 }
 
 // Doc markers: a generated region of a documentation file is delimited
-// by beginMarker(name) and endMarker(name) lines; UpdateDocSections
-// replaces everything between them with the freshly rendered section.
+// by a begin and an end marker naming its owning campaign and section;
+// UpdateDocSections replaces everything between them with the freshly
+// rendered section.
 const (
 	markerBegin = "<!-- campaign:begin "
 	markerEnd   = "<!-- campaign:end "
 	markerClose = " -->"
 )
 
-// UpdateDocSections replaces the marked regions of doc with the
-// corresponding rendered sections of r and returns the new document.
-// Markers look like
+// UpdateDocSections replaces the regions of doc that r's campaign owns
+// with the corresponding rendered sections of r and returns the new
+// document. Markers name the owning campaign and the section:
 //
-//	<!-- campaign:begin table2 -->
+//	<!-- campaign:begin paper/table2 -->
 //	…generated content…
-//	<!-- campaign:end table2 -->
+//	<!-- campaign:end paper/table2 -->
 //
-// Only regions whose name is in only are regenerated (a nil list
-// selects every region); the rest stay byte-for-byte verbatim, still
+// Regions owned by other campaigns stay byte-for-byte verbatim, still
 // validated for well-formed markers, so one document can interleave
-// regions owned by different campaigns — each regenerated from its own
-// results file without clobbering the others. Unknown section names,
-// unterminated regions and mismatched end markers are errors. Applying
-// it twice with the same results is a no-op, which is what lets CI fail
-// on documentation drift.
-func UpdateDocSections(doc string, r *Results, only []string) (string, error) {
-	selected := func(name string) bool {
-		if only == nil {
-			return true
-		}
-		for _, n := range only {
-			if n == name {
-				return true
-			}
-		}
-		return false
-	}
+// regions of several campaigns — each regenerated from its own results
+// file without clobbering the others. Unknown section names, regions
+// that name no campaign, unterminated regions and mismatched end
+// markers are errors. Applying it twice with the same results is a
+// no-op, which is what lets a test fail on documentation drift.
+func UpdateDocSections(doc string, r *Results) (string, error) {
 	lines := strings.Split(doc, "\n")
 	var out []string
 	for i := 0; i < len(lines); i++ {
@@ -629,18 +619,26 @@ func UpdateDocSections(doc string, r *Results, only []string) (string, error) {
 		if end < 0 {
 			return "", fmt.Errorf("campaign: unterminated region %q", name)
 		}
-		if !selected(name) {
+		slash := strings.LastIndexByte(name, '/')
+		owner, section := name[:max(slash, 0)], name[slash+1:]
+		if owner == "" {
+			return "", fmt.Errorf("campaign: region %q names no owning campaign (want <campaign>/<section>)", name)
+		}
+		if !slices.Contains(SectionNames(), section) {
+			return "", fmt.Errorf("campaign: unknown report section %q in region %q", section, name)
+		}
+		if owner != r.Campaign {
 			out = append(out, lines[i:end+1]...)
 			i = end
 			continue
 		}
-		section, err := RenderSection(r, name)
+		rendered, err := RenderSection(r, section)
 		if err != nil {
 			return "", err
 		}
 		out = append(out, line)
-		if section != "" {
-			out = append(out, "", strings.TrimRight(section, "\n"), "")
+		if rendered != "" {
+			out = append(out, "", strings.TrimRight(rendered, "\n"), "")
 		}
 		out = append(out, lines[end])
 		i = end

@@ -67,16 +67,16 @@ func TestUpdateDocSplicesAndIsIdempotent(t *testing.T) {
 	doc := strings.Join([]string{
 		"# Doc",
 		"prose kept verbatim",
-		"<!-- campaign:begin table2 -->",
+		"<!-- campaign:begin fake/table2 -->",
 		"stale generated content",
-		"<!-- campaign:end table2 -->",
+		"<!-- campaign:end fake/table2 -->",
 		"more prose",
-		"<!-- campaign:begin fig4 -->",
-		"<!-- campaign:end fig4 -->",
+		"<!-- campaign:begin fake/fig4 -->",
+		"<!-- campaign:end fake/fig4 -->",
 		"",
 	}, "\n")
 	res := fakeResults()
-	once, err := UpdateDocSections(doc, res, nil)
+	once, err := UpdateDocSections(doc, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestUpdateDocSplicesAndIsIdempotent(t *testing.T) {
 			t.Errorf("updated doc missing %q", want)
 		}
 	}
-	twice, err := UpdateDocSections(once, res, nil)
+	twice, err := UpdateDocSections(once, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,16 +99,16 @@ func TestUpdateDocSplicesAndIsIdempotent(t *testing.T) {
 
 func TestUpdateDocErrors(t *testing.T) {
 	res := fakeResults()
-	if _, err := UpdateDocSections("<!-- campaign:begin nope -->\n<!-- campaign:end nope -->", res, nil); err == nil {
+	if _, err := UpdateDocSections("<!-- campaign:begin fake/nope -->\n<!-- campaign:end fake/nope -->", res); err == nil {
 		t.Error("unknown section name accepted")
 	}
-	if _, err := UpdateDocSections("<!-- campaign:begin table2 -->\nno end", res, nil); err == nil {
+	if _, err := UpdateDocSections("<!-- campaign:begin fake/table2 -->\nno end", res); err == nil {
 		t.Error("unterminated region accepted")
 	}
-	if _, err := UpdateDocSections("<!-- campaign:end table2 -->", res, nil); err == nil {
+	if _, err := UpdateDocSections("<!-- campaign:end fake/table2 -->", res); err == nil {
 		t.Error("stray end marker accepted")
 	}
-	if _, err := UpdateDocSections("<!-- campaign:begin table2 -->\n<!-- campaign:begin fig4 -->\n<!-- campaign:end table2 -->", res, nil); err == nil {
+	if _, err := UpdateDocSections("<!-- campaign:begin fake/table2 -->\n<!-- campaign:begin fake/fig4 -->\n<!-- campaign:end fake/table2 -->", res); err == nil {
 		t.Error("nested begin accepted")
 	}
 }

@@ -5,9 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 
 	"repro/internal/engine"
@@ -23,21 +26,24 @@ type RunOptions struct {
 	// Lanes sets the lane-group width (0: default; see
 	// engine.CheckLanes). Results are bit-identical for any value.
 	Lanes int
-	// Shards overrides the spec's scenario-level concurrency when > 0.
-	// Results are bit-identical for any value.
+	// Shards overrides the spec's scenario-level concurrency (Run's
+	// slot count) when > 0. Results are bit-identical for any value.
 	Shards int
 	// CheckpointPath, when non-empty, appends each finished scenario to
-	// a JSONL checkpoint file. With Resume set, scenarios already in the
-	// file are loaded instead of re-executed.
+	// a JSONL checkpoint file. Without Resume an existing file there is
+	// truncated and started over.
 	CheckpointPath string
-	// Resume loads CheckpointPath before running. A checkpoint written
+	// Resume loads CheckpointPath before running: scenarios already in
+	// the file are settled instead of re-executed, and a torn final line
+	// is truncated away before appending continues. A checkpoint written
 	// by a different spec (fingerprint mismatch) is refused.
 	Resume bool
 	// Log, when non-nil, receives one progress line per scenario.
 	Log io.Writer
 	// OnScenario, when non-nil, observes every completed scenario in
-	// completion order; cached reports a checkpoint hit. Test hook and
-	// progress seam — must be safe for concurrent calls when Shards > 1.
+	// completion order; cached reports a checkpoint hit or a runner's
+	// cache hit. Test hook and progress seam — must be safe for
+	// concurrent calls when there is more than one slot.
 	OnScenario func(sr *ScenarioResult, cached bool)
 	// Ctx, when non-nil, cancels the campaign: in-flight scenarios abort
 	// between engine chunks and Run returns the context's error.
@@ -56,40 +62,28 @@ type checkpointHeader struct {
 	SpecFingerprint string `json:"spec_fingerprint"`
 }
 
-// Checkpoint is the exported checkpoint seam: the JSONL scenario log
-// shared by Run and the cluster coordinator, so a campaign interrupted
-// under one executor resumes under the other. The format is one header
-// line (campaign name, seed, spec fingerprint) followed by one
-// ScenarioResult per line; every line is fsynced on its own.
-type Checkpoint struct {
-	w *checkpointWriter
-}
-
-// OpenCheckpoint opens (or creates) the checkpoint at path for spec.
-// With resume set, previously completed scenarios are returned keyed by
-// ID — a checkpoint written by a different spec is refused — and a torn
-// final line from a hard kill is truncated away before appending
-// continues.
-func OpenCheckpoint(path string, spec *Spec, resume bool) (done map[string]*ScenarioResult, ck *Checkpoint, err error) {
+// openCheckpoint opens (or creates) the checkpoint at path for spec:
+// one header line (campaign name, seed, spec fingerprint) followed by
+// one ScenarioResult per line, each fsynced on its own. With resume
+// set, previously completed scenarios are returned keyed by ID — a
+// checkpoint written by a different spec is refused — and a torn final
+// line from a hard kill is truncated away before appending continues.
+// Without it, an existing file is truncated and started over.
+func openCheckpoint(path string, spec *Spec, resume bool) (map[string]*ScenarioResult, *checkpointWriter, error) {
 	header := checkpointHeader{Campaign: spec.Name, Seed: spec.Seed, SpecFingerprint: spec.Fingerprint()}
-	done = map[string]*ScenarioResult{}
+	var done map[string]*ScenarioResult
 	if resume {
+		var err error
 		if done, err = loadCheckpoint(path, header); err != nil {
 			return nil, nil, err
 		}
 	}
-	w, err := newCheckpointWriter(path, header, resume && len(done) > 0)
+	w, err := newCheckpointWriter(path, header, len(done) > 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	return done, &Checkpoint{w: w}, nil
+	return done, w, nil
 }
-
-// Append durably records one finished scenario.
-func (c *Checkpoint) Append(sr *ScenarioResult) error { return c.w.append(sr) }
-
-// Close releases the underlying file.
-func (c *Checkpoint) Close() error { return c.w.close() }
 
 // loadCheckpoint reads a JSONL checkpoint, returning the completed
 // scenarios keyed by ID. A missing file is an empty checkpoint.
@@ -137,7 +131,7 @@ func loadCheckpoint(path string, want checkpointHeader) (map[string]*ScenarioRes
 }
 
 // checkpointWriter appends scenario lines to the checkpoint file under a
-// lock (shards complete in nondeterministic order; the file is a cache,
+// lock (slots complete in nondeterministic order; the file is a cache,
 // not a canonical artifact — Results ordering is what is canonical).
 type checkpointWriter struct {
 	mu sync.Mutex
@@ -205,64 +199,24 @@ func (w *checkpointWriter) append(sr *ScenarioResult) error {
 
 func (w *checkpointWriter) close() error { return w.f.Close() }
 
-// runShards maps work over idxs on a pool of n goroutines. The first
-// error wins and is returned after the pool drains; once an error is
-// recorded, remaining indexes are received but skipped, so neither the
-// feeder nor a worker can block forever on a failing run.
-func runShards(n int, idxs []int, work func(idx int) error) error {
-	if n > len(idxs) {
-		n = len(idxs)
-	}
-	if n < 1 {
-		n = 1
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-	wg.Add(n)
-	for s := 0; s < n; s++ {
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if failed() {
-					continue // drain the queue without executing
-				}
-				if err := work(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for _, i := range idxs {
-		if failed() {
-			break
-		}
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return firstErr
-}
+// ErrSlotLost classifies a runner failure as "this slot is gone": the
+// scenario did not complete there, so it goes back on the shared queue
+// for the remaining slots. Any other runner error fails the run.
+var ErrSlotLost = errors.New("campaign: slot lost")
+
+// Runner executes one scenario on one slot of Drive. It returns the
+// result (cached reporting that a cache served it rather than a
+// computation), an error wrapping ErrSlotLost to surrender its slot, or
+// any other error to fail the run.
+type Runner func(ctx context.Context, sc *Scenario) (sr *ScenarioResult, cached bool, err error)
 
 // Run executes every scenario the spec enumerates — skipping the ones a
 // resumed checkpoint already holds — and returns the campaign results
-// in enumeration order. The returned Results (and hence their JSON, CSV
-// and Markdown renderings) are byte-identical for any worker count,
-// shard count, and resume point.
+// in enumeration order. It is Drive with Shards slots, each executing
+// its scenarios in this process. The returned Results (and hence their
+// JSON, CSV and Markdown renderings) are byte-identical for any worker
+// count, shard count, and resume point.
 func Run(spec *Spec, opt RunOptions) (*Results, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
 	if err := engine.CheckLanes(opt.Lanes); err != nil {
 		return nil, err
 	}
@@ -270,11 +224,6 @@ func Run(spec *Spec, opt RunOptions) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	scenarios, err := spec.Enumerate()
-	if err != nil {
-		return nil, err
-	}
-
 	workers := spec.Workers
 	if opt.Workers > 0 {
 		workers = opt.Workers
@@ -283,22 +232,50 @@ func Run(spec *Spec, opt RunOptions) (*Results, error) {
 	if opt.Shards > 0 {
 		shards = opt.Shards
 	}
-	if shards < 1 {
-		shards = 1
+	run := engine.Config{Workers: workers, Lanes: opt.Lanes, Ctx: opt.Ctx, Gate: opt.Gate}
+	local := func(_ context.Context, sc *Scenario) (*ScenarioResult, bool, error) {
+		sr, err := Execute(sc, key, run)
+		return sr, false, err
 	}
-	if shards > len(scenarios) {
-		shards = len(scenarios)
+	slots := make([]Runner, max(shards, 1))
+	for i := range slots {
+		slots[i] = local
 	}
+	return Drive(spec, opt, slots)
+}
 
-	done := map[string]*ScenarioResult{}
-	var ckpt *Checkpoint
+// Drive is the one scenario driver, behind both Run and the cluster
+// coordinator. It validates and enumerates spec, settles the scenarios
+// a resumed checkpoint already holds (reporting each to OnScenario as
+// cached, in enumeration order, before any runner starts), and runs the
+// rest on one goroutine per slot, every slot pulling from one shared
+// queue in enumeration order. Each completed scenario is appended to
+// the checkpoint, logged and passed to OnScenario; the results are
+// merged in enumeration order, so completion order never reaches the
+// artifacts.
+//
+// A slot whose runner returns ErrSlotLost is retired and its scenario
+// goes back to the front of the queue; losing the last slot while work
+// is outstanding fails the run. Any other runner error fails the run
+// (the first error wins), as does cancelling opt.Ctx. Drive reads only
+// CheckpointPath, Resume, Log, OnScenario and Ctx; the other options
+// tune Run's slots.
+func Drive(spec *Spec, opt RunOptions, slots []Runner) (*Results, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	scenarios, err := spec.Enumerate()
+	if err != nil {
+		return nil, err
+	}
+	var done map[string]*ScenarioResult
+	var ckpt *checkpointWriter
 	if opt.CheckpointPath != "" {
-		if done, ckpt, err = OpenCheckpoint(opt.CheckpointPath, spec, opt.Resume); err != nil {
+		if done, ckpt, err = openCheckpoint(opt.CheckpointPath, spec, opt.Resume); err != nil {
 			return nil, err
 		}
-		defer ckpt.Close()
+		defer ckpt.close()
 	}
-
 	logf := func(format string, args ...any) {
 		if opt.Log != nil {
 			fmt.Fprintf(opt.Log, format+"\n", args...)
@@ -306,7 +283,8 @@ func Run(spec *Spec, opt RunOptions) (*Results, error) {
 	}
 
 	results := make([]*ScenarioResult, len(scenarios))
-	var pendingIdx []int
+	q := &queue{live: len(slots)}
+	q.cond = sync.NewCond(&q.mu)
 	for i := range scenarios {
 		if sr, ok := done[scenarios[i].ID]; ok {
 			results[i] = sr
@@ -316,32 +294,35 @@ func Run(spec *Spec, opt RunOptions) (*Results, error) {
 			}
 			continue
 		}
-		pendingIdx = append(pendingIdx, i)
+		q.pending = append(q.pending, i)
 	}
+	q.outstanding = len(q.pending)
 
-	run := engine.Config{Workers: workers, Lanes: opt.Lanes, Ctx: opt.Ctx, Gate: opt.Gate}
-
-	// Shards pull scenario indexes from a channel; results land in their
-	// enumeration slot, so completion order never reaches the artifacts.
-	err = runShards(shards, pendingIdx, func(i int) error {
-		sc := &scenarios[i]
-		sr, err := Execute(sc, key, run)
-		if err != nil {
-			return err
+	complete := func(i int, sr *ScenarioResult, cached bool) error {
+		if sr.ID != scenarios[i].ID {
+			return fmt.Errorf("campaign: scenario %q came back as %q", scenarios[i].ID, sr.ID)
 		}
 		results[i] = sr
 		if ckpt != nil {
-			if err := ckpt.Append(sr); err != nil {
+			if err := ckpt.append(sr); err != nil {
 				return fmt.Errorf("campaign: checkpoint: %w", err)
 			}
 		}
-		logf("[%3d/%d] %s: %s", i+1, len(scenarios), sc.ID, sr.Headline())
+		headline := sr.Headline()
+		if cached {
+			headline += " (cache hit)"
+		}
+		logf("[%3d/%d] %s: %s", i+1, len(scenarios), sr.ID, headline)
 		if opt.OnScenario != nil {
-			opt.OnScenario(sr, false)
+			opt.OnScenario(sr, cached)
 		}
 		return nil
-	})
-	if err != nil {
+	}
+	ctx := opt.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := q.run(ctx, scenarios, slots, complete); err != nil {
 		return nil, err
 	}
 
@@ -350,6 +331,116 @@ func Run(spec *Spec, opt RunOptions) (*Results, error) {
 		out.Scenarios = append(out.Scenarios, *sr)
 	}
 	return out, nil
+}
+
+// queue is Drive's scheduling state: the enumeration indexes no slot
+// holds yet, the count of scenarios not yet completed, the slots not
+// yet lost, and the first failure. Every transition holds mu; cond
+// wakes idle slots on hand-back, completion and failure.
+type queue struct {
+	mu          sync.Mutex
+	cond        *sync.Cond
+	pending     []int
+	outstanding int
+	live        int
+	err         error
+}
+
+// run drives every slot until the queue drains or the run fails, and
+// returns the first failure.
+func (q *queue) run(ctx context.Context, scenarios []Scenario, slots []Runner, complete func(int, *ScenarioResult, bool) error) error {
+	q.mu.Lock()
+	q.checkLiveLocked(ErrSlotLost) // no slot at all
+	q.mu.Unlock()
+	stop := context.AfterFunc(ctx, func() { q.fail(ctx.Err()) })
+	defer stop()
+	var wg sync.WaitGroup
+	for _, slot := range slots {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i, ok := q.next()
+				if !ok {
+					return
+				}
+				sr, cached, err := slot(ctx, &scenarios[i])
+				switch {
+				case err == nil:
+					q.finish(complete(i, sr, cached))
+				case errors.Is(err, ErrSlotLost):
+					q.lose(i, err)
+					return
+				default:
+					q.fail(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return q.err
+}
+
+// next blocks until a scenario is pending and hands it out. It returns
+// false once everything completed or the run failed; an idle slot keeps
+// waiting while others hold scenarios, since a lost slot hands its
+// scenario back.
+func (q *queue) next() (int, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for {
+		if q.err != nil || q.outstanding == 0 {
+			return 0, false
+		}
+		if len(q.pending) > 0 {
+			i := q.pending[0]
+			q.pending = q.pending[1:]
+			return i, true
+		}
+		q.cond.Wait()
+	}
+}
+
+// finish records one completion; err is the completion's own failure
+// (a checkpoint write), which fails the run.
+func (q *queue) finish(err error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.outstanding--
+	q.failLocked(err)
+}
+
+// lose retires a slot and puts its scenario i back at the front of the
+// queue: it has waited longest.
+func (q *queue) lose(i int, cause error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.live--
+	q.pending = slices.Insert(q.pending, 0, i)
+	q.checkLiveLocked(cause)
+	q.cond.Broadcast()
+}
+
+// checkLiveLocked fails the run when no slot is left for the
+// outstanding scenarios.
+func (q *queue) checkLiveLocked(cause error) {
+	if q.live == 0 && q.outstanding > 0 {
+		q.failLocked(fmt.Errorf("campaign: every slot lost with %d scenarios unfinished: %w", q.outstanding, cause))
+	}
+}
+
+func (q *queue) fail(err error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.failLocked(err)
+}
+
+func (q *queue) failLocked(err error) {
+	if q.err == nil {
+		q.err = err
+	}
+	q.cond.Broadcast()
 }
 
 // EncodeJSON renders the results in the canonical indented form written
@@ -408,4 +499,25 @@ func LoadResults(path string) (*Results, error) {
 		return nil, err
 	}
 	return DecodeResults(raw)
+}
+
+// WriteArtifacts writes the canonical renderings of r into dir —
+// results.json, results.csv and report.md — and returns their paths.
+func WriteArtifacts(dir string, r *Results) ([]string, error) {
+	var paths []string
+	for _, f := range []struct {
+		name string
+		data []byte
+	}{
+		{"results.json", r.EncodeJSON()},
+		{"results.csv", []byte(r.CSV())},
+		{"report.md", []byte(Report(r))},
+	} {
+		path := filepath.Join(dir, f.name)
+		if err := os.WriteFile(path, f.data, 0o644); err != nil {
+			return nil, err
+		}
+		paths = append(paths, path)
+	}
+	return paths, nil
 }

@@ -103,34 +103,3 @@ func (r *ScenarioRequest) Fingerprint() string {
 		Request  *ScenarioRequest `json:"request"`
 	}{Endpoint: "scenario", Request: r})
 }
-
-// MergeResults assembles independently executed scenario results into
-// the canonical Results artifact: scenarios in enumeration order, each
-// present exactly once. Completion order, which worker ran what, and
-// retry history are all invisible to the output — merged reports are
-// byte-identical to a single-process Run of the same spec.
-func MergeResults(spec *Spec, scenarios []Scenario, byID map[string]*ScenarioResult) (*Results, error) {
-	out := &Results{Campaign: spec.Name, Seed: spec.Seed, SpecFingerprint: spec.Fingerprint()}
-	for i := range scenarios {
-		sr, ok := byID[scenarios[i].ID]
-		if !ok || sr == nil {
-			return nil, fmt.Errorf("campaign: merge: scenario %q has no result", scenarios[i].ID)
-		}
-		out.Scenarios = append(out.Scenarios, *sr)
-	}
-	if len(byID) > len(scenarios) {
-		for id := range byID {
-			found := false
-			for i := range scenarios {
-				if scenarios[i].ID == id {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return nil, fmt.Errorf("campaign: merge: result for %q matches no enumerated scenario", id)
-			}
-		}
-	}
-	return out, nil
-}

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -126,21 +127,40 @@ func TestScenarioRequestBlankDefaults(t *testing.T) {
 	}
 }
 
-// TestMergeResultsIsCompletionOrderIndependent proves the merge seam
-// orders by enumeration, not completion, and refuses holes and
-// strays.
+// TestMergeResultsIsCompletionOrderIndependent proves the driver's
+// merge orders by enumeration, not completion: with one slot per
+// scenario, every scenario is in flight at once and completes only after
+// its successor, so completions arrive in reverse. A result that comes
+// back under another scenario's ID fails the run.
 func TestMergeResultsIsCompletionOrderIndependent(t *testing.T) {
 	spec := wireTestSpec(t)
 	scenarios, err := spec.Enumerate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	byID := map[string]*ScenarioResult{}
-	// Fill in reverse completion order with distinguishable stubs.
-	for i := len(scenarios) - 1; i >= 0; i-- {
-		byID[scenarios[i].ID] = &ScenarioResult{ID: scenarios[i].ID, Kind: scenarios[i].Kind, Seed: scenarios[i].Seed}
+	n := len(scenarios)
+	completed := make([]chan struct{}, n+1)
+	for i := range completed {
+		completed[i] = make(chan struct{})
 	}
-	res, err := MergeResults(spec, scenarios, byID)
+	close(completed[n])
+	reverse := func(_ context.Context, sc *Scenario) (*ScenarioResult, bool, error) {
+		<-completed[sc.Index+1]
+		return &ScenarioResult{ID: sc.ID, Kind: sc.Kind, Seed: sc.Seed}, false, nil
+	}
+	slots := make([]Runner, n)
+	for i := range slots {
+		slots[i] = reverse
+	}
+	var order []string
+	res, err := Drive(spec, RunOptions{OnScenario: func(sr *ScenarioResult, _ bool) {
+		order = append(order, sr.ID)
+		for i := range scenarios {
+			if scenarios[i].ID == sr.ID {
+				close(completed[i])
+			}
+		}
+	}}, slots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,19 +168,19 @@ func TestMergeResultsIsCompletionOrderIndependent(t *testing.T) {
 		if res.Scenarios[i].ID != scenarios[i].ID {
 			t.Fatalf("merge order slot %d: got %q want %q", i, res.Scenarios[i].ID, scenarios[i].ID)
 		}
+		if order[n-1-i] != scenarios[i].ID {
+			t.Fatalf("completion %d was %q, want %q (reverse enumeration)", n-1-i, order[n-1-i], scenarios[i].ID)
+		}
 	}
 	if res.SpecFingerprint != spec.Fingerprint() {
 		t.Fatal("merge must stamp the spec fingerprint")
 	}
 
-	delete(byID, scenarios[0].ID)
-	if _, err := MergeResults(spec, scenarios, byID); err == nil {
-		t.Fatal("a missing scenario must fail the merge")
+	stray := func(_ context.Context, sc *Scenario) (*ScenarioResult, bool, error) {
+		return &ScenarioResult{ID: "stray"}, false, nil
 	}
-	byID[scenarios[0].ID] = &ScenarioResult{ID: scenarios[0].ID}
-	byID["stray"] = &ScenarioResult{ID: "stray"}
-	if _, err := MergeResults(spec, scenarios, byID); err == nil {
-		t.Fatal("a stray result must fail the merge")
+	if _, err := Drive(spec, RunOptions{}, []Runner{stray}); err == nil {
+		t.Fatal("a result for another scenario must fail the run")
 	}
 }
 

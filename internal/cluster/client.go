@@ -21,6 +21,7 @@ import (
 type counters struct {
 	executed, cacheHits, retries atomic.Int64
 	peerFills, peerFillErrors    atomic.Int64
+	lost                         atomic.Int64
 }
 
 // resultEnvelope mirrors the serve response body shape for the
@@ -202,9 +203,9 @@ func decodeEnvelope(r io.Reader, fp string) (*campaign.ScenarioResult, error) {
 	return &env.Result, nil
 }
 
-// clusterRunner is the production runner: it drives one scenario
-// through a worker with bounded, jittered retries, classifying each
-// failure as retry-here, worker-lost (re-partition) or fatal.
+// clusterRunner drives one scenario through a worker with bounded,
+// jittered retries, classifying each failure as retry-here,
+// worker-lost (the scenario goes back on the queue) or fatal.
 type clusterRunner struct {
 	clients  []*workerClient
 	campaign string
@@ -273,10 +274,10 @@ func (cr *clusterRunner) run(ctx context.Context, worker int, sc *campaign.Scena
 			// Transport-level trouble: timeout, refused connection, reset
 			// mid-body. One strike is forgiven if the worker still answers
 			// its health probe; two in a row — or a failed probe — and the
-			// worker is surrendered for re-partitioning.
+			// worker surrenders its slot.
 			suspects++
 			if suspects >= 2 || !cl.healthy(ctx) {
-				return nil, false, fmt.Errorf("%w: %s: %v", ErrWorkerLost, cl.base, err)
+				return nil, false, cl.lost(err)
 			}
 			if !sleep(ctx, cl.jitter.backoff(cl.policy, attempt)) {
 				return nil, false, ctx.Err()
@@ -287,15 +288,23 @@ func (cr *clusterRunner) run(ctx context.Context, worker int, sc *campaign.Scena
 	// may still complete the scenario, and if the failure follows the
 	// scenario everywhere, the run fails when the last worker is lost —
 	// bounded either way.
-	return nil, false, fmt.Errorf("%w: %s: scenario %s still failing after %d attempts: %v",
-		ErrWorkerLost, cl.base, sc.ID, cl.policy.MaxAttempts, lastErr)
+	return nil, false, cl.lost(fmt.Errorf("scenario %s still failing after %d attempts: %v",
+		sc.ID, cl.policy.MaxAttempts, lastErr))
+}
+
+// lost surrenders this worker's slot: the returned error wraps
+// campaign.ErrSlotLost, so the driver puts the scenario back on the
+// queue for the survivors.
+func (w *workerClient) lost(cause error) error {
+	w.c.lost.Add(1)
+	return fmt.Errorf("%w: worker %s: %v", campaign.ErrSlotLost, w.base, cause)
 }
 
 // fillPeers replicates a freshly computed body to every other worker's
 // cache, synchronously and best-effort: a dead or slow peer only costs
 // its bounded probe budget, and failures are counted, never fatal. The
-// payoff is that a later re-partition (or a duplicate dispatch after a
-// torn response) finds the bytes already in place.
+// payoff is that a scenario a lost worker hands back (or a duplicate
+// dispatch after a torn response) finds the bytes already in place.
 func (cr *clusterRunner) fillPeers(ctx context.Context, from int, fp string, raw []byte) {
 	for i, cl := range cr.clients {
 		if i == from {

@@ -1,22 +1,25 @@
-// Package cluster shards a campaign across a fleet of scad workers.
+// Package cluster runs a campaign across a fleet of scad workers.
 //
-// The coordinator enumerates the campaign's scenarios, partitions them
-// round-robin across the workers, and drives each scenario through the
-// scad HTTP API (POST /v1/scenario) with bounded, jittered retries.
-// The workers' content-addressed caches double as the shared result
-// store: every dispatch is preceded by a read-through GET on the
-// scenario fingerprint, and freshly computed bodies are replicated to
-// the peers (PUT /v1/results/{fingerprint}), so a re-partitioned or
-// duplicated scenario is a lookup rather than a recomputation. A worker
-// that stops answering is declared lost and its remaining scenarios are
-// re-dealt onto the survivors; losing every worker fails the run.
+// The coordinator is campaign.Drive, the same scenario driver a
+// single-process run uses, with one slot per worker that answers its
+// readiness probe at start. Every slot pulls scenarios from the
+// driver's one shared queue and drives each through the scad HTTP API
+// (POST /v1/scenario) with bounded, jittered retries. The workers'
+// content-addressed caches double as the shared result store: every
+// dispatch is preceded by a read-through GET on the scenario
+// fingerprint, and freshly computed bodies are replicated to the peers
+// (PUT /v1/results/{fingerprint}), so a scenario handed back by a lost
+// worker, or dispatched again after a torn response, is a lookup rather
+// than a recomputation. A worker that stops answering surrenders its
+// slot with campaign.ErrSlotLost: its in-flight scenario goes back on
+// the queue for the survivors, and losing every worker fails the run.
 //
 // None of this scheduling is visible in the artifacts. Scenario results
-// are pure functions of (campaign seed, scenario ID), so the merged
-// Results — assembled in enumeration order by campaign.MergeResults —
-// are byte-identical to a single-process cmd/campaign run for any
-// worker count, kill schedule, or completion order. The fault-injection
-// tests in this package hold that bar under scripted failures.
+// are pure functions of (campaign seed, scenario ID) and the driver
+// merges them in enumeration order, so the Results are byte-identical
+// to a single-process cmd/campaign run for any worker count, kill
+// schedule, or completion order. The fault-injection tests in this
+// package hold that bar under scripted failures.
 package cluster
 
 import (
@@ -42,14 +45,14 @@ type Options struct {
 	// the same fsynced JSONL format cmd/campaign writes, so an
 	// interrupted coordinator resumes without re-dispatching.
 	CheckpointPath string
-	// Resume replays an existing checkpoint at CheckpointPath instead of
-	// refusing to overwrite it.
+	// Resume replays an existing checkpoint at CheckpointPath, as
+	// campaign.RunOptions.Resume does.
 	Resume bool
 	// Seed seeds the scheduling jitter RNG only — it cannot affect result
 	// bytes (0: fixed default).
 	Seed int64
-	// Log receives one line per completed scenario and per topology
-	// change (nil: silent).
+	// Log receives one line per completed scenario and per worker that
+	// is not ready at start (nil: silent).
 	Log io.Writer
 	// OnScenario observes every completed scenario; cached reports a
 	// checkpoint or cache hit.
@@ -57,7 +60,10 @@ type Options struct {
 }
 
 // Stats summarizes where one run's scenarios came from and how rough
-// the ride was.
+// the ride was. Scenarios and CheckpointHits are set when the run
+// succeeds. Repartitioned counts the scenarios lost workers handed back
+// to the shared queue: one per worker lost mid-run, none for a worker
+// that was not ready at start.
 type Stats struct {
 	Scenarios      int `json:"scenarios"`
 	CheckpointHits int `json:"checkpoint_hits"`
@@ -70,55 +76,13 @@ type Stats struct {
 	PeerFillErrors int `json:"peer_fill_errors"`
 }
 
-// Run executes spec across the cluster and merges the shards into the
-// same Results a single-process run produces.
+// Run executes spec across the cluster and returns the same Results a
+// single-process run produces.
 func Run(ctx context.Context, spec *campaign.Spec, opt Options) (*campaign.Results, Stats, error) {
 	var stats Stats
 	if len(opt.Workers) == 0 {
 		return nil, stats, fmt.Errorf("cluster: no workers configured")
 	}
-	if err := spec.Validate(); err != nil {
-		return nil, stats, err
-	}
-	scenarios, err := spec.Enumerate()
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.Scenarios = len(scenarios)
-	logf := func(format string, args ...any) {
-		if opt.Log != nil {
-			fmt.Fprintf(opt.Log, format+"\n", args...)
-		}
-	}
-
-	// Replay the checkpoint first: scenarios already on disk are settled
-	// and never reach the dispatcher.
-	var done map[string]*campaign.ScenarioResult
-	var ckpt *campaign.Checkpoint
-	if opt.CheckpointPath != "" {
-		done, ckpt, err = campaign.OpenCheckpoint(opt.CheckpointPath, spec, opt.Resume)
-		if err != nil {
-			return nil, stats, err
-		}
-		defer ckpt.Close()
-	}
-	byID := make(map[string]*campaign.ScenarioResult, len(scenarios))
-	var pendingIdx []int
-	for i := range scenarios {
-		if sr, ok := done[scenarios[i].ID]; ok {
-			byID[sr.ID] = sr
-			stats.CheckpointHits++
-			if opt.OnScenario != nil {
-				opt.OnScenario(sr, true)
-			}
-			continue
-		}
-		pendingIdx = append(pendingIdx, i)
-	}
-	if stats.CheckpointHits > 0 {
-		logf("checkpoint: %d/%d scenarios already complete", stats.CheckpointHits, len(scenarios))
-	}
-
 	jitter := newJitterSource(opt.Seed)
 	var ctrs counters
 	cr := &clusterRunner{
@@ -131,55 +95,43 @@ func Run(ctx context.Context, spec *campaign.Spec, opt Options) (*campaign.Resul
 		cr.clients = append(cr.clients, newWorkerClient(base, opt.RequestTimeout, opt.Retry, jitter, &ctrs))
 	}
 
-	d := newDispatcher(scenarios, pendingIdx, len(opt.Workers), cr, func(w int, sr *campaign.ScenarioResult, cached bool) error {
-		if ckpt != nil {
-			if err := ckpt.Append(sr); err != nil {
-				return err
-			}
-		}
-		disposition := "executed"
-		if cached {
-			disposition = "cache hit"
-		}
-		logf("worker %d: %s (%s)", w, sr.ID, disposition)
-		if opt.OnScenario != nil {
-			opt.OnScenario(sr, cached)
-		}
-		return nil
-	})
-
 	// Probe every worker before dispatching: a worker that is down at
-	// start simply never receives a queue, rather than burning a retry
-	// budget per scenario.
+	// start gets no slot, rather than burning a retry budget on its
+	// first scenario.
+	var slots []campaign.Runner
 	for i, cl := range cr.clients {
 		if !cl.healthy(ctx) {
-			logf("worker %d (%s): not ready at start, re-partitioning its shard", i, cl.base)
-			d.markDead(i, fmt.Errorf("%w: %s: not ready at start", ErrWorkerLost, cl.base))
+			if opt.Log != nil {
+				fmt.Fprintf(opt.Log, "worker %d (%s): not ready at start\n", i, cl.base)
+			}
+			stats.WorkersLost++
+			continue
 		}
+		slots = append(slots, func(ctx context.Context, sc *campaign.Scenario) (*campaign.ScenarioResult, bool, error) {
+			return cr.run(ctx, i, sc)
+		})
 	}
 
-	if err := d.run(ctx); err != nil {
-		return nil, statsFrom(stats, d, &ctrs), err
-	}
-	results, _, _ := d.snapshot()
-	for id, sr := range results {
-		byID[id] = sr
-	}
-	out, err := campaign.MergeResults(spec, scenarios, byID)
+	res, err := campaign.Drive(spec, campaign.RunOptions{
+		CheckpointPath: opt.CheckpointPath,
+		Resume:         opt.Resume,
+		Log:            opt.Log,
+		OnScenario:     opt.OnScenario,
+		Ctx:            ctx,
+	}, slots)
+	stats.Executed = int(ctrs.executed.Load())
+	stats.CacheHits = int(ctrs.cacheHits.Load())
+	stats.Retries = int(ctrs.retries.Load())
+	stats.Repartitioned = int(ctrs.lost.Load())
+	stats.WorkersLost += stats.Repartitioned
+	stats.PeerFills = int(ctrs.peerFills.Load())
+	stats.PeerFillErrors = int(ctrs.peerFillErrors.Load())
 	if err != nil {
-		return nil, statsFrom(stats, d, &ctrs), err
+		return nil, stats, err
 	}
-	return out, statsFrom(stats, d, &ctrs), nil
-}
-
-func statsFrom(stats Stats, d *dispatcher, c *counters) Stats {
-	_, lost, repartitioned := d.snapshot()
-	stats.WorkersLost = lost
-	stats.Repartitioned = repartitioned
-	stats.CacheHits += int(c.cacheHits.Load())
-	stats.Executed = int(c.executed.Load())
-	stats.Retries = int(c.retries.Load())
-	stats.PeerFills = int(c.peerFills.Load())
-	stats.PeerFillErrors = int(c.peerFillErrors.Load())
-	return stats
+	// Each pending scenario completed exactly once, on a slot that
+	// either executed it or found it cached.
+	stats.Scenarios = len(res.Scenarios)
+	stats.CheckpointHits = stats.Scenarios - stats.Executed - stats.CacheHits
+	return res, stats, nil
 }

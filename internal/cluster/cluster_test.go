@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -265,8 +266,9 @@ func TestClusterByteIdenticalUnderEveryKillSchedule(t *testing.T) {
 				if err != nil {
 					t.Fatalf("n=%d victim=%d doa=%v: %v", n, victim, deadOnArrival, err)
 				}
-				if deadOnArrival && stats.WorkersLost != 1 {
-					t.Fatalf("n=%d victim=%d: lost %d workers, want the dead-on-arrival one", n, victim, stats.WorkersLost)
+				if deadOnArrival && (stats.WorkersLost != 1 || stats.Repartitioned != 0) {
+					t.Fatalf("n=%d victim=%d: lost %d workers handing back %d scenarios, want the dead-on-arrival one and none",
+						n, victim, stats.WorkersLost, stats.Repartitioned)
 				}
 				assertByteIdentical(t, res)
 			}
@@ -316,11 +318,12 @@ func TestClusterResumesAfterTotalLoss(t *testing.T) {
 	if err == nil {
 		t.Fatal("losing the only worker must fail the run")
 	}
-	if !strings.Contains(err.Error(), "every worker lost") {
-		t.Fatalf("err = %v, want the every-worker-lost diagnosis", err)
+	if !errors.Is(err, campaign.ErrSlotLost) || !strings.Contains(err.Error(), "every slot lost") {
+		t.Fatalf("err = %v, want the every-slot-lost diagnosis", err)
 	}
-	if stats.WorkersLost != 1 {
-		t.Fatalf("lost %d workers, want 1", stats.WorkersLost)
+	// The dead worker held its third scenario and handed it back.
+	if stats.WorkersLost != 1 || stats.Repartitioned != 1 {
+		t.Fatalf("lost %d workers handing back %d scenarios, want 1 and 1", stats.WorkersLost, stats.Repartitioned)
 	}
 
 	replacement := newFaultyWorker(t)

@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
-	"runtime"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -13,57 +14,43 @@ import (
 	"repro/internal/campaign"
 )
 
-// fakeScenarios builds n placeholder scenarios; the dispatcher only
-// schedules, so identity is all they need.
-func fakeScenarios(n int) []campaign.Scenario {
-	out := make([]campaign.Scenario, n)
-	for i := range out {
-		out[i] = campaign.Scenario{Point: campaign.Point{ID: fmt.Sprintf("s%03d", i)}, Index: i}
+// The coordinator dispatches through campaign.Drive with one slot per
+// worker. These tests drive it with scripted workers in place of the
+// HTTP client, so the scheduling contract is checked without sockets.
+
+// dispatchSpec enumerates n fig3 scenarios (traces 8, 9, …). The
+// scripted workers never execute them, so identity is all they need.
+func dispatchSpec(n int) *campaign.Spec {
+	traces := make([]int, n)
+	for i := range traces {
+		traces[i] = 8 + i
 	}
-	return out
+	return &campaign.Spec{Name: "dispatch", Seed: 9, Workloads: []campaign.Workload{{Kind: campaign.KindFig3, Traces: traces}}}
 }
 
-func allIdx(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
+// workerRunner executes one scenario on worker w.
+type workerRunner func(ctx context.Context, w int, sc *campaign.Scenario) (*campaign.ScenarioResult, bool, error)
 
-func TestPartitionDealsEveryIndexExactlyOnce(t *testing.T) {
-	for _, tc := range []struct{ n, k int }{
-		{0, 1}, {1, 1}, {7, 1}, {7, 2}, {7, 3}, {7, 5}, {3, 8}, {16, 4},
-	} {
-		queues := Partition(allIdx(tc.n), tc.k)
-		if len(queues) != max(tc.k, 1) {
-			t.Fatalf("n=%d k=%d: %d queues", tc.n, tc.k, len(queues))
-		}
-		seen := map[int]int{}
-		for w, q := range queues {
-			for pos, idx := range q {
-				seen[idx]++
-				// Round-robin dealing: queue w holds w, w+k, w+2k, …
-				if want := w + pos*tc.k; tc.k >= 1 && idx != want {
-					t.Fatalf("n=%d k=%d queue %d pos %d: idx %d, want %d", tc.n, tc.k, w, pos, idx, want)
-				}
-			}
-		}
-		for i := 0; i < tc.n; i++ {
-			if seen[i] != 1 {
-				t.Fatalf("n=%d k=%d: index %d dealt %d times", tc.n, tc.k, i, seen[i])
-			}
+// dispatch runs spec on one slot per worker through the driver.
+func dispatch(ctx context.Context, spec *campaign.Spec, workers int, r workerRunner, opt campaign.RunOptions) (*campaign.Results, error) {
+	slots := make([]campaign.Runner, workers)
+	for w := range slots {
+		slots[w] = func(ctx context.Context, sc *campaign.Scenario) (*campaign.ScenarioResult, bool, error) {
+			return r(ctx, w, sc)
 		}
 	}
+	opt.Ctx = ctx
+	return campaign.Drive(spec, opt, slots)
 }
 
 // scriptedRunner executes scenarios instantly, failing per a death
-// schedule: worker w dies (ErrWorkerLost) when its attempt counter
-// reaches deaths[w]. Attempts and successes are tallied per scenario.
+// schedule: worker w surrenders its slot when its attempt counter
+// reaches deaths[w]. Attempts, losses and successes are tallied.
 type scriptedRunner struct {
 	mu        sync.Mutex
 	deaths    map[int]int // worker -> die on this (1-based) attempt
 	attempts  map[int]int // worker -> attempts so far
+	lost      int
 	successes map[string]int
 }
 
@@ -80,21 +67,22 @@ func (f *scriptedRunner) run(ctx context.Context, worker int, sc *campaign.Scena
 	defer f.mu.Unlock()
 	f.attempts[worker]++
 	if die, ok := f.deaths[worker]; ok && f.attempts[worker] >= die {
-		return nil, false, fmt.Errorf("%w: scripted death of worker %d", ErrWorkerLost, worker)
+		f.lost++
+		return nil, false, fmt.Errorf("%w: scripted death of worker %d", campaign.ErrSlotLost, worker)
 	}
 	f.successes[sc.ID]++
-	return &campaign.ScenarioResult{ID: sc.ID, Seed: int64(sc.Index)}, false, nil
+	return &campaign.ScenarioResult{ID: sc.ID, Kind: sc.Kind, Seed: sc.Seed}, false, nil
 }
 
 // TestDispatcherPropertyFuzz drives randomized (scenario count, worker
-// count, death schedule) triples through the dispatcher and asserts the
+// count, death schedule) triples through the driver and asserts the
 // exactly-once contract: as long as one worker survives, every scenario
 // completes with exactly one successful execution, none is lost or
-// duplicated, and onDone fires once per scenario.
+// duplicated, and OnScenario fires once per scenario.
 func TestDispatcherPropertyFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(41)
+		n := 1 + rng.Intn(40)
 		workers := 1 + rng.Intn(6)
 		deaths := map[int]int{}
 		// Kill a random strict subset of workers, each after a random
@@ -107,50 +95,46 @@ func TestDispatcherPropertyFuzz(t *testing.T) {
 		r := newScriptedRunner(deaths)
 		var mu sync.Mutex
 		doneCount := map[string]int{}
-		d := newDispatcher(fakeScenarios(n), allIdx(n), workers, r, func(w int, sr *campaign.ScenarioResult, cached bool) error {
-			mu.Lock()
-			doneCount[sr.ID]++
-			mu.Unlock()
-			return nil
+		res, err := dispatch(context.Background(), dispatchSpec(n), workers, r.run, campaign.RunOptions{
+			OnScenario: func(sr *campaign.ScenarioResult, cached bool) {
+				mu.Lock()
+				doneCount[sr.ID]++
+				mu.Unlock()
+			},
 		})
-		if err := d.run(context.Background()); err != nil {
+		if err != nil {
 			t.Fatalf("trial %d (n=%d workers=%d deaths=%v): %v", trial, n, workers, deaths, err)
 		}
-		results, lost, _ := d.snapshot()
-		if len(results) != n {
-			t.Fatalf("trial %d: %d results, want %d", trial, len(results), n)
+		if len(res.Scenarios) != n {
+			t.Fatalf("trial %d: %d results, want %d", trial, len(res.Scenarios), n)
 		}
-		if lost > len(deaths) {
-			t.Fatalf("trial %d: lost %d workers, scripted %d", trial, lost, len(deaths))
+		if r.lost > len(deaths) {
+			t.Fatalf("trial %d: lost %d workers, scripted %d", trial, r.lost, len(deaths))
 		}
-		for i := 0; i < n; i++ {
-			id := fmt.Sprintf("s%03d", i)
-			if results[id] == nil {
-				t.Fatalf("trial %d: scenario %s lost", trial, id)
-			}
+		for i := range res.Scenarios {
+			id := res.Scenarios[i].ID
 			if r.successes[id] != 1 {
 				t.Fatalf("trial %d: scenario %s executed successfully %d times, want exactly once", trial, id, r.successes[id])
 			}
 			if doneCount[id] != 1 {
-				t.Fatalf("trial %d: onDone fired %d times for %s", trial, doneCount[id], id)
+				t.Fatalf("trial %d: OnScenario fired %d times for %s", trial, doneCount[id], id)
 			}
 		}
 	}
 }
 
 // TestDispatcherMergeIndependentOfCompletionOrder runs the same
-// campaign under wildly different schedules — worker counts, death
-// sequences, steal patterns — and merges each outcome: every merge must
-// be identical, in enumeration order, regardless of who computed what
-// when.
+// campaign under wildly different schedules — worker counts and death
+// sequences — and requires every merge to be byte-identical and in
+// enumeration order, regardless of who computed what when.
 func TestDispatcherMergeIndependentOfCompletionOrder(t *testing.T) {
 	const n = 23
-	scenarios := fakeScenarios(n)
-	spec := &campaign.Spec{Name: "order", Seed: 9}
-	var wantIDs []string
-	for i := range scenarios {
-		wantIDs = append(wantIDs, scenarios[i].ID)
+	spec := dispatchSpec(n)
+	scenarios, err := spec.Enumerate()
+	if err != nil {
+		t.Fatal(err)
 	}
+	var first []byte
 	for _, tc := range []struct {
 		workers int
 		deaths  map[int]int
@@ -161,97 +145,124 @@ func TestDispatcherMergeIndependentOfCompletionOrder(t *testing.T) {
 		{5, map[int]int{1: 1, 3: 4}},
 		{5, map[int]int{0: 1, 1: 1, 2: 1, 3: 1}},
 	} {
-		r := newScriptedRunner(tc.deaths)
-		d := newDispatcher(scenarios, allIdx(n), tc.workers, r, nil)
-		if err := d.run(context.Background()); err != nil {
+		merged, err := dispatch(context.Background(), spec, tc.workers, newScriptedRunner(tc.deaths).run, campaign.RunOptions{})
+		if err != nil {
 			t.Fatalf("workers=%d deaths=%v: %v", tc.workers, tc.deaths, err)
 		}
-		byID, _, _ := d.snapshot()
-		merged, err := campaign.MergeResults(spec, scenarios, byID)
-		if err != nil {
-			t.Fatalf("workers=%d: merge: %v", tc.workers, err)
-		}
-		if len(merged.Scenarios) != n {
-			t.Fatalf("workers=%d: merged %d scenarios", tc.workers, len(merged.Scenarios))
-		}
 		for i := range merged.Scenarios {
-			if merged.Scenarios[i].ID != wantIDs[i] {
+			if merged.Scenarios[i].ID != scenarios[i].ID {
 				t.Fatalf("workers=%d: position %d holds %s, want %s (enumeration order)",
-					tc.workers, i, merged.Scenarios[i].ID, wantIDs[i])
+					tc.workers, i, merged.Scenarios[i].ID, scenarios[i].ID)
 			}
+		}
+		if first == nil {
+			first = merged.EncodeJSON()
+		} else if string(merged.EncodeJSON()) != string(first) {
+			t.Fatalf("workers=%d deaths=%v: merged bytes differ from the one-worker run", tc.workers, tc.deaths)
 		}
 	}
 }
 
+// TestDispatcherFailsWhenEveryWorkerDies: losing the last worker with
+// work outstanding fails the run, and what completed before the
+// collapse is checkpointed — a resumed run executes only the rest.
 func TestDispatcherFailsWhenEveryWorkerDies(t *testing.T) {
+	const n = 12
+	ckpt := filepath.Join(t.TempDir(), "checkpoint.jsonl")
 	r := newScriptedRunner(map[int]int{0: 2, 1: 3, 2: 1})
-	d := newDispatcher(fakeScenarios(12), allIdx(12), 3, r, nil)
-	err := d.run(context.Background())
+	_, err := dispatch(context.Background(), dispatchSpec(n), 3, r.run, campaign.RunOptions{CheckpointPath: ckpt})
 	if err == nil {
 		t.Fatal("losing every worker with work outstanding must fail the run")
 	}
-	if !strings.Contains(err.Error(), "every worker lost") {
-		t.Fatalf("err = %v, want the every-worker-lost diagnosis", err)
+	if !errors.Is(err, campaign.ErrSlotLost) || !strings.Contains(err.Error(), "every slot lost") {
+		t.Fatalf("err = %v, want the every-slot-lost diagnosis", err)
 	}
-	// The completed prefix is still intact for checkpoint resume.
-	results, lost, _ := d.snapshot()
-	if lost != 3 {
-		t.Fatalf("lost %d workers, want 3", lost)
+	if r.lost != 3 {
+		t.Fatalf("lost %d workers, want 3", r.lost)
 	}
-	for id, n := range r.successes {
-		if n != 1 {
-			t.Fatalf("scenario %s executed %d times before the collapse", id, n)
-		}
-		if results[id] == nil {
-			t.Fatalf("completed scenario %s missing from the snapshot", id)
+	for id, k := range r.successes {
+		if k != 1 {
+			t.Fatalf("scenario %s executed %d times before the collapse", id, k)
 		}
 	}
-}
 
-func TestDispatcherRepartitionsDeadWorkersQueue(t *testing.T) {
-	// Worker 0 dies on its very first attempt while worker 1 waits for
-	// the funeral: worker 0's entire shard — the in-flight scenario plus
-	// its four queued ones — must move to worker 1 and still complete.
-	// Worker 1 waits until the dispatcher has recorded the loss, not
-	// merely until worker 0's runner returned: in between, worker 1
-	// could steal from worker 0's still-live queue.
-	var d *dispatcher
-	r := runnerFunc(func(ctx context.Context, w int, sc *campaign.Scenario) (*campaign.ScenarioResult, bool, error) {
-		if w == 0 {
-			return nil, false, fmt.Errorf("%w: scripted death of worker 0", ErrWorkerLost)
-		}
-		for {
-			if _, lost, _ := d.snapshot(); lost == 1 {
-				break
+	resumed := newScriptedRunner(nil)
+	checkpointed := 0
+	res, err := dispatch(context.Background(), dispatchSpec(n), 1, resumed.run, campaign.RunOptions{
+		CheckpointPath: ckpt,
+		Resume:         true,
+		OnScenario: func(sr *campaign.ScenarioResult, cached bool) {
+			if cached {
+				checkpointed++
 			}
-			runtime.Gosched()
-		}
-		return &campaign.ScenarioResult{ID: sc.ID}, false, nil
+		},
 	})
-	d = newDispatcher(fakeScenarios(10), allIdx(10), 2, r, nil)
-	if err := d.run(context.Background()); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
-	results, lost, repartitioned := d.snapshot()
-	if lost != 1 {
-		t.Fatalf("lost %d, want 1", lost)
+	if checkpointed != len(r.successes) {
+		t.Fatalf("resume settled %d scenarios from the checkpoint, want the %d completed before the collapse", checkpointed, len(r.successes))
 	}
-	if repartitioned != 5 {
-		t.Fatalf("repartitioned %d scenarios, want worker 0's full shard of 5", repartitioned)
+	for id := range r.successes {
+		if resumed.successes[id] != 0 {
+			t.Fatalf("resume re-executed checkpointed scenario %s", id)
+		}
 	}
-	if len(results) != 10 {
-		t.Fatalf("%d results, want 10", len(results))
+	if len(res.Scenarios) != n {
+		t.Fatalf("%d results, want %d", len(res.Scenarios), n)
 	}
 }
 
+// TestDispatcherHandsBackLostScenario: a worker that dies on its first
+// attempt hands its in-flight scenario back to the shared queue, and
+// the survivor completes it exactly once. The survivor holds its first
+// scenario until worker 0 has taken one, so worker 0 always gets one.
+func TestDispatcherHandsBackLostScenario(t *testing.T) {
+	var mu sync.Mutex
+	var orphan string
+	successes := map[string]int{}
+	taken := make(chan struct{})
+	r := func(ctx context.Context, w int, sc *campaign.Scenario) (*campaign.ScenarioResult, bool, error) {
+		if w == 0 {
+			mu.Lock()
+			orphan = sc.ID
+			mu.Unlock()
+			close(taken)
+			return nil, false, fmt.Errorf("%w: scripted death of worker 0", campaign.ErrSlotLost)
+		}
+		<-taken
+		mu.Lock()
+		defer mu.Unlock()
+		successes[sc.ID]++
+		return &campaign.ScenarioResult{ID: sc.ID, Kind: sc.Kind, Seed: sc.Seed}, false, nil
+	}
+	res, err := dispatch(context.Background(), dispatchSpec(10), 2, r, campaign.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Scenarios) != 10 || len(successes) != 10 {
+		t.Fatalf("%d results from %d executed scenarios, want 10", len(res.Scenarios), len(successes))
+	}
+	for id, k := range successes {
+		if k != 1 {
+			t.Fatalf("scenario %s executed %d times, want once", id, k)
+		}
+	}
+	if successes[orphan] != 1 {
+		t.Fatalf("handed-back scenario %q completed %d times, want once", orphan, successes[orphan])
+	}
+}
+
+// TestDispatcherAbortsWhenOnDoneFails: a completion the checkpoint
+// cannot record (a result JSON cannot encode) fails the run.
 func TestDispatcherAbortsWhenOnDoneFails(t *testing.T) {
-	boom := errors.New("checkpoint disk died")
-	r := newScriptedRunner(nil)
-	d := newDispatcher(fakeScenarios(8), allIdx(8), 2, r, func(int, *campaign.ScenarioResult, bool) error {
-		return boom
-	})
-	if err := d.run(context.Background()); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want the onDone failure", err)
+	unencodable := func(ctx context.Context, w int, sc *campaign.Scenario) (*campaign.ScenarioResult, bool, error) {
+		return &campaign.ScenarioResult{ID: sc.ID, Kind: sc.Kind, Fig3: &campaign.AttackResult{BestCorr: math.NaN()}}, false, nil
+	}
+	ckpt := filepath.Join(t.TempDir(), "checkpoint.jsonl")
+	_, err := dispatch(context.Background(), dispatchSpec(8), 2, unencodable, campaign.RunOptions{CheckpointPath: ckpt})
+	if err == nil || !strings.Contains(err.Error(), "checkpoint") {
+		t.Fatalf("err = %v, want the checkpoint failure", err)
 	}
 }
 
@@ -259,7 +270,7 @@ func TestDispatcherHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{}, 1)
 	block := make(chan struct{})
-	r := runnerFunc(func(ctx context.Context, w int, sc *campaign.Scenario) (*campaign.ScenarioResult, bool, error) {
+	r := func(ctx context.Context, w int, sc *campaign.Scenario) (*campaign.ScenarioResult, bool, error) {
 		select {
 		case started <- struct{}{}:
 		default:
@@ -270,20 +281,16 @@ func TestDispatcherHonorsCancellation(t *testing.T) {
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
 		}
-	})
-	d := newDispatcher(fakeScenarios(4), allIdx(4), 2, r, nil)
+	}
 	errc := make(chan error, 1)
-	go func() { errc <- d.run(ctx) }()
+	go func() {
+		_, err := dispatch(ctx, dispatchSpec(4), 2, r, campaign.RunOptions{})
+		errc <- err
+	}()
 	<-started
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	close(block)
-}
-
-type runnerFunc func(context.Context, int, *campaign.Scenario) (*campaign.ScenarioResult, bool, error)
-
-func (f runnerFunc) run(ctx context.Context, w int, sc *campaign.Scenario) (*campaign.ScenarioResult, bool, error) {
-	return f(ctx, w, sc)
 }

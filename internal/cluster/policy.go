@@ -15,8 +15,8 @@ import (
 // the values.
 type RetryPolicy struct {
 	// MaxAttempts is the execution-attempt budget per (scenario, worker)
-	// before the worker is declared lost and the scenario re-partitioned
-	// (0: 6).
+	// before the worker is declared lost and the scenario goes back on
+	// the queue (0: 6).
 	MaxAttempts int
 	// BackoffBase is the pre-jitter delay after the first failure; each
 	// further failure doubles it (0: 100ms).

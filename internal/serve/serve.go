@@ -422,8 +422,8 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleResultsPut is the peer cache-fill path: a cluster coordinator
-// replicates a finished body to the other workers so a re-partitioned
-// scenario (or a retried torn response) is served from cache instead of
+// replicates a finished body to the other workers so a scenario a lost
+// worker handed back (or a retried torn response) is served from cache instead of
 // recomputed. The body must be a result envelope whose embedded
 // fingerprint matches the path — within a trusted cluster that suffices,
 // because bodies are pure functions of their fingerprints, so the worst

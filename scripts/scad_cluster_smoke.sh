@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # scad_cluster_smoke.sh [spec] [expected-results] — end-to-end proof of
-# the distributed campaign path: start three scad workers, shard the
+# the distributed campaign path: start three scad workers, run the
 # campaign across them with scadctl, SIGKILL one worker mid-run, and
 # require the merged results to be byte-identical to the committed
 # single-process output. Defaults to the smoke campaign.
@@ -42,15 +42,17 @@ for p in "${PORTS[@]}"; do
 done
 "$BIN/scadctl" workers -workers "$WORKERS"
 
-# Shard the campaign across the cluster and SIGKILL one worker as soon
-# as the coordinator reports its first completed scenarios — mid-run by
-# construction. The coordinator must re-partition the dead worker's
-# shard onto the survivors and still merge byte-identical artifacts.
+# Run the campaign across the cluster and SIGKILL one worker as soon as
+# the coordinator reports three completed scenarios — mid-run by
+# construction. Completions are the driver's progress lines
+# ("[  3/64] <scenario>: <headline>"). The dead worker's in-flight
+# scenario must go back on the shared queue for the survivors, and the
+# artifacts must still be byte-identical.
 "$BIN/scadctl" run -spec "$SPEC" -workers "$WORKERS" \
   -out "$WORK/out" >"$WORK/ctl.out" 2>"$WORK/ctl.log" &
 CTL_PID=$!
 for _ in $(seq 1 500); do
-  [ "$(grep -c '^worker ' "$WORK/ctl.log" 2>/dev/null || true)" -ge 3 ] && break
+  [ "$(grep -cE '^\[ *[0-9]+/[0-9]+\] ' "$WORK/ctl.log" 2>/dev/null || true)" -ge 3 ] && break
   kill -0 "$CTL_PID" 2>/dev/null || break
   sleep 0.02
 done
